@@ -2,8 +2,8 @@
 parity-critical output.
 
 The whole performance story of this repo is gated by *bit-identity*:
-``jobs=N`` must equal ``jobs=1``, a warm session must equal a cold one,
-the compiled engines must equal legacy.  One ``for u in some_set:`` whose
+a warm session must equal a cold one, a patched artifact must equal a
+cold rebuild, the compiled engines must equal legacy.  One ``for u in some_set:`` whose
 order leaks into a returned clique list, a merge concatenation, or a
 stats counter silently breaks that oracle — with string nodes, set
 iteration order depends on ``PYTHONHASHSEED``, so the "nondeterminism"

@@ -6,15 +6,14 @@ that boundary:
 
 * **unpicklable payloads** — lambdas, functions defined inside other
   functions, generator expressions and generator objects all raise at
-  submit time, but only on the parallel path, so a ``jobs=1`` test run
-  never sees the crash;
+  submit time, but only on the process-pool path, so a single-process
+  test run never sees the crash;
 * **dict-backed payloads** — a project class whose ``__init__`` builds
   mutable containers (adjacency dicts, candidate lists) pickles *all*
   of it unless the class defines ``__getstate__``.  The compiled kernel
-  classes ship CSR arrays only (``CompiledComponent.__getstate__``);
+  classes pickle CSR arrays only (``CompiledComponent.__getstate__``);
   shipping a dict-backed object instead multiplies serialization cost
-  by the fan-out and is exactly the regression the parallel layer's
-  design ruled out.
+  by the fan-out.
 
 The rule tracks names bound to ``ProcessPoolExecutor`` (assignment or
 ``with ... as pool``) and inspects every ``.submit`` / ``.map`` on

@@ -7,18 +7,15 @@ median of 5 interleaved repetitions per config, for both the enumeration
 
 ``--quick`` shrinks the dataset and repetition count to a CI-smoke-sized
 run (~tens of seconds).  ``--check`` turns the run into a gate: exit
-status 1 when any config's outputs differ between arms — engines *or*
-worker counts — or when the bitset engine's median is slower than
-legacy's beyond ``--tolerance`` (a noise allowance — CI runners are
+status 1 when any config's outputs differ between engine arms, or when
+the bitset engine's median is slower than legacy's beyond
+``--tolerance`` (a noise allowance — CI runners are
 shared machines).  The enumeration suite carries a ``pivot`` arm whose
 gate is clique-set identity plus a branch-count reduction of at least
 1x over bitset; the queries suite additionally asserts the compile
 accounting (a cold session records one nonzero compile lap, a warm
 session records exactly zero).
 
-``--jobs`` is the scaling axis: a comma-separated list of worker counts
-(full runs default to ``1,2,4``) adds a ``bitset-jN`` arm per count > 1,
-and the per-config ``jobs_speedup`` scaling curve lands in the report.
 ``--verbose`` prints the per-phase wall-clock breakdown (prune / cut /
 compile / search) recorded by the stats timings.
 
@@ -66,29 +63,11 @@ QUICK_SCALE = 0.3
 QUICK_REPS = 3
 FULL_REPS = 5
 
-#: Scaling axis defaults: full runs record the jobs=1/2/4 curve the
-#: checked-in reports carry; quick (CI smoke) runs stay sequential
-#: unless --jobs asks otherwise.
-FULL_JOBS = [1, 2, 4]
-QUICK_JOBS = [1]
-
 #: Full-scale gate for the streaming suite's headline: the reweight
 #: stream's maintain arm must beat per-update recompute by this factor.
 #: Quick runs shrink the graph until per-update recompute is too cheap
 #: to promise a stable ratio, so the floor applies to full runs only.
 STREAMING_HEADLINE_FLOOR = 5.0
-
-
-def _parse_jobs(spec: str) -> list[int]:
-    try:
-        jobs = [int(part) for part in spec.split(",") if part.strip()]
-    except ValueError:
-        raise SystemExit(
-            f"--jobs expects a comma-separated list of integers, got {spec!r}"
-        ) from None
-    if not jobs or any(j < 1 for j in jobs):
-        raise SystemExit(f"--jobs entries must be >= 1, got {spec!r}")
-    return jobs
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -142,15 +121,6 @@ def _build_parser() -> argparse.ArgumentParser:
         help="directory for the BENCH_*.json reports",
     )
     parser.add_argument(
-        "--jobs",
-        default="",
-        help=(
-            "comma-separated worker counts for the scaling axis "
-            "(default: 1,2,4 for full runs, 1 for --quick); counts > 1 "
-            "add bitset-jN arms via the process-parallel layer"
-        ),
-    )
-    parser.add_argument(
         "--verbose",
         action="store_true",
         help="print the per-phase wall-clock breakdown for every arm",
@@ -169,11 +139,6 @@ def _print_report(report: BenchReport, verbose: bool) -> None:
         legacy = config.engines["legacy"].median_s
         bitset = config.engines["bitset"].median_s
         flag = "" if config.identical_output else "  OUTPUT MISMATCH"
-        scaling = "".join(
-            f" {name.removeprefix('bitset-')}={config.engines[name].median_s:.3f}s"
-            f"({ratio:.2f}x)"
-            for name, ratio in sorted(config.jobs_speedup.items())
-        )
         pivot = ""
         if "pivot" in config.engines:
             pivot = (
@@ -183,7 +148,7 @@ def _print_report(report: BenchReport, verbose: bool) -> None:
         print(
             f"  k={config.k} tau={config.tau}: "
             f"legacy={legacy:.3f}s bitset={bitset:.3f}s "
-            f"speedup={config.speedup:.2f}x{pivot}{scaling}{flag}"
+            f"speedup={config.speedup:.2f}x{pivot}{flag}"
         )
         if verbose:
             for name, run in config.engines.items():
@@ -271,16 +236,12 @@ def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
     scale = QUICK_SCALE if args.quick else 1.0
     reps = args.reps or (QUICK_REPS if args.quick else FULL_REPS)
-    if args.jobs:
-        jobs = _parse_jobs(args.jobs)
-    else:
-        jobs = QUICK_JOBS if args.quick else FULL_JOBS
 
     failures: list[str] = []
     if args.suite in ("engines", "all"):
         reports = [
-            run_enumeration_bench(args.dataset, ENUM_CONFIGS, reps, scale, jobs),
-            run_maximum_bench(args.dataset, MAX_CONFIGS, reps, scale, jobs),
+            run_enumeration_bench(args.dataset, ENUM_CONFIGS, reps, scale),
+            run_maximum_bench(args.dataset, MAX_CONFIGS, reps, scale),
         ]
         for report in reports:
             _print_report(report, args.verbose)

@@ -10,7 +10,7 @@ identity gate, provenance block).
 Artifact accounting mirrors production: the session layer compiles the
 graph **once per version** and every peel of every query replays over
 those arrays, so the arrays arm here peels over a shared
-:class:`~repro.core.prune_kernel.CompiledPruneGraph` built once per
+:class:`~repro.core.prune_kernel.CompiledGraph` built once per
 repetition, and the lowering itself is timed separately and reported as
 ``compile_median_s`` — it is amortized across all peels at one version,
 not a per-peel cost.  Ops run in a fixed order, so which op pays the
@@ -25,7 +25,6 @@ core is not a speedup.
 from __future__ import annotations
 
 import json
-import os
 import statistics
 import time
 from dataclasses import asdict, dataclass, field
@@ -33,7 +32,7 @@ from pathlib import Path
 
 from repro.bench.runner import collect_provenance
 from repro.core.ktau_core import dp_core, dp_core_plus
-from repro.core.prune_kernel import CompiledPruneGraph, compile_prune_graph
+from repro.core.prune_kernel import CompiledGraph, compile_graph
 from repro.core.topk_core import topk_core
 from repro.datasets.registry import load_dataset
 from repro.uncertain.graph import Node, UncertainGraph
@@ -126,7 +125,7 @@ def _peel_once(
     k: int,
     tau: float,
     engine: str,
-    compiled: CompiledPruneGraph | None,
+    compiled: CompiledGraph | None,
 ) -> tuple[float, set[Node] | frozenset[Node]]:
     start = time.perf_counter()
     result: set[Node] | frozenset[Node]
@@ -172,31 +171,26 @@ def run_prune_bench(
     identical = [True] * len(ops)
     survivors = [0] * len(ops)
     compile_times: list[float] = []
-    env_jobs = os.environ.pop("REPRO_JOBS", None)
-    try:
-        for _ in range(repetitions):
-            # A fresh lowering per repetition, timed on its own; the
-            # arrays arm of every op below replays over this artifact,
-            # exactly as the session layer shares one compile per
-            # graph version across the prune stages of its queries.
-            start = time.perf_counter()
-            compiled = compile_prune_graph(graph)
-            compile_times.append(time.perf_counter() - start)
-            for i, (op, k, tau) in enumerate(ops):
-                elapsed, legacy_result = _peel_once(
-                    graph, op, k, tau, "legacy", None
-                )
-                runs[i]["legacy"].times_s.append(elapsed)
-                elapsed, arrays_result = _peel_once(
-                    graph, op, k, tau, "arrays", compiled
-                )
-                runs[i]["arrays"].times_s.append(elapsed)
-                if normalized(legacy_result) != normalized(arrays_result):
-                    identical[i] = False
-                survivors[i] = len(legacy_result)
-    finally:
-        if env_jobs is not None:
-            os.environ["REPRO_JOBS"] = env_jobs
+    for _ in range(repetitions):
+        # A fresh lowering per repetition, timed on its own; the
+        # arrays arm of every op below replays over this artifact,
+        # exactly as the session layer shares one compile per
+        # graph version across the prune stages of its queries.
+        start = time.perf_counter()
+        compiled = compile_graph(graph)
+        compile_times.append(time.perf_counter() - start)
+        for i, (op, k, tau) in enumerate(ops):
+            elapsed, legacy_result = _peel_once(
+                graph, op, k, tau, "legacy", None
+            )
+            runs[i]["legacy"].times_s.append(elapsed)
+            elapsed, arrays_result = _peel_once(
+                graph, op, k, tau, "arrays", compiled
+            )
+            runs[i]["arrays"].times_s.append(elapsed)
+            if normalized(legacy_result) != normalized(arrays_result):
+                identical[i] = False
+            survivors[i] = len(legacy_result)
 
     results: list[PruneOpResult] = []
     for i, (op, k, tau) in enumerate(ops):

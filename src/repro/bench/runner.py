@@ -6,15 +6,14 @@ Wall-clock comparisons between in-process arms on a noisy machine need
 two defenses, both applied here:
 
 * **Interleaving** — each repetition runs *every* arm back to back
-  (legacy, bitset, pivot, then each ``bitset-jN`` parallel arm) before
-  the next repetition starts, so slow drift in machine load lands on all
+  (legacy, bitset, then pivot) before the next repetition starts, so slow drift in machine load lands on all
   sides rather than biasing whichever arm happened to run last.
 * **Median of N** — the reported time per arm is the median over the
   repetitions, which throws away one-off spikes that a mean would absorb.
 
 Every run also re-verifies the arms' contract: identical results (for
 enumeration, the same cliques in the same yield order) and identical
-statistics counters — across engines *and* across worker counts.  A
+statistics counters across engines.  A
 benchmark whose arms disagree is reported with ``identical_output:
 false`` and fails the ``--check`` gate — a speedup over wrong answers is
 not a speedup.  The pivot arm's contract is *set* identity (pivoting
@@ -23,23 +22,11 @@ its per-config ``pivot_branch_reduction`` records the bitset engine's
 ``search_calls`` over the pivot engine's — the branch-tree shrink the
 absorbing Tomita pivot buys.
 
-Scaling axis
-------------
-``jobs=(1, 2, 4)`` adds ``bitset-j2`` / ``bitset-j4`` arms running the
-process-parallel layer (:mod:`repro.core.parallel`); per-config
-``jobs_speedup`` records the sequential-bitset median over each parallel
-median, which is the scaling curve the checked-in reports carry.  The
-``REPRO_JOBS`` environment variable is cleared around every measurement
-(and restored after) so each arm runs exactly the worker count it
-claims.
-
 Provenance
 ----------
 Every report embeds where its numbers came from — git commit, python
 version, platform, ``os.cpu_count()`` — so the perf trajectory across
-the checked-in ``BENCH_*.json`` files stays attributable: a scaling
-curve measured on a single-core container is expected to be flat, and
-the embedded ``cpu_count`` is what says so.
+the checked-in ``BENCH_*.json`` files stays attributable.
 """
 
 from __future__ import annotations
@@ -68,10 +55,10 @@ __all__ = [
     "run_maximum_bench",
 ]
 
+#: Arms of the enumeration suite.  The maximum suite drops ``pivot``,
+#: which runs the exact bitset branch-and-bound there.
 ENGINES: tuple[Engine, ...] = ("legacy", "bitset", "pivot")
-
-#: Arm descriptor: display name, underlying engine, worker count.
-Arm = tuple[str, Engine, int]
+MAX_ENGINES: tuple[Engine, ...] = ("legacy", "bitset")
 
 
 @dataclass
@@ -92,7 +79,6 @@ class ConfigResult:
     tau: float
     engines: dict[str, EngineRun]
     speedup: float
-    jobs_speedup: dict[str, float]
     identical_output: bool
     #: bitset search_calls / pivot search_calls (enumeration only; 0.0
     #: when the config has no pivot arm or no recursion ran).
@@ -142,7 +128,6 @@ class BenchReport:
     scale: float
     repetitions: int
     interleaved: bool
-    jobs: list[int]
     provenance: dict[str, object]
     configs: list[ConfigResult]
 
@@ -174,45 +159,22 @@ def _median(values: list[float]) -> float:
     return float(statistics.median(values))
 
 
-def _arms(jobs: list[int], pivot: bool = False) -> list[Arm]:
-    arms: list[Arm] = [("legacy", "legacy", 1), ("bitset", "bitset", 1)]
-    if pivot:
-        arms.append(("pivot", "pivot", 1))
-    for j in jobs:
-        if j > 1:
-            arms.append((f"bitset-j{j}", "bitset", j))
-    return arms
-
-
-def _jobs_speedup(runs: dict[str, EngineRun]) -> dict[str, float]:
-    """Sequential-bitset median over each parallel arm's median — the
-    per-config scaling curve (> 1 means the parallel arm was faster)."""
-    base = runs["bitset"].median_s
-    return {
-        name: (base / run.median_s if run.median_s > 0.0 else 0.0)
-        for name, run in runs.items()
-        if name.startswith("bitset-j")
-    }
-
-
 def _enum_once(
-    graph: UncertainGraph, k: int, tau: float, engine: Engine, jobs: int
+    graph: UncertainGraph, k: int, tau: float, engine: Engine
 ) -> tuple[float, list[frozenset[Node]], dict[str, int], dict[str, float]]:
     stats = EnumerationStats()
     start = time.perf_counter()
-    cliques = list(
-        muce_plus_plus(graph, k, tau, stats=stats, engine=engine, jobs=jobs)
-    )
+    cliques = list(muce_plus_plus(graph, k, tau, stats=stats, engine=engine))
     elapsed = time.perf_counter() - start
     return elapsed, cliques, dict(asdict(stats)), dict(stats.timings.laps)
 
 
 def _max_once(
-    graph: UncertainGraph, k: int, tau: float, engine: Engine, jobs: int
+    graph: UncertainGraph, k: int, tau: float, engine: Engine
 ) -> tuple[float, frozenset[Node] | None, dict[str, int], dict[str, float]]:
     stats = MaximumSearchStats()
     start = time.perf_counter()
-    best = max_uc_plus(graph, k, tau, stats=stats, engine=engine, jobs=jobs)
+    best = max_uc_plus(graph, k, tau, stats=stats, engine=engine)
     elapsed = time.perf_counter() - start
     return elapsed, best, dict(asdict(stats)), dict(stats.timings.laps)
 
@@ -222,67 +184,56 @@ def run_enumeration_bench(
     configs: list[tuple[int, float]],
     repetitions: int,
     scale: float = 1.0,
-    jobs: list[int] | None = None,
 ) -> BenchReport:
-    """Benchmark ``muce_plus_plus`` across engines and worker counts."""
-    jobs = jobs if jobs is not None else [1]
-    arms = _arms(jobs, pivot=True)
+    """Benchmark ``muce_plus_plus`` across engines."""
     graph = load_dataset(dataset, scale=scale)
     results: list[ConfigResult] = []
-    env_jobs = os.environ.pop("REPRO_JOBS", None)
-    try:
-        for k, tau in configs:
-            runs: dict[str, EngineRun] = {name: EngineRun() for name, _, _ in arms}
-            outputs: dict[str, list[frozenset[Node]]] = {}
-            for _ in range(repetitions):
-                for name, engine, n_jobs in arms:
-                    elapsed, cliques, stats, phases = _enum_once(
-                        graph, k, tau, engine, n_jobs
-                    )
-                    runs[name].times_s.append(elapsed)
-                    runs[name].stats = stats
-                    runs[name].phase_seconds = phases
-                    outputs[name] = cliques
-            for run in runs.values():
-                run.median_s = _median(run.times_s)
-            legacy, bitset = runs["legacy"], runs["bitset"]
-            pivot = runs["pivot"]
-            # Order-identical arms match legacy bit for bit; the pivot
-            # arm reorders emission, so its gate is set identity with no
-            # duplicates and the same clique count.
-            identical = all(
-                outputs[name] == outputs["legacy"]
-                and runs[name].stats == legacy.stats
-                for name, _, _ in arms
-                if name != "pivot"
-            ) and (
-                len(outputs["pivot"]) == len(set(outputs["pivot"]))
-                and set(outputs["pivot"]) == set(outputs["legacy"])
-                and pivot.stats["cliques"] == legacy.stats["cliques"]
-            )
-            results.append(
-                ConfigResult(
-                    k=k,
-                    tau=tau,
-                    engines=runs,
-                    speedup=(
-                        legacy.median_s / bitset.median_s
-                        if bitset.median_s > 0.0
-                        else 0.0
-                    ),
-                    jobs_speedup=_jobs_speedup(runs),
-                    identical_output=identical,
-                    pivot_branch_reduction=(
-                        bitset.stats["search_calls"]
-                        / pivot.stats["search_calls"]
-                        if pivot.stats.get("search_calls", 0) > 0
-                        else 0.0
-                    ),
+    for k, tau in configs:
+        runs: dict[str, EngineRun] = {e: EngineRun() for e in ENGINES}
+        outputs: dict[str, list[frozenset[Node]]] = {}
+        for _ in range(repetitions):
+            for engine in ENGINES:
+                elapsed, cliques, stats, phases = _enum_once(
+                    graph, k, tau, engine
                 )
+                runs[engine].times_s.append(elapsed)
+                runs[engine].stats = stats
+                runs[engine].phase_seconds = phases
+                outputs[engine] = cliques
+        for run in runs.values():
+            run.median_s = _median(run.times_s)
+        legacy, bitset = runs["legacy"], runs["bitset"]
+        pivot = runs["pivot"]
+        # The bitset arm matches legacy bit for bit; the pivot arm
+        # reorders emission, so its gate is set identity with no
+        # duplicates and the same clique count.
+        identical = (
+            outputs["bitset"] == outputs["legacy"]
+            and bitset.stats == legacy.stats
+        ) and (
+            len(outputs["pivot"]) == len(set(outputs["pivot"]))
+            and set(outputs["pivot"]) == set(outputs["legacy"])
+            and pivot.stats["cliques"] == legacy.stats["cliques"]
+        )
+        results.append(
+            ConfigResult(
+                k=k,
+                tau=tau,
+                engines=runs,
+                speedup=(
+                    legacy.median_s / bitset.median_s
+                    if bitset.median_s > 0.0
+                    else 0.0
+                ),
+                identical_output=identical,
+                pivot_branch_reduction=(
+                    bitset.stats["search_calls"]
+                    / pivot.stats["search_calls"]
+                    if pivot.stats.get("search_calls", 0) > 0
+                    else 0.0
+                ),
             )
-    finally:
-        if env_jobs is not None:
-            os.environ["REPRO_JOBS"] = env_jobs
+        )
     return BenchReport(
         benchmark="enumeration",
         algorithm="muce_plus_plus",
@@ -290,7 +241,6 @@ def run_enumeration_bench(
         scale=scale,
         repetitions=repetitions,
         interleaved=True,
-        jobs=jobs,
         provenance=collect_provenance(),
         configs=results,
     )
@@ -301,51 +251,41 @@ def run_maximum_bench(
     configs: list[tuple[int, float]],
     repetitions: int,
     scale: float = 1.0,
-    jobs: list[int] | None = None,
 ) -> BenchReport:
-    """Benchmark ``max_uc_plus`` across engines and worker counts."""
-    jobs = jobs if jobs is not None else [1]
-    arms = _arms(jobs)
+    """Benchmark ``max_uc_plus`` across engines."""
     graph = load_dataset(dataset, scale=scale)
     results: list[ConfigResult] = []
-    env_jobs = os.environ.pop("REPRO_JOBS", None)
-    try:
-        for k, tau in configs:
-            runs = {name: EngineRun() for name, _, _ in arms}
-            outputs: dict[str, frozenset[Node] | None] = {}
-            for _ in range(repetitions):
-                for name, engine, n_jobs in arms:
-                    elapsed, best, stats, phases = _max_once(
-                        graph, k, tau, engine, n_jobs
-                    )
-                    runs[name].times_s.append(elapsed)
-                    runs[name].stats = stats
-                    runs[name].phase_seconds = phases
-                    outputs[name] = best
-            for run in runs.values():
-                run.median_s = _median(run.times_s)
-            legacy, bitset = runs["legacy"], runs["bitset"]
-            results.append(
-                ConfigResult(
-                    k=k,
-                    tau=tau,
-                    engines=runs,
-                    speedup=(
-                        legacy.median_s / bitset.median_s
-                        if bitset.median_s > 0.0
-                        else 0.0
-                    ),
-                    jobs_speedup=_jobs_speedup(runs),
-                    identical_output=all(
-                        outputs[name] == outputs["legacy"]
-                        and runs[name].stats == legacy.stats
-                        for name, _, _ in arms
-                    ),
+    for k, tau in configs:
+        runs: dict[str, EngineRun] = {e: EngineRun() for e in MAX_ENGINES}
+        outputs: dict[str, frozenset[Node] | None] = {}
+        for _ in range(repetitions):
+            for engine in MAX_ENGINES:
+                elapsed, best, stats, phases = _max_once(
+                    graph, k, tau, engine
                 )
+                runs[engine].times_s.append(elapsed)
+                runs[engine].stats = stats
+                runs[engine].phase_seconds = phases
+                outputs[engine] = best
+        for run in runs.values():
+            run.median_s = _median(run.times_s)
+        legacy, bitset = runs["legacy"], runs["bitset"]
+        results.append(
+            ConfigResult(
+                k=k,
+                tau=tau,
+                engines=runs,
+                speedup=(
+                    legacy.median_s / bitset.median_s
+                    if bitset.median_s > 0.0
+                    else 0.0
+                ),
+                identical_output=(
+                    outputs["bitset"] == outputs["legacy"]
+                    and bitset.stats == legacy.stats
+                ),
             )
-    finally:
-        if env_jobs is not None:
-            os.environ["REPRO_JOBS"] = env_jobs
+        )
     return BenchReport(
         benchmark="maximum",
         algorithm="max_uc_plus",
@@ -353,7 +293,6 @@ def run_maximum_bench(
         scale=scale,
         repetitions=repetitions,
         interleaved=True,
-        jobs=jobs,
         provenance=collect_provenance(),
         configs=results,
     )

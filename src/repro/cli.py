@@ -105,16 +105,6 @@ def _run_mine(opts: argparse.Namespace) -> int:
     return 0
 
 
-def _parse_jobs(raw: str | None) -> int | None:
-    """Map the CLI ``--jobs`` string to the search drivers' parameter
-    (``'auto'`` means "all cores", which the drivers spell ``None``)."""
-    if raw is None:
-        return 1
-    if raw.strip().lower() in ("auto", "0"):
-        return None
-    return int(raw)
-
-
 def _run_query(opts: argparse.Namespace) -> int:
     """The ``query`` command: anchored clique questions on an edge list."""
     from repro.core.queries import (
@@ -126,11 +116,10 @@ def _run_query(opts: argparse.Namespace) -> int:
     from repro.uncertain.io import _parse_node, read_edge_list
 
     graph = read_edge_list(opts.input)
-    jobs = _parse_jobs(opts.jobs)
     print(
         f"loaded {graph.num_nodes} nodes / {graph.num_edges} edges; "
         f"k={opts.k}, tau={opts.tau}, query={opts.query}, "
-        f"engine={opts.engine}, jobs={opts.jobs or 1}"
+        f"engine={opts.engine}"
     )
     if opts.query == "containing":
         if not opts.node:
@@ -139,8 +128,7 @@ def _run_query(opts: argparse.Namespace) -> int:
         anchor = _parse_node(opts.node)
         count = 0
         for clique in cliques_containing(
-            graph, anchor, opts.k, opts.tau,
-            engine=opts.engine, jobs=jobs,
+            graph, anchor, opts.k, opts.tau, engine=opts.engine
         ):
             count += 1
             prob = clique_probability(graph, clique)
@@ -157,14 +145,11 @@ def _run_query(opts: argparse.Namespace) -> int:
     # list itself, so `--node 1` matches the node the loader created.
     members = [_parse_node(part) for part in opts.nodes.split(",") if part]
     if opts.query == "extendable":
-        answer = is_extendable(
-            graph, members, opts.tau, engine=opts.engine, jobs=jobs
-        )
+        answer = is_extendable(graph, members, opts.tau)
         print(f"extendable: {answer}")
     else:
         answer = containing_clique_exists(
-            graph, members, opts.k, opts.tau,
-            engine=opts.engine, jobs=jobs,
+            graph, members, opts.k, opts.tau, engine=opts.engine
         )
         print(f"containing clique exists: {answer}")
     return 0
@@ -224,15 +209,6 @@ def _build_parser(runners: dict[str, Runner]) -> argparse.ArgumentParser:
         "--no-baselines",
         action="store_true",
         help="skip slow baseline algorithms (MUCE, MaxUC, MaxRDS)",
-    )
-    parser.add_argument(
-        "--jobs",
-        default=None,
-        help=(
-            "worker processes for the search phase (an integer, or "
-            "'auto' for all cores); sets REPRO_JOBS so every search in "
-            "the run inherits it"
-        ),
     )
     parser.add_argument(
         "--out",
@@ -316,15 +292,6 @@ def main(argv: list[str] | None = None) -> int:
     parser = _build_parser(runners)
     opts = parser.parse_args(argv)
     opts.experiment = _ALIASES.get(opts.experiment, opts.experiment)
-
-    if opts.jobs is not None:
-        # The experiment runners call the search drivers with their
-        # default jobs=1, which defers to REPRO_JOBS — exporting it here
-        # parallelizes every search in the run without threading a
-        # parameter through each harness function.
-        import os
-
-        os.environ["REPRO_JOBS"] = str(opts.jobs)
 
     if opts.experiment == "list":
         for name in runners:

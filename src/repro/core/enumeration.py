@@ -34,7 +34,7 @@ extend any future (k, tau)-clique of that subtree either.
 from __future__ import annotations
 
 import bisect
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from typing import Iterator, Literal
 
 # KERNEL_COMPONENT_LIMIT, enumerate_component and the core peels are
@@ -99,20 +99,6 @@ class EnumerationStats:
     def __post_init__(self) -> None:
         self.timings: Stopwatch = Stopwatch()
 
-    def merge(self, other: "EnumerationStats") -> None:
-        """Accumulate ``other`` into ``self``: every counter sums, phase
-        timings sum lap-wise.
-
-        This is the aggregation the process-parallel layer uses to fold
-        per-task counters back into the caller's stats object (so
-        ``jobs=N`` totals equal ``jobs=1``), and what the experiment
-        harness uses to aggregate counters across runs.
-        """
-        for f in fields(self):
-            setattr(self, f.name, getattr(self, f.name) + getattr(other, f.name))
-        for name, seconds in other.timings.laps.items():
-            self.timings.add(name, seconds)
-
 
 #: Single source of the node order lives in the kernel's compile step;
 #: these aliases keep the historical names importable.
@@ -138,7 +124,6 @@ def maximal_cliques(
     insearch: bool = True,
     stats: EnumerationStats | None = None,
     engine: Engine = "pivot",
-    jobs: int | None = 1,
 ) -> Iterator[frozenset[Node]]:
     """Enumerate all maximal (k, tau)-cliques of ``graph``.
 
@@ -163,16 +148,6 @@ def maximal_cliques(
         dict-of-dicts recursion — those two yield identical cliques in
         identical order with identical stats, and are the yield-order
         oracles for the pivot engine.
-    jobs:
-        worker processes for the search phase.  ``1`` (default) searches
-        in-process; ``None`` uses ``os.cpu_count()``; the ``REPRO_JOBS``
-        environment variable overrides the default (see
-        :func:`repro.core.parallel.resolve_jobs`).  Results are merged
-        deterministically, so any ``jobs`` value yields bit-identical
-        cliques, order, and stats counters.  Only the compiled engines
-        parallelize; ``engine="legacy"`` ignores ``jobs`` and stays
-        sequential (the legacy recursion is interleaved with consumers
-        and cannot be shipped to workers).
 
     Yields each maximal clique exactly once as a frozenset of nodes.
 
@@ -194,7 +169,7 @@ def maximal_cliques(
 
     return PreparedGraph(graph).maximal_cliques(
         k, tau, pruning=pruning, cut=cut, insearch=insearch, stats=stats,
-        engine=engine, jobs=jobs,
+        engine=engine,
     )
 
 
@@ -373,13 +348,12 @@ def muce(
     tau: float,
     stats: EnumerationStats | None = None,
     engine: Engine = "pivot",
-    jobs: int | None = 1,
 ) -> Iterator[frozenset[Node]]:
     """The Mukherjee et al. [18], [19] baseline: set-enumeration search with
     monotonicity and branch-size pruning but no core-based pruning."""
     return maximal_cliques(
         graph, k, tau, pruning="none", cut=False, insearch=False,
-        stats=stats, engine=engine, jobs=jobs,
+        stats=stats, engine=engine,
     )
 
 
@@ -389,12 +363,11 @@ def muce_plus(
     tau: float,
     stats: EnumerationStats | None = None,
     engine: Engine = "pivot",
-    jobs: int | None = 1,
 ) -> Iterator[frozenset[Node]]:
     """Algorithm 4 with the (k, tau)-core pruning rule (``MUCE+``)."""
     return maximal_cliques(
         graph, k, tau, pruning="ktau", cut=True, insearch=True, stats=stats,
-        engine=engine, jobs=jobs,
+        engine=engine,
     )
 
 
@@ -404,10 +377,9 @@ def muce_plus_plus(
     tau: float,
     stats: EnumerationStats | None = None,
     engine: Engine = "pivot",
-    jobs: int | None = 1,
 ) -> Iterator[frozenset[Node]]:
     """Algorithm 4 with the (Top_k, tau)-core pruning rule (``MUCE++``)."""
     return maximal_cliques(
         graph, k, tau, pruning="topk", cut=True, insearch=True, stats=stats,
-        engine=engine, jobs=jobs,
+        engine=engine,
     )

@@ -51,7 +51,7 @@ counters are identical to ``engine="legacy"`` (pinned by
 ``tests/core/test_kernel_parity.py``).
 
 The entry points are :func:`enumerate_component` (the MUC recursion of
-Algorithm 4) and :func:`maximum_component` (the MaxUC+ color-bound
+Algorithm 4) and :func:`maximum_compiled` (the MaxUC+ color-bound
 branch-and-bound); both operate on one connected component as produced by
 the pruning/cut pipeline.  The pre-search (Top_k, tau)-core itself has a
 compiled twin in :func:`repro.core.topk_core.topk_core_arrays`.
@@ -65,7 +65,6 @@ from typing import TYPE_CHECKING, Iterator
 
 from repro.core.prune_kernel import CompiledGraph, node_sort_key
 from repro.core.topk_core import topk_peel_masks
-from repro.deterministic.coloring import greedy_coloring
 from repro.uncertain.graph import Node, UncertainGraph
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guards (types only)
@@ -83,7 +82,6 @@ __all__ = [
     "enumerate_root_range",
     "pivot_root_plan",
     "enumerate_pivot_range",
-    "maximum_component",
     "maximum_compiled",
     "KERNEL_COMPONENT_LIMIT",
 ]
@@ -131,14 +129,14 @@ class CompiledComponent:
     ``rows`` holds the dense probability rows for small components
     (``None`` above :data:`_DENSE_ROW_LIMIT`).
 
-    Compiled components are **picklable** — the process-parallel layer
-    (:mod:`repro.core.parallel`) ships them to worker processes instead of
-    graph objects.  Only the canonical state crosses the pipe: the node
-    labels and the CSR arrays (compact ``array`` buffers).  Every derived
-    form — bitmask rows, dense probability rows, int-keyed dicts, cached
-    bit singletons — is rebuilt on unpickle, which is faster than
-    serialising an O(n^2) float matrix and keeps the payload near the
-    information-theoretic minimum.
+    Compiled components are **picklable**, and only the canonical state
+    is pickled: the node labels and the CSR arrays (compact ``array``
+    buffers).  Every derived form — bitmask rows, dense probability rows,
+    int-keyed dicts, cached bit singletons — is rebuilt on unpickle,
+    which is faster than serialising an O(n^2) float matrix and keeps the
+    payload near the information-theoretic minimum.
+    :func:`derive_component_view` builds its views through the same
+    ``__setstate__`` path.
     """
 
     __slots__ = (
@@ -284,11 +282,10 @@ def derive_component_view(
     cheap projection of the first.
 
     The view is a deep **snapshot**: its arrays are freshly built, never
-    aliases of ``compiled``'s lists.  That independence is load-bearing
-    twice over — views are pickled to worker processes by the parallel
-    layer, and the session caches them per component while
+    aliases of ``compiled``'s lists.  That independence is load-bearing:
+    the session caches views per component while
     :meth:`CompiledGraph.apply_delta` patches the source artifact's rows
-    *in place*; neither may observe later mutations.
+    *in place*, and a cached view must not observe later mutations.
     """
     index = compiled.index
     rank = compiled.sort_rank
@@ -349,10 +346,9 @@ def enumerate_component(
     order — only the data representation differs (see the module
     docstring for the virtual-``X`` argument).  Thin composition of
     :func:`enum_root_prep` (the root call's gate and bookkeeping) and
-    :func:`enumerate_root_range` over the full root range — the same two
-    pieces the process-parallel layer drives with partial ranges; the
-    driver stays a generator, so consumers still iterate lazily component
-    by component.
+    :func:`enumerate_root_range` (the root branch loop); the driver stays
+    a generator, so consumers still iterate lazily component by
+    component.
     """
     t_start = perf_counter()
     comp = compile_component(component)
@@ -374,7 +370,7 @@ def enumerate_component(
     if cands is not None:
         out = enumerate_root_range(
             comp, k, tau_floor, min_size, insearch,
-            insearch_min_candidates, cands, 0, len(cands), stats,
+            insearch_min_candidates, cands, stats,
         )
     stats.timings.add("search", perf_counter() - t_compiled)
     yield from out
@@ -389,16 +385,15 @@ def enum_root_prep(
     insearch_min_candidates: int,
     stats: EnumerationStats,
 ) -> list[tuple[int, float]] | None:
-    """Root-call bookkeeping of the MUC recursion, factored out so the
-    parallel layer can split the surviving root candidates into ranges.
+    """Root-call bookkeeping of the MUC recursion.
 
-    Performs exactly what the sequential root call does before its branch
-    loop: counts the root search call and applies the root in-search core
-    gate (Algorithm 4 lines 12-15 with ``R`` empty).  Returns the
-    surviving root candidate list, or ``None`` when the whole component is
-    dead (root insearch prune).  Concatenating
-    :func:`enumerate_root_range` over any partition of the result — stats
-    summed — reproduces the sequential search exactly.
+    Performs exactly what the root call does before its branch loop:
+    counts the root search call and applies the root in-search core gate
+    (Algorithm 4 lines 12-15 with ``R`` empty).  Returns the surviving
+    root candidate list, or ``None`` when the whole component is dead
+    (root insearch prune).  Both compiled engines share it: the bitset
+    engine hands the list to :func:`enumerate_root_range`, the pivot
+    engine to :func:`pivot_root_plan`.
     """
     n = comp.n
     stats.search_calls += 1
@@ -422,23 +417,15 @@ def enumerate_root_range(
     insearch: bool,
     insearch_min_candidates: int,
     cands: list[tuple[int, float]],
-    start: int,
-    stop: int,
     stats: EnumerationStats,
 ) -> list[frozenset[Node]]:
-    """Search the root branches ``cands[start:stop]`` of one component.
+    """Search every root branch of one component, in candidate order.
 
-    ``cands`` must be the full surviving root candidate list from
-    :func:`enum_root_prep`; each branch's candidate-filter tail is always
-    the suffix of the *whole* list, so a range owns its branch subtrees
-    but not the nodes after it.  The branches before ``start`` are
-    **silently replayed** — only their side effects on the root loop's
-    ``rem_mask`` and ``banned`` masks are reproduced (the same popcount
-    and threshold compares the sequential loop ran, minus recursion,
-    stats, and output) — so the live range starts from the exact
-    sequential state, and concatenating the outputs of a partition of
-    ``range(len(cands))`` in range order equals the sequential clique
-    order with the stats summing to the sequential totals.
+    ``cands`` must be the surviving root candidate list from
+    :func:`enum_root_prep`; each branch's candidate-filter tail is the
+    suffix of the list after it.  Returns the component's maximal
+    cliques in the sequential yield order, with the counters flushed
+    into ``stats``.
     """
     n = comp.n
     rows = comp.rows
@@ -451,7 +438,7 @@ def enumerate_root_range(
     bits = comp.bits
     nodes = comp.nodes
     out: list[frozenset[Node]] = []
-    # Batched stats, flushed once per range: attribute access on the
+    # Batched stats, flushed once per component: attribute access on the
     # stats object is too slow for a 10^5-calls recursion.
     calls = insearch_prunes = branch_prunes = cliques = 0
 
@@ -681,54 +668,22 @@ def enumerate_root_range(
 
     if min_size <= 1:
         # Deep root: every branch recurses straight into the lean loop
-        # (the shallow machinery never runs), and splitting it would mean
-        # a second copy of the inline leaf emulation for no benefit —
-        # min_size <= 1 only happens at k = 0, never on a perf-relevant
-        # workload — so only the whole range is accepted.
-        if start != 0 or stop != len(cands):
-            raise ValueError(
-                "deep-root search (min_size <= 1) cannot be range-split"
-            )
+        # (the shallow machinery never runs).
         if cands:
             deep_branches([], 1.0, cands, comp.full_mask, ~0)
     else:
-        # The root branch loop of the sequential search, split at branch
-        # granularity.  Branches [0, start) are replayed silently;
-        # [start, stop) run live — the loop body is the shallow branch
-        # loop of ``muc`` with clique_prob = 1.0 folded away (IEEE
-        # 1.0 * x == x, so the floats are unchanged).
+        # The root branch loop: the shallow branch loop of ``muc`` with
+        # clique_prob = 1.0 folded away (IEEE 1.0 * x == x, so the floats
+        # are unchanged).
         need = min_size - 1
         child_shallow = need > 1
         rem_mask = 0
         for e in cands:
             rem_mask |= bits[e[0]]
         banned = 0
-        for idx in range(start):
-            u, pi_u = cands[idx]
-            bu = bits[u]
-            rem_mask ^= bu
-            if (rem_mask & adj[u]).bit_count() < need:
-                banned |= bu
-                continue
-            urow = rows[u]
-            survivors = 0
-            for v, pi_v in cands[idx + 1:]:
-                p = urow[v]
-                if p:
-                    piv = pi_v * p
-                    # Replayed verdict of the live filter below; survivor
-                    # counting can stop at ``need`` because the filter is
-                    # append-only.
-                    if pi_u * piv >= tau_floor:  # repro-lint: ignore[RPL001]
-                        survivors += 1
-                        if survivors >= need:
-                            break
-            if survivors < need:
-                banned |= bu
         clique: list[int] = []
         full = comp.full_mask
-        for idx in range(start, stop):
-            u, pi_u = cands[idx]
+        for idx, (u, pi_u) in enumerate(cands):
             bu = bits[u]
             rem_mask ^= bu
             if (rem_mask & adj[u]).bit_count() < need:
@@ -815,9 +770,7 @@ def pivot_root_plan(
     ``cands`` is the surviving root candidate list from
     :func:`enum_root_prep`.  Returns the root *branch list* — the
     candidate ids to branch on, ascending — after absorbing the skipped
-    set, and counts the root node's pivot bookkeeping into ``stats``
-    (exactly once: the parallel layer computes the plan in the driver
-    and ships it to every range task).
+    set, and counts the root node's pivot bookkeeping into ``stats``.
     """
     rows = comp.rows
     if rows is None:
@@ -881,22 +834,16 @@ def enumerate_pivot_range(
     insearch_min_candidates: int,
     cands: list[tuple[int, float]],
     branches: list[int],
-    start: int,
-    stop: int,
     stats: EnumerationStats,
 ) -> list[frozenset[Node]]:
-    """Pivot-engine search of the root branches ``branches[start:stop]``.
+    """Pivot-engine search of every root branch in ``branches``.
 
-    ``cands`` must be the full surviving root candidate list from
+    ``cands`` must be the surviving root candidate list from
     :func:`enum_root_prep` and ``branches`` the root branch list from
-    :func:`pivot_root_plan`.  Unlike the bitset engine's suffix ranges,
+    :func:`pivot_root_plan`.  Unlike the bitset engine's suffix tails,
     a pivot branch's candidate tail carries the absorbed (skipped)
     vertices *before* it as well, so the root loop filters ``cands`` by
-    a live remaining-mask rather than slicing.  Branches before
-    ``start`` are silently replayed — the same popcount and threshold
-    verdicts, minus recursion, stats and output — so any partition of
-    ``range(len(branches))`` concatenates to the sequential result with
-    stats summing to the sequential totals (``jobs=N`` bit-parity).
+    a live remaining-mask rather than slicing.
     """
     n = comp.n
     rows = comp.rows
@@ -910,7 +857,7 @@ def enumerate_pivot_range(
     nodes = comp.nodes
     skip_floor = tau_floor * _PIVOT_SAFETY
     out: list[frozenset[Node]] = []
-    # Batched stats, flushed once per range (attribute access on the
+    # Batched stats, flushed once per component (attribute access on the
     # stats object is too slow for the recursion's call volume).
     calls = insearch_prunes = branch_prunes = cliques = 0
     pbranches = pskipped = 0
@@ -1084,44 +1031,17 @@ def enumerate_pivot_range(
         pbranches += branched
         pskipped += nc - branched
 
-    # Root branch loop over the plan's branch list, with silent replay
-    # of the branches before ``start``.  Root pi values are exactly 1.0
-    # and the root clique probability is 1.0, so the replayed threshold
-    # verdict for a child candidate v of branch u is ``p(u, v) >=
-    # tau_floor`` — the same float compare the live loop runs.
+    # Root branch loop over the plan's branch list.  Root pi values are
+    # exactly 1.0 and the root clique probability is 1.0.
     need = min_size - 1
     prune_live = min_size > 1
     rem_mask = 0
     for e in cands:
         rem_mask |= bits[e[0]]
     banned = 0
-    for idx in range(start):
-        u = branches[idx]
-        bu = bits[u]
-        rem_mask ^= bu
-        if not prune_live:
-            continue
-        if (rem_mask & adj[u]).bit_count() < need:
-            banned |= bu
-            continue
-        urow = rows[u]
-        survivors = 0
-        for v, _pi_v in cands:
-            if not rem_mask & bits[v]:
-                continue
-            p = urow[v]
-            # Replayed verdict of the live filter below; counting can
-            # stop at ``need`` because the filter is append-only.
-            if p and p >= tau_floor:  # repro-lint: ignore[RPL001]
-                survivors += 1
-                if survivors >= need:
-                    break
-        if survivors < need:
-            banned |= bu
     full = comp.full_mask
     clique: list[int] = []
-    for idx in range(start, stop):
-        u = branches[idx]
+    for u in branches:
         bu = bits[u]
         rem_mask ^= bu
         if prune_live and (rem_mask & adj[u]).bit_count() < need:
@@ -1159,43 +1079,6 @@ def enumerate_pivot_range(
 # ----------------------------------------------------------------------
 # Maximum: the MaxUC+ color-bound branch-and-bound over bitmask state
 # ----------------------------------------------------------------------
-
-def maximum_component(
-    component: UncertainGraph,
-    k: int,
-    tau_floor: float,
-    min_size: int,
-    best_size: int,
-    use_advanced_one: bool,
-    use_advanced_two: bool,
-    insearch: bool,
-    stats: MaximumSearchStats,
-) -> tuple[list[Node] | None, int]:
-    """MaxUC+ search of one component, seeded with the incumbent size.
-
-    Returns ``(best, best_size)`` where ``best`` is the improved clique
-    as original labels (``None`` when the incumbent was not beaten).
-    Thin composition of the compile + coloring step and
-    :func:`maximum_compiled`, split so the parallel layer can ship the
-    compiled component and the (plain-int) color list to workers without
-    the graph object.
-    """
-    t_start = perf_counter()
-    comp = compile_component(component)
-    n = comp.n
-    if n == 0:
-        return None, best_size
-    coloring = greedy_coloring(component)
-    color = [coloring[u] for u in comp.nodes]
-    t_compiled = perf_counter()
-    stats.timings.add("compile", t_compiled - t_start)
-    result = maximum_compiled(
-        comp, color, k, tau_floor, min_size, best_size, use_advanced_one,
-        use_advanced_two, insearch, stats,
-    )
-    stats.timings.add("search", perf_counter() - t_compiled)
-    return result
-
 
 def maximum_compiled(
     comp: CompiledComponent,

@@ -40,9 +40,9 @@ from typing import Callable, Iterable
 from repro.deterministic.core_decomposition import core_numbers
 from repro.uncertain.graph import Node, UncertainGraph
 from repro.core.prune_kernel import (
-    CompiledPruneGraph,
+    CompiledGraph,
     PruneEngine,
-    compile_prune_graph,
+    compile_graph,
     distribution_peel,
     survival_peel,
 )
@@ -135,7 +135,7 @@ def dp_core(
     k: int,
     tau: float,
     engine: PruneEngine = "arrays",
-    compiled: CompiledPruneGraph | None = None,
+    compiled: CompiledGraph | None = None,
     members: Iterable[Node] | None = None,
 ) -> set[Node]:
     """The (k, tau)-core via the state-of-the-art DP peeling of [16].
@@ -148,7 +148,7 @@ def dp_core(
     ``engine="arrays"`` (the default) runs the same verified peel over a
     flat compiled form of the graph
     (:func:`repro.core.prune_kernel.distribution_peel`); ``compiled``
-    supplies a prebuilt :class:`CompiledPruneGraph` (the session layer's
+    supplies a prebuilt :class:`CompiledGraph` (the session layer's
     shared artifact) and ``members`` restricts the peel to a node subset
     without building an induced subgraph.  Both engines converge to the
     same canonical core.
@@ -158,7 +158,7 @@ def dp_core(
     """
     if engine == "arrays":
         if compiled is None:
-            compiled = compile_prune_graph(graph)
+            compiled = compile_graph(graph)
         return distribution_peel(compiled, k, tau, members=members)
     _require_no_members(members)
     validate_k(k)
@@ -179,7 +179,7 @@ def dp_core_plus(
     k: int,
     tau: float,
     engine: PruneEngine = "arrays",
-    compiled: CompiledPruneGraph | None = None,
+    compiled: CompiledGraph | None = None,
     members: Iterable[Node] | None = None,
     core: dict[Node, int] | None = None,
 ) -> set[Node]:
@@ -200,7 +200,7 @@ def dp_core_plus(
     form of the graph (:func:`repro.core.prune_kernel.survival_peel`,
     which also owns the core-number prefilter via the compiled lazy core
     decomposition); ``compiled`` supplies a prebuilt
-    :class:`CompiledPruneGraph` and ``members`` restricts the peel to a
+    :class:`CompiledGraph` and ``members`` restricts the peel to a
     node subset without building an induced subgraph.  With
     ``engine="legacy"`` the peel runs over an int-indexed compiled form
     of the prefiltered graph (:func:`_survival_peel_indexed`) — same
@@ -211,7 +211,7 @@ def dp_core_plus(
     """
     if engine == "arrays":
         if compiled is None:
-            compiled = compile_prune_graph(graph)
+            compiled = compile_graph(graph)
         return survival_peel(compiled, k, tau, members=members)
     _require_no_members(members)
     validate_k(k)

@@ -22,7 +22,7 @@ nodes, so searches start from an incumbent size of ``k``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from typing import Literal
 
 from repro.core.bounds import (
@@ -72,23 +72,6 @@ class MaximumSearchStats:
 
     def __post_init__(self) -> None:
         self.timings: Stopwatch = Stopwatch()
-
-    def merge(self, other: "MaximumSearchStats") -> None:
-        """Accumulate ``other`` into ``self``: every prune/call counter
-        sums, ``best_size`` takes the max (it reports a result, not
-        work), and phase timings sum lap-wise.  Used by the parallel
-        layer to fold per-task counters back into the caller's stats and
-        by the experiment harness to aggregate across runs."""
-        for f in fields(self):
-            if f.name == "best_size":
-                self.best_size = max(self.best_size, other.best_size)
-            else:
-                setattr(
-                    self, f.name,
-                    getattr(self, f.name) + getattr(other, f.name),
-                )
-        for name, seconds in other.timings.laps.items():
-            self.timings.add(name, seconds)
 
 
 #: Single source of the node order lives in the kernel's compile step;
@@ -269,7 +252,6 @@ def max_uc_plus(
     use_advanced_two: bool = True,
     insearch: bool = True,
     engine: Engine = "pivot",
-    jobs: int | None = 1,
 ) -> frozenset[Node] | None:
     """Maximum (k, tau)-clique with core/cut pruning and color bounds.
 
@@ -278,12 +260,6 @@ def max_uc_plus(
     ``engine="bitset"`` (default) runs the per-component search on the
     compiled kernel of :mod:`repro.core.kernel`; ``"legacy"`` keeps the
     original closure — both return identical cliques and stats.
-    ``jobs`` fans the per-component searches over worker processes
-    (``1`` in-process, ``None`` = ``os.cpu_count()``, ``REPRO_JOBS``
-    overrides the default; bitset engine only — legacy stays sequential).
-    Any ``jobs`` value returns the identical clique with identical stats
-    counters; see :func:`repro.core.parallel.maximum_parallel` for how
-    the sequential incumbent chain is reproduced exactly.
 
     One-shot convenience wrapper around the staged pipeline: repeated
     queries against the same graph should hold a
@@ -300,7 +276,7 @@ def max_uc_plus(
     return PreparedGraph(graph).max_uc_plus(
         k, tau, stats=stats, use_advanced_one=use_advanced_one,
         use_advanced_two=use_advanced_two, insearch=insearch,
-        engine=engine, jobs=jobs,
+        engine=engine,
     )
 
 

@@ -24,8 +24,7 @@ parameters to a deterministic artifact:
   from-scratch :func:`~repro.core.kernel.compile_component` path remains as
   the fallback and the parity oracle.
 * :func:`enumeration_search_stage` / :func:`maximum_search_stage` — the
-  actual search, sequential or process-parallel, consuming the compile
-  artifacts.
+  actual (sequential) search, consuming the compile artifacts.
 
 Stage artifacts carry **no counters and no wall clocks** — those belong to
 the per-run stats objects, which the search stages fill identically on
@@ -275,8 +274,7 @@ def compile_maximum_stage(
     A component can only be searched when it beats the starting incumbent
     (``n > k``); eligible slots hold the compiled component plus its
     greedy-coloring mapped onto the compiled node order (the exact pair
-    :func:`repro.core.kernel.maximum_compiled` consumes and the parallel
-    layer ships to workers).
+    :func:`repro.core.kernel.maximum_compiled` consumes).
 
     This is the eager whole-front variant; the session layer instead
     memoizes on demand through :func:`maximum_search_stage`, because the
@@ -319,8 +317,6 @@ def enumeration_search_stage(
     insearch: bool,
     insearch_min_candidates: int,
     engine: str,
-    n_jobs: int,
-    component_limit: int,
     stats: EnumerationStats,
 ) -> Iterator[frozenset[Node]]:
     """Run the per-component enumeration over the compile artifacts.
@@ -328,21 +324,12 @@ def enumeration_search_stage(
     Yields exactly the sequence the historical monolithic driver produced
     for ``"bitset"``/``"legacy"`` (components in order, oversized
     components through the legacy recursion, compiled ones through the
-    kernel, ``n_jobs > 1`` through the deterministic-merge parallel
-    layer); ``"pivot"`` emits the identical *set* per component in pivot
-    branch order.  All counters accrue to ``stats`` on every run (they
-    are never part of a cached artifact).
+    kernel); ``"pivot"`` emits the identical *set* per component in pivot
+    branch order.  A component gets the kernel exactly when ``compiled``
+    holds a view for it (:func:`compile_enumeration_stage` leaves the
+    oversized ones ``None``).  All counters accrue to ``stats`` on every
+    run (they are never part of a cached artifact).
     """
-    if engine in ("bitset", "pivot") and n_jobs > 1:
-        from repro.core.parallel import enumerate_parallel
-
-        yield from enumerate_parallel(
-            components, k, tau_floor, min_size, insearch,
-            insearch_min_candidates, component_limit, n_jobs, stats,
-            compiled=compiled, engine=engine,
-        )
-        return
-
     for ordinal, component in enumerate(components):
         if component.num_nodes < min_size:
             continue
@@ -350,7 +337,7 @@ def enumeration_search_stage(
         if engine in ("bitset", "pivot") and comp is not None:
             # The compiled fast path: enumerate_component minus its
             # compile step (the artifact already paid it), same prep /
-            # range composition, same counters, same timings shape.
+            # root-loop composition, same counters, same timings shape.
             t_start = perf_counter()
             cands = enum_root_prep(
                 comp, k, tau_floor, min_size, insearch,
@@ -364,14 +351,12 @@ def enumeration_search_stage(
                     )
                     out = enumerate_pivot_range(
                         comp, k, tau_floor, min_size, insearch,
-                        insearch_min_candidates, cands, branches,
-                        0, len(branches), stats,
+                        insearch_min_candidates, cands, branches, stats,
                     )
                 else:
                     out = enumerate_root_range(
                         comp, k, tau_floor, min_size, insearch,
-                        insearch_min_candidates, cands, 0, len(cands),
-                        stats,
+                        insearch_min_candidates, cands, stats,
                     )
             stats.timings.add("search", perf_counter() - t_start)
             yield from out
@@ -426,7 +411,6 @@ def maximum_search_stage(
     use_advanced_two: bool,
     insearch: bool,
     engine: str,
-    n_jobs: int,
     stats: MaximumSearchStats,
     artifact: CompiledGraph | None = None,
 ) -> tuple[list[Node] | None, int]:
@@ -435,8 +419,7 @@ def maximum_search_stage(
     Returns ``(best, best_size)`` exactly as the historical monolithic
     driver: components in order under the evolving incumbent, bitset
     components through :func:`repro.core.kernel.maximum_compiled`, legacy
-    ones through the extracted closure, ``n_jobs > 1`` through the
-    two-phase speculative parallel layer.
+    ones through the extracted closure.
 
     ``compiled`` / ``colors`` are mutable memo dicts (ordinal -> compile
     artifact), filled lazily as the incumbent chain reaches components —
@@ -451,25 +434,6 @@ def maximum_search_stage(
     """
     if engine == "pivot":
         engine = "bitset"
-    if engine == "bitset" and n_jobs > 1:
-        from repro.core.parallel import maximum_parallel
-
-        # The speculative phase A searches every eligible component, so
-        # the full precompile is real work, not waste; route it through
-        # the memo so a sequential warm run still benefits.
-        precompiled: list[tuple[CompiledComponent, list[int]] | None] = [
-            _compiled_maximum_entry(compiled, ordinal, component, stats,
-                                    artifact)
-            if component.num_nodes > k
-            else None
-            for ordinal, component in enumerate(components)
-        ]
-        return maximum_parallel(
-            components, k, tau_floor, min_size, use_advanced_one,
-            use_advanced_two, insearch, n_jobs, stats,
-            precompiled=precompiled,
-        )
-
     best: list[Node] | None = None
     best_size = k
     for ordinal, component in enumerate(components):

@@ -71,11 +71,9 @@ from repro.utils.validation import threshold_floor, validate_k, validate_tau
 
 __all__ = [
     "CompiledGraph",
-    "CompiledPruneGraph",
     "PruneEngine",
     "node_sort_key",
     "compile_graph",
-    "compile_prune_graph",
     "survival_peel",
     "distribution_peel",
     "topk_peel",
@@ -146,7 +144,7 @@ class CompiledGraph:
     layer memoizes it under ``(version, "compile")`` so every prune and
     every search of every query shares a single lowering.  The artifact
     is **picklable** — only the node labels, the insertion-order CSR and
-    the version cross the pipe (``__getstate__``); every derived form is
+    the version are pickled (``__getstate__``); every derived form is
     rebuilt on unpickle.
     """
 
@@ -447,12 +445,6 @@ class CompiledGraph:
         self._core_ids = None
 
 
-#: Backwards-compatible name from the PR 5 era, when the artifact served
-#: only the pruning stage.  Same class; the search kernel now derives
-#: its component views from it too.
-CompiledPruneGraph = CompiledGraph
-
-
 def compile_graph(graph: UncertainGraph) -> CompiledGraph:
     """Lower ``graph`` into the unified :class:`CompiledGraph` (one pass).
 
@@ -476,12 +468,8 @@ def compile_graph(graph: UncertainGraph) -> CompiledGraph:
                          graph.version)
 
 
-#: Backwards-compatible alias for :func:`compile_graph`.
-compile_prune_graph = compile_graph
-
-
 def _initial_dead(
-    cpg: CompiledPruneGraph, members: Iterable[Node] | None
+    cpg: CompiledGraph, members: Iterable[Node] | None
 ) -> bytearray:
     """Liveness seed: everything alive, or only ``members`` when given."""
     if members is None:
@@ -494,7 +482,7 @@ def _initial_dead(
 
 
 def _frontier_seeds(
-    cpg: CompiledPruneGraph,
+    cpg: CompiledGraph,
     frontier: Iterable[Node],
     dead: bytearray,
 ) -> list[int]:
@@ -516,7 +504,7 @@ def _frontier_seeds(
 
 
 def survival_peel(
-    cpg: CompiledPruneGraph,
+    cpg: CompiledGraph,
     k: int,
     tau: float,
     members: Iterable[Node] | None = None,
@@ -693,7 +681,7 @@ def survival_peel(
 
 
 def distribution_peel(
-    cpg: CompiledPruneGraph,
+    cpg: CompiledGraph,
     k: int,
     tau: float,
     members: Iterable[Node] | None = None,
@@ -836,7 +824,7 @@ def distribution_peel(
 
 
 def topk_peel(
-    cpg: CompiledPruneGraph,
+    cpg: CompiledGraph,
     k: int,
     tau: float,
     members: Iterable[Node] | None = None,

@@ -78,7 +78,6 @@ from repro.core import enumeration as _enumeration_mod
 from repro.core import pipeline
 from repro.core.enumeration import Engine, EnumerationStats, PruningRule
 from repro.core.maximum import MaximumSearchStats
-from repro.core.parallel import resolve_jobs
 from repro.core.topk_core import topk_core
 from repro.errors import NodeNotFoundError
 from repro.uncertain.clique_prob import clique_probability, is_clique
@@ -657,7 +656,6 @@ class PreparedGraph:
         insearch: bool = True,
         stats: EnumerationStats | None = None,
         engine: Engine = "pivot",
-        jobs: int | None = 1,
     ) -> Iterator[frozenset[Node]]:
         """Enumerate all maximal (k, tau)-cliques (session-cached).
 
@@ -698,9 +696,7 @@ class PreparedGraph:
         tau_floor = threshold_floor(tau)
 
         compiled: tuple[Any, ...] | None = None
-        n_jobs = 1
         if engine != "legacy":
-            n_jobs = resolve_jobs(jobs)
             # The search views are *derived* from the whole-graph compile
             # (member-filtered rows, no recompilation), so the expensive
             # lowering stays one-per-version while the cheap view bundles
@@ -732,8 +728,7 @@ class PreparedGraph:
 
         yield from pipeline.enumeration_search_stage(
             art.components, compiled, k, tau_floor, min_size, insearch,
-            insearch_min_candidates, engine, n_jobs, component_limit,
-            stats,
+            insearch_min_candidates, engine, stats,
         )
 
     # ------------------------------------------------------------------
@@ -749,7 +744,6 @@ class PreparedGraph:
         use_advanced_two: bool = True,
         insearch: bool = True,
         engine: Engine = "pivot",
-        jobs: int | None = 1,
     ) -> frozenset[Node] | None:
         """Maximum (k, tau)-clique via MaxUC+ (session-cached).
 
@@ -807,9 +801,7 @@ class PreparedGraph:
         compiled: dict[int, Any] | None = None
         colors: dict[int, Any] | None = None
         artifact: Any = None
-        n_jobs = 1
         if engine != "legacy":
-            n_jobs = resolve_jobs(jobs)
             artifact = self._compiled_artifact(version, stats.timings)
             compiled = merged
         else:
@@ -817,8 +809,8 @@ class PreparedGraph:
 
         best, best_size = pipeline.maximum_search_stage(
             art.components, compiled, colors, k, tau, tau_floor, min_size,
-            use_advanced_one, use_advanced_two, insearch, engine, n_jobs,
-            stats, artifact=artifact,
+            use_advanced_one, use_advanced_two, insearch, engine, stats,
+            artifact=artifact,
         )
         for (off, local), (_, _, comp_components) in zip(part_memos, parts):
             for loc in range(len(comp_components)):
@@ -874,7 +866,6 @@ class PreparedGraph:
         k: int,
         tau: float,
         engine: Engine = "pivot",
-        jobs: int | None = 1,
     ) -> Iterator[frozenset[Node]]:
         """Yield every maximal (k, tau)-clique containing ``node``.
 
@@ -882,8 +873,8 @@ class PreparedGraph:
         cliques_containing`: the anchored neighborhood core is cached as
         a child session, so a repeated query skips the neighborhood
         build and the anchored peel and reuses the child's compiled
-        components.  ``engine`` / ``jobs`` configure the inner
-        enumeration exactly as on :meth:`maximal_cliques`.
+        components.  ``engine`` configures the inner enumeration exactly
+        as on :meth:`maximal_cliques`.
         """
         validate_k(k)
         tau = validate_tau(tau)
@@ -902,7 +893,7 @@ class PreparedGraph:
         if child is None:
             return
         for clique in child.maximal_cliques(
-            k, tau, pruning="none", engine=engine, jobs=jobs
+            k, tau, pruning="none", engine=engine
         ):
             if node in clique:
                 yield clique
@@ -911,20 +902,14 @@ class PreparedGraph:
         self,
         nodes: Iterable[Node],
         tau: float,
-        engine: Engine = "pivot",
-        jobs: int | None = 1,
     ) -> bool:
         """Whether some single node can extend ``nodes`` to a larger
         tau-clique (the complement of the maximality condition).
 
-        ``engine`` / ``jobs`` are accepted for query-API symmetry and
-        validated, but unused: this query is a neighborhood scan with no
-        search phase to configure.
+        A neighborhood scan with no search phase, so unlike the other
+        queries it takes no ``engine``.
         """
         tau = validate_tau(tau)
-        if engine not in ("pivot", "bitset", "legacy"):
-            raise ValueError(f"unknown engine {engine!r}")
-        resolve_jobs(jobs)
         members = list(dict.fromkeys(nodes))
         if not members:
             return self._graph.num_nodes > 0
@@ -953,7 +938,6 @@ class PreparedGraph:
         k: int,
         tau: float,
         engine: Engine = "pivot",
-        jobs: int | None = 1,
     ) -> bool:
         """Whether some maximal (k, tau)-clique contains all of ``nodes``.
 
@@ -994,7 +978,7 @@ class PreparedGraph:
         if child is None:
             return False
         for clique in child.maximal_cliques(
-            k, tau, pruning="none", engine=engine, jobs=jobs
+            k, tau, pruning="none", engine=engine
         ):
             if member_set <= clique:
                 return True

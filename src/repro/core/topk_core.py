@@ -22,9 +22,9 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING, AbstractSet, Iterable
 
 from repro.core.prune_kernel import (
-    CompiledPruneGraph,
+    CompiledGraph,
     PruneEngine,
-    compile_prune_graph,
+    compile_graph,
     topk_peel,
 )
 from repro.uncertain.graph import Node, UncertainGraph
@@ -80,7 +80,7 @@ def topk_core(
     tau: float,
     fixed: AbstractSet = frozenset(),
     engine: PruneEngine = "arrays",
-    compiled: CompiledPruneGraph | None = None,
+    compiled: CompiledGraph | None = None,
 ) -> TopKCoreResult:
     """Algorithm 3: compute the (Top_k, tau)-core of ``graph``.
 
@@ -94,13 +94,13 @@ def topk_core(
 
     ``engine="arrays"`` (the default) runs the peel over a flat compiled
     form of the graph (:func:`repro.core.prune_kernel.topk_peel`);
-    ``compiled`` supplies a prebuilt :class:`CompiledPruneGraph` (the
+    ``compiled`` supplies a prebuilt :class:`CompiledGraph` (the
     session layer's shared artifact).  Both engines converge to the same
     canonical core.
     """
     if engine == "arrays":
         if compiled is None:
-            compiled = compile_prune_graph(graph)
+            compiled = compile_graph(graph)
         survivors = topk_peel(compiled, k, tau, fixed=fixed)
         if survivors is None:
             return TopKCoreResult(frozenset(), False)
@@ -163,7 +163,7 @@ def topk_core_arrays(
     graph: UncertainGraph,
     k: int,
     tau: float,
-    compiled: CompiledPruneGraph | None = None,
+    compiled: CompiledGraph | None = None,
     members: Iterable[Node] | None = None,
 ) -> frozenset[Node]:
     """Algorithm 3's peel over a compiled whole-graph array form.
@@ -173,7 +173,7 @@ def topk_core_arrays(
     ``fixed`` machinery — the pre-search call has no clique yet).  Since
     the prune kernel landed this is a thin delegate to
     :func:`repro.core.prune_kernel.topk_peel`: ``compiled`` supplies a
-    prebuilt :class:`CompiledPruneGraph` (the session layer's shared
+    prebuilt :class:`CompiledGraph` (the session layer's shared
     artifact) and ``members`` restricts the peel to a node subset without
     building an induced subgraph.  Kept as a named entry point because
     the pipeline's stage router and its tests patch it by name.
@@ -183,7 +183,7 @@ def topk_core_arrays(
     order.  Returns the surviving node set.
     """
     if compiled is None:
-        compiled = compile_prune_graph(graph)
+        compiled = compile_graph(graph)
     survivors = topk_peel(compiled, k, tau, members=members)
     assert survivors is not None  # no fixed set -> never aborts
     return survivors

@@ -9,7 +9,7 @@ the four panels (a)-(d) over the corresponding registry analogs.
 from __future__ import annotations
 
 from repro.core.ktau_core import dp_core, dp_core_plus
-from repro.core.prune_kernel import PruneEngine, compile_prune_graph
+from repro.core.prune_kernel import PruneEngine, compile_graph
 from repro.experiments.harness import ExperimentResult, run_with_timing
 
 __all__ = ["run_fig2", "DEFAULT_K_VALUES", "DEFAULT_TAU_VALUES"]
@@ -51,7 +51,7 @@ def run_fig2(
     for name in datasets:
         graph = load_dataset(name, scale=scale)
         compiled = (
-            compile_prune_graph(graph) if engine == "arrays" else None
+            compile_graph(graph) if engine == "arrays" else None
         )
         for k in k_values:
             core, t_old = run_with_timing(

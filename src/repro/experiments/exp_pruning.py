@@ -11,9 +11,9 @@ from __future__ import annotations
 
 from repro.core.ktau_core import dp_core_plus
 from repro.core.prune_kernel import (
-    CompiledPruneGraph,
+    CompiledGraph,
     PruneEngine,
-    compile_prune_graph,
+    compile_graph,
 )
 from repro.core.topk_core import topk_core
 from repro.experiments.harness import ExperimentResult, run_with_timing
@@ -42,7 +42,7 @@ def run_fig4(
     from repro.datasets.registry import load_dataset
 
     graph = load_dataset(dataset, scale=scale)
-    compiled = compile_prune_graph(graph) if engine == "arrays" else None
+    compiled = compile_graph(graph) if engine == "arrays" else None
     result = ExperimentResult(
         "Fig. 4",
         "(k,tau)-core vs (Top_k,tau)-core pruning",
@@ -74,7 +74,7 @@ def _measure(
     tau: float,
     repeats: int,
     engine: PruneEngine,
-    compiled: CompiledPruneGraph | None,
+    compiled: CompiledGraph | None,
 ) -> None:
     """One point: run both pruning rules, record sizes and times."""
     ktau_nodes, t_ktau = run_with_timing(

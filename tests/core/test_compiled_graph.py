@@ -14,15 +14,12 @@ contracts that make that sound:
   survivor set is an induced-subgraph restriction);
 * a session performs exactly **one** compile per graph version across
   prune, enumeration and maximum queries;
-* the artifact survives the process boundary (pickle roundtrip), and
-  the parallel layer's submissions stay clean under the RPL013
-  pickle-safety rule.
+* the artifact and its component views survive a pickle roundtrip.
 """
 
 from __future__ import annotations
 
 import pickle
-from pathlib import Path
 
 from hypothesis import given, settings, strategies as st
 
@@ -177,13 +174,16 @@ def test_compiled_graph_pickle_roundtrip() -> None:
     )
 
 
-def test_parallel_layer_is_rpl013_clean() -> None:
-    # The pickle-safety rule must stay quiet on the real parallel layer:
-    # its workers are module-level and its payloads ship compiled-arrays
-    # state only.  A dict-backed payload or nested worker regression
-    # would surface here before it surfaced as a runtime slowdown.
-    from repro.analysis import lint_file
-
-    path = Path(__file__).parents[2] / "src" / "repro" / "core" / "parallel.py"
-    findings = [f for f in lint_file(path) if f.rule == "RPL013"]
-    assert findings == []
+def test_compiled_component_pickle_roundtrip() -> None:
+    graph = _two_triangles()
+    comp = compile_component(graph)
+    clone = pickle.loads(pickle.dumps(comp))
+    assert clone.nodes == comp.nodes
+    assert clone.index == comp.index
+    assert clone.adj == comp.adj
+    assert clone.prob == comp.prob
+    assert clone.rows == comp.rows
+    assert clone.full_mask == comp.full_mask
+    assert list(clone.row_offsets) == list(comp.row_offsets)
+    assert list(clone.nbr_ids) == list(comp.nbr_ids)
+    assert list(clone.nbr_probs) == list(comp.nbr_probs)

@@ -140,6 +140,25 @@ def test_maximum_engines_identical(
     assert stats["bitset"] == stats["legacy"]
 
 
+def _k6() -> UncertainGraph:
+    graph = UncertainGraph()
+    for u, v in itertools.combinations(range(6), 2):
+        graph.add_edge(u, v, 0.9)
+    return graph
+
+
+def _two_triangles() -> UncertainGraph:
+    # A K4 and a triangle: with the limit squeezed to 3 the K4 takes the
+    # legacy fallback while the triangle still runs compiled, so the two
+    # paths interleave in component order.
+    graph = UncertainGraph()
+    for u, v in itertools.combinations(("a", "b", "c", "d"), 2):
+        graph.add_edge(u, v, 0.9)
+    for u, v in itertools.combinations(("x", "y", "z"), 2):
+        graph.add_edge(u, v, 0.8)
+    return graph
+
+
 def test_oversized_component_routes_to_legacy_fallback() -> None:
     # The dispatch must route components above KERNEL_COMPONENT_LIMIT to
     # the legacy recursion — and produce identical cliques and counters
@@ -147,10 +166,11 @@ def test_oversized_component_routes_to_legacy_fallback() -> None:
     # (mirroring the forced-gate pattern above) and the compiled entry
     # point is replaced with a tripwire, so the test fails loudly if the
     # dispatch ever stops falling back.
-    graph = UncertainGraph()
-    for u, v in itertools.combinations(range(6), 2):
-        graph.add_edge(u, v, 0.9)
+    for graph in (_k6(), _two_triangles()):
+        _assert_fallback_parity(graph)
 
+
+def _assert_fallback_parity(graph: UncertainGraph) -> None:
     # The bit-identity contract is between the order-identical engines;
     # the pivot engine reorders emission, so its fallback parity is on
     # the clique *set* (checked below).
@@ -158,7 +178,7 @@ def test_oversized_component_routes_to_legacy_fallback() -> None:
     baseline = list(
         maximal_cliques(graph, 2, 0.3, stats=baseline_stats, engine="bitset")
     )
-    assert baseline  # a K6 at tau=0.3 must produce output
+    assert baseline  # both inputs must produce output at tau=0.3
     pivot_baseline = set(maximal_cliques(graph, 2, 0.3, engine="pivot"))
 
     def tripwire(*args: object, **kwargs: object) -> object:

@@ -1,14 +1,12 @@
-"""Parity suite for the process-parallel layer: ``jobs=N`` must be
-indistinguishable from ``jobs=1``.
+"""Ordering contract for runs that mix the compiled kernel and the legacy
+fallback.
 
-The contract is exact, not approximate: bit-identical cliques, identical
-yield order, and identical merged stats counters for both
-``maximal_cliques`` and ``max_uc_plus``.  The property tests run few
-examples (every example pays a worker-pool spawn) but force the
-stress-relevant configuration: the branch-split threshold is dropped so
-even tiny components are carved into root ranges, which exercises the
-silent prefix replay and the deterministic ``(ordinal, start)`` merge on
-every example.
+The module name is historical: the suite once compared a process-parallel
+path against the sequential one.  What remains is the part of that
+contract that still applies to the single sequential path — when some
+components exceed ``KERNEL_COMPONENT_LIMIT`` and take the legacy
+recursion while others run compiled, the output must keep the component
+order, the cliques and the stats counters of an all-compiled run.
 """
 
 from __future__ import annotations
@@ -16,100 +14,14 @@ from __future__ import annotations
 import itertools
 from dataclasses import asdict
 
-import pytest
-from hypothesis import HealthCheck, given, settings, strategies as st
-
 import repro.core.enumeration as enumeration_mod
-import repro.core.parallel as parallel_mod
 from repro import UncertainGraph
 from repro.core.enumeration import EnumerationStats, maximal_cliques
-from repro.core.kernel import (
-    compile_component,
-    enum_root_prep,
-    enumerate_component,
-    enumerate_root_range,
-)
-from repro.core.maximum import MaximumSearchStats, max_uc_plus
-from repro.core.parallel import branch_ranges, resolve_jobs
-from repro.utils.validation import threshold_floor
-
-PROBABILITY_PALETTE = (0.25, 0.4, 0.4, 0.5, 0.7, 0.7, 0.9, 1.0)
-TAUS = (0.01, 0.1, 0.3, 0.6)
-
-
-def _labels(n: int, mixed: bool) -> list[object]:
-    if not mixed:
-        return list(range(n))
-    return [i if i % 2 == 0 else f"n{i}" for i in range(n)]
-
-
-@st.composite
-def uncertain_graphs(draw: st.DrawFn) -> UncertainGraph:
-    n = draw(st.integers(min_value=0, max_value=12))
-    mixed = draw(st.booleans())
-    nodes = _labels(n, mixed)
-    graph = UncertainGraph(nodes=nodes)
-    for u, v in itertools.combinations(nodes, 2):
-        if draw(st.booleans()):
-            probability = draw(st.sampled_from(PROBABILITY_PALETTE))
-            graph.add_edge(u, v, probability)
-    return graph
-
-
-@pytest.fixture
-def force_branch_splitting() -> None:
-    # Split even tiny components into root ranges so every example with a
-    # component exercises replay + merge, not just the whole-component
-    # fast path.
-    original = parallel_mod._MIN_SPLIT_ROOTS
-    parallel_mod._MIN_SPLIT_ROOTS = 2
-    yield
-    parallel_mod._MIN_SPLIT_ROOTS = original
-
-
-@settings(
-    max_examples=15,
-    deadline=None,
-    # The fixture is a module-level monkeypatch that stays in place for
-    # the whole test; once-per-function setup is exactly what it needs.
-    suppress_health_check=[HealthCheck.function_scoped_fixture],
-)
-@given(
-    graph=uncertain_graphs(),
-    k=st.integers(min_value=0, max_value=4),
-    tau=st.sampled_from(TAUS),
-)
-def test_enumeration_jobs_parity(
-    force_branch_splitting: None, graph: UncertainGraph, k: int, tau: float
-) -> None:
-    sequential_stats = EnumerationStats()
-    sequential = list(maximal_cliques(graph, k, tau, stats=sequential_stats))
-    parallel_stats = EnumerationStats()
-    parallel = list(
-        maximal_cliques(graph, k, tau, stats=parallel_stats, jobs=2)
-    )
-    assert parallel == sequential
-    assert asdict(parallel_stats) == asdict(sequential_stats)
-
-
-@settings(max_examples=15, deadline=None)
-@given(
-    graph=uncertain_graphs(),
-    k=st.integers(min_value=0, max_value=4),
-    tau=st.sampled_from(TAUS),
-)
-def test_maximum_jobs_parity(
-    graph: UncertainGraph, k: int, tau: float
-) -> None:
-    sequential_stats = MaximumSearchStats()
-    sequential = max_uc_plus(graph, k, tau, stats=sequential_stats)
-    parallel_stats = MaximumSearchStats()
-    parallel = max_uc_plus(graph, k, tau, stats=parallel_stats, jobs=2)
-    assert parallel == sequential
-    assert asdict(parallel_stats) == asdict(sequential_stats)
 
 
 def _two_triangles() -> UncertainGraph:
+    # A K4 and a triangle: with the limit squeezed to 3 the K4 takes the
+    # legacy fallback while the triangle still runs compiled.
     graph = UncertainGraph()
     for u, v in itertools.combinations(("a", "b", "c", "d"), 2):
         graph.add_edge(u, v, 0.9)
@@ -119,15 +31,13 @@ def _two_triangles() -> UncertainGraph:
 
 
 def test_oversized_components_fall_back_and_interleave_in_order() -> None:
-    # With the kernel limit squeezed below one component's size, jobs=2
-    # must route that component through the in-driver legacy recursion
-    # while the other still runs on the pool — and the merged output must
-    # keep the sequential component order.
-    # The squeezed run mixes legacy-fallback and compiled components, so
-    # the bit-identity comparison runs on the order-identical bitset
-    # engine; the pivot engine's mixed run is compared under the *same*
-    # squeezed limit (its compiled components emit in pivot order, which
-    # the unsqueezed baseline would not reproduce).
+    # With the kernel limit squeezed below one component's size, that
+    # component runs through the legacy recursion while the other stays
+    # compiled — and the output must keep the all-compiled component order.
+    # Bit-identity (order and counters) is checked on the order-identical
+    # bitset engine; the pivot engine's fallback reorders branches and
+    # counts differently, so for it the contract is the clique set, the
+    # component order, and run-to-run determinism of the mixed path.
     graph = _two_triangles()
     original = enumeration_mod.KERNEL_COMPONENT_LIMIT
     try:
@@ -141,127 +51,25 @@ def test_oversized_components_fall_back_and_interleave_in_order() -> None:
         mixed_stats = EnumerationStats()
         mixed = list(
             maximal_cliques(
-                graph, 2, 0.3, stats=mixed_stats, engine="bitset", jobs=2
+                graph, 2, 0.3, stats=mixed_stats, engine="bitset"
             )
         )
-        pivot_seq_stats = EnumerationStats()
-        pivot_sequential = list(
-            maximal_cliques(graph, 2, 0.3, stats=pivot_seq_stats)
+        pivot_first_stats = EnumerationStats()
+        pivot_first = list(
+            maximal_cliques(graph, 2, 0.3, stats=pivot_first_stats)
         )
-        pivot_mixed_stats = EnumerationStats()
-        pivot_mixed = list(
-            maximal_cliques(graph, 2, 0.3, stats=pivot_mixed_stats, jobs=2)
+        pivot_again_stats = EnumerationStats()
+        pivot_again = list(
+            maximal_cliques(graph, 2, 0.3, stats=pivot_again_stats)
         )
     finally:
         enumeration_mod.KERNEL_COMPONENT_LIMIT = original
+    assert sequential == [
+        frozenset({"a", "b", "c", "d"}),
+        frozenset({"x", "y", "z"}),
+    ]
     assert mixed == sequential
     assert asdict(mixed_stats) == asdict(sequential_stats)
-    assert pivot_mixed == pivot_sequential
-    assert asdict(pivot_mixed_stats) == asdict(pivot_seq_stats)
-    assert set(pivot_mixed) == set(sequential)
-
-
-def test_range_partition_concatenates_to_sequential_output() -> None:
-    # Kernel-level check without a pool: enum_root_prep + any partition
-    # of the root range must concatenate to the sequential cliques with
-    # stats summing to the sequential totals.
-    graph = UncertainGraph()
-    for u, v in itertools.combinations(range(7), 2):
-        if (u + v) % 3:
-            graph.add_edge(u, v, PROBABILITY_PALETTE[(u * 7 + v) % 8])
-    k, tau, min_size = 2, 0.1, 3
-    tau_floor = threshold_floor(tau)
-
-    whole_stats = EnumerationStats()
-    whole = list(
-        enumerate_component(graph, k, tau_floor, min_size, True, 0, whole_stats)
-    )
-
-    comp = compile_component(graph)
-    split_stats = EnumerationStats()
-    cands = enum_root_prep(comp, k, tau_floor, min_size, True, 0, split_stats)
-    assert cands is not None
-    pieces = []
-    for start, stop in branch_ranges(len(cands), 3):
-        pieces.extend(
-            enumerate_root_range(
-                comp, k, tau_floor, min_size, True, 0, cands, start, stop,
-                split_stats,
-            )
-        )
-    assert pieces == whole
-    assert asdict(split_stats) == asdict(whole_stats)
-
-
-def test_branch_ranges_partition_evenly() -> None:
-    for n_roots in (0, 1, 5, 16, 17, 100):
-        for n_ranges in (1, 2, 3, 7, 200):
-            ranges = branch_ranges(n_roots, n_ranges)
-            # Contiguous partition of [0, n_roots) in order.
-            assert ranges[0][0] == 0
-            assert ranges[-1][1] == n_roots
-            for (_, stop), (start, _) in zip(ranges, ranges[1:]):
-                assert stop == start
-            sizes = [stop - start for start, stop in ranges]
-            assert max(sizes) - min(sizes) <= 1
-            assert len(ranges) <= max(1, min(n_ranges, n_roots))
-
-
-def test_resolve_jobs_semantics(monkeypatch: pytest.MonkeyPatch) -> None:
-    monkeypatch.delenv("REPRO_JOBS", raising=False)
-    assert resolve_jobs(1) == 1
-    assert resolve_jobs(4) == 4
-    assert resolve_jobs(None) >= 1  # cpu_count
-    with pytest.raises(ValueError):
-        resolve_jobs(0)
-    with pytest.raises(ValueError):
-        resolve_jobs(-2)
-
-    monkeypatch.setenv("REPRO_JOBS", "3")
-    assert resolve_jobs(1) == 3  # env overrides the default
-    assert resolve_jobs(None) == 3
-    assert resolve_jobs(2) == 2  # explicit > 1 wins over env
-
-    monkeypatch.setenv("REPRO_JOBS", "auto")
-    assert resolve_jobs(1) >= 1
-    monkeypatch.setenv("REPRO_JOBS", "0")
-    assert resolve_jobs(1) >= 1
-    monkeypatch.setenv("REPRO_JOBS", "banana")
-    with pytest.raises(ValueError):
-        resolve_jobs(1)
-    monkeypatch.setenv("REPRO_JOBS", "-1")
-    with pytest.raises(ValueError):
-        resolve_jobs(1)
-
-
-def test_repro_jobs_env_routes_the_default_path(
-    monkeypatch: pytest.MonkeyPatch,
-) -> None:
-    # jobs is left at its default: the env var alone must opt the run
-    # into the parallel path and still produce the sequential answer.
-    graph = _two_triangles()
-    monkeypatch.delenv("REPRO_JOBS", raising=False)
-    sequential_stats = EnumerationStats()
-    sequential = list(maximal_cliques(graph, 2, 0.3, stats=sequential_stats))
-    monkeypatch.setenv("REPRO_JOBS", "2")
-    env_stats = EnumerationStats()
-    via_env = list(maximal_cliques(graph, 2, 0.3, stats=env_stats))
-    assert via_env == sequential
-    assert asdict(env_stats) == asdict(sequential_stats)
-
-
-def test_compiled_component_pickle_roundtrip() -> None:
-    import pickle
-
-    graph = _two_triangles()
-    comp = compile_component(graph)
-    clone = pickle.loads(pickle.dumps(comp))
-    assert clone.nodes == comp.nodes
-    assert clone.index == comp.index
-    assert clone.adj == comp.adj
-    assert clone.prob == comp.prob
-    assert clone.rows == comp.rows
-    assert clone.full_mask == comp.full_mask
-    assert list(clone.row_offsets) == list(comp.row_offsets)
-    assert list(clone.nbr_ids) == list(comp.nbr_ids)
-    assert list(clone.nbr_probs) == list(comp.nbr_probs)
+    assert pivot_first == sequential
+    assert pivot_again == pivot_first
+    assert asdict(pivot_again_stats) == asdict(pivot_first_stats)

@@ -27,7 +27,7 @@ from hypothesis import given, settings, strategies as st
 from repro import UncertainGraph
 from repro.core.ktau_core import dp_core, dp_core_plus
 from repro.core.prune_kernel import (
-    compile_prune_graph,
+    compile_graph,
     distribution_peel,
     survival_peel,
     topk_peel,
@@ -81,7 +81,7 @@ def prune_graphs(draw: st.DrawFn) -> UncertainGraph:
 def test_peel_engines_identical(
     graph: UncertainGraph, k: int, tau: float
 ) -> None:
-    compiled = compile_prune_graph(graph)
+    compiled = compile_graph(graph)
     assert dp_core(graph, k, tau, compiled=compiled) == dp_core(
         graph, k, tau, engine="legacy"
     )
@@ -97,7 +97,7 @@ def test_peel_engines_identical(
 @settings(max_examples=40, deadline=None)
 @given(graph=prune_graphs())
 def test_compiled_core_ids_match_core_numbers(graph: UncertainGraph) -> None:
-    compiled = compile_prune_graph(graph)
+    compiled = compile_graph(graph)
     lazy = dict(zip(compiled.nodes, compiled.core_ids()))
     assert lazy == core_numbers(graph)
 
@@ -115,7 +115,7 @@ def test_seeded_peel_matches_induced_subgraph(
     nodes = graph.nodes()
     members = data.draw(st.sets(st.sampled_from(nodes)) if nodes else st.just(set()))
     induced = graph.induced_subgraph(members)
-    compiled = compile_prune_graph(graph)
+    compiled = compile_graph(graph)
     assert survival_peel(compiled, k, tau, members=members) == dp_core_plus(
         induced, k, tau, engine="legacy"
     )
@@ -137,7 +137,7 @@ def test_fixed_abort_parity(
     fixed = data.draw(
         st.sets(st.sampled_from(nodes), min_size=1) if nodes else st.just(set())
     )
-    arrays = topk_core(graph, k, tau, fixed=fixed, compiled=compile_prune_graph(graph))
+    arrays = topk_core(graph, k, tau, fixed=fixed, compiled=compile_graph(graph))
     legacy = topk_core(graph, k, tau, fixed=fixed, engine="legacy")
     assert arrays.nodes == legacy.nodes
     assert arrays.contains_fixed == legacy.contains_fixed
@@ -162,7 +162,7 @@ def _straddle_graph() -> UncertainGraph:
 @pytest.mark.parametrize("tau", [0.05, 0.5, 0.9])
 def test_stable_limit_straddle_parity(k: int, tau: float) -> None:
     graph = _straddle_graph()
-    compiled = compile_prune_graph(graph)
+    compiled = compile_graph(graph)
     assert dp_core_plus(graph, k, tau, compiled=compiled) == dp_core_plus(
         graph, k, tau, engine="legacy"
     )
@@ -177,9 +177,9 @@ def test_artifact_reuse_across_peels() -> None:
     # One compile serves every peel at every (k, tau) — the session's
     # sharing pattern — and repeated replays stay bit-identical.
     graph = _straddle_graph()
-    compiled = compile_prune_graph(graph)
+    compiled = compile_graph(graph)
     for k, tau in [(1, 0.05), (2, 0.5), (3, 0.2), (2, 0.5)]:
-        fresh = compile_prune_graph(graph)
+        fresh = compile_graph(graph)
         assert survival_peel(compiled, k, tau) == survival_peel(fresh, k, tau)
         assert distribution_peel(compiled, k, tau) == distribution_peel(
             fresh, k, tau

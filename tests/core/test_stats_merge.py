@@ -1,62 +1,17 @@
-"""Unit tests for the stats ``merge`` aggregation and phase timings.
+"""Unit tests for the stats objects' counters and phase timings.
 
-``merge`` is what the process-parallel layer uses to fold per-task
-counters back into the caller's stats object, and what the experiment
-harness uses to aggregate counters across runs — so its semantics
-(every counter sums; ``best_size`` takes the max; wall-clock laps sum
-lap-wise and never participate in equality) are pinned here.
+The pivot counters must be recorded by the default engine only, and the
+wall-clock laps must never participate in equality or ``asdict`` (the
+parity suites compare stats that way).
 """
 
 from __future__ import annotations
 
-from dataclasses import asdict, fields
+from dataclasses import asdict
 
 from repro import UncertainGraph
 from repro.core.enumeration import EnumerationStats, muce_plus_plus
 from repro.core.maximum import MaximumSearchStats, max_uc_plus
-
-
-def test_enumeration_merge_sums_every_counter() -> None:
-    a = EnumerationStats(
-        nodes_after_pruning=10, components=2, cuts_found=1,
-        cut_edges_removed=3, search_calls=100, insearch_prunes=5,
-        branch_size_prunes=7, pivot_branches=20, pivot_skipped=9,
-        cliques=4,
-    )
-    b = EnumerationStats(
-        nodes_after_pruning=1, components=1, cuts_found=0,
-        cut_edges_removed=2, search_calls=50, insearch_prunes=1,
-        branch_size_prunes=2, pivot_branches=6, pivot_skipped=4,
-        cliques=3,
-    )
-    expected = {
-        f.name: getattr(a, f.name) + getattr(b, f.name)
-        for f in fields(EnumerationStats)
-    }
-    a.merge(b)
-    assert asdict(a) == expected
-    # The source of the merge is untouched.
-    assert b.search_calls == 50
-
-
-def test_maximum_merge_sums_counters_and_maxes_best_size() -> None:
-    a = MaximumSearchStats(
-        search_calls=10, size_bound_prunes=2, pivot_branches=5,
-        pivot_skipped=2, best_size=5,
-    )
-    b = MaximumSearchStats(
-        search_calls=3, basic_color_prunes=4, pivot_branches=1,
-        pivot_skipped=3, best_size=7,
-    )
-    a.merge(b)
-    assert a.search_calls == 13
-    assert a.size_bound_prunes == 2
-    assert a.basic_color_prunes == 4
-    assert a.pivot_branches == 6
-    assert a.pivot_skipped == 5
-    assert a.best_size == 7  # max, not sum: it reports a result, not work
-    a.merge(MaximumSearchStats(best_size=1))
-    assert a.best_size == 7
 
 
 def test_pivot_counters_recorded_by_the_default_engine() -> None:
@@ -72,17 +27,6 @@ def test_pivot_counters_recorded_by_the_default_engine() -> None:
     list(muce_plus_plus(graph, 1, 0.5, stats=oracle, engine="bitset"))
     assert oracle.pivot_branches == 0
     assert oracle.pivot_skipped == 0
-
-
-def test_merge_accumulates_timings_lap_wise() -> None:
-    a = EnumerationStats()
-    b = EnumerationStats()
-    a.timings.add("search", 1.0)
-    b.timings.add("search", 0.5)
-    b.timings.add("compile", 0.25)
-    a.merge(b)
-    assert a.timings.seconds("search") == 1.5
-    assert a.timings.seconds("compile") == 0.25
 
 
 def test_timings_are_not_part_of_equality_or_asdict() -> None:
