@@ -99,13 +99,12 @@ PRUNE_FUNCTIONS = frozenset(
 )
 
 #: Files allowed to call the peels directly: their definitions, the
-#: kernel they delegate to, the cut optimization's per-component fringe
-#: peel, and the pipeline/session layer that memoizes the results.
+#: kernel they delegate to, and the pipeline/session layer that memoizes
+#: the results.
 _PRUNE_SANCTIONED_FILES = (
     "ktau_core.py",
     "topk_core.py",
     "prune_kernel.py",
-    "cut_pruning.py",
     "pipeline.py",
     "session.py",
 )
@@ -117,10 +116,10 @@ class PruneBypassesSession(Rule):
     Flags calls to any :data:`PRUNE_FUNCTIONS` name — bare
     (``dp_core_plus(...)``) or attribute-qualified
     (``ktau_core.dp_core_plus(...)``) — in files under ``repro/core``
-    other than the peel definitions, the cut optimization, and the
-    pipeline/session layer.  A direct call recompiles the graph (or runs
-    the legacy dict peel) on every invocation instead of replaying over
-    the session's version-keyed CSR compile; route the peel through
+    other than the peel definitions and the pipeline/session layer.  A
+    direct call recompiles the graph (or runs the legacy dict peel) on
+    every invocation instead of replaying over the session's
+    version-keyed CSR compile; route the peel through
     :func:`repro.core.pipeline.prune_stage` via
     :class:`~repro.core.session.PreparedGraph`, or justify the bypass
     with ``# repro-lint: ignore[RPL008]`` (e.g. one-shot drivers with no

@@ -190,22 +190,17 @@ def cut_stage(
     tau: float,
     cut: bool,
     nodes_after_pruning: int,
-    engine: str = "bitset",
 ) -> CutArtifact:
     """Split the pruned graph into search components (Lemma 5).
 
     With ``cut=True`` runs the cut-based optimization; otherwise a plain
     connected-component split.  ``nodes_after_pruning`` is carried through
-    from the prune stage so the artifact is self-contained.  ``engine``
-    selects the peel implementation for the cut optimization's fringe
-    stage (``"bitset"`` maps to the compiled arrays peel); both engines
-    find the identical cut set, so the artifact is engine-independent.
+    from the prune stage so the artifact is self-contained.  One cut
+    implementation serves every engine, so the artifact is
+    engine-independent.
     """
     if cut:
-        result = cut_optimize(
-            pruned, k, tau,
-            engine="arrays" if engine == "bitset" else "legacy",
-        )
+        result = cut_optimize(pruned, k, tau)
         return CutArtifact(
             components=tuple(result.components),
             cuts_found=result.cuts_found,

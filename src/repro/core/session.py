@@ -590,7 +590,7 @@ class PreparedGraph:
                     with timings.lap("cut"):
                         part_art = pipeline.cut_stage(
                             self._graph.induced_subgraph(comp_surv),
-                            k, tau, cut, len(comp_surv), engine=engine,
+                            k, tau, cut, len(comp_surv),
                         )
                     entry = (
                         part_art.components,

@@ -570,7 +570,6 @@ class TestPruneBypassesSession:
             "ktau_core.py",
             "topk_core.py",
             "prune_kernel.py",
-            "cut_pruning.py",
             "pipeline.py",
             "session.py",
         ):

@@ -37,6 +37,20 @@ def make_clique(size: int, p: float, offset: int = 0) -> UncertainGraph:
     return graph
 
 
+def make_second_sweep_graph() -> UncertainGraph:
+    """Seven nodes whose maximum-adjacency sweep from node 0 finds no
+    low cut at (k, tau) = (2, 0.3), while a sweep from node 5 (the node
+    the first sweep absorbs last) cuts {1, 3} off."""
+    return UncertainGraph(
+        nodes=range(7),
+        edges=[
+            (0, 2, 0.8), (0, 3, 0.3), (0, 4, 0.8), (0, 5, 0.8),
+            (1, 2, 0.5), (1, 3, 0.8), (1, 6, 0.5), (2, 4, 0.5),
+            (2, 6, 0.5), (3, 4, 0.5), (5, 6, 0.8),
+        ],
+    )
+
+
 @pytest.fixture
 def triangle() -> UncertainGraph:
     """Triangle with probabilities 0.9, 0.8, 0.5 (CPr = 0.36)."""

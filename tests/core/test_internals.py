@@ -4,52 +4,62 @@ These pin down the behavior of the private helpers the hot paths rely
 on, so refactors cannot silently change their contracts.
 """
 
+from bisect import bisect_left, insort
+
 from repro import UncertainGraph
-from repro.core.cut_pruning import _CutTopK, _sweep_split
+from repro.core.cut_pruning import (
+    _cut_is_low,
+    _local_rows,
+    _sweep_split,
+    is_low_probability_cut,
+)
 from repro.core.enumeration import _insearch_topk_prune, _pi_k_ok
-from repro.utils.validation import FLOAT_EPS
-from tests.conftest import make_clique, make_random_graph
+from repro.utils.validation import FLOAT_EPS, threshold_floor
+from tests.conftest import (
+    make_clique,
+    make_random_graph,
+    make_second_sweep_graph,
+)
 
 
 class TestCutTopK:
+    """The sweep's cut multiset: an ascending float list (``insort`` /
+    ``pop(bisect_left)``) tested by :func:`_cut_is_low`."""
+
     def test_small_cut_is_low(self):
-        cut = _CutTopK()
-        cut.add(frozenset((1, 2)), 0.9)
-        assert cut.is_low(2, 0.5)  # only one live edge
+        cut = [0.9]
+        assert _cut_is_low(cut, 2, threshold_floor(0.5))  # one live edge
 
     def test_top_k_product(self):
-        cut = _CutTopK()
-        for i, p in enumerate((0.9, 0.5, 0.8)):
-            cut.add(frozenset((i, i + 100)), p)
+        cut: list[float] = []
+        for p in (0.9, 0.5, 0.8):
+            insort(cut, p)
         # top-2 product = 0.72
-        assert not cut.is_low(2, 0.7)
-        assert cut.is_low(2, 0.73)
+        assert not _cut_is_low(cut, 2, threshold_floor(0.7))
+        assert _cut_is_low(cut, 2, threshold_floor(0.73))
 
     def test_removal_changes_product(self):
-        cut = _CutTopK()
-        keys = [frozenset((i, i + 100)) for i in range(3)]
-        for key, p in zip(keys, (0.9, 0.5, 0.8)):
-            cut.add(key, p)
-        cut.remove(keys[0])  # drop the 0.9; top-2 = 0.4
-        assert cut.is_low(2, 0.5)
-        assert not cut.is_low(2, 0.3)
+        cut: list[float] = []
+        for p in (0.9, 0.5, 0.8):
+            insort(cut, p)
+        cut.pop(bisect_left(cut, 0.9))  # drop the 0.9; top-2 = 0.4
+        assert _cut_is_low(cut, 2, threshold_floor(0.5))
+        assert not _cut_is_low(cut, 2, threshold_floor(0.3))
 
     def test_live_count_tracks(self):
-        cut = _CutTopK()
-        key = frozenset((1, 2))
-        cut.add(key, 0.5)
-        assert cut.live == 1
-        cut.remove(key)
-        assert cut.live == 0
-        assert cut.is_low(1, 0.01)
+        cut: list[float] = []
+        insort(cut, 0.5)
+        assert len(cut) == 1
+        cut.pop(bisect_left(cut, 0.5))
+        assert len(cut) == 0
+        assert _cut_is_low(cut, 1, threshold_floor(0.01))
 
     def test_query_is_repeatable(self):
-        cut = _CutTopK()
-        for i, p in enumerate((0.9, 0.8, 0.7)):
-            cut.add(frozenset((i, i + 100)), p)
-        first = cut.is_low(2, 0.71)
-        second = cut.is_low(2, 0.71)
+        cut = [0.7, 0.8, 0.9]
+        first = _cut_is_low(cut, 2, threshold_floor(0.71))
+        second = _cut_is_low(cut, 2, threshold_floor(0.71))
         assert first == second == False  # noqa: E712 — explicit value
+        assert cut == [0.7, 0.8, 0.9]  # the test reads, never reorders
 
 
 class TestPiKOk:
@@ -100,15 +110,31 @@ class TestInsearchPrune:
         assert result is candidates  # identity: nothing was removed
 
 
+def _sweep(g, k, tau, start=0):
+    """One sweep over all of ``g`` from local id ``start``; segments as
+    node lists."""
+    nodes, rows = _local_rows(g)
+    n = len(nodes)
+    segments = _sweep_split(
+        rows, [0] * n, [0.0] * n, bytearray(n), list(range(n)), start,
+        k, threshold_floor(tau),
+    )
+    return [[nodes[i] for i in segment] for segment in segments]
+
+
 class TestSweepSplit:
     def test_no_cut_in_strong_clique(self):
         g = make_clique(6, 0.95)
-        segments, cuts, removed = _sweep_split(
-            g, set(g.nodes()), 3, 0.5
-        )
-        assert cuts == 0
-        assert removed == 0
-        assert segments == []
+        segments = _sweep(g, 3, 0.5)
+        assert len(segments) == 1  # the whole absorption order
+        assert sorted(segments[0]) == sorted(g.nodes())
+
+    def test_start_node_decides_which_cuts_show(self):
+        g = make_second_sweep_graph()
+        first = _sweep(g, 2, 0.3)
+        assert len(first) == 1 and first[0][-1] == 5
+        second = _sweep(g, 2, 0.3, start=5)
+        assert [sorted(s) for s in second] == [[0, 2, 4, 5, 6], [1, 3]]
 
     def test_bridge_cut_found(self):
         # Two strong 4-cliques joined by a single weak edge.
@@ -117,11 +143,12 @@ class TestSweepSplit:
             for v_off in range(u_off + 1, 8):
                 g.add_edge(u_off, v_off, 0.95)
         g.add_edge(0, 4, 0.2)
-        segments, cuts, removed = _sweep_split(g, set(g.nodes()), 3, 0.5)
-        assert cuts >= 1
-        assert removed >= 1
-        assert not g.has_edge(0, 4)
-        # Every segment is one of the two cliques (order-independent).
+        segments = _sweep(g, 3, 0.5)
+        assert len(segments) >= 2
+        # The weak edge crosses segments, and every segment is inside
+        # one of the two cliques.
+        side = {u: i for i, segment in enumerate(segments) for u in segment}
+        assert side[0] != side[4]
         for segment in segments:
             assert set(segment) <= {0, 1, 2, 3} or set(segment) <= {
                 4, 5, 6, 7,
@@ -129,26 +156,20 @@ class TestSweepSplit:
 
     def test_disconnected_component_splits(self):
         g = UncertainGraph(edges=[(0, 1, 0.9), (2, 3, 0.9)])
-        segments, cuts, removed = _sweep_split(g, {0, 1, 2, 3}, 1, 0.5)
-        assert cuts >= 1
-        assert removed == 0  # no crossing edges existed
+        segments = _sweep(g, 1, 0.5)
         groups = [set(s) for s in segments]
         assert {0, 1} in groups and {2, 3} in groups
 
     def test_all_edges_preserved_or_deleted_consistently(self):
         g = make_random_graph(14, 0.4, seed=5)
-        before = g.num_edges
-        components = {frozenset(c) for c in [set(g.nodes())]}
-        # run on the (single) component of a connected copy
-        from repro.deterministic.components import connected_components
-
-        work = g.copy()
-        total_removed = 0
-        for comp in connected_components(work):
-            if len(comp) > 1:
-                _, _, removed = _sweep_split(work, comp, 3, 0.5)
-                total_removed += removed
-        assert work.num_edges == before - total_removed
+        segments = _sweep(g, 3, 0.5)
+        side = {u: i for i, segment in enumerate(segments) for u in segment}
+        assert sorted(side) == sorted(g.nodes())
+        # Every segment boundary is a low-probability cut (Lemma 5).
+        for b in range(1, len(segments)):
+            inside = {u for segment in segments[:b] for u in segment}
+            cut = [p for u, v, p in g.edges() if (u in inside) != (v in inside)]
+            assert is_low_probability_cut(cut, 3, 0.5)
 
 
 class TestInsearchPruneDuplicateProbabilities:

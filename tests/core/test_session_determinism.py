@@ -119,3 +119,52 @@ def test_anchored_queries_are_hash_seed_invariant() -> None:
     assert payload["exists"] is True
     assert payload["order"], "fixture must actually yield cliques"
     assert all(["alpha" in clique for clique in payload["order"]])
+
+
+#: The cut optimization over a string-labelled graph: before the sweep
+#: ran on dense int ids it walked Python sets, and this exact fixture
+#: found 2 cuts / 44 removed edges under PYTHONHASHSEED 0, 1 and 3 but
+#: 3 cuts / 74 removed edges under seed 2.
+_CUT_SCRIPT = """
+import json
+from repro import UncertainGraph, cut_optimize
+from repro.core.enumeration import EnumerationStats
+from repro.core.session import PreparedGraph
+from repro.core.topk_core import topk_core
+from repro.datasets import load_dataset
+
+base = load_dataset("dblp_like", scale=0.3)
+g = UncertainGraph()
+for u, v, p in base.edges():
+    g.add_edge(f"n{u}", f"n{v}", p)
+k, tau = 5, 0.05
+core = topk_core(g, k, tau).nodes
+pruned = g.induced_subgraph([u for u in g if u in core])
+result = cut_optimize(pruned, k, tau)
+stats = EnumerationStats()
+order = [
+    sorted(clique)
+    for clique in PreparedGraph(g).maximal_cliques(k, tau, stats=stats)
+]
+print(json.dumps({
+    "cuts_found": stats.cuts_found,
+    "cut_edges_removed": stats.cut_edges_removed,
+    "components": [c.nodes() for c in result.components],
+    "order": order,
+}))
+"""
+
+
+def test_cut_optimization_is_hash_seed_invariant() -> None:
+    outputs = {_run_script(_CUT_SCRIPT, seed) for seed in "0123"}
+    assert len(outputs) == 1, (
+        "cut optimization output varies with PYTHONHASHSEED:\n"
+        + "\n".join(
+            json.dumps({key: value for key, value in json.loads(out).items()
+                        if key.startswith("cut")})
+            for out in sorted(outputs)
+        )
+    )
+    payload = json.loads(next(iter(outputs)))
+    assert payload["cuts_found"] > 0, "fixture must actually cut"
+    assert payload["order"], "fixture must actually yield cliques"

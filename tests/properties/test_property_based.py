@@ -146,6 +146,34 @@ def test_pruning_preserves_maximal_cliques(graph, k, tau):
         assert any(clique <= cs for cs in comp_sets)  # Lemma 5
 
 
+def _relabel(graph, labels):
+    """``graph`` with node ``u`` renamed ``f"v{u}"`` for string labels."""
+    if labels == "int":
+        return graph
+    name = "v{}".format
+    relabelled = UncertainGraph(nodes=(name(u) for u in graph.nodes()))
+    for u, v, p in graph.edges():
+        relabelled.add_edge(name(u), name(v), p)
+    return relabelled
+
+
+@relaxed
+@given(
+    uncertain_graphs(),
+    st.integers(min_value=0, max_value=3),
+    taus,
+    st.sampled_from(["int", "str"]),
+)
+def test_cut_keeps_maximal_cliques_and_accounts_edges(graph, k, tau, labels):
+    graph = _relabel(graph, labels)
+    result = cut_optimize(graph, k, tau)
+    comp_sets = [set(c.nodes()) for c in result.components]
+    for clique in brute_force_maximal_cliques(graph, k, tau):
+        assert any(clique <= cs for cs in comp_sets)  # Lemma 5
+    kept = sum(c.num_edges for c in result.components)
+    assert kept + result.edges_removed == graph.num_edges
+
+
 # ----------------------------------------------------------------------
 # Invariant 6: the enumerators agree with brute force
 # ----------------------------------------------------------------------
