@@ -35,8 +35,6 @@ STAGE_FUNCTIONS = frozenset(
         "prune_stage",
         "cut_stage",
         "compile_enumeration_stage",
-        "compile_maximum_stage",
-        "color_stage",
         "enumeration_search_stage",
         "maximum_search_stage",
     }

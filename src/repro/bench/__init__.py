@@ -1,6 +1,6 @@
 """Engine benchmark harness (``repro-bench``).
 
-Measures the ``engine="bitset"`` compiled kernel against the
+Measures the ``engine="pivot"`` compiled kernel against the
 ``engine="legacy"`` dict-of-dicts search on the registry datasets and
 writes machine-readable ``BENCH_*.json`` reports.  The measurement
 protocol lives in :mod:`repro.bench.runner`; the checked-in reports under

@@ -7,14 +7,15 @@ median of 5 interleaved repetitions per config, for both the enumeration
 
 ``--quick`` shrinks the dataset and repetition count to a CI-smoke-sized
 run (~tens of seconds).  ``--check`` turns the run into a gate: exit
-status 1 when any config's outputs differ between engine arms, or when
-the bitset engine's median is slower than legacy's beyond
-``--tolerance`` (a noise allowance — CI runners are
-shared machines).  The enumeration suite carries a ``pivot`` arm whose
-gate is clique-set identity plus a branch-count reduction of at least
-1x over bitset; the queries suite additionally asserts the compile
-accounting (a cold session records one nonzero compile lap, a warm
-session records exactly zero).
+status 1 when any config's outputs differ between the ``legacy`` and
+``pivot`` arms (clique-set identity for enumeration, bit identity of
+result and counters for the maximum search), when the pivot engine's
+median is slower than legacy's beyond ``--tolerance`` (a noise
+allowance — CI runners are shared machines), or when the pivot
+enumeration branches more than legacy (a branch-count reduction below
+1x).  The queries suite additionally asserts the compile accounting (a
+cold session records one nonzero compile lap, a warm session records
+exactly zero).
 
 ``--verbose`` prints the per-phase wall-clock breakdown (prune / cut /
 compile / search) recorded by the stats timings.
@@ -73,7 +74,7 @@ STREAMING_HEADLINE_FLOOR = 5.0
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro-bench",
-        description="Benchmark the bitset search engine against legacy.",
+        description="Benchmark the compiled search engine against legacy.",
     )
     parser.add_argument(
         "--dataset", default="dblp_like", help="registry dataset name"
@@ -98,7 +99,7 @@ def _build_parser() -> argparse.ArgumentParser:
         "--check",
         action="store_true",
         help=(
-            "exit 1 if engines disagree or bitset is slower than legacy "
+            "exit 1 if engines disagree or pivot is slower than legacy "
             "beyond --tolerance"
         ),
     )
@@ -137,18 +138,15 @@ def _print_report(report: BenchReport, verbose: bool) -> None:
     )
     for config in report.configs:
         legacy = config.engines["legacy"].median_s
-        bitset = config.engines["bitset"].median_s
+        pivot = config.engines["pivot"].median_s
         flag = "" if config.identical_output else "  OUTPUT MISMATCH"
-        pivot = ""
-        if "pivot" in config.engines:
-            pivot = (
-                f" pivot={config.engines['pivot'].median_s:.3f}s"
-                f"(branches /{config.pivot_branch_reduction:.1f})"
-            )
+        branches = ""
+        if config.pivot_branch_reduction > 0.0:
+            branches = f" (branches /{config.pivot_branch_reduction:.1f})"
         print(
             f"  k={config.k} tau={config.tau}: "
-            f"legacy={legacy:.3f}s bitset={bitset:.3f}s "
-            f"speedup={config.speedup:.2f}x{pivot}{flag}"
+            f"legacy={legacy:.3f}s pivot={pivot:.3f}s "
+            f"speedup={config.speedup:.2f}x{branches}{flag}"
         )
         if verbose:
             for name, run in config.engines.items():
@@ -252,17 +250,18 @@ def main(argv: list[str] | None = None) -> int:
             worst = report.worst_ratio()
             if worst > 1.0 + args.tolerance:
                 failures.append(
-                    f"{report.benchmark}: bitset {worst:.2f}x the legacy "
+                    f"{report.benchmark}: pivot {worst:.2f}x the legacy "
                     f"median somewhere (tolerance {1.0 + args.tolerance:.2f}x)"
                 )
             for config in report.configs:
-                # The pivot tree must never branch more than the bitset
-                # tree it replaced (0.0 means the config never searched).
+                # The pivot tree must never branch more than the legacy
+                # tree (0.0 means the config never searched, or is a
+                # maximum config, which does not pivot).
                 reduction = config.pivot_branch_reduction
-                if "pivot" in config.engines and 0.0 < reduction < 1.0:
+                if 0.0 < reduction < 1.0:
                     failures.append(
                         f"{report.benchmark}: pivot branched more than "
-                        f"bitset at k={config.k} tau={config.tau} "
+                        f"legacy at k={config.k} tau={config.tau} "
                         f"(reduction {reduction:.2f}x)"
                     )
 

@@ -6,21 +6,21 @@ Wall-clock comparisons between in-process arms on a noisy machine need
 two defenses, both applied here:
 
 * **Interleaving** — each repetition runs *every* arm back to back
-  (legacy, bitset, then pivot) before the next repetition starts, so slow drift in machine load lands on all
-  sides rather than biasing whichever arm happened to run last.
+  (legacy, then pivot) before the next repetition starts, so slow drift
+  in machine load lands on both sides rather than biasing whichever arm
+  happened to run last.
 * **Median of N** — the reported time per arm is the median over the
   repetitions, which throws away one-off spikes that a mean would absorb.
 
-Every run also re-verifies the arms' contract: identical results (for
-enumeration, the same cliques in the same yield order) and identical
-statistics counters across engines.  A
+Every run also re-verifies the arms' contract.  For enumeration it is
+*set* identity: pivoting reorders emission but must yield exactly the
+legacy engine's cliques, each once.  For the maximum search it is bit
+identity: the same clique and the same statistics counters.  A
 benchmark whose arms disagree is reported with ``identical_output:
 false`` and fails the ``--check`` gate — a speedup over wrong answers is
-not a speedup.  The pivot arm's contract is *set* identity (pivoting
-reorders emission but must yield exactly the same cliques, each once);
-its per-config ``pivot_branch_reduction`` records the bitset engine's
-``search_calls`` over the pivot engine's — the branch-tree shrink the
-absorbing Tomita pivot buys.
+not a speedup.  Each enumeration config's ``pivot_branch_reduction``
+records the legacy engine's ``search_calls`` over the pivot engine's —
+the branch-tree shrink the absorbing Tomita pivot buys.
 
 Provenance
 ----------
@@ -55,10 +55,8 @@ __all__ = [
     "run_maximum_bench",
 ]
 
-#: Arms of the enumeration suite.  The maximum suite drops ``pivot``,
-#: which runs the exact bitset branch-and-bound there.
-ENGINES: tuple[Engine, ...] = ("legacy", "bitset", "pivot")
-MAX_ENGINES: tuple[Engine, ...] = ("legacy", "bitset")
+#: Arms of both suites: the paper-following reference, then the kernel.
+ENGINES: tuple[Engine, ...] = ("legacy", "pivot")
 
 
 @dataclass
@@ -80,8 +78,8 @@ class ConfigResult:
     engines: dict[str, EngineRun]
     speedup: float
     identical_output: bool
-    #: bitset search_calls / pivot search_calls (enumeration only; 0.0
-    #: when the config has no pivot arm or no recursion ran).
+    #: legacy search_calls / pivot search_calls (enumeration only; 0.0
+    #: for the maximum suite or when no recursion ran).
     pivot_branch_reduction: float = 0.0
 
 
@@ -141,14 +139,14 @@ class BenchReport:
         return path
 
     def worst_ratio(self) -> float:
-        """Max over configs of bitset median / legacy median (lower is
-        better; > 1 means the bitset engine lost somewhere)."""
+        """Max over configs of pivot median / legacy median (lower is
+        better; > 1 means the compiled engine lost somewhere)."""
         worst = 0.0
         for config in self.configs:
             legacy = config.engines["legacy"].median_s
-            bitset = config.engines["bitset"].median_s
+            pivot = config.engines["pivot"].median_s
             if legacy > 0.0:
-                worst = max(worst, bitset / legacy)
+                worst = max(worst, pivot / legacy)
         return worst
 
     def all_identical(self) -> bool:
@@ -202,15 +200,10 @@ def run_enumeration_bench(
                 outputs[engine] = cliques
         for run in runs.values():
             run.median_s = _median(run.times_s)
-        legacy, bitset = runs["legacy"], runs["bitset"]
-        pivot = runs["pivot"]
-        # The bitset arm matches legacy bit for bit; the pivot arm
-        # reorders emission, so its gate is set identity with no
-        # duplicates and the same clique count.
+        legacy, pivot = runs["legacy"], runs["pivot"]
+        # Pivoting reorders emission, so the gate is set identity with
+        # no duplicates and the same clique count.
         identical = (
-            outputs["bitset"] == outputs["legacy"]
-            and bitset.stats == legacy.stats
-        ) and (
             len(outputs["pivot"]) == len(set(outputs["pivot"]))
             and set(outputs["pivot"]) == set(outputs["legacy"])
             and pivot.stats["cliques"] == legacy.stats["cliques"]
@@ -221,13 +214,13 @@ def run_enumeration_bench(
                 tau=tau,
                 engines=runs,
                 speedup=(
-                    legacy.median_s / bitset.median_s
-                    if bitset.median_s > 0.0
+                    legacy.median_s / pivot.median_s
+                    if pivot.median_s > 0.0
                     else 0.0
                 ),
                 identical_output=identical,
                 pivot_branch_reduction=(
-                    bitset.stats["search_calls"]
+                    legacy.stats["search_calls"]
                     / pivot.stats["search_calls"]
                     if pivot.stats.get("search_calls", 0) > 0
                     else 0.0
@@ -256,10 +249,10 @@ def run_maximum_bench(
     graph = load_dataset(dataset, scale=scale)
     results: list[ConfigResult] = []
     for k, tau in configs:
-        runs: dict[str, EngineRun] = {e: EngineRun() for e in MAX_ENGINES}
+        runs: dict[str, EngineRun] = {e: EngineRun() for e in ENGINES}
         outputs: dict[str, frozenset[Node] | None] = {}
         for _ in range(repetitions):
-            for engine in MAX_ENGINES:
+            for engine in ENGINES:
                 elapsed, best, stats, phases = _max_once(
                     graph, k, tau, engine
                 )
@@ -269,20 +262,20 @@ def run_maximum_bench(
                 outputs[engine] = best
         for run in runs.values():
             run.median_s = _median(run.times_s)
-        legacy, bitset = runs["legacy"], runs["bitset"]
+        legacy, pivot = runs["legacy"], runs["pivot"]
         results.append(
             ConfigResult(
                 k=k,
                 tau=tau,
                 engines=runs,
                 speedup=(
-                    legacy.median_s / bitset.median_s
-                    if bitset.median_s > 0.0
+                    legacy.median_s / pivot.median_s
+                    if pivot.median_s > 0.0
                     else 0.0
                 ),
                 identical_output=(
-                    outputs["bitset"] == outputs["legacy"]
-                    and bitset.stats == legacy.stats
+                    outputs["pivot"] == outputs["legacy"]
+                    and pivot.stats == legacy.stats
                 ),
             )
         )

@@ -45,15 +45,11 @@ def _runners() -> dict[str, Runner]:
     """Experiment name -> runner accepting the parsed CLI options."""
     return {
         "table1": lambda opts: run_table1(scale=opts.scale),
-        "fig2": lambda opts: run_fig2(
-            scale=opts.scale, engine=opts.prune_engine
-        ),
+        "fig2": lambda opts: run_fig2(scale=opts.scale),
         "fig3": lambda opts: run_fig3(
             scale=opts.scale, include_baseline=not opts.no_baselines
         ),
-        "fig4": lambda opts: run_fig4(
-            scale=opts.scale, engine=opts.prune_engine
-        ),
+        "fig4": lambda opts: run_fig4(scale=opts.scale),
         "fig5": lambda opts: run_fig5(
             scale=opts.scale, include_baselines=not opts.no_baselines
         ),
@@ -231,26 +227,15 @@ def _build_parser(runners: dict[str, Runner]) -> argparse.ArgumentParser:
     parser.add_argument(
         "--top", type=int, default=5, help="r for --mode top"
     )
-    # query options (--engine also applies to 'mine')
+    # query options
     parser.add_argument(
         "--engine",
-        choices=("pivot", "bitset", "legacy"),
+        choices=("pivot", "legacy"),
         default="pivot",
         help=(
             "search engine for the query command (default pivot: the "
-            "compiled kernel with absorbing Tomita pivoting; pivot and "
-            "bitset also route pruning through the compiled arrays "
-            "kernel)"
-        ),
-    )
-    parser.add_argument(
-        "--prune-engine",
-        choices=("arrays", "legacy"),
-        default="arrays",
-        help=(
-            "prune-peel engine for the dpcore/pruning experiments "
-            "(default arrays: the compiled flat-CSR kernel, one "
-            "lowering shared per dataset)"
+            "compiled kernel with absorbing Tomita pivoting; legacy: the "
+            "recursion that follows the paper's pseudo-code)"
         ),
     )
     parser.add_argument(

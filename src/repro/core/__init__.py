@@ -64,8 +64,6 @@ from repro.core.pipeline import (
     prune_stage,
     cut_stage,
     compile_enumeration_stage,
-    compile_maximum_stage,
-    color_stage,
     enumeration_search_stage,
     maximum_search_stage,
 )
@@ -131,8 +129,6 @@ __all__ = [
     "prune_stage",
     "cut_stage",
     "compile_enumeration_stage",
-    "compile_maximum_stage",
-    "color_stage",
     "enumeration_search_stage",
     "maximum_search_stage",
     "PreparedGraph",

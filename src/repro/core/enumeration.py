@@ -37,18 +37,13 @@ import bisect
 from dataclasses import dataclass
 from typing import Iterator, Literal
 
-# KERNEL_COMPONENT_LIMIT, enumerate_component and the core peels are
-# re-exported module attributes by contract: the session/pipeline layer
-# reads them from *this* module at call time, and regression tests
-# monkeypatch them (the kernel size limit, the compiled entry point, the
-# pre-search peels for the laziness tripwire).
-from repro.core.kernel import (
-    KERNEL_COMPONENT_LIMIT,
-    enumerate_component,
-    node_sort_key,
-)
+# KERNEL_COMPONENT_LIMIT and the pre-search peels are re-exported module
+# attributes by contract: the session/pipeline layer reads them from
+# *this* module at call time, and regression tests monkeypatch them (the
+# kernel size limit, the peels for the laziness tripwire).
+from repro.core.kernel import KERNEL_COMPONENT_LIMIT, node_sort_key
 from repro.core.ktau_core import dp_core_plus
-from repro.core.topk_core import topk_core, topk_core_arrays
+from repro.core.topk_core import topk_core_arrays
 from repro.uncertain.graph import Node, UncertainGraph
 from repro.utils.timing import Stopwatch
 
@@ -63,14 +58,16 @@ __all__ = [
 
 PruningRule = Literal["topk", "ktau", "none"]
 
-#: Search-core selector: ``"pivot"`` runs the compiled kernel of
-#: :mod:`repro.core.kernel` with absorbing Tomita pivoting (smallest
-#: recursion tree); ``"bitset"`` the same kernel without pivoting — the
-#: yield-order oracle, bit-identical to ``"legacy"``, the original
-#: dict-of-dicts recursion.  ``"pivot"`` emits the identical *set* of
-#: cliques with bit-identical per-clique probabilities but in pivot
-#: branch order (see ``tests/core/test_kernel_parity``).
-Engine = Literal["pivot", "bitset", "legacy"]
+#: Search-core selector, shared by every query kind: ``"pivot"`` runs the
+#: compiled kernel of :mod:`repro.core.kernel` (absorbing Tomita pivoting
+#: for enumeration, :func:`~repro.core.kernel.maximum_compiled` for
+#: MaxUC+); ``"legacy"`` the dict-of-dicts recursion that follows the
+#: paper's pseudo-code, the reference the kernel is checked against.
+#: Pivot enumeration emits the identical *set* of cliques with
+#: bit-identical per-clique probabilities, in pivot branch order; the
+#: compiled MaxUC+ is bit-identical to legacy in result and counters
+#: (see ``tests/core/test_kernel_parity``).
+Engine = Literal["pivot", "legacy"]
 
 
 @dataclass
@@ -108,8 +105,8 @@ _node_sort_key = node_sort_key
 def _ordered(nodes: Iterator[Node] | list[Node]) -> list[Node]:
     """Nodes in the library's lexicographic order (Algorithm 4, line 16).
 
-    Only the legacy engine pays this per-component sort at search time;
-    the bitset engine's compile step establishes the same order once and
+    Only the legacy recursion pays this per-component sort at search
+    time; the kernel's compile step establishes the same order once and
     reuses it for ids, candidate iteration, and decompilation.
     """
     return sorted(nodes, key=_node_sort_key)
@@ -143,11 +140,9 @@ def maximal_cliques(
         ``"pivot"`` (default) compiles each component to dense ids and
         bitmask adjacency and searches with absorbing Tomita pivoting —
         the same *set* of cliques with bit-identical per-clique
-        probabilities, in pivot branch order; ``"bitset"`` is the same
-        kernel without pivoting and ``"legacy"`` the original
-        dict-of-dicts recursion — those two yield identical cliques in
-        identical order with identical stats, and are the yield-order
-        oracles for the pivot engine.
+        probabilities, in pivot branch order; ``"legacy"`` is the
+        dict-of-dicts recursion that follows Algorithm 4, the reference
+        the pivot engine is checked against.
 
     Yields each maximal clique exactly once as a frozenset of nodes.
 

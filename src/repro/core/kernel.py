@@ -21,9 +21,9 @@ a per-component *compilation step*:
    components, and int-keyed probability dicts as the large-component
    fallback.
 
-The enumeration core keeps the candidate set ``C`` as a list of
-``(id, pi)`` pairs exactly shaped like the legacy loop (measured faster
-than bit-extraction for the tree's many small calls) and adds one
+The pivot enumeration keeps the candidate set ``C`` as a list of
+``(id, pi)`` pairs shaped like the legacy loop (measured faster than
+bit-extraction for the tree's many small calls) and adds one
 mask-powered shortcut the legacy representation cannot afford:
 
 * the excluded set ``X`` is never materialised.  Legacy filters an
@@ -34,33 +34,32 @@ mask-powered shortcut the legacy representation cannot afford:
   deliberately keeps out of ``X``).  At a leaf (``C`` empty) a node
   ``x`` would sit in legacy's ``X`` iff ``x in common & ~banned`` and
   ``CPr(R) * pi_x(R) >= tau_floor``: every node of the component either
-  reached this leaf's ``C`` (impossible — ``C`` is empty), died on an
-  adjacency filter (not in ``common``), was branch-size pruned above
-  (``banned``), or was passed over/threshold-filtered — and for those the
-  incremental compares legacy ran along the path are all implied by the
-  final one, because IEEE multiplication by factors ``<= 1`` is monotone
-  non-increasing.  Recomputing ``pi_x`` in clique order reproduces
-  legacy's float sequence bit for bit, so emission decisions are
-  identical while the per-branch ``X`` filtering work disappears
-  entirely.
+  died on an adjacency filter (not in ``common``), was branch-size
+  pruned above (``banned``), or was passed over/threshold-filtered — and
+  for those the incremental compares along the path are all implied by
+  the final one, because IEEE multiplication by factors ``<= 1`` is
+  monotone non-increasing.  Recomputing ``pi_x`` in canonical clique order
+  reproduces legacy's float sequence bit for bit, so emission decisions
+  match legacy's while the per-branch ``X`` filtering work disappears.
 
-Results are decompiled back to the original node labels, and every float
-that influences a decision is produced by the same multiplication
-sequence as the legacy code, so outputs, yield order, and the statistics
-counters are identical to ``engine="legacy"`` (pinned by
-``tests/core/test_kernel_parity.py``).
+Results are decompiled back to the original node labels.  The pivot
+enumeration emits the same *set* of cliques as ``engine="legacy"`` in
+its own branch order; :func:`maximum_compiled` produces every
+decision-relevant float by the same multiplication sequence as the
+legacy closure, so its result and statistics counters are identical to
+``engine="legacy"`` (both pinned by ``tests/core/test_kernel_parity.py``).
 
-The entry points are :func:`enumerate_component` (the MUC recursion of
-Algorithm 4) and :func:`maximum_compiled` (the MaxUC+ color-bound
-branch-and-bound); both operate on one connected component as produced by
-the pruning/cut pipeline.  The pre-search (Top_k, tau)-core itself has a
-compiled twin in :func:`repro.core.topk_core.topk_core_arrays`.
+The entry points are :func:`enum_root_prep`, :func:`pivot_root_plan` and
+:func:`enumerate_pivot_range` (the pivoted MUC recursion of Algorithm 4)
+and :func:`maximum_compiled` (the MaxUC+ color-bound branch-and-bound);
+all operate on one connected component as produced by the pruning/cut
+pipeline.  The pre-search (Top_k, tau)-core itself has a compiled twin in
+:func:`repro.core.topk_core.topk_core_arrays`.
 """
 
 from __future__ import annotations
 
 from array import array
-from time import perf_counter
 from typing import TYPE_CHECKING, Iterator
 
 from repro.core.prune_kernel import CompiledGraph, node_sort_key
@@ -77,9 +76,7 @@ __all__ = [
     "derive_component_view",
     "node_sort_key",
     "iter_bits",
-    "enumerate_component",
     "enum_root_prep",
-    "enumerate_root_range",
     "pivot_root_plan",
     "enumerate_pivot_range",
     "maximum_compiled",
@@ -99,9 +96,9 @@ _DENSE_ROW_LIMIT = 1024
 #: every bitmask op pays O(n / 64) words even deep in the tree where the
 #: candidate sets are tiny (a sparse 9000-node component makes each
 #: ``common & adj[u]`` a 141-word operation), which was measured slower
-#: than the tuple-list recursion — so the engine dispatch in
-#: :mod:`repro.core.enumeration` routes oversized components to the
-#: legacy core instead.  Matches :data:`_DENSE_ROW_LIMIT`, so the compiled
+#: than the tuple-list recursion — so the search stage in
+#: :mod:`repro.core.pipeline` routes oversized components to the legacy
+#: recursion instead.  Matches :data:`_DENSE_ROW_LIMIT`, so the compiled
 #: enumeration always has dense probability rows.
 KERNEL_COMPONENT_LIMIT = _DENSE_ROW_LIMIT
 
@@ -113,7 +110,7 @@ KERNEL_COMPONENT_LIMIT = _DENSE_ROW_LIMIT
 #: (incremental) multiplication order, so the skip threshold is raised
 #: by more than the worst-case reassociation rounding error (bounded by
 #: ``#factors * 2^-53 < 1e-10`` within a component of <= 1024 nodes) —
-#: a skip can then never lose a clique the oracle engines would emit.
+#: a skip can then never lose a clique the legacy engine would emit.
 _PIVOT_SAFETY = 1.0 + 1e-9
 
 
@@ -327,54 +324,8 @@ def iter_bits(mask: int) -> Iterator[int]:
 
 
 # ----------------------------------------------------------------------
-# Enumeration: the MUC recursion over the compiled component
+# Enumeration: root preparation shared by the pivot search
 # ----------------------------------------------------------------------
-
-def enumerate_component(
-    component: UncertainGraph,
-    k: int,
-    tau_floor: float,
-    min_size: int,
-    insearch: bool,
-    insearch_min_candidates: int,
-    stats: EnumerationStats,
-) -> Iterator[frozenset[Node]]:
-    """All maximal (k, tau)-cliques of one component (Algorithm 4 core).
-
-    Mirrors ``enumeration._muc`` branch for branch: identical recursion
-    tree, identical floats, identical counter totals, identical clique
-    order — only the data representation differs (see the module
-    docstring for the virtual-``X`` argument).  Thin composition of
-    :func:`enum_root_prep` (the root call's gate and bookkeeping) and
-    :func:`enumerate_root_range` (the root branch loop); the driver stays
-    a generator, so consumers still iterate lazily component by
-    component.
-    """
-    t_start = perf_counter()
-    comp = compile_component(component)
-    n = comp.n
-    if n == 0:
-        return
-    if comp.rows is None:  # pragma: no cover - dispatch keeps this out
-        raise ValueError(
-            "enumerate_component requires a component within "
-            f"KERNEL_COMPONENT_LIMIT ({KERNEL_COMPONENT_LIMIT}), got {n}"
-        )
-    t_compiled = perf_counter()
-    stats.timings.add("compile", t_compiled - t_start)
-    cands = enum_root_prep(
-        comp, k, tau_floor, min_size, insearch, insearch_min_candidates,
-        stats,
-    )
-    out: list[frozenset[Node]] = []
-    if cands is not None:
-        out = enumerate_root_range(
-            comp, k, tau_floor, min_size, insearch,
-            insearch_min_candidates, cands, stats,
-        )
-    stats.timings.add("search", perf_counter() - t_compiled)
-    yield from out
-
 
 def enum_root_prep(
     comp: CompiledComponent,
@@ -391,9 +342,8 @@ def enum_root_prep(
     counts the root search call and applies the root in-search core gate
     (Algorithm 4 lines 12-15 with ``R`` empty).  Returns the surviving
     root candidate list, or ``None`` when the whole component is dead
-    (root insearch prune).  Both compiled engines share it: the bitset
-    engine hands the list to :func:`enumerate_root_range`, the pivot
-    engine to :func:`pivot_root_plan`.
+    (root insearch prune); the list then feeds :func:`pivot_root_plan`
+    and :func:`enumerate_pivot_range`.
     """
     n = comp.n
     stats.search_calls += 1
@@ -407,318 +357,6 @@ def enum_root_prep(
             stats.insearch_prunes += 1
             cands = [e for e in cands if alive >> e[0] & 1]
     return cands
-
-
-def enumerate_root_range(
-    comp: CompiledComponent,
-    k: int,
-    tau_floor: float,
-    min_size: int,
-    insearch: bool,
-    insearch_min_candidates: int,
-    cands: list[tuple[int, float]],
-    stats: EnumerationStats,
-) -> list[frozenset[Node]]:
-    """Search every root branch of one component, in candidate order.
-
-    ``cands`` must be the surviving root candidate list from
-    :func:`enum_root_prep`; each branch's candidate-filter tail is the
-    suffix of the list after it.  Returns the component's maximal
-    cliques in the sequential yield order, with the counters flushed
-    into ``stats``.
-    """
-    n = comp.n
-    rows = comp.rows
-    if rows is None:
-        raise ValueError(
-            "enumerate_root_range requires a component within "
-            f"KERNEL_COMPONENT_LIMIT ({KERNEL_COMPONENT_LIMIT}), got {n}"
-        )
-    adj = comp.adj
-    bits = comp.bits
-    nodes = comp.nodes
-    out: list[frozenset[Node]] = []
-    # Batched stats, flushed once per component: attribute access on the
-    # stats object is too slow for a 10^5-calls recursion.
-    calls = insearch_prunes = branch_prunes = cliques = 0
-
-    def muc(
-        clique: list[int],
-        clique_len: int,
-        clique_prob: float,
-        cands: list[tuple[int, float]],
-        cand_mask: int,
-        common: int,
-        banned: int,
-    ) -> None:
-        # The recursive MUC procedure (Algorithm 4, lines 7-22).
-        # ``cands`` holds (id, pi) pairs in ascending id order — the
-        # compiled order *is* the legacy order — with pi the incremental
-        # product to the clique.  ``common`` is the intersection of
-        # adj[r] over the clique and ``banned`` the branch-size-pruned
-        # ids; together they stand in for legacy's X (see the module
-        # docstring).  ``cand_mask`` is the bitmask of ``cands`` — only
-        # guaranteed valid while the branch-size prune is still live
-        # (its sole consumer); deep calls pass 0.  C is never empty
-        # here: leaf children are handled inline below.
-        nonlocal calls, insearch_prunes, branch_prunes, cliques
-        calls += 1
-        nc = len(cands)
-        if nc >= insearch_min_candidates and insearch and clique_len < min_size:
-            # Lines 12-15 of Algorithm 4 over the compiled CSR rows:
-            # shrink C to the (Top_k, tau)-core of R + C, aborting when a
-            # clique member is peeled or under min_size nodes survive.
-            # Masks are rebuilt here rather than threaded through the
-            # recursion: the gate fires on a tiny fraction of calls, and
-            # the cand_mask argument is not valid on deep ones.
-            cand_mask = 0
-            for e in cands:
-                cand_mask |= bits[e[0]]
-            clique_mask = 0
-            for r in clique:
-                clique_mask |= bits[r]
-            alive = topk_peel_masks(
-                comp, clique_mask | cand_mask, clique_mask, k, tau_floor
-            )
-            if alive is None or alive.bit_count() < min_size:
-                insearch_prunes += 1
-                return
-            pruned = alive & cand_mask
-            if pruned != cand_mask:
-                insearch_prunes += 1
-                cand_mask = pruned
-                cands = [e for e in cands if pruned >> e[0] & 1]
-
-        i = 0
-        if clique_len + 1 < min_size:
-            # Shallow branch loop: the branch-size prune (line 19) can
-            # still fire, so the candidate bitmask is maintained and a
-            # popcount upper bound screens each branch — the threshold
-            # filter only ever shrinks the neighbor intersection, so a
-            # branch hopeless by popcount alone takes the same prune
-            # (and counter) without running the filter.
-            need = min_size - clique_len - 1
-            child_len = clique_len + 1
-            child_shallow = need > 1
-            rem_mask = cand_mask
-            for u, pi_u in cands:
-                i += 1
-                bu = bits[u]
-                rem_mask ^= bu
-                if (rem_mask & adj[u]).bit_count() < need:
-                    branch_prunes += 1
-                    banned |= bu
-                    continue
-                new_prob = clique_prob * pi_u
-                urow = rows[u]
-                # Line 17's candidate filter: v survives when the edge
-                # exists (dense rows store 0.0 for non-edges) and the
-                # incremental product clears the precomputed
-                # threshold_floor(tau) — the pragma covers that raw
-                # hot-loop compare.  An explicit loop, not a
-                # comprehension: on 3.11 every comprehension is a nested
-                # function call (PEP 709 inlining is 3.12+), which this
-                # loop runs ~10^6 times.
-                new_cands = []
-                for v, pi_v in cands[i:]:
-                    p = urow[v]
-                    if p:
-                        piv = pi_v * p
-                        if new_prob * piv >= tau_floor:  # repro-lint: ignore[RPL001]
-                            new_cands.append((v, piv))
-                if len(new_cands) >= need:
-                    # Same test as line 19's ``|R| + 1 + |C'| >= min_size``
-                    # with the constants folded into ``need``; new_cands
-                    # is non-empty here — an empty C cannot pass the size
-                    # test while the prune is live — so no leaf case.
-                    new_mask = 0
-                    if child_shallow:
-                        for e in new_cands:
-                            new_mask |= bits[e[0]]
-                    clique.append(u)
-                    muc(
-                        clique, child_len, new_prob, new_cands,
-                        new_mask, common & adj[u], banned,
-                    )
-                    clique.pop()
-                else:
-                    # Branch-size prune (Algorithm 4, line 19): u cannot
-                    # reach min_size here nor extend any later clique of
-                    # this subtree, so legacy keeps it out of X —
-                    # mirrored by the banned mask.
-                    branch_prunes += 1
-                    banned |= bu
-        else:
-            # Deep: every branch recurses (the size test is a tautology)
-            # and no prune can fire, so the whole subtree below runs in
-            # the lean branch loop.  ``banned`` is frozen once the prune
-            # is dead; its complement is taken once for all the subtree's
-            # leaf scans.
-            deep_branches(clique, clique_prob, cands, common, ~banned)
-
-    def deep_branches(
-        clique: list[int],
-        clique_prob: float,
-        cands: list[tuple[int, float]],
-        common: int,
-        not_banned: int,
-    ) -> None:
-        # The branch loop shared by every deep call — the clique already
-        # has at least min_size - 1 nodes, so for every *child* the
-        # in-search gate is dead (its clique reaches min_size), the
-        # branch-size prune cannot fire, and no candidate bitmask is
-        # needed.  The caller has already counted the enclosing call;
-        # child calls are counted here at the call site, which is what
-        # lets leaf and singleton children run without a frame.
-        nonlocal calls, cliques
-        i = 0
-        for u, pi_u in cands:
-            i += 1
-            new_prob = clique_prob * pi_u
-            urow = rows[u]
-            new_cands = []
-            for v, pi_v in cands[i:]:
-                p = urow[v]
-                if p:
-                    piv = pi_v * p
-                    if new_prob * piv >= tau_floor:  # repro-lint: ignore[RPL001]
-                        new_cands.append((v, piv))
-            clique.append(u)
-            if len(new_cands) > 1:
-                calls += 1
-                deep_branches(
-                    clique, new_prob, new_cands, common & adj[u], not_banned
-                )
-            elif new_cands:
-                # Singleton chain: the child would run exactly one branch
-                # whose tail is empty and land straight in its own leaf.
-                # Emulating the child frame *and* its leaf here drops
-                # about a quarter of all recursion frames; the two
-                # counter bumps are the child call and the leaf call
-                # legacy would have made.
-                v, piv = new_cands[0]
-                calls += 2
-                new_prob = new_prob * piv
-                clique.append(v)
-                wit = common & adj[u] & adj[v] & not_banned
-                blocked = False
-                base = 0
-                while wit:
-                    chunk = wit & _CHUNK_MASK
-                    wit >>= 64
-                    while chunk:
-                        low = chunk & -chunk
-                        chunk ^= low
-                        w = base + low.bit_length() - 1
-                        pi = 1.0
-                        for r in clique:
-                            pi *= rows[r][w]
-                            # Hot path: precomputed threshold_floor.
-                            if new_prob * pi < tau_floor:  # repro-lint: ignore[RPL001]
-                                break
-                        else:
-                            blocked = True
-                            wit = 0
-                            break
-                    base += 64
-                if not blocked:
-                    cliques += 1
-                    out.append(frozenset(nodes[x] for x in clique))
-                clique.pop()
-            else:
-                # The child call would find C empty: handle the leaf
-                # inline (same call count, no frame).  This is the
-                # virtual-X test: ``wit`` is the child's
-                # ``common & ~banned`` — every node adjacent to the whole
-                # clique that legacy's X could still contain at this
-                # leaf.  For each, pi is rebuilt by multiplying edge
-                # probabilities in clique (= path) order — the same float
-                # sequence legacy maintained incrementally — and compared
-                # exactly as legacy's final X filter did.  Partial
-                # products shrink monotonically, so dropping below the
-                # floor early is conclusive; completing the loop
-                # reproduces legacy's final compare bit for bit.
-                calls += 1
-                wit = common & adj[u] & not_banned
-                blocked = False
-                base = 0
-                while wit:
-                    chunk = wit & _CHUNK_MASK
-                    wit >>= 64
-                    while chunk:
-                        low = chunk & -chunk
-                        chunk ^= low
-                        w = base + low.bit_length() - 1
-                        pi = 1.0
-                        for r in clique:
-                            pi *= rows[r][w]
-                            # Hot path: precomputed threshold_floor.
-                            if new_prob * pi < tau_floor:  # repro-lint: ignore[RPL001]
-                                break
-                        else:
-                            # The witness extends R: not maximal.
-                            blocked = True
-                            wit = 0
-                            break
-                    base += 64
-                if not blocked:
-                    cliques += 1
-                    out.append(frozenset(nodes[x] for x in clique))
-            clique.pop()
-
-    if min_size <= 1:
-        # Deep root: every branch recurses straight into the lean loop
-        # (the shallow machinery never runs).
-        if cands:
-            deep_branches([], 1.0, cands, comp.full_mask, ~0)
-    else:
-        # The root branch loop: the shallow branch loop of ``muc`` with
-        # clique_prob = 1.0 folded away (IEEE 1.0 * x == x, so the floats
-        # are unchanged).
-        need = min_size - 1
-        child_shallow = need > 1
-        rem_mask = 0
-        for e in cands:
-            rem_mask |= bits[e[0]]
-        banned = 0
-        clique: list[int] = []
-        full = comp.full_mask
-        for idx, (u, pi_u) in enumerate(cands):
-            bu = bits[u]
-            rem_mask ^= bu
-            if (rem_mask & adj[u]).bit_count() < need:
-                branch_prunes += 1
-                banned |= bu
-                continue
-            new_prob = pi_u  # root clique_prob is exactly 1.0
-            urow = rows[u]
-            new_cands = []
-            for v, pi_v in cands[idx + 1:]:
-                p = urow[v]
-                if p:
-                    piv = pi_v * p
-                    # Hot path: precomputed threshold_floor.
-                    if new_prob * piv >= tau_floor:  # repro-lint: ignore[RPL001]
-                        new_cands.append((v, piv))
-            if len(new_cands) >= need:
-                new_mask = 0
-                if child_shallow:
-                    for e in new_cands:
-                        new_mask |= bits[e[0]]
-                clique.append(u)
-                muc(
-                    clique, 1, new_prob, new_cands, new_mask,
-                    full & adj[u], banned,
-                )
-                clique.pop()
-            else:
-                branch_prunes += 1
-                banned |= bu
-    stats.search_calls += calls
-    stats.insearch_prunes += insearch_prunes
-    stats.branch_size_prunes += branch_prunes
-    stats.cliques += cliques
-    return out
 
 
 # ----------------------------------------------------------------------
@@ -743,18 +381,18 @@ def enumerate_root_range(
 # preserves the unique-path argument: a clique's next vertex is always
 # its first member in branch order, so no clique is reached twice.
 #
-# Emission stays on the oracle predicate: at a leaf the clique
+# Emission stays on the legacy predicate: at a leaf the clique
 # probability and every witness chain are *recomputed in canonical
-# ascending-id order* — the exact nested float sequence the bitset and
-# legacy engines build along their paths — so the emitted set of
-# cliques, and each clique's probability chain, are bit-identical to
-# ``engine="bitset"``.  (The descent filters multiply in pivot path
+# ascending-id order* — the exact nested float sequence the legacy
+# engine builds along its path — so the emitted set of cliques, and
+# each clique's probability chain, are bit-identical to
+# ``engine="legacy"``.  (The descent filters multiply in pivot path
 # order; a filter verdict can in principle differ from the canonical
 # one when a partial product lands within ~1 ulp of the threshold
 # floor, a measure-zero event documented in docs/performance.md and
 # never observed by the parity suites.)  Yield order follows the pivot
-# recursion and therefore differs from the oracle engines; parity is on
-# the set.
+# recursion and therefore differs from the legacy engine's; parity is
+# on the set.
 
 
 def pivot_root_plan(
@@ -840,10 +478,10 @@ def enumerate_pivot_range(
 
     ``cands`` must be the surviving root candidate list from
     :func:`enum_root_prep` and ``branches`` the root branch list from
-    :func:`pivot_root_plan`.  Unlike the bitset engine's suffix tails,
-    a pivot branch's candidate tail carries the absorbed (skipped)
-    vertices *before* it as well, so the root loop filters ``cands`` by
-    a live remaining-mask rather than slicing.
+    :func:`pivot_root_plan`.  Unlike legacy's suffix tails, a pivot
+    branch's candidate tail carries the absorbed (skipped) vertices
+    *before* it as well, so the root loop filters ``cands`` by a live
+    remaining-mask rather than slicing.
     """
     n = comp.n
     rows = comp.rows
@@ -874,17 +512,17 @@ def enumerate_pivot_range(
         # (id, pi) pairs in ascending id order with pi the incremental
         # product to the clique *in pivot path order*; ``common`` is the
         # intersection of adj[r] over the clique and ``banned`` the
-        # branch-size-pruned ids (the virtual-X machinery of the bitset
-        # engine, unchanged — carried-forward candidates that die on a
-        # filter are caught by the leaf witness scan automatically).
+        # branch-size-pruned ids (the virtual-X machinery of the module
+        # docstring — carried-forward candidates that die on a filter are
+        # caught by the leaf witness scan automatically).
         nonlocal calls, insearch_prunes, branch_prunes, cliques
         nonlocal pbranches, pskipped
         calls += 1
         if not cands:
             # Leaf: recompute the canonical ascending-order chain (the
-            # float sequence the oracle engines built along their path)
+            # float sequence the legacy engine builds along its path)
             # and run the witness scan against it — emission decisions
-            # are bit-identical to engine="bitset".
+            # are bit-identical to engine="legacy".
             if clique_len >= min_size:
                 order = sorted(clique)
                 prob = 1.0
@@ -923,8 +561,8 @@ def enumerate_pivot_range(
 
         nc = len(cands)
         if nc >= insearch_min_candidates and insearch and clique_len < min_size:
-            # In-search (Top_k, tau)-core gate, identical to the bitset
-            # engine's (Algorithm 4 lines 12-15).
+            # In-search (Top_k, tau)-core gate (Algorithm 4 lines
+            # 12-15), the mask twin of legacy's sorted-list peel.
             cand_mask = 0
             for e in cands:
                 cand_mask |= bits[e[0]]

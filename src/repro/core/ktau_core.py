@@ -124,8 +124,8 @@ def _peel(
 
 def _require_no_members(members: Iterable[Node] | None) -> None:
     """The legacy peels own their scratch graphs and cannot restrict to a
-    member subset — the session layer builds an induced subgraph for them
-    instead, so ``members=`` is an arrays-only parameter."""
+    member subset, so ``members=`` is an arrays-only parameter (a caller
+    wanting a restricted legacy peel passes an induced subgraph)."""
     if members is not None:
         raise ValueError("members= requires engine='arrays'")
 
@@ -181,7 +181,6 @@ def dp_core_plus(
     engine: PruneEngine = "arrays",
     compiled: CompiledGraph | None = None,
     members: Iterable[Node] | None = None,
-    core: dict[Node, int] | None = None,
 ) -> set[Node]:
     """The (k, tau)-core via Algorithm 2 (``NewDPCore`` / ``DPCore+``).
 
@@ -205,9 +204,7 @@ def dp_core_plus(
     ``engine="legacy"`` the peel runs over an int-indexed compiled form
     of the prefiltered graph (:func:`_survival_peel_indexed`) — same
     verified peeling, same canonical fixpoint as :func:`_peel`, but
-    without a scratch-graph copy or per-edge hashing of node objects;
-    ``core`` may supply precomputed deterministic core numbers (the
-    session layer's memoized artifact) to skip the decomposition.
+    without a scratch-graph copy or per-edge hashing of node objects.
     """
     if engine == "arrays":
         if compiled is None:
@@ -217,8 +214,7 @@ def dp_core_plus(
     validate_k(k)
     tau = validate_tau(tau)
 
-    if core is None:
-        core = core_numbers(graph)
+    core = core_numbers(graph)
     # A list keeps the core-number dict's graph order; a set here would
     # hand induced_subgraph a hash-ordered node sequence.
     survivors = [u for u, c in core.items() if c >= k]

@@ -30,6 +30,7 @@ from repro.core.bounds import (
     advanced_color_bound_two,
     basic_color_bound,
 )
+from repro.core.enumeration import Engine
 from repro.core.kernel import node_sort_key
 from repro.core.topk_core import topk_core
 from repro.uncertain.graph import Node, UncertainGraph
@@ -77,13 +78,6 @@ class MaximumSearchStats:
 #: Single source of the node order lives in the kernel's compile step;
 #: the alias keeps the historical name importable.
 _node_sort_key = node_sort_key
-
-#: Search-core selector for :func:`max_uc_plus` (same contract as
-#: :data:`repro.core.enumeration.Engine`).  The branch-and-bound's
-#: DFS-first output depends on branch order, so ``"pivot"`` runs the
-#: exact bitset search (identical outputs and stats; the pivot counters
-#: stay zero) — only the enumeration recursion pivots.
-Engine = Literal["pivot", "bitset", "legacy"]
 
 
 # ----------------------------------------------------------------------
@@ -257,9 +251,12 @@ def max_uc_plus(
 
     The ``use_advanced_*`` and ``insearch`` switches exist for the
     ablation benchmarks; the defaults reproduce the paper's ``MaxUC+``.
-    ``engine="bitset"`` (default) runs the per-component search on the
-    compiled kernel of :mod:`repro.core.kernel`; ``"legacy"`` keeps the
-    original closure — both return identical cliques and stats.
+    ``engine="pivot"`` (default) runs the per-component search on the
+    compiled kernel (:func:`repro.core.kernel.maximum_compiled`);
+    ``"legacy"`` keeps the original closure — both return identical
+    cliques and stats.  The branch-and-bound's DFS-first output depends
+    on branch order, so the compiled search does not pivot and the pivot
+    counters stay zero.
 
     One-shot convenience wrapper around the staged pipeline: repeated
     queries against the same graph should hold a

@@ -6,23 +6,21 @@ parameters to a deterministic artifact:
 
 * :func:`prune_stage` — core-based preprocessing (Lemmas 1 and 4); returns
   the surviving nodes **in graph iteration order**, so the artifact is
-  reproducible no matter which engine peeled or which cached seed the
-  session layer supplied.
+  reproducible no matter which cached seed the session layer supplied.
 * :func:`cut_stage` — cut optimization / component split (Lemma 5); returns
   the component subgraphs plus the counters the stats objects report.
 * :func:`compile_stage` — the **single whole-graph lowering**: one
   parameter-free :class:`~repro.core.prune_kernel.CompiledGraph` per graph
   version serves the prune peels *and* the per-component search views, so
   a cold query compiles the graph exactly once.
-* :func:`compile_enumeration_stage` / :func:`compile_maximum_stage` /
-  :func:`color_stage` — per-component search preparation: the picklable
-  :class:`~repro.core.kernel.CompiledComponent` CSR bundles for the compiled
-  engines (plus color arrays for the maximum search) and the greedy-coloring
-  dicts for the legacy maximum search.  When handed the
-  :func:`compile_stage` artifact, these *derive* the component views from
-  the whole-graph arrays (member-filtered rows, no recompilation); the
-  from-scratch :func:`~repro.core.kernel.compile_component` path remains as
-  the fallback and the parity oracle.
+* :func:`compile_enumeration_stage` — per-component search preparation:
+  the picklable :class:`~repro.core.kernel.CompiledComponent` CSR bundles
+  the pivot engine searches.  When handed the :func:`compile_stage`
+  artifact, it *derives* the component views from the whole-graph arrays
+  (member-filtered rows, no recompilation); the from-scratch
+  :func:`~repro.core.kernel.compile_component` path remains as the
+  fallback and the parity oracle.  The maximum search compiles (and
+  colors) its components on demand inside :func:`maximum_search_stage`.
 * :func:`enumeration_search_stage` / :func:`maximum_search_stage` — the
   actual (sequential) search, consuming the compile artifacts.
 
@@ -56,11 +54,9 @@ from repro.core.kernel import (
     derive_component_view,
     enum_root_prep,
     enumerate_pivot_range,
-    enumerate_root_range,
     maximum_compiled,
     pivot_root_plan,
 )
-from repro.core.ktau_core import dp_core_plus
 from repro.core.maximum import MaximumSearchStats, _search_component_legacy
 from repro.core.prune_kernel import CompiledGraph, compile_graph
 from repro.deterministic.coloring import greedy_coloring
@@ -73,11 +69,12 @@ __all__ = [
     "prune_stage",
     "cut_stage",
     "compile_enumeration_stage",
-    "compile_maximum_stage",
-    "color_stage",
     "enumeration_search_stage",
     "maximum_search_stage",
 ]
+
+# benchmarks/e2e/trace.py still wraps this name as a search boundary.
+enumerate_root_range = enumerate_pivot_range
 
 
 # ----------------------------------------------------------------------
@@ -104,27 +101,23 @@ def prune_stage(
     k: int,
     tau: float,
     rule: str,
-    engine: str,
     compiled: CompiledGraph | None = None,
     members: Sequence[Node] | None = None,
-    core: dict[Node, int] | None = None,
 ) -> tuple[Node, ...]:
     """Core-based preprocessing: the nodes surviving ``rule`` at (k, tau).
 
     ``rule`` is ``"topk"`` ((Top_k, tau)-core, Lemma 4), ``"ktau"``
     ((k, tau)-core via DPCore+, Lemma 1) or ``"none"``.  The survivors are
-    returned as a tuple **in the iteration order of ``graph``** — both
-    peels produce the same unique fixpoint *set* whichever engine peeled
-    or which cached seed the session layer supplied, and normalizing the
-    order makes the artifact independent of the peel's internal set
-    layout, so a cached artifact reproduces a cold run's downstream
-    component order exactly.
+    returned as a tuple **in the iteration order of ``graph``** — the
+    peels reach a unique fixpoint *set* whichever cached seed the session
+    layer supplied, and normalizing the order makes the artifact
+    independent of the peel's internal set layout, so a cached artifact
+    reproduces a cold run's downstream component order exactly.
 
-    ``compiled`` supplies the :func:`compile_stage` artifact for
-    the compiled (``"bitset"``) engine and ``members`` restricts its peel
-    to a node subset (the session's monotone seed) without building an
-    induced subgraph; ``core`` supplies memoized deterministic core
-    numbers to the legacy ``ktau`` peel.
+    Both rules run the compiled array peels over ``compiled``, the
+    :func:`compile_stage` artifact; ``members`` restricts the peel to a
+    node subset (the session's monotone seed or its dirty components)
+    without building an induced subgraph.
     """
     # The peels are looked up on the enumeration module at call time:
     # they are its re-exported attributes by contract, and the laziness
@@ -136,26 +129,13 @@ def prune_stage(
     if rule == "none":
         return tuple(graph.nodes())
     if rule == "topk":
-        # Same fixpoint either way; the bitset engine uses the compiled
-        # array peel so large graphs skip the per-edge hashing/bisects.
-        if engine == "bitset":
-            survivors = set(enumeration_mod.topk_core_arrays(
-                graph, k, tau, compiled=compiled, members=members,
-            ))
-        else:
-            survivors = set(enumeration_mod.topk_core(
-                graph, k, tau, engine="legacy",
-            ).nodes)
+        survivors = set(enumeration_mod.topk_core_arrays(
+            graph, k, tau, compiled=compiled, members=members,
+        ))
     elif rule == "ktau":
-        if engine == "bitset":
-            survivors = dp_core_plus(
-                graph, k, tau, engine="arrays",
-                compiled=compiled, members=members,
-            )
-        else:
-            survivors = dp_core_plus(
-                graph, k, tau, engine="legacy", core=core,
-            )
+        survivors = enumeration_mod.dp_core_plus(
+            graph, k, tau, compiled=compiled, members=members,
+        )
     else:
         raise ValueError(f"unknown pruning rule {rule!r}")
     if members is None and len(survivors) == graph.num_nodes:
@@ -259,46 +239,6 @@ def compile_enumeration_stage(
     return tuple(compiled)
 
 
-def compile_maximum_stage(
-    components: Sequence[UncertainGraph],
-    k: int,
-    artifact: CompiledGraph | None = None,
-) -> tuple[tuple[CompiledComponent, list[int]] | None, ...]:
-    """Eagerly compile each component the bitset maximum search could visit.
-
-    A component can only be searched when it beats the starting incumbent
-    (``n > k``); eligible slots hold the compiled component plus its
-    greedy-coloring mapped onto the compiled node order (the exact pair
-    :func:`repro.core.kernel.maximum_compiled` consumes).
-
-    This is the eager whole-front variant; the session layer instead
-    memoizes on demand through :func:`maximum_search_stage`, because the
-    sequential search skips components the growing incumbent dominates
-    and never needs their compile.
-    """
-    compiled: list[tuple[CompiledComponent, list[int]] | None] = []
-    for component in components:
-        if component.num_nodes <= k:
-            compiled.append(None)
-            continue
-        comp = _component_view(component, artifact)
-        coloring = greedy_coloring(component)
-        compiled.append((comp, [coloring[u] for u in comp.nodes]))
-    return tuple(compiled)
-
-
-def color_stage(
-    components: Sequence[UncertainGraph],
-    k: int,
-) -> tuple[dict[Node, int] | None, ...]:
-    """Greedy colorings for the legacy maximum search (one per eligible
-    component, ``None`` for components the incumbent chain always skips)."""
-    return tuple(
-        greedy_coloring(component) if component.num_nodes > k else None
-        for component in components
-    )
-
-
 # ----------------------------------------------------------------------
 # Stage 4: search
 # ----------------------------------------------------------------------
@@ -316,23 +256,19 @@ def enumeration_search_stage(
 ) -> Iterator[frozenset[Node]]:
     """Run the per-component enumeration over the compile artifacts.
 
-    Yields exactly the sequence the historical monolithic driver produced
-    for ``"bitset"``/``"legacy"`` (components in order, oversized
-    components through the legacy recursion, compiled ones through the
-    kernel); ``"pivot"`` emits the identical *set* per component in pivot
-    branch order.  A component gets the kernel exactly when ``compiled``
-    holds a view for it (:func:`compile_enumeration_stage` leaves the
-    oversized ones ``None``).  All counters accrue to ``stats`` on every
-    run (they are never part of a cached artifact).
+    Components are searched in order.  ``"pivot"`` searches a component
+    with the compiled kernel exactly when ``compiled`` holds a view for
+    it (:func:`compile_enumeration_stage` leaves the oversized ones
+    ``None``) and emits its cliques in pivot branch order; the legacy
+    engine, and every oversized component, go through the tuple-list
+    recursion :func:`~repro.core.enumeration._muc`.  All counters accrue
+    to ``stats`` on every run (they are never part of a cached artifact).
     """
     for ordinal, component in enumerate(components):
         if component.num_nodes < min_size:
             continue
         comp = compiled[ordinal] if compiled is not None else None
-        if engine in ("bitset", "pivot") and comp is not None:
-            # The compiled fast path: enumerate_component minus its
-            # compile step (the artifact already paid it), same prep /
-            # root-loop composition, same counters, same timings shape.
+        if engine == "pivot" and comp is not None:
             t_start = perf_counter()
             cands = enum_root_prep(
                 comp, k, tau_floor, min_size, insearch,
@@ -340,19 +276,13 @@ def enumeration_search_stage(
             )
             out: list[frozenset[Node]] = []
             if cands is not None:
-                if engine == "pivot":
-                    branches = pivot_root_plan(
-                        comp, k, tau_floor, min_size, cands, stats,
-                    )
-                    out = enumerate_pivot_range(
-                        comp, k, tau_floor, min_size, insearch,
-                        insearch_min_candidates, cands, branches, stats,
-                    )
-                else:
-                    out = enumerate_root_range(
-                        comp, k, tau_floor, min_size, insearch,
-                        insearch_min_candidates, cands, stats,
-                    )
+                branches = pivot_root_plan(
+                    comp, k, tau_floor, min_size, cands, stats,
+                )
+                out = enumerate_pivot_range(
+                    comp, k, tau_floor, min_size, insearch,
+                    insearch_min_candidates, cands, branches, stats,
+                )
             stats.timings.add("search", perf_counter() - t_start)
             yield from out
         else:
@@ -411,10 +341,12 @@ def maximum_search_stage(
 ) -> tuple[list[Node] | None, int]:
     """Run the MaxUC+ component loop, compiling on demand into the memos.
 
-    Returns ``(best, best_size)`` exactly as the historical monolithic
-    driver: components in order under the evolving incumbent, bitset
-    components through :func:`repro.core.kernel.maximum_compiled`, legacy
-    ones through the extracted closure.
+    Returns ``(best, best_size)``, visiting components in order under
+    the evolving incumbent; each component is searched by
+    :func:`repro.core.kernel.maximum_compiled` for ``"pivot"`` and by the
+    extracted legacy closure for ``"legacy"`` (identical results and
+    counters; the pivot counters stay zero, because the
+    branch-and-bound's DFS-first output depends on branch order).
 
     ``compiled`` / ``colors`` are mutable memo dicts (ordinal -> compile
     artifact), filled lazily as the incumbent chain reaches components —
@@ -422,38 +354,33 @@ def maximum_search_stage(
     cold run's entries and the cold run never compiles a component the
     incumbent skips.  The search path is deterministic, so which
     ordinals get filled is too.  Pass ``None`` to disable memoization.
-
-    The branch-and-bound's DFS-first output depends on branch order, so
-    ``engine="pivot"`` runs the exact bitset search (identical outputs
-    and stats; the pivot counters stay zero).
     """
-    if engine == "pivot":
-        engine = "bitset"
     best: list[Node] | None = None
     best_size = k
     for ordinal, component in enumerate(components):
         if component.num_nodes <= best_size:
             continue
-        if engine == "bitset":
-            comp, color = _compiled_maximum_entry(
-                compiled, ordinal, component, stats, artifact
+        if engine == "legacy":
+            coloring = colors.get(ordinal) if colors is not None else None
+            if coloring is None:
+                coloring = greedy_coloring(component)
+                if colors is not None:
+                    colors[ordinal] = coloring
+            best, best_size = _search_component_legacy(
+                component, coloring, k, tau, tau_floor, min_size, best,
+                best_size, use_advanced_one, use_advanced_two, insearch,
+                stats,
             )
-            t_start = perf_counter()
-            improved, best_size = maximum_compiled(
-                comp, color, k, tau_floor, min_size, best_size,
-                use_advanced_one, use_advanced_two, insearch, stats,
-            )
-            stats.timings.add("search", perf_counter() - t_start)
-            if improved is not None:
-                best = improved
             continue
-        coloring = colors.get(ordinal) if colors is not None else None
-        if coloring is None:
-            coloring = greedy_coloring(component)
-            if colors is not None:
-                colors[ordinal] = coloring
-        best, best_size = _search_component_legacy(
-            component, coloring, k, tau, tau_floor, min_size, best,
-            best_size, use_advanced_one, use_advanced_two, insearch, stats,
+        comp, color = _compiled_maximum_entry(
+            compiled, ordinal, component, stats, artifact
         )
+        t_start = perf_counter()
+        improved, best_size = maximum_compiled(
+            comp, color, k, tau_floor, min_size, best_size,
+            use_advanced_one, use_advanced_two, insearch, stats,
+        )
+        stats.timings.add("search", perf_counter() - t_start)
+        if improved is not None:
+            best = improved
     return best, best_size

@@ -14,7 +14,6 @@ LRU under **two key scopes**:
 * whole-graph artifacts stay keyed by the monotone global version::
 
       (graph.version, "compile")          # unified flat-CSR lowering
-      (graph.version, "core_numbers")
 
   A mutation bumps the version, so these can never be looked up stale —
   but the compile entry is not always rebuilt from scratch: on a miss
@@ -50,7 +49,7 @@ What makes replaying artifacts sound:
 * survivor tuples are **order-normalized** to the graph's iteration
   order by the prune stage, and ``induced_subgraph`` preserves argument
   order, so a cached prune artifact reproduces the cold run's component
-  order exactly, whichever engine computed it;
+  order exactly, whichever seed restricted the peel;
 * **core monotonicity** is exploited across entries: for ``k >= k'`` and
   ``tau >= tau'`` every (k, tau)-core is contained in the (k', tau')-core
   (the membership condition only tightens), and by Corollary 1 the
@@ -300,10 +299,10 @@ class PreparedGraph:
     def _compiled_artifact(self, version: int, timings: Any = None) -> Any:
         """The unified whole-graph flat-CSR compile, cached per version.
 
-        Parameter-free: one lowering serves every compiled-engine peel of
-        every query at this version — including the monotone-seeded peels,
-        which replay over the same arrays via ``members=`` — *and* every
-        search-view derivation (the per-component ``CompiledComponent``
+        Parameter-free: one lowering serves every peel of every query at
+        this version, whichever search engine asked — including the
+        monotone-seeded peels, which replay over the same arrays via
+        ``members=`` — *and* every search-view derivation (the per-component ``CompiledComponent``
         bundles are member-filtered from these rows, never recompiled).
 
         On a miss the session first tries a **delta compile**: the newest
@@ -353,66 +352,12 @@ class PreparedGraph:
         self._store(key, compiled)
         return compiled
 
-    def core_numbers(self) -> dict[Node, int]:
-        """Deterministic core numbers of the live graph, session-cached.
-
-        The decomposition depends only on the graph version — the peels
-        of ``tau_degree``/``ktau_core`` historically recomputed it per
-        call — so it is memoized under ``(version, "core_numbers")``,
-        derived from the unified compile's lazy CSR decomposition
-        whenever one exists (sharing work with any compiled peel that
-        already ran).  On a miss, a superseded entry is carried forward
-        for free when the mutation log shows only reweights in between:
-        core numbers depend on the deterministic structure alone.
-        """
-        version = self._graph.version
-        key = (version, "core_numbers")
-        cached = self._lookup(key)
-        if cached is not _MISSING:
-            return cached  # type: ignore[no-any-return]
-        prev_key: tuple[Any, ...] | None = None
-        for k2 in self._cache:
-            if (
-                len(k2) == 2
-                and k2[1] == "core_numbers"
-                and isinstance(k2[0], int)
-                and k2[0] < version
-                and (prev_key is None or k2[0] > prev_key[0])
-            ):
-                prev_key = k2
-        if prev_key is not None:
-            ops = self._graph.mutations_since(prev_key[0])
-            if ops is not None and all(
-                entry[1] == "set_probability" for entry in ops
-            ):
-                core = self._cache.pop(prev_key)
-                self._store(key, core)
-                return core  # type: ignore[no-any-return]
-        # Derive from the CSR compile only when one already exists (or a
-        # compiled-engine query will build it anyway); a legacy-only
-        # session shouldn't pay a full lowering for a decomposition the
-        # deterministic module computes directly.  A peek, not a lookup:
-        # the accounted lookup above already counted this resolution.
-        compiled = self._cache.get((version, "compile"), _MISSING)
-        if compiled is not _MISSING:
-            core = dict(zip(compiled.nodes, compiled.core_ids()))
-        else:
-            from repro.deterministic.core_decomposition import (
-                core_numbers as _core_numbers,
-            )
-
-            core = _core_numbers(self._graph)
-        self._store(key, core)
-        return core
-
     def _survivors(
         self,
-        version: int,
         pruning: PruningRule,
         k: int,
         tau: float,
-        engine: Engine,
-        artifact: Any = None,
+        artifact: Any,
     ) -> tuple[Node, ...]:
         """The prune-stage survivors, cached per component.
 
@@ -423,11 +368,10 @@ class PreparedGraph:
         only its own component's entries, and the next query re-peels
         only the dirty components — in **one** union peel over their
         members, not a peel per component — and assembles the rest from
-        cache hits.  The key deliberately omits ``engine``: both peel
-        implementations reach the same unique fixpoint set (pinned by
-        the kernel-parity suite).  ``artifact`` is the resolved unified
-        compile for the compiled engine (the caller resolves it so the
-        compile lap lands outside the prune lap).
+        cache hits.  Every search engine shares these entries: the peel
+        is the compiled array peel over ``artifact``, the version's
+        unified compile (``None`` for ``pruning="none"``), which the
+        caller resolves so the compile lap lands outside the prune lap.
         """
         if pruning == "none":
             return tuple(self._graph.nodes())
@@ -445,7 +389,8 @@ class PreparedGraph:
             # restricted by the smallest cached monotone superset for its
             # component when one exists.  Seed restriction is exact per
             # component (cores never cross components), and the union is
-            # exact because the peels factorize.
+            # exact because the peels factorize.  The restriction rides on
+            # members= over the shared compile, never an induced subgraph.
             peel_members: list[Node] = []
             seeded = False
             for cid, epoch, members in missing:
@@ -455,38 +400,12 @@ class PreparedGraph:
                 else:
                     seeded = True
                     peel_members.extend(u for u in members if u in seed)
-            whole_graph = (
-                not seeded
-                and len(missing) == len(parts)
+            whole_graph = not seeded and len(missing) == len(parts)
+            survivors = pipeline.prune_stage(
+                self._graph, k, tau, pruning,
+                compiled=artifact,
+                members=None if whole_graph else tuple(peel_members),
             )
-            if engine == "bitset":
-                # Compiled engine: the peel replays over the shared
-                # version-keyed CSR compile; the member restriction rides
-                # on members= instead of building an induced subgraph.
-                if artifact is None:
-                    artifact = self._compiled_artifact(version)
-                survivors = pipeline.prune_stage(
-                    self._graph, k, tau, pruning, engine,
-                    compiled=artifact,
-                    members=None if whole_graph else tuple(peel_members),
-                )
-            elif whole_graph:
-                # Unseeded full-graph legacy ktau peels reuse the
-                # memoized deterministic core decomposition for their
-                # Definition 6 prefilter.
-                core = self.core_numbers() if pruning == "ktau" else None
-                survivors = pipeline.prune_stage(
-                    self._graph, k, tau, pruning, engine, core=core
-                )
-            else:
-                # Peel only the dirty/seeded superset: induced_subgraph
-                # preserves argument order and prune_stage re-normalizes
-                # against the sub-order, and the peel fixpoint over a
-                # superset of the core equals the whole-graph fixpoint.
-                base = self._graph.induced_subgraph(peel_members)
-                survivors = pipeline.prune_stage(
-                    base, k, tau, pruning, engine
-                )
             surv_set = frozenset(survivors)
             alive.update(surv_set)
             for cid, epoch, members in missing:
@@ -544,7 +463,6 @@ class PreparedGraph:
         cut: bool,
         k: int,
         tau: float,
-        engine: Engine,
         timings: Any,
     ) -> tuple[
         pipeline.CutArtifact,
@@ -568,12 +486,10 @@ class PreparedGraph:
         lap keeps the ``"compile"`` and ``"prune"`` phases disjoint.
         """
         artifact = None
-        if engine == "bitset" and pruning != "none":
+        if pruning != "none":
             artifact = self._compiled_artifact(version, timings)
         with timings.lap("prune"):
-            survivors = self._survivors(
-                version, pruning, k, tau, engine, artifact
-            )
+            survivors = self._survivors(pruning, k, tau, artifact)
         surv_set = frozenset(survivors)
         components: list[UncertainGraph] = []
         parts: list[tuple[int, int, tuple[UncertainGraph, ...]]] = []
@@ -669,7 +585,7 @@ class PreparedGraph:
         tau = validate_tau(tau)
         if pruning not in ("topk", "ktau", "none"):
             raise ValueError(f"unknown pruning rule {pruning!r}")
-        if engine not in ("pivot", "bitset", "legacy"):
+        if engine not in ("pivot", "legacy"):
             raise ValueError(f"unknown engine {engine!r}")
         stats = stats if stats is not None else EnumerationStats()
         min_size = k + 1
@@ -679,11 +595,8 @@ class PreparedGraph:
         insearch_min_candidates = _enumeration_mod._INSEARCH_MIN_CANDIDATES
         component_limit = _enumeration_mod.KERNEL_COMPONENT_LIMIT
 
-        # The prune/cut stages know two implementations; both compiled
-        # search engines share the "bitset" (arrays) peels and artifacts.
-        stage_engine = "legacy" if engine == "legacy" else "bitset"
         art, parts = self._cut_artifact(
-            version, pruning, cut, k, tau, stage_engine, stats.timings
+            version, pruning, cut, k, tau, stats.timings
         )
         stats.nodes_after_pruning = art.nodes_after_pruning
         stats.cuts_found = art.cuts_found
@@ -764,16 +677,15 @@ class PreparedGraph:
         """
         validate_k(k)
         tau = validate_tau(tau)
-        if engine not in ("pivot", "bitset", "legacy"):
+        if engine not in ("pivot", "legacy"):
             raise ValueError(f"unknown engine {engine!r}")
         stats = stats if stats is not None else MaximumSearchStats()
         min_size = k + 1
         tau_floor = threshold_floor(tau)
         version = self._graph.version
 
-        stage_engine = "legacy" if engine == "legacy" else "bitset"
         art, parts = self._cut_artifact(
-            version, "topk", True, k, tau, stage_engine, stats.timings
+            version, "topk", True, k, tau, stats.timings
         )
 
         # The on-demand memo dicts the search stage fills are cached per

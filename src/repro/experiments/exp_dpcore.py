@@ -9,7 +9,7 @@ the four panels (a)-(d) over the corresponding registry analogs.
 from __future__ import annotations
 
 from repro.core.ktau_core import dp_core, dp_core_plus
-from repro.core.prune_kernel import PruneEngine, compile_graph
+from repro.core.prune_kernel import compile_graph
 from repro.experiments.harness import ExperimentResult, run_with_timing
 
 __all__ = ["run_fig2", "DEFAULT_K_VALUES", "DEFAULT_TAU_VALUES"]
@@ -26,14 +26,13 @@ def run_fig2(
     default_tau: float = 0.1,
     scale: float = 1.0,
     repeats: int = 1,
-    engine: PruneEngine = "arrays",
 ) -> ExperimentResult:
     """Measure both core algorithms over the k and tau grids.
 
     Rows carry ``vary`` ("k" or "tau"), the varied value, and the runtime
-    of each algorithm, one row per (dataset, varied value).  On the
-    arrays engine the CSR lowering is compiled once per dataset and
-    shared by every timed peel (the session-layer accounting: one
+    of each algorithm, one row per (dataset, varied value).  Both run on
+    the compiled arrays peels; the CSR lowering is compiled once per
+    dataset and shared by every timed peel (the session-layer accounting: one
     compile per graph version, amortized across queries); the timings
     measure the peels only.
     """
@@ -45,25 +44,19 @@ def run_fig2(
         group_by="dataset",
         notes=(
             f"scale={scale}; defaults k={default_k}, tau={default_tau}; "
-            f"engine={engine} (compile shared per dataset, untimed)"
+            "compile shared per dataset, untimed"
         ),
     )
     for name in datasets:
         graph = load_dataset(name, scale=scale)
-        compiled = (
-            compile_graph(graph) if engine == "arrays" else None
-        )
+        compiled = compile_graph(graph)
         for k in k_values:
             core, t_old = run_with_timing(
-                lambda: dp_core(
-                    graph, k, default_tau, engine=engine, compiled=compiled
-                ),
+                lambda: dp_core(graph, k, default_tau, compiled=compiled),
                 repeats,
             )
             core_plus, t_new = run_with_timing(
-                lambda: dp_core_plus(
-                    graph, k, default_tau, engine=engine, compiled=compiled
-                ),
+                lambda: dp_core_plus(graph, k, default_tau, compiled=compiled),
                 repeats,
             )
             assert core == core_plus, "DPCore and DPCore+ disagree"
@@ -75,15 +68,11 @@ def run_fig2(
             )
         for tau in tau_values:
             core, t_old = run_with_timing(
-                lambda: dp_core(
-                    graph, default_k, tau, engine=engine, compiled=compiled
-                ),
+                lambda: dp_core(graph, default_k, tau, compiled=compiled),
                 repeats,
             )
             core_plus, t_new = run_with_timing(
-                lambda: dp_core_plus(
-                    graph, default_k, tau, engine=engine, compiled=compiled
-                ),
+                lambda: dp_core_plus(graph, default_k, tau, compiled=compiled),
                 repeats,
             )
             assert core == core_plus, "DPCore and DPCore+ disagree"

@@ -10,11 +10,7 @@ applying the (k, tau)-core versus the (Top_k, tau)-core as k and tau vary
 from __future__ import annotations
 
 from repro.core.ktau_core import dp_core_plus
-from repro.core.prune_kernel import (
-    CompiledGraph,
-    PruneEngine,
-    compile_graph,
-)
+from repro.core.prune_kernel import CompiledGraph, compile_graph
 from repro.core.topk_core import topk_core
 from repro.experiments.harness import ExperimentResult, run_with_timing
 from repro.uncertain.graph import UncertainGraph
@@ -30,19 +26,18 @@ def run_fig4(
     default_tau: float = 0.1,
     scale: float = 1.0,
     repeats: int = 1,
-    engine: PruneEngine = "arrays",
 ) -> ExperimentResult:
     """Compare remaining-node counts and prune times of both rules.
 
-    On the arrays engine the CSR lowering is compiled once for the
-    dataset and every timed peel replays over it (the session-layer
-    accounting: one compile per graph version); the recorded times
-    cover the peels only.
+    Both rules run the compiled arrays peels: the CSR lowering is
+    compiled once for the dataset and every timed peel replays over it
+    (the session-layer accounting: one compile per graph version); the
+    recorded times cover the peels only.
     """
     from repro.datasets.registry import load_dataset
 
     graph = load_dataset(dataset, scale=scale)
-    compiled = compile_graph(graph) if engine == "arrays" else None
+    compiled = compile_graph(graph)
     result = ExperimentResult(
         "Fig. 4",
         "(k,tau)-core vs (Top_k,tau)-core pruning",
@@ -50,17 +45,14 @@ def run_fig4(
         notes=(
             f"dataset={dataset}, scale={scale}; "
             f"defaults k={default_k}, tau={default_tau}; "
-            f"engine={engine} (compile shared per dataset, untimed)"
+            "compile shared per dataset, untimed"
         ),
     )
     for k in k_values:
-        _measure(
-            result, graph, "k", k, k, default_tau, repeats, engine, compiled
-        )
+        _measure(result, graph, "k", k, k, default_tau, repeats, compiled)
     for tau in tau_values:
         _measure(
-            result, graph, "tau", tau, default_k, tau, repeats, engine,
-            compiled,
+            result, graph, "tau", tau, default_k, tau, repeats, compiled
         )
     return result
 
@@ -73,18 +65,15 @@ def _measure(
     k: int,
     tau: float,
     repeats: int,
-    engine: PruneEngine,
-    compiled: CompiledGraph | None,
+    compiled: CompiledGraph,
 ) -> None:
     """One point: run both pruning rules, record sizes and times."""
     ktau_nodes, t_ktau = run_with_timing(
-        lambda: dp_core_plus(graph, k, tau, engine=engine, compiled=compiled),
+        lambda: dp_core_plus(graph, k, tau, compiled=compiled),
         repeats,
     )
     topk_nodes, t_topk = run_with_timing(
-        lambda: topk_core(
-            graph, k, tau, engine=engine, compiled=compiled
-        ).nodes,
+        lambda: topk_core(graph, k, tau, compiled=compiled).nodes,
         repeats,
     )
     if not set(topk_nodes) <= set(ktau_nodes):

@@ -288,7 +288,7 @@ class TestImpureStage:
             """
             _LIMITS = {"k": 3}
 
-            def color_stage(graph):
+            def cut_stage(graph):
                 return _LIMITS["k"]
             """,
         )

@@ -474,7 +474,7 @@ class TestStageBypassesSession:
         from repro.core.pipeline import prune_stage
 
         def survivors(graph, k, tau):
-            return prune_stage(graph, k, tau, "topk", "bitset")
+            return prune_stage(graph, k, tau, "topk")
         """
 
     def test_flags_direct_stage_call_in_core(self, tmp_path: Path) -> None:
@@ -510,7 +510,7 @@ class TestStageBypassesSession:
             from repro.core.pipeline import prune_stage
 
             def survivors(graph, k, tau):
-                return prune_stage(graph, k, tau, "topk", "bitset")  # repro-lint: ignore[RPL007]
+                return prune_stage(graph, k, tau, "topk")  # repro-lint: ignore[RPL007]
             """,
         )
         assert findings == []

@@ -185,7 +185,6 @@ class TestConfigurations:
             raise AssertionError("pruning ran before first next()")
 
         monkeypatch.setattr(enumeration, "topk_core_arrays", boom)
-        monkeypatch.setattr(enumeration, "topk_core", boom)
         gen = maximal_cliques(g, 2, 0.3)  # pruning not triggered here
         with pytest.raises(AssertionError, match="pruning ran"):
             next(gen)  # ... only here

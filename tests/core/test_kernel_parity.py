@@ -1,12 +1,16 @@
-"""Property-based parity: engine="bitset" must be indistinguishable from
-engine="legacy".
+"""Property-based parity: the compiled kernel (``engine="pivot"``) against
+the paper-following reference (``engine="legacy"``) and brute force.
 
-The compiled kernel (:mod:`repro.core.kernel`) promises *bit-identical*
-behavior, not just equal answers: the same cliques in the same yield
-order, the same statistics counters, and the same maximum cliques.  These
-properties hold because every float that influences a decision is
-produced by the same multiplication sequence in both engines — so the
-tests compare exact equality, never approximate.
+The contracts differ by query kind:
+
+* **enumeration** — pivoting reorders emission, so pivot must emit
+  exactly the legacy engine's *set* of cliques (each once), which is in
+  turn the brute-force set, with identical pre-search counters;
+* **maximum** — the compiled MaxUC+ promises *bit-identical* behavior:
+  the same maximum clique and the same statistics counters.  That holds
+  because every float that influences a decision is produced by the
+  same multiplication sequence in both engines — so the tests compare
+  exact equality, never approximate.
 
 The generated graphs deliberately stress the known hazards:
 
@@ -24,13 +28,17 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import asdict
+from typing import Any
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import repro.core.enumeration as enumeration_mod
+import repro.core.pipeline as pipeline_mod
 from repro import UncertainGraph
+from repro.core.bruteforce import brute_force_maximal_cliques
 from repro.core.enumeration import EnumerationStats, maximal_cliques
+from repro.core.kernel import CompiledComponent
 from repro.core.maximum import MaximumSearchStats, max_uc_plus
 
 # A small palette forces many duplicate probabilities in one graph.
@@ -69,20 +77,19 @@ def uncertain_graphs(draw: st.DrawFn) -> UncertainGraph:
 def test_enumeration_engines_identical(
     graph: UncertainGraph, k: int, tau: float, insearch: bool, cut: bool
 ) -> None:
-    stats = {}
-    cliques = {}
-    for engine in ("legacy", "bitset"):
-        engine_stats = EnumerationStats()
-        cliques[engine] = list(
+    # Both engines, under every prune/cut/in-search configuration, emit
+    # exactly the brute-force oracle's cliques (the prune stages only
+    # remove nodes no maximal (k, tau)-clique contains).
+    oracle = brute_force_maximal_cliques(graph, k, tau)
+    for engine in ("legacy", "pivot"):
+        cliques = list(
             maximal_cliques(
                 graph, k, tau, cut=cut, insearch=insearch,
-                stats=engine_stats, engine=engine,  # type: ignore[arg-type]
+                engine=engine,  # type: ignore[arg-type]
             )
         )
-        stats[engine] = asdict(engine_stats)
-    # Same cliques in the same order, and the same counters.
-    assert cliques["bitset"] == cliques["legacy"]
-    assert stats["bitset"] == stats["legacy"]
+        assert len(cliques) == len(set(cliques))
+        assert set(cliques) == oracle
 
 
 @settings(max_examples=40, deadline=None)
@@ -94,27 +101,26 @@ def test_enumeration_engines_identical(
 def test_enumeration_identical_with_forced_insearch_gate(
     graph: UncertainGraph, k: int, tau: float
 ) -> None:
-    # Gate at zero: the in-search peel runs at every search call, so the
-    # kernel's mask peel and legacy's sorted-list peel are compared on
-    # every recursion level, duplicates included.
+    # Gate at zero: the in-search peel runs at every search call, so
+    # legacy's sorted-list peel and the kernel's mask peel are both
+    # exercised on every recursion level, duplicates included — and
+    # neither may cost a clique of the brute-force oracle.
     original = enumeration_mod._INSEARCH_MIN_CANDIDATES
     enumeration_mod._INSEARCH_MIN_CANDIDATES = 0
     try:
-        results = {}
-        stats = {}
-        for engine in ("legacy", "bitset"):
-            engine_stats = EnumerationStats()
-            results[engine] = list(
+        results = {
+            engine: list(
                 maximal_cliques(
-                    graph, k, tau, stats=engine_stats,
-                    engine=engine,  # type: ignore[arg-type]
+                    graph, k, tau, engine=engine,  # type: ignore[arg-type]
                 )
             )
-            stats[engine] = asdict(engine_stats)
+            for engine in ("legacy", "pivot")
+        }
     finally:
         enumeration_mod._INSEARCH_MIN_CANDIDATES = original
-    assert results["bitset"] == results["legacy"]
-    assert stats["bitset"] == stats["legacy"]
+    oracle = brute_force_maximal_cliques(graph, k, tau)
+    assert set(results["legacy"]) == oracle
+    assert set(results["pivot"]) == oracle
 
 
 @settings(max_examples=60, deadline=None)
@@ -127,17 +133,22 @@ def test_enumeration_identical_with_forced_insearch_gate(
 def test_maximum_engines_identical(
     graph: UncertainGraph, k: int, tau: float, insearch: bool
 ) -> None:
+    # The branch-and-bound's DFS-first output depends on branch order,
+    # so the compiled search does not pivot: identical result, identical
+    # counters, pivot counters pinned to zero.
     results = {}
     stats = {}
-    for engine in ("legacy", "bitset"):
+    for engine in ("legacy", "pivot"):
         engine_stats = MaximumSearchStats()
         results[engine] = max_uc_plus(
             graph, k, tau, stats=engine_stats, insearch=insearch,
             engine=engine,  # type: ignore[arg-type]
         )
         stats[engine] = asdict(engine_stats)
-    assert results["bitset"] == results["legacy"]
-    assert stats["bitset"] == stats["legacy"]
+    assert results["pivot"] == results["legacy"]
+    assert stats["pivot"] == stats["legacy"]
+    assert stats["pivot"]["pivot_branches"] == 0
+    assert stats["pivot"]["pivot_skipped"] == 0
 
 
 def _k6() -> UncertainGraph:
@@ -159,51 +170,55 @@ def _two_triangles() -> UncertainGraph:
     return graph
 
 
-def test_oversized_component_routes_to_legacy_fallback() -> None:
-    # The dispatch must route components above KERNEL_COMPONENT_LIMIT to
-    # the legacy recursion — and produce identical cliques and counters
-    # either way.  The limit is monkeypatched below the component size
-    # (mirroring the forced-gate pattern above) and the compiled entry
-    # point is replaced with a tripwire, so the test fails loudly if the
-    # dispatch ever stops falling back.
+def test_oversized_component_routes_to_legacy_fallback(
+    monkeypatch: pytest.MonkeyPatch,
+) -> None:
+    # The search stage must route components above KERNEL_COMPONENT_LIMIT
+    # to the legacy recursion — and produce the same cliques either way.
+    # The limit is monkeypatched below the component size and the
+    # compiled root entry point is wrapped in a tripwire that fails for
+    # any component above the patched limit, so the test fails loudly if
+    # the dispatch ever stops falling back.
     for graph in (_k6(), _two_triangles()):
-        _assert_fallback_parity(graph)
+        _assert_fallback_parity(graph, monkeypatch)
 
 
-def _assert_fallback_parity(graph: UncertainGraph) -> None:
-    # The bit-identity contract is between the order-identical engines;
-    # the pivot engine reorders emission, so its fallback parity is on
-    # the clique *set* (checked below).
-    baseline_stats = EnumerationStats()
-    baseline = list(
-        maximal_cliques(graph, 2, 0.3, stats=baseline_stats, engine="bitset")
+def _assert_fallback_parity(
+    graph: UncertainGraph, monkeypatch: pytest.MonkeyPatch
+) -> None:
+    legacy_stats = EnumerationStats()
+    legacy = list(
+        maximal_cliques(graph, 2, 0.3, stats=legacy_stats, engine="legacy")
     )
-    assert baseline  # both inputs must produce output at tau=0.3
-    pivot_baseline = set(maximal_cliques(graph, 2, 0.3, engine="pivot"))
+    assert legacy  # both inputs must produce output at tau=0.3
+    pivot = set(maximal_cliques(graph, 2, 0.3, engine="pivot"))
 
-    def tripwire(*args: object, **kwargs: object) -> object:
-        raise AssertionError(
-            "compiled kernel called for an oversized component"
-        )
+    limit = 3
+    original_entry = pipeline_mod.enum_root_prep
 
-    original_limit = enumeration_mod.KERNEL_COMPONENT_LIMIT
-    original_entry = enumeration_mod.enumerate_component
-    enumeration_mod.KERNEL_COMPONENT_LIMIT = 3
-    enumeration_mod.enumerate_component = tripwire  # type: ignore[assignment]
-    try:
+    def tripwire(comp: CompiledComponent, *args: Any) -> Any:
+        if comp.n > limit:
+            raise AssertionError(
+                "compiled kernel called for an oversized component"
+            )
+        return original_entry(comp, *args)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(enumeration_mod, "KERNEL_COMPONENT_LIMIT", limit)
+        patch.setattr(pipeline_mod, "enum_root_prep", tripwire)
         fallback_stats = EnumerationStats()
         fallback = list(
             maximal_cliques(
-                graph, 2, 0.3, stats=fallback_stats, engine="bitset"
+                graph, 2, 0.3, stats=fallback_stats, engine="pivot"
             )
         )
-        pivot_fallback = set(maximal_cliques(graph, 2, 0.3, engine="pivot"))
-    finally:
-        enumeration_mod.KERNEL_COMPONENT_LIMIT = original_limit
-        enumeration_mod.enumerate_component = original_entry
-    assert fallback == baseline
-    assert asdict(fallback_stats) == asdict(baseline_stats)
-    assert pivot_fallback == pivot_baseline == set(baseline)
+    assert len(fallback) == len(set(fallback))
+    assert set(fallback) == pivot == set(legacy)
+    for field in (
+        "nodes_after_pruning", "components", "cuts_found",
+        "cut_edges_removed", "cliques",
+    ):
+        assert getattr(fallback_stats, field) == getattr(legacy_stats, field)
 
 
 @settings(max_examples=60, deadline=None)
@@ -220,13 +235,12 @@ def test_pivot_engine_set_identical(
     # Pivoting reorders emission, so the contract is set identity: the
     # same cliques (each emitted exactly once) with the same clique
     # count, plus identical pre-search counters — only the recursion
-    # shape (search_calls, prunes) may differ, and the pivot tree is
-    # never larger in branches than the candidate fan-out it replaced.
+    # shape (search_calls, prunes) may differ.
     oracle_stats = EnumerationStats()
     oracle = list(
         maximal_cliques(
             graph, k, tau, cut=cut, insearch=insearch,
-            stats=oracle_stats, engine="bitset",
+            stats=oracle_stats, engine="legacy",
         )
     )
     pivot_stats = EnumerationStats()
@@ -261,7 +275,7 @@ def test_pivot_set_identical_with_forced_insearch_gate(
     original = enumeration_mod._INSEARCH_MIN_CANDIDATES
     enumeration_mod._INSEARCH_MIN_CANDIDATES = 0
     try:
-        oracle = set(maximal_cliques(graph, k, tau, engine="bitset"))
+        oracle = set(maximal_cliques(graph, k, tau, engine="legacy"))
         pivot = list(maximal_cliques(graph, k, tau, engine="pivot"))
     finally:
         enumeration_mod._INSEARCH_MIN_CANDIDATES = original
@@ -269,29 +283,7 @@ def test_pivot_set_identical_with_forced_insearch_gate(
     assert set(pivot) == oracle
 
 
-@settings(max_examples=40, deadline=None)
-@given(
-    graph=uncertain_graphs(),
-    k=st.integers(min_value=0, max_value=4),
-    tau=st.sampled_from(TAUS),
-)
-def test_maximum_pivot_is_exactly_bitset(
-    graph: UncertainGraph, k: int, tau: float
-) -> None:
-    # The branch-and-bound's DFS-first output depends on branch order,
-    # so engine="pivot" runs the exact bitset search: identical result,
-    # identical counters, pivot counters pinned to zero.
-    bitset_stats = MaximumSearchStats()
-    bitset = max_uc_plus(graph, k, tau, stats=bitset_stats, engine="bitset")
-    pivot_stats = MaximumSearchStats()
-    pivot = max_uc_plus(graph, k, tau, stats=pivot_stats, engine="pivot")
-    assert pivot == bitset
-    assert asdict(pivot_stats) == asdict(bitset_stats)
-    assert pivot_stats.pivot_branches == 0
-    assert pivot_stats.pivot_skipped == 0
-
-
-@pytest.mark.parametrize("engine", ["legacy", "bitset", "pivot"])
+@pytest.mark.parametrize("engine", ["legacy", "pivot"])
 def test_duplicate_probability_peel_is_engine_independent(
     engine: str,
 ) -> None:
@@ -310,3 +302,4 @@ def test_duplicate_probability_peel_is_engine_independent(
         key=sorted,
     )
     assert cliques == [frozenset({"t1", "t2", "t3"})]
+

@@ -210,8 +210,7 @@ def test_session_shares_one_compile_across_prune_stages() -> None:
     warm = list(session.maximal_cliques(2, 0.2))
     assert cold == warm
     assert session.cache_info()["misses"] == before  # all hits on replay
-    # The memoized decomposition agrees with the deterministic one.
-    assert session.core_numbers() == core_numbers(graph)
+    assert session.cache_info()["full_compiles"] == 1
     # Mutation bumps the version; the artifacts rebuild and still agree.
     session.graph.add_edge("pendant", "lone", 0.9)
     fresh = list(session.maximal_cliques(2, 0.2))

@@ -189,14 +189,33 @@ class TestBitIdentical:
                 else:
                     g.add_edge(u, v, round(rng.uniform(0.2, 1.0), 6))
 
-    @pytest.mark.parametrize("engine", ["bitset", "legacy"])
+    @pytest.mark.parametrize("engine", ["pivot", "legacy"])
     def test_engines_share_prune_artifact(self, engine):
+        # One prune path, one compile: after a pivot query, a query on
+        # either engine finds the compile, prune and cut entries cached —
+        # no miss at all, and no second lowering of the graph.
         g = make_random_graph(15, 0.55, seed=42)
         session = PreparedGraph(g)
-        enum_payload(session, 2, 0.2, engine="bitset")
+        enum_payload(session, 2, 0.2, engine="pivot")
+        before = session.cache_info()
+        assert before["full_compiles"] == 1
         assert enum_payload(session, 2, 0.2, engine=engine) == enum_payload(
             g.copy(), 2, 0.2, engine=engine
         )
+        after = session.cache_info()
+        assert after["misses"] == before["misses"]
+        assert after["full_compiles"] == 1
+
+    def test_bitset_engine_is_rejected(self):
+        session = PreparedGraph(make_random_graph(8, 0.5, seed=1))
+        with pytest.raises(ValueError, match="unknown engine"):
+            list(session.maximal_cliques(
+                2, 0.2, engine="bitset",  # type: ignore[arg-type]
+            ))
+        with pytest.raises(ValueError, match="unknown engine"):
+            session.max_uc_plus(
+                2, 0.2, engine="bitset",  # type: ignore[arg-type]
+            )
 
     def test_warm_anchored_query_identical(self, two_groups):
         session = PreparedGraph(two_groups)

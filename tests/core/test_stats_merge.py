@@ -17,14 +17,14 @@ from repro.core.maximum import MaximumSearchStats, max_uc_plus
 def test_pivot_counters_recorded_by_the_default_engine() -> None:
     # The pivot engine is the default: a dense component must record at
     # least one absorbed (skipped) candidate, and every root is either
-    # branched or skipped.  The non-pivot engines leave both at zero.
+    # branched or skipped.  The legacy engine leaves both at zero.
     graph = _triangle_graph()
     stats = EnumerationStats()
     list(muce_plus_plus(graph, 1, 0.5, stats=stats))
     assert stats.pivot_branches > 0
     assert stats.pivot_skipped > 0
     oracle = EnumerationStats()
-    list(muce_plus_plus(graph, 1, 0.5, stats=oracle, engine="bitset"))
+    list(muce_plus_plus(graph, 1, 0.5, stats=oracle, engine="legacy"))
     assert oracle.pivot_branches == 0
     assert oracle.pivot_skipped == 0
 
