@@ -10,14 +10,21 @@ lowered every graph twice.  This module now owns the **unified**
 artifact: a stdlib-only, zero-dependency compiler that lowers an
 :class:`~repro.uncertain.graph.UncertainGraph` **once** into dense int
 ids plus flat CSR adjacency/probability layouts that serve both sides —
-the peels read the insertion-order and ascending rows directly, and the
-search kernel *derives* its per-component
+the peels read the insertion-order rows directly, and the search kernel
+*derives* its per-component
 :class:`~repro.core.kernel.CompiledComponent` views (bitmask rows,
 descending-prob CSR) from the precomputed ``sort_rank`` array and the
 lazily-memoized per-row :meth:`CompiledGraph.desc_row` sorts — only
 rows that survive pruning ever pay the descending sort
-(:func:`repro.core.kernel.derive_component_view`).  The peel loops run
-entirely over the flat structures:
+(:func:`repro.core.kernel.derive_component_view`).
+
+The lowering itself is **lazy** per row.  :func:`compile_graph` copies
+the insertion-order neighbour *labels* and probabilities in ``O(m)``,
+with no per-edge dict lookup and no sort; a row's labels are mapped to
+dense ids the first time a reader needs them.  The (Top_k, tau)-core
+peel settles most nodes from their probabilities alone and maps only
+the remnant's rows; whole-graph readers finish the lowering once.  The
+peel loops run entirely over the flat structures:
 
 * :func:`survival_peel` — DPCore+: the forward survival DP of Eq. (5)
   written into a preallocated flat row buffer, the Eq. (6) deletion
@@ -29,9 +36,9 @@ entirely over the flat structures:
 * :func:`distribution_peel` — the Bonchi et al. [16] DPCore baseline
   (Eqs. 3 and 4) over the same compiled form, with reused column
   scratch buffers instead of per-column allocations.
-* :func:`topk_peel` — Algorithm 3's (Top_k, tau)-core peel over
-  precompiled ascending probability rows, including the ``fixed``
-  (``V_I``) abort the in-search pruning needs.
+* :func:`topk_peel` — Algorithm 3's (Top_k, tau)-core peel, sorting
+  each candidate row's probabilities on the spot, including the
+  ``fixed`` (``V_I``) abort the in-search pruning needs.
 
 All three accept an optional ``members`` subset so the session layer's
 monotone-seeded peels (PR 4) can replay over the *same* compiled arrays
@@ -62,8 +69,8 @@ this contract, including ``p == 1.0`` edges and probabilities straddling
 from __future__ import annotations
 
 from array import array
-from bisect import bisect_left, insort
-from typing import AbstractSet, Any, Iterable, Literal
+from bisect import bisect_left
+from typing import AbstractSet, Any, Iterable, Literal, cast
 
 from repro.core.tau_degree import STABLE_P_LIMIT
 from repro.uncertain.graph import Node, UncertainGraph
@@ -104,7 +111,16 @@ class CompiledGraph:
 
     * ``nbr_ids`` / ``nbr_probs`` — **incident order** (the graph's
       insertion order), which is what the fresh survival / distribution
-      DPs must multiply in to match the legacy float sequences;
+      DPs must multiply in to match the legacy float sequences.  The
+      ids are lowered **lazily per row**: until :meth:`_map_row` maps a
+      row from the flat ``nbr_labels`` copy, its ``nbr_ids`` slots hold
+      ``None`` — so a reader that skips the mapping fails loudly
+      (``dead[None]`` raises) instead of reading node 0's flags.
+      :meth:`_finish_lowering` maps every row at once and drops
+      ``nbr_labels``; the whole-graph readers (the survival and
+      distribution peels, :meth:`core_ids`, :meth:`apply_delta`) call
+      it first, while :func:`topk_peel` and :meth:`desc_row` map only
+      the rows they touch;
     * :meth:`desc_row` — the same row sorted by **descending
       probability**, ties by the neighbor's ``sort_rank``, computed
       **lazily on first use** and memoized per row.  Filtering a row to
@@ -114,13 +130,12 @@ class CompiledGraph:
       search view per component without sorting anything.  Laziness is
       load-bearing: pruning discards most rows before any search looks
       at them, so an eager whole-graph descending sort would pay the
-      (dominant) tuple-sort cost for nodes no query ever visits;
-    * ``asc_rows`` — one **ascending-sorted** probability list per row,
-      the precomputed form of the ``sorted(incident.values())`` lists
-      the (Top_k, tau)-core peel consumes (peels copy a row before
-      mutating it — compiled state is only ever appended to by the
-      lazy memos, never rewritten).  Equal floats are interchangeable,
-      so the value sequence matches the legacy sort exactly.
+      (dominant) tuple-sort cost for nodes no query ever visits.
+
+    Ascending rows are not stored: the (Top_k, tau)-core peel sorts the
+    ``nbr_probs`` slices it reads on the spot and throws them away
+    (memoizing them per row costs more in allocation than the sorts it
+    saves).
 
     ``sort_rank[i]`` is the position of node ``i`` in the library's
     deterministic :func:`node_sort_key` order over the whole graph.
@@ -143,9 +158,11 @@ class CompiledGraph:
     The compile is pure data tied to one graph ``version``; the session
     layer memoizes it under ``(version, "compile")`` so every prune and
     every search of every query shares a single lowering.  The artifact
-    is **picklable** — only the node labels, the insertion-order CSR and
-    the version are pickled (``__getstate__``); every derived form is
-    rebuilt on unpickle.
+    is **picklable** at any point of its lazy lowering — only the node
+    labels, the insertion-order CSR as it stands (``nbr_labels``, which
+    is ``None`` once fully lowered, and the partly mapped ``nbr_ids``)
+    and the version are pickled (``__getstate__``); every derived form
+    is rebuilt on unpickle.
     """
 
     __slots__ = (
@@ -153,10 +170,10 @@ class CompiledGraph:
         "index",
         "n",
         "row_offsets",
+        "nbr_labels",
         "nbr_ids",
         "nbr_probs",
         "sort_rank",
-        "asc_rows",
         "version",
         "_desc_rows",
         "_core_ids",
@@ -166,13 +183,16 @@ class CompiledGraph:
         self,
         nodes: tuple[Node, ...],
         row_offsets: list[int],
-        nbr_ids: list[int],
+        nbr_labels: list[Node],
         nbr_probs: list[float],
         version: int,
     ) -> None:
         self.nodes = nodes
         self.row_offsets = row_offsets
-        self.nbr_ids = nbr_ids
+        self.nbr_labels: list[Node] | None = nbr_labels
+        # Unmapped slots hold None (see the class docstring); typed as
+        # ids because every reader maps a row before it reads it.
+        self.nbr_ids = cast("list[int]", [None] * len(nbr_labels))
         self.nbr_probs = nbr_probs
         self.version = version
         self._build_derived()
@@ -188,17 +208,28 @@ class CompiledGraph:
         for r, i in enumerate(order):
             rank[i] = r
         self.sort_rank = rank
-        rf = self.row_offsets
-        ps = self.nbr_probs
-        # Values only — cheap float sorts.  The id-carrying descending
-        # rows are per-row lazy (see desc_row); only survivors pay.
-        self.asc_rows = [
-            sorted(ps[rf[i]:rf[i + 1]]) for i in range(n)
-        ]
         self._desc_rows: list[tuple[list[int], list[float]] | None] = (
             [None] * n
         )
         self._core_ids: "array[int] | None" = None
+
+    def _map_row(self, i: int) -> None:
+        """Map row ``i``'s neighbour labels to dense ids, once."""
+        labels = self.nbr_labels
+        if labels is None:
+            return
+        lo = self.row_offsets[i]
+        hi = self.row_offsets[i + 1]
+        ids = cast("list[int | None]", self.nbr_ids)
+        if lo < hi and ids[lo] is None:
+            ids[lo:hi] = map(self.index.__getitem__, labels[lo:hi])
+
+    def _finish_lowering(self) -> None:
+        """Map every row's ids and drop the label copy (idempotent)."""
+        labels = self.nbr_labels
+        if labels is not None:
+            self.nbr_ids[:] = map(self.index.__getitem__, labels)
+            self.nbr_labels = None
 
     def desc_row(self, i: int) -> tuple[list[int], list[float]]:
         """Row ``i`` as ``(neighbor ids, probabilities)`` sorted by
@@ -211,6 +242,7 @@ class CompiledGraph:
         """
         row = self._desc_rows[i]
         if row is None:
+            self._map_row(i)
             rf = self.row_offsets
             ids = self.nbr_ids
             ps = self.nbr_probs
@@ -223,26 +255,29 @@ class CompiledGraph:
             self._desc_rows[i] = row
         return row
 
-    def __getstate__(
-        self,
-    ) -> tuple[tuple[Node, ...], list[int], list[int], list[float], int]:
-        # Labels + insertion-order CSR + version only; every derived
-        # form (index, sort_rank, desc/asc rows, core numbers) is
-        # rebuilt in __setstate__.
+    def __getstate__(self) -> tuple[
+        tuple[Node, ...], list[int], list[Node] | None, list[int],
+        list[float], int,
+    ]:
+        # Labels + insertion-order CSR (as far as it is lowered) +
+        # version only; every derived form (index, sort_rank, desc rows,
+        # core numbers) is rebuilt in __setstate__.
         return (
-            self.nodes, self.row_offsets, self.nbr_ids, self.nbr_probs,
-            self.version,
+            self.nodes, self.row_offsets, self.nbr_labels, self.nbr_ids,
+            self.nbr_probs, self.version,
         )
 
     def __setstate__(
         self,
         state: tuple[
-            tuple[Node, ...], list[int], list[int], list[float], int
+            tuple[Node, ...], list[int], list[Node] | None, list[int],
+            list[float], int,
         ],
     ) -> None:
-        nodes, row_offsets, nbr_ids, nbr_probs, version = state
+        nodes, row_offsets, nbr_labels, nbr_ids, nbr_probs, version = state
         self.nodes = nodes
         self.row_offsets = row_offsets
+        self.nbr_labels = nbr_labels
         self.nbr_ids = nbr_ids
         self.nbr_probs = nbr_probs
         self.version = version
@@ -262,6 +297,7 @@ class CompiledGraph:
         """
         if self._core_ids is not None:
             return self._core_ids
+        self._finish_lowering()
         n = self.n
         rf = self.row_offsets
         ids = self.nbr_ids
@@ -320,27 +356,31 @@ class CompiledGraph:
         :meth:`repro.uncertain.graph.UncertainGraph.mutations_since` for
         this artifact's :attr:`version`.  Returns ``True`` when every op
         was applied — the patched artifact is then equivalent to
-        :func:`compile_graph` on the mutated graph (same node order, same
-        insertion-order CSR float sequences, same ascending rows; lazily
-        memoized descending rows and core numbers are invalidated only
-        for touched rows) — or ``False`` without touching anything when
-        the slice contains an op the patcher does not support
-        (``remove_node``), in which case the caller must re-lower.
+        :func:`compile_graph` on the mutated graph once both are fully
+        lowered (same node order, same insertion-order ids and float
+        sequences; lazily memoized descending rows and core numbers are
+        invalidated only for touched rows) — or ``False`` without
+        touching anything when the slice contains an op the patcher does
+        not support (``remove_node``), in which case the caller must
+        re-lower.
 
-        Reweights are ``O(d + log d)`` (two row writes plus an
-        ascending-row bisect); structural single-edge ops splice the flat
-        lists (``O(m)`` worst case) — still far cheaper than a full
-        compile, which pays the per-row sorts on top.
+        A patch first finishes the lowering (a one-off ``O(m)`` id
+        mapping on an artifact no whole-graph reader has lowered yet),
+        so the structural ops splice the ids and probabilities only —
+        never a third, label list.  Reweights are then ``O(d)`` (two row
+        writes); structural single-edge ops splice the flat lists
+        (``O(m)`` worst case).
         """
         ops = tuple(ops)
         for entry in ops:
             if entry[1] not in self._DELTA_OPS:
                 return False
+        self._finish_lowering()
         for entry in ops:
             op = entry[1]
             if op == "set_probability":
-                _, _, u, v, old_p, new_p = entry
-                self._patch_reweight(u, v, old_p, new_p)
+                _, _, u, v, _, new_p = entry
+                self._patch_reweight(u, v, new_p)
             elif op == "add_edge":
                 _, _, u, v, p, new_u, new_v = entry
                 # The graph creates ``u`` before ``v`` (setdefault
@@ -352,8 +392,8 @@ class CompiledGraph:
                     self._append_node(v)
                 self._insert_edge(u, v, p)
             elif op == "remove_edge":
-                _, _, u, v, p = entry
-                self._delete_edge(u, v, p)
+                _, _, u, v, _ = entry
+                self._delete_edge(u, v)
             else:  # add_node
                 self._append_node(entry[2])
         if ops:
@@ -367,7 +407,6 @@ class CompiledGraph:
         self.index[node] = i
         self.n = i + 1
         self.row_offsets.append(self.row_offsets[-1])
-        self.asc_rows.append([])
         self._desc_rows.append(None)
         # Appending a node shifts later sort ranks monotonically:
         # relative order of pre-existing nodes is preserved, so memoized
@@ -390,18 +429,13 @@ class CompiledGraph:
                 return j
         raise KeyError((self.nodes[i], self.nodes[nbr_id]))
 
-    def _patch_reweight(
-        self, u: Node, v: Node, old_p: float, new_p: float
-    ) -> None:
+    def _patch_reweight(self, u: Node, v: Node, new_p: float) -> None:
         iu = self.index[u]
         iv = self.index[v]
         self.nbr_probs[self._row_pos(iu, iv)] = new_p
         self.nbr_probs[self._row_pos(iv, iu)] = new_p
-        for i in (iu, iv):
-            row = self.asc_rows[i]
-            row.pop(bisect_left(row, old_p))
-            insort(row, new_p)
-            self._desc_rows[i] = None
+        self._desc_rows[iu] = None
+        self._desc_rows[iv] = None
         # Reweights leave the deterministic structure — and therefore the
         # memoized core numbers — untouched.
 
@@ -428,43 +462,41 @@ class CompiledGraph:
         iv = self.index[v]
         self._splice_in(iu, iv, p)
         self._splice_in(iv, iu, p)
-        for i in (iu, iv):
-            insort(self.asc_rows[i], p)
-            self._desc_rows[i] = None
+        self._desc_rows[iu] = None
+        self._desc_rows[iv] = None
         self._core_ids = None
 
-    def _delete_edge(self, u: Node, v: Node, p: float) -> None:
+    def _delete_edge(self, u: Node, v: Node) -> None:
         iu = self.index[u]
         iv = self.index[v]
         self._splice_out(iu, iv)
         self._splice_out(iv, iu)
-        for i in (iu, iv):
-            row = self.asc_rows[i]
-            row.pop(bisect_left(row, p))
-            self._desc_rows[i] = None
+        self._desc_rows[iu] = None
+        self._desc_rows[iv] = None
         self._core_ids = None
 
 
 def compile_graph(graph: UncertainGraph) -> CompiledGraph:
     """Lower ``graph`` into the unified :class:`CompiledGraph` (one pass).
 
-    Runs in ``O(m log d_max)`` (the per-row sort dominates); the result
-    references nothing of the source graph, so later graph mutations
-    cannot corrupt it — the embedded ``version`` is what the session
-    layer keys the artifact by.
+    Copies the insertion-order rows in ``O(m)`` — neighbour labels and
+    probabilities, no per-edge id lookup and no sort — plus the
+    ``O(n log n)`` node ranking; row ids are mapped lazily on first
+    read.  The result references nothing of the source graph's
+    adjacency, so later graph mutations cannot corrupt it — the
+    embedded ``version`` is what the session layer keys the artifact
+    by.
     """
     nodes = tuple(graph.nodes())
-    index = {u: i for i, u in enumerate(nodes)}
     row_offsets = [0]
-    nbr_ids: list[int] = []
+    nbr_labels: list[Node] = []
     nbr_probs: list[float] = []
-    id_of = index.__getitem__
     for u in nodes:
         inc = graph.incident(u)
-        nbr_ids.extend(map(id_of, inc))
+        nbr_labels.extend(inc)
         nbr_probs.extend(inc.values())
-        row_offsets.append(len(nbr_ids))
-    return CompiledGraph(nodes, row_offsets, nbr_ids, nbr_probs,
+        row_offsets.append(len(nbr_labels))
+    return CompiledGraph(nodes, row_offsets, nbr_labels, nbr_probs,
                          graph.version)
 
 
@@ -552,6 +584,7 @@ def survival_peel(
     tau = validate_tau(tau)
     n = cpg.n
     tau_floor = threshold_floor(tau)
+    cpg._finish_lowering()
     rf = cpg.row_offsets
     ids = cpg.nbr_ids
     ps = cpg.nbr_probs
@@ -707,6 +740,7 @@ def distribution_peel(
     tau = validate_tau(tau)
     n = cpg.n
     tau_floor = threshold_floor(tau)
+    cpg._finish_lowering()
     rf = cpg.row_offsets
     ids = cpg.nbr_ids
     ps = cpg.nbr_probs
@@ -856,6 +890,11 @@ def topk_peel(
     neighbor stays in the gathered row because its pop is still coming:
     that bookkeeping keeps every row consistent with the pops the drain
     will actually perform, so the fixpoint matches the eager peel's.
+
+    The peel reads neighbour ids only from the rows it gathers, and maps
+    just those (:meth:`CompiledGraph._map_row`): on an artifact no
+    whole-graph reader has lowered, the prefilter's losers stay
+    unmapped.
     """
     validate_k(k)
     tau = validate_tau(tau)
@@ -870,6 +909,7 @@ def topk_peel(
     rf = cpg.row_offsets
     ids = cpg.nbr_ids
     ps = cpg.nbr_probs
+    map_row = cpg._map_row
 
     condemned = _initial_dead(cpg, members)
     is_fixed = bytearray(n)
@@ -902,6 +942,7 @@ def topk_peel(
         vals: list[list[float]] = [[] for _ in range(n)]
 
         def gather(i: int) -> list[float]:
+            map_row(i)
             row = sorted(
                 ps[j]
                 for j in range(rf[i], rf[i + 1])
@@ -955,15 +996,16 @@ def topk_peel(
     # only leave the top-k window), so a node below tau on its full row
     # is below tau in every restriction: condemning it is sound for the
     # full peel and for any members= subset.  On the registry graphs
-    # this one pass settles ~95% of nodes without copying a row or
-    # popping a value; phase-1 losers never enter the worklist, so the
-    # drain below never walks their edges either — their absence is
-    # baked into the phase-2 gather instead.
-    asc_rows = cpg.asc_rows
+    # this one pass settles ~95% of nodes without popping a value;
+    # phase-1 losers never enter the worklist, so the drain below never
+    # walks their edges either — their absence is baked into the
+    # phase-2 gather instead.  Each row's probabilities are sorted here
+    # and dropped: phase 1 needs no ids, so the rows it condemns are
+    # never mapped.
     for i in range(n):
         if condemned[i]:
             continue
-        if below(asc_rows[i]):
+        if below(sorted(ps[rf[i]:rf[i + 1]])):
             if is_fixed[i]:
                 return None
             condemned[i] = 1
@@ -971,10 +1013,12 @@ def topk_peel(
     # Phase 2 — ascending sorted *live* probabilities for the remnant
     # (the exact state the legacy peel keeps), gathered before any
     # further condemnation so the drain's bisect-pops stay consistent.
+    # Only these rows are mapped to ids; the drain walks no others.
     vals: list[list[float]] = [[] for _ in range(n)]
     for i in range(n):
         if condemned[i]:
             continue
+        map_row(i)
         vals[i] = sorted(
             ps[j]
             for j in range(rf[i], rf[i + 1])

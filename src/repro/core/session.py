@@ -310,8 +310,9 @@ class PreparedGraph:
         graph's mutation log (:meth:`~repro.core.prune_kernel.
         CompiledGraph.apply_delta` — bit-identical to a cold re-lower for
         every op it supports), so a reweight stream never pays the
-        ``O(m log d_max)`` lowering again.  A full compile runs only when
-        the log no longer covers the gap or contains a ``remove_node``.
+        ``O(m)`` row copy and node ranking of a full lowering again.  A
+        full compile runs only when the log no longer covers the gap or
+        contains a ``remove_node``.
         The wall clock is recorded as the ``"compile"`` lap only when
         patching or lowering actually runs, so warm queries report a
         zero compile phase.

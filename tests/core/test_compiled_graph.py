@@ -14,7 +14,11 @@ contracts that make that sound:
   survivor set is an induced-subgraph restriction);
 * a session performs exactly **one** compile per graph version across
   prune, enumeration and maximum queries;
-* the artifact and its component views survive a pickle roundtrip.
+* the artifact and its component views survive a pickle roundtrip;
+* the lowering is lazy: a cold query maps only the rows it reads, and
+  every reader — peels, view derivation, delta patches, pickling —
+  gives the same result on a partly mapped artifact as on a fully
+  mapped one.
 """
 
 from __future__ import annotations
@@ -29,7 +33,13 @@ from repro.core.kernel import (
     compile_component,
     derive_component_view,
 )
-from repro.core.prune_kernel import CompiledGraph, compile_graph
+from repro.core.prune_kernel import (
+    CompiledGraph,
+    compile_graph,
+    distribution_peel,
+    survival_peel,
+    topk_peel,
+)
 from repro.deterministic.components import connected_components
 
 PROBABILITY_PALETTE = (0.25, 0.4, 0.4, 0.5, 0.7, 0.7, 0.9, 1.0)
@@ -151,27 +161,35 @@ def test_cold_query_times_one_compile_and_warm_times_none() -> None:
     assert len(_compile_entries(session)) == 1
 
 
+def assert_artifacts_equal(a: CompiledGraph, b: CompiledGraph) -> None:
+    """Exact equality of two artifacts once both are fully lowered."""
+    assert a.nodes == b.nodes
+    assert a.version == b.version
+    assert a.index == b.index
+    assert a.sort_rank == b.sort_rank
+    assert list(a.row_offsets) == list(b.row_offsets)
+    assert list(a.nbr_probs) == list(b.nbr_probs)
+    for i in range(b.n):
+        assert a.desc_row(i) == b.desc_row(i)
+    a._finish_lowering()
+    b._finish_lowering()
+    assert a.nbr_labels is None and b.nbr_labels is None
+    assert list(a.nbr_ids) == list(b.nbr_ids)
+    assert list(a.core_ids()) == list(b.core_ids())
+
+
 def test_compiled_graph_pickle_roundtrip() -> None:
     graph = _two_triangles()
     artifact = compile_graph(graph)
     clone = pickle.loads(pickle.dumps(artifact))
     assert isinstance(clone, CompiledGraph)
-    assert clone.nodes == artifact.nodes
-    assert clone.version == artifact.version
-    assert clone.index == artifact.index
-    assert clone.sort_rank == artifact.sort_rank
-    assert list(clone.row_offsets) == list(artifact.row_offsets)
-    assert list(clone.nbr_ids) == list(artifact.nbr_ids)
-    assert list(clone.nbr_probs) == list(artifact.nbr_probs)
-    assert clone.asc_rows == artifact.asc_rows
-    for i in range(artifact.n):
-        assert clone.desc_row(i) == artifact.desc_row(i)
     # Derived views from the clone match the original's.
     members = ["a", "b", "c"]
     assert_views_bit_identical(
         derive_component_view(clone, members),
         derive_component_view(artifact, members),
     )
+    assert_artifacts_equal(clone, artifact)
 
 
 def test_compiled_component_pickle_roundtrip() -> None:
@@ -187,3 +205,132 @@ def test_compiled_component_pickle_roundtrip() -> None:
     assert list(clone.row_offsets) == list(comp.row_offsets)
     assert list(clone.nbr_ids) == list(comp.nbr_ids)
     assert list(clone.nbr_probs) == list(comp.nbr_probs)
+
+
+# ----------------------------------------------------------------------
+# Lazy lowering
+# ----------------------------------------------------------------------
+
+
+def _mapped_rows(cpg: CompiledGraph) -> list[int]:
+    """Ids of the non-empty rows whose neighbour ids are mapped."""
+    rf = cpg.row_offsets
+    return [
+        i for i in range(cpg.n)
+        if rf[i] < rf[i + 1] and cpg.nbr_ids[rf[i]] is not None
+    ]
+
+
+def _clique_with_tail() -> UncertainGraph:
+    # A 0.9-probability 5-clique with a 30-node path of 0.1 edges hung
+    # off it: at (k=3, tau=0.3) the top-k prefilter condemns every path
+    # node from its probabilities alone.
+    graph = UncertainGraph()
+    clique = [f"c{i}" for i in range(5)]
+    for i, u in enumerate(clique):
+        for v in clique[i + 1:]:
+            graph.add_edge(u, v, 0.9)
+    previous = clique[0]
+    for i in range(30):
+        graph.add_edge(previous, f"t{i}", 0.1)
+        previous = f"t{i}"
+    return graph
+
+
+def test_cold_query_maps_only_the_rows_it_reads() -> None:
+    graph = _clique_with_tail()
+    session = PreparedGraph(graph)
+    cliques = list(session.maximal_cliques(3, 0.3))
+    assert [set(c) for c in cliques] == [{f"c{i}" for i in range(5)}]
+    assert session.cache_stats.full_compiles == 1
+    (key,) = _compile_entries(session)
+    artifact = session._cache[key]
+    mapped = _mapped_rows(artifact)
+    assert artifact.nbr_labels is not None
+    assert 0 < len(mapped) < artifact.n
+    rf = artifact.row_offsets
+    for i in set(range(artifact.n)) - set(mapped):
+        assert all(x is None for x in artifact.nbr_ids[rf[i]:rf[i + 1]])
+    # Finishing the lowering reproduces the eagerly mapped ids.
+    artifact._finish_lowering()
+    index = artifact.index
+    assert artifact.nbr_ids == [
+        index[v] for u in artifact.nodes for v in graph.incident(u)
+    ]
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    graph=uncertain_graphs(),
+    k=st.integers(min_value=1, max_value=3),
+    tau=st.sampled_from((0.05, 0.2, 0.5)),
+    data=st.data(),
+)
+def test_readers_agree_on_fresh_and_lowered_artifacts(
+    graph: UncertainGraph, k: int, tau: float, data: st.DataObject
+) -> None:
+    nodes = list(graph.nodes())
+    members = [u for u in nodes if data.draw(st.booleans(), label=f"m{u}")]
+    fixed = {u for u in members if data.draw(st.booleans(), label=f"f{u}")}
+    frontier = [u for u in members if data.draw(st.booleans(), label=f"q{u}")]
+    lowered = compile_graph(graph)
+    lowered._finish_lowering()
+
+    def both(peel, **kwargs):
+        # A fresh artifact per call: the whole-graph peels lower it.
+        return (
+            peel(compile_graph(graph), k, tau, **kwargs),
+            peel(lowered, k, tau, **kwargs),
+        )
+
+    for peel in (survival_peel, distribution_peel, topk_peel):
+        for kwargs in (
+            {},
+            {"members": members},
+            {"members": members, "frontier": frontier},
+        ):
+            fresh, full = both(peel, **kwargs)
+            assert fresh == full
+    fresh, full = both(topk_peel, members=members, fixed=fixed)
+    assert fresh == full
+    fresh_artifact = compile_graph(graph)
+    for component in connected_components(graph):
+        members_list = list(graph.induced_subgraph(component).nodes())
+        assert_views_bit_identical(
+            derive_component_view(fresh_artifact, members_list),
+            derive_component_view(lowered, members_list),
+        )
+    assert fresh_artifact.nbr_labels is not None
+
+
+def _partly_mapped(graph: UncertainGraph) -> CompiledGraph:
+    artifact = compile_graph(graph)
+    survivors = topk_peel(artifact, 3, 0.3)
+    assert survivors == frozenset(f"c{i}" for i in range(5))
+    assert artifact.nbr_labels is not None
+    assert 0 < len(_mapped_rows(artifact)) < artifact.n
+    return artifact
+
+
+def test_pickle_roundtrip_of_partly_mapped_artifact() -> None:
+    graph = _clique_with_tail()
+    artifact = _partly_mapped(graph)
+    clone = pickle.loads(pickle.dumps(artifact))
+    # The clone keeps the laziness: the same rows are mapped.
+    assert clone.nbr_labels is not None
+    assert _mapped_rows(clone) == _mapped_rows(artifact)
+    assert_artifacts_equal(clone, compile_graph(graph))
+
+
+def test_apply_delta_on_partly_mapped_artifact() -> None:
+    graph = _clique_with_tail()
+    artifact = _partly_mapped(graph)
+    graph.set_probability("c0", "c1", 0.35)
+    graph.add_edge("t3", "c4", 0.8)
+    graph.add_edge("t29", "fresh", 0.6)
+    graph.remove_edge("t10", "t11")
+    graph.add_node("loner")
+    ops = graph.mutations_since(artifact.version)
+    assert ops is not None
+    assert artifact.apply_delta(ops)
+    assert_artifacts_equal(artifact, compile_graph(graph))
