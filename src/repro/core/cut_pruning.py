@@ -14,13 +14,17 @@ probability) and test the cut ``(S, rest)`` after every absorption.  When a
 low-probability cut appears, its edges are deleted and both sides are
 processed recursively.
 
-The whole optimization runs on dense int ids: the input's nodes are
-numbered once in iteration order, and a *piece* (a connected part still
-being split) is a sorted id list whose members share one mark in
-``owner``.  An edge is alive exactly when both ends carry the same mark —
-every deleted edge crosses two pieces — so deletion needs no bookkeeping
-and the input graph is never copied or mutated.  Every traversal runs in
-id order, which makes the cuts independent of ``PYTHONHASHSEED``.
+The whole optimization runs on dense int ids, gathered once from the
+whole-graph compile (:class:`~repro.core.prune_kernel.CompiledGraph`):
+:func:`induced_rows` turns a node subset — the pipeline passes one
+graph component's prune survivors as ascending compile ids — into local
+``(id, p)`` rows, and no subgraph is built.  A *piece* (a connected
+part still being split) is a sorted local-id list whose members share
+one mark in ``owner``.  An edge is alive exactly when both ends carry
+the same mark — every deleted edge crosses two pieces — so deletion
+needs no bookkeeping, the removed edges are counted from the marks, and
+the input graph is never copied or mutated.  Every traversal runs in id
+order, which makes the cuts independent of ``PYTHONHASHSEED``.
 """
 
 from __future__ import annotations
@@ -32,7 +36,8 @@ from heapq import heappop, heappush
 from itertools import count
 from typing import Iterator, Sequence
 
-from repro.uncertain.graph import Node, UncertainGraph
+from repro.core.prune_kernel import CompiledGraph, compile_graph
+from repro.uncertain.graph import UncertainGraph
 from repro.utils.validation import (
     prob_below,
     threshold_floor,
@@ -45,6 +50,9 @@ __all__ = [
     "is_low_probability_cut",
     "cut_optimize",
     "CutOptimizeResult",
+    "induced_rows",
+    "cut_rows",
+    "split_rows",
 ]
 
 #: Local adjacency: ``rows[i]`` lists ``(neighbour id, p)`` for node ``i``.
@@ -100,6 +108,58 @@ def cut_optimize(
     Lemma 5, so the union of the returned components contains every maximal
     (k, tau)-clique of ``graph``.
 
+    The pipeline's cut (:func:`cut_rows`) on the rows of
+    ``compile_graph(graph)``, each piece then built as an induced
+    subgraph.  Components come out in order of their first node in
+    ``graph``'s iteration order, each listing its nodes in that order.
+    """
+    validate_k(k)
+    tau = validate_tau(tau)
+    compiled = compile_graph(graph)
+    pieces, cuts_found, edges_removed, fringe_peeled = cut_rows(
+        induced_rows(compiled, range(compiled.n)), k, tau
+    )
+    nodes = compiled.nodes
+    components = [
+        graph.induced_subgraph([nodes[i] for i in piece]) for piece in pieces
+    ]
+    return CutOptimizeResult(
+        components, cuts_found, edges_removed, fringe_peeled
+    )
+
+
+def induced_rows(compiled: CompiledGraph, ids: Sequence[int]) -> Rows:
+    """Rows of the subgraph the compile ids ``ids`` induce: local id
+    ``i`` is ``ids[i]``; each row keeps its in-subset ``(local id, p)``
+    entries in insertion order."""
+    # A list over every compile id: indexing it beats a dict lookup.
+    local: list[int | None] = [None] * compiled.n
+    for i, g in enumerate(ids):
+        local[g] = i
+    rows: Rows = []
+    for g in ids:
+        nbrs, probs = compiled.row(g)
+        rows.append([
+            (li, p) for j, p in zip(nbrs, probs)
+            if (li := local[j]) is not None
+        ])
+    return rows
+
+
+def split_rows(rows: Rows) -> list[list[int]]:
+    """Connected parts of ``rows``, each sorted, in order of lowest id."""
+    n = len(rows)
+    return _split(rows, [0] * n, list(range(n)), count(1))
+
+
+def cut_rows(
+    rows: Rows, k: int, tau: float
+) -> tuple[list[list[int]], int, int, int]:
+    """The cut optimization over local ``(id, p)`` rows.
+
+    Returns ``(pieces, cuts_found, edges_removed, fringe_nodes_peeled)``;
+    the pieces are sorted id lists in order of their lowest id.
+
     Implementation note: the set of edges incident to one node is itself a
     cut, and testing it is exactly the (Top_k, tau)-core condition — the
     paper's Remark in Section III-C.  Each piece is therefore first
@@ -109,15 +169,9 @@ def cut_optimize(
     O(m log m) pass.  The peel's connected remnants are already stable,
     so they go straight to the sweep; the pieces a sweep cuts off are
     peeled again, since the deleted edges can leave new fringe nodes.
-
-    Components come out in order of their first node in ``graph``'s
-    iteration order, each listing its nodes in that order.
     """
-    validate_k(k)
-    tau = validate_tau(tau)
     tau_floor = threshold_floor(tau)
-    nodes, rows = _local_rows(graph)
-    n = len(nodes)
+    n = len(rows)
     owner = [0] * n
     marks = count(1)
     conn = [0.0] * n
@@ -182,26 +236,14 @@ def cut_optimize(
             )
 
     finished.sort()  # disjoint sorted lists: in order of lowest id
-    components = [
-        graph.induced_subgraph([nodes[i] for i in piece])
-        for piece in finished
-    ]
-    kept = sum(component.num_edges for component in components)
-    return CutOptimizeResult(
-        components, cuts_found, graph.num_edges - kept, fringe_peeled
-    )
-
-
-def _local_rows(graph: UncertainGraph) -> tuple[list[Node], Rows]:
-    """Number ``graph``'s nodes in iteration order and build the
-    ``(neighbour id, p)`` rows in one pass."""
-    nodes = graph.nodes()
-    index = {u: i for i, u in enumerate(nodes)}
-    rows = [
-        [(index[v], p) for v, p in graph.incident(u).items()]
-        for u in nodes
-    ]
-    return nodes, rows
+    # An edge is kept exactly when both ends finish on one live mark.
+    kept = 0
+    for i, row in enumerate(rows):
+        mark = owner[i]
+        if mark != _PEELED:
+            kept += [owner[j] for j, _ in row].count(mark)
+    removed = (sum(map(len, rows)) - kept) // 2
+    return finished, cuts_found, removed, fringe_peeled
 
 
 def _split(

@@ -60,7 +60,7 @@ pipeline.  The pre-search (Top_k, tau)-core itself has a compiled twin in
 from __future__ import annotations
 
 from array import array
-from typing import TYPE_CHECKING, Iterator
+from typing import TYPE_CHECKING, Iterator, Sequence
 
 from repro.core.prune_kernel import CompiledGraph, node_sort_key
 from repro.core.topk_core import topk_peel_masks
@@ -250,7 +250,7 @@ def compile_component(graph: UncertainGraph) -> CompiledComponent:
 
 
 def derive_component_view(
-    compiled: CompiledGraph, members: list[Node]
+    compiled: CompiledGraph, members: Sequence[Node]
 ) -> CompiledComponent:
     """Build a component's :class:`CompiledComponent` from the unified
     whole-graph artifact, without touching the :class:`UncertainGraph`.
@@ -266,17 +266,14 @@ def derive_component_view(
     * local ids renumber ``members`` by ascending ``sort_rank``, which
       restricted to any subset equals the component's own
       :func:`node_sort_key` sort;
-    * each CSR row is the member-filtered slice of the whole-graph
-      lazily-sorted ``desc_row`` — ordered by
-      ``(-probability, sort_rank)``, whose restriction to members *is*
-      the component order ``(-probability, local_id)`` (local ids are
-      monotone in rank), with the identical float objects;
+    * each member's row is filtered to members first, then only the
+      kept ``(-probability, local id)`` pairs are sorted — negation
+      flips only the sign bit, so the stored floats are the row's own;
     * every derived form (bitmask rows, dense rows, dicts) is rebuilt
       from that CSR by the same code the pickle path uses.
 
-    Runs in ``O(sum of member degrees)`` — no sorting, no string keys —
-    which is what collapses the pipeline's second compile stage into a
-    cheap projection of the first.
+    ``members`` are labels, so a list cached across a full re-lower
+    (which renumbers every id) stays valid.
 
     The view is a deep **snapshot**: its arrays are freshly built, never
     aliases of ``compiled``'s lists.  That independence is load-bearing:
@@ -294,12 +291,13 @@ def derive_component_view(
     nbr_probs = array("d")
     get = local.get
     for g in gids:
-        dids, dps = compiled.desc_row(g)
-        for j, gid in enumerate(dids):
-            li = get(gid)
-            if li is not None:
-                nbr_ids.append(li)
-                nbr_probs.append(dps[j])
+        ids, ps = compiled.row(g)
+        kept = sorted([
+            (-p, li) for j, p in zip(ids, ps)
+            if (li := get(j)) is not None
+        ])
+        nbr_ids.extend([li for _, li in kept])
+        nbr_probs.extend([-negp for negp, _ in kept])
         row_offsets.append(len(nbr_ids))
     view = CompiledComponent.__new__(CompiledComponent)
     view.__setstate__((nodes, row_offsets, nbr_ids, nbr_probs))

@@ -7,22 +7,28 @@ parameters to a deterministic artifact:
 * :func:`prune_stage` — core-based preprocessing (Lemmas 1 and 4); returns
   the surviving nodes **in graph iteration order**, so the artifact is
   reproducible no matter which cached seed the session layer supplied.
-* :func:`cut_stage` — cut optimization / component split (Lemma 5); returns
-  the component subgraphs plus the counters the stats objects report.
+* :func:`cut_stage` — cut optimization / component split (Lemma 5) on
+  one graph component's survivors, given as compile ids; returns the
+  search components as label tuples plus the counters the stats objects
+  report.  No subgraph is built: the survivor rows are gathered from
+  the compile.
 * :func:`compile_stage` — the **single whole-graph lowering**: one
   parameter-free :class:`~repro.core.prune_kernel.CompiledGraph` per graph
-  version serves the prune peels *and* the per-component search views, so
-  a cold query compiles the graph exactly once.
+  version serves the prune peels, the cut *and* the per-component search
+  views, so a cold query compiles the graph exactly once.
 * :func:`compile_enumeration_stage` — per-component search preparation:
   the picklable :class:`~repro.core.kernel.CompiledComponent` CSR bundles
-  the pivot engine searches.  When handed the :func:`compile_stage`
-  artifact, it *derives* the component views from the whole-graph arrays
-  (member-filtered rows, no recompilation); the from-scratch
-  :func:`~repro.core.kernel.compile_component` path remains as the
-  fallback and the parity oracle.  The maximum search compiles (and
-  colors) its components on demand inside :func:`maximum_search_stage`.
+  the pivot engine searches, *derived* from the :func:`compile_stage`
+  artifact's rows (member-filtered, no recompilation;
+  :func:`~repro.core.kernel.compile_component` remains the parity
+  oracle).  The maximum search derives (and colors) its components on
+  demand inside :func:`maximum_search_stage`.
 * :func:`enumeration_search_stage` / :func:`maximum_search_stage` — the
-  actual (sequential) search, consuming the compile artifacts.
+  actual (sequential) search, consuming the compile artifacts.  An
+  :class:`~repro.uncertain.graph.UncertainGraph` is built for a search
+  component only where a search reads one: the legacy engine, a
+  component above the kernel limit, and the greedy coloring of a
+  component the MaxUC+ search reaches.
 
 Stage artifacts carry **no counters and no wall clocks** — those belong to
 the per-run stats objects, which the search stages fill identically on
@@ -40,9 +46,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from time import perf_counter
-from typing import Iterator, Sequence
+from typing import Any, Iterator, Sequence
 
-from repro.core.cut_pruning import cut_optimize
+from repro.core.cut_pruning import cut_rows, induced_rows, split_rows
 from repro.core.enumeration import (
     EnumerationStats,
     _muc,
@@ -50,7 +56,6 @@ from repro.core.enumeration import (
 )
 from repro.core.kernel import (
     CompiledComponent,
-    compile_component,
     derive_component_view,
     enum_root_prep,
     enumerate_pivot_range,
@@ -60,7 +65,6 @@ from repro.core.kernel import (
 from repro.core.maximum import MaximumSearchStats, _search_component_legacy
 from repro.core.prune_kernel import CompiledGraph, compile_graph
 from repro.deterministic.coloring import greedy_coloring
-from repro.deterministic.components import component_subgraphs
 from repro.uncertain.graph import Node, UncertainGraph
 
 __all__ = [
@@ -151,47 +155,49 @@ def prune_stage(
 class CutArtifact:
     """Outcome of :func:`cut_stage`, ready for memoization.
 
-    ``components`` are independent induced subgraphs (never mutated by the
-    search stages, so they can be replayed across runs); the counter
-    fields carry everything the enumeration stats report about the
-    pre-search phases, so a warm run fills its stats object identically
-    to the cold run that built the artifact.
+    ``components`` are the search components as node-label tuples (in
+    graph iteration order, ordered by first node) — labels, not compile
+    ids, which a full re-lower renumbers.  The counter fields carry
+    everything the enumeration stats report about the pre-search
+    phases, so a warm run fills its stats object identically to the
+    cold run that built the artifact.
     """
 
-    components: tuple[UncertainGraph, ...]
+    components: tuple[tuple[Node, ...], ...]
     cuts_found: int
     edges_removed: int
     nodes_after_pruning: int
 
 
 def cut_stage(
-    pruned: UncertainGraph,
+    compiled: CompiledGraph,
+    survivors: Sequence[int],
     k: int,
     tau: float,
     cut: bool,
-    nodes_after_pruning: int,
 ) -> CutArtifact:
-    """Split the pruned graph into search components (Lemma 5).
+    """Split prune survivors, ascending ids of ``compiled``, into
+    search components (Lemma 5).
 
-    With ``cut=True`` runs the cut-based optimization; otherwise a plain
-    connected-component split.  ``nodes_after_pruning`` is carried through
-    from the prune stage so the artifact is self-contained.  One cut
-    implementation serves every engine, so the artifact is
-    engine-independent.
+    Their survivor-filtered rows are gathered once from the compile;
+    with ``cut=True`` the cut optimization runs on them, otherwise a
+    plain connected-component split.  One cut implementation serves
+    every engine, so the artifact is engine-independent.
     """
+    rows = induced_rows(compiled, survivors)
+    cuts_found = edges_removed = 0
     if cut:
-        result = cut_optimize(pruned, k, tau)
-        return CutArtifact(
-            components=tuple(result.components),
-            cuts_found=result.cuts_found,
-            edges_removed=result.edges_removed,
-            nodes_after_pruning=nodes_after_pruning,
-        )
+        pieces, cuts_found, edges_removed, _ = cut_rows(rows, k, tau)
+    else:
+        pieces = split_rows(rows)
+    nodes = compiled.nodes
     return CutArtifact(
-        components=tuple(component_subgraphs(pruned)),
-        cuts_found=0,
-        edges_removed=0,
-        nodes_after_pruning=nodes_after_pruning,
+        components=tuple(
+            tuple(nodes[survivors[i]] for i in piece) for piece in pieces
+        ),
+        cuts_found=cuts_found,
+        edges_removed=edges_removed,
+        nodes_after_pruning=len(survivors),
     )
 
 
@@ -199,24 +205,11 @@ def cut_stage(
 # Stage 3: compile
 # ----------------------------------------------------------------------
 
-def _component_view(
-    component: UncertainGraph,
-    artifact: CompiledGraph | None,
-) -> CompiledComponent:
-    """The search view of one component: derived from the whole-graph
-    artifact when available (member-filtered rows, no recompilation —
-    sound because pruning removes nodes only and every cut edge crosses
-    component boundaries), else compiled from the subgraph."""
-    if artifact is not None:
-        return derive_component_view(artifact, list(component.nodes()))
-    return compile_component(component)
-
-
 def compile_enumeration_stage(
-    components: Sequence[UncertainGraph],
+    components: Sequence[Sequence[Node]],
     min_size: int,
     component_limit: int,
-    artifact: CompiledGraph | None = None,
+    artifact: CompiledGraph,
 ) -> tuple[CompiledComponent | None, ...]:
     """Compile each component the kernel enumeration will search.
 
@@ -226,17 +219,16 @@ def compile_enumeration_stage(
     ``None`` — the search stage re-derives *why* a slot is ``None`` from
     the component size (too small: skipped; too large: legacy fallback).
 
-    ``artifact`` is the :func:`compile_stage` whole-graph lowering; when
-    supplied, the views are derived from its rows (bit-identical to the
-    from-scratch compile, see ``tests/core/test_compiled_graph``).
+    The views are derived from the rows of ``artifact``, the
+    :func:`compile_stage` lowering (bit-identical to the from-scratch
+    compile, see ``tests/core/test_compiled_graph``).
     """
-    compiled: list[CompiledComponent | None] = []
-    for component in components:
-        if min_size <= component.num_nodes <= component_limit:
-            compiled.append(_component_view(component, artifact))
-        else:
-            compiled.append(None)
-    return tuple(compiled)
+    return tuple(
+        derive_component_view(artifact, component)
+        if min_size <= len(component) <= component_limit
+        else None
+        for component in components
+    )
 
 
 # ----------------------------------------------------------------------
@@ -244,31 +236,41 @@ def compile_enumeration_stage(
 # ----------------------------------------------------------------------
 
 def enumeration_search_stage(
-    components: Sequence[UncertainGraph],
+    graph: UncertainGraph,
+    components: Sequence[Sequence[Node]],
     compiled: Sequence[CompiledComponent | None] | None,
     k: int,
     tau_floor: float,
     min_size: int,
     insearch: bool,
     insearch_min_candidates: int,
-    engine: str,
     stats: EnumerationStats,
 ) -> Iterator[frozenset[Node]]:
     """Run the per-component enumeration over the compile artifacts.
 
-    Components are searched in order.  ``"pivot"`` searches a component
-    with the compiled kernel exactly when ``compiled`` holds a view for
-    it (:func:`compile_enumeration_stage` leaves the oversized ones
-    ``None``) and emits its cliques in pivot branch order; the legacy
-    engine, and every oversized component, go through the tuple-list
-    recursion :func:`~repro.core.enumeration._muc`.  All counters accrue
-    to ``stats`` on every run (they are never part of a cached artifact).
+    Components are searched in order.  One with a view in ``compiled``
+    (:func:`compile_enumeration_stage`) is searched by the compiled
+    pivot kernel and emits its cliques in pivot branch order.  Every
+    other searched component — all of them for the legacy engine, which
+    passes ``compiled=None``, and the oversized ones for ``"pivot"`` —
+    goes through the tuple-list recursion
+    :func:`~repro.core.enumeration._muc` on its induced subgraph of
+    ``graph``.  Those subgraphs are built before anything is yielded: a
+    consumer that mutates ``graph`` between yields still gets the
+    answer for the version it asked at.  All counters accrue to
+    ``stats`` on every run (they are never part of a cached artifact).
     """
+    subgraphs = {
+        ordinal: graph.induced_subgraph(component)
+        for ordinal, component in enumerate(components)
+        if len(component) >= min_size
+        and (compiled is None or compiled[ordinal] is None)
+    }
     for ordinal, component in enumerate(components):
-        if component.num_nodes < min_size:
+        if len(component) < min_size:
             continue
         comp = compiled[ordinal] if compiled is not None else None
-        if engine == "pivot" and comp is not None:
+        if comp is not None:
             t_start = perf_counter()
             cands = enum_root_prep(
                 comp, k, tau_floor, min_size, insearch,
@@ -286,21 +288,21 @@ def enumeration_search_stage(
             stats.timings.add("search", perf_counter() - t_start)
             yield from out
         else:
-            # Legacy engine, or a component above the kernel limit: the
-            # tuple-list recursion, interleaved with the consumer.
-            candidates = [(v, 1.0) for v in _ordered(component.nodes())]
+            subgraph = subgraphs[ordinal]
+            candidates = [(v, 1.0) for v in _ordered(subgraph.nodes())]
             yield from _muc(
-                component, [], 1.0, candidates, [], k, tau_floor,
+                subgraph, [], 1.0, candidates, [], k, tau_floor,
                 min_size, insearch, stats,
             )
 
 
 def _compiled_maximum_entry(
-    memo: dict[int, tuple[CompiledComponent, list[int]]] | None,
+    memo: dict[int, tuple[CompiledComponent, list[int]]],
     ordinal: int,
-    component: UncertainGraph,
+    component: Sequence[Node],
+    graph: UncertainGraph,
     stats: MaximumSearchStats,
-    artifact: CompiledGraph | None = None,
+    artifact: CompiledGraph,
 ) -> tuple[CompiledComponent, list[int]]:
     """The (compiled component, color list) pair for one component,
     compiled on demand and memoized.
@@ -308,26 +310,25 @@ def _compiled_maximum_entry(
     Compilation stays **lazy with respect to the evolving incumbent** —
     exactly as the historical driver, which only compiled a component
     once the search actually reached it with ``n > best_size``.  An
-    eager compile-everything stage would pay compilation and coloring
-    for every component a growing incumbent later skips.  ``artifact``
-    routes the view derivation through the whole-graph compile.
+    eager compile-everything stage would pay view derivation and
+    coloring for every component a growing incumbent later skips.  Only
+    the coloring reads the component's induced subgraph.
     """
-    entry = memo.get(ordinal) if memo is not None else None
+    entry = memo.get(ordinal)
     if entry is None:
         t_start = perf_counter()
-        comp = _component_view(component, artifact)
-        coloring = greedy_coloring(component)
-        entry = (comp, [coloring[u] for u in comp.nodes])
+        comp = derive_component_view(artifact, component)
+        coloring = greedy_coloring(graph.induced_subgraph(component))
+        entry = memo[ordinal] = (comp, [coloring[u] for u in comp.nodes])
         stats.timings.add("compile", perf_counter() - t_start)
-        if memo is not None:
-            memo[ordinal] = entry
     return entry
 
 
 def maximum_search_stage(
-    components: Sequence[UncertainGraph],
-    compiled: dict[int, tuple[CompiledComponent, list[int]]] | None,
-    colors: dict[int, dict[Node, int]] | None,
+    graph: UncertainGraph,
+    artifact: CompiledGraph,
+    components: Sequence[Sequence[Node]],
+    memo: dict[int, Any],
     k: int,
     tau: float,
     tau_floor: float,
@@ -337,43 +338,44 @@ def maximum_search_stage(
     insearch: bool,
     engine: str,
     stats: MaximumSearchStats,
-    artifact: CompiledGraph | None = None,
 ) -> tuple[list[Node] | None, int]:
-    """Run the MaxUC+ component loop, compiling on demand into the memos.
+    """Run the MaxUC+ component loop, compiling on demand into the memo.
 
     Returns ``(best, best_size)``, visiting components in order under
     the evolving incumbent; each component is searched by
-    :func:`repro.core.kernel.maximum_compiled` for ``"pivot"`` and by the
-    extracted legacy closure for ``"legacy"`` (identical results and
-    counters; the pivot counters stay zero, because the
-    branch-and-bound's DFS-first output depends on branch order).
+    :func:`repro.core.kernel.maximum_compiled` on a view of
+    ``artifact``, the version's whole-graph lowering, for ``"pivot"``
+    and by the extracted legacy closure on its induced subgraph of
+    ``graph`` for ``"legacy"`` (identical results and counters; the
+    pivot counters stay zero, because the branch-and-bound's DFS-first
+    output depends on branch order).
 
-    ``compiled`` / ``colors`` are mutable memo dicts (ordinal -> compile
-    artifact), filled lazily as the incumbent chain reaches components —
-    the session layer caches the dict objects, so a warm run finds the
-    cold run's entries and the cold run never compiles a component the
-    incumbent skips.  The search path is deterministic, so which
-    ordinals get filled is too.  Pass ``None`` to disable memoization.
+    ``memo`` is a mutable dict (ordinal -> the view and color list for
+    ``"pivot"``, the coloring for ``"legacy"``), filled lazily as the
+    incumbent chain reaches components — the session layer caches the
+    dict objects per engine, so a warm run finds the cold run's entries
+    and the cold run never compiles a component the incumbent skips.
+    The search path is deterministic, so which ordinals get filled is
+    too.
     """
     best: list[Node] | None = None
     best_size = k
     for ordinal, component in enumerate(components):
-        if component.num_nodes <= best_size:
+        if len(component) <= best_size:
             continue
         if engine == "legacy":
-            coloring = colors.get(ordinal) if colors is not None else None
+            subgraph = graph.induced_subgraph(component)
+            coloring = memo.get(ordinal)
             if coloring is None:
-                coloring = greedy_coloring(component)
-                if colors is not None:
-                    colors[ordinal] = coloring
+                coloring = memo[ordinal] = greedy_coloring(subgraph)
             best, best_size = _search_component_legacy(
-                component, coloring, k, tau, tau_floor, min_size, best,
+                subgraph, coloring, k, tau, tau_floor, min_size, best,
                 best_size, use_advanced_one, use_advanced_two, insearch,
                 stats,
             )
             continue
         comp, color = _compiled_maximum_entry(
-            compiled, ordinal, component, stats, artifact
+            memo, ordinal, component, graph, stats, artifact
         )
         t_start = perf_counter()
         improved, best_size = maximum_compiled(

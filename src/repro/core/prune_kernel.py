@@ -9,14 +9,14 @@ here.  Originally the two sides compiled independently, so a cold query
 lowered every graph twice.  This module now owns the **unified**
 artifact: a stdlib-only, zero-dependency compiler that lowers an
 :class:`~repro.uncertain.graph.UncertainGraph` **once** into dense int
-ids plus flat CSR adjacency/probability layouts that serve both sides —
-the peels read the insertion-order rows directly, and the search kernel
+ids plus flat CSR adjacency/probability layouts that serve every
+stage — the peels read the insertion-order rows directly, the cut
+optimization gathers its survivor rows from them
+(:func:`repro.core.cut_pruning.induced_rows`), and the search kernel
 *derives* its per-component
 :class:`~repro.core.kernel.CompiledComponent` views (bitmask rows,
-descending-prob CSR) from the precomputed ``sort_rank`` array and the
-lazily-memoized per-row :meth:`CompiledGraph.desc_row` sorts — only
-rows that survive pruning ever pay the descending sort
-(:func:`repro.core.kernel.derive_component_view`).
+descending-prob CSR) from the member-filtered rows and the precomputed
+``sort_rank`` array (:func:`repro.core.kernel.derive_component_view`).
 
 The lowering itself is **lazy** per row.  :func:`compile_graph` copies
 the insertion-order neighbour *labels* and probabilities in ``O(m)``,
@@ -119,23 +119,13 @@ class CompiledGraph:
       :meth:`_finish_lowering` maps every row at once and drops
       ``nbr_labels``; the whole-graph readers (the survival and
       distribution peels, :meth:`core_ids`, :meth:`apply_delta`) call
-      it first, while :func:`topk_peel` and :meth:`desc_row` map only
-      the rows they touch;
-    * :meth:`desc_row` — the same row sorted by **descending
-      probability**, ties by the neighbor's ``sort_rank``, computed
-      **lazily on first use** and memoized per row.  Filtering a row to
-      a component's member set yields that component's search CSR
-      (descending probability, ties by local id) verbatim — the key
-      that lets :func:`repro.core.kernel.derive_component_view` build a
-      search view per component without sorting anything.  Laziness is
-      load-bearing: pruning discards most rows before any search looks
-      at them, so an eager whole-graph descending sort would pay the
-      (dominant) tuple-sort cost for nodes no query ever visits.
+      it first, while :func:`topk_peel` and :meth:`row` (the cut's
+      row gather and the view derivation) map only the rows they touch.
 
-    Ascending rows are not stored: the (Top_k, tau)-core peel sorts the
-    ``nbr_probs`` slices it reads on the spot and throws them away
-    (memoizing them per row costs more in allocation than the sorts it
-    saves).
+    No sorted row is stored: the (Top_k, tau)-core peel sorts the
+    ``nbr_probs`` slices it reads on the spot, and a search view sorts
+    only its member-filtered entries — a survivor's whole-graph row is
+    several times longer than its survivor-to-survivor part.
 
     ``sort_rank[i]`` is the position of node ``i`` in the library's
     deterministic :func:`node_sort_key` order over the whole graph.
@@ -175,7 +165,6 @@ class CompiledGraph:
         "nbr_probs",
         "sort_rank",
         "version",
-        "_desc_rows",
         "_core_ids",
     )
 
@@ -208,9 +197,6 @@ class CompiledGraph:
         for r, i in enumerate(order):
             rank[i] = r
         self.sort_rank = rank
-        self._desc_rows: list[tuple[list[int], list[float]] | None] = (
-            [None] * n
-        )
         self._core_ids: "array[int] | None" = None
 
     def _map_row(self, i: int) -> None:
@@ -231,36 +217,20 @@ class CompiledGraph:
             self.nbr_ids[:] = map(self.index.__getitem__, labels)
             self.nbr_labels = None
 
-    def desc_row(self, i: int) -> tuple[list[int], list[float]]:
-        """Row ``i`` as ``(neighbor ids, probabilities)`` sorted by
-        ``(-probability, sort_rank)`` — the search-CSR order — computed
-        on first use and memoized.
-
-        Negating a float flips only the sign bit, so ``-(-p)`` is ``p``
-        bit for bit, and the rank tie-break gives the exact
-        ``(-p, local_id)`` order of any member restriction.
-        """
-        row = self._desc_rows[i]
-        if row is None:
-            self._map_row(i)
-            rf = self.row_offsets
-            ids = self.nbr_ids
-            ps = self.nbr_probs
-            rank = self.sort_rank
-            entries = sorted(
-                (-ps[j], rank[ids[j]], ids[j])
-                for j in range(rf[i], rf[i + 1])
-            )
-            row = ([e[2] for e in entries], [-e[0] for e in entries])
-            self._desc_rows[i] = row
-        return row
+    def row(self, i: int) -> tuple[list[int], list[float]]:
+        """Row ``i`` as ``(neighbour ids, probabilities)`` in insertion
+        order, mapping its ids on first read; the lists are copies."""
+        self._map_row(i)
+        lo = self.row_offsets[i]
+        hi = self.row_offsets[i + 1]
+        return self.nbr_ids[lo:hi], self.nbr_probs[lo:hi]
 
     def __getstate__(self) -> tuple[
         tuple[Node, ...], list[int], list[Node] | None, list[int],
         list[float], int,
     ]:
         # Labels + insertion-order CSR (as far as it is lowered) +
-        # version only; every derived form (index, sort_rank, desc rows,
+        # version only; every derived form (index, sort_rank,
         # core numbers) is rebuilt in __setstate__.
         return (
             self.nodes, self.row_offsets, self.nbr_labels, self.nbr_ids,
@@ -358,8 +328,8 @@ class CompiledGraph:
         was applied — the patched artifact is then equivalent to
         :func:`compile_graph` on the mutated graph once both are fully
         lowered (same node order, same insertion-order ids and float
-        sequences; lazily memoized descending rows and core numbers are
-        invalidated only for touched rows) — or ``False`` without
+        sequences; memoized core numbers are dropped by structural
+        ops only) — or ``False`` without
         touching anything when the slice contains an op the patcher does
         not support (``remove_node``), in which case the caller must
         re-lower.
@@ -407,10 +377,6 @@ class CompiledGraph:
         self.index[node] = i
         self.n = i + 1
         self.row_offsets.append(self.row_offsets[-1])
-        self._desc_rows.append(None)
-        # Appending a node shifts later sort ranks monotonically:
-        # relative order of pre-existing nodes is preserved, so memoized
-        # descending rows (rank is only the tie-break) stay valid.
         nodes = self.nodes
         order = sorted(range(self.n), key=lambda j: node_sort_key(nodes[j]))
         rank = [0] * self.n
@@ -434,8 +400,6 @@ class CompiledGraph:
         iv = self.index[v]
         self.nbr_probs[self._row_pos(iu, iv)] = new_p
         self.nbr_probs[self._row_pos(iv, iu)] = new_p
-        self._desc_rows[iu] = None
-        self._desc_rows[iv] = None
         # Reweights leave the deterministic structure — and therefore the
         # memoized core numbers — untouched.
 
@@ -462,8 +426,6 @@ class CompiledGraph:
         iv = self.index[v]
         self._splice_in(iu, iv, p)
         self._splice_in(iv, iu, p)
-        self._desc_rows[iu] = None
-        self._desc_rows[iv] = None
         self._core_ids = None
 
     def _delete_edge(self, u: Node, v: Node) -> None:
@@ -471,8 +433,6 @@ class CompiledGraph:
         iv = self.index[v]
         self._splice_out(iu, iv)
         self._splice_out(iv, iu)
-        self._desc_rows[iu] = None
-        self._desc_rows[iv] = None
         self._core_ids = None
 
 

@@ -42,14 +42,17 @@ out of the LRU (or go at once via :meth:`purge_stale`).
 
 What makes replaying artifacts sound:
 
-* artifacts are **pure data** (survivor tuples, component subgraphs,
-  compiled CSR bundles, color tables) with no counters and no wall
-  clocks; all stats accrue in the search stage, which runs on every
-  call — so a warm call fills its stats object bit-identically to cold;
-* survivor tuples are **order-normalized** to the graph's iteration
-  order by the prune stage, and ``induced_subgraph`` preserves argument
-  order, so a cached prune artifact reproduces the cold run's component
-  order exactly, whichever seed restricted the peel;
+* artifacts are **pure data** (survivor sets, label tuples, compiled
+  CSR bundles, color tables) with no counters and no wall clocks; all
+  stats accrue in the search stage, which runs on every call — so a
+  warm call fills its stats object bit-identically to cold;
+* survivors reach the cut as **ascending compile ids**, which follow
+  the graph's iteration order, so a cached prune artifact reproduces
+  the cold run's component order exactly, whichever seed restricted
+  the peel;
+* cached artifacts hold node labels, never compile ids: a full
+  re-lower renumbers every id, while an untouched component's entries
+  stay live through it;
 * **core monotonicity** is exploited across entries: for ``k >= k'`` and
   ``tau >= tau'`` every (k, tau)-core is contained in the (k', tau')-core
   (the membership condition only tightens), and by Corollary 1 the
@@ -71,7 +74,7 @@ from __future__ import annotations
 from collections import OrderedDict
 from dataclasses import dataclass
 from time import perf_counter
-from typing import AbstractSet, Any, Iterable, Iterator
+from typing import AbstractSet, Any, Collection, Iterable, Iterator
 
 from repro.core import enumeration as _enumeration_mod
 from repro.core import pipeline
@@ -359,8 +362,10 @@ class PreparedGraph:
         k: int,
         tau: float,
         artifact: Any,
-    ) -> tuple[Node, ...]:
-        """The prune-stage survivors, cached per component.
+        parts: list[tuple[int, int, tuple[Node, ...]]],
+    ) -> dict[int, Collection[Node]]:
+        """The prune-stage survivors of each graph component, by
+        component id, cached per component.
 
         The peels factorize across connected components (no edge crosses
         one, and membership is a within-component condition), so the
@@ -371,20 +376,19 @@ class PreparedGraph:
         members, not a peel per component — and assembles the rest from
         cache hits.  Every search engine shares these entries: the peel
         is the compiled array peel over ``artifact``, the version's
-        unified compile (``None`` for ``pruning="none"``), which the
-        caller resolves so the compile lap lands outside the prune lap.
+        unified compile, and ``parts`` its :meth:`_graph_components`
+        walk, both resolved by the caller.
         """
         if pruning == "none":
-            return tuple(self._graph.nodes())
-        parts = self._graph_components()
-        alive: set[Node] = set()
+            return {cid: members for cid, _, members in parts}
+        alive: dict[int, Collection[Node]] = {}
         missing: list[tuple[int, int, tuple[Node, ...]]] = []
         for cid, epoch, members in parts:
             cached = self._lookup(("c", cid, epoch, "prune", pruning, k, tau))
             if cached is _MISSING:
                 missing.append((cid, epoch, members))
             else:
-                alive.update(cached)
+                alive[cid] = cached
         if missing:
             # Union peel over every dirty component at once, each
             # restricted by the smallest cached monotone superset for its
@@ -408,13 +412,12 @@ class PreparedGraph:
                 members=None if whole_graph else tuple(peel_members),
             )
             surv_set = frozenset(survivors)
-            alive.update(surv_set)
             for cid, epoch, members in missing:
+                alive[cid] = frozenset(u for u in members if u in surv_set)
                 self._store(
-                    ("c", cid, epoch, "prune", pruning, k, tau),
-                    frozenset(u for u in members if u in surv_set),
+                    ("c", cid, epoch, "prune", pruning, k, tau), alive[cid]
                 )
-        return tuple(u for u in self._graph if u in alive)
+        return alive
 
     def _monotone_seed(
         self,
@@ -467,7 +470,7 @@ class PreparedGraph:
         timings: Any,
     ) -> tuple[
         pipeline.CutArtifact,
-        list[tuple[int, int, tuple[UncertainGraph, ...]]],
+        list[tuple[int, int, tuple[tuple[Node, ...], ...]]],
     ]:
         """The cut-stage artifact plus its per-component parts.
 
@@ -483,48 +486,44 @@ class PreparedGraph:
         The per-part entries are shared between enumeration and maximum
         queries with the same ``(pruning, cut, k, tau)`` — the cut stage
         is identical for both.  Phase laps are recorded only when work
-        actually runs; resolving the unified compile *before* the prune
-        lap keeps the ``"compile"`` and ``"prune"`` phases disjoint.
+        actually runs; resolving the unified compile (which the cut
+        reads for every rule) *before* the prune lap keeps the
+        ``"compile"`` and ``"prune"`` phases disjoint.
         """
-        artifact = None
-        if pruning != "none":
-            artifact = self._compiled_artifact(version, timings)
+        artifact = self._compiled_artifact(version, timings)
+        graph_parts = self._graph_components()
         with timings.lap("prune"):
-            survivors = self._survivors(pruning, k, tau, artifact)
-        surv_set = frozenset(survivors)
-        components: list[UncertainGraph] = []
-        parts: list[tuple[int, int, tuple[UncertainGraph, ...]]] = []
+            survivors = self._survivors(
+                pruning, k, tau, artifact, graph_parts
+            )
+        index = artifact.index
+        components: list[tuple[Node, ...]] = []
+        parts: list[tuple[int, int, tuple[tuple[Node, ...], ...]]] = []
         cuts_found = 0
         edges_removed = 0
-        for cid, epoch, members in self._graph_components():
+        for cid, epoch, members in graph_parts:
             ckey = ("c", cid, epoch, "cut", pruning, cut, k, tau)
             entry = self._lookup(ckey)
             if entry is _MISSING:
-                comp_surv = tuple(u for u in members if u in surv_set)
-                if not comp_surv:
-                    entry = ((), 0, 0)
+                # Compile ids follow graph iteration order.
+                ids = sorted(index[u] for u in survivors[cid])
+                if not ids:
+                    entry = pipeline.CutArtifact((), 0, 0, 0)
                 else:
                     with timings.lap("cut"):
-                        part_art = pipeline.cut_stage(
-                            self._graph.induced_subgraph(comp_surv),
-                            k, tau, cut, len(comp_surv),
+                        entry = pipeline.cut_stage(
+                            artifact, ids, k, tau, cut
                         )
-                    entry = (
-                        part_art.components,
-                        part_art.cuts_found,
-                        part_art.edges_removed,
-                    )
                 self._store(ckey, entry)
-            comp_components, comp_cuts, comp_edges = entry
-            components.extend(comp_components)
-            cuts_found += comp_cuts
-            edges_removed += comp_edges
-            parts.append((cid, epoch, comp_components))
+            components.extend(entry.components)
+            cuts_found += entry.cuts_found
+            edges_removed += entry.edges_removed
+            parts.append((cid, epoch, entry.components))
         art = pipeline.CutArtifact(
             components=tuple(components),
             cuts_found=cuts_found,
             edges_removed=edges_removed,
-            nodes_after_pruning=len(survivors),
+            nodes_after_pruning=sum(map(len, survivors.values())),
         )
         return art, parts
 
@@ -641,8 +640,8 @@ class PreparedGraph:
             compiled = tuple(views)
 
         yield from pipeline.enumeration_search_stage(
-            art.components, compiled, k, tau_floor, min_size, insearch,
-            insearch_min_candidates, engine, stats,
+            self._graph, art.components, compiled, k, tau_floor, min_size,
+            insearch, insearch_min_candidates, stats,
         )
 
     # ------------------------------------------------------------------
@@ -711,19 +710,10 @@ class PreparedGraph:
             part_memos.append((offset, local))
             offset += len(comp_components)
 
-        compiled: dict[int, Any] | None = None
-        colors: dict[int, Any] | None = None
-        artifact: Any = None
-        if engine != "legacy":
-            artifact = self._compiled_artifact(version, stats.timings)
-            compiled = merged
-        else:
-            colors = merged
-
         best, best_size = pipeline.maximum_search_stage(
-            art.components, compiled, colors, k, tau, tau_floor, min_size,
+            self._graph, self._compiled_artifact(version, stats.timings),
+            art.components, merged, k, tau, tau_floor, min_size,
             use_advanced_one, use_advanced_two, insearch, engine, stats,
-            artifact=artifact,
         )
         for (off, local), (_, _, comp_components) in zip(part_memos, parts):
             for loc in range(len(comp_components)):

@@ -161,6 +161,37 @@ def test_cold_query_times_one_compile_and_warm_times_none() -> None:
     assert len(_compile_entries(session)) == 1
 
 
+def component_members(compiled: CompiledGraph) -> list[list[object]]:
+    """Each connected component's labels in id order, read from the
+    artifact's own (fully lowered) rows."""
+    compiled._finish_lowering()
+    rf = compiled.row_offsets
+    seen = bytearray(compiled.n)
+    members: list[list[object]] = []
+    for start in range(compiled.n):
+        if seen[start]:
+            continue
+        seen[start] = 1
+        part = [start]
+        for u in part:
+            for v in compiled.nbr_ids[rf[u]:rf[u + 1]]:
+                if not seen[v]:
+                    seen[v] = 1
+                    part.append(v)
+        members.append([compiled.nodes[i] for i in sorted(part)])
+    return members
+
+
+def assert_component_views_equal(a: CompiledGraph, b: CompiledGraph) -> None:
+    """The search view of every component of ``b`` is bit-identical when
+    derived from ``a``: together the views cover every row in full."""
+    for members in component_members(b):
+        assert_views_bit_identical(
+            derive_component_view(a, members),
+            derive_component_view(b, members),
+        )
+
+
 def assert_artifacts_equal(a: CompiledGraph, b: CompiledGraph) -> None:
     """Exact equality of two artifacts once both are fully lowered."""
     assert a.nodes == b.nodes
@@ -169,8 +200,7 @@ def assert_artifacts_equal(a: CompiledGraph, b: CompiledGraph) -> None:
     assert a.sort_rank == b.sort_rank
     assert list(a.row_offsets) == list(b.row_offsets)
     assert list(a.nbr_probs) == list(b.nbr_probs)
-    for i in range(b.n):
-        assert a.desc_row(i) == b.desc_row(i)
+    assert_component_views_equal(a, b)
     a._finish_lowering()
     b._finish_lowering()
     assert a.nbr_labels is None and b.nbr_labels is None

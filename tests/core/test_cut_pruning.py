@@ -72,7 +72,7 @@ class TestCutOptimize:
         assert two_groups.version == version
         assert two_groups.component_keys() == keys
 
-    def test_no_graph_mutation_and_no_compile(self, monkeypatch):
+    def test_no_graph_mutation_and_one_compile(self, monkeypatch):
         g = _three_blocks()
 
         def forbidden(*args, **kwargs):
@@ -83,13 +83,24 @@ class TestCutOptimize:
             "remove_edge", "remove_node", "remove_nodes",
         ):
             monkeypatch.setattr(UncertainGraph, name, forbidden)
-        # The package re-exports same-named functions, so the modules
-        # are looked up by their full names.
+        # The cut runs on the compile's rows: exactly one lowering, made
+        # through the cut module's own import.  The package re-exports
+        # same-named functions, so modules are looked up by full name.
+        cut_module = importlib.import_module("repro.core.cut_pruning")
+        lowerings = []
+        lower = cut_module.compile_graph
+
+        def counted(graph):
+            lowerings.append(graph)
+            return lower(graph)
+
+        monkeypatch.setattr(cut_module, "compile_graph", counted)
         for module in ("repro.core.prune_kernel", "repro.core.topk_core"):
             monkeypatch.setattr(
                 importlib.import_module(module), "compile_graph", forbidden
             )
         result = cut_optimize(g, 3, 0.5)
+        assert lowerings == [g]
         assert result.cuts_found > 0
         assert result.fringe_nodes_peeled > 0
 

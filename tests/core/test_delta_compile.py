@@ -4,7 +4,8 @@
 a mutation-log slice, the patched artifact must match
 :func:`compile_graph` on the mutated graph in node order, the
 insertion-order CSR (fully mapped ids *and* exact float sequences), the
-lazily re-derived descending rows, and the deterministic core numbers.
+search view derived for every component, and the deterministic core
+numbers.
 These tests pin that promise per op, over randomized op streams, and
 for the documented refusal case (``remove_node`` returns ``False``
 without touching anything).
@@ -16,11 +17,13 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro import UncertainGraph
+from repro.core.kernel import derive_component_view
 from repro.core.prune_kernel import (
     CompiledGraph,
     compile_graph,
     survival_peel,
 )
+from tests.core.test_compiled_graph import assert_component_views_equal
 
 relaxed = settings(
     max_examples=30,
@@ -40,8 +43,7 @@ def assert_bit_identical(patched: CompiledGraph, cold: CompiledGraph) -> None:
     patched._finish_lowering()
     cold._finish_lowering()
     assert patched.nbr_ids == cold.nbr_ids
-    for i in range(cold.n):
-        assert patched.desc_row(i) == cold.desc_row(i)
+    assert_component_views_equal(patched, cold)
     assert list(patched.core_ids()) == list(cold.core_ids())
 
 
@@ -118,13 +120,13 @@ class TestRefusal:
 
 
 class TestMemoInteraction:
-    def test_patch_after_desc_row_memoization(self):
-        # Touch every lazy row first: the patch must invalidate exactly
-        # the rows it rewrites and keep the rest valid.
+    def test_patch_after_view_derivation(self):
+        # Derive every component's view (mapping its rows) and the core
+        # numbers first: the patch must still match a cold re-lower.
         g = seed_graph()
         cpg = compile_graph(g)
-        for i in range(cpg.n):
-            cpg.desc_row(i)
+        for members in (["a", "b", "c", "d"], ["x", "y"]):
+            derive_component_view(cpg, members)
         list(cpg.core_ids())
         g.set_probability("a", "b", 0.1)
         g.add_edge("d", "y", 0.55)
@@ -173,7 +175,7 @@ def test_randomized_streams_patch_bit_identically(case):
     graph, ops, premapped = case
     cpg = compile_graph(graph)
     for i in premapped:
-        cpg.desc_row(i)
+        cpg.row(i)
     applied = 0
     for op, u, v, p in ops:
         if u == v:

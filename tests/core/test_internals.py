@@ -9,10 +9,11 @@ from bisect import bisect_left, insort
 from repro import UncertainGraph
 from repro.core.cut_pruning import (
     _cut_is_low,
-    _local_rows,
     _sweep_split,
+    induced_rows,
     is_low_probability_cut,
 )
+from repro.core.prune_kernel import compile_graph
 from repro.core.enumeration import _insearch_topk_prune, _pi_k_ok
 from repro.utils.validation import FLOAT_EPS, threshold_floor
 from tests.conftest import (
@@ -113,8 +114,10 @@ class TestInsearchPrune:
 def _sweep(g, k, tau, start=0):
     """One sweep over all of ``g`` from local id ``start``; segments as
     node lists."""
-    nodes, rows = _local_rows(g)
-    n = len(nodes)
+    compiled = compile_graph(g)
+    nodes = compiled.nodes
+    n = compiled.n
+    rows = induced_rows(compiled, range(n))
     segments = _sweep_split(
         rows, [0] * n, [0.0] * n, bytearray(n), list(range(n)), start,
         k, threshold_floor(tau),

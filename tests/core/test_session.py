@@ -15,6 +15,7 @@ from dataclasses import asdict
 import pytest
 
 from repro import PreparedGraph, UncertainGraph, max_uc_plus
+from repro.core import session as session_mod
 from repro.core.enumeration import EnumerationStats, maximal_cliques
 from repro.core.maintenance import KTauCoreMaintainer
 from repro.core.maximum import MaximumSearchStats
@@ -227,6 +228,124 @@ class TestBitIdentical:
         session = PreparedGraph(triangle)
         with pytest.raises(NodeNotFoundError):
             list(session.cliques_containing("zzz", 1, 0.5))
+
+
+def _cliques_with_bridges() -> UncertainGraph:
+    """Three 0.9-probability 5-cliques: the first two joined by a 0.05
+    bridge the cut severs, the third a graph component of its own."""
+    g = UncertainGraph()
+    for base in (0, 10, 20):
+        members = range(base, base + 5)
+        for u in members:
+            for v in members:
+                if u < v:
+                    g.add_edge(u, v, 0.9)
+    g.add_edge(4, 10, 0.05)
+    return g
+
+
+class TestSnapshotsAndRelowering:
+    """Search components are label tuples; the subgraphs a search reads
+    are snapshots of the version asked at, and cached cut entries stay
+    valid through a full re-lower of the compile."""
+
+    @pytest.mark.parametrize("oversized", [False, True])
+    def test_mutation_between_yields_keeps_the_asked_version(
+        self, monkeypatch, oversized
+    ):
+        from repro.core import enumeration as enumeration_mod
+
+        engine = "pivot"
+        if oversized:
+            # Every 5-node piece is above the limit: legacy fallback.
+            monkeypatch.setattr(enumeration_mod, "KERNEL_COMPONENT_LIMIT", 3)
+        else:
+            engine = "legacy"
+        expected = list(PreparedGraph(_cliques_with_bridges())
+                        .maximal_cliques(2, 0.3, engine=engine))
+        assert len(expected) == 3
+        g = _cliques_with_bridges()
+        cliques = PreparedGraph(g).maximal_cliques(2, 0.3, engine=engine)
+        first = next(cliques)
+        g.remove_node(22)  # in the last piece, not yet searched
+        assert [first, *cliques] == expected
+
+    def test_full_relower_keeps_warm_cut_entries_valid(self, monkeypatch):
+        from repro.core import pipeline
+
+        g = _cliques_with_bridges()
+        session = PreparedGraph(g)
+        list(session.maximal_cliques(2, 0.3))
+        session.max_uc_plus(2, 0.3)
+        b_key = g.component_key(20)
+        # Node removal renumbers every compile id after it: a full
+        # re-lower, while component B's epoch is untouched.
+        g.remove_node(1)
+        assert g.component_key(20) == b_key
+
+        lookups: list[tuple[tuple, bool]] = []
+        lookup = session._lookup
+
+        def recording(key):
+            value = lookup(key)
+            lookups.append((key, value is not _MISSING))
+            return value
+
+        cut_calls: list[object] = []
+        cut_stage = pipeline.cut_stage
+
+        def counting(*args):
+            cut_calls.append(args)
+            return cut_stage(*args)
+
+        _MISSING = session_mod._MISSING
+        monkeypatch.setattr(session, "_lookup", recording)
+        monkeypatch.setattr(pipeline, "cut_stage", counting)
+        enum = enum_payload(session, 2, 0.3)
+        best = max_payload(session, 2, 0.3)
+        assert session.cache_stats.full_compiles == 2
+        assert len(cut_calls) == 1  # component A only
+        b_cut = [
+            hit for key, hit in lookups
+            if key[:4] == ("c", *b_key, "cut")
+        ]
+        assert b_cut == [True, True]
+        assert enum == enum_payload(PreparedGraph(g.copy()), 2, 0.3)
+        assert best == max_payload(PreparedGraph(g.copy()), 2, 0.3)
+
+
+class TestGoldenCounters:
+    """The cut's counters and the search's on dblp_like, pinned: one cut
+    implementation is left, so these are what tie it to the old one."""
+
+    GOLDEN = {
+        (4, 0.05): dict(
+            nodes_after_pruning=562, components=3, cuts_found=2,
+            cut_edges_removed=62, search_calls=3718, insearch_prunes=9,
+            branch_size_prunes=1362, pivot_branches=5077,
+            pivot_skipped=11270, cliques=63,
+        ),
+        (4, 0.2): dict(
+            nodes_after_pruning=513, components=34, cuts_found=31,
+            cut_edges_removed=710, search_calls=2054, insearch_prunes=0,
+            branch_size_prunes=95, pivot_branches=2117,
+            pivot_skipped=6741, cliques=124,
+        ),
+        (8, 0.25): dict(
+            nodes_after_pruning=481, components=44, cuts_found=28,
+            cut_edges_removed=480, search_calls=2387, insearch_prunes=0,
+            branch_size_prunes=147, pivot_branches=2506,
+            pivot_skipped=6828, cliques=352,
+        ),
+    }
+
+    def test_dblp_like_enumeration_counters(self):
+        from repro.datasets import load_dataset
+
+        g = load_dataset("dblp_like", scale=1.0)
+        for (k, tau), golden in self.GOLDEN.items():
+            _, stats = enum_payload(PreparedGraph(g), k, tau)
+            assert stats == golden, (k, tau)
 
 
 class TestMonotoneSeeding:
