@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import itertools
 
+from repro.core.prune_kernel import node_sort_key
 from repro.errors import ParameterError
 from repro.uncertain.clique_prob import (
     clique_probability,
@@ -60,14 +61,17 @@ def brute_force_maximal_cliques(
 def brute_force_maximum_clique(
     graph: UncertainGraph, k: int, tau: float
 ) -> frozenset[Node] | None:
-    """One maximum (k, tau)-clique, or ``None`` when none exists.
+    """The canonical maximum (k, tau)-clique, or ``None`` when none exists.
 
-    Scans subset sizes from large to small so the first hit is a maximum;
-    ties are broken by the deterministic combination order.
+    Scans subset sizes from large to small so the first hit is a maximum.
+    The nodes are sorted by :func:`~repro.core.prune_kernel.node_sort_key`,
+    so combinations come in lexicographic order and the first hit is the
+    maximum clique whose sorted members form the lexicographically
+    smallest sequence — the tie-break MaxUC+ applies.
     """
     validate_k(k)
     tau = validate_tau(tau)
-    nodes = graph.nodes()
+    nodes = sorted(graph.nodes(), key=node_sort_key)
     if len(nodes) > _MAX_NODES:
         raise ParameterError(
             f"brute force is limited to {_MAX_NODES} nodes, "

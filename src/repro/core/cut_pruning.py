@@ -53,6 +53,7 @@ __all__ = [
     "induced_rows",
     "cut_rows",
     "split_rows",
+    "greedy_clique_size",
 ]
 
 #: Local adjacency: ``rows[i]`` lists ``(neighbour id, p)`` for node ``i``.
@@ -60,6 +61,15 @@ Rows = list[list[tuple[int, float]]]
 
 #: ``owner`` mark of a fringe-peeled node: no live piece carries it.
 _PEELED = -1
+
+#: How many of the highest-degree nodes :func:`greedy_clique_size`
+#: grows a clique from.
+_GREEDY_SEEDS = 32
+
+#: Relative margin a greedy clique keeps above the floor, so it clears
+#: the floor in whatever order a later stage multiplies its edges (a
+#: reassociated product of a few hundred factors moves by < 1e-13).
+_BOUND_SAFETY = 1.0 + 1e-9
 
 
 def cut_probability(cut_probs: Sequence[float], k: int) -> float:
@@ -246,6 +256,49 @@ def cut_rows(
     return finished, cuts_found, removed, fringe_peeled
 
 
+def greedy_clique_size(rows: Rows, tau: float) -> int:
+    """The size of a tau-clique of ``rows`` found greedily: a lower
+    bound on the maximum tau-clique's size (0 for no rows).
+
+    A clique grows from each of the :data:`_GREEDY_SEEDS` nodes with the
+    longest rows (ties to the lowest id) by the candidate whose edges to
+    the clique have the largest product (ties to the lowest id), while
+    the clique's probability times that product clears
+    ``threshold_floor(tau)`` with the :data:`_BOUND_SAFETY` margin.  A
+    row becomes a dict only when the greedy adds its node.
+    """
+    floor = threshold_floor(tau) * _BOUND_SAFETY
+    seeds = sorted(range(len(rows)), key=lambda i: (-len(rows[i]), i))
+    row_dicts: dict[int, dict[int, float]] = {}
+    best = 0
+    for seed in seeds[:_GREEDY_SEEDS]:
+        if len(rows[seed]) < best:
+            break  # no later seed can grow past ``best`` either
+        # cand[w]: the product of w's edges to the clique.
+        cand = {
+            # Hot path: floor = threshold_floor(tau) with a margin.
+            w: p for w, p in rows[seed] if p >= floor  # repro-lint: ignore[RPL001]
+        }
+        prob = 1.0
+        size = 1
+        while cand and size + len(cand) > best:
+            top = max(cand.values())
+            u = min(w for w, c in cand.items() if c == top)
+            prob *= top
+            size += 1
+            row = row_dicts.get(u)
+            if row is None:
+                row = row_dicts[u] = dict(rows[u])
+            cand = {
+                w: cp for w, c in cand.items()
+                if (p := row.get(w)) is not None
+                # Hot path: floor = threshold_floor(tau) with a margin.
+                and prob * (cp := c * p) >= floor  # repro-lint: ignore[RPL001]
+            }
+        best = max(best, size)
+    return best
+
+
 def _split(
     rows: Rows, owner: list[int], members: list[int], marks: Iterator[int]
 ) -> list[list[int]]:
@@ -303,7 +356,11 @@ def _fringe_peel(
     vals: dict[int, list[float]] = {}
     stack: list[int] = []
     for i in piece:
-        row = sorted(p for j, p in rows[i] if owner[j] == mark)
+        row = [p for j, p in rows[i] if owner[j] == mark]
+        if len(row) < k:
+            stack.append(i)  # peeled at once: its list is never read
+            continue
+        row.sort()
         vals[i] = row
         if below(row):
             stack.append(i)

@@ -17,7 +17,8 @@ has none); they differ in their pruning machinery:
   cheapest-first (basic, then advanced I, then advanced II).
 
 Size semantics follow Definition 2: a valid answer has more than ``k``
-nodes, so searches start from an incumbent size of ``k``.
+nodes, so searches start from an incumbent size of ``k`` — except
+MaxUC+, which starts from a greedy lower bound (see :func:`max_uc_plus`).
 """
 
 from __future__ import annotations
@@ -59,6 +60,12 @@ class MaximumSearchStats:
     ``__post_init__``) holding per-phase wall-clock seconds; keeping it
     out of the fields keeps ``asdict``/``==`` over the deterministic
     counters only (the parity suite and the bench check compare those).
+
+    ``lower_bound`` (MaxUC+ only) is the greedy clique size
+    ``max_c s_c`` that seeded the incumbent at ``lower_bound - 1``, or 0
+    when every graph component's greedy clique had at most ``k + 1``
+    nodes and the search started from ``k``.  It is cached with the cut,
+    so a warm run reports the cold run's value.
     """
 
     search_calls: int = 0
@@ -70,6 +77,7 @@ class MaximumSearchStats:
     pivot_branches: int = 0
     pivot_skipped: int = 0
     best_size: int = 0
+    lower_bound: int = 0
 
     def __post_init__(self) -> None:
         self.timings: Stopwatch = Stopwatch()
@@ -257,6 +265,16 @@ def max_uc_plus(
     cliques and stats.  The branch-and-bound's DFS-first output depends
     on branch order, so the compiled search does not pivot and the pivot
     counters stay zero.
+
+    Incumbent first: per graph component a greedy tau-clique of ``s_c``
+    nodes is grown over the (Top_k, tau)-core, and when ``s_c > k + 1``
+    the cut runs at ``s_c - 1`` instead of ``k`` (Lemmas 4 and 5 keep
+    every clique of ``s_c`` or more nodes); the branch-and-bound starts
+    from incumbent ``max_c s_c - 1`` (``stats.lower_bound``).  Of several
+    maximum cliques the answer is the canonical one: its members, sorted
+    by :func:`~repro.core.kernel.node_sort_key`, form the
+    lexicographically smallest sequence — the one
+    :func:`~repro.core.bruteforce.brute_force_maximum_clique` returns.
 
     One-shot convenience wrapper around the staged pipeline: repeated
     queries against the same graph should hold a

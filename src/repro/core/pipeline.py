@@ -11,7 +11,8 @@ parameters to a deterministic artifact:
   one graph component's survivors, given as compile ids; returns the
   search components as label tuples plus the counters the stats objects
   report.  No subgraph is built: the survivor rows are gathered from
-  the compile.
+  the compile.  For MaxUC+ it also grows a greedy lower bound on those
+  rows and raises the cut to it.
 * :func:`compile_stage` — the **single whole-graph lowering**: one
   parameter-free :class:`~repro.core.prune_kernel.CompiledGraph` per graph
   version serves the prune peels, the cut *and* the per-component search
@@ -48,7 +49,12 @@ from dataclasses import dataclass
 from time import perf_counter
 from typing import Any, Iterator, Sequence
 
-from repro.core.cut_pruning import cut_rows, induced_rows, split_rows
+from repro.core.cut_pruning import (
+    cut_rows,
+    greedy_clique_size,
+    induced_rows,
+    split_rows,
+)
 from repro.core.enumeration import (
     EnumerationStats,
     _muc,
@@ -155,18 +161,25 @@ def prune_stage(
 class CutArtifact:
     """Outcome of :func:`cut_stage`, ready for memoization.
 
-    ``components`` are the search components as node-label tuples (in
-    graph iteration order, ordered by first node) — labels, not compile
+    ``components`` are the search components as node-label tuples, each
+    listing its nodes in graph iteration order — labels, not compile
     ids, which a full re-lower renumbers.  The counter fields carry
     everything the enumeration stats report about the pre-search
     phases, so a warm run fills its stats object identically to the
     cold run that built the artifact.
+
+    A maximum-search artifact also carries ``heads``, each component's
+    first node in :func:`~repro.core.prune_kernel.node_sort_key` order,
+    with the components ordered by it, and ``lower_bound``, the greedy
+    clique size its raised cut was taken at (0 when it cut at ``k``).
     """
 
     components: tuple[tuple[Node, ...], ...]
     cuts_found: int
     edges_removed: int
     nodes_after_pruning: int
+    heads: tuple[Node, ...] = ()
+    lower_bound: int = 0
 
 
 def cut_stage(
@@ -175,6 +188,7 @@ def cut_stage(
     k: int,
     tau: float,
     cut: bool,
+    maximum: bool = False,
 ) -> CutArtifact:
     """Split prune survivors, ascending ids of ``compiled``, into
     search components (Lemma 5).
@@ -182,14 +196,43 @@ def cut_stage(
     Their survivor-filtered rows are gathered once from the compile;
     with ``cut=True`` the cut optimization runs on them, otherwise a
     plain connected-component split.  One cut implementation serves
-    every engine, so the artifact is engine-independent.
+    every engine, so the artifact is engine-independent.  Components
+    come out in order of their first node in graph iteration order.
+
+    ``maximum=True`` prepares a MaxUC+ search instead.  A greedy
+    tau-clique of ``s`` nodes is grown over the same rows
+    (:func:`~repro.core.cut_pruning.greedy_clique_size`).  When
+    ``s > k + 1`` the cut runs at ``k' = s - 1``: its fringe peel is the
+    (Top_k', tau)-core, which keeps every clique of ``s`` or more nodes
+    (Lemma 4), Lemma 5 holds for any ``k'``, and the components of fewer
+    than ``s`` nodes are dropped; ``s`` becomes the artifact's
+    ``lower_bound``.  Otherwise the cut runs at ``k`` as for
+    enumeration.  Either way the components are ordered by their first
+    node in :func:`~repro.core.prune_kernel.node_sort_key` order, which
+    the artifact's ``heads`` record.
     """
     rows = induced_rows(compiled, survivors)
-    cuts_found = edges_removed = 0
+    cuts_found = edges_removed = lower_bound = 0
+    if maximum and (bound := greedy_clique_size(rows, tau)) > k + 1:
+        lower_bound = bound
+        k = bound - 1
     if cut:
         pieces, cuts_found, edges_removed, _ = cut_rows(rows, k, tau)
     else:
         pieces = split_rows(rows)
+    heads: tuple[int, ...] = ()
+    if maximum:
+        rank = [compiled.sort_rank[g] for g in survivors]
+        by_head = sorted(
+            (
+                (min(piece, key=rank.__getitem__), piece)
+                for piece in pieces
+                if len(piece) >= lower_bound
+            ),
+            key=lambda entry: rank[entry[0]],
+        )
+        heads = tuple(head for head, _ in by_head)
+        pieces = [piece for _, piece in by_head]
     nodes = compiled.nodes
     return CutArtifact(
         components=tuple(
@@ -198,6 +241,8 @@ def cut_stage(
         cuts_found=cuts_found,
         edges_removed=edges_removed,
         nodes_after_pruning=len(survivors),
+        heads=tuple(nodes[survivors[i]] for i in heads),
+        lower_bound=lower_bound,
     )
 
 
@@ -327,7 +372,7 @@ def _compiled_maximum_entry(
 def maximum_search_stage(
     graph: UncertainGraph,
     artifact: CompiledGraph,
-    components: Sequence[Sequence[Node]],
+    cut: CutArtifact,
     memo: dict[int, Any],
     k: int,
     tau: float,
@@ -341,14 +386,27 @@ def maximum_search_stage(
 ) -> tuple[list[Node] | None, int]:
     """Run the MaxUC+ component loop, compiling on demand into the memo.
 
-    Returns ``(best, best_size)``, visiting components in order under
-    the evolving incumbent; each component is searched by
+    Returns ``(best, best_size)``: the canonical maximum clique — of the
+    maximum cliques, the one whose members, sorted by
+    :func:`~repro.core.prune_kernel.node_sort_key`, form the
+    lexicographically smallest sequence — and its size.  The incumbent
+    starts at ``cut.lower_bound - 1`` (a clique of ``lower_bound`` nodes
+    exists, so the search finds one) or at ``k``.  Each component of
+    the maximum :func:`cut_stage` artifact ``cut`` is searched by
     :func:`repro.core.kernel.maximum_compiled` on a view of
     ``artifact``, the version's whole-graph lowering, for ``"pivot"``
     and by the extracted legacy closure on its induced subgraph of
     ``graph`` for ``"legacy"`` (identical results and counters; the
     pivot counters stay zero, because the branch-and-bound's DFS-first
     output depends on branch order).
+
+    The canonical answer does not depend on the component order.  Both
+    searches walk a component's cliques in ``node_sort_key`` DFS order,
+    so the first clique above the floor of the component's maximum size
+    is its lexicographic minimum.  A component whose head (first node in
+    that order) precedes the incumbent's is searched with the floor one
+    below the incumbent's size, so it also reports a tie, which replaces
+    the incumbent; any other component can only win by a larger clique.
 
     ``memo`` is a mutable dict (ordinal -> the view and color list for
     ``"pivot"``, the coloring for ``"legacy"``), filled lazily as the
@@ -359,30 +417,39 @@ def maximum_search_stage(
     too.
     """
     best: list[Node] | None = None
-    best_size = k
-    for ordinal, component in enumerate(components):
-        if len(component) <= best_size:
+    best_ranks: list[int] = []
+    best_size = max(k, cut.lower_bound - 1)
+    rank = artifact.sort_rank
+    index = artifact.index
+    for ordinal, component in enumerate(cut.components):
+        floor = best_size
+        if best_ranks and rank[index[cut.heads[ordinal]]] < best_ranks[0]:
+            floor -= 1  # a tie found here would precede the incumbent
+        if len(component) <= floor:
             continue
         if engine == "legacy":
             subgraph = graph.induced_subgraph(component)
             coloring = memo.get(ordinal)
             if coloring is None:
                 coloring = memo[ordinal] = greedy_coloring(subgraph)
-            best, best_size = _search_component_legacy(
-                subgraph, coloring, k, tau, tau_floor, min_size, best,
-                best_size, use_advanced_one, use_advanced_two, insearch,
+            found, size = _search_component_legacy(
+                subgraph, coloring, k, tau, tau_floor, min_size, None,
+                floor, use_advanced_one, use_advanced_two, insearch,
                 stats,
             )
+        else:
+            comp, color = _compiled_maximum_entry(
+                memo, ordinal, component, graph, stats, artifact
+            )
+            t_start = perf_counter()
+            found, size = maximum_compiled(
+                comp, color, k, tau_floor, min_size, floor,
+                use_advanced_one, use_advanced_two, insearch, stats,
+            )
+            stats.timings.add("search", perf_counter() - t_start)
+        if found is None:
             continue
-        comp, color = _compiled_maximum_entry(
-            memo, ordinal, component, graph, stats, artifact
-        )
-        t_start = perf_counter()
-        improved, best_size = maximum_compiled(
-            comp, color, k, tau_floor, min_size, best_size,
-            use_advanced_one, use_advanced_two, insearch, stats,
-        )
-        stats.timings.add("search", perf_counter() - t_start)
-        if improved is not None:
-            best = improved
+        ranks = sorted(rank[index[u]] for u in found)
+        if size > best_size or ranks < best_ranks:
+            best, best_size, best_ranks = found, size, ranks
     return best, best_size

@@ -98,6 +98,9 @@ __all__ = ["PreparedGraph", "SessionCacheStats"]
 #: anchored query caches ``None`` so the repeat stays O(pre-checks)).
 _MISSING: Any = object()
 
+#: ``(component id, epoch, members)`` per graph component.
+_Parts = tuple[tuple[int, int, tuple[Node, ...]], ...]
+
 #: Default LRU bound: stage artifacts can hold component subgraphs and
 #: compiled CSR bundles, so the cache is bounded by entry *count* and
 #: sized for a handful of (k, tau) working sets, not unbounded history.
@@ -170,6 +173,8 @@ class PreparedGraph:
         self._cache: OrderedDict[tuple[Any, ...], Any] = OrderedDict()
         self._max_entries = max_entries
         self.cache_stats = SessionCacheStats()
+        # (graph version, its _graph_components() walk)
+        self._components: tuple[int, _Parts] | None = None
 
     # ------------------------------------------------------------------
     # Introspection
@@ -274,16 +279,21 @@ class PreparedGraph:
     # Stage resolution
     # ------------------------------------------------------------------
 
-    def _graph_components(self) -> list[tuple[int, int, tuple[Node, ...]]]:
+    def _graph_components(self) -> _Parts:
         """``(component id, epoch, members)`` per component, canonical order.
 
         Members are in graph iteration order, and components are ordered
         by their first node's insertion position — the one canonical
         order every per-component assembly below concatenates in, so a
         warm assembly reproduces a cold run's component order exactly.
-        O(n) against the graph's incremental component map.
+        O(n) against the graph's incremental component map, walked once
+        per graph version: every query and :meth:`store_core` at that
+        version share the walk.
         """
         graph = self._graph
+        memo = self._components
+        if memo is not None and memo[0] == graph.version:
+            return memo[1]
         buckets: dict[int, list[Node]] = {}
         order: list[int] = []
         for u in graph:
@@ -293,11 +303,13 @@ class PreparedGraph:
                 buckets[cid] = bucket = []
                 order.append(cid)
             bucket.append(u)
-        return [
+        parts = tuple(
             (cid, graph.component_key(buckets[cid][0])[1],
              tuple(buckets[cid]))
             for cid in order
-        ]
+        )
+        self._components = (graph.version, parts)
+        return parts
 
     def _compiled_artifact(self, version: int, timings: Any = None) -> Any:
         """The unified whole-graph flat-CSR compile, cached per version.
@@ -362,7 +374,7 @@ class PreparedGraph:
         k: int,
         tau: float,
         artifact: Any,
-        parts: list[tuple[int, int, tuple[Node, ...]]],
+        parts: _Parts,
     ) -> dict[int, Collection[Node]]:
         """The prune-stage survivors of each graph component, by
         component id, cached per component.
@@ -468,6 +480,7 @@ class PreparedGraph:
         k: int,
         tau: float,
         timings: Any,
+        maximum: bool = False,
     ) -> tuple[
         pipeline.CutArtifact,
         list[tuple[int, int, tuple[tuple[Node, ...], ...]]],
@@ -483,12 +496,18 @@ class PreparedGraph:
         lets callers key *their* per-component artifacts (search views,
         maximum memos) and slice the global component tuple per part.
 
-        The per-part entries are shared between enumeration and maximum
-        queries with the same ``(pruning, cut, k, tau)`` — the cut stage
-        is identical for both.  Phase laps are recorded only when work
-        actually runs; resolving the unified compile (which the cut
-        reads for every rule) *before* the prune lap keeps the
-        ``"compile"`` and ``"prune"`` phases disjoint.
+        ``maximum=True`` resolves the MaxUC+ artifact instead (the
+        ``topk`` rule with the cut; :func:`pipeline.cut_stage` with
+        ``maximum=True``), cached per component under ``("c", cid,
+        epoch, "maxcut", k, tau)`` — each component keeps its own raised
+        cut, so a mutation re-cuts only its own component.  The prune
+        entries are shared with enumeration either way.  The assembled
+        artifact's ``lower_bound`` is the largest component's.
+
+        Phase laps are recorded only when work actually runs; resolving
+        the unified compile (which the cut reads for every rule)
+        *before* the prune lap keeps the ``"compile"`` and ``"prune"``
+        phases disjoint.
         """
         artifact = self._compiled_artifact(version, timings)
         graph_parts = self._graph_components()
@@ -498,11 +517,16 @@ class PreparedGraph:
             )
         index = artifact.index
         components: list[tuple[Node, ...]] = []
+        heads: list[Node] = []
+        lower_bound = 0
         parts: list[tuple[int, int, tuple[tuple[Node, ...], ...]]] = []
         cuts_found = 0
         edges_removed = 0
         for cid, epoch, members in graph_parts:
-            ckey = ("c", cid, epoch, "cut", pruning, cut, k, tau)
+            ckey = (
+                ("c", cid, epoch, "maxcut", k, tau) if maximum
+                else ("c", cid, epoch, "cut", pruning, cut, k, tau)
+            )
             entry = self._lookup(ckey)
             if entry is _MISSING:
                 # Compile ids follow graph iteration order.
@@ -512,10 +536,12 @@ class PreparedGraph:
                 else:
                     with timings.lap("cut"):
                         entry = pipeline.cut_stage(
-                            artifact, ids, k, tau, cut
+                            artifact, ids, k, tau, cut, maximum
                         )
                 self._store(ckey, entry)
             components.extend(entry.components)
+            heads.extend(entry.heads)
+            lower_bound = max(lower_bound, entry.lower_bound)
             cuts_found += entry.cuts_found
             edges_removed += entry.edges_removed
             parts.append((cid, epoch, entry.components))
@@ -524,6 +550,8 @@ class PreparedGraph:
             cuts_found=cuts_found,
             edges_removed=edges_removed,
             nodes_after_pruning=sum(map(len, survivors.values())),
+            heads=tuple(heads),
+            lower_bound=lower_bound,
         )
         return art, parts
 
@@ -660,11 +688,18 @@ class PreparedGraph:
     ) -> frozenset[Node] | None:
         """Maximum (k, tau)-clique via MaxUC+ (session-cached).
 
-        Drop-in equivalent of :func:`repro.core.maximum.max_uc_plus`.
-        The cut artifact is shared with enumeration queries at the same
-        ``(k, tau)`` (both use the ``topk`` rule with the cut
-        optimization); the compile artifact is maximum-specific because
-        it bundles the color arrays the branch-and-bound bounds need.
+        Drop-in equivalent of :func:`repro.core.maximum.max_uc_plus`,
+        with the same canonical answer.  The prune artifact is shared
+        with enumeration queries at the same ``(k, tau)`` (both use the
+        ``topk`` rule).  The cut is the query's own, cached per graph
+        component under ``("c", cid, epoch, "maxcut", k, tau)`` together
+        with the component's greedy lower bound: :func:`pipeline.
+        cut_stage` grows a greedy clique of ``s`` nodes over the
+        survivors and, when ``s > k + 1``, cuts at ``s - 1`` instead of
+        ``k``, and the search starts from incumbent ``max s - 1``
+        (reported as ``stats.lower_bound``).  The compile artifact is
+        maximum-specific too, because it bundles the color arrays the
+        branch-and-bound bounds need.
 
         Unlike enumeration (which visits every component), the maximum
         search skips components the evolving incumbent already dominates,
@@ -685,8 +720,9 @@ class PreparedGraph:
         version = self._graph.version
 
         art, parts = self._cut_artifact(
-            version, "topk", True, k, tau, stats.timings
+            version, "topk", True, k, tau, stats.timings, maximum=True
         )
+        stats.lower_bound = art.lower_bound
 
         # The on-demand memo dicts the search stage fills are cached per
         # graph component, keyed by *local* search-component ordinal.
@@ -712,7 +748,7 @@ class PreparedGraph:
 
         best, best_size = pipeline.maximum_search_stage(
             self._graph, self._compiled_artifact(version, stats.timings),
-            art.components, merged, k, tau, tau_floor, min_size,
+            art, merged, k, tau, tau_floor, min_size,
             use_advanced_one, use_advanced_two, insearch, engine, stats,
         )
         for (off, local), (_, _, comp_components) in zip(part_memos, parts):

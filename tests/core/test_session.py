@@ -42,6 +42,25 @@ def max_payload(source, k, tau, **kwargs):
     return best, dict(asdict(stats))
 
 
+def _stage(key):
+    """The stage name of a version- or component-scoped cache key."""
+    return key[3] if key[0] == "c" else key[1]
+
+
+def _record_lookups(session, monkeypatch):
+    """Record ``(key, hit)`` for every cache lookup ``session`` makes."""
+    lookups: list[tuple[tuple, bool]] = []
+    lookup = session._lookup
+
+    def recording(key):
+        value = lookup(key)
+        lookups.append((key, value is not session_mod._MISSING))
+        return value
+
+    monkeypatch.setattr(session, "_lookup", recording)
+    return lookups
+
+
 class TestAccounting:
     def test_cold_then_warm(self):
         g = make_random_graph(16, 0.5, seed=1)
@@ -61,17 +80,23 @@ class TestAccounting:
         assert after_warm["hits"] > 0
         assert session.cache_stats.hit_rate > 0.0
 
-    def test_maximum_shares_cut_artifact_with_enumeration(self):
+    def test_maximum_shares_cut_artifact_with_enumeration(self, monkeypatch):
         g = make_random_graph(16, 0.5, seed=2)
         session = PreparedGraph(g)
         enum_payload(session, 2, 0.2)
-        misses_before = session.cache_stats.misses
-        hits_before = session.cache_stats.hits
+        lookups = _record_lookups(session, monkeypatch)
         max_payload(session, 2, 0.2)
-        # The cut artifact is a hit; only the maximum-specific compile
-        # artifact misses.
-        assert session.cache_stats.hits > hits_before
-        assert session.cache_stats.misses == misses_before + 1
+        # The prune entries are the enumeration's; the cut is the max
+        # query's own (raised to its greedy bound), so only that entry
+        # and the search memo miss, once per graph component.
+        components = len(session._graph_components())
+        prune = [hit for key, hit in lookups if _stage(key) == "prune"]
+        assert prune and all(prune)
+        missed = [_stage(key) for key, hit in lookups if not hit]
+        assert sorted(missed) == sorted(["compile_max", "maxcut"] * components)
+        lookups.clear()
+        max_payload(session, 2, 0.2)
+        assert lookups and all(hit for _, hit in lookups)
 
     def test_repeated_negative_anchor_is_cached(self, two_groups):
         session = PreparedGraph(two_groups)
@@ -283,14 +308,6 @@ class TestSnapshotsAndRelowering:
         g.remove_node(1)
         assert g.component_key(20) == b_key
 
-        lookups: list[tuple[tuple, bool]] = []
-        lookup = session._lookup
-
-        def recording(key):
-            value = lookup(key)
-            lookups.append((key, value is not _MISSING))
-            return value
-
         cut_calls: list[object] = []
         cut_stage = pipeline.cut_stage
 
@@ -298,20 +315,39 @@ class TestSnapshotsAndRelowering:
             cut_calls.append(args)
             return cut_stage(*args)
 
-        _MISSING = session_mod._MISSING
-        monkeypatch.setattr(session, "_lookup", recording)
+        lookups = _record_lookups(session, monkeypatch)
         monkeypatch.setattr(pipeline, "cut_stage", counting)
         enum = enum_payload(session, 2, 0.3)
         best = max_payload(session, 2, 0.3)
         assert session.cache_stats.full_compiles == 2
-        assert len(cut_calls) == 1  # component A only
+        # Component A only: its enumeration cut and its max query's cut.
+        assert len(cut_calls) == 2
         b_cut = [
             hit for key, hit in lookups
             if key[:4] == ("c", *b_key, "cut")
         ]
-        assert b_cut == [True, True]
+        assert b_cut == [True]
+        b_maxcut = [
+            hit for key, hit in lookups
+            if key[:4] == ("c", *b_key, "maxcut")
+        ]
+        assert b_maxcut == [True]
         assert enum == enum_payload(PreparedGraph(g.copy()), 2, 0.3)
         assert best == max_payload(PreparedGraph(g.copy()), 2, 0.3)
+
+
+    def test_component_walk_is_shared_per_version(self):
+        g = _cliques_with_bridges()
+        session = PreparedGraph(g)
+        list(session.maximal_cliques(2, 0.3))
+        parts = session._graph_components()
+        session.max_uc_plus(2, 0.3)
+        session.store_core("topk", 3, 0.3, frozenset(g.nodes()))
+        assert session._graph_components() is parts
+        g.add_edge(30, 0, 0.9)  # a new node joins component A
+        walked = session._graph_components()
+        assert walked is not parts
+        assert walked == PreparedGraph(g)._graph_components()
 
 
 class TestGoldenCounters:
