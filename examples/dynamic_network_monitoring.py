@@ -9,16 +9,17 @@ stop arriving: ties strengthen on repeat contact, new edges appear, and
 stale ones get dropped.  One :class:`PreparedGraph` session owns the
 live graph and a session-mode :class:`KTauCoreMaintainer` absorbs every
 update — each mutation bumps only the touched component's epoch, the
-session's compiled artifact is delta-patched forward through the
-mutation log instead of re-lowered, and the maintainer re-peels just
+graph's own lowering (shared by the session and the maintainer) is
+delta-patched forward through the mutation log instead of re-lowered,
+and the maintainer re-peels just
 the dirty frontier before republishing the (k, tau)-core into the
 session cache.  Between update bursts the monitoring queries
 (enumeration, anchored membership) run over that same warm session, so
 each window pays only for what actually changed.
 
 The loop prints per-window invalidation accounting straight from the
-session — delta patches vs full compiles, live vs stale cached
-artifacts — and the final window cross-checks the incrementally
+session — delta patches vs full compiles of the graph's lowering, live
+vs stale component-scoped artifacts — and the final window cross-checks the incrementally
 maintained core against a cold from-scratch recompute plus a sampled
 verification of the enumerated cliques.
 """
@@ -82,7 +83,7 @@ def main() -> None:
         print(
             f"window {window}: core={len(maintainer.core)} "
             f"groups={groups} "
-            f"compiles: {info['delta_patches']} delta-patched / "
+            f"lowering: {info['delta_patches']} delta-patched / "
             f"{info['full_compiles']} full; "
             f"cached artifacts: {retention['component_live']} live, "
             f"{evicted} stale purged"

@@ -8,7 +8,7 @@ stream, interleaved per repetition:
 * **maintain** — one :class:`~repro.core.session.PreparedGraph` session
   with a session-mode :class:`~repro.core.maintenance.KTauCoreMaintainer`
   absorbs every update: the graph bumps only the touched component's
-  epoch, the session's compile entry is *delta-patched* forward through
+  epoch, the graph's own lowering is *delta-patched* forward through
   the mutation log, and the maintainer re-peels just the dirty frontier.
 * **recompute** — the cold baseline: after every update the graph is
   re-lowered from scratch (:func:`~repro.core.prune_kernel.
@@ -28,8 +28,8 @@ is not a speedup; any disagreement fails ``repro-bench --check``.
 Invalidation accounting: an unmeasured accounting pass re-runs the
 maintain arm and records, per update, how many components were dirtied
 (their ``(cid, epoch)`` key replaced), how many cached artifacts that
-actually evicted versus retained, and how the compile misses split into
-delta patches versus full re-lowers.  The totals land in the report's
+actually evicted versus retained, and how the lowering misses split
+into delta patches versus full re-lowers.  The totals land in the report's
 provenance block, so the retention claims in ``docs/performance.md``
 are measured, not asserted.
 """
@@ -208,7 +208,7 @@ def _accounting_pass(
     for update in stream:
         before = set(session.graph.component_keys())
         _maintainer_step(maintainer, update)
-        session._compiled_artifact(session.version)  # keep the delta chain hot
+        session._compiled_artifact()  # keep the delta chain hot
         after = set(session.graph.component_keys())
         dirtied += len(before - after)
         evicted += session.purge_stale()

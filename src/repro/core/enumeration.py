@@ -150,12 +150,12 @@ def maximal_cliques(
     optimization, component splitting — happens until the first
     ``next()``; a regression test pins that laziness.
 
-    One-shot convenience wrapper around the staged pipeline: repeated
-    queries against the same graph should hold a
-    :class:`repro.core.session.PreparedGraph` and call its
-    :meth:`~repro.core.session.PreparedGraph.maximal_cliques`, which
-    memoizes the prune / cut / compile artifacts across calls (outputs
-    are bit-identical either way).
+    One-shot convenience wrapper around the staged pipeline.  The
+    whole-graph lowering lives on ``graph``, so repeated calls on one
+    graph reuse it; queries that should also reuse the prune / cut /
+    view artifacts should hold a :class:`repro.core.session.PreparedGraph`
+    and call its :meth:`~repro.core.session.PreparedGraph.
+    maximal_cliques` (outputs are bit-identical either way).
     """
     # Imported lazily: the session layer imports this module for the
     # stats types and the legacy recursion, so a top-level import would

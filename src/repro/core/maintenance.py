@@ -14,16 +14,14 @@ deterministic core-maintenance literature the paper cites ([1]):
   and be connected to the changed edge through it; the affected region is
   re-peeled locally.
 
-Both cascades run as **compiled frontier re-peels**: the maintainer
-keeps a :class:`~repro.core.prune_kernel.CompiledGraph` in sync with the
-graph via :meth:`~repro.core.prune_kernel.CompiledGraph.apply_delta`
-(replaying the graph's mutation log), and each update calls
+Both cascades run as **compiled frontier re-peels** over the graph's
+own lowering (:func:`repro.core.pipeline.lowering`, patched forward
+through the graph's mutation log): each update calls
 :func:`~repro.core.prune_kernel.survival_peel` with ``members=`` the
 previous core (plus the candidate region on growth) and ``frontier=``
 the dirty endpoints — the seeded re-peel trusts every untouched member
-and visits only the cascade.  In session mode the compiled artifact is
-the session's own (delta-patched) compile entry, so maintainer updates
-and queries share one lowering.
+and visits only the cascade.  In session mode that is the session's
+graph, so maintainer updates and queries share one lowering.
 
 The maintained core always equals ``dp_core_plus(graph, k, tau)`` — the
 test suite checks this after randomized update sequences.
@@ -34,12 +32,9 @@ from __future__ import annotations
 from collections import deque
 from typing import TYPE_CHECKING, Union
 
+from repro.core import pipeline
 from repro.core.ktau_core import dp_core_plus
-from repro.core.prune_kernel import (
-    CompiledGraph,
-    compile_graph,
-    survival_peel,
-)
+from repro.core.prune_kernel import CompiledGraph, survival_peel
 from repro.uncertain.graph import Node, UncertainGraph
 from repro.utils.validation import (
     validate_k,
@@ -96,10 +91,6 @@ class KTauCoreMaintainer:
         else:
             self._session = source
             self._graph = source.graph
-        # Private-mode compiled artifact, built lazily on the first
-        # update and kept in sync by delta-patching thereafter; session
-        # mode borrows the session's compile entry instead.
-        self._cpg: CompiledGraph | None = None
         # The baseline core is built before any session exists for the
         # maintained copy; incremental updates take over from here.
         self._core: set[Node] = dp_core_plus(  # repro-lint: ignore[RPL008]
@@ -174,28 +165,15 @@ class KTauCoreMaintainer:
     # ------------------------------------------------------------------
 
     def _compiled(self) -> CompiledGraph:
-        """The compiled arrays for the graph's *current* version.
+        """The graph's lowering at its *current* version.
 
-        Session mode resolves the session's compile entry (which
-        delta-patches itself); private mode keeps one artifact and
-        patches it forward by replaying the graph's mutation log,
-        re-lowering from scratch only when the log no longer covers the
-        gap or contains an op :meth:`~repro.core.prune_kernel.
-        CompiledGraph.apply_delta` does not support.
+        Session mode resolves it through the session, which counts the
+        patch or re-lower in its cache accounting; private mode resolves
+        the private copy's own lowering directly.
         """
         if self._session is not None:
-            return self._session._compiled_artifact(self._session.version)
-        cpg = self._cpg
-        if cpg is None or cpg.version != self._graph.version:
-            ops = (
-                None
-                if cpg is None
-                else self._graph.mutations_since(cpg.version)
-            )
-            if ops is None or not cpg.apply_delta(ops):
-                cpg = compile_graph(self._graph)
-            self._cpg = cpg
-        return cpg
+            return self._session._compiled_artifact()
+        return pipeline.lowering(self._graph)[0]
 
     def _shrink(self, seed_edge: tuple[Node, Node]) -> None:
         """Deletion/decrease: seeded re-peel from the affected endpoints.

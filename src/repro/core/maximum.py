@@ -276,12 +276,12 @@ def max_uc_plus(
     lexicographically smallest sequence — the one
     :func:`~repro.core.bruteforce.brute_force_maximum_clique` returns.
 
-    One-shot convenience wrapper around the staged pipeline: repeated
-    queries against the same graph should hold a
-    :class:`repro.core.session.PreparedGraph` and call its
-    :meth:`~repro.core.session.PreparedGraph.max_uc_plus`, which memoizes
-    the prune / cut / compile artifacts across calls (outputs are
-    bit-identical either way).
+    One-shot convenience wrapper around the staged pipeline.  The
+    whole-graph lowering lives on ``graph``, so repeated calls on one
+    graph reuse it; queries that should also reuse the prune / cut /
+    view artifacts should hold a :class:`repro.core.session.PreparedGraph`
+    and call its :meth:`~repro.core.session.PreparedGraph.max_uc_plus`
+    (outputs are bit-identical either way).
     """
     # Imported lazily: the session layer imports this module for the
     # stats type and the legacy search, so a top-level import would be a

@@ -16,7 +16,9 @@ parameters to a deterministic artifact:
 * :func:`compile_stage` — the **single whole-graph lowering**: one
   parameter-free :class:`~repro.core.prune_kernel.CompiledGraph` per graph
   version serves the prune peels, the cut *and* the per-component search
-  views, so a cold query compiles the graph exactly once.
+  views.  The graph owns it: :func:`lowering` keeps it on the graph and
+  patches it forward through the mutation log, so every session, free
+  function and core maintainer over one graph lowers it once.
 * :func:`compile_enumeration_stage` — per-component search preparation:
   the picklable :class:`~repro.core.kernel.CompiledComponent` CSR bundles
   the pivot engine searches, *derived* from the :func:`compile_stage`
@@ -39,8 +41,8 @@ order, and stats counters to a cold run.
 
 Inside :mod:`repro.core` the only intended caller is the session layer
 (:class:`repro.core.session.PreparedGraph`), which memoizes the artifacts
-keyed by the graph's :attr:`~repro.uncertain.graph.UncertainGraph.version`;
-repro-lint rule RPL007 flags direct stage calls that bypass it.
+keyed by the graph's per-component epochs; repro-lint rule RPL007 flags
+direct stage calls that bypass it.
 """
 
 from __future__ import annotations
@@ -75,6 +77,7 @@ from repro.uncertain.graph import Node, UncertainGraph
 
 __all__ = [
     "CutArtifact",
+    "lowering",
     "compile_stage",
     "prune_stage",
     "cut_stage",
@@ -91,17 +94,45 @@ enumerate_root_range = enumerate_pivot_range
 # Stage 0: compile (shared by prune and search)
 # ----------------------------------------------------------------------
 
+def lowering(graph: UncertainGraph) -> tuple[CompiledGraph, str]:
+    """The graph's own lowering at its current version, and how it was
+    resolved: ``"current"``, ``"delta"`` or ``"full"``.
+
+    The lowering lives on the graph, so every session, free function and
+    core maintainer over it shares one per version.  A current one is
+    returned as it stands.  One that is behind is patched in place by
+    replaying :meth:`~repro.uncertain.graph.UncertainGraph.
+    mutations_since` its own version (:meth:`CompiledGraph.apply_delta`,
+    bit-identical to a cold re-lower); when the log has a gap or holds
+    a node removal, :func:`compile_stage` lowers the graph afresh.  The
+    slot is cleared while the patch runs, so a patch that raises leaves
+    no half-patched lowering behind.
+    """
+    held = graph._lowering
+    if isinstance(held, CompiledGraph):
+        if held.version == graph.version:
+            return held, "current"
+        graph._lowering = None
+        ops = graph.mutations_since(held.version)
+        if ops is not None and held.apply_delta(ops):
+            graph._lowering = held
+            return held, "delta"
+    compiled = compile_stage(graph)
+    graph._lowering = compiled
+    return compiled, "full"
+
+
 def compile_stage(graph: UncertainGraph) -> CompiledGraph:
     """Lower the graph into the unified flat-CSR artifact **once**.
 
     Parameter-free (no ``k``, no ``tau``): one compile per graph version
     serves every prune of every query *and* every search-view derivation,
-    which is why the session layer memoizes this artifact under
-    ``(version, "compile")`` and hands it to each :func:`prune_stage`
-    call — including the monotone-seeded peels, which replay over the
-    same arrays via ``members=`` — and to the search compile stages,
-    which derive their per-component :class:`CompiledComponent` views
-    from the whole-graph rows instead of recompiling the subgraphs.
+    which is why :func:`lowering` keeps this artifact on the graph and
+    the session hands it to each :func:`prune_stage` call — including
+    the monotone-seeded peels, which replay over the same arrays via
+    ``members=`` — and to the search compile stages, which derive their
+    per-component :class:`CompiledComponent` views from the whole-graph
+    rows instead of recompiling the subgraphs.
     """
     return compile_graph(graph)
 

@@ -145,9 +145,17 @@ class CompiledGraph:
     computed lazily on first use via a bucket peel over the CSR itself —
     (Top_k, tau)-only workloads never pay for them.
 
-    The compile is pure data tied to one graph ``version``; the session
-    layer memoizes it under ``(version, "compile")`` so every prune and
-    every search of every query shares a single lowering.  The artifact
+    The compile is pure data tied to one graph ``version``.  It lives on
+    the graph it lowers (:func:`repro.core.pipeline.lowering`), so every
+    prune and every search of every session, free function and core
+    maintainer over that graph shares a single lowering, which
+    :meth:`apply_delta` patches **in place** after a mutation.  That is
+    sound because nothing outside the graph reads it across a mutation:
+    prune and cut entries hold labels, search views and maximum memos
+    hold derived :class:`~repro.core.kernel.CompiledComponent` copies,
+    and a ``maximal_cliques`` generator derives its views before its
+    first yield.  Lazy row mapping and the :meth:`core_ids` memo fill
+    idempotently, so every reader sees the same bytes.  The artifact
     is **picklable** at any point of its lazy lowering — only the node
     labels, the insertion-order CSR as it stands (``nbr_labels``, which
     is ``None`` once fully lowered, and the partly mapped ``nbr_ids``)
@@ -444,8 +452,8 @@ def compile_graph(graph: UncertainGraph) -> CompiledGraph:
     ``O(n log n)`` node ranking; row ids are mapped lazily on first
     read.  The result references nothing of the source graph's
     adjacency, so later graph mutations cannot corrupt it — the
-    embedded ``version`` is what the session layer keys the artifact
-    by.
+    embedded ``version`` tells :func:`repro.core.pipeline.lowering`
+    which mutations to replay into it.
     """
     nodes = tuple(graph.nodes())
     row_offsets = [0]

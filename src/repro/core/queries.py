@@ -10,9 +10,11 @@ set-enumeration to the anchor's neighborhood.
 
 The functions here are one-shot wrappers over the session layer: each
 call builds a throwaway :class:`~repro.core.session.PreparedGraph` and
-delegates to the method of the same name.  Callers issuing repeated
-queries against one graph should hold a session themselves — anchored
-cores and their compiled components are then cached across calls.
+delegates to the method of the same name.  An anchored query searches a
+fresh neighborhood subgraph, which lowers itself, so only a held
+session reuses work across calls: callers issuing repeated queries
+against one graph should hold one — anchored cores and their compiled
+components are then cached across calls.
 """
 
 from __future__ import annotations

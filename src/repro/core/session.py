@@ -8,36 +8,33 @@ though those stages depend only on ``(graph, k, tau, flags)``.
 
 A :class:`PreparedGraph` wraps one :class:`~repro.uncertain.graph.
 UncertainGraph` and routes every query through the staged pipeline of
-:mod:`repro.core.pipeline`, memoizing each stage artifact in a bounded
-LRU under **two key scopes**:
+:mod:`repro.core.pipeline`.
 
-* whole-graph artifacts stay keyed by the monotone global version::
+The whole-graph lowering is **not** the session's: the graph owns it
+(:func:`repro.core.pipeline.lowering`), so every session, every free
+function and the core maintainer over one graph share one lowering per
+version.  A mutation leaves it behind the graph; the next reader
+replays the graph's bounded mutation log into it in place via
+:meth:`~repro.core.prune_kernel.CompiledGraph.apply_delta` (a *delta
+compile*), and only a log gap or a node removal re-lowers it from
+scratch.  The session still counts each resolution as one hit (current)
+or one miss (patched or re-lowered) in :attr:`cache_stats`.
 
-      (graph.version, "compile")          # unified flat-CSR lowering
+Every other stage artifact — peel survivor sets, cut components,
+compiled search views, maximum-search memos, anchored child sessions —
+is memoized in a bounded LRU keyed on the graph's **per-component
+version vector**::
 
-  A mutation bumps the version, so these can never be looked up stale —
-  but the compile entry is not always rebuilt from scratch: on a miss
-  the session replays the graph's bounded mutation log into the newest
-  superseded artifact via :meth:`~repro.core.prune_kernel.CompiledGraph.
-  apply_delta` (a *delta compile*), falling back to a full re-lower only
-  when the log has gaps or contains an unsupported op.
+    ("c", component_id, epoch, stage, rule/flags, k, tau, ...)
 
-* component-scoped artifacts — peel survivor sets, cut components,
-  compiled search views, maximum-search memos, anchored child sessions —
-  key on the graph's **per-component version vector** instead::
-
-      ("c", component_id, epoch, stage, rule/flags, k, tau, ...)
-
-  ``(component_id, epoch)`` pairs are never reused and a mutator bumps
-  only the touched component's epoch, so a mutation in one component
-  leaves every *other* component's cached artifacts reachable and warm:
-  the next query re-peels, re-cuts and re-compiles only the dirty
-  component and assembles the rest from cache hits.  The peels, the cut
-  split and the per-component searches all factorize across connected
-  components (no edge crosses one), which is what makes the per-scope
-  assembly exact.
-
-Stale entries of either scope can never be looked up again; they age
+``(component_id, epoch)`` pairs are never reused and a mutator bumps
+only the touched component's epoch, so a mutation in one component
+leaves every *other* component's cached artifacts reachable and warm:
+the next query re-peels, re-cuts and re-derives only the dirty
+component and assembles the rest from cache hits.  The peels, the cut
+split and the per-component searches all factorize across connected
+components (no edge crosses one), which is what makes the per-scope
+assembly exact.  Stale entries can never be looked up again; they age
 out of the LRU (or go at once via :meth:`purge_stale`).
 
 What makes replaying artifacts sound:
@@ -50,9 +47,10 @@ What makes replaying artifacts sound:
   the graph's iteration order, so a cached prune artifact reproduces
   the cold run's component order exactly, whichever seed restricted
   the peel;
-* cached artifacts hold node labels, never compile ids: a full
-  re-lower renumbers every id, while an untouched component's entries
-  stay live through it;
+* cached artifacts hold node labels or derived views, never compile
+  ids or the lowering itself: a full re-lower renumbers every id and a
+  delta patch rewrites rows in place, while an untouched component's
+  entries stay live through both;
 * **core monotonicity** is exploited across entries: for ``k >= k'`` and
   ``tau >= tau'`` every (k, tau)-core is contained in the (k', tau')-core
   (the membership condition only tightens), and by Corollary 1 the
@@ -80,6 +78,7 @@ from repro.core import enumeration as _enumeration_mod
 from repro.core import pipeline
 from repro.core.enumeration import Engine, EnumerationStats, PruningRule
 from repro.core.maximum import MaximumSearchStats
+from repro.core.prune_kernel import CompiledGraph
 from repro.core.topk_core import topk_core
 from repro.errors import NodeNotFoundError
 from repro.uncertain.clique_prob import clique_probability, is_clique
@@ -106,8 +105,7 @@ _Parts = tuple[tuple[int, int, tuple[Node, ...]], ...]
 #: sized for a handful of (k, tau) working sets, not unbounded history.
 #: Component-scoped keys multiply the entry count by the number of
 #: components a workload touches, hence the generous default (the
-#: entries themselves are small — the big compile artifact is a single
-#: version-scoped entry).
+#: entries themselves are small — the big lowering lives on the graph).
 _DEFAULT_MAX_ENTRIES = 512
 
 
@@ -115,12 +113,13 @@ _DEFAULT_MAX_ENTRIES = 512
 class SessionCacheStats:
     """Hit/miss/eviction accounting for one :class:`PreparedGraph`.
 
-    One lookup against the LRU counts exactly one hit or one miss; a
-    query may perform several stage lookups per component (prune, cut,
-    compile, ...).  ``delta_patches`` / ``full_compiles`` split the
-    compile misses by how they were served: a delta patch replayed the
-    mutation log into the previous artifact, a full compile re-lowered
-    the graph from scratch.
+    One lookup against the LRU, or one resolution of the graph's
+    lowering, counts exactly one hit or one miss; a query may perform
+    several stage lookups per component (prune, cut, views, ...).
+    ``delta_patches`` / ``full_compiles`` split the lowering misses by
+    how they were served: a delta patch replayed the mutation log into
+    the graph's lowering, a full compile re-lowered the graph from
+    scratch.
     """
 
     hits: int = 0
@@ -142,9 +141,10 @@ class PreparedGraph:
     The session *shares* the caller's graph object (no copy): mutate it
     freely between queries — every mutator bumps
     :attr:`~repro.uncertain.graph.UncertainGraph.version` and the
-    touched component's epoch; cache keys embed one or the other, so
-    stale artifacts are unreachable while untouched components' entries
-    stay warm.
+    touched component's epoch; cache keys embed the epoch, so stale
+    artifacts are unreachable while untouched components' entries stay
+    warm, and the graph's own lowering is patched forward on next use.
+    Sessions over one graph share that lowering.
 
     Example::
 
@@ -206,23 +206,14 @@ class PreparedGraph:
     def purge_stale(self) -> int:
         """Drop unreachable entries; return the count.
 
-        Version-scoped keys are stale when their version is superseded;
-        component-scoped ``("c", cid, epoch, ...)`` keys are stale when
-        the graph no longer carries that exact ``(cid, epoch)`` pair —
-        entries of *untouched* components survive a purge, that is the
-        point of the two-level scheme.  Purging is optional (stale keys
-        can never be looked up again) but frees memory eagerly instead
-        of waiting for LRU churn.
+        A ``("c", cid, epoch, ...)`` key is stale when the graph no
+        longer carries that exact ``(cid, epoch)`` pair — entries of
+        *untouched* components survive a purge.  Purging is optional
+        (stale keys can never be looked up again) but frees memory
+        eagerly instead of waiting for LRU churn.
         """
-        version = self._graph.version
         live = set(self._graph.component_keys())
-        stale = []
-        for key in self._cache:
-            if key[0] == "c":
-                if (key[1], key[2]) not in live:
-                    stale.append(key)
-            elif key[0] != version:
-                stale.append(key)
+        stale = [key for key in self._cache if (key[1], key[2]) not in live]
         for key in stale:
             del self._cache[key]
         return len(stale)
@@ -230,29 +221,17 @@ class PreparedGraph:
     def retention_info(self) -> dict[str, int]:
         """Live-vs-stale entry accounting at the current graph state.
 
-        Splits the cache by scope and reachability *without* evicting
-        anything — the streaming bench snapshots this around each update
-        to measure how many artifacts a mutation actually invalidated.
+        Splits the cache by reachability *without* evicting anything —
+        the streaming bench snapshots this around each update to measure
+        how many artifacts a mutation actually invalidated.
         """
-        version = self._graph.version
         live = set(self._graph.component_keys())
-        component_live = component_stale = 0
-        version_live = version_stale = 0
-        for key in self._cache:
-            if key[0] == "c":
-                if (key[1], key[2]) in live:
-                    component_live += 1
-                else:
-                    component_stale += 1
-            elif key[0] == version:
-                version_live += 1
-            else:
-                version_stale += 1
+        component_live = sum(
+            (key[1], key[2]) in live for key in self._cache
+        )
         return {
             "component_live": component_live,
-            "component_stale": component_stale,
-            "version_live": version_live,
-            "version_stale": version_stale,
+            "component_stale": len(self._cache) - component_live,
         }
 
     # ------------------------------------------------------------------
@@ -311,61 +290,36 @@ class PreparedGraph:
         self._components = (graph.version, parts)
         return parts
 
-    def _compiled_artifact(self, version: int, timings: Any = None) -> Any:
-        """The unified whole-graph flat-CSR compile, cached per version.
+    def _compiled_artifact(self, timings: Any = None) -> CompiledGraph:
+        """The graph's whole-graph flat-CSR lowering at its current
+        version (:func:`pipeline.lowering`).
 
         Parameter-free: one lowering serves every peel of every query at
         this version, whichever search engine asked — including the
         monotone-seeded peels, which replay over the same arrays via
-        ``members=`` — *and* every search-view derivation (the per-component ``CompiledComponent``
-        bundles are member-filtered from these rows, never recompiled).
+        ``members=`` — *and* every search-view derivation (the
+        per-component ``CompiledComponent`` bundles are member-filtered
+        from these rows, never recompiled).  It lives on the graph, so
+        every session over the graph shares it.
 
-        On a miss the session first tries a **delta compile**: the newest
-        superseded artifact is patched forward in place by replaying the
-        graph's mutation log (:meth:`~repro.core.prune_kernel.
-        CompiledGraph.apply_delta` — bit-identical to a cold re-lower for
-        every op it supports), so a reweight stream never pays the
-        ``O(m)`` row copy and node ranking of a full lowering again.  A
-        full compile runs only when the log no longer covers the gap or
-        contains a ``remove_node``.
-        The wall clock is recorded as the ``"compile"`` lap only when
-        patching or lowering actually runs, so warm queries report a
-        zero compile phase.
+        A current lowering counts one hit; a delta patch or a full
+        lowering counts one miss plus ``delta_patches`` or
+        ``full_compiles``.  The wall clock is recorded as the
+        ``"compile"`` lap only when patching or lowering actually runs,
+        so warm queries report a zero compile phase.
         """
-        key = (version, "compile")
-        compiled = self._lookup(key)
-        if compiled is not _MISSING:
-            return compiled
-        prev_key: tuple[Any, ...] | None = None
-        for k2 in self._cache:
-            if (
-                len(k2) == 2
-                and k2[1] == "compile"
-                and isinstance(k2[0], int)
-                and k2[0] < version
-                and (prev_key is None or k2[0] > prev_key[0])
-            ):
-                prev_key = k2
-        if prev_key is not None:
-            ops = self._graph.mutations_since(prev_key[0])
-            if ops is not None:
-                old = self._cache.pop(prev_key)
-                t_start = perf_counter()
-                if old.apply_delta(ops):
-                    if timings is not None:
-                        timings.add("compile", perf_counter() - t_start)
-                    self.cache_stats.delta_patches += 1
-                    self._store(key, old)
-                    return old
-                # Unsupported op (node removal): the artifact was left
-                # untouched but is superseded either way — drop through
-                # to the full re-lower.
         t_start = perf_counter()
-        compiled = pipeline.compile_stage(self._graph)
+        compiled, how = pipeline.lowering(self._graph)
+        if how == "current":
+            self.cache_stats.hits += 1
+            return compiled
+        self.cache_stats.misses += 1
+        if how == "delta":
+            self.cache_stats.delta_patches += 1
+        else:
+            self.cache_stats.full_compiles += 1
         if timings is not None:
             timings.add("compile", perf_counter() - t_start)
-        self.cache_stats.full_compiles += 1
-        self._store(key, compiled)
         return compiled
 
     def _survivors(
@@ -474,7 +428,6 @@ class PreparedGraph:
 
     def _cut_artifact(
         self,
-        version: int,
         pruning: PruningRule,
         cut: bool,
         k: int,
@@ -509,7 +462,7 @@ class PreparedGraph:
         *before* the prune lap keeps the ``"compile"`` and ``"prune"``
         phases disjoint.
         """
-        artifact = self._compiled_artifact(version, timings)
+        artifact = self._compiled_artifact(timings)
         graph_parts = self._graph_components()
         with timings.lap("prune"):
             survivors = self._survivors(
@@ -617,14 +570,13 @@ class PreparedGraph:
             raise ValueError(f"unknown engine {engine!r}")
         stats = stats if stats is not None else EnumerationStats()
         min_size = k + 1
-        version = self._graph.version
         # Read from the enumeration module at call time: tests monkeypatch
         # both the in-search gate and the kernel size limit there.
         insearch_min_candidates = _enumeration_mod._INSEARCH_MIN_CANDIDATES
         component_limit = _enumeration_mod.KERNEL_COMPONENT_LIMIT
 
         art, parts = self._cut_artifact(
-            version, pruning, cut, k, tau, stats.timings
+            pruning, cut, k, tau, stats.timings
         )
         stats.nodes_after_pruning = art.nodes_after_pruning
         stats.cuts_found = art.cuts_found
@@ -655,9 +607,7 @@ class PreparedGraph:
                 part_views = self._lookup(vkey)
                 if part_views is _MISSING:
                     if artifact is None:
-                        artifact = self._compiled_artifact(
-                            version, stats.timings
-                        )
+                        artifact = self._compiled_artifact(stats.timings)
                     with stats.timings.lap("compile"):
                         part_views = pipeline.compile_enumeration_stage(
                             comp_components, min_size, component_limit,
@@ -717,10 +667,9 @@ class PreparedGraph:
         stats = stats if stats is not None else MaximumSearchStats()
         min_size = k + 1
         tau_floor = threshold_floor(tau)
-        version = self._graph.version
 
         art, parts = self._cut_artifact(
-            version, "topk", True, k, tau, stats.timings, maximum=True
+            "topk", True, k, tau, stats.timings, maximum=True
         )
         stats.lower_bound = art.lower_bound
 
@@ -747,7 +696,7 @@ class PreparedGraph:
             offset += len(comp_components)
 
         best, best_size = pipeline.maximum_search_stage(
-            self._graph, self._compiled_artifact(version, stats.timings),
+            self._graph, self._compiled_artifact(stats.timings),
             art, merged, k, tau, tau_floor, min_size,
             use_advanced_one, use_advanced_two, insearch, engine, stats,
         )

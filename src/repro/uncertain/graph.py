@@ -42,9 +42,15 @@ iterator tripwires and cross-process keys.
 
 Each mutation is also appended to a bounded **mutation log**;
 :meth:`mutations_since` replays the exact operation sequence between two
-versions (or reports the log no longer covers it), which is what lets
-:meth:`repro.core.prune_kernel.CompiledGraph.apply_delta` patch a
-compiled artifact in place instead of re-lowering the whole graph.
+versions (or reports the log no longer covers it).  The graph carries
+one opaque ``_lowering`` slot, owned by :mod:`repro.core`: the
+whole-graph compile every session, free function and core maintainer
+over this graph shares, which :func:`repro.core.pipeline.lowering`
+patches forward through the log
+(:meth:`repro.core.prune_kernel.CompiledGraph.apply_delta`) instead of
+re-lowering the whole graph.  Derived graphs (``copy()``,
+``induced_subgraph()``) and pickles never carry it: a lowering patched
+in place for one graph must not be read by another.
 """
 
 from __future__ import annotations
@@ -91,6 +97,7 @@ class UncertainGraph:
         "_comp_epoch",
         "_next_comp",
         "_mutlog",
+        "_lowering",
     )
 
     def __init__(
@@ -113,6 +120,8 @@ class UncertainGraph:
         self._comp_epoch: dict[int, int] = {}
         self._next_comp = 0
         self._mutlog: deque[tuple[Any, ...]] = deque(maxlen=_MUTLOG_MAXLEN)
+        # Opaque to this package; see the module notes.
+        self._lowering: object | None = None
         if nodes is not None:
             for node in nodes:
                 self.add_node(node)
@@ -218,6 +227,16 @@ class UncertainGraph:
         if ops[0][0] != version + 1:
             return None
         return tuple(ops)
+
+    def __getstate__(self) -> dict[str, Any]:
+        # Pickles and copy.copy / copy.deepcopy start without a lowering.
+        state = {name: getattr(self, name) for name in self.__slots__}
+        state["_lowering"] = None
+        return state
+
+    def __setstate__(self, state: dict[str, Any]) -> None:
+        for name, value in state.items():
+            setattr(self, name, value)
 
     def __len__(self) -> int:
         return len(self._adj)
@@ -561,8 +580,8 @@ class UncertainGraph:
         full component map / epoch vector (deep-copied: mutating the clone
         never touches the source's component bookkeeping, so the source
         session's ``(component id, epoch)``-keyed memos stay valid).  The
-        mutation log starts empty — replaying ops across graph objects is
-        meaningless, so delta consumers fall back to a full rebuild.
+        mutation log and the lowering start empty — replaying ops across
+        graph objects is meaningless, so the copy lowers itself afresh.
         """
         clone = UncertainGraph()
         clone._adj = {u: dict(nbrs) for u, nbrs in self._adj.items()}

@@ -8,6 +8,15 @@ import random
 import pytest
 
 from repro import UncertainGraph
+from repro.core.prune_kernel import CompiledGraph
+
+
+def current_lowering(graph: UncertainGraph) -> CompiledGraph:
+    """The lowering ``graph`` carries, asserted present and current."""
+    lowered = graph._lowering
+    assert isinstance(lowered, CompiledGraph)
+    assert lowered.version == graph.version
+    return lowered
 
 
 def make_random_graph(

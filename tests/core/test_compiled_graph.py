@@ -13,7 +13,7 @@ contracts that make that sound:
   arbitrary member subsets (pruning removes nodes only, so any
   survivor set is an induced-subgraph restriction);
 * a session performs exactly **one** compile per graph version across
-  prune, enumeration and maximum queries;
+  prune, enumeration and maximum queries, kept on the graph;
 * the artifact and its component views survive a pickle roundtrip;
 * the lowering is lazy: a cold query maps only the rows it reads, and
   every reader — peels, view derivation, delta patches, pickling —
@@ -116,29 +116,35 @@ def _two_triangles() -> UncertainGraph:
     return graph
 
 
-def _compile_entries(session: PreparedGraph) -> list[tuple]:
-    return [key for key in session._cache if key[1] == "compile"]
+def _compile_entries(session: PreparedGraph) -> list[CompiledGraph]:
+    """The lowerings a query of ``session`` can read: the one its graph
+    carries, never one in the session's cache."""
+    assert not any(
+        isinstance(value, CompiledGraph) for value in session._cache.values()
+    )
+    lowered = session.graph._lowering
+    return [lowered] if isinstance(lowered, CompiledGraph) else []
 
 
 def test_session_compiles_once_per_version() -> None:
     # Enumeration, maximum search and a repeat query at different
-    # parameters all share one (version, "compile") entry; a mutation
-    # bumps the version and the superseded entry is delta-patched
-    # forward in place — one entry, now at the new version, with no
-    # second full lowering.
+    # parameters all share the graph's one lowering; a mutation bumps
+    # the version and that lowering is delta-patched forward in place —
+    # the same object, now at the new version, with no second full
+    # lowering.
     graph = _two_triangles()
     session = PreparedGraph(graph)
     list(session.maximal_cliques(2, 0.3))
-    assert len(_compile_entries(session)) == 1
+    (lowered,) = _compile_entries(session)
     session.max_uc_plus(2, 0.3)
     list(session.maximal_cliques(1, 0.5))
-    assert len(_compile_entries(session)) == 1
+    assert _compile_entries(session) == [lowered]
     assert session.cache_stats.full_compiles == 1
 
     session.graph.add_edge("c", "x", 0.7)
     list(session.maximal_cliques(2, 0.3))
-    entries = _compile_entries(session)
-    assert [key[0] for key in entries] == [session.version]
+    assert _compile_entries(session) == [lowered]
+    assert lowered.version == session.version
     assert session.cache_stats.delta_patches == 1
     assert session.cache_stats.full_compiles == 1
 
@@ -273,8 +279,7 @@ def test_cold_query_maps_only_the_rows_it_reads() -> None:
     cliques = list(session.maximal_cliques(3, 0.3))
     assert [set(c) for c in cliques] == [{f"c{i}" for i in range(5)}]
     assert session.cache_stats.full_compiles == 1
-    (key,) = _compile_entries(session)
-    artifact = session._cache[key]
+    (artifact,) = _compile_entries(session)
     mapped = _mapped_rows(artifact)
     assert artifact.nbr_labels is not None
     assert 0 < len(mapped) < artifact.n

@@ -35,6 +35,7 @@ from repro.core.prune_kernel import (
 from repro.core.session import PreparedGraph
 from repro.core.topk_core import topk_core, topk_core_arrays
 from repro.deterministic.core_decomposition import core_numbers
+from tests.conftest import current_lowering
 
 # The palette forces duplicate probabilities, deterministic edges, and
 # values on both sides of STABLE_P_LIMIT = 1 - 1e-6 in one graph.
@@ -211,9 +212,12 @@ def test_session_shares_one_compile_across_prune_stages() -> None:
     assert cold == warm
     assert session.cache_info()["misses"] == before  # all hits on replay
     assert session.cache_info()["full_compiles"] == 1
+    lowered = current_lowering(graph)
     # Mutation bumps the version; the artifacts rebuild and still agree.
     session.graph.add_edge("pendant", "lone", 0.9)
     fresh = list(session.maximal_cliques(2, 0.2))
+    assert session.cache_info()["delta_patches"] == 1
+    assert current_lowering(graph) is lowered  # patched in place
     from repro.core.enumeration import maximal_cliques
 
     assert fresh == list(maximal_cliques(graph, 2, 0.2))

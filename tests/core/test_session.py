@@ -20,7 +20,7 @@ from repro.core.enumeration import EnumerationStats, maximal_cliques
 from repro.core.maintenance import KTauCoreMaintainer
 from repro.core.maximum import MaximumSearchStats
 from repro.errors import NodeNotFoundError
-from tests.conftest import make_random_graph
+from tests.conftest import current_lowering, make_random_graph
 
 
 def enum_payload(source, k, tau, **kwargs):
@@ -43,8 +43,8 @@ def max_payload(source, k, tau, **kwargs):
 
 
 def _stage(key):
-    """The stage name of a version- or component-scoped cache key."""
-    return key[3] if key[0] == "c" else key[1]
+    """The stage name of a component-scoped cache key."""
+    return key[3]
 
 
 def _record_lookups(session, monkeypatch):
@@ -134,19 +134,22 @@ class TestEviction:
         session = PreparedGraph(g)
         enum_payload(session, 2, 0.2)
         assert session.purge_stale() == 0
-        # A new disconnected edge supersedes the version-scoped entries
-        # but leaves the untouched components' entries live.
+        # A new disconnected edge bumps the version but leaves every
+        # cached component live: no session entry is keyed by the
+        # version (the lowering lives on the graph, not in the cache).
         session.graph.add_edge("x", "y", 0.9)
-        info = session.retention_info()
-        assert info["version_stale"] > 0
-        assert info["component_live"] > 0
-        assert info["component_stale"] == 0
-        assert session.purge_stale() == info["version_stale"]
-        assert session.cache_info()["entries"] == info["component_live"]
+        entries = session.cache_info()["entries"]
+        assert session.retention_info() == {
+            "component_live": entries, "component_stale": 0,
+        }
+        assert session.purge_stale() == 0
         # Mutating an existing component stales that component's entries.
         u, v, _ = next(iter(session.graph.edges()))
         session.graph.set_probability(u, v, 0.5)
-        assert session.purge_stale() > 0
+        stale = session.retention_info()["component_stale"]
+        assert stale > 0
+        assert session.purge_stale() == stale
+        assert session.cache_info()["entries"] == entries - stale
 
 
 class TestInvalidation:
@@ -225,12 +228,14 @@ class TestBitIdentical:
         enum_payload(session, 2, 0.2, engine="pivot")
         before = session.cache_info()
         assert before["full_compiles"] == 1
+        lowered = current_lowering(g)
         assert enum_payload(session, 2, 0.2, engine=engine) == enum_payload(
             g.copy(), 2, 0.2, engine=engine
         )
         after = session.cache_info()
         assert after["misses"] == before["misses"]
         assert after["full_compiles"] == 1
+        assert current_lowering(g) is lowered
 
     def test_bitset_engine_is_rejected(self):
         session = PreparedGraph(make_random_graph(8, 0.5, seed=1))
@@ -307,6 +312,7 @@ class TestSnapshotsAndRelowering:
         # re-lower, while component B's epoch is untouched.
         g.remove_node(1)
         assert g.component_key(20) == b_key
+        superseded = g._lowering
 
         cut_calls: list[object] = []
         cut_stage = pipeline.cut_stage
@@ -320,6 +326,7 @@ class TestSnapshotsAndRelowering:
         enum = enum_payload(session, 2, 0.3)
         best = max_payload(session, 2, 0.3)
         assert session.cache_stats.full_compiles == 2
+        assert current_lowering(g) is not superseded
         # Component A only: its enumeration cut and its max query's cut.
         assert len(cut_calls) == 2
         b_cut = [

@@ -134,6 +134,8 @@ class TestRetentionAccounting:
         info = session.retention_info()
         assert info["component_live"] > 0  # cluster A retained
         assert info["component_stale"] > 0  # cluster B orphaned
+        # Every entry is component-scoped: the lowering is graph-owned.
+        assert sum(info.values()) == session.cache_info()["entries"]
 
         hits_before = session.cache_stats.hits
         misses_before = session.cache_stats.misses

@@ -18,6 +18,7 @@ from hypothesis import strategies as st
 
 from repro import PreparedGraph, UncertainGraph
 from repro.errors import NodeNotFoundError
+from tests.conftest import current_lowering
 
 relaxed = settings(
     max_examples=30,
@@ -207,6 +208,7 @@ class TestDerivedGraphs:
         cliques = list(session.maximal_cliques(2, 0.3))
         warm = session.cache_info()["entries"]
         assert warm > 0
+        lowered = current_lowering(g)
 
         clone = g.copy()
         clone.remove_edge("a", "b")
@@ -215,7 +217,9 @@ class TestDerivedGraphs:
 
         info = session.retention_info()
         assert info["component_stale"] == 0
-        assert info["version_stale"] == 0
+        # The clone lowers itself; the source's lowering stays current.
+        assert clone._lowering is None
+        assert current_lowering(g) is lowered
         misses_before = session.cache_stats.misses
         assert list(session.maximal_cliques(2, 0.3)) == cliques
         assert session.cache_stats.misses == misses_before
