@@ -14,7 +14,8 @@ those arrays, so the arrays arm here peels over a shared
 repetition, and the lowering itself is timed separately and reported as
 ``compile_median_s`` — it is amortized across all peels at one version,
 not a per-peel cost.  Ops run in a fixed order, so which op pays the
-artifact's lazy core decomposition is identical across repetitions.
+artifact's lazy core decomposition, and which ``topk_core`` op builds
+or reads its per-k level index, is identical across repetitions.
 
 The identity gate normalizes both engines' survivor sets to graph
 iteration order (exactly the prune-stage artifact normalization) and
@@ -40,12 +41,17 @@ from repro.uncertain.graph import Node, UncertainGraph
 __all__ = ["PruneArmRun", "PruneOpResult", "PruneReport", "run_prune_bench"]
 
 #: The measured peels: (op name, k, tau).  The headline ops quoted in
-#: docs/performance.md are the dp_core_plus and topk_core entries.
+#: docs/performance.md are the dp_core_plus and topk_core entries.  The
+#: k=4 topk_core entries sweep tau on one lowering: the first is a plain
+#: peel, the second builds the lowering's k=4 level index and the third
+#: is a lookup in it (see :func:`repro.core.prune_kernel.topk_peel`).
 PRUNE_OPS: list[tuple[str, int, float]] = [
     ("dp_core_plus", 6, 0.1),
     ("dp_core_plus", 4, 0.2),
     ("topk_core", 6, 0.1),
     ("topk_core", 4, 0.2),
+    ("topk_core", 4, 0.25),
+    ("topk_core", 4, 0.3),
     ("dp_core", 6, 0.1),
 ]
 

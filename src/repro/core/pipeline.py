@@ -158,7 +158,11 @@ def prune_stage(
     Both rules run the compiled array peels over ``compiled``, the
     :func:`compile_stage` artifact; ``members`` restricts the peel to a
     node subset (the session's monotone seed or its dirty components)
-    without building an induced subgraph.
+    without building an induced subgraph.  A whole-graph ``topk`` peel
+    at a ``k`` the artifact has peeled before is a lookup in its level
+    index (:func:`~repro.core.prune_kernel.topk_peel`), and the order
+    is normalized over the survivors' compile ids, which follow graph
+    iteration order — so neither walks the whole graph.
     """
     # The peels are looked up on the enumeration module at call time:
     # they are its re-exported attributes by contract, and the laziness
@@ -169,10 +173,12 @@ def prune_stage(
     survivors: frozenset[Node] | set[Node]
     if rule == "none":
         return tuple(graph.nodes())
+    if compiled is None:
+        compiled = compile_graph(graph)
     if rule == "topk":
-        survivors = set(enumeration_mod.topk_core_arrays(
+        survivors = enumeration_mod.topk_core_arrays(
             graph, k, tau, compiled=compiled, members=members,
-        ))
+        )
     elif rule == "ktau":
         survivors = enumeration_mod.dp_core_plus(
             graph, k, tau, compiled=compiled, members=members,
@@ -181,7 +187,9 @@ def prune_stage(
         raise ValueError(f"unknown pruning rule {rule!r}")
     if members is None and len(survivors) == graph.num_nodes:
         return tuple(graph.nodes())
-    return tuple(u for u in graph if u in survivors)
+    # Compile ids follow graph iteration order.
+    nodes, index = compiled.nodes, compiled.index
+    return tuple(nodes[i] for i in sorted(map(index.__getitem__, survivors)))
 
 
 # ----------------------------------------------------------------------

@@ -38,7 +38,9 @@ peel loops run entirely over the flat structures:
   scratch buffers instead of per-column allocations.
 * :func:`topk_peel` — Algorithm 3's (Top_k, tau)-core peel, sorting
   each candidate row's probabilities on the spot, including the
-  ``fixed`` (``V_I``) abort the in-search pruning needs.
+  ``fixed`` (``V_I``) abort the in-search pruning needs; from the
+  second whole-graph peel at a ``k`` on, a per-k level index on the
+  artifact answers the whole-graph peels at that ``k`` by bisection.
 
 All three accept an optional ``members`` subset so the session layer's
 monotone-seeded peels (PR 4) can replay over the *same* compiled arrays
@@ -70,6 +72,8 @@ from __future__ import annotations
 
 from array import array
 from bisect import bisect_left
+from heapq import heapify, heappop, heappush
+from math import prod
 from typing import AbstractSet, Any, Iterable, Literal, cast
 
 from repro.core.tau_degree import STABLE_P_LIMIT
@@ -145,6 +149,13 @@ class CompiledGraph:
     computed lazily on first use via a bucket peel over the CSR itself —
     (Top_k, tau)-only workloads never pay for them.
 
+    ``_topk_levels`` maps each ``k`` a whole-graph :func:`topk_peel` ran
+    at to ``None`` (seen once) or to its level index: the base floor,
+    the core's ids in peel order and their levels.  It lives as long as
+    this version of the lowering:
+    :meth:`apply_delta` drops it with the first op it applies, and a
+    re-lower, a pickle or a copy starts without it.
+
     The compile is pure data tied to one graph ``version``.  It lives on
     the graph it lowers (:func:`repro.core.pipeline.lowering`), so every
     prune and every search of every session, free function and core
@@ -160,7 +171,7 @@ class CompiledGraph:
     labels, the insertion-order CSR as it stands (``nbr_labels``, which
     is ``None`` once fully lowered, and the partly mapped ``nbr_ids``)
     and the version are pickled (``__getstate__``); every derived form
-    is rebuilt on unpickle.
+    is rebuilt on unpickle, and the level index starts empty.
     """
 
     __slots__ = (
@@ -174,6 +185,7 @@ class CompiledGraph:
         "sort_rank",
         "version",
         "_core_ids",
+        "_topk_levels",
     )
 
     def __init__(
@@ -206,6 +218,9 @@ class CompiledGraph:
             rank[i] = r
         self.sort_rank = rank
         self._core_ids: "array[int] | None" = None
+        self._topk_levels: dict[
+            int, tuple[float, list[int], list[float]] | None
+        ] = {}
 
     def _map_row(self, i: int) -> None:
         """Map row ``i``'s neighbour labels to dense ids, once."""
@@ -239,7 +254,7 @@ class CompiledGraph:
     ]:
         # Labels + insertion-order CSR (as far as it is lowered) +
         # version only; every derived form (index, sort_rank,
-        # core numbers) is rebuilt in __setstate__.
+        # core numbers, level index) is rebuilt in __setstate__.
         return (
             self.nodes, self.row_offsets, self.nbr_labels, self.nbr_ids,
             self.nbr_probs, self.version,
@@ -337,7 +352,8 @@ class CompiledGraph:
         :func:`compile_graph` on the mutated graph once both are fully
         lowered (same node order, same insertion-order ids and float
         sequences; memoized core numbers are dropped by structural
-        ops only) — or ``False`` without
+        ops only, and the (Top_k, tau) level index by any op, since a
+        reweight changes pi_k too) — or ``False`` without
         touching anything when the slice contains an op the patcher does
         not support (``remove_node``), in which case the caller must
         re-lower.
@@ -353,6 +369,8 @@ class CompiledGraph:
         for entry in ops:
             if entry[1] not in self._DELTA_OPS:
                 return False
+        if ops:
+            self._topk_levels = {}
         self._finish_lowering()
         for entry in ops:
             op = entry[1]
@@ -863,6 +881,26 @@ def topk_peel(
     just those (:meth:`CompiledGraph._map_row`): on an artifact no
     whole-graph reader has lowered, the prefilter's losers stay
     unmapped.
+
+    **The level index.**  For a fixed ``k`` the cores are nested in tau
+    (Lemma 3: pi_k only falls as nodes leave).  The first whole-graph
+    call at ``k`` (no ``members``, ``fixed`` or ``frontier``) records
+    ``k`` on ``cpg``; the second peels its core ``C(f)``,
+    ``f = threshold_floor(tau)``, on over the in-core ascending rows the
+    peel ends with: a heap pops the node of least current pi_k
+    (computed as the survival check computes it), whose *level* is the
+    running maximum of the popped values.  For every ``f' >= f``,
+    ``{v : level(v) >= f'}`` is then exactly the (Top_k, f')-core:
+
+    * while ``C(f')`` is whole each member has pi_k >= f', so the first
+      member popped lifts the level to f' or more, and it never falls;
+    * when the level first reaches f', the popped node held the least
+      pi_k left, so every node left has pi_k >= f' among the nodes
+      left: that set lies in the unique maximal core.
+
+    Later whole-graph calls at ``k`` with a floor at or above ``f`` are
+    ``bisect_left(levels, floor)``; one below ``f`` peels and re-bases
+    the index at its floor.
     """
     validate_k(k)
     tau = validate_tau(tau)
@@ -874,6 +912,14 @@ def topk_peel(
             return frozenset(nodes)
         return frozenset(members)
     tau_floor = threshold_floor(tau)
+    whole = members is None and not fixed and frontier is None
+    index = cpg._topk_levels.get(k) if whole else None
+    # Floor against the index's base floor, both threshold_floor values.
+    if index is not None and tau_floor >= index[0]:  # repro-lint: ignore[RPL001]
+        _, order, levels = index
+        return frozenset(
+            nodes[i] for i in order[bisect_left(levels, tau_floor):]
+        )
     rf = cpg.row_offsets
     ids = cpg.nbr_ids
     ps = cpg.nbr_probs
@@ -1025,4 +1071,41 @@ def topk_peel(
                 condemned[v] = 1
                 stack.append(v)
 
-    return frozenset(nodes[i] for i in range(n) if not condemned[i])
+    core = [i for i in range(n) if not condemned[i]]
+    result = frozenset(nodes[i] for i in core)
+    if whole:
+        if k in cpg._topk_levels:
+            # Second whole-graph peel at k (or a floor below the base):
+            # peel the core on in ascending pi_k order, in place over
+            # its in-core rows ``vals`` and the ``condemned`` flags;
+            # math.prod multiplies left to right, exactly like below().
+            def pi_k(values: list[float]) -> float:
+                return prod(values[-k:]) if len(values) >= k else 0.0
+
+            heap = [(pi_k(vals[i]), i) for i in core]
+            heapify(heap)
+            order = []
+            levels = []
+            level = 0.0
+            while heap:
+                value, u = heappop(heap)
+                if condemned[u]:
+                    continue  # stale: pi_k only falls, so u popped lower
+                condemned[u] = 1
+                if value > level:
+                    level = value
+                order.append(u)
+                levels.append(level)
+                for j in range(rf[u], rf[u + 1]):
+                    v = ids[j]
+                    if condemned[v]:
+                        continue
+                    vv = vals[v]
+                    idx = bisect_left(vv, ps[j])
+                    vv.pop(idx)
+                    if idx > len(vv) - k:
+                        heappush(heap, (pi_k(vv), v))
+            cpg._topk_levels[k] = (tau_floor, order, levels)
+        else:
+            cpg._topk_levels[k] = None
+    return result

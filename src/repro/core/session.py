@@ -377,9 +377,14 @@ class PreparedGraph:
                 compiled=artifact,
                 members=None if whole_graph else tuple(peel_members),
             )
-            surv_set = frozenset(survivors)
-            for cid, epoch, members in missing:
-                alive[cid] = frozenset(u for u in members if u in surv_set)
+            # Survivors lie in the peeled components only; splitting
+            # them by component keeps each part in graph order.
+            split: dict[int, list[Node]] = {cid: [] for cid, _, _ in missing}
+            component_id = self._graph.component_id
+            for u in survivors:
+                split[component_id(u)].append(u)
+            for cid, epoch, _ in missing:
+                alive[cid] = frozenset(split[cid])
                 self._store(
                     ("c", cid, epoch, "prune", pruning, k, tau), alive[cid]
                 )
