@@ -377,8 +377,8 @@ class PreparedGraph:
                 compiled=artifact,
                 members=None if whole_graph else tuple(peel_members),
             )
-            # Survivors lie in the peeled components only; splitting
-            # them by component keeps each part in graph order.
+            # Survivors come only from the components in ``missing``: a
+            # whole-graph peel runs only when every component is missing.
             split: dict[int, list[Node]] = {cid: [] for cid, _, _ in missing}
             component_id = self._graph.component_id
             for u in survivors:

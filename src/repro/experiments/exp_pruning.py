@@ -13,7 +13,7 @@ from repro.core.ktau_core import dp_core_plus
 from repro.core.prune_kernel import CompiledGraph, compile_graph
 from repro.core.topk_core import topk_core
 from repro.experiments.harness import ExperimentResult, run_with_timing
-from repro.uncertain.graph import UncertainGraph
+from repro.uncertain.graph import Node, UncertainGraph
 
 __all__ = ["run_fig4"]
 
@@ -32,7 +32,10 @@ def run_fig4(
     Both rules run the compiled arrays peels: the CSR lowering is
     compiled once for the dataset and every timed peel replays over it
     (the session-layer accounting: one compile per graph version); the
-    recorded times cover the peels only.
+    recorded times cover the peels only.  Every topk point times
+    Algorithm 3's peel: the lowering's per-k level index, which would
+    answer the second and later peels at a ``k`` by lookup, is dropped
+    before each timed call.
     """
     from repro.datasets.registry import load_dataset
 
@@ -45,7 +48,8 @@ def run_fig4(
         notes=(
             f"dataset={dataset}, scale={scale}; "
             f"defaults k={default_k}, tau={default_tau}; "
-            "compile shared per dataset, untimed"
+            "compile shared per dataset, untimed; "
+            "topk times are peels, never level-index lookups"
         ),
     )
     for k in k_values:
@@ -72,10 +76,14 @@ def _measure(
         lambda: dp_core_plus(graph, k, tau, compiled=compiled),
         repeats,
     )
-    topk_nodes, t_topk = run_with_timing(
-        lambda: topk_core(graph, k, tau, compiled=compiled).nodes,
-        repeats,
-    )
+
+    def topk_peel_nodes() -> frozenset[Node]:
+        # Drop the level index so this call peels; the reset is a slot
+        # store, nanoseconds against a peel of milliseconds.
+        compiled._topk_levels = {}
+        return topk_core(graph, k, tau, compiled=compiled).nodes
+
+    topk_nodes, t_topk = run_with_timing(topk_peel_nodes, repeats)
     if not set(topk_nodes) <= set(ktau_nodes):
         raise AssertionError(
             "Corollary 1 violated: (Top_k,tau)-core not inside (k,tau)-core"

@@ -84,6 +84,31 @@ class TestFig4:
         for row in result.rows:
             assert row["topk_core_nodes"] <= row["ktau_core_nodes"]
 
+    def test_topk_points_time_the_peel_not_an_index(self, monkeypatch):
+        # Every k is peeled repeatedly (two k points, a tau sweep at the
+        # same k, three repeats each), so a shared lowering would build
+        # its level index on the second peel and answer later ones by
+        # lookup.  Each timed topk call must find no index to read.
+        from repro.experiments import exp_pruning
+
+        real = exp_pruning.topk_core
+        calls = []
+
+        def guarded(graph, k, tau, *, compiled):
+            calls.append(compiled._topk_levels.get(k))
+            return real(graph, k, tau, compiled=compiled)
+
+        monkeypatch.setattr(exp_pruning, "topk_core", guarded)
+        run_fig4(
+            k_values=(6, 6),
+            tau_values=(0.05, 0.1),
+            default_k=6,
+            scale=TINY,
+            repeats=3,
+        )
+        assert len(calls) == 12
+        assert calls == [None] * 12
+
 
 class TestFig5:
     def test_sizes_agree(self):
