@@ -8,11 +8,11 @@ parameters to a deterministic artifact:
   the surviving nodes **in graph iteration order**, so the artifact is
   reproducible no matter which cached seed the session layer supplied.
 * :func:`cut_stage` — cut optimization / component split (Lemma 5) on
-  one graph component's survivors, given as compile ids; returns the
-  search components as label tuples plus the counters the stats objects
-  report.  No subgraph is built: the survivor rows are gathered from
-  the compile.  For MaxUC+ it also grows a greedy lower bound on those
-  rows and raises the cut to it.
+  one graph component's survivors (or an anchored query's core), given
+  as compile ids; returns the search components as label tuples plus
+  the counters the stats objects report.  No subgraph is built: the
+  survivor rows are gathered from the compile.  For MaxUC+ it also
+  grows a greedy lower bound on those rows and raises the cut to it.
 * :func:`compile_stage` — the **single whole-graph lowering**: one
   parameter-free :class:`~repro.core.prune_kernel.CompiledGraph` per graph
   version serves the prune peels, the cut *and* the per-component search
@@ -229,14 +229,16 @@ def cut_stage(
     cut: bool,
     maximum: bool = False,
 ) -> CutArtifact:
-    """Split prune survivors, ascending ids of ``compiled``, into
-    search components (Lemma 5).
+    """Split prune survivors, ids of ``compiled``, into search
+    components (Lemma 5).
 
     Their survivor-filtered rows are gathered once from the compile;
     with ``cut=True`` the cut optimization runs on them, otherwise a
     plain connected-component split.  One cut implementation serves
     every engine, so the artifact is engine-independent.  Components
-    come out in order of their first node in graph iteration order.
+    come out in order of their first node in ``survivors`` order:
+    ascending ids (graph iteration order) for a graph component, the
+    region's adjacency order for an anchored core.
 
     ``maximum=True`` prepares a MaxUC+ search instead.  A greedy
     tau-clique of ``s`` nodes is grown over the same rows

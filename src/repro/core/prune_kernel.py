@@ -42,10 +42,10 @@ peel loops run entirely over the flat structures:
   second whole-graph peel at a ``k`` on, a per-k level index on the
   artifact answers the whole-graph peels at that ``k`` by bisection.
 
-All three accept an optional ``members`` subset so the session layer's
-monotone-seeded peels (PR 4) can replay over the *same* compiled arrays
-instead of building an induced scratch subgraph per seed — one compile
-per graph version serves every prune of every query.
+All three accept an optional ``members`` subset, walked alone (O(members),
+not O(n)), so seeded, anchored and maintainer re-peels replay over the
+*same* compiled arrays instead of building an induced scratch subgraph —
+one compile per graph version serves every prune of every query.
 
 Parity contract
 ---------------
@@ -74,7 +74,7 @@ from array import array
 from bisect import bisect_left
 from heapq import heapify, heappop, heappush
 from math import prod
-from typing import AbstractSet, Any, Iterable, Literal, cast
+from typing import AbstractSet, Any, Iterable, Literal, Sequence, cast
 
 from repro.core.tau_degree import STABLE_P_LIMIT
 from repro.uncertain.graph import Node, UncertainGraph
@@ -488,15 +488,16 @@ def compile_graph(graph: UncertainGraph) -> CompiledGraph:
 
 def _initial_dead(
     cpg: CompiledGraph, members: Iterable[Node] | None
-) -> bytearray:
-    """Liveness seed: everything alive, or only ``members`` when given."""
+) -> tuple[bytearray, Sequence[int]]:
+    """Liveness seed and the ids a peel walks, ascending: everything,
+    or only ``members`` (so a restricted peel is O(members), not O(n))."""
     if members is None:
-        return bytearray(cpg.n)
+        return bytearray(cpg.n), range(cpg.n)
+    walk = sorted({cpg.index[u] for u in members})
     dead = bytearray(b"\x01" * cpg.n)
-    index = cpg.index
-    for u in members:
-        dead[index[u]] = 0
-    return dead
+    for i in walk:
+        dead[i] = 0
+    return dead, walk
 
 
 def _frontier_seeds(
@@ -510,15 +511,8 @@ def _frontier_seeds(
     ignored — a maintainer's dirty endpoints may have been deleted or
     may never have been part of the seeded core.
     """
-    index_get = cpg.index.get
-    seeds: list[int] = []
-    seen: set[int] = set()
-    for u in frontier:
-        i = index_get(u)
-        if i is not None and not dead[i] and i not in seen:
-            seen.add(i)
-            seeds.append(i)
-    return seeds
+    ids = map(cpg.index.get, frontier)
+    return list(dict.fromkeys(i for i in ids if i is not None and not dead[i]))
 
 
 def survival_peel(
@@ -575,10 +569,10 @@ def survival_peel(
     ids = cpg.nbr_ids
     ps = cpg.nbr_probs
 
-    dead = _initial_dead(cpg, members)
+    dead, walk = _initial_dead(cpg, members)
     if frontier is None:
         core = cpg.core_ids()
-        for i in range(n):
+        for i in walk:
             # Definition 6 prefilter: xi_u <= c_u, so core number < k
             # means the node cannot survive any (k, tau)-peel.
             if core[i] < k:
@@ -622,7 +616,7 @@ def survival_peel(
         return r
 
     if frontier is None:
-        seeds = [i for i in range(n) if not dead[i]]
+        seeds = [i for i in walk if not dead[i]]
     else:
         seeds = _frontier_seeds(cpg, frontier, dead)
     worklist: list[int] = []
@@ -688,7 +682,7 @@ def survival_peel(
         # ``stale == 0`` and are skipped — their survival is the seeded
         # re-peel's invariant, not something to recheck.
         frontier_bucket = []
-        for i in range(n):
+        for i in walk:
             if dead[i] or not stale[i]:
                 continue
             if rebuild(i) < k:
@@ -696,7 +690,7 @@ def survival_peel(
                 frontier_bucket.append(i)
         if not frontier_bucket:
             nodes = cpg.nodes
-            return {nodes[i] for i in range(n) if not dead[i]}
+            return {nodes[i] for i in walk if not dead[i]}
 
 
 def distribution_peel(
@@ -731,16 +725,12 @@ def distribution_peel(
     ids = cpg.nbr_ids
     ps = cpg.nbr_probs
 
-    dead = _initial_dead(cpg, members)
-    max_degree = 0
-    for i in range(n):
-        d = rf[i + 1] - rf[i]
-        if d > max_degree:
-            max_degree = d
+    dead, walk = _initial_dead(cpg, members)
+    max_degree = max((rf[i + 1] - rf[i] for i in walk), default=0)
     col_buf = [0.0] * (max_degree + 1)
     nxt_buf = [0.0] * (max_degree + 1)
 
-    state: list[list[float]] = [[] for _ in range(n)]
+    state = cast("list[list[float]]", [None] * n)  # filled by rebuild
     tau_deg = [0] * n
     stale = bytearray(n)
     queued = bytearray(n)
@@ -780,7 +770,7 @@ def distribution_peel(
         return r
 
     if frontier is None:
-        seeds = [i for i in range(n) if not dead[i]]
+        seeds = [i for i in walk if not dead[i]]
     else:
         seeds = _frontier_seeds(cpg, frontier, dead)
     frontier_bucket: list[int] = []
@@ -832,7 +822,7 @@ def distribution_peel(
             frontier_bucket = bucket
 
         frontier_bucket = []
-        for i in range(n):
+        for i in walk:
             if dead[i] or not stale[i]:
                 continue
             if rebuild(i) < k:
@@ -840,7 +830,7 @@ def distribution_peel(
                 frontier_bucket.append(i)
         if not frontier_bucket:
             nodes = cpg.nodes
-            return {nodes[i] for i in range(n) if not dead[i]}
+            return {nodes[i] for i in walk if not dead[i]}
 
 
 def topk_peel(
@@ -863,9 +853,10 @@ def topk_peel(
     abort is therefore order-independent too.
 
     ``members`` restricts the peel to an induced subset (ascending rows
-    are then re-gathered from live entries); ``fixed`` nodes absent from
-    the graph or the member set never abort, matching the legacy peel
-    over an induced subgraph that simply does not contain them.
+    are then re-gathered from live entries, walking members only);
+    ``fixed`` nodes absent from the graph or the member set never abort,
+    matching the legacy peel over an induced subgraph that simply does
+    not contain them.
 
     ``frontier`` requests a seeded re-peel (trusted-member contract of
     :func:`survival_peel`): only frontier members are checked up front,
@@ -908,9 +899,7 @@ def topk_peel(
     nodes = cpg.nodes
     if k == 0:
         # pi_0 is the empty product 1.0, which clears any valid tau.
-        if members is None:
-            return frozenset(nodes)
-        return frozenset(members)
+        return frozenset(nodes if members is None else members)
     tau_floor = threshold_floor(tau)
     whole = members is None and not fixed and frontier is None
     index = cpg._topk_levels.get(k) if whole else None
@@ -925,7 +914,7 @@ def topk_peel(
     ps = cpg.nbr_probs
     map_row = cpg._map_row
 
-    condemned = _initial_dead(cpg, members)
+    condemned, walk = _initial_dead(cpg, members)
     is_fixed = bytearray(n)
     if fixed:
         index_get = cpg.index.get
@@ -953,7 +942,7 @@ def topk_peel(
         outside = bytes(condemned)
         gathered = bytearray(n)
         drained = bytearray(n)
-        vals: list[list[float]] = [[] for _ in range(n)]
+        vals = cast("list[list[float]]", [None] * n)  # filled by gather
 
         def gather(i: int) -> list[float]:
             map_row(i)
@@ -1001,9 +990,7 @@ def topk_peel(
                     condemned[v] = 1
                     stack.append(v)
 
-        return frozenset(
-            nodes[i] for i in range(n) if not condemned[i]
-        )
+        return frozenset(nodes[i] for i in walk if not condemned[i])
 
     # Phase 1 — prefilter on the pristine full rows.  pi_k over the
     # whole row upper-bounds pi_k under any node removals (probabilities
@@ -1016,7 +1003,7 @@ def topk_peel(
     # phase-2 gather instead.  Each row's probabilities are sorted here
     # and dropped: phase 1 needs no ids, so the rows it condemns are
     # never mapped.
-    for i in range(n):
+    for i in walk:
         if condemned[i]:
             continue
         if below(sorted(ps[rf[i]:rf[i + 1]])):
@@ -1028,8 +1015,8 @@ def topk_peel(
     # (the exact state the legacy peel keeps), gathered before any
     # further condemnation so the drain's bisect-pops stay consistent.
     # Only these rows are mapped to ids; the drain walks no others.
-    vals: list[list[float]] = [[] for _ in range(n)]
-    for i in range(n):
+    vals = cast("list[list[float]]", [None] * n)
+    for i in walk:
         if condemned[i]:
             continue
         map_row(i)
@@ -1040,7 +1027,7 @@ def topk_peel(
         )
 
     stack: list[int] = []
-    for i in range(n):
+    for i in walk:
         if condemned[i]:
             continue
         if below(vals[i]):
@@ -1071,7 +1058,7 @@ def topk_peel(
                 condemned[v] = 1
                 stack.append(v)
 
-    core = [i for i in range(n) if not condemned[i]]
+    core = [i for i in walk if not condemned[i]]
     result = frozenset(nodes[i] for i in core)
     if whole:
         if k in cpg._topk_levels:

@@ -10,11 +10,11 @@ set-enumeration to the anchor's neighborhood.
 
 The functions here are one-shot wrappers over the session layer: each
 call builds a throwaway :class:`~repro.core.session.PreparedGraph` and
-delegates to the method of the same name.  An anchored query searches a
-fresh neighborhood subgraph, which lowers itself, so only a held
-session reuses work across calls: callers issuing repeated queries
-against one graph should hold one — anchored cores and their compiled
-components are then cached across calls.
+delegates to the method of the same name.  An anchored query runs on
+the graph's own lowering, which every query on the graph shares, so
+only the first query on a graph pays for lowering it; callers issuing
+repeated queries should still hold a session, which also caches each
+anchored query's cut and search views.
 """
 
 from __future__ import annotations
@@ -45,7 +45,7 @@ def cliques_containing(
     clique containing the node lives there, and any extender of such a
     clique is adjacent to the node, hence also lives there — so maximal
     cliques containing ``node`` are in exact bijection between the full
-    graph and the neighborhood subgraph.  The subgraph is further pruned
+    graph and the neighborhood.  The neighborhood is further pruned
     with the anchored (Top_k, tau)-core (Algorithm 3's ``V_I``), which
     aborts immediately when the node itself cannot survive.
 

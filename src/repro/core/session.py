@@ -21,9 +21,9 @@ scratch.  The session still counts each resolution as one hit (current)
 or one miss (patched or re-lowered) in :attr:`cache_stats`.
 
 Every other stage artifact — peel survivor sets, cut components,
-compiled search views, maximum-search memos, anchored child sessions —
-is memoized in a bounded LRU keyed on the graph's **per-component
-version vector**::
+compiled search views, maximum-search memos, anchored queries' search
+components and views — is memoized in a bounded LRU keyed on the
+graph's **per-component version vector**::
 
     ("c", component_id, epoch, stage, rule/flags, k, tau, ...)
 
@@ -719,39 +719,53 @@ class PreparedGraph:
     # Queries: anchored
     # ------------------------------------------------------------------
 
-    def _anchored_child(
+    def _anchored(
         self,
         stage: str,
         anchor_key: Any,
-        region: Iterable[Node],
-        fixed: set[Node],
+        region: list[Node],
+        fixed: AbstractSet[Node],
         k: int,
         tau: float,
-    ) -> "PreparedGraph | None":
-        """Child session over the anchored (Top_k, tau)-core, cached.
+        engine: Engine,
+    ) -> Iterator[frozenset[Node]]:
+        """The maximal (k, tau)-cliques of ``region``'s anchored core.
 
-        ``None`` is cached for dead anchors (the fixed set cannot survive
-        the peel), so repeats of a negative query cost only the lookup.
-        The child session owns the anchored core subgraph, giving the
-        inner enumeration its own warm cut/compile artifacts.  The key is
-        component-scoped by the anchor's component: the anchored region
-        (a neighborhood of the anchor set) lives entirely inside that
-        component, so a mutation elsewhere keeps the child warm.
+        Algorithm 3's fixed-set peel, the cut and the view derivation
+        all run on the graph's own lowering, the peel restricted to
+        ``region`` by ``members=``; the cut numbers the core in region
+        order, a function of the graph's adjacency alone.  The search
+        components and views are cached per anchor under its
+        component's ``(cid, epoch)`` (``None`` for a dead anchor); the
+        views are copies built before the search starts, so a paused
+        generator answers for the version it asked at.
         """
-        anchor = next(iter(fixed))
-        cid, epoch = self._graph.component_key(anchor)
+        cid, epoch = self._graph.component_key(next(iter(fixed)))
         key = ("c", cid, epoch, stage, anchor_key, k, tau)
-        child = self._lookup(key)
-        if child is not _MISSING:
-            return child  # type: ignore[no-any-return]
-        sub = self._graph.induced_subgraph(region)
-        anchored = topk_core(sub, k, tau, fixed=fixed)
-        if not anchored:
-            child = None
-        else:
-            child = PreparedGraph(sub.induced_subgraph(anchored.nodes))
-        self._store(key, child)
-        return child
+        entry = self._lookup(key)
+        if entry is _MISSING:
+            entry = None
+            compiled = self._compiled_artifact()
+            core = topk_core(
+                self._graph, k, tau, fixed=fixed, compiled=compiled,
+                members=region,
+            )
+            if core:
+                ids = [compiled.index[u] for u in region if u in core.nodes]
+                art = pipeline.cut_stage(compiled, ids, k, tau, True)
+                entry = art.components, pipeline.compile_enumeration_stage(
+                    art.components, k + 1,
+                    _enumeration_mod.KERNEL_COMPONENT_LIMIT, compiled,
+                )
+            self._store(key, entry)
+        if entry is None:
+            return iter(())
+        components, views = entry
+        return pipeline.enumeration_search_stage(
+            self._graph, components, None if engine == "legacy" else views,
+            k, threshold_floor(tau), k + 1, True,
+            _enumeration_mod._INSEARCH_MIN_CANDIDATES, EnumerationStats(),
+        )
 
     def cliques_containing(
         self,
@@ -763,11 +777,11 @@ class PreparedGraph:
         """Yield every maximal (k, tau)-clique containing ``node``.
 
         Session-cached equivalent of :func:`repro.core.queries.
-        cliques_containing`: the anchored neighborhood core is cached as
-        a child session, so a repeated query skips the neighborhood
-        build and the anchored peel and reuses the child's compiled
-        components.  ``engine`` configures the inner enumeration exactly
-        as on :meth:`maximal_cliques`.
+        cliques_containing`: the anchored neighborhood core's search
+        components and views are cached (:meth:`_anchored`), so a
+        repeated query skips the anchored peel, the cut and the view
+        derivation and only searches.  ``engine`` configures the inner
+        enumeration exactly as on :meth:`maximal_cliques`.
         """
         validate_k(k)
         tau = validate_tau(tau)
@@ -776,17 +790,11 @@ class PreparedGraph:
 
         # incident() iterates the same keys as neighbors() without the
         # per-step mutation guard.  Keep the adjacency's insertion order:
-        # induced_subgraph preserves argument order, so a set here would
-        # make the child's node order — and the clique yield order —
-        # depend on PYTHONHASHSEED across processes.
+        # the cut numbers the core in region order, so a set here would
+        # make the clique yield order depend on PYTHONHASHSEED.
         region = [*self._graph.incident(node), node]
-        child = self._anchored_child(
-            "anchor_node", node, region, {node}, k, tau
-        )
-        if child is None:
-            return
-        for clique in child.maximal_cliques(
-            k, tau, pruning="none", engine=engine
+        for clique in self._anchored(
+            "anchor_node", node, region, {node}, k, tau, engine
         ):
             if node in clique:
                 yield clique
@@ -836,8 +844,9 @@ class PreparedGraph:
 
         Session-cached equivalent of :func:`repro.core.queries.
         containing_clique_exists`: the cheap pre-checks always run
-        against the live graph; the anchored common-neighborhood core is
-        cached as a child session keyed by the (frozen) member set.
+        against the live graph; the anchored common-neighborhood core's
+        search components and views are cached keyed by the (frozen)
+        member set (:meth:`_anchored`).
         """
         validate_k(k)
         tau = validate_tau(tau)
@@ -855,7 +864,7 @@ class PreparedGraph:
 
         # Grow within the common neighborhood of the anchor set.  The
         # region is ordered by the anchor's adjacency (filtered by the
-        # common set) so the child's node order is hash-seed-free; the
+        # common set) so the cut's numbering is hash-seed-free; the
         # members themselves are never their own neighbors, so appending
         # them cannot duplicate a region node.
         common = set(self._graph.incident(members[0]))
@@ -865,14 +874,10 @@ class PreparedGraph:
             v for v in self._graph.incident(members[0]) if v in common
         ] + members
         member_set = set(members)
-        child = self._anchored_child(
-            "anchor_set", frozenset(members), region, member_set, k, tau
+        return any(
+            member_set <= clique
+            for clique in self._anchored(
+                "anchor_set", frozenset(members), region, member_set, k,
+                tau, engine,
+            )
         )
-        if child is None:
-            return False
-        for clique in child.maximal_cliques(
-            k, tau, pruning="none", engine=engine
-        ):
-            if member_set <= clique:
-                return True
-        return False

@@ -81,6 +81,7 @@ def topk_core(
     fixed: AbstractSet = frozenset(),
     engine: PruneEngine = "arrays",
     compiled: CompiledGraph | None = None,
+    members: Iterable[Node] | None = None,
 ) -> TopKCoreResult:
     """Algorithm 3: compute the (Top_k, tau)-core of ``graph``.
 
@@ -95,16 +96,19 @@ def topk_core(
     ``engine="arrays"`` (the default) runs the peel over a flat compiled
     form of the graph (:func:`repro.core.prune_kernel.topk_peel`);
     ``compiled`` supplies a prebuilt :class:`CompiledGraph` (the
-    session layer's shared artifact).  Both engines converge to the same
-    canonical core.
+    session layer's shared artifact) and ``members`` (arrays only)
+    restricts the peel to the subgraph those nodes induce.  Both engines
+    converge to the same canonical core.
     """
     if engine == "arrays":
         if compiled is None:
             compiled = compile_graph(graph)
-        survivors = topk_peel(compiled, k, tau, fixed=fixed)
+        survivors = topk_peel(compiled, k, tau, members=members, fixed=fixed)
         if survivors is None:
             return TopKCoreResult(frozenset(), False)
         return TopKCoreResult(survivors, True)
+    if members is not None:
+        raise ValueError("members= requires engine='arrays'")
     validate_k(k)
     tau = validate_tau(tau)
 

@@ -288,3 +288,143 @@ def test_private_maintainer_never_touches_the_source_lowering() -> None:
     maintainer.remove_edge(*next((u, v) for u, v, _ in g.edges()))
     assert current_lowering(g) is lowered
     assert "p" not in g
+
+
+# ----------------------------------------------------------------------
+# Anchored queries run on the graph's lowering
+# ----------------------------------------------------------------------
+
+
+def _hub_between_cliques() -> UncertainGraph:
+    """A hub ``h`` in two 0.9-probability 5-cliques, a node ``weak``
+    whose anchored core is dead at (2, 0.3), and a separate clique."""
+    g = UncertainGraph()
+    for group in ("a", "b", "c"):
+        members = [f"{group}{i}" for i in range(1, 5)]
+        if group != "c":
+            members.append("h")
+        for i, u in enumerate(members):
+            for v in members[i + 1:]:
+                g.add_edge(u, v, 0.9)
+    g.add_edge("weak", "a1", 0.1)
+    g.add_edge("weak", "a2", 0.1)
+    return g
+
+
+def _count_anchored_peels(monkeypatch: pytest.MonkeyPatch) -> list[Any]:
+    """Record the ``fixed`` set of every anchored peel from here on."""
+    from repro.core import session as session_mod
+
+    calls: list[Any] = []
+    topk_core = session_mod.topk_core
+
+    def counting(*args: Any, **kwargs: Any) -> Any:
+        calls.append(kwargs["fixed"])
+        return topk_core(*args, **kwargs)
+
+    monkeypatch.setattr(session_mod, "topk_core", counting)
+    return calls
+
+
+def test_a_dead_anchor_repeats_without_a_peel(
+    monkeypatch: pytest.MonkeyPatch,
+) -> None:
+    session = PreparedGraph(_hub_between_cliques())
+    calls = _count_anchored_peels(monkeypatch)
+    assert list(session.cliques_containing("weak", 2, 0.3)) == []
+    assert not session.containing_clique_exists(["weak"], 2, 0.3)
+    assert len(calls) == 2
+    before = session.cache_info()
+    assert list(session.cliques_containing("weak", 2, 0.3)) == []
+    assert not session.containing_clique_exists(["weak"], 2, 0.3)
+    after = session.cache_info()
+    assert len(calls) == 2
+    # One lookup each, no lowering resolved.
+    assert after["hits"] == before["hits"] + 2
+    assert after["misses"] == before["misses"]
+
+
+def test_anchored_entries_follow_their_component(
+    monkeypatch: pytest.MonkeyPatch,
+) -> None:
+    g = _hub_between_cliques()
+    session = PreparedGraph(g)
+    calls = _count_anchored_peels(monkeypatch)
+    cold = list(session.cliques_containing("h", 3, 0.3))
+    assert set(cold) == {
+        frozenset({"h", "a1", "a2", "a3", "a4"}),
+        frozenset({"h", "b1", "b2", "b3", "b4"}),
+    }
+    assert session.containing_clique_exists(["h", "b1", "b2"], 3, 0.3)
+    assert len(calls) == 2
+
+    # Another component's mutation keeps both entries warm.
+    g.set_probability("c1", "c2", 0.5)
+    assert list(session.cliques_containing("h", 3, 0.3)) == cold
+    assert session.containing_clique_exists(["h", "b1", "b2"], 3, 0.3)
+    assert len(calls) == 2
+
+    # The anchor's own component's mutations recompute them: {h, b1, b2}
+    # can no longer grow past three nodes.
+    g.remove_edge("b1", "b3")
+    g.remove_edge("b1", "b4")
+    fresh = PreparedGraph(g.copy())
+    expected = list(fresh.cliques_containing("h", 3, 0.3))
+    assert not fresh.containing_clique_exists(["h", "b1", "b2"], 3, 0.3)
+    del calls[:]
+    assert list(session.cliques_containing("h", 3, 0.3)) == expected
+    assert not session.containing_clique_exists(["h", "b1", "b2"], 3, 0.3)
+    assert len(calls) == 2
+
+
+@pytest.mark.parametrize("engine", ["pivot", "legacy"])
+@pytest.mark.parametrize("mutation", ["remove_edge", "remove_node"])
+def test_a_paused_anchored_generator_keeps_the_asked_version(
+    engine: Engine, mutation: str
+) -> None:
+    expected = list(PreparedGraph(_hub_between_cliques())
+                    .cliques_containing("h", 2, 0.3, engine=engine))
+    assert len(expected) == 2
+    g = _hub_between_cliques()
+    cliques = PreparedGraph(g).cliques_containing("h", 2, 0.3, engine=engine)
+    first = next(cliques)
+    lowered = current_lowering(g)
+    # Break the clique not yet yielded, and let a second session patch
+    # (or re-lower) the shared lowering before the generator resumes.
+    rest = "b" if "a1" in first else "a"
+    if mutation == "remove_edge":
+        g.remove_edge(f"{rest}1", f"{rest}2")
+    else:
+        g.remove_node(f"{rest}1")
+    second = PreparedGraph(g)
+    after = list(second.cliques_containing("h", 2, 0.3, engine=engine))
+    assert after == list(
+        PreparedGraph(g.copy()).cliques_containing("h", 2, 0.3, engine=engine)
+    )
+    assert after != expected
+    if mutation == "remove_edge":
+        assert second.cache_stats.delta_patches == 1
+        assert current_lowering(g) is lowered
+    else:
+        assert second.cache_stats.full_compiles == 1
+    assert [first, *cliques] == expected
+
+
+def test_an_anchored_query_lowers_an_unlowered_graph_once(
+    monkeypatch: pytest.MonkeyPatch,
+) -> None:
+    g = _hub_between_cliques()
+    calls = _count_full_lowerings(monkeypatch)
+    first = PreparedGraph(g)
+    assert len(list(first.cliques_containing("h", 2, 0.3))) == 2
+    assert first.containing_clique_exists(["h", "a1"], 2, 0.3)
+    assert calls == [g.version]
+    assert first.cache_stats.full_compiles == 1
+    lowered = current_lowering(g)
+
+    second = PreparedGraph(g)
+    assert _enum(second) == _enum(PreparedGraph(g.copy()))
+    assert second.cache_stats.full_compiles == 0
+    assert second.cache_stats.delta_patches == 0
+    assert current_lowering(g) is lowered
+    assert calls == [g.version, g.version]  # the copy's own lowering

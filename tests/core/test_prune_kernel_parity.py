@@ -221,3 +221,113 @@ def test_session_shares_one_compile_across_prune_stages() -> None:
     from repro.core.enumeration import maximal_cliques
 
     assert fresh == list(maximal_cliques(graph, 2, 0.2))
+
+
+# ----------------------------------------------------------------------
+# Restricted peels on a multi-component lowering
+# ----------------------------------------------------------------------
+
+
+def _beside_a_far_component(graph: UncertainGraph) -> UncertainGraph:
+    """A larger component first, then ``graph``: a peel restricted to
+    ``graph``'s nodes runs on a lowering mostly made of non-members, and
+    its member ids start past the far component's."""
+    union = UncertainGraph()
+    far = [f"far{i}" for i in range(14)]
+    for i, u in enumerate(far):
+        for j in range(i + 1, min(i + 6, len(far))):
+            p = PROBABILITY_PALETTE[(i + j) % len(PROBABILITY_PALETTE)]
+            union.add_edge(u, far[j], p)
+    for u in graph:
+        union.add_node(u)
+    for u, v, p in graph.edges():
+        union.add_edge(u, v, p)
+    return union
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    graph=prune_graphs(),
+    k=st.integers(min_value=1, max_value=3),
+    tau=st.sampled_from(TAUS),
+    data=st.data(),
+)
+def test_restricted_peels_equal_the_induced_subgraph_peels(
+    graph: UncertainGraph, k: int, tau: float, data: st.DataObject
+) -> None:
+    union = _beside_a_far_component(graph)
+    compiled = compile_graph(union)
+    nodes = graph.nodes()
+    subset = data.draw(
+        st.lists(st.sampled_from(nodes), unique=True) if nodes
+        else st.just([])
+    )
+    # Fixed nodes inside the members abort the peel when condemned;
+    # fixed nodes outside them (here: the far component) never do.
+    fixed = data.draw(st.sets(st.sampled_from(union.nodes()), max_size=3))
+    for members in (nodes, subset):
+        induced = union.induced_subgraph(members)
+        legacy = topk_core(induced, k, tau, fixed=fixed, engine="legacy")
+        anchored = topk_peel(compiled, k, tau, members=members, fixed=fixed)
+        assert (anchored is not None) == legacy.contains_fixed
+        if anchored is not None:
+            assert anchored == legacy.nodes
+        assert topk_core(
+            union, k, tau, fixed=fixed, compiled=compiled, members=members
+        ) == legacy
+        assert topk_peel(compiled, k, tau, members=members) == topk_core(
+            induced, k, tau, engine="legacy"
+        ).nodes
+        assert survival_peel(compiled, k, tau, members=members) == (
+            dp_core_plus(induced, k, tau, engine="legacy")
+        )
+        assert distribution_peel(compiled, k, tau, members=members) == (
+            dp_core(induced, k, tau, engine="legacy")
+        )
+    # Restricted peels never read or build the whole-graph level index.
+    assert compiled._topk_levels == {}
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    graph=prune_graphs(),
+    k=st.integers(min_value=1, max_value=3),
+    tau=st.sampled_from(TAUS),
+    data=st.data(),
+)
+def test_frontier_repeels_equal_the_induced_subgraph_peels(
+    graph: UncertainGraph, k: int, tau: float, data: st.DataObject
+) -> None:
+    # The maintainer's pattern: the previous core is trusted, an edge
+    # inside the small component goes, and the re-peel starts from its
+    # endpoints only.
+    edges = [(u, v) for u, v, _ in graph.edges()]
+    if not edges:
+        return
+    union = _beside_a_far_component(graph)
+    members = graph.nodes()
+    before = union.induced_subgraph(members)
+    trusted = {
+        topk_peel: topk_core(before, k, tau, engine="legacy").nodes,
+        survival_peel: dp_core_plus(before, k, tau, engine="legacy"),
+        distribution_peel: dp_core(before, k, tau, engine="legacy"),
+    }
+    u, v = data.draw(st.sampled_from(edges))
+    union.remove_edge(u, v)
+    after = union.induced_subgraph(members)
+    expected = {
+        topk_peel: topk_core(after, k, tau, engine="legacy").nodes,
+        survival_peel: dp_core_plus(after, k, tau, engine="legacy"),
+        distribution_peel: dp_core(after, k, tau, engine="legacy"),
+    }
+    compiled = compile_graph(union)
+    for peel, core in trusted.items():
+        frontier = [w for w in (u, v) if w in core]
+        assert peel(
+            compiled, k, tau, members=core, frontier=frontier
+        ) == expected[peel]
+
+
+def test_topk_core_members_requires_arrays_engine() -> None:
+    with pytest.raises(ValueError, match="members"):
+        topk_core(_straddle_graph(), 2, 0.2, engine="legacy", members={"a"})
