@@ -36,7 +36,6 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.analysis.engine import FileContext
 
 __all__ = [
-    "ClassInfo",
     "FunctionInfo",
     "ModuleTable",
     "ProjectContext",
@@ -168,26 +167,6 @@ class FunctionInfo:
         return self.class_name is not None
 
 
-@dataclass(frozen=True)
-class ClassInfo:
-    """One class definition in the linted tree."""
-
-    name: str
-    module: str
-    context: "FileContext"
-    node: ast.ClassDef
-    #: Method name -> info, for pickle-contract checks.
-    methods: dict[str, FunctionInfo]
-    #: Simple names of direct bases (``CompiledBase`` in
-    #: ``class C(kernel.CompiledBase)``), for inherited ``__getstate__``.
-    bases: tuple[str, ...]
-
-    @property
-    def defines_getstate(self) -> bool:
-        """Whether the class itself declares ``__getstate__``."""
-        return "__getstate__" in self.methods
-
-
 @dataclass
 class ModuleTable:
     """Symbol table of one module (top-level bindings only)."""
@@ -221,13 +200,11 @@ class ProjectContext:
         files: Sequence["FileContext"],
         modules: dict[str, ModuleTable],
         functions: dict[str, tuple[FunctionInfo, ...]],
-        classes: dict[str, tuple[ClassInfo, ...]],
         functions_by_file: dict[int, tuple[FunctionInfo, ...]],
     ) -> None:
         self.files = list(files)
         self.modules = modules
         self._functions = functions
-        self._classes = classes
         self._functions_by_file = functions_by_file
 
     # ------------------------------------------------------------------
@@ -239,7 +216,6 @@ class ProjectContext:
         """Walk every parsed file into the shared model (one pass each)."""
         modules: dict[str, ModuleTable] = {}
         functions: dict[str, list[FunctionInfo]] = {}
-        classes: dict[str, list[ClassInfo]] = {}
         by_file: dict[int, list[FunctionInfo]] = {}
 
         for context in files:
@@ -252,17 +228,13 @@ class ProjectContext:
                 cls._index_toplevel(stmt, table)
 
             for info in cls._walk_definitions(context, module):
-                if isinstance(info, FunctionInfo):
-                    functions.setdefault(info.name, []).append(info)
-                    file_functions.append(info)
-                else:
-                    classes.setdefault(info.name, []).append(info)
+                functions.setdefault(info.name, []).append(info)
+                file_functions.append(info)
 
         return cls(
             files,
             modules,
             {name: tuple(defs) for name, defs in functions.items()},
-            {name: tuple(defs) for name, defs in classes.items()},
             {key: tuple(defs) for key, defs in by_file.items()},
         )
 
@@ -305,8 +277,8 @@ class ProjectContext:
     @staticmethod
     def _walk_definitions(
         context: "FileContext", module: str
-    ) -> Iterator[FunctionInfo | ClassInfo]:
-        """Yield every function, method and class defined in ``context``."""
+    ) -> Iterator[FunctionInfo]:
+        """Yield every function and method defined in ``context``."""
 
         def function_info(
             node: ast.FunctionDef | ast.AsyncFunctionDef,
@@ -332,7 +304,7 @@ class ProjectContext:
 
         def walk(
             body: Sequence[ast.stmt], class_name: str | None
-        ) -> Iterator[FunctionInfo | ClassInfo]:
+        ) -> Iterator[FunctionInfo]:
             for stmt in body:
                 if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef)):
                     yield function_info(stmt, class_name)
@@ -340,26 +312,11 @@ class ProjectContext:
                     # (called_names walks the whole body), not
                     # registered as call-graph nodes of their own.
                 elif isinstance(stmt, ast.ClassDef):
-                    methods: dict[str, FunctionInfo] = {}
                     for inner in stmt.body:
                         if isinstance(
                             inner, (ast.FunctionDef, ast.AsyncFunctionDef)
                         ):
-                            info = function_info(inner, stmt.name)
-                            methods[info.name] = info
-                            yield info
-                    yield ClassInfo(
-                        name=stmt.name,
-                        module=module,
-                        context=context,
-                        node=stmt,
-                        methods=methods,
-                        bases=tuple(
-                            name
-                            for base in stmt.bases
-                            if (name := decorator_name(base))
-                        ),
-                    )
+                            yield function_info(inner, stmt.name)
 
         yield from walk(context.tree.body, None)
 
@@ -389,32 +346,6 @@ class ProjectContext:
             if target is not None and target != name:
                 aliased += self._functions.get(target, ())
         return direct + aliased
-
-    def resolve_class(self, name: str) -> tuple[ClassInfo, ...]:
-        """All project class definitions named ``name``."""
-        return self._classes.get(name, ())
-
-    def class_ships_state(self, name: str, _seen: frozenset[str] = frozenset()) -> bool | None:
-        """Whether class ``name`` controls its pickled form.
-
-        ``True`` when some project definition of ``name`` (or a resolvable
-        base) defines ``__getstate__``; ``False`` when the class is known
-        to the project and none does; ``None`` when the name does not
-        resolve to any linted class (builtin, third-party — unknowable,
-        so callers must not flag it).
-        """
-        infos = self.resolve_class(name)
-        if not infos:
-            return None
-        for info in infos:
-            if info.defines_getstate:
-                return True
-            for base in info.bases:
-                if base in _seen:
-                    continue
-                if self.class_ships_state(base, _seen | {name}):
-                    return True
-        return False
 
     def callees(self, info: FunctionInfo) -> tuple[FunctionInfo, ...]:
         """Every project function a call inside ``info`` may reach."""

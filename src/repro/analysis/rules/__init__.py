@@ -18,7 +18,6 @@ from repro.analysis.rules.layering import (
     StageBypassesSession,
 )
 from repro.analysis.rules.mutation import FrozenGraphMutation
-from repro.analysis.rules.pickling import UnpicklableSubmission
 from repro.analysis.rules.probability import (
     LogLinearMixing,
     RawThresholdCompare,
@@ -47,7 +46,6 @@ __all__ = [
     "SwallowedError",
     "UnorderedIterationFlow",
     "UnorderedReduction",
-    "UnpicklableSubmission",
     "UnseededRandom",
     "UnvalidatedProbabilityStore",
     "UnversionedCacheKey",
@@ -66,7 +64,6 @@ ALL_RULES: tuple[Rule, ...] = (
     UnorderedReduction(),
     ImpureStage(),
     UnversionedCacheKey(),
-    UnpicklableSubmission(),
     ComponentEpochDiscipline(),
 )
 

@@ -66,7 +66,7 @@ PruningRule = Literal["topk", "ktau", "none"]
 #: Pivot enumeration emits the identical *set* of cliques with
 #: bit-identical per-clique probabilities, in pivot branch order; the
 #: compiled MaxUC+ is bit-identical to legacy in result and counters
-#: (see ``tests/core/test_kernel_parity``).
+#: (see ``tests/core/test_conformance``).
 Engine = Literal["pivot", "legacy"]
 
 

@@ -47,7 +47,7 @@ enumeration emits the same *set* of cliques as ``engine="legacy"`` in
 its own branch order; :func:`maximum_compiled` produces every
 decision-relevant float by the same multiplication sequence as the
 legacy closure, so its result and statistics counters are identical to
-``engine="legacy"`` (both pinned by ``tests/core/test_kernel_parity.py``).
+``engine="legacy"`` (both pinned by ``tests/core/test_conformance.py``).
 
 The entry points are :func:`enum_root_prep`, :func:`pivot_root_plan` and
 :func:`enumerate_pivot_range` (the pivoted MUC recursion of Algorithm 4)
@@ -126,14 +126,10 @@ class CompiledComponent:
     ``rows`` holds the dense probability rows for small components
     (``None`` above :data:`_DENSE_ROW_LIMIT`).
 
-    Compiled components are **picklable**, and only the canonical state
-    is pickled: the node labels and the CSR arrays (compact ``array``
-    buffers).  Every derived form — bitmask rows, dense probability rows,
-    int-keyed dicts, cached bit singletons — is rebuilt on unpickle,
-    which is faster than serialising an O(n^2) float matrix and keeps the
-    payload near the information-theoretic minimum.
-    :func:`derive_component_view` builds its views through the same
-    ``__setstate__`` path.
+    The constructor compiles a graph from scratch and stays the
+    independent oracle the derived views are checked against;
+    :meth:`from_csr` builds a view from the node labels and the CSR
+    arrays alone (:func:`derive_component_view`).
     """
 
     __slots__ = (
@@ -195,17 +191,17 @@ class CompiledComponent:
         self.nbr_probs = nbr_probs
         self.full_mask = (1 << n) - 1 if n else 0
 
-    def __getstate__(self) -> tuple[
-        list[Node], array[int], array[int], array[float]
-    ]:
-        # Labels + CSR only; all derived forms are rebuilt in __setstate__.
-        return (self.nodes, self.row_offsets, self.nbr_ids, self.nbr_probs)
-
-    def __setstate__(
-        self,
-        state: tuple[list[Node], array[int], array[int], array[float]],
-    ) -> None:
-        order, row_offsets, nbr_ids, nbr_probs = state
+    @classmethod
+    def from_csr(
+        cls,
+        order: list[Node],
+        row_offsets: array[int],
+        nbr_ids: array[int],
+        nbr_probs: array[float],
+    ) -> CompiledComponent:
+        """A component from its labels (in id order) and CSR rows; every
+        other form (bitmask rows, dense rows, dicts) is built from them."""
+        view = cls.__new__(cls)
         n = len(order)
         bits = [1 << i for i in range(n)]
         adj: list[int] = []
@@ -226,17 +222,18 @@ class CompiledComponent:
                 for j, p in row.items():
                     flat[j] = p
                 rows.append(flat)
-        self.nodes = order
-        self.index = {u: i for i, u in enumerate(order)}
-        self.n = n
-        self.adj = adj
-        self.prob = prob
-        self.rows = rows
-        self.bits = bits
-        self.row_offsets = row_offsets
-        self.nbr_ids = nbr_ids
-        self.nbr_probs = nbr_probs
-        self.full_mask = (1 << n) - 1 if n else 0
+        view.nodes = order
+        view.index = {u: i for i, u in enumerate(order)}
+        view.n = n
+        view.adj = adj
+        view.prob = prob
+        view.rows = rows
+        view.bits = bits
+        view.row_offsets = row_offsets
+        view.nbr_ids = nbr_ids
+        view.nbr_probs = nbr_probs
+        view.full_mask = (1 << n) - 1 if n else 0
+        return view
 
     def decompile(self, mask: int) -> frozenset[Node]:
         """Original labels of the nodes whose bits are set in ``mask``."""
@@ -269,8 +266,8 @@ def derive_component_view(
     * each member's row is filtered to members first, then only the
       kept ``(-probability, local id)`` pairs are sorted — negation
       flips only the sign bit, so the stored floats are the row's own;
-    * every derived form (bitmask rows, dense rows, dicts) is rebuilt
-      from that CSR by the same code the pickle path uses.
+    * every derived form (bitmask rows, dense rows, dicts) is built
+      from that CSR by :meth:`CompiledComponent.from_csr`.
 
     ``members`` are labels, so a list cached across a full re-lower
     (which renumbers every id) stays valid.
@@ -299,9 +296,7 @@ def derive_component_view(
         nbr_ids.extend([li for _, li in kept])
         nbr_probs.extend([-negp for negp, _ in kept])
         row_offsets.append(len(nbr_ids))
-    view = CompiledComponent.__new__(CompiledComponent)
-    view.__setstate__((nodes, row_offsets, nbr_ids, nbr_probs))
-    return view
+    return CompiledComponent.from_csr(nodes, row_offsets, nbr_ids, nbr_probs)
 
 
 def iter_bits(mask: int) -> Iterator[int]:

@@ -20,7 +20,7 @@ parameters to a deterministic artifact:
   patches it forward through the mutation log, so every session, free
   function and core maintainer over one graph lowers it once.
 * :func:`compile_enumeration_stage` — per-component search preparation:
-  the picklable :class:`~repro.core.kernel.CompiledComponent` CSR bundles
+  the :class:`~repro.core.kernel.CompiledComponent` CSR bundles
   the pivot engine searches, *derived* from the :func:`compile_stage`
   artifact's rows (member-filtered, no recompilation;
   :func:`~repro.core.kernel.compile_component` remains the parity
@@ -299,7 +299,7 @@ def compile_enumeration_stage(
 ) -> tuple[CompiledComponent | None, ...]:
     """Compile each component the kernel enumeration will search.
 
-    One slot per component, in order: a picklable
+    One slot per component, in order: a
     :class:`~repro.core.kernel.CompiledComponent` when the component is
     searchable by the compiled kernel (``min_size <= n <= limit``), else
     ``None`` — the search stage re-derives *why* a slot is ``None`` from
@@ -307,7 +307,7 @@ def compile_enumeration_stage(
 
     The views are derived from the rows of ``artifact``, the
     :func:`compile_stage` lowering (bit-identical to the from-scratch
-    compile, see ``tests/core/test_compiled_graph``).
+    compile, see ``tests/core/test_conformance``).
     """
     return tuple(
         derive_component_view(artifact, component)

@@ -63,9 +63,9 @@ twins, bit for bit:
   exact fast path of :func:`~repro.utils.validation.prob_at_least` /
   ``prob_below``.
 
-The randomized suite ``tests/core/test_prune_kernel_parity.py`` pins
-this contract, including ``p == 1.0`` edges and probabilities straddling
-``STABLE_P_LIMIT``.
+The randomized conformance matrix ``tests/core/test_conformance.py``
+pins this contract, including ``p == 1.0`` edges and probabilities
+straddling ``STABLE_P_LIMIT``.
 """
 
 from __future__ import annotations
@@ -154,7 +154,7 @@ class CompiledGraph:
     the core's ids in peel order and their levels.  It lives as long as
     this version of the lowering:
     :meth:`apply_delta` drops it with the first op it applies, and a
-    re-lower, a pickle or a copy starts without it.
+    re-lower starts without it.
 
     The compile is pure data tied to one graph ``version``.  It lives on
     the graph it lowers (:func:`repro.core.pipeline.lowering`), so every
@@ -166,12 +166,7 @@ class CompiledGraph:
     hold derived :class:`~repro.core.kernel.CompiledComponent` copies,
     and a ``maximal_cliques`` generator derives its views before its
     first yield.  Lazy row mapping and the :meth:`core_ids` memo fill
-    idempotently, so every reader sees the same bytes.  The artifact
-    is **picklable** at any point of its lazy lowering — only the node
-    labels, the insertion-order CSR as it stands (``nbr_labels``, which
-    is ``None`` once fully lowered, and the partly mapped ``nbr_ids``)
-    and the version are pickled (``__getstate__``); every derived form
-    is rebuilt on unpickle, and the level index starts empty.
+    idempotently, so every reader sees the same bytes.
     """
 
     __slots__ = (
@@ -204,11 +199,6 @@ class CompiledGraph:
         self.nbr_ids = cast("list[int]", [None] * len(nbr_labels))
         self.nbr_probs = nbr_probs
         self.version = version
-        self._build_derived()
-
-    def _build_derived(self) -> None:
-        """Rebuild every derived form from the canonical flat state."""
-        nodes = self.nodes
         n = len(nodes)
         self.n = n
         self.index = {u: i for i, u in enumerate(nodes)}
@@ -247,34 +237,6 @@ class CompiledGraph:
         lo = self.row_offsets[i]
         hi = self.row_offsets[i + 1]
         return self.nbr_ids[lo:hi], self.nbr_probs[lo:hi]
-
-    def __getstate__(self) -> tuple[
-        tuple[Node, ...], list[int], list[Node] | None, list[int],
-        list[float], int,
-    ]:
-        # Labels + insertion-order CSR (as far as it is lowered) +
-        # version only; every derived form (index, sort_rank,
-        # core numbers, level index) is rebuilt in __setstate__.
-        return (
-            self.nodes, self.row_offsets, self.nbr_labels, self.nbr_ids,
-            self.nbr_probs, self.version,
-        )
-
-    def __setstate__(
-        self,
-        state: tuple[
-            tuple[Node, ...], list[int], list[Node] | None, list[int],
-            list[float], int,
-        ],
-    ) -> None:
-        nodes, row_offsets, nbr_labels, nbr_ids, nbr_probs, version = state
-        self.nodes = nodes
-        self.row_offsets = row_offsets
-        self.nbr_labels = nbr_labels
-        self.nbr_ids = nbr_ids
-        self.nbr_probs = nbr_probs
-        self.version = version
-        self._build_derived()
 
     def degree(self, i: int) -> int:
         """Full degree of compiled node ``i``."""

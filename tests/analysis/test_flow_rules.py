@@ -1,4 +1,4 @@
-"""Fixture tests for the whole-program flow rules (RPL009–RPL014).
+"""Fixture tests for the whole-program flow rules (RPL009–RPL012, RPL014).
 
 Each rule gets at least one seeded violation the rule must catch, a
 sanctioned counterpart it must stay quiet on, and a pragma-suppression
@@ -507,167 +507,6 @@ class TestUnversionedCacheKey:
             """,
         )
         assert rules_of(lint_file(path), "RPL012") == []
-
-
-# ----------------------------------------------------------------------
-# RPL013: process-boundary pickling
-# ----------------------------------------------------------------------
-
-class TestUnpicklableSubmission:
-    def test_flags_lambda_worker(self, tmp_path: Path) -> None:
-        path = write(
-            tmp_path,
-            "core/par.py",
-            """
-            from concurrent.futures import ProcessPoolExecutor
-
-            def run(items):
-                with ProcessPoolExecutor() as pool:
-                    return [pool.submit(lambda x: x, i) for i in items]
-            """,
-        )
-        findings = rules_of(lint_file(path), "RPL013")
-        assert len(findings) == 1
-        assert "lambda" in findings[0].message
-
-    def test_flags_nested_worker(self, tmp_path: Path) -> None:
-        path = write(
-            tmp_path,
-            "core/par.py",
-            """
-            from concurrent.futures import ProcessPoolExecutor
-
-            def run(items):
-                def work(x):
-                    return x
-                pool = ProcessPoolExecutor()
-                return [pool.submit(work, i) for i in items]
-            """,
-        )
-        findings = rules_of(lint_file(path), "RPL013")
-        assert len(findings) == 1
-        assert "work()" in findings[0].message
-
-    def test_flags_generator_expression_argument(
-        self, tmp_path: Path
-    ) -> None:
-        path = write(
-            tmp_path,
-            "core/par.py",
-            """
-            from concurrent.futures import ProcessPoolExecutor
-
-            def run(worker, rows):
-                with ProcessPoolExecutor() as pool:
-                    return pool.submit(worker, (r for r in rows))
-            """,
-        )
-        findings = rules_of(lint_file(path), "RPL013")
-        assert len(findings) == 1
-        assert "generator expression" in findings[0].message
-
-    def test_flags_dict_backed_class_without_getstate(
-        self, tmp_path: Path
-    ) -> None:
-        path = write(
-            tmp_path,
-            "core/par.py",
-            """
-            from concurrent.futures import ProcessPoolExecutor
-
-            class Component:
-                def __init__(self):
-                    self.adj = {}
-
-            def work(c):
-                return c
-
-            def run(items):
-                with ProcessPoolExecutor() as pool:
-                    payload = Component()
-                    return pool.submit(work, payload)
-            """,
-        )
-        findings = rules_of(lint_file(path), "RPL013")
-        assert len(findings) == 1
-        assert "__getstate__" in findings[0].message
-
-    def test_getstate_class_is_sanctioned(self, tmp_path: Path) -> None:
-        path = write(
-            tmp_path,
-            "core/par.py",
-            """
-            from concurrent.futures import ProcessPoolExecutor
-
-            class Component:
-                def __init__(self):
-                    self.adj = {}
-
-                def __getstate__(self):
-                    return tuple(sorted(self.adj))
-
-            def work(c):
-                return c
-
-            def run(items):
-                with ProcessPoolExecutor() as pool:
-                    return pool.submit(work, Component())
-            """,
-        )
-        assert rules_of(lint_file(path), "RPL013") == []
-
-    def test_thread_pool_is_out_of_scope(self, tmp_path: Path) -> None:
-        path = write(
-            tmp_path,
-            "core/par.py",
-            """
-            from concurrent.futures import ThreadPoolExecutor
-
-            def run(items):
-                with ThreadPoolExecutor() as pool:
-                    return [pool.submit(lambda x: x, i) for i in items]
-            """,
-        )
-        assert rules_of(lint_file(path), "RPL013") == []
-
-    def test_flags_generator_function_result(self, tmp_path: Path) -> None:
-        path = write(
-            tmp_path,
-            "core/par.py",
-            """
-            from concurrent.futures import ProcessPoolExecutor
-
-            def stream(items):
-                yield from items
-
-            def work(it):
-                return list(it)
-
-            def run(items):
-                with ProcessPoolExecutor() as pool:
-                    return pool.submit(work, stream(items))
-            """,
-        )
-        findings = rules_of(lint_file(path), "RPL013")
-        assert len(findings) == 1
-        assert "generator" in findings[0].message
-
-    def test_pragma_suppresses(self, tmp_path: Path) -> None:
-        path = write(
-            tmp_path,
-            "core/par.py",
-            """
-            from concurrent.futures import ProcessPoolExecutor
-
-            def run(items):
-                with ProcessPoolExecutor() as pool:
-                    return [
-                        pool.submit(lambda x: x, i)  # repro-lint: ignore[RPL013]
-                        for i in items
-                    ]
-            """,
-        )
-        assert rules_of(lint_file(path), "RPL013") == []
 
 
 # ----------------------------------------------------------------------

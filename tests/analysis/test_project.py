@@ -157,30 +157,6 @@ def test_transitive_callees_cross_module(tmp_path: Path) -> None:
     assert {"middle", "leaf"} <= names
 
 
-def test_class_ships_state_three_way(tmp_path: Path) -> None:
-    project = build_project(
-        tmp_path,
-        {
-            "core/k.py": """
-            class Compiled:
-                def __getstate__(self):
-                    return ()
-
-            class Derived(Compiled):
-                pass
-
-            class Plain:
-                def __init__(self):
-                    self.adj = {}
-            """,
-        },
-    )
-    assert project.class_ships_state("Compiled") is True
-    assert project.class_ships_state("Derived") is True
-    assert project.class_ships_state("Plain") is False
-    assert project.class_ships_state("ThirdParty") is None
-
-
 def test_importers_of_suffix_match(tmp_path: Path) -> None:
     project = build_project(
         tmp_path,

@@ -640,7 +640,6 @@ def test_syntax_error_becomes_parse_finding(tmp_path: Path) -> None:
     [
         "RPL001", "RPL002", "RPL003", "RPL004", "RPL005", "RPL006",
         "RPL007", "RPL008", "RPL009", "RPL010", "RPL011", "RPL012",
-        "RPL013",
     ],
 )
 def test_every_rule_is_registered(rule_id: str) -> None:

@@ -1,0 +1,833 @@
+"""The conformance matrix: every fast path against one oracle ladder.
+
+Each query kind is asked through both search engines (``"legacy"``, the
+paper-following reference, and ``"pivot"``, the compiled kernel) and in
+three modes:
+
+* **cold** — a fresh copy of the graph: nothing lowered, nothing cached;
+* **warm** — one session (or one lowering) that has answered before: a
+  repeat equals the cold answer bit for bit, yield order and counters
+  included, and misses nothing in the cache;
+* **mutate** — that warm state carried through a stream of mutations:
+  the graph's lowering is patched in place (or lowered afresh after a
+  ``remove_node``), and every answer equals the oracle and a cold
+  rebuild of the mutated graph.
+
+The oracle ladder: brute force over every node subset for graphs of at
+most :data:`BRUTE_FORCE_LIMIT` nodes and the legacy search above it;
+the legacy dict-of-dicts peels on the induced subgraph for every prune;
+:func:`~repro.core.kernel.compile_component` on the induced subgraph
+for every derived search view; a cold
+:func:`~repro.core.prune_kernel.compile_graph` for every delta patch.
+
+The query kinds:
+
+* the session queries of :data:`QUERIES` — enumeration (MUCE, MUCE+ and
+  MUCE++ as ``cut`` and ``insearch`` select), the maximum (MaxUC+) and
+  the three anchored queries.  Enumeration emits the oracle's set, each
+  clique once, with the pre-search counters equal across engines;
+  MaxUC+ returns the canonical maximum with every counter equal;
+* the lowering readers of :func:`check_lowering` — the peels of
+  :data:`PEELS` over the whole graph and with ``members=``, ``fixed=``
+  and ``frontier=``, the core numbers, the derived search views and
+  the delta patch.
+
+Graphs come from one strategy (:func:`tests.core.support.
+uncertain_graphs`): duplicate probabilities, ``p == 1.0`` edges and
+both ``STABLE_P_LIMIT`` straddles, isolated nodes, mixed int / str
+labels and two or more components, with ``tau`` from a palette or
+exactly a clique's probability.  Regressions pinned by earlier suites
+are the rows of :data:`PINNED`; the fallback paths (a mutation-log gap,
+``remove_node``, an oversized component) have rows that also check the
+fallback was taken.
+"""
+
+from __future__ import annotations
+
+import itertools
+from dataclasses import asdict, dataclass
+from typing import Any, Callable
+
+import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
+
+import repro.core.enumeration as enumeration_mod
+import repro.core.pipeline as pipeline_mod
+from repro import KTauCoreMaintainer, PreparedGraph, UncertainGraph
+from repro.core.bruteforce import brute_force_maximal_cliques
+from repro.core.enumeration import (
+    Engine,
+    EnumerationStats,
+    PruningRule,
+    maximal_cliques,
+)
+from repro.core.kernel import (
+    CompiledComponent,
+    compile_component,
+    derive_component_view,
+)
+from repro.core.ktau_core import dp_core, dp_core_plus
+from repro.core.maximum import MaximumSearchStats
+from repro.core.prune_kernel import (
+    CompiledGraph,
+    compile_graph,
+    distribution_peel,
+    node_sort_key,
+    survival_peel,
+    topk_peel,
+)
+from repro.core.topk_core import topk_core, topk_core_arrays
+from repro.deterministic.components import connected_components
+from repro.deterministic.core_decomposition import core_numbers
+from repro.uncertain.clique_prob import clique_probability, is_clique
+from repro.uncertain.graph import _MUTLOG_MAXLEN, Node
+from repro.utils.validation import prob_at_least
+from tests.core.support import (
+    PROBABILITY_PALETTE,
+    assert_bit_identical,
+    assert_views_bit_identical,
+    clique_edges,
+    hub_and_triangle,
+    seed_graph,
+    straddle_graph,
+    two_cliques,
+    uncertain_graphs,
+)
+
+ENGINES: tuple[Engine, ...] = ("legacy", "pivot")
+TAUS = (0.01, 0.05, 0.1, 0.2, 0.3, 0.5, 0.6)
+#: Brute force checks every node subset: cheap up to here, and the
+#: legacy search answers above it (a mutation stream can grow a graph).
+BRUTE_FORCE_LIMIT = 14
+
+#: ``(op, u, v, p)``; ``v`` and ``p`` are ignored by the node ops.
+Mutation = tuple[str, Node, Node, float]
+
+
+@dataclass(frozen=True)
+class Case:
+    """One graph and everything the matrix asks of it."""
+
+    graph: UncertainGraph
+    k: int
+    tau: float
+    mutations: tuple[Mutation, ...] = ()
+    #: ``"ktau"`` sessions are mutated through a KTauCoreMaintainer,
+    #: which has no node removal, so their streams draw none.
+    pruning: PruningRule = "topk"
+    cut: bool = True
+    insearch: bool = True
+    #: The anchored queries' nodes (the first for ``cliques_containing``)
+    #: and the ``fixed=`` set of the peels.
+    anchors: tuple[Node, ...] = ()
+    #: A ``members=`` set of the restricted peels.
+    members: tuple[Node, ...] = ()
+    #: Picks the edge whose removal seeds the ``frontier=`` re-peels.
+    drop: int = 0
+
+    def __repr__(self) -> str:
+        graph = self.graph
+        rest = ", ".join(
+            f"{name}={getattr(self, name)!r}"
+            for name in (
+                "k", "tau", "mutations", "pruning", "cut", "insearch",
+                "anchors", "members", "drop",
+            )
+        )
+        return (
+            f"Case(UncertainGraph(nodes={graph.nodes()!r}, "
+            f"edges={list(graph.edges())!r}), {rest})"
+        )
+
+
+def mutate(
+    graph: UncertainGraph,
+    maintainer: KTauCoreMaintainer | None,
+    mutation: Mutation,
+) -> None:
+    """Apply ``mutation`` through ``maintainer`` when there is one."""
+    op, u, v, p = mutation
+    writer: Any = graph if maintainer is None else maintainer
+    if op == "reweight":
+        writer.set_probability(u, v, p)
+    elif op == "add_edge":
+        writer.add_edge(u, v, p)
+    elif op == "remove_edge":
+        writer.remove_edge(u, v)
+    elif op == "add_node":
+        writer.add_node(u)
+    else:
+        writer.remove_node(u)
+
+
+@st.composite
+def mutation_streams(
+    draw: st.DrawFn, graph: UncertainGraph, node_removal: bool
+) -> tuple[Mutation, ...]:
+    scratch = graph.copy()
+    stream: list[Mutation] = []
+    for i in range(draw(st.integers(min_value=1, max_value=6))):
+        nodes = scratch.nodes()
+        edges = [(u, v) for u, v, _ in scratch.edges()]
+        ops = ["add_node", "add_edge"]
+        if edges:
+            ops += ["reweight", "remove_edge"]
+        if nodes and node_removal:
+            ops.append("remove_node")
+        op = draw(st.sampled_from(ops))
+        p = draw(st.sampled_from(PROBABILITY_PALETTE))
+        u = v = f"new{i}"
+        if op in ("reweight", "remove_edge"):
+            u, v = draw(st.sampled_from(edges))
+        elif op == "add_edge":
+            u = draw(st.sampled_from([*nodes, u]))
+            v = draw(st.sampled_from([
+                *(w for w in nodes if w != u and not scratch.has_edge(u, w)),
+                f"new{i}b",
+            ]))
+        elif op == "remove_node":
+            u = v = draw(st.sampled_from(nodes))
+        mutation = (op, u, v, p)
+        mutate(scratch, None, mutation)
+        stream.append(mutation)
+    return tuple(stream)
+
+
+@st.composite
+def cases(draw: st.DrawFn) -> Case:
+    graph = draw(uncertain_graphs())
+    nodes = graph.nodes()
+    # tau exactly at the probability of an edge or a triangle: the
+    # tolerant threshold must keep that clique in every engine.
+    exact = [
+        clique_probability(graph, clique)
+        for clique in itertools.chain(
+            itertools.combinations(nodes, 2), itertools.combinations(nodes, 3)
+        )
+        if is_clique(graph, clique)
+    ]
+    taus = st.sampled_from(TAUS)
+    tau = draw(taus | st.sampled_from(exact) if exact else taus)
+    pruning = draw(st.sampled_from(("topk", "ktau")))
+    anchors: tuple[Node, ...] = ()
+    members: tuple[Node, ...] = ()
+    if nodes:
+        first = draw(st.sampled_from(nodes))
+        neighbours = list(graph.incident(first))
+        more = draw(
+            st.lists(st.sampled_from(neighbours), unique=True, max_size=2)
+            if neighbours else st.just([])
+        )
+        anchors = (first, *more)
+        members = tuple(draw(st.lists(st.sampled_from(nodes), unique=True)))
+    return Case(
+        graph,
+        k=draw(st.integers(min_value=0, max_value=4)),
+        tau=tau,
+        mutations=draw(mutation_streams(graph, pruning != "ktau")),
+        pruning=pruning,
+        cut=draw(st.booleans()),
+        insearch=draw(st.booleans()),
+        anchors=anchors,
+        members=members,
+        drop=draw(st.integers(min_value=0, max_value=64)),
+    )
+
+
+# ----------------------------------------------------------------------
+# Session queries
+# ----------------------------------------------------------------------
+
+
+def clique_oracle(
+    graph: UncertainGraph, k: int, tau: float
+) -> set[frozenset[Node]]:
+    """The maximal (k, tau)-cliques, by the cheapest rung that answers."""
+    if len(graph) <= BRUTE_FORCE_LIMIT:
+        return brute_force_maximal_cliques(graph, k, tau)
+    return set(maximal_cliques(graph, k, tau, engine="legacy"))
+
+
+def maximum_of(cliques: set[frozenset[Node]]) -> frozenset[Node] | None:
+    """The canonical maximum: of the largest cliques, the one whose
+    sorted members are lexicographically smallest under node_sort_key."""
+    if not cliques:
+        return None
+    size = max(map(len, cliques))
+    return min(
+        (c for c in cliques if len(c) == size),
+        key=lambda c: sorted(map(node_sort_key, c)),
+    )
+
+
+def present(graph: UncertainGraph, case: Case) -> list[Node]:
+    """The case's anchors that the (possibly mutated) graph still has."""
+    return [a for a in case.anchors if graph.has_node(a)]
+
+
+def ask_enumeration(
+    session: PreparedGraph, case: Case, engine: Engine
+) -> tuple[list[frozenset[Node]], EnumerationStats]:
+    stats = EnumerationStats()
+    cliques = list(session.maximal_cliques(
+        case.k, case.tau, pruning=case.pruning, cut=case.cut,
+        insearch=case.insearch, stats=stats, engine=engine,
+    ))
+    assert stats.cliques == len(cliques)
+    return cliques, stats
+
+
+def ask_maximum(
+    session: PreparedGraph, case: Case, engine: Engine
+) -> tuple[frozenset[Node] | None, MaximumSearchStats]:
+    stats = MaximumSearchStats()
+    best = session.max_uc_plus(
+        case.k, case.tau, stats=stats, insearch=case.insearch, engine=engine
+    )
+    if engine == "pivot":
+        # The branch-and-bound's DFS order decides ties: it never pivots.
+        assert stats.pivot_branches == stats.pivot_skipped == 0
+    return best, stats
+
+
+def ask_containing(
+    session: PreparedGraph, case: Case, engine: Engine
+) -> tuple[list[frozenset[Node]] | None, None]:
+    anchors = present(session.graph, case)
+    if not anchors:
+        return None, None
+    return list(session.cliques_containing(
+        anchors[0], case.k, case.tau, engine=engine
+    )), None
+
+
+def ask_exists(
+    session: PreparedGraph, case: Case, engine: Engine
+) -> tuple[bool, None]:
+    return session.containing_clique_exists(
+        present(session.graph, case), case.k, case.tau, engine=engine
+    ), None
+
+
+def ask_extendable(
+    session: PreparedGraph, case: Case, engine: Engine
+) -> tuple[bool, None]:
+    return session.is_extendable(present(session.graph, case), case.tau), None
+
+
+def containing_oracle(
+    cliques: set[frozenset[Node]], graph: UncertainGraph, case: Case
+) -> set[frozenset[Node]] | None:
+    anchors = present(graph, case)
+    return {c for c in cliques if anchors[0] in c} if anchors else None
+
+
+def exists_oracle(
+    cliques: set[frozenset[Node]], graph: UncertainGraph, case: Case
+) -> bool:
+    anchors = set(present(graph, case))
+    return bool(anchors) and any(anchors <= c for c in cliques)
+
+
+def extendable_oracle(
+    cliques: set[frozenset[Node]], graph: UncertainGraph, case: Case
+) -> bool:
+    anchors = present(graph, case)
+    if not anchors:
+        return len(graph) > 0
+    return is_clique(graph, anchors) and any(
+        is_clique(graph, [*anchors, v])
+        and prob_at_least(clique_probability(graph, [*anchors, v]), case.tau)
+        for v in graph.nodes()
+        if v not in anchors
+    )
+
+
+@dataclass(frozen=True)
+class Query:
+    ask: Callable[[PreparedGraph, Case, Engine], tuple[Any, Any]]
+    oracle: Callable[[set[frozenset[Node]], UncertainGraph, Case], Any]
+    #: The stats fields both engines must agree on (``None``: all).
+    shared: tuple[str, ...] | None = ()
+
+
+#: What the search shape cannot move: pivoting reorders emission and
+#: changes the recursion, never the prune, the cut or the clique count.
+PRESEARCH = (
+    "nodes_after_pruning", "components", "cuts_found", "cut_edges_removed",
+    "cliques",
+)
+
+QUERIES: dict[str, Query] = {
+    "maximal_cliques": Query(
+        ask_enumeration, lambda cliques, graph, case: cliques, PRESEARCH
+    ),
+    "max_uc_plus": Query(
+        ask_maximum, lambda cliques, graph, case: maximum_of(cliques), None
+    ),
+    "cliques_containing": Query(ask_containing, containing_oracle),
+    "containing_clique_exists": Query(ask_exists, exists_oracle),
+    "is_extendable": Query(ask_extendable, extendable_oracle),
+}
+
+Answers = dict[str, tuple[Any, dict[str, Any] | None]]
+
+
+def ask_all(session: PreparedGraph, case: Case, engine: Engine) -> Answers:
+    answers: Answers = {}
+    for name, query in QUERIES.items():
+        answer, stats = query.ask(session, case, engine)
+        answers[name] = (answer, None if stats is None else asdict(stats))
+    return answers
+
+
+def assert_oracle(
+    answers: Answers, cliques: set[frozenset[Node]], graph: UncertainGraph,
+    case: Case,
+) -> None:
+    for name, (answer, _) in answers.items():
+        if isinstance(answer, list):
+            assert len(answer) == len(set(answer)), name  # each clique once
+            answer = set(answer)
+        assert answer == QUERIES[name].oracle(cliques, graph, case), name
+
+
+def assert_engines_agree(by_engine: dict[Engine, Answers]) -> None:
+    for name, query in QUERIES.items():
+        legacy = by_engine["legacy"][name][1]
+        pivot = by_engine["pivot"][name][1]
+        if query.shared is None:
+            assert pivot == legacy, name
+        else:
+            for field in query.shared:
+                assert pivot[field] == legacy[field], (name, field)
+
+
+def check_queries(case: Case) -> None:
+    graph = case.graph.copy()
+    k, tau = case.k, case.tau
+
+    # Cold: a fresh copy per engine.
+    cliques = clique_oracle(graph, k, tau)
+    cold = {e: ask_all(PreparedGraph(graph.copy()), case, e) for e in ENGINES}
+    for engine in ENGINES:
+        assert_oracle(cold[engine], cliques, graph, case)
+    assert_engines_agree(cold)
+    # With the gate at zero the in-search peel runs at every search
+    # call: legacy's sorted-list peel and the kernel's mask peel on
+    # every recursion level, duplicate probabilities included.
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(enumeration_mod, "_INSEARCH_MIN_CANDIDATES", 0)
+        for engine in ENGINES:
+            forced = list(maximal_cliques(
+                graph.copy(), k, tau, pruning=case.pruning, cut=case.cut,
+                engine=engine,
+            ))
+            assert len(forced) == len(set(forced))
+            assert set(forced) == cliques
+
+    # Warm: one session answers everything twice; the repeat is all hits.
+    session = PreparedGraph(graph)
+    for engine in ENGINES:
+        assert ask_all(session, case, engine) == cold[engine]
+    misses = session.cache_stats.misses
+    for engine in ENGINES:
+        assert ask_all(session, case, engine) == cold[engine]
+    assert session.cache_stats.misses == misses
+    assert session.cache_stats.full_compiles <= 1
+    lowered = graph._lowering
+
+    # Mutate: that session through the stream, checked after every op.
+    maintainer = (
+        KTauCoreMaintainer(session, k, tau) if case.pruning == "ktau" else None
+    )
+    for mutation in case.mutations:
+        misses = session.cache_stats.misses
+        mutate(graph, maintainer, mutation)
+        warm, _ = ask_enumeration(session, case, "pivot")
+        fresh = PreparedGraph(graph.copy())
+        assert warm == ask_enumeration(fresh, case, "pivot")[0]
+        # Untouched components are served from the cache, never re-derived.
+        assert session.cache_stats.misses - misses <= fresh.cache_stats.misses
+        if maintainer is not None:
+            core = dp_core_plus(graph, k, tau, engine="legacy")
+            assert maintainer.core == core
+            assert all(clique <= core for clique in warm)
+
+    cliques = clique_oracle(graph, k, tau)
+    after = {e: ask_all(session, case, e) for e in ENGINES}
+    for engine in ENGINES:
+        assert_oracle(after[engine], cliques, graph, case)
+        cold_after = ask_all(PreparedGraph(graph.copy()), case, engine)
+        assert after[engine] == cold_after
+    assert_engines_agree(after)
+    removals = sum(op == "remove_node" for op, *_ in case.mutations)
+    assert session.cache_stats.full_compiles <= 1 + removals
+    if lowered is not None and not removals:
+        assert graph._lowering is lowered  # patched in place, never re-lowered
+
+
+# ----------------------------------------------------------------------
+# Lowering readers
+# ----------------------------------------------------------------------
+
+Peel = Callable[..., Any]
+
+#: Each compiled peel and the legacy peel it must equal.
+PEELS: dict[str, tuple[Peel, Peel]] = {
+    "topk": (
+        topk_peel,
+        lambda g, k, tau: topk_core(g, k, tau, engine="legacy").nodes,
+    ),
+    "ktau+": (
+        survival_peel,
+        lambda g, k, tau: dp_core_plus(g, k, tau, engine="legacy"),
+    ),
+    "ktau": (
+        distribution_peel,
+        lambda g, k, tau: dp_core(g, k, tau, engine="legacy"),
+    ),
+}
+
+
+def legacy_cores(graph: UncertainGraph, k: int, tau: float) -> dict[str, Any]:
+    return {name: legacy(graph, k, tau) for name, (_, legacy) in PEELS.items()}
+
+
+def check_readers(
+    graph: UncertainGraph, cpg: CompiledGraph, case: Case
+) -> None:
+    """Every reader of ``cpg`` against its oracle on ``graph``.  Leaves
+    ``cpg`` lazily mapped as far as the readers mapped it."""
+    k, tau = case.k, case.tau
+    fixed = set(present(graph, case))
+    whole = legacy_cores(graph, k, tau)
+    for name, (peel, _) in PEELS.items():
+        assert peel(cpg, k, tau) == whole[name], name
+    assert dp_core(graph, k, tau, compiled=cpg) == whole["ktau"]
+    assert dp_core_plus(graph, k, tau, compiled=cpg) == whole["ktau+"]
+    assert topk_core_arrays(graph, k, tau, compiled=cpg) == whole["topk"]
+    assert topk_core(graph, k, tau, fixed=fixed, compiled=cpg) == topk_core(
+        graph, k, tau, fixed=fixed, engine="legacy"
+    )
+
+    components = [
+        [u for u in graph if u in component]
+        for component in connected_components(graph)
+    ]
+    # Fixed nodes inside the members abort the peel when condemned;
+    # fixed nodes outside them never do.  Restricted peels neither read
+    # nor write the whole-graph level index.
+    levels = dict(cpg._topk_levels)
+    for members in (
+        components[0] if components else [],
+        [u for u in case.members if graph.has_node(u)],
+    ):
+        induced = graph.induced_subgraph(members)
+        restricted = legacy_cores(induced, k, tau)
+        frontier = members[::2]
+        for name, (peel, _) in PEELS.items():
+            assert peel(cpg, k, tau, members=members) == restricted[name], name
+            # Any frontier reads a lowered artifact as it reads a fresh one.
+            assert peel(cpg, k, tau, members=members, frontier=frontier) == (
+                peel(compile_graph(graph), k, tau, members=members,
+                     frontier=frontier)
+            ), name
+        legacy = topk_core(induced, k, tau, fixed=fixed, engine="legacy")
+        anchored = topk_peel(cpg, k, tau, members=members, fixed=fixed)
+        assert (anchored is not None) == legacy.contains_fixed
+        if anchored is not None:
+            assert anchored == legacy.nodes
+        assert topk_core(
+            graph, k, tau, fixed=fixed, compiled=cpg, members=members
+        ) == legacy
+        # Pruning removes nodes, never edges among survivors, so any
+        # member set is a view the search stage may derive.
+        assert_views_bit_identical(
+            derive_component_view(cpg, members), compile_component(induced)
+        )
+    assert cpg._topk_levels == levels
+    for members in components:
+        assert_views_bit_identical(
+            derive_component_view(cpg, members),
+            compile_component(graph.induced_subgraph(members)),
+        )
+
+
+def assert_core_numbers(graph: UncertainGraph, cpg: CompiledGraph) -> None:
+    assert dict(zip(cpg.nodes, cpg.core_ids())) == core_numbers(graph)
+
+
+def check_lowering(case: Case) -> None:
+    graph = case.graph.copy()
+    k, tau = case.k, case.tau
+
+    # Cold: a fresh lowering, nothing mapped.
+    cold = compile_graph(graph)
+    check_readers(graph, cold, case)
+    assert_core_numbers(graph, cold)
+
+    # Warm: the graph's own lowering, some rows mapped by earlier reads,
+    # and the level index built by a second whole-graph peel at k.
+    warm, how = pipeline_mod.lowering(graph)
+    assert how == "full"
+    for u in case.members:
+        warm.row(warm.index[u])
+    topk_peel(warm, k, tau)
+    topk_peel(warm, k, tau)
+    check_readers(graph, warm, case)
+
+    # Mutate: the warm lowering patched through the stream (or lowered
+    # afresh after a node removal).
+    for mutation in case.mutations:
+        mutate(graph, None, mutation)
+    removals = any(op == "remove_node" for op, *_ in case.mutations)
+    patched, how = pipeline_mod.lowering(graph)
+    assert how == (
+        "full" if removals else "delta" if case.mutations else "current"
+    )
+    assert (patched is warm) == (not removals)
+    if case.mutations:
+        assert patched._topk_levels == {}  # every patch drops the index
+    check_readers(graph, patched, case)
+    assert_bit_identical(patched, compile_graph(graph))
+    assert_core_numbers(graph, patched)
+
+    # The maintainer's re-peel: an edge goes, the previous core is
+    # trusted, and the peel starts from the edge's endpoints only.
+    edges = list(graph.edges())
+    if edges:
+        u, v, p = edges[case.drop % len(edges)]
+        trusted = legacy_cores(graph, k, tau)
+        graph.remove_edge(u, v)
+        expected = legacy_cores(graph, k, tau)
+        repatched, how = pipeline_mod.lowering(graph)
+        assert repatched is patched and how == "delta"
+        for cpg in (repatched, compile_graph(graph)):
+            for name, (peel, _) in PEELS.items():
+                core = trusted[name]
+                frontier = [w for w in (u, v) if w in core]
+                assert peel(
+                    cpg, k, tau, members=core, frontier=frontier
+                ) == expected[name], name
+        assert_bit_identical(repatched, compile_graph(graph))
+        # And back: a patch after every row and the core numbers were read.
+        graph.add_edge(u, v, p)
+        assert pipeline_mod.lowering(graph) == (patched, "delta")
+        assert_bit_identical(patched, compile_graph(graph))
+
+
+# ----------------------------------------------------------------------
+# The matrix
+# ----------------------------------------------------------------------
+
+#: The session queries run more examples than the lowering readers so
+#: that the maintainer-driven ``ktau`` cases alone number 25 or more.
+matrix = settings(deadline=None, suppress_health_check=[HealthCheck.too_slow])
+
+
+@settings(matrix, max_examples=100)
+@given(case=cases())
+def test_session_queries(case: Case) -> None:
+    check_queries(case)
+
+
+@settings(matrix, max_examples=60)
+@given(case=cases())
+def test_lowering_readers(case: Case) -> None:
+    check_lowering(case)
+
+
+def _clique_with_tail() -> UncertainGraph:
+    """A 0.9 5-clique with a 30-node path of 0.1 edges hung off it: at
+    (k=3, tau=0.3) the top-k prefilter condemns every path node from its
+    probabilities alone."""
+    path = ["c0", *(f"t{i}" for i in range(30))]
+    return UncertainGraph(
+        clique_edges([f"c{i}" for i in range(5)], 0.9)
+        + [(u, v, 0.1) for u, v in zip(path, path[1:])]
+    )
+
+
+def _pinned(
+    graph: UncertainGraph, k: int, tau: float, *mutations: Mutation
+) -> Case:
+    nodes = graph.nodes()
+    return Case(
+        graph, k, tau, mutations, anchors=tuple(nodes[:1]),
+        members=tuple(nodes),
+    )
+
+
+#: Regressions pinned by earlier suites, each checked like a drawn case.
+PINNED: dict[str, Case] = {
+    "duplicate-probabilities": _pinned(hub_and_triangle(), 2, 0.2),
+    **{
+        f"straddle-k{k}-tau{tau}": _pinned(straddle_graph(), k, tau)
+        for k in (1, 2, 3, 4)
+        for tau in (0.05, 0.5, 0.9)
+    },
+    "knife-edge": _pinned(
+        UncertainGraph(clique_edges("abc", 0.5)), 2, 0.125
+    ),
+    "one-lowering-per-version": _pinned(
+        two_cliques(), 2, 0.3, ("add_edge", "c", "x", 0.7)
+    ),
+    "partly-mapped-patch": _pinned(
+        _clique_with_tail(), 3, 0.3,
+        ("reweight", "c0", "c1", 0.35), ("add_edge", "t3", "c4", 0.8),
+        ("add_edge", "t29", "fresh", 0.6), ("remove_edge", "t10", "t11", 0.0),
+        ("add_node", "loner", "loner", 0.0),
+    ),
+    "delta-reweight": _pinned(
+        seed_graph(), 1, 0.3, ("reweight", "b", "c", 0.15)
+    ),
+    "delta-add-edge": _pinned(
+        seed_graph(), 1, 0.3, ("add_edge", "d", "x", 0.4)
+    ),
+    "delta-add-edge-new-endpoints": _pinned(
+        seed_graph(), 1, 0.3, ("add_edge", "new1", "new2", 0.35)
+    ),
+    "delta-remove-edge": _pinned(
+        seed_graph(), 1, 0.3, ("remove_edge", "a", "c", 0.0)
+    ),
+    "delta-add-node": _pinned(
+        seed_graph(), 1, 0.3, ("add_node", "loner", "loner", 0.0)
+    ),
+    "delta-after-views": _pinned(
+        seed_graph(), 1, 0.3, ("reweight", "a", "b", 0.1),
+        ("add_edge", "d", "y", 0.55),
+    ),
+    **{
+        f"patched-peels-k{k}-tau{tau}": _pinned(
+            seed_graph(), k, tau, ("reweight", "a", "c", 0.95),
+            ("add_edge", "b", "d", 0.85),
+        )
+        for k, tau in ((1, 0.3), (2, 0.5), (2, 0.1))
+    },
+}
+
+
+@pytest.mark.parametrize("case", PINNED.values(), ids=PINNED.keys())
+def test_pinned_rows(case: Case) -> None:
+    check_queries(case)
+    check_lowering(case)
+
+
+# ----------------------------------------------------------------------
+# Fallback rows: each checks the fallback was taken
+# ----------------------------------------------------------------------
+
+
+def _assert_like_a_cold_rebuild(session: PreparedGraph, case: Case) -> None:
+    for engine in ENGINES:
+        assert ask_all(session, case, engine) == ask_all(
+            PreparedGraph(session.graph.copy()), case, engine
+        )
+
+
+def test_log_gap_relowers() -> None:
+    graph = two_cliques()
+    case = _pinned(graph, 2, 0.3)
+    session = PreparedGraph(graph)
+    list(session.maximal_cliques(2, 0.3))
+    lowered = graph._lowering
+    assert isinstance(lowered, CompiledGraph)
+    for i in range(_MUTLOG_MAXLEN + 1):
+        graph.set_probability("x", "y", 0.85 if i % 2 else 0.75)
+    assert graph.mutations_since(lowered.version) is None
+    _assert_like_a_cold_rebuild(session, case)
+    assert session.cache_stats.full_compiles == 2
+    assert session.cache_stats.delta_patches == 0
+    assert graph._lowering is not lowered
+
+
+def test_remove_node_is_refused_and_relowered() -> None:
+    # apply_delta refuses a slice holding a remove_node (its own contract
+    # is tests.core.test_delta_compile's): the session lowers afresh.
+    graph = seed_graph()
+    case = _pinned(graph, 1, 0.3)
+    session = PreparedGraph(graph)
+    list(session.maximal_cliques(1, 0.3))
+    lowered = graph._lowering
+    graph.set_probability("a", "b", 0.2)  # patchable...
+    graph.remove_node("c")  # ...but this poisons the whole slice
+    _assert_like_a_cold_rebuild(session, case)
+    assert session.cache_stats.full_compiles == 2
+    assert session.cache_stats.delta_patches == 0
+    assert graph._lowering is not lowered
+
+
+def _k6() -> UncertainGraph:
+    return UncertainGraph(clique_edges(range(6), 0.9))
+
+
+@pytest.mark.parametrize("build", [two_cliques, _k6], ids=["k4-and-k3", "k6"])
+def test_oversized_component_takes_the_legacy_recursion(
+    build: Callable[[], UncertainGraph], monkeypatch: pytest.MonkeyPatch
+) -> None:
+    # With the kernel limit squeezed to 3, a larger component runs the
+    # legacy recursion while a smaller one stays compiled; a tripwire on
+    # the compiled root entry fails if the dispatch stops falling back.
+    graph = build()
+    compiled_stats = EnumerationStats()
+    compiled = list(maximal_cliques(graph, 2, 0.3, stats=compiled_stats))
+    legacy = list(maximal_cliques(graph, 2, 0.3, engine="legacy"))
+    assert legacy
+
+    limit = 3
+    entry = pipeline_mod.enum_root_prep
+
+    def tripwire(comp: CompiledComponent, *args: Any) -> Any:
+        assert comp.n <= limit, "compiled kernel ran an oversized component"
+        return entry(comp, *args)
+
+    monkeypatch.setattr(enumeration_mod, "KERNEL_COMPONENT_LIMIT", limit)
+    monkeypatch.setattr(pipeline_mod, "enum_root_prep", tripwire)
+    runs = []
+    for _ in range(2):
+        stats = EnumerationStats()
+        runs.append((list(maximal_cliques(graph, 2, 0.3, stats=stats)),
+                     asdict(stats)))
+    (mixed, mixed_stats), again = runs
+    assert again == runs[0]
+    # Components keep their order; the fallback emits legacy's order.
+    assert mixed == legacy
+    assert set(mixed) == set(compiled)
+    for field in PRESEARCH:
+        assert mixed_stats[field] == getattr(compiled_stats, field)
+
+
+# ----------------------------------------------------------------------
+# Laziness and engine guards
+# ----------------------------------------------------------------------
+
+
+def test_cold_query_maps_only_the_rows_it_reads() -> None:
+    graph = _clique_with_tail()
+    session = PreparedGraph(graph)
+    cliques = list(session.maximal_cliques(3, 0.3))
+    assert [set(c) for c in cliques] == [{f"c{i}" for i in range(5)}]
+    assert session.cache_stats.full_compiles == 1
+    artifact = graph._lowering
+    assert isinstance(artifact, CompiledGraph)
+    assert artifact.nbr_labels is not None
+    rf = artifact.row_offsets
+    mapped = [
+        i for i in range(artifact.n)
+        if rf[i] < rf[i + 1] and artifact.nbr_ids[rf[i]] is not None
+    ]
+    assert 0 < len(mapped) < artifact.n
+    for i in set(range(artifact.n)) - set(mapped):
+        assert all(x is None for x in artifact.nbr_ids[rf[i]:rf[i + 1]])
+    # Finishing the lowering reproduces the eagerly mapped ids.
+    artifact._finish_lowering()
+    assert artifact.nbr_ids == [
+        artifact.index[v] for u in artifact.nodes for v in graph.incident(u)
+    ]
+
+
+@pytest.mark.parametrize("peel", [dp_core, dp_core_plus, topk_core])
+def test_members_requires_the_arrays_engine(peel: Peel) -> None:
+    with pytest.raises(ValueError, match="members"):
+        peel(straddle_graph(), 2, 0.2, engine="legacy", members={"a"})

@@ -40,7 +40,7 @@ from repro.core.enumeration import Engine, EnumerationStats
 from repro.core.maximum import MaximumSearchStats
 from repro.core.prune_kernel import CompiledGraph, compile_graph
 from tests.conftest import current_lowering, make_random_graph
-from tests.core.test_delta_compile import assert_bit_identical
+from tests.core.support import assert_bit_identical
 from tests.core.test_session import _cliques_with_bridges
 
 

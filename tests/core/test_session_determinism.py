@@ -1,12 +1,14 @@
-"""Cross-process determinism of the anchored session queries.
+"""Cross-process determinism of the session queries.
 
 With string nodes, ``set`` iteration order depends on ``PYTHONHASHSEED``,
 which only varies *across* processes — an in-process parity suite can
-never catch a hash-order leak.  These tests re-run the anchored queries
-in subprocesses pinned to different hash seeds and require bit-identical
-output, guarding the fix that builds the anchored region from adjacency
-order instead of a set (``PreparedGraph.cliques_containing`` /
-``containing_clique_exists``).
+never catch a hash-order leak.  These tests re-run queries in
+subprocesses pinned to different hash seeds and require bit-identical
+output: enumeration yield order, the maximum clique and every stats
+counter of both engines; the anchored queries, guarding the fix that
+builds the anchored region from adjacency order instead of a set
+(``PreparedGraph.cliques_containing`` / ``containing_clique_exists``);
+the cut; and the approximate miner.
 """
 
 from __future__ import annotations
@@ -168,3 +170,54 @@ def test_cut_optimization_is_hash_seed_invariant() -> None:
     payload = json.loads(next(iter(outputs)))
     assert payload["cuts_found"] > 0, "fixture must actually cut"
     assert payload["order"], "fixture must actually yield cliques"
+
+
+#: Enumeration and maximum over three string-labelled components, with
+#: both engines: the yield order, the maximum and every stats counter.
+_QUERY_SCRIPT = """
+import json
+import random
+from dataclasses import asdict
+from repro import UncertainGraph
+from repro.core.enumeration import EnumerationStats
+from repro.core.maximum import MaximumSearchStats
+from repro.core.session import PreparedGraph
+
+rng = random.Random(7)
+g = UncertainGraph()
+for block in "abc":
+    names = [f"{block}{i}" for i in range(12)]
+    for i, u in enumerate(names):
+        for v in names[i + 1:]:
+            if rng.random() < 0.6:
+                g.add_edge(u, v, rng.choice((0.5, 0.7, 0.8, 0.9, 1.0)))
+out = {}
+for engine in ("legacy", "pivot"):
+    session = PreparedGraph(g)
+    enum_stats = EnumerationStats()
+    order = [
+        sorted(c)
+        for c in session.maximal_cliques(3, 0.1, stats=enum_stats, engine=engine)
+    ]
+    max_stats = MaximumSearchStats()
+    best = session.max_uc_plus(3, 0.1, stats=max_stats, engine=engine)
+    out[engine] = {
+        "order": order,
+        "enum_stats": asdict(enum_stats),
+        "max": sorted(best),
+        "max_stats": asdict(max_stats),
+    }
+print(json.dumps(out))
+"""
+
+
+def test_enumeration_and_maximum_are_hash_seed_invariant() -> None:
+    outputs = {_run_script(_QUERY_SCRIPT, seed) for seed in ("0", "1")}
+    assert len(outputs) == 1, (
+        "enumeration or maximum output varies with PYTHONHASHSEED:\n"
+        + "\n".join(sorted(outputs))
+    )
+    payload = json.loads(next(iter(outputs)))
+    for engine in ("legacy", "pivot"):
+        assert payload[engine]["order"], "fixture must actually yield cliques"
+        assert len(payload[engine]["max"]) > 3

@@ -1,20 +1,19 @@
 """Mutation-stream parity: warm sessions equal cold rebuilds, bit for bit.
 
-The scoped-invalidation acceptance gate: a session that lives through an
-arbitrary mutation stream must answer every query exactly like a cold
-session built from scratch on the mutated graph — same cliques, same
-yield order — while the hit/miss accounting proves that artifacts of
-untouched components were *retained*, not silently recomputed.
+A session that lives through an arbitrary mutation stream answers every
+query exactly like a cold session built on the mutated graph — same
+cliques, same yield order — while the hit / miss accounting shows that
+the artifacts of untouched components were *retained*, not silently
+recomputed.
 """
 
 from __future__ import annotations
-
-from itertools import combinations
 
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro import KTauCoreMaintainer, PreparedGraph, UncertainGraph
+from tests.core.support import two_cliques
 
 relaxed = settings(
     max_examples=25,
@@ -23,18 +22,8 @@ relaxed = settings(
 )
 
 
-def two_clusters() -> UncertainGraph:
-    """Two disconnected near-cliques — retention is observable per side."""
-    g = UncertainGraph()
-    for u, v in combinations(["a1", "a2", "a3", "a4"], 2):
-        g.add_edge(u, v, 0.9)
-    for u, v in combinations(["b1", "b2", "b3", "b4"], 2):
-        g.add_edge(u, v, 0.8)
-    return g
-
-
 @st.composite
-def stream_cases(draw):
+def stream_cases(draw: st.DrawFn) -> tuple:
     n = draw(st.integers(min_value=4, max_value=9))
     g = UncertainGraph(nodes=range(n))
     for u in range(n):
@@ -58,7 +47,7 @@ def stream_cases(draw):
     return g, ops, k, tau
 
 
-def apply_op(graph: UncertainGraph, op, u, v, p) -> bool:
+def apply_op(graph: UncertainGraph, op: str, u: int, v: int, p: float) -> bool:
     """Apply one stream op to the session's live graph (its entire job)."""
     if u == v:
         return False
@@ -79,7 +68,7 @@ def apply_op(graph: UncertainGraph, op, u, v, p) -> bool:
 
 @relaxed
 @given(stream_cases())
-def test_mutate_then_query_equals_cold_rebuild(case):
+def test_mutate_then_query_equals_cold_rebuild(case: tuple) -> None:
     graph, ops, k, tau = case
     session = PreparedGraph(graph)
     list(session.maximal_cliques(k, tau))  # warm the pre-stream state
@@ -90,14 +79,14 @@ def test_mutate_then_query_equals_cold_rebuild(case):
         cold = list(PreparedGraph(graph.copy()).maximal_cliques(k, tau))
         assert warm == cold  # same cliques, same yield order
     if len(graph) > 0:
-        warm_best = session.max_uc_plus(k, tau)
-        cold_best = PreparedGraph(graph.copy()).max_uc_plus(k, tau)
-        assert warm_best == cold_best
+        assert session.max_uc_plus(k, tau) == PreparedGraph(
+            graph.copy()
+        ).max_uc_plus(k, tau)
 
 
 @relaxed
 @given(stream_cases())
-def test_session_mode_maintainer_streams_stay_consistent(case):
+def test_session_mode_maintainer_streams_stay_consistent(case: tuple) -> None:
     graph, ops, k, tau = case
     session = PreparedGraph(graph)
     maintainer = KTauCoreMaintainer(session, k, tau)
@@ -113,8 +102,8 @@ def test_session_mode_maintainer_streams_stay_consistent(case):
             maintainer.set_probability(u, v, p)
         else:
             continue
-        # The maintained core must match a cold session's ktau pruning
-        # lap on an independent copy of the mutated graph...
+        # The maintained core matches a cold session's ktau pruning on
+        # an independent copy of the mutated graph...
         cold = PreparedGraph(graph.copy())
         cold_cliques = list(cold.maximal_cliques(k, tau, pruning="ktau"))
         warm_cliques = list(session.maximal_cliques(k, tau, pruning="ktau"))
@@ -125,56 +114,52 @@ def test_session_mode_maintainer_streams_stay_consistent(case):
 
 
 class TestRetentionAccounting:
-    def test_untouched_component_artifacts_stay_warm(self):
-        graph = two_clusters()
+    """A K4 and a triangle: retention is observable per component."""
+
+    def test_untouched_component_artifacts_stay_warm(self) -> None:
+        graph = two_cliques()
         session = PreparedGraph(graph)
         base = list(session.maximal_cliques(2, 0.3))
 
-        graph.set_probability("b1", "b2", 0.85)  # touch cluster B only
+        graph.set_probability("x", "y", 0.85)  # touch the triangle only
         info = session.retention_info()
-        assert info["component_live"] > 0  # cluster A retained
-        assert info["component_stale"] > 0  # cluster B orphaned
+        assert info["component_live"] > 0  # the K4's entries
+        assert info["component_stale"] > 0  # the triangle's
         # Every entry is component-scoped: the lowering is graph-owned.
         assert sum(info.values()) == session.cache_info()["entries"]
 
-        hits_before = session.cache_stats.hits
-        misses_before = session.cache_stats.misses
+        hits, misses = session.cache_stats.hits, session.cache_stats.misses
         warm = list(session.maximal_cliques(2, 0.3))
-        warm_misses = session.cache_stats.misses - misses_before
-        assert session.cache_stats.hits > hits_before  # A served from cache
-
+        assert session.cache_stats.hits > hits  # the K4 served from cache
         cold_session = PreparedGraph(graph.copy())
-        cold = list(cold_session.maximal_cliques(2, 0.3))
-        assert warm == cold
+        assert warm == list(cold_session.maximal_cliques(2, 0.3))
         assert len(warm) == len(base)
         # The warm session re-derived strictly less than the cold one.
-        assert warm_misses < cold_session.cache_stats.misses
+        assert session.cache_stats.misses - misses < (
+            cold_session.cache_stats.misses
+        )
 
-    def test_repeat_query_after_mutation_is_all_hit(self):
-        graph = two_clusters()
+    def test_repeat_query_after_mutation_is_all_hit(self) -> None:
+        graph = two_cliques()
         session = PreparedGraph(graph)
-        graph.set_probability("a1", "a2", 0.95)
+        graph.set_probability("a", "b", 0.95)
         first = list(session.maximal_cliques(2, 0.3))
         misses = session.cache_stats.misses
         assert list(session.maximal_cliques(2, 0.3)) == first
         assert session.cache_stats.misses == misses
 
-    def test_mutation_stream_accumulates_fewer_misses_than_cold(self):
-        # The whole point of scoped invalidation: across a stream that
-        # only ever touches cluster B, the warm session must not pay
-        # cluster A's artifacts again — so its total misses stay
-        # strictly below a cold rebuild's for every query after the
-        # first.
-        graph = two_clusters()
+    def test_mutation_stream_accumulates_fewer_misses_than_cold(self) -> None:
+        # Across a stream that only touches the triangle, the warm
+        # session never pays the K4's artifacts again.
+        graph = two_cliques()
         session = PreparedGraph(graph)
         list(session.maximal_cliques(2, 0.3))
         for p in (0.7, 0.75, 0.82, 0.9):
-            graph.set_probability("b1", "b3", p)
+            graph.set_probability("x", "z", p)
             before = session.cache_stats.misses
             warm = list(session.maximal_cliques(2, 0.3))
-            warm_misses = session.cache_stats.misses - before
-
             cold_session = PreparedGraph(graph.copy())
-            cold = list(cold_session.maximal_cliques(2, 0.3))
-            assert warm == cold
-            assert warm_misses < cold_session.cache_stats.misses
+            assert warm == list(cold_session.maximal_cliques(2, 0.3))
+            assert session.cache_stats.misses - before < (
+                cold_session.cache_stats.misses
+            )
