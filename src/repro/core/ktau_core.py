@@ -122,21 +122,12 @@ def _peel(
             return set(work.nodes())
 
 
-def _require_no_members(members: Iterable[Node] | None) -> None:
-    """The legacy peels own their scratch graphs and cannot restrict to a
-    member subset, so ``members=`` is an arrays-only parameter (a caller
-    wanting a restricted legacy peel passes an induced subgraph)."""
-    if members is not None:
-        raise ValueError("members= requires engine='arrays'")
-
-
 def dp_core(
     graph: UncertainGraph,
     k: int,
     tau: float,
     engine: PruneEngine = "arrays",
     compiled: CompiledGraph | None = None,
-    members: Iterable[Node] | None = None,
 ) -> set[Node]:
     """The (k, tau)-core via the state-of-the-art DP peeling of [16].
 
@@ -148,10 +139,8 @@ def dp_core(
     ``engine="arrays"`` (the default) runs the same verified peel over a
     flat compiled form of the graph
     (:func:`repro.core.prune_kernel.distribution_peel`); ``compiled``
-    supplies a prebuilt :class:`CompiledGraph` (the session layer's
-    shared artifact) and ``members`` restricts the peel to a node subset
-    without building an induced subgraph.  Both engines converge to the
-    same canonical core.
+    supplies a prebuilt :class:`CompiledGraph` (the graph's shared
+    lowering).  Both engines converge to the same canonical core.
 
     Returns the set of nodes in the core (possibly empty).  The input
     graph is not modified.
@@ -159,8 +148,7 @@ def dp_core(
     if engine == "arrays":
         if compiled is None:
             compiled = compile_graph(graph)
-        return distribution_peel(compiled, k, tau, members=members)
-    _require_no_members(members)
+        return distribution_peel(compiled, k, tau)
     validate_k(k)
     tau = validate_tau(tau)
     work = graph.copy()
@@ -210,7 +198,10 @@ def dp_core_plus(
         if compiled is None:
             compiled = compile_graph(graph)
         return survival_peel(compiled, k, tau, members=members)
-    _require_no_members(members)
+    if members is not None:
+        # The legacy peel owns a scratch graph: a caller wanting a
+        # restricted legacy peel passes an induced subgraph.
+        raise ValueError("members= requires engine='arrays'")
     validate_k(k)
     tau = validate_tau(tau)
 

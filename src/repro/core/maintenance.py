@@ -21,7 +21,11 @@ through the graph's mutation log): each update calls
 previous core (plus the candidate region on growth) and ``frontier=``
 the dirty endpoints — the seeded re-peel trusts every untouched member
 and visits only the cascade.  In session mode that is the session's
-graph, so maintainer updates and queries share one lowering.
+graph, so maintainer updates and queries share one lowering.  That
+graph is the caller's too: when it moved since the maintainer's last
+update (a direct mutation, or a ``remove_node`` the maintainer has no
+update for), the next update first re-peels the whole graph, because
+the previous core is no longer one the re-peels may trust.
 
 The maintained core always equals ``dp_core_plus(graph, k, tau)`` — the
 test suite checks this after randomized update sequences.
@@ -55,11 +59,16 @@ class KTauCoreMaintainer:
     a private copy (historical behavior: the caller's graph is never
     touched).  Constructed over a :class:`~repro.core.session.
     PreparedGraph` it operates on the **session's live graph** instead:
-    each update mutates that graph (bumping its version, which orphans
-    every cached stage artifact) and immediately republishes the
-    incrementally-maintained core into the session cache at the new
-    version via :meth:`PreparedGraph.store_core` — so the session's next
-    query at these parameters skips the from-scratch peel.
+    each update mutates that graph (bumping its version and the touched
+    component's epoch, which orphans that component's cached artifacts)
+    and immediately republishes the incrementally-maintained core into
+    the session cache at the new version via :meth:`PreparedGraph.
+    store_core` — so the session's next query at these parameters
+    skips the peel.  The maintainer records the graph version each
+    update leaves; an update that finds the graph at another version
+    (the caller mutated it directly) first rebuilds the core with one
+    whole-graph peel, so :attr:`core` always equals
+    ``dp_core_plus(graph, k, tau)`` after an update.
 
     Apply updates through :meth:`add_edge`, :meth:`remove_edge` and
     :meth:`set_probability`, and read the current core via :attr:`core`.
@@ -119,6 +128,7 @@ class KTauCoreMaintainer:
 
     def add_edge(self, u: Node, v: Node, p: float) -> frozenset[Node]:
         """Insert an edge and return the updated core."""
+        self._sync()
         self._graph.add_edge(u, v, p)
         self._grow(u, v)
         self._publish()
@@ -126,6 +136,7 @@ class KTauCoreMaintainer:
 
     def remove_edge(self, u: Node, v: Node) -> frozenset[Node]:
         """Delete an edge and return the updated core."""
+        self._sync()
         self._graph.remove_edge(u, v)
         self._shrink((u, v))
         self._publish()
@@ -134,6 +145,7 @@ class KTauCoreMaintainer:
     def set_probability(self, u: Node, v: Node, p: float) -> frozenset[Node]:
         """Change an edge probability and return the updated core."""
         p = validate_probability(p)
+        self._sync()
         old = self._graph.probability(u, v)
         self._graph.set_probability(u, v, p)
         if p >= old:
@@ -145,6 +157,7 @@ class KTauCoreMaintainer:
 
     def add_node(self, node: Node) -> None:
         """Insert an isolated node (never in the core for ``k >= 1``)."""
+        self._sync()
         self._graph.add_node(node)
         if self.k == 0:
             self._core.add(node)
@@ -155,8 +168,9 @@ class KTauCoreMaintainer:
     # ------------------------------------------------------------------
 
     def _publish(self) -> None:
-        """Republish the maintained core into the attached session (if
-        any) at the graph's current version."""
+        """Record the graph version this update leaves, and republish the
+        maintained core into the attached session (if any) at it."""
+        self._version = self._graph.version
         if self._session is not None:
             self._session.store_core("ktau", self.k, self.tau, self._core)
 
@@ -174,6 +188,13 @@ class KTauCoreMaintainer:
         if self._session is not None:
             return self._session._compiled_artifact()
         return pipeline.lowering(self._graph)[0]
+
+    def _sync(self) -> None:
+        """Rebuild the core with a whole-graph peel if the graph moved
+        since the last update: the re-peels trust the previous core,
+        which a mutation the maintainer did not see may have broken."""
+        if self._graph.version != self._version:
+            self._core = survival_peel(self._compiled(), self.k, self.tau)
 
     def _shrink(self, seed_edge: tuple[Node, Node]) -> None:
         """Deletion/decrease: seeded re-peel from the affected endpoints.

@@ -6,7 +6,7 @@ parameters to a deterministic artifact:
 
 * :func:`prune_stage` — core-based preprocessing (Lemmas 1 and 4); returns
   the surviving nodes **in graph iteration order**, so the artifact is
-  reproducible no matter which cached seed the session layer supplied.
+  the same whether the whole graph or only its dirty components peeled.
 * :func:`cut_stage` — cut optimization / component split (Lemma 5) on
   one graph component's survivors (or an anchored query's core), given
   as compile ids; returns the search components as label tuples plus
@@ -129,7 +129,7 @@ def compile_stage(graph: UncertainGraph) -> CompiledGraph:
     serves every prune of every query *and* every search-view derivation,
     which is why :func:`lowering` keeps this artifact on the graph and
     the session hands it to each :func:`prune_stage` call — including
-    the monotone-seeded peels, which replay over the same arrays via
+    the dirty-component re-peels, which replay over the same arrays via
     ``members=`` — and to the search compile stages, which derive their
     per-component :class:`CompiledComponent` views from the whole-graph
     rows instead of recompiling the subgraphs.
@@ -150,15 +150,15 @@ def prune_stage(
     ``rule`` is ``"topk"`` ((Top_k, tau)-core, Lemma 4), ``"ktau"``
     ((k, tau)-core via DPCore+, Lemma 1) or ``"none"``.  The survivors are
     returned as a tuple **in the iteration order of ``graph``** — the
-    peels reach a unique fixpoint *set* whichever cached seed the session
-    layer supplied, and normalizing the order makes the artifact
-    independent of the peel's internal set layout, so a cached artifact
-    reproduces a cold run's downstream component order exactly.
+    peels reach a unique fixpoint *set*, and normalizing the order makes
+    the artifact independent of the peel's internal set layout, so a
+    cached artifact reproduces a cold run's downstream component order
+    exactly.
 
     Both rules run the compiled array peels over ``compiled``, the
     :func:`compile_stage` artifact; ``members`` restricts the peel to a
-    node subset (the session's monotone seed or its dirty components)
-    without building an induced subgraph.  A whole-graph ``topk`` peel
+    node subset (the session's dirty components) without building an
+    induced subgraph.  A whole-graph ``topk`` peel
     at a ``k`` the artifact has peeled before is a lookup in its level
     index (:func:`~repro.core.prune_kernel.topk_peel`), and the order
     is normalized over the survivors' compile ids, which follow graph

@@ -42,10 +42,12 @@ peel loops run entirely over the flat structures:
   second whole-graph peel at a ``k`` on, a per-k level index on the
   artifact answers the whole-graph peels at that ``k`` by bisection.
 
-All three accept an optional ``members`` subset, walked alone (O(members),
-not O(n)), so seeded, anchored and maintainer re-peels replay over the
-*same* compiled arrays instead of building an induced scratch subgraph —
-one compile per graph version serves every prune of every query.
+:func:`survival_peel` and :func:`topk_peel` accept an optional ``members``
+subset, walked alone (O(members), not O(n)), so the session's
+dirty-component re-peels, the anchored peels and the maintainer's
+re-peels replay over the *same* compiled arrays instead of building an
+induced scratch subgraph — one compile per graph version serves every
+prune of every query.
 
 Parity contract
 ---------------
@@ -462,21 +464,6 @@ def _initial_dead(
     return dead, walk
 
 
-def _frontier_seeds(
-    cpg: CompiledGraph,
-    frontier: Iterable[Node],
-    dead: bytearray,
-) -> list[int]:
-    """Deduplicated compiled ids of live frontier nodes, in given order.
-
-    Frontier nodes absent from the graph or outside the member set are
-    ignored — a maintainer's dirty endpoints may have been deleted or
-    may never have been part of the seeded core.
-    """
-    ids = map(cpg.index.get, frontier)
-    return list(dict.fromkeys(i for i in ids if i is not None and not dead[i]))
-
-
 def survival_peel(
     cpg: CompiledGraph,
     k: int,
@@ -493,9 +480,9 @@ def survival_peel(
     deletion update with the ``STABLE_P_LIMIT`` rebuild fallback,
     verify-before-condemn, and a final verification sweep repeated to a
     clean fixpoint.  ``members`` restricts the peel to a node subset
-    (the session layer's monotone seeds); peeling any superset of the
-    core converges to the same unique fixpoint, so the result set is
-    independent of the seed.
+    (the session's dirty components, the maintainer's previous core);
+    peeling any superset of the core converges to the same unique
+    fixpoint.
 
     ``frontier`` turns the peel into a **seeded re-peel**: only frontier
     nodes get an initial fresh DP; every other member is *trusted* — it
@@ -580,7 +567,13 @@ def survival_peel(
     if frontier is None:
         seeds = [i for i in walk if not dead[i]]
     else:
-        seeds = _frontier_seeds(cpg, frontier, dead)
+        # Frontier nodes absent from the graph or outside the members
+        # are skipped: a maintainer's dirty endpoints may have been
+        # deleted, or never have been in the previous core.
+        found = (cpg.index.get(u) for u in frontier)
+        seeds = list(dict.fromkeys(
+            i for i in found if i is not None and not dead[i]
+        ))
     worklist: list[int] = []
     for i in seeds:
         if rebuild(i) < k:
@@ -655,13 +648,7 @@ def survival_peel(
             return {nodes[i] for i in walk if not dead[i]}
 
 
-def distribution_peel(
-    cpg: CompiledGraph,
-    k: int,
-    tau: float,
-    members: Iterable[Node] | None = None,
-    frontier: Iterable[Node] | None = None,
-) -> set[Node]:
+def distribution_peel(cpg: CompiledGraph, k: int, tau: float) -> set[Node]:
     """DPCore (the Bonchi et al. [16] baseline) over the compiled arrays.
 
     Semantics of :func:`repro.core.ktau_core.dp_core` with
@@ -671,12 +658,8 @@ def distribution_peel(
     verify-before-condemn + final-sweep discipline.  The two column
     scratch buffers are preallocated once at the maximum degree and
     reused across every rebuild (each rebuild writes the ``0..d`` prefix
-    it reads, so reuse is float-exact).
-
-    ``frontier`` requests a seeded re-peel with the same trusted-member
-    contract as :func:`survival_peel`: only frontier members get an
-    initial DP, everyone else is evaluated lazily when the cascade first
-    touches them.
+    it reads, so reuse is float-exact).  It is the paper's baseline, so
+    it only ever peels the whole graph.
     """
     validate_k(k)
     tau = validate_tau(tau)
@@ -687,8 +670,8 @@ def distribution_peel(
     ids = cpg.nbr_ids
     ps = cpg.nbr_probs
 
-    dead, walk = _initial_dead(cpg, members)
-    max_degree = max((rf[i + 1] - rf[i] for i in walk), default=0)
+    dead = bytearray(n)
+    max_degree = max((rf[i + 1] - rf[i] for i in range(n)), default=0)
     col_buf = [0.0] * (max_degree + 1)
     nxt_buf = [0.0] * (max_degree + 1)
 
@@ -696,7 +679,6 @@ def distribution_peel(
     tau_deg = [0] * n
     stale = bytearray(n)
     queued = bytearray(n)
-    known = bytearray(n)
     p_limit = STABLE_P_LIMIT
 
     def rebuild(i: int) -> int:
@@ -728,15 +710,10 @@ def distribution_peel(
         state[i] = eq
         tau_deg[i] = r
         stale[i] = 0
-        known[i] = 1
         return r
 
-    if frontier is None:
-        seeds = [i for i in walk if not dead[i]]
-    else:
-        seeds = _frontier_seeds(cpg, frontier, dead)
     frontier_bucket: list[int] = []
-    for i in seeds:
+    for i in range(n):
         if rebuild(i) < k:
             queued[i] = 1
             frontier_bucket.append(i)
@@ -749,11 +726,6 @@ def distribution_peel(
                 for j in range(rf[i], rf[i + 1]):
                     v = ids[j]
                     if dead[v] or queued[v]:
-                        continue
-                    if not known[v]:
-                        if rebuild(v) < k:
-                            queued[v] = 1
-                            bucket.append(v)
                         continue
                     p = ps[j]
                     if p < p_limit:
@@ -784,7 +756,7 @@ def distribution_peel(
             frontier_bucket = bucket
 
         frontier_bucket = []
-        for i in walk:
+        for i in range(n):
             if dead[i] or not stale[i]:
                 continue
             if rebuild(i) < k:
@@ -792,7 +764,7 @@ def distribution_peel(
                 frontier_bucket.append(i)
         if not frontier_bucket:
             nodes = cpg.nodes
-            return {nodes[i] for i in walk if not dead[i]}
+            return {nodes[i] for i in range(n) if not dead[i]}
 
 
 def topk_peel(
@@ -801,7 +773,6 @@ def topk_peel(
     tau: float,
     members: Iterable[Node] | None = None,
     fixed: AbstractSet[Node] | None = None,
-    frontier: Iterable[Node] | None = None,
 ) -> frozenset[Node] | None:
     """Algorithm 3's (Top_k, tau)-core peel over the compiled arrays.
 
@@ -820,16 +791,6 @@ def topk_peel(
     matching the legacy peel over an induced subgraph that simply does
     not contain them.
 
-    ``frontier`` requests a seeded re-peel (trusted-member contract of
-    :func:`survival_peel`): only frontier members are checked up front,
-    every other member's ascending live row is gathered lazily the first
-    time the cascade touches it.  Lazy gathers exclude exactly the
-    neighbors whose bisect-pop can no longer arrive — non-members and
-    already-*drained* condemned nodes — while a condemned-but-undrained
-    neighbor stays in the gathered row because its pop is still coming:
-    that bookkeeping keeps every row consistent with the pops the drain
-    will actually perform, so the fixpoint matches the eager peel's.
-
     The peel reads neighbour ids only from the rows it gathers, and maps
     just those (:meth:`CompiledGraph._map_row`): on an artifact no
     whole-graph reader has lowered, the prefilter's losers stay
@@ -837,7 +798,7 @@ def topk_peel(
 
     **The level index.**  For a fixed ``k`` the cores are nested in tau
     (Lemma 3: pi_k only falls as nodes leave).  The first whole-graph
-    call at ``k`` (no ``members``, ``fixed`` or ``frontier``) records
+    call at ``k`` (no ``members`` or ``fixed``) records
     ``k`` on ``cpg``; the second peels its core ``C(f)``,
     ``f = threshold_floor(tau)``, on over the in-core ascending rows the
     peel ends with: a heap pops the node of least current pi_k
@@ -863,7 +824,7 @@ def topk_peel(
         # pi_0 is the empty product 1.0, which clears any valid tau.
         return frozenset(nodes if members is None else members)
     tau_floor = threshold_floor(tau)
-    whole = members is None and not fixed and frontier is None
+    whole = members is None and not fixed
     index = cpg._topk_levels.get(k) if whole else None
     # Floor against the index's base floor, both threshold_floor values.
     if index is not None and tau_floor >= index[0]:  # repro-lint: ignore[RPL001]
@@ -896,63 +857,6 @@ def topk_peel(
             product *= p
         # Hot path: tau_floor = threshold_floor(tau) fast path.
         return product < tau_floor  # repro-lint: ignore[RPL001]
-
-    if frontier is not None:
-        # Seeded re-peel: no pristine-row prefilter (it condemns without
-        # notifying neighbors, which is only sound when every member is
-        # checked up front) and no eager gather.
-        outside = bytes(condemned)
-        gathered = bytearray(n)
-        drained = bytearray(n)
-        vals = cast("list[list[float]]", [None] * n)  # filled by gather
-
-        def gather(i: int) -> list[float]:
-            map_row(i)
-            row = sorted(
-                ps[j]
-                for j in range(rf[i], rf[i + 1])
-                if not outside[ids[j]] and not drained[ids[j]]
-            )
-            vals[i] = row
-            gathered[i] = 1
-            return row
-
-        stack: list[int] = []
-        for i in _frontier_seeds(cpg, frontier, condemned):
-            if below(gather(i)):
-                if is_fixed[i]:
-                    return None
-                condemned[i] = 1
-                stack.append(i)
-
-        while stack:
-            u = stack.pop()
-            drained[u] = 1
-            for j in range(rf[u], rf[u + 1]):
-                v = ids[j]
-                if condemned[v]:
-                    continue
-                if not gathered[v]:
-                    # Trusted member touched for the first time: the
-                    # fresh gather already excludes u (just drained).
-                    if below(gather(v)):
-                        if is_fixed[v]:
-                            return None
-                        condemned[v] = 1
-                        stack.append(v)
-                    continue
-                vv = vals[v]
-                idx = bisect_left(vv, ps[j])
-                vv.pop(idx)
-                if idx <= len(vv) - k:
-                    continue
-                if below(vv):
-                    if is_fixed[v]:
-                        return None
-                    condemned[v] = 1
-                    stack.append(v)
-
-        return frozenset(nodes[i] for i in walk if not condemned[i])
 
     # Phase 1 — prefilter on the pristine full rows.  pi_k over the
     # whole row upper-bounds pi_k under any node removals (probabilities

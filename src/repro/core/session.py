@@ -45,20 +45,17 @@ What makes replaying artifacts sound:
   warm call fills its stats object bit-identically to cold;
 * survivors reach the cut as **ascending compile ids**, which follow
   the graph's iteration order, so a cached prune artifact reproduces
-  the cold run's component order exactly, whichever seed restricted
-  the peel;
+  the cold run's component order exactly, whichever peel produced it;
 * cached artifacts hold node labels or derived views, never compile
   ids or the lowering itself: a full re-lower renumbers every id and a
   delta patch rewrites rows in place, while an untouched component's
-  entries stay live through both;
-* **core monotonicity** is exploited across entries: for ``k >= k'`` and
-  ``tau >= tau'`` every (k, tau)-core is contained in the (k', tau')-core
-  (the membership condition only tightens), and by Corollary 1 the
-  (Top_k, tau)-core is contained in the (k, tau)-core.  Peeling the
-  induced subgraph of *any* cached superset reaches the same unique
-  fixpoint as peeling the whole graph — the verified peels recheck every
-  survivor with set-determined, division-free computations — so a cached
-  core seeds the peel for harder parameters without changing the result.
+  entries stay live through both.
+
+A prune miss runs one peel over the graph's lowering: a whole-graph
+peel when every component is dirty — from the second ``topk`` one at a
+``k`` on, a bisect in the lowering's per-k level index
+(:func:`~repro.core.prune_kernel.topk_peel`) — and otherwise one union
+peel restricted by ``members=`` to the dirty components.
 
 The :class:`~repro.core.maintenance.KTauCoreMaintainer` integrates from
 the other side: constructed over a session it mutates the session's
@@ -296,7 +293,7 @@ class PreparedGraph:
 
         Parameter-free: one lowering serves every peel of every query at
         this version, whichever search engine asked — including the
-        monotone-seeded peels, which replay over the same arrays via
+        dirty-component re-peels, which replay over the same arrays via
         ``members=`` — *and* every search-view derivation (the
         per-component ``CompiledComponent`` bundles are member-filtered
         from these rows, never recompiled).  It lives on the graph, so
@@ -356,26 +353,18 @@ class PreparedGraph:
             else:
                 alive[cid] = cached
         if missing:
-            # Union peel over every dirty component at once, each
-            # restricted by the smallest cached monotone superset for its
-            # component when one exists.  Seed restriction is exact per
-            # component (cores never cross components), and the union is
-            # exact because the peels factorize.  The restriction rides on
-            # members= over the shared compile, never an induced subgraph.
-            peel_members: list[Node] = []
-            seeded = False
-            for cid, epoch, members in missing:
-                seed = self._monotone_seed(cid, epoch, pruning, k, tau)
-                if seed is None:
-                    peel_members.extend(members)
-                else:
-                    seeded = True
-                    peel_members.extend(u for u in members if u in seed)
-            whole_graph = not seeded and len(missing) == len(parts)
+            # One union peel over every dirty component at once, exact
+            # because the peels factorize.  With every component dirty it
+            # is a whole-graph peel (a level-index bisect from the second
+            # topk peel at k on); otherwise members= restricts it to the
+            # dirty components over the shared lowering.
+            whole_graph = len(missing) == len(parts)
             survivors = pipeline.prune_stage(
                 self._graph, k, tau, pruning,
                 compiled=artifact,
-                members=None if whole_graph else tuple(peel_members),
+                members=None if whole_graph else tuple(
+                    u for _, _, dirty in missing for u in dirty
+                ),
             )
             # Survivors come only from the components in ``missing``: a
             # whole-graph peel runs only when every component is missing.
@@ -389,47 +378,6 @@ class PreparedGraph:
                     ("c", cid, epoch, "prune", pruning, k, tau), alive[cid]
                 )
         return alive
-
-    def _monotone_seed(
-        self,
-        cid: int,
-        epoch: int,
-        pruning: PruningRule,
-        k: int,
-        tau: float,
-    ) -> frozenset[Node] | None:
-        """Smallest cached per-component core containing core(k, tau).
-
-        Core monotonicity: for ``k2 <= k`` and ``tau2 <= tau`` the
-        (k, tau)-core is contained in the (k2, tau2)-core (the membership
-        condition only tightens as either parameter grows, and
-        ``threshold_floor`` is increasing in tau), and by Corollary 1 the
-        (Top_k, tau)-core is contained in the (k, tau)-core — so a
-        ``ktau`` entry can seed a ``topk`` peel, but not vice versa.
-        Monotonicity holds within each component independently, so the
-        seed scan is per ``(cid, epoch)``.  The scan is over at most
-        ``max_entries`` keys, far cheaper than any peel it saves.
-        """
-        best: frozenset[Node] | None = None
-        for key, value in self._cache.items():
-            if (
-                len(key) != 7
-                or key[0] != "c"
-                or key[1] != cid
-                or key[2] != epoch
-                or key[3] != "prune"
-            ):
-                continue
-            rule2, k2, tau2 = key[4], key[5], key[6]
-            # Cache-key comparison, not a survival-probability check: the
-            # keys store caller-supplied tau values verbatim.
-            if k2 > k or tau2 > tau:  # repro-lint: ignore[RPL001]
-                continue
-            if pruning == "ktau" and rule2 != "ktau":
-                continue
-            if best is None or len(value) < len(best):
-                best = value
-        return best
 
     def _cut_artifact(
         self,

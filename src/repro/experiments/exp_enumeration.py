@@ -56,8 +56,8 @@ def run_fig3(
     MUCE++ runs through one :class:`~repro.core.session.PreparedGraph`
     per dataset: the grid repeats (k, tau) queries against the same
     graph, which is exactly the repeated-query pattern the session's
-    artifact cache (and its core-monotonicity seeding across the
-    ascending-k sweep) accelerates.  The baselines stay one-shot.
+    artifact cache (and the lowering's per-k level index across the
+    tau sweep) accelerates.  The baselines stay one-shot.
     """
     from repro.core.session import PreparedGraph
     from repro.datasets.registry import load_dataset

@@ -89,10 +89,14 @@ def seed_graph() -> UncertainGraph:
 
 @st.composite
 def uncertain_graphs(draw: st.DrawFn) -> UncertainGraph:
-    """Up to 12 nodes in two blocks with no edge between them
+    """3 to 12 nodes in two blocks with no edge between them
     (so most graphs have two or more components), palette probabilities,
-    and sometimes an extra isolated node (a zero-width CSR row)."""
-    n = draw(st.integers(min_value=0, max_value=12))
+    and sometimes an extra isolated node (a zero-width CSR row).
+
+    The node count is drawn uniformly, so most examples are big enough
+    to exercise the search, the cut and a restricted peel; the empty
+    and one-node graphs are explicit rows of the conformance matrix."""
+    n = draw(st.sampled_from(range(3, 13)))
     nodes = labels(n, draw(st.booleans()))
     split = draw(st.integers(min_value=0, max_value=len(nodes)))
     graph = UncertainGraph(nodes=nodes)

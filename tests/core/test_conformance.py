@@ -28,9 +28,9 @@ The query kinds:
   clique once, with the pre-search counters equal across engines;
   MaxUC+ returns the canonical maximum with every counter equal;
 * the lowering readers of :func:`check_lowering` — the peels of
-  :data:`PEELS` over the whole graph and with ``members=``, ``fixed=``
-  and ``frontier=``, the core numbers, the derived search views and
-  the delta patch.
+  :data:`PEELS` over the whole graph, the restricted ones with
+  ``members=`` and ``fixed=``, the maintainer's ``frontier=`` re-peel,
+  the core numbers, the derived search views and the delta patch.
 
 Graphs come from one strategy (:func:`tests.core.support.
 uncertain_graphs`): duplicate probabilities, ``p == 1.0`` edges and
@@ -122,7 +122,7 @@ class Case:
     anchors: tuple[Node, ...] = ()
     #: A ``members=`` set of the restricted peels.
     members: tuple[Node, ...] = ()
-    #: Picks the edge whose removal seeds the ``frontier=`` re-peels.
+    #: Picks the edge whose removal seeds the ``frontier=`` re-peel.
     drop: int = 0
 
     def __repr__(self) -> str:
@@ -490,6 +490,11 @@ PEELS: dict[str, tuple[Peel, Peel]] = {
 }
 
 
+#: The peels that take ``members=``: the DPCore baseline only ever
+#: peels the whole graph.
+RESTRICTED = ("topk", "ktau+")
+
+
 def legacy_cores(graph: UncertainGraph, k: int, tau: float) -> dict[str, Any]:
     return {name: legacy(graph, k, tau) for name, (_, legacy) in PEELS.items()}
 
@@ -525,14 +530,16 @@ def check_readers(
     ):
         induced = graph.induced_subgraph(members)
         restricted = legacy_cores(induced, k, tau)
-        frontier = members[::2]
-        for name, (peel, _) in PEELS.items():
+        for name in RESTRICTED:
+            peel = PEELS[name][0]
             assert peel(cpg, k, tau, members=members) == restricted[name], name
-            # Any frontier reads a lowered artifact as it reads a fresh one.
-            assert peel(cpg, k, tau, members=members, frontier=frontier) == (
-                peel(compile_graph(graph), k, tau, members=members,
-                     frontier=frontier)
-            ), name
+        # Any frontier reads a lowered artifact as it reads a fresh one.
+        frontier = members[::2]
+        assert survival_peel(
+            cpg, k, tau, members=members, frontier=frontier
+        ) == survival_peel(
+            compile_graph(graph), k, tau, members=members, frontier=frontier
+        )
         legacy = topk_core(induced, k, tau, fixed=fixed, engine="legacy")
         anchored = topk_peel(cpg, k, tau, members=members, fixed=fixed)
         assert (anchored is not None) == legacy.contains_fixed
@@ -598,18 +605,16 @@ def check_lowering(case: Case) -> None:
     edges = list(graph.edges())
     if edges:
         u, v, p = edges[case.drop % len(edges)]
-        trusted = legacy_cores(graph, k, tau)
+        core = dp_core_plus(graph, k, tau, engine="legacy")
         graph.remove_edge(u, v)
-        expected = legacy_cores(graph, k, tau)
+        expected = dp_core_plus(graph, k, tau, engine="legacy")
         repatched, how = pipeline_mod.lowering(graph)
         assert repatched is patched and how == "delta"
+        frontier = [w for w in (u, v) if w in core]
         for cpg in (repatched, compile_graph(graph)):
-            for name, (peel, _) in PEELS.items():
-                core = trusted[name]
-                frontier = [w for w in (u, v) if w in core]
-                assert peel(
-                    cpg, k, tau, members=core, frontier=frontier
-                ) == expected[name], name
+            assert survival_peel(
+                cpg, k, tau, members=core, frontier=frontier
+            ) == expected
         assert_bit_identical(repatched, compile_graph(graph))
         # And back: a patch after every row and the core numbers were read.
         graph.add_edge(u, v, p)
@@ -661,6 +666,16 @@ def _pinned(
 
 #: Regressions pinned by earlier suites, each checked like a drawn case.
 PINNED: dict[str, Case] = {
+    # The strategy draws 3 nodes or more; these two it never draws.
+    **{
+        f"{name}-k{k}": _pinned(graph, k, 0.2, *mutations)
+        for name, graph, mutations in (
+            ("empty", UncertainGraph(), ()),
+            ("one-node", UncertainGraph(nodes=["a"]),
+             (("add_edge", "a", "b", 0.7),)),
+        )
+        for k in (0, 1)
+    },
     "duplicate-probabilities": _pinned(hub_and_triangle(), 2, 0.2),
     **{
         f"straddle-k{k}-tau{tau}": _pinned(straddle_graph(), k, tau)
@@ -827,7 +842,7 @@ def test_cold_query_maps_only_the_rows_it_reads() -> None:
     ]
 
 
-@pytest.mark.parametrize("peel", [dp_core, dp_core_plus, topk_core])
+@pytest.mark.parametrize("peel", [dp_core_plus, topk_core])
 def test_members_requires_the_arrays_engine(peel: Peel) -> None:
     with pytest.raises(ValueError, match="members"):
         peel(straddle_graph(), 2, 0.2, engine="legacy", members={"a"})

@@ -229,3 +229,45 @@ class TestSetProbabilityMonotoneFastPaths:
             assert session.cache_stats.hits > hits_before
             for clique in cliques:
                 assert clique <= core
+
+
+# ----------------------------------------------------------------------
+# Session mode: the caller mutates the shared graph behind the
+# maintainer's back.  The next update sees the version gap and re-peels
+# the whole graph before applying itself.
+# ----------------------------------------------------------------------
+
+
+def enum_cliques(session, k, tau):
+    return list(session.maximal_cliques(k, tau, pruning="ktau"))
+
+
+class TestUnseenMutations:
+    def test_remove_node_then_maintainer_update(self):
+        g = UncertainGraph()
+        for u, v in (("a", "b"), ("a", "c"), ("a", "d"),
+                     ("b", "c"), ("b", "d"), ("c", "d"), ("d", "x")):
+            g.add_edge(u, v, 0.9)
+        session = PreparedGraph(g)
+        maintainer = KTauCoreMaintainer(session, 2, 0.3)
+        assert "a" in maintainer.core
+        g.remove_node("a")
+        core = maintainer.add_edge("x", "b", 0.9)
+        assert core == frozenset(dp_core_plus(g, 2, 0.3))
+        assert enum_cliques(session, 2, 0.3) == enum_cliques(
+            PreparedGraph(g.copy()), 2, 0.3
+        )
+
+    def test_direct_remove_edge_then_maintainer_update(self, two_groups):
+        session = PreparedGraph(two_groups)
+        maintainer = KTauCoreMaintainer(session, 3, 0.7)
+        assert "a1" in maintainer.core
+        # The a-clique loses an edge and with it every member, but the
+        # maintainer never sees the update.
+        two_groups.remove_edge("a1", "a2")
+        core = maintainer.add_edge("b1", "z", 0.5)
+        assert "a1" not in core
+        assert core == frozenset(dp_core_plus(two_groups, 3, 0.7))
+        assert enum_cliques(session, 3, 0.7) == enum_cliques(
+            PreparedGraph(two_groups.copy()), 3, 0.7
+        )

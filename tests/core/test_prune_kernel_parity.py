@@ -2,10 +2,11 @@
 against the legacy dict-of-dicts peels, one property per contract.
 
 Verified peeling converges to the unique maximal fixpoint whatever the
-peel order, so every arrays peel — ``dp_core``, ``dp_core_plus``,
-``topk_core``, whole-graph or restricted by ``members=``, seeded by
-``frontier=`` or aborted by ``fixed=`` — must return exactly the legacy
-answer on the (induced) graph.  :mod:`tests.core.test_conformance`
+peel order, so every arrays peel — ``dp_core``, ``dp_core_plus`` and
+``topk_core`` on the whole graph, the latter two restricted by
+``members=``, ``dp_core_plus`` seeded by ``frontier=`` and ``topk_core``
+aborted by ``fixed=`` — must return exactly the legacy answer on the
+(induced) graph.  :mod:`tests.core.test_conformance`
 crosses these contracts with warm and delta-patched lowerings.
 """
 
@@ -186,9 +187,6 @@ def test_restricted_peels_equal_the_induced_subgraph_peels(
         assert survival_peel(compiled, k, tau, members=members) == (
             dp_core_plus(induced, k, tau, engine="legacy")
         )
-        assert distribution_peel(compiled, k, tau, members=members) == (
-            dp_core(induced, k, tau, engine="legacy")
-        )
     # Restricted peels never read or build the whole-graph level index.
     assert compiled._topk_levels == {}
 
@@ -206,21 +204,15 @@ def test_frontier_repeels_equal_the_induced_subgraph_peels(
         return
     union = _beside_a_far_component(graph)
     members = graph.nodes()
-
-    def legacy_cores(g: UncertainGraph) -> dict:
-        return {
-            topk_peel: topk_core(g, k, tau, engine="legacy").nodes,
-            survival_peel: dp_core_plus(g, k, tau, engine="legacy"),
-            distribution_peel: dp_core(g, k, tau, engine="legacy"),
-        }
-
-    trusted = legacy_cores(union.induced_subgraph(members))
+    core = dp_core_plus(
+        union.induced_subgraph(members), k, tau, engine="legacy"
+    )
     u, v = data.draw(st.sampled_from(edges))
     union.remove_edge(u, v)
-    expected = legacy_cores(union.induced_subgraph(members))
-    compiled = compile_graph(union)
-    for peel, core in trusted.items():
-        frontier = [w for w in (u, v) if w in core]
-        assert peel(
-            compiled, k, tau, members=core, frontier=frontier
-        ) == expected[peel]
+    expected = dp_core_plus(
+        union.induced_subgraph(members), k, tau, engine="legacy"
+    )
+    frontier = [w for w in (u, v) if w in core]
+    assert survival_peel(
+        compile_graph(union), k, tau, members=core, frontier=frontier
+    ) == expected

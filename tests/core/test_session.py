@@ -3,8 +3,8 @@
 Covers the contract the session layer adds on top of the pipeline:
 hit/miss/eviction accounting, the LRU bound, invalidation through the
 graph version on every mutator, bit-identical cached-vs-cold outputs
-(including stats counters), monotone prune seeding, and the
-core-maintainer integration.
+(including stats counters), prune misses over ascending parameters,
+and the core-maintainer integration.
 """
 
 from __future__ import annotations
@@ -15,6 +15,7 @@ from dataclasses import asdict
 import pytest
 
 from repro import PreparedGraph, UncertainGraph, max_uc_plus
+from repro.core import pipeline
 from repro.core import session as session_mod
 from repro.core.enumeration import EnumerationStats, maximal_cliques
 from repro.core.maintenance import KTauCoreMaintainer
@@ -392,8 +393,9 @@ class TestGoldenCounters:
 
 
 class TestMonotoneSeeding:
-    """A cached easier core seeds the peel for harder parameters without
-    changing any result."""
+    """Harder parameters after easier ones in one session: each prune
+    miss peels afresh (or bisects the lowering's level index), never
+    from a cached easier core, and every result equals a cold run's."""
 
     @pytest.mark.parametrize("pruning", ["topk", "ktau"])
     def test_ascending_grid_matches_cold(self, pruning):
@@ -408,8 +410,8 @@ class TestMonotoneSeeding:
     def test_ktau_entry_seeds_topk_but_not_vice_versa(self):
         g = make_random_graph(16, 0.6, seed=8)
         session = PreparedGraph(g)
-        # Warm a ktau core, then query topk at harder parameters: by
-        # Corollary 1 the seed is sound, and results must match cold.
+        # A cached ktau core at easier parameters (by Corollary 1 a
+        # superset of the topk core) must not change a topk answer.
         enum_payload(session, 2, 0.2, pruning="ktau")
         assert enum_payload(session, 3, 0.3, pruning="topk") == enum_payload(
             g.copy(), 3, 0.3, pruning="topk"
@@ -420,6 +422,33 @@ class TestMonotoneSeeding:
         assert enum_payload(fresh, 3, 0.3, pruning="ktau") == enum_payload(
             g.copy(), 3, 0.3, pruning="ktau"
         )
+
+    def test_ascending_tau_builds_the_level_index(self):
+        g = make_random_graph(40, 0.3, seed=12)
+        k, taus = 2, (0.05, 0.1, 0.2)
+        # Lowered up front, so every session over g counts it as a hit.
+        pipeline.lowering(g)
+        session = PreparedGraph(g)
+        payloads, lookups, levels = [], [], []
+        for tau in taus:
+            before = session.cache_info()
+            payloads.append(enum_payload(session, k, tau))
+            after = session.cache_info()
+            lookups.append([after[f] - before[f] for f in ("hits", "misses")])
+            levels.append(current_lowering(g)._topk_levels[k])
+        # The first whole-graph peel at k records k, the second builds
+        # the index, and the third is a bisect in it.
+        assert levels[0] is None
+        assert levels[1] is not None
+        assert levels[2] is levels[1]
+        for tau, payload, counts in zip(taus, payloads, lookups):
+            assert payload[0]
+            assert payload == enum_payload(PreparedGraph(g.copy()), k, tau)
+            # A fresh session over g (sharing its lowering) looks up
+            # exactly what the warm query did.
+            fresh = PreparedGraph(g)
+            enum_payload(fresh, k, tau)
+            assert counts == [fresh.cache_info()[f] for f in ("hits", "misses")]
 
 
 class TestMaintainerIntegration:

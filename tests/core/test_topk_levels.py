@@ -11,8 +11,7 @@ base threshold, is a bisect.  This suite pins that:
   lower tau, and taus placed exactly at a node's level;
 * the first whole-graph peel at ``k`` only records ``k``, the second
   builds the index;
-* ``members=``, ``fixed=`` and ``frontier=`` peels neither read nor
-  write it;
+* ``members=`` and ``fixed=`` peels neither read nor write it;
 * every delta patch drops it, and copies and pickles of the graph start
   without one;
 * a ``maximal_cliques`` generator paused between yields is untouched by
@@ -186,7 +185,6 @@ def test_restricted_peels_neither_read_nor_write_the_index() -> None:
         assert topk_peel(cpg, 3, 0.2, members=members) == topk_core(
             induced, 3, 0.2, engine="legacy"
         ).nodes
-        topk_peel(cpg, 3, 0.2, frontier=nodes)
         topk_core(graph, 3, 0.2, fixed={nodes[0]}, compiled=cpg)
     assert cpg._topk_levels == {}
 
@@ -195,7 +193,6 @@ def test_restricted_peels_neither_read_nor_write_the_index() -> None:
     legacy = topk_core(graph, 3, 0.2, engine="legacy").nodes
     assert legacy
     assert topk_peel(cpg, 3, 0.2, members=nodes) == legacy
-    assert topk_peel(cpg, 3, 0.2, frontier=nodes) == legacy
     for anchor in (next(iter(legacy)), nodes[-1]):
         assert topk_core(graph, 3, 0.2, fixed={anchor},
                          compiled=cpg) == topk_core(
