@@ -18,7 +18,13 @@ The whole optimization runs on dense int ids, gathered once from the
 whole-graph compile (:class:`~repro.core.prune_kernel.CompiledGraph`):
 :func:`induced_rows` turns a node subset — the pipeline passes one
 graph component's prune survivors as ascending compile ids — into local
-``(id, p)`` rows, and no subgraph is built.  A *piece* (a connected
+``(id, p)`` rows, and no subgraph is built.  When a level index's
+(Top_k, tau)-core holds the whole subset, the gather reads that core's
+short rows instead of the full ones
+(:meth:`~repro.core.prune_kernel.CompiledGraph.core_rows`).  The
+gathered rows are kept as :class:`GatheredRows`, which the search views
+are built from (:func:`~repro.core.kernel.derive_component_view`), so
+no lowering row is read twice.  A *piece* (a connected
 part still being split) is a sorted local-id list whose members share
 one mark in ``owner``.  An edge is alive exactly when both ends carry
 the same mark — every deleted edge crosses two pieces — so deletion
@@ -34,10 +40,10 @@ from bisect import bisect_left, insort
 from dataclasses import dataclass
 from heapq import heappop, heappush
 from itertools import count
-from typing import Iterator, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from repro.core.prune_kernel import CompiledGraph, compile_graph
-from repro.uncertain.graph import UncertainGraph
+from repro.uncertain.graph import Node, UncertainGraph
 from repro.utils.validation import (
     prob_below,
     threshold_floor,
@@ -51,6 +57,9 @@ __all__ = [
     "cut_optimize",
     "CutOptimizeResult",
     "induced_rows",
+    "gather_rows",
+    "local_ids",
+    "GatheredRows",
     "cut_rows",
     "split_rows",
     "greedy_clique_size",
@@ -138,22 +147,66 @@ def cut_optimize(
     )
 
 
-def induced_rows(compiled: CompiledGraph, ids: Sequence[int]) -> Rows:
-    """Rows of the subgraph the compile ids ``ids`` induce: local id
-    ``i`` is ``ids[i]``; each row keeps its in-subset ``(local id, p)``
-    entries in insertion order."""
-    # A list over every compile id: indexing it beats a dict lookup.
-    local: list[int | None] = [None] * compiled.n
+class GatheredRows:
+    """A node subset's rows, gathered once: ``rows`` as
+    :func:`induced_rows` returned them, ``nodes`` and ``sort_rank`` the
+    label and the lowering's sort rank of each local id, ``index`` the
+    local id of each label.
+
+    It reads like the lowering it was gathered from, so
+    :func:`induced_rows` gathers a smaller subset from it as from a
+    lowering: the cut hands its rows on to the search views this way.
+    """
+
+    __slots__ = ("nodes", "index", "sort_rank", "rows")
+
+    def __init__(
+        self, compiled: CompiledGraph, ids: Sequence[int], rows: Rows
+    ) -> None:
+        nodes = compiled.nodes
+        rank = compiled.sort_rank
+        self.nodes = [nodes[g] for g in ids]
+        self.index: dict[Node, int] = {u: i for i, u in enumerate(self.nodes)}
+        self.sort_rank = [rank[g] for g in ids]
+        self.rows = rows
+
+
+def gather_rows(
+    source: CompiledGraph | GatheredRows, ids: Sequence[int]
+) -> Iterator[Iterable[tuple[int, float]]]:
+    """Each id's ``(neighbour id, p)`` entries in insertion order, read
+    once and lazily (one row alive at a time): the rows ``source``
+    gathered, or the lowering's — the smallest indexed core's rows when
+    that core holds every id (the same entries inside the core, and no
+    others survive a restriction to ``ids``), else the full rows."""
+    if isinstance(source, GatheredRows):
+        gathered = source.rows
+        return (gathered[g] for g in ids)
+    core = source.core_rows(ids)
+    row = source.row if core is None else core.__getitem__
+    return (zip(*row(g)) for g in ids)
+
+
+def local_ids(n: int, ids: Sequence[int]) -> list[int | None]:
+    """``local[g] == i`` for ``g = ids[i]``, ``None`` for the other ids
+    below ``n``: a list over every id, whose indexing beats a dict."""
+    local: list[int | None] = [None] * n
     for i, g in enumerate(ids):
         local[g] = i
-    rows: Rows = []
-    for g in ids:
-        nbrs, probs = compiled.row(g)
-        rows.append([
-            (li, p) for j, p in zip(nbrs, probs)
-            if (li := local[j]) is not None
-        ])
-    return rows
+    return local
+
+
+def induced_rows(
+    source: CompiledGraph | GatheredRows, ids: Sequence[int]
+) -> Rows:
+    """Rows of the subgraph the ids ``ids`` of ``source`` induce: local
+    id ``i`` is ``ids[i]``; each row keeps its in-subset ``(local id,
+    p)`` entries in insertion order (read by :func:`gather_rows`)."""
+    local = local_ids(len(source.nodes), ids)
+    return [
+        [(li, p) for j, p in row if (li := local[j]) is not None]
+        for row in gather_rows(source, ids)
+    ]
 
 
 def split_rows(rows: Rows) -> list[list[int]]:

@@ -60,8 +60,9 @@ pipeline.  The pre-search (Top_k, tau)-core itself has a compiled twin in
 from __future__ import annotations
 
 from array import array
-from typing import TYPE_CHECKING, Iterator, Sequence
+from typing import TYPE_CHECKING, Iterable, Iterator, Sequence
 
+from repro.core.cut_pruning import GatheredRows, gather_rows, local_ids
 from repro.core.prune_kernel import CompiledGraph, node_sort_key
 from repro.core.topk_core import topk_peel_masks
 from repro.uncertain.graph import Node, UncertainGraph
@@ -128,8 +129,8 @@ class CompiledComponent:
 
     The constructor compiles a graph from scratch and stays the
     independent oracle the derived views are checked against;
-    :meth:`from_csr` builds a view from the node labels and the CSR
-    arrays alone (:func:`derive_component_view`).
+    :meth:`from_rows` builds a view from the node labels and their
+    gathered rows alone (:func:`derive_component_view`).
     """
 
     __slots__ = (
@@ -192,42 +193,56 @@ class CompiledComponent:
         self.full_mask = (1 << n) - 1 if n else 0
 
     @classmethod
-    def from_csr(
+    def from_rows(
         cls,
         order: list[Node],
-        row_offsets: array[int],
-        nbr_ids: array[int],
-        nbr_probs: array[float],
+        rows: Iterable[Iterable[tuple[int, float]]],
+        local: Sequence[int | None],
     ) -> CompiledComponent:
-        """A component from its labels (in id order) and CSR rows; every
-        other form (bitmask rows, dense rows, dicts) is built from them."""
+        """The view builder: a component from its labels (in id order)
+        and, per id, its ``(neighbour, p)`` entries, where ``local``
+        maps a neighbour to its id here (``None``: not a member).
+
+        Each row keeps its member entries as ``(-probability, id)``
+        pairs, sorted — negation flips only the sign bit, so the stored
+        floats are the row's own — and every form (CSR, bitmask rows,
+        dense rows, dicts) is built from that sorted row.
+        """
         view = cls.__new__(cls)
         n = len(order)
         bits = [1 << i for i in range(n)]
         adj: list[int] = []
         prob: list[dict[int, float]] = []
         dense = n <= _DENSE_ROW_LIMIT
-        rows: list[list[float]] | None = [] if dense else None
-        for u in range(n):
-            row: dict[int, float] = {}
+        flat_rows: list[list[float]] | None = [] if dense else None
+        row_offsets = array("l", [0])
+        nbr_ids = array("l")
+        nbr_probs = array("d")
+        for row in rows:
+            kept = sorted([
+                (-p, li) for j, p in row if (li := local[j]) is not None
+            ])
+            ids = [j for _, j in kept]
+            ps = [-negp for negp, _ in kept]
+            nbr_ids.extend(ids)
+            nbr_probs.extend(ps)
+            row_offsets.append(len(nbr_ids))
             mask = 0
-            for i in range(row_offsets[u], row_offsets[u + 1]):
-                j = nbr_ids[i]
-                row[j] = nbr_probs[i]
+            for j in ids:
                 mask |= bits[j]
             adj.append(mask)
-            prob.append(row)
-            if rows is not None:
+            prob.append(dict(zip(ids, ps)))
+            if flat_rows is not None:
                 flat = [0.0] * n
-                for j, p in row.items():
+                for j, p in zip(ids, ps):
                     flat[j] = p
-                rows.append(flat)
+                flat_rows.append(flat)
         view.nodes = order
         view.index = {u: i for i, u in enumerate(order)}
         view.n = n
         view.adj = adj
         view.prob = prob
-        view.rows = rows
+        view.rows = flat_rows
         view.bits = bits
         view.row_offsets = row_offsets
         view.nbr_ids = nbr_ids
@@ -247,56 +262,47 @@ def compile_component(graph: UncertainGraph) -> CompiledComponent:
 
 
 def derive_component_view(
-    compiled: CompiledGraph, members: Sequence[Node]
+    source: CompiledGraph | GatheredRows, members: Sequence[Node]
 ) -> CompiledComponent:
-    """Build a component's :class:`CompiledComponent` from the unified
-    whole-graph artifact, without touching the :class:`UncertainGraph`.
+    """Build a component's :class:`CompiledComponent` from gathered
+    rows, without touching the :class:`UncertainGraph`: gather, then
+    build.
 
-    ``members`` must be the node set of one pipeline component of the
-    graph ``compiled`` was lowered from: the pruning stage removes
-    *nodes* (edges among survivors are untouched) and every edge the cut
-    optimization removes crosses two final components — so filtering the
-    whole-graph rows to ``members`` reproduces the component's adjacency
-    exactly.  The view is bit-identical to
-    ``compile_component(component)``:
+    ``source`` is the whole-graph lowering or the
+    :class:`~repro.core.cut_pruning.GatheredRows` the cut gathered from
+    it; ``members`` must be the node set of one pipeline component of
+    that graph.  The pruning stage removes *nodes* (edges among
+    survivors are untouched) and every edge the cut optimization
+    removes crosses two final components — so the rows ``members``
+    induce in either source are exactly the component's adjacency.  The
+    view is bit-identical to ``compile_component(component)``:
 
     * local ids renumber ``members`` by ascending ``sort_rank``, which
       restricted to any subset equals the component's own
       :func:`node_sort_key` sort;
-    * each member's row is filtered to members first, then only the
-      kept ``(-probability, local id)`` pairs are sorted — negation
-      flips only the sign bit, so the stored floats are the row's own;
-    * every derived form (bitmask rows, dense rows, dicts) is built
-      from that CSR by :meth:`CompiledComponent.from_csr`.
+    * :func:`~repro.core.cut_pruning.gather_rows` reads the members'
+      rows (from a level index's core rows when they hold every
+      member), and :meth:`CompiledComponent.from_rows` filters each to
+      the members, sorts it and builds every form.
 
     ``members`` are labels, so a list cached across a full re-lower
     (which renumbers every id) stays valid.
 
     The view is a deep **snapshot**: its arrays are freshly built, never
-    aliases of ``compiled``'s lists.  That independence is load-bearing:
+    aliases of the source's lists.  That independence is load-bearing:
     the session caches views per component while
-    :meth:`CompiledGraph.apply_delta` patches the source artifact's rows
-    *in place*, and a cached view must not observe later mutations.
+    :meth:`CompiledGraph.apply_delta` patches the lowering's rows *in
+    place*, and a cached view must not observe later mutations.
     """
-    index = compiled.index
-    rank = compiled.sort_rank
-    gids = sorted((index[u] for u in members), key=rank.__getitem__)
-    local: dict[int, int] = {g: i for i, g in enumerate(gids)}
-    nodes: list[Node] = [compiled.nodes[g] for g in gids]
-    row_offsets = array("l", [0])
-    nbr_ids = array("l")
-    nbr_probs = array("d")
-    get = local.get
-    for g in gids:
-        ids, ps = compiled.row(g)
-        kept = sorted([
-            (-p, li) for j, p in zip(ids, ps)
-            if (li := get(j)) is not None
-        ])
-        nbr_ids.extend([li for _, li in kept])
-        nbr_probs.extend([-negp for negp, _ in kept])
-        row_offsets.append(len(nbr_ids))
-    return CompiledComponent.from_csr(nodes, row_offsets, nbr_ids, nbr_probs)
+    index = source.index
+    rank = source.sort_rank
+    ids = sorted((index[u] for u in members), key=rank.__getitem__)
+    nodes = source.nodes
+    return CompiledComponent.from_rows(
+        [nodes[i] for i in ids],
+        gather_rows(source, ids),
+        local_ids(len(nodes), ids),
+    )
 
 
 def iter_bits(mask: int) -> Iterator[int]:

@@ -11,8 +11,9 @@ parameters to a deterministic artifact:
   one graph component's survivors (or an anchored query's core), given
   as compile ids; returns the search components as label tuples plus
   the counters the stats objects report.  No subgraph is built: the
-  survivor rows are gathered from the compile.  For MaxUC+ it also
-  grows a greedy lower bound on those rows and raises the cut to it.
+  survivor rows are gathered once from the compile, and the artifact
+  hands them on to the search views.  For MaxUC+ it also grows a
+  greedy lower bound on those rows and raises the cut to it.
 * :func:`compile_stage` — the **single whole-graph lowering**: one
   parameter-free :class:`~repro.core.prune_kernel.CompiledGraph` per graph
   version serves the prune peels, the cut *and* the per-component search
@@ -21,8 +22,9 @@ parameters to a deterministic artifact:
   function and core maintainer over one graph lowers it once.
 * :func:`compile_enumeration_stage` — per-component search preparation:
   the :class:`~repro.core.kernel.CompiledComponent` CSR bundles
-  the pivot engine searches, *derived* from the :func:`compile_stage`
-  artifact's rows (member-filtered, no recompilation;
+  the pivot engine searches, built from the rows the cut gathered (or,
+  for a cached cut, from the :func:`compile_stage` artifact's rows;
+  member-filtered, no recompilation;
   :func:`~repro.core.kernel.compile_component` remains the parity
   oracle).  The maximum search derives (and colors) its components on
   demand inside :func:`maximum_search_stage`.
@@ -47,11 +49,12 @@ direct stage calls that bypass it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from time import perf_counter
 from typing import Any, Iterator, Sequence
 
 from repro.core.cut_pruning import (
+    GatheredRows,
     cut_rows,
     greedy_clique_size,
     induced_rows,
@@ -77,7 +80,9 @@ from repro.uncertain.graph import Node, UncertainGraph
 
 __all__ = [
     "CutArtifact",
+    "Parts",
     "lowering",
+    "graph_components",
     "compile_stage",
     "prune_stage",
     "cut_stage",
@@ -88,6 +93,9 @@ __all__ = [
 
 # benchmarks/e2e/trace.py still wraps this name as a search boundary.
 enumerate_root_range = enumerate_pivot_range
+
+#: ``(component id, epoch, members)`` per graph component.
+Parts = tuple[tuple[int, int, tuple[Node, ...]], ...]
 
 
 # ----------------------------------------------------------------------
@@ -120,6 +128,38 @@ def lowering(graph: UncertainGraph) -> tuple[CompiledGraph, str]:
     compiled = compile_stage(graph)
     graph._lowering = compiled
     return compiled, "full"
+
+
+def graph_components(graph: UncertainGraph) -> Parts:
+    """``(component id, epoch, members)`` per component of ``graph``,
+    in canonical order.
+
+    Members are in graph iteration order, and components are ordered
+    by their first node's insertion position — the one canonical order
+    every per-component assembly of the session concatenates in, so a
+    warm assembly reproduces a cold run's component order exactly.
+    O(n) against the graph's incremental component map, and walked once
+    per graph version: like the lowering, the walk is kept on the graph
+    (``graph._walk``), so every session over it shares one.
+    """
+    held = graph._walk
+    if held is not None and held[0] == graph.version:
+        return held[1]
+    buckets: dict[int, list[Node]] = {}
+    order: list[int] = []
+    for u in graph:
+        cid = graph.component_id(u)
+        bucket = buckets.get(cid)
+        if bucket is None:
+            buckets[cid] = bucket = []
+            order.append(cid)
+        bucket.append(u)
+    parts = tuple(
+        (cid, graph.component_key(buckets[cid][0])[1], tuple(buckets[cid]))
+        for cid in order
+    )
+    graph._walk = (graph.version, parts)
+    return parts
 
 
 def compile_stage(graph: UncertainGraph) -> CompiledGraph:
@@ -211,6 +251,12 @@ class CutArtifact:
     first node in :func:`~repro.core.prune_kernel.node_sort_key` order,
     with the components ordered by it, and ``lower_bound``, the greedy
     clique size its raised cut was taken at (0 when it cut at ``k``).
+
+    An enumeration artifact fresh from :func:`cut_stage` also carries
+    ``gathered``, the :class:`~repro.core.cut_pruning.GatheredRows` its
+    components were cut from, so their search views are built without
+    a second gather.  The session caches the artifact without it, and
+    views of a cached cut gather from the lowering.
     """
 
     components: tuple[tuple[Node, ...], ...]
@@ -219,6 +265,9 @@ class CutArtifact:
     nodes_after_pruning: int
     heads: tuple[Node, ...] = ()
     lower_bound: int = 0
+    gathered: GatheredRows | None = field(
+        default=None, compare=False, repr=False
+    )
 
 
 def cut_stage(
@@ -232,9 +281,11 @@ def cut_stage(
     """Split prune survivors, ids of ``compiled``, into search
     components (Lemma 5).
 
-    Their survivor-filtered rows are gathered once from the compile;
-    with ``cut=True`` the cut optimization runs on them, otherwise a
-    plain connected-component split.  One cut implementation serves
+    Their survivor-filtered rows are gathered once from the compile
+    (:func:`~repro.core.cut_pruning.induced_rows`) and travel on in the
+    artifact's ``gathered`` for the search views; with ``cut=True`` the
+    cut optimization runs on them, otherwise a plain
+    connected-component split.  One cut implementation serves
     every engine, so the artifact is engine-independent.  Components
     come out in order of their first node in ``survivors`` order:
     ascending ids (graph iteration order) for a graph component, the
@@ -250,7 +301,11 @@ def cut_stage(
     ``lower_bound``.  Otherwise the cut runs at ``k`` as for
     enumeration.  Either way the components are ordered by their first
     node in :func:`~repro.core.prune_kernel.node_sort_key` order, which
-    the artifact's ``heads`` record.
+    the artifact's ``heads`` record.  A maximum artifact carries no
+    ``gathered`` rows: the search builds views only for the components
+    its incumbent reaches, and keeping every survivor row alive through
+    it cost more in garbage collection than reading those members' rows
+    again.
     """
     rows = induced_rows(compiled, survivors)
     cuts_found = edges_removed = lower_bound = 0
@@ -284,6 +339,7 @@ def cut_stage(
         nodes_after_pruning=len(survivors),
         heads=tuple(nodes[survivors[i]] for i in heads),
         lower_bound=lower_bound,
+        gathered=None if maximum else GatheredRows(compiled, survivors, rows),
     )
 
 
@@ -292,12 +348,13 @@ def cut_stage(
 # ----------------------------------------------------------------------
 
 def compile_enumeration_stage(
-    components: Sequence[Sequence[Node]],
+    cut: CutArtifact,
     min_size: int,
     component_limit: int,
     artifact: CompiledGraph,
 ) -> tuple[CompiledComponent | None, ...]:
-    """Compile each component the kernel enumeration will search.
+    """Compile each component of ``cut`` the kernel enumeration will
+    search.
 
     One slot per component, in order: a
     :class:`~repro.core.kernel.CompiledComponent` when the component is
@@ -305,15 +362,18 @@ def compile_enumeration_stage(
     ``None`` — the search stage re-derives *why* a slot is ``None`` from
     the component size (too small: skipped; too large: legacy fallback).
 
-    The views are derived from the rows of ``artifact``, the
-    :func:`compile_stage` lowering (bit-identical to the from-scratch
-    compile, see ``tests/core/test_conformance``).
+    Each view is built from the rows the cut gathered (``cut.gathered``)
+    or, for an artifact that carries none, from the rows of
+    ``artifact``, the :func:`compile_stage` lowering — bit-identical
+    either way to the from-scratch compile (see
+    ``tests/core/test_conformance``).
     """
+    source = cut.gathered or artifact
     return tuple(
-        derive_component_view(artifact, component)
+        derive_component_view(source, component)
         if min_size <= len(component) <= component_limit
         else None
-        for component in components
+        for component in cut.components
     )
 
 

@@ -10,13 +10,14 @@ lowered every graph twice.  This module now owns the **unified**
 artifact: a stdlib-only, zero-dependency compiler that lowers an
 :class:`~repro.uncertain.graph.UncertainGraph` **once** into dense int
 ids plus flat CSR adjacency/probability layouts that serve every
-stage — the peels read the insertion-order rows directly, the cut
-optimization gathers its survivor rows from them
-(:func:`repro.core.cut_pruning.induced_rows`), and the search kernel
-*derives* its per-component
-:class:`~repro.core.kernel.CompiledComponent` views (bitmask rows,
-descending-prob CSR) from the member-filtered rows and the precomputed
-``sort_rank`` array (:func:`repro.core.kernel.derive_component_view`).
+stage — the peels read the insertion-order rows directly, and the cut
+optimization gathers its survivor rows from them once
+(:func:`repro.core.cut_pruning.induced_rows`; from a level index's
+core rows when the survivors lie in that core).  The search kernel
+builds its per-component :class:`~repro.core.kernel.CompiledComponent`
+views (bitmask rows, descending-prob CSR) from those gathered rows and
+the precomputed ``sort_rank`` array
+(:func:`repro.core.kernel.derive_component_view`).
 
 The lowering itself is **lazy** per row.  :func:`compile_graph` copies
 the insertion-order neighbour *labels* and probabilities in ``O(m)``,
@@ -97,6 +98,14 @@ __all__ = [
 #: peels.  Both converge to the same canonical node sets.
 PruneEngine = Literal["arrays", "legacy"]
 
+#: A level index's core rows: per core id, its in-core ``(neighbour
+#: ids, probabilities)`` in insertion order.
+CoreRows = dict[int, tuple[list[int], list[float]]]
+
+#: One ``k``'s level index: base floor, core ids in peel order, their
+#: levels, and the base core's rows.
+Levels = tuple[float, list[int], list[float], CoreRows]
+
 
 def node_sort_key(node: Node) -> tuple[str, str]:
     """Deterministic total order over arbitrary hashable nodes.
@@ -153,8 +162,9 @@ class CompiledGraph:
 
     ``_topk_levels`` maps each ``k`` a whole-graph :func:`topk_peel` ran
     at to ``None`` (seen once) or to its level index: the base floor,
-    the core's ids in peel order and their levels.  It lives as long as
-    this version of the lowering:
+    the core's ids in peel order, their levels, and the base core's
+    rows restricted to the core (:meth:`core_rows`).  It lives as long
+    as this version of the lowering:
     :meth:`apply_delta` drops it with the first op it applies, and a
     re-lower starts without it.
 
@@ -210,9 +220,7 @@ class CompiledGraph:
             rank[i] = r
         self.sort_rank = rank
         self._core_ids: "array[int] | None" = None
-        self._topk_levels: dict[
-            int, tuple[float, list[int], list[float]] | None
-        ] = {}
+        self._topk_levels: dict[int, Levels | None] = {}
 
     def _map_row(self, i: int) -> None:
         """Map row ``i``'s neighbour labels to dense ids, once."""
@@ -239,6 +247,25 @@ class CompiledGraph:
         lo = self.row_offsets[i]
         hi = self.row_offsets[i + 1]
         return self.nbr_ids[lo:hi], self.nbr_probs[lo:hi]
+
+    def core_rows(self, ids: Sequence[int]) -> CoreRows | None:
+        """The rows of the smallest indexed (Top_k, tau)-core holding
+        every id of ``ids``, or ``None`` when no level index holds them.
+
+        A core row lists the node's in-core ``(neighbour ids,
+        probabilities)`` in insertion order, so restricting it to any
+        subset of the core gives exactly what the full row gives.
+        """
+        best: CoreRows | None = None
+        for entry in self._topk_levels.values():
+            if entry is None:
+                continue
+            rows = entry[3]
+            if (best is None or len(rows) < len(best)) and all(
+                map(rows.__contains__, ids)
+            ):
+                best = rows
+        return best
 
     def degree(self, i: int) -> int:
         """Full degree of compiled node ``i``."""
@@ -814,7 +841,10 @@ def topk_peel(
 
     Later whole-graph calls at ``k`` with a floor at or above ``f`` are
     ``bisect_left(levels, floor)``; one below ``f`` peels and re-bases
-    the index at its floor.
+    the index at its floor.  The index also keeps ``C(f)``'s rows
+    restricted to ``C(f)``, in insertion order: every core at or above
+    ``f`` lies inside it, so the cut gathers those short rows instead of
+    the full ones (:meth:`CompiledGraph.core_rows`).
     """
     validate_k(k)
     tau = validate_tau(tau)
@@ -828,7 +858,7 @@ def topk_peel(
     index = cpg._topk_levels.get(k) if whole else None
     # Floor against the index's base floor, both threshold_floor values.
     if index is not None and tau_floor >= index[0]:  # repro-lint: ignore[RPL001]
-        _, order, levels = index
+        _, order, levels, _ = index
         return frozenset(
             nodes[i] for i in order[bisect_left(levels, tau_floor):]
         )
@@ -929,9 +959,16 @@ def topk_peel(
     if whole:
         if k in cpg._topk_levels:
             # Second whole-graph peel at k (or a floor below the base):
+            # keep the core's in-core rows for the cut's gather, then
             # peel the core on in ascending pi_k order, in place over
-            # its in-core rows ``vals`` and the ``condemned`` flags;
+            # its sorted rows ``vals`` and the ``condemned`` flags;
             # math.prod multiplies left to right, exactly like below().
+            rows: CoreRows = {}
+            for i in core:
+                lo, hi = rf[i], rf[i + 1]
+                keep = [j for j in range(lo, hi) if not condemned[ids[j]]]
+                rows[i] = [ids[j] for j in keep], [ps[j] for j in keep]
+
             def pi_k(values: list[float]) -> float:
                 return prod(values[-k:]) if len(values) >= k else 0.0
 
@@ -958,7 +995,7 @@ def topk_peel(
                     vv.pop(idx)
                     if idx > len(vv) - k:
                         heappush(heap, (pi_k(vv), v))
-            cpg._topk_levels[k] = (tau_floor, order, levels)
+            cpg._topk_levels[k] = (tau_floor, order, levels, rows)
         else:
             cpg._topk_levels[k] = None
     return result

@@ -17,8 +17,11 @@ version.  A mutation leaves it behind the graph; the next reader
 replays the graph's bounded mutation log into it in place via
 :meth:`~repro.core.prune_kernel.CompiledGraph.apply_delta` (a *delta
 compile*), and only a log gap or a node removal re-lowers it from
-scratch.  The session still counts each resolution as one hit (current)
-or one miss (patched or re-lowered) in :attr:`cache_stats`.
+scratch.  Each query resolves it once, and the session counts that
+resolution as one hit (current) or one miss (patched or re-lowered) in
+:attr:`cache_stats`.  The graph likewise keeps its per-version
+component walk (:func:`repro.core.pipeline.graph_components`), which
+every session over it shares.
 
 Every other stage artifact — peel survivor sets, cut components,
 compiled search views, maximum-search memos, anchored queries' search
@@ -67,7 +70,7 @@ store_core`, so the next query's prune stage is already warm.
 from __future__ import annotations
 
 from collections import OrderedDict
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from time import perf_counter
 from typing import AbstractSet, Any, Collection, Iterable, Iterator
 
@@ -93,9 +96,6 @@ __all__ = ["PreparedGraph", "SessionCacheStats"]
 #: Cache-miss sentinel (``None`` is a legitimate cached value: a dead
 #: anchored query caches ``None`` so the repeat stays O(pre-checks)).
 _MISSING: Any = object()
-
-#: ``(component id, epoch, members)`` per graph component.
-_Parts = tuple[tuple[int, int, tuple[Node, ...]], ...]
 
 #: Default LRU bound: stage artifacts can hold component subgraphs and
 #: compiled CSR bundles, so the cache is bounded by entry *count* and
@@ -170,8 +170,6 @@ class PreparedGraph:
         self._cache: OrderedDict[tuple[Any, ...], Any] = OrderedDict()
         self._max_entries = max_entries
         self.cache_stats = SessionCacheStats()
-        # (graph version, its _graph_components() walk)
-        self._components: tuple[int, _Parts] | None = None
 
     # ------------------------------------------------------------------
     # Introspection
@@ -255,38 +253,6 @@ class PreparedGraph:
     # Stage resolution
     # ------------------------------------------------------------------
 
-    def _graph_components(self) -> _Parts:
-        """``(component id, epoch, members)`` per component, canonical order.
-
-        Members are in graph iteration order, and components are ordered
-        by their first node's insertion position — the one canonical
-        order every per-component assembly below concatenates in, so a
-        warm assembly reproduces a cold run's component order exactly.
-        O(n) against the graph's incremental component map, walked once
-        per graph version: every query and :meth:`store_core` at that
-        version share the walk.
-        """
-        graph = self._graph
-        memo = self._components
-        if memo is not None and memo[0] == graph.version:
-            return memo[1]
-        buckets: dict[int, list[Node]] = {}
-        order: list[int] = []
-        for u in graph:
-            cid = graph.component_id(u)
-            bucket = buckets.get(cid)
-            if bucket is None:
-                buckets[cid] = bucket = []
-                order.append(cid)
-            bucket.append(u)
-        parts = tuple(
-            (cid, graph.component_key(buckets[cid][0])[1],
-             tuple(buckets[cid]))
-            for cid in order
-        )
-        self._components = (graph.version, parts)
-        return parts
-
     def _compiled_artifact(self, timings: Any = None) -> CompiledGraph:
         """The graph's whole-graph flat-CSR lowering at its current
         version (:func:`pipeline.lowering`).
@@ -294,10 +260,11 @@ class PreparedGraph:
         Parameter-free: one lowering serves every peel of every query at
         this version, whichever search engine asked — including the
         dirty-component re-peels, which replay over the same arrays via
-        ``members=`` — *and* every search-view derivation (the
+        ``members=`` — *and* every cut and search-view derivation (the
         per-component ``CompiledComponent`` bundles are member-filtered
-        from these rows, never recompiled).  It lives on the graph, so
-        every session over the graph shares it.
+        from rows gathered once from it, never recompiled).  It lives on
+        the graph, so every session over the graph shares it.  A query
+        resolves it once.
 
         A current lowering counts one hit; a delta patch or a full
         lowering counts one miss plus ``delta_patches`` or
@@ -325,7 +292,7 @@ class PreparedGraph:
         k: int,
         tau: float,
         artifact: Any,
-        parts: _Parts,
+        parts: pipeline.Parts,
     ) -> dict[int, Collection[Node]]:
         """The prune-stage survivors of each graph component, by
         component id, cached per component.
@@ -339,8 +306,9 @@ class PreparedGraph:
         members, not a peel per component — and assembles the rest from
         cache hits.  Every search engine shares these entries: the peel
         is the compiled array peel over ``artifact``, the version's
-        unified compile, and ``parts`` its :meth:`_graph_components`
-        walk, both resolved by the caller.
+        unified compile, and ``parts`` its
+        :func:`~repro.core.pipeline.graph_components` walk, both
+        resolved by the caller.
         """
         if pruning == "none":
             return {cid: members for cid, _, members in parts}
@@ -388,19 +356,27 @@ class PreparedGraph:
         timings: Any,
         maximum: bool = False,
     ) -> tuple[
+        CompiledGraph,
         pipeline.CutArtifact,
-        list[tuple[int, int, tuple[tuple[Node, ...], ...]]],
+        list[tuple[int, int, pipeline.CutArtifact]],
     ]:
-        """The cut-stage artifact plus its per-component parts.
+        """The graph's lowering, the cut-stage artifact and its
+        per-component parts.
+
+        The lowering is resolved once here, and the query reuses it:
+        one lowering lookup per query.
 
         The cut split factorizes across graph components (no cut vertex
         or edge crosses one), so each graph component's search components
         are cached under ``("c", cid, epoch, "cut", ...)`` and the global
         artifact is assembled by concatenating the parts in the canonical
         component order — identical cold and warm by construction.  The
-        returned ``parts`` list ``[(cid, epoch, search_components)]``
+        returned ``parts`` list ``[(cid, epoch, part_artifact)]``
         lets callers key *their* per-component artifacts (search views,
         maximum memos) and slice the global component tuple per part.
+        An enumeration part cut by this call carries the rows it
+        gathered (``gathered``), so its views skip a second gather; the
+        cache keeps it without them.
 
         ``maximum=True`` resolves the MaxUC+ artifact instead (the
         ``topk`` rule with the cut; :func:`pipeline.cut_stage` with
@@ -416,7 +392,7 @@ class PreparedGraph:
         phases disjoint.
         """
         artifact = self._compiled_artifact(timings)
-        graph_parts = self._graph_components()
+        graph_parts = pipeline.graph_components(self._graph)
         with timings.lap("prune"):
             survivors = self._survivors(
                 pruning, k, tau, artifact, graph_parts
@@ -425,7 +401,7 @@ class PreparedGraph:
         components: list[tuple[Node, ...]] = []
         heads: list[Node] = []
         lower_bound = 0
-        parts: list[tuple[int, int, tuple[tuple[Node, ...], ...]]] = []
+        parts: list[tuple[int, int, pipeline.CutArtifact]] = []
         cuts_found = 0
         edges_removed = 0
         for cid, epoch, members in graph_parts:
@@ -444,13 +420,13 @@ class PreparedGraph:
                         entry = pipeline.cut_stage(
                             artifact, ids, k, tau, cut, maximum
                         )
-                self._store(ckey, entry)
+                self._store(ckey, replace(entry, gathered=None))
             components.extend(entry.components)
             heads.extend(entry.heads)
             lower_bound = max(lower_bound, entry.lower_bound)
             cuts_found += entry.cuts_found
             edges_removed += entry.edges_removed
-            parts.append((cid, epoch, entry.components))
+            parts.append((cid, epoch, entry))
         art = pipeline.CutArtifact(
             components=tuple(components),
             cuts_found=cuts_found,
@@ -459,7 +435,7 @@ class PreparedGraph:
             heads=tuple(heads),
             lower_bound=lower_bound,
         )
-        return art, parts
+        return artifact, art, parts
 
     # ------------------------------------------------------------------
     # Maintainer integration
@@ -487,7 +463,7 @@ class PreparedGraph:
             raise ValueError(f"cannot store a core for rule {rule!r}")
         validate_k(k)
         tau = validate_tau(tau)
-        for cid, epoch, members in self._graph_components():
+        for cid, epoch, members in pipeline.graph_components(self._graph):
             self._store(
                 ("c", cid, epoch, "prune", rule, k, tau),
                 frozenset(u for u in members if u in core),
@@ -528,7 +504,7 @@ class PreparedGraph:
         insearch_min_candidates = _enumeration_mod._INSEARCH_MIN_CANDIDATES
         component_limit = _enumeration_mod.KERNEL_COMPONENT_LIMIT
 
-        art, parts = self._cut_artifact(
+        artifact, art, parts = self._cut_artifact(
             pruning, cut, k, tau, stats.timings
         )
         stats.nodes_after_pruning = art.nodes_after_pruning
@@ -541,39 +517,58 @@ class PreparedGraph:
         # prob_at_least per edge.
         tau_floor = threshold_floor(tau)
 
-        compiled: tuple[Any, ...] | None = None
+        compiled = None
         if engine != "legacy":
-            # The search views are *derived* from the whole-graph compile
-            # (member-filtered rows, no recompilation), so the expensive
-            # lowering stays one-per-version while the cheap view bundles
-            # are cached per graph component: view compilation is
-            # element-wise over search components, and each search
-            # component lives inside exactly one graph component, so a
-            # mutation leaves every other component's views warm.
-            views: list[Any] = []
-            artifact: Any = None
-            for cid, epoch, comp_components in parts:
-                vkey = (
-                    "c", cid, epoch, "views",
-                    pruning, cut, k, tau, component_limit,
-                )
-                part_views = self._lookup(vkey)
-                if part_views is _MISSING:
-                    if artifact is None:
-                        artifact = self._compiled_artifact(stats.timings)
-                    with stats.timings.lap("compile"):
-                        part_views = pipeline.compile_enumeration_stage(
-                            comp_components, min_size, component_limit,
-                            artifact,
-                        )
-                    self._store(vkey, part_views)
-                views.extend(part_views)
-            compiled = tuple(views)
+            compiled = self._enumeration_views(
+                artifact, parts, pruning, cut, k, tau, min_size,
+                component_limit, stats.timings,
+            )
+        # The views have read the rows the cut gathered: let them go
+        # before the search allocates, so no collection carries them.
+        del parts
 
         yield from pipeline.enumeration_search_stage(
             self._graph, art.components, compiled, k, tau_floor, min_size,
             insearch, insearch_min_candidates, stats,
         )
+
+    def _enumeration_views(
+        self,
+        artifact: CompiledGraph,
+        parts: list[tuple[int, int, pipeline.CutArtifact]],
+        pruning: PruningRule,
+        cut: bool,
+        k: int,
+        tau: float,
+        min_size: int,
+        component_limit: int,
+        timings: Any,
+    ) -> tuple[Any, ...]:
+        """The search views of every part, cached per graph component.
+
+        They are built from the rows the cut gathered (or, for a cached
+        cut, from the whole-graph compile's member-filtered rows; no
+        recompilation), so the expensive lowering stays one-per-version
+        while the cheap view bundles are cached per graph component:
+        view compilation is element-wise over search components, and
+        each search component lives inside exactly one graph component,
+        so a mutation leaves every other component's views warm.
+        """
+        views: list[Any] = []
+        for cid, epoch, part in parts:
+            vkey = (
+                "c", cid, epoch, "views",
+                pruning, cut, k, tau, component_limit,
+            )
+            part_views = self._lookup(vkey)
+            if part_views is _MISSING:
+                with timings.lap("compile"):
+                    part_views = pipeline.compile_enumeration_stage(
+                        part, min_size, component_limit, artifact,
+                    )
+                self._store(vkey, part_views)
+            views.extend(part_views)
+        return tuple(views)
 
     # ------------------------------------------------------------------
     # Queries: maximum
@@ -621,7 +616,7 @@ class PreparedGraph:
         min_size = k + 1
         tau_floor = threshold_floor(tau)
 
-        art, parts = self._cut_artifact(
+        artifact, art, parts = self._cut_artifact(
             "topk", True, k, tau, stats.timings, maximum=True
         )
         stats.lower_bound = art.lower_bound
@@ -637,7 +632,7 @@ class PreparedGraph:
         part_memos: list[tuple[int, dict[int, Any]]] = []
         merged: dict[int, Any] = {}
         offset = 0
-        for cid, epoch, comp_components in parts:
+        for cid, epoch, part in parts:
             mkey = ("c", cid, epoch, memo_stage, k, tau)
             local = self._lookup(mkey)
             if local is _MISSING:
@@ -646,15 +641,15 @@ class PreparedGraph:
             for loc, entry in local.items():
                 merged[offset + loc] = entry
             part_memos.append((offset, local))
-            offset += len(comp_components)
+            offset += len(part.components)
 
         best, best_size = pipeline.maximum_search_stage(
-            self._graph, self._compiled_artifact(stats.timings),
-            art, merged, k, tau, tau_floor, min_size,
-            use_advanced_one, use_advanced_two, insearch, engine, stats,
+            self._graph, artifact, art, merged, k, tau, tau_floor,
+            min_size, use_advanced_one, use_advanced_two, insearch, engine,
+            stats,
         )
-        for (off, local), (_, _, comp_components) in zip(part_memos, parts):
-            for loc in range(len(comp_components)):
+        for (off, local), (_, _, part) in zip(part_memos, parts):
+            for loc in range(len(part.components)):
                 entry = merged.get(off + loc, _MISSING)
                 if entry is not _MISSING:
                     local[loc] = entry
@@ -702,8 +697,8 @@ class PreparedGraph:
                 ids = [compiled.index[u] for u in region if u in core.nodes]
                 art = pipeline.cut_stage(compiled, ids, k, tau, True)
                 entry = art.components, pipeline.compile_enumeration_stage(
-                    art.components, k + 1,
-                    _enumeration_mod.KERNEL_COMPONENT_LIMIT, compiled,
+                    art, k + 1, _enumeration_mod.KERNEL_COMPONENT_LIMIT,
+                    compiled,
                 )
             self._store(key, entry)
         if entry is None:

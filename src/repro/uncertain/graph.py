@@ -43,14 +43,16 @@ iterator tripwires and cross-process keys.
 Each mutation is also appended to a bounded **mutation log**;
 :meth:`mutations_since` replays the exact operation sequence between two
 versions (or reports the log no longer covers it).  The graph carries
-one opaque ``_lowering`` slot, owned by :mod:`repro.core`: the
+two opaque slots owned by :mod:`repro.core`.  ``_lowering`` holds the
 whole-graph compile every session, free function and core maintainer
 over this graph shares, which :func:`repro.core.pipeline.lowering`
 patches forward through the log
 (:meth:`repro.core.prune_kernel.CompiledGraph.apply_delta`) instead of
-re-lowering the whole graph.  Derived graphs (``copy()``,
-``induced_subgraph()``) and pickles never carry it: a lowering patched
-in place for one graph must not be read by another.
+re-lowering the whole graph.  ``_walk`` holds the per-version component
+walk :func:`repro.core.pipeline.graph_components` shares the same way.
+Derived graphs (``copy()``, ``induced_subgraph()``) and pickles carry
+neither: a lowering patched in place for one graph must not be read by
+another.
 """
 
 from __future__ import annotations
@@ -98,6 +100,7 @@ class UncertainGraph:
         "_next_comp",
         "_mutlog",
         "_lowering",
+        "_walk",
     )
 
     def __init__(
@@ -122,6 +125,7 @@ class UncertainGraph:
         self._mutlog: deque[tuple[Any, ...]] = deque(maxlen=_MUTLOG_MAXLEN)
         # Opaque to this package; see the module notes.
         self._lowering: object | None = None
+        self._walk: Any = None
         if nodes is not None:
             for node in nodes:
                 self.add_node(node)
@@ -229,9 +233,11 @@ class UncertainGraph:
         return tuple(ops)
 
     def __getstate__(self) -> dict[str, Any]:
-        # Pickles and copy.copy / copy.deepcopy start without a lowering.
+        # Pickles and copy.copy / copy.deepcopy start without a lowering
+        # or a component walk.
         state = {name: getattr(self, name) for name in self.__slots__}
         state["_lowering"] = None
+        state["_walk"] = None
         return state
 
     def __setstate__(self, state: dict[str, Any]) -> None:
@@ -580,8 +586,9 @@ class UncertainGraph:
         full component map / epoch vector (deep-copied: mutating the clone
         never touches the source's component bookkeeping, so the source
         session's ``(component id, epoch)``-keyed memos stay valid).  The
-        mutation log and the lowering start empty — replaying ops across
-        graph objects is meaningless, so the copy lowers itself afresh.
+        mutation log, the lowering and the component walk start empty —
+        replaying ops across graph objects is meaningless, so the copy
+        lowers itself afresh.
         """
         clone = UncertainGraph()
         clone._adj = {u: dict(nbrs) for u, nbrs in self._adj.items()}

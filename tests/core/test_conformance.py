@@ -30,7 +30,11 @@ The query kinds:
 * the lowering readers of :func:`check_lowering` — the peels of
   :data:`PEELS` over the whole graph, the restricted ones with
   ``members=`` and ``fixed=``, the maintainer's ``frontier=`` re-peel,
-  the core numbers, the derived search views and the delta patch.
+  the core numbers, the derived search views and the delta patch;
+* the gathers of :func:`check_gathers` — the cut's row gather, which
+  reads a level index's core rows when they hold every id, against the
+  full-row gather of an unindexed lowering, and the search views built
+  from the cut's rows against the per-component compile.
 
 Graphs come from one strategy (:func:`tests.core.support.
 uncertain_graphs`): duplicate probabilities, ``p == 1.0`` edges and
@@ -53,6 +57,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 import repro.core.enumeration as enumeration_mod
 import repro.core.pipeline as pipeline_mod
+from repro.core.cut_pruning import induced_rows
 from repro import KTauCoreMaintainer, PreparedGraph, UncertainGraph
 from repro.core.bruteforce import brute_force_maximal_cliques
 from repro.core.enumeration import (
@@ -81,7 +86,7 @@ from repro.deterministic.components import connected_components
 from repro.deterministic.core_decomposition import core_numbers
 from repro.uncertain.clique_prob import clique_probability, is_clique
 from repro.uncertain.graph import _MUTLOG_MAXLEN, Node
-from repro.utils.validation import prob_at_least
+from repro.utils.validation import prob_at_least, threshold_floor
 from tests.core.support import (
     PROBABILITY_PALETTE,
     assert_bit_identical,
@@ -407,9 +412,14 @@ def check_queries(case: Case) -> None:
     graph = case.graph.copy()
     k, tau = case.k, case.tau
 
-    # Cold: a fresh copy per engine.
+    # Cold: a fresh copy per engine.  The pivot session's views were
+    # built from the rows its cuts gathered.
     cliques = clique_oracle(graph, k, tau)
-    cold = {e: ask_all(PreparedGraph(graph.copy()), case, e) for e in ENGINES}
+    cold = {}
+    for engine in ENGINES:
+        fresh = PreparedGraph(graph.copy())
+        cold[engine] = ask_all(fresh, case, engine)
+    assert_cached_views(fresh)
     for engine in ENGINES:
         assert_oracle(cold[engine], cliques, graph, case)
     assert_engines_agree(cold)
@@ -559,6 +569,103 @@ def check_readers(
             derive_component_view(cpg, members),
             compile_component(graph.induced_subgraph(members)),
         )
+    check_gathers(graph, cpg, case)
+
+
+def assert_cached_views(session: PreparedGraph) -> None:
+    """Every search view a session cached for enumeration or an
+    anchored query is bit-identical to compiling its component's
+    induced subgraph."""
+    graph = session.graph
+    for key, value in session._cache.items():
+        if key[3] == "views":
+            cut = session._cache[(*key[:3], "cut", *key[4:8])]
+            components = cut.components
+            views = value
+        elif key[3] in ("anchor_node", "anchor_set") and value is not None:
+            components, views = value
+        else:
+            continue
+        for component, view in zip(components, views):
+            if view is not None:
+                assert_views_bit_identical(
+                    view, compile_component(graph.induced_subgraph(component))
+                )
+
+
+def check_gathers(
+    graph: UncertainGraph, cpg: CompiledGraph, case: Case
+) -> None:
+    """The cut's gather and the views built from its rows, on id sets
+    inside and outside the level index's base core: every ``topk``
+    core (bisected from the index when it holds them), the ``ktau`` and
+    ``members=`` survivors, an anchored ``fixed=`` core and the whole
+    graph (``none``).  Each gather equals the full-row gather of an
+    unindexed lowering, and reads core rows exactly when an indexed core
+    holds every id.  Run with the index as ``cpg`` has it, again with
+    one built at ``(k, tau)``, and after the Fig. 4 runner's reset.
+    """
+    k, tau = case.k, case.tau
+    full = compile_graph(graph)
+    index = cpg.index
+    fixed = set(present(graph, case))
+    region = [u for u in case.members if graph.has_node(u)]
+
+    def ascending(nodes: Any) -> list[int]:
+        return sorted(index[u] for u in nodes)
+
+    def check(ids: list[int]) -> None:
+        levels = cpg._topk_levels
+        for entry in levels.values():
+            if entry is not None:  # a core row is its full row in-core
+                core = set(entry[1])
+                assert entry[3] == {
+                    i: tuple(map(list, zip(*[
+                        (j, p) for j, p in zip(*full.row(i)) if j in core
+                    ]))) or ([], [])
+                    for i in core
+                }
+        held = any(
+            entry is not None and set(ids) <= set(entry[1])
+            for entry in levels.values()
+        )
+        assert (cpg.core_rows(ids) is not None) == held
+        assert induced_rows(cpg, ids) == induced_rows(full, ids)
+        for maximum in (False, True):
+            art = pipeline_mod.cut_stage(cpg, ids, k, tau, case.cut, maximum)
+            assert art == pipeline_mod.cut_stage(
+                full, ids, k, tau, case.cut, maximum
+            )
+            views = pipeline_mod.compile_enumeration_stage(
+                art, 0, len(graph) + 1, cpg
+            )
+            for component, view in zip(art.components, views):
+                assert view is not None
+                assert_views_bit_identical(
+                    view, compile_component(graph.induced_subgraph(component))
+                )
+
+    def check_all() -> None:
+        sets = [
+            list(range(cpg.n)),  # the "none" rule
+            ascending(survival_peel(cpg, k, tau)),
+            ascending(topk_peel(cpg, k, tau, members=region)),
+            *(ascending(topk_peel(cpg, k, t)) for t in (tau, *TAUS)),
+        ]
+        anchored = topk_peel(cpg, k, tau, members=region, fixed=fixed)
+        if anchored:
+            sets.append([index[u] for u in region if u in anchored])
+        for ids in sets:
+            check(ids)
+
+    check_all()
+    topk_peel(cpg, k, tau)
+    topk_peel(cpg, k, tau)
+    entry = cpg._topk_levels.get(k)
+    assert k == 0 or entry is not None and entry[0] <= threshold_floor(tau)
+    check_all()
+    cpg._topk_levels = {}  # the Fig. 4 runner's reset
+    check_all()
 
 
 def assert_core_numbers(graph: UncertainGraph, cpg: CompiledGraph) -> None:

@@ -160,6 +160,49 @@ def test_small_session_lowers_once_per_version(
 
 
 # ----------------------------------------------------------------------
+# The component walk is kept per graph version, like the lowering
+# ----------------------------------------------------------------------
+
+
+def test_fresh_sessions_share_one_walk() -> None:
+    graph = _cliques_with_bridges()
+    _enum(PreparedGraph(graph))
+    held = graph._walk
+    assert held is not None and held[0] == graph.version
+    for _ in range(3):
+        session = PreparedGraph(graph)
+        _enum(session)
+        _max(session)
+        session.store_core("topk", 2, 0.3, frozenset(graph))
+    # A walk stores a fresh tuple: none of these sessions walked again.
+    assert graph._walk is held
+    assert pipeline.graph_components(graph) is held[1]
+
+
+_MUTATIONS: dict[str, Callable[[UncertainGraph], Any]] = {
+    "set_probability": lambda g: g.set_probability(0, 1, 0.5),
+    "add_edge": lambda g: g.add_edge(30, 0, 0.9),
+    "remove_edge": lambda g: g.remove_edge(0, 1),
+    "add_node": lambda g: g.add_node("loner"),
+    "remove_node": lambda g: g.remove_node(0),
+}
+
+
+@pytest.mark.parametrize("mutation", sorted(_MUTATIONS))
+def test_every_mutation_invalidates_the_walk(mutation: str) -> None:
+    graph = _cliques_with_bridges()
+    session = PreparedGraph(graph)
+    _enum(session)
+    parts = pipeline.graph_components(graph)
+    _MUTATIONS[mutation](graph)
+    walked = pipeline.graph_components(graph)
+    assert walked is not parts
+    assert graph._walk == (graph.version, walked)
+    assert walked == pipeline.graph_components(graph.copy())
+    assert _enum(session) == _enum(PreparedGraph(graph.copy()))
+
+
+# ----------------------------------------------------------------------
 # Patching in place never reaches a reader of derived state
 # ----------------------------------------------------------------------
 
@@ -277,6 +320,20 @@ def test_derived_graphs_start_without_a_lowering(derive: str) -> None:
     )
     assert current_lowering(other) is not lowered
     assert current_lowering(g) is lowered
+
+
+@pytest.mark.parametrize("derive", sorted(_DERIVED))
+def test_derived_graphs_start_without_a_walk(derive: str) -> None:
+    g = make_random_graph(10, 0.6, seed=10)
+    list(PreparedGraph(g).maximal_cliques(2, 0.3))
+    walk = g._walk
+    assert walk is not None and walk[0] == g.version
+    other = _DERIVED[derive](g)
+    assert other._walk is None
+    assert pipeline.graph_components(other) == pipeline.graph_components(
+        other.copy()
+    )
+    assert g._walk is walk
 
 
 def test_private_maintainer_never_touches_the_source_lowering() -> None:

@@ -68,10 +68,9 @@ class TestAccounting:
         session = PreparedGraph(g)
         cold = enum_payload(session, 2, 0.2)
         after_cold = session.cache_info()
-        # Even a cold query reuses the unified compile artifact: the
-        # prune stage stores it, and the search-view derivation reads it
-        # back — exactly one hit, everything else a miss.
-        assert after_cold["hits"] == 1
+        # A cold query resolves the graph's lowering once (a miss: it
+        # lowers the graph) and every stage lookup misses: no hit.
+        assert after_cold["hits"] == 0
         assert after_cold["misses"] > 0
 
         warm = enum_payload(session, 2, 0.2)
@@ -80,6 +79,31 @@ class TestAccounting:
         assert after_warm["misses"] == after_cold["misses"]
         assert after_warm["hits"] > 0
         assert session.cache_stats.hit_rate > 0.0
+
+    @pytest.mark.parametrize("query", ["enum", "max"])
+    def test_one_lowering_lookup_per_query(self, monkeypatch, query):
+        # The lowering is resolved once per query, views missing or not:
+        # every hit or miss beyond the LRU lookups is that one lookup.
+        payload = enum_payload if query == "enum" else max_payload
+        g = _cliques_with_bridges()
+        for session, lowering_hits, lowering_misses in (
+            (PreparedGraph(g), 0, 1),  # unlowered: one full lowering
+            (PreparedGraph(g), 1, 0),  # fresh session, lowered graph
+        ):
+            lookups = _record_lookups(session, monkeypatch)
+            payload(session, 2, 0.3)
+            assert lookups and not any(hit for _, hit in lookups)
+            assert session.cache_stats.hits == lowering_hits
+            assert session.cache_stats.misses == (
+                len(lookups) + lowering_misses
+            )
+            assert session.cache_stats.full_compiles == lowering_misses
+            lookups.clear()
+            payload(session, 2, 0.3)  # warm: every lookup hits
+            assert lookups and all(hit for _, hit in lookups)
+            assert session.cache_stats.hits == (
+                lowering_hits + len(lookups) + 1
+            )
 
     def test_maximum_shares_cut_artifact_with_enumeration(self, monkeypatch):
         g = make_random_graph(16, 0.5, seed=2)
@@ -90,7 +114,7 @@ class TestAccounting:
         # The prune entries are the enumeration's; the cut is the max
         # query's own (raised to its greedy bound), so only that entry
         # and the search memo miss, once per graph component.
-        components = len(session._graph_components())
+        components = len(pipeline.graph_components(g))
         prune = [hit for key, hit in lookups if _stage(key) == "prune"]
         assert prune and all(prune)
         missed = [_stage(key) for key, hit in lookups if not hit]
@@ -348,14 +372,14 @@ class TestSnapshotsAndRelowering:
         g = _cliques_with_bridges()
         session = PreparedGraph(g)
         list(session.maximal_cliques(2, 0.3))
-        parts = session._graph_components()
+        parts = pipeline.graph_components(g)
         session.max_uc_plus(2, 0.3)
         session.store_core("topk", 3, 0.3, frozenset(g.nodes()))
-        assert session._graph_components() is parts
+        assert pipeline.graph_components(g) is parts
         g.add_edge(30, 0, 0.9)  # a new node joins component A
-        walked = session._graph_components()
+        walked = pipeline.graph_components(g)
         assert walked is not parts
-        assert walked == PreparedGraph(g)._graph_components()
+        assert walked == pipeline.graph_components(g.copy())
 
 
 class TestGoldenCounters:

@@ -104,7 +104,7 @@ def test_lookups_equal_the_peel(
     index = _index(cpg, k)
     assert index is not None
     assert index[0] == threshold_floor(0.05)
-    _, ids, levels = index
+    _, ids, levels, _ = index
     assert levels == sorted(levels)
     assert sorted(ids) == sorted(set(ids))
     if levels:
@@ -122,7 +122,7 @@ def test_level_boundary_is_inclusive() -> None:
     cpg = compile_graph(graph)
     _check(graph, cpg, 3, 0.05)
     _check(graph, cpg, 3, 0.05)
-    _, ids, levels = _index(cpg, 3)
+    _, ids, levels, _ = _index(cpg, 3)
     hits = 0
     for level in sorted(set(levels)):
         tau = _tau_at(level)
@@ -148,7 +148,7 @@ def test_second_whole_graph_peel_builds_the_index() -> None:
     _check(graph, cpg, 3, 0.2)
     assert cpg._topk_levels == {3: None}
     _check(graph, cpg, 3, 0.3)
-    base, ids, levels = _index(cpg, 3)
+    base, ids, levels, _ = _index(cpg, 3)
     assert base == threshold_floor(0.3)
     # Exactly the core at the building tau, each at a level >= its floor.
     assert {cpg.nodes[i] for i in ids} == topk_peel(compile_graph(graph),
@@ -170,7 +170,7 @@ def test_a_lookup_runs_no_peel() -> None:
     topk_peel(cpg, 3, 0.2)
     topk_peel(cpg, 3, 0.2)
     # A deliberately wrong index is what a whole-graph call answers from.
-    cpg._topk_levels[3] = (threshold_floor(0.2), [0, 1], [0.3, 0.6])
+    cpg._topk_levels[3] = (threshold_floor(0.2), [0, 1], [0.3, 0.6], {})
     assert topk_peel(cpg, 3, 0.5) == {cpg.nodes[1]}
     assert topk_core(graph, 3, 0.25, compiled=cpg).nodes == set(cpg.nodes[:2])
 
@@ -189,7 +189,7 @@ def test_restricted_peels_neither_read_nor_write_the_index() -> None:
     assert cpg._topk_levels == {}
 
     # Wrong index: no node survives any floor.  None of these read it.
-    cpg._topk_levels[3] = (0.0, [], [])
+    cpg._topk_levels[3] = (0.0, [], [], {})
     legacy = topk_core(graph, 3, 0.2, engine="legacy").nodes
     assert legacy
     assert topk_peel(cpg, 3, 0.2, members=nodes) == legacy
@@ -198,7 +198,7 @@ def test_restricted_peels_neither_read_nor_write_the_index() -> None:
                          compiled=cpg) == topk_core(
             graph, 3, 0.2, fixed={anchor}, engine="legacy"
         )
-    assert cpg._topk_levels == {3: (0.0, [], [])}
+    assert cpg._topk_levels == {3: (0.0, [], [], {})}
 
 
 # ----------------------------------------------------------------------
