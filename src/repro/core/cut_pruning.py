@@ -154,7 +154,7 @@ class GatheredRows:
     local id of each label.
 
     It reads like the lowering it was gathered from, so
-    :func:`induced_rows` gathers a smaller subset from it as from a
+    :func:`gather_rows` reads a subset's rows from it as from a
     lowering: the cut hands its rows on to the search views this way.
     """
 
