@@ -34,7 +34,6 @@ STAGE_FUNCTIONS = frozenset(
         "compile_stage",
         "prune_stage",
         "cut_stage",
-        "compile_enumeration_stage",
         "enumeration_search_stage",
         "maximum_search_stage",
     }

@@ -63,7 +63,6 @@ from repro.core.pipeline import (
     compile_stage,
     prune_stage,
     cut_stage,
-    compile_enumeration_stage,
     enumeration_search_stage,
     maximum_search_stage,
 )
@@ -128,7 +127,6 @@ __all__ = [
     "compile_stage",
     "prune_stage",
     "cut_stage",
-    "compile_enumeration_stage",
     "enumeration_search_stage",
     "maximum_search_stage",
     "PreparedGraph",

@@ -14,7 +14,7 @@ probability) and test the cut ``(S, rest)`` after every absorption.  When a
 low-probability cut appears, its edges are deleted and both sides are
 processed recursively.
 
-The whole optimization runs on dense int ids, gathered once from the
+The whole optimization runs on dense int ids, read once from the
 whole-graph compile (:class:`~repro.core.prune_kernel.CompiledGraph`):
 :func:`induced_rows` turns a node subset — the pipeline passes one
 graph component's prune survivors as ascending compile ids — into local
@@ -22,9 +22,9 @@ graph component's prune survivors as ascending compile ids — into local
 (Top_k, tau)-core holds the whole subset, the gather reads that core's
 short rows instead of the full ones
 (:meth:`~repro.core.prune_kernel.CompiledGraph.core_rows`).  The
-gathered rows are kept as :class:`GatheredRows`, which the search views
-are built from (:func:`~repro.core.kernel.derive_component_view`), so
-no lowering row is read twice.  A *piece* (a connected
+pipeline's cut builds its search views from the same rows
+(:func:`~repro.core.kernel.derive_component_view`), so no lowering row
+is read twice.  A *piece* (a connected
 part still being split) is a sorted local-id list whose members share
 one mark in ``owner``.  An edge is alive exactly when both ends carry
 the same mark — every deleted edge crosses two pieces — so deletion
@@ -43,7 +43,7 @@ from itertools import count
 from typing import Iterable, Iterator, Sequence
 
 from repro.core.prune_kernel import CompiledGraph, compile_graph
-from repro.uncertain.graph import Node, UncertainGraph
+from repro.uncertain.graph import UncertainGraph
 from repro.utils.validation import (
     prob_below,
     threshold_floor,
@@ -59,7 +59,6 @@ __all__ = [
     "induced_rows",
     "gather_rows",
     "local_ids",
-    "GatheredRows",
     "cut_rows",
     "split_rows",
     "greedy_clique_size",
@@ -147,43 +146,16 @@ def cut_optimize(
     )
 
 
-class GatheredRows:
-    """A node subset's rows, gathered once: ``rows`` as
-    :func:`induced_rows` returned them, ``nodes`` and ``sort_rank`` the
-    label and the lowering's sort rank of each local id, ``index`` the
-    local id of each label.
-
-    It reads like the lowering it was gathered from, so
-    :func:`gather_rows` reads a subset's rows from it as from a
-    lowering: the cut hands its rows on to the search views this way.
-    """
-
-    __slots__ = ("nodes", "index", "sort_rank", "rows")
-
-    def __init__(
-        self, compiled: CompiledGraph, ids: Sequence[int], rows: Rows
-    ) -> None:
-        nodes = compiled.nodes
-        rank = compiled.sort_rank
-        self.nodes = [nodes[g] for g in ids]
-        self.index: dict[Node, int] = {u: i for i, u in enumerate(self.nodes)}
-        self.sort_rank = [rank[g] for g in ids]
-        self.rows = rows
-
-
 def gather_rows(
-    source: CompiledGraph | GatheredRows, ids: Sequence[int]
+    compiled: CompiledGraph, ids: Sequence[int]
 ) -> Iterator[Iterable[tuple[int, float]]]:
     """Each id's ``(neighbour id, p)`` entries in insertion order, read
-    once and lazily (one row alive at a time): the rows ``source``
-    gathered, or the lowering's — the smallest indexed core's rows when
-    that core holds every id (the same entries inside the core, and no
-    others survive a restriction to ``ids``), else the full rows."""
-    if isinstance(source, GatheredRows):
-        gathered = source.rows
-        return (gathered[g] for g in ids)
-    core = source.core_rows(ids)
-    row = source.row if core is None else core.__getitem__
+    once and lazily (one row alive at a time): the smallest indexed
+    core's rows when that core holds every id (the same entries inside
+    the core, and no others survive a restriction to ``ids``), else the
+    full rows."""
+    core = compiled.core_rows(ids)
+    row = compiled.row if core is None else core.__getitem__
     return (zip(*row(g)) for g in ids)
 
 
@@ -196,16 +168,14 @@ def local_ids(n: int, ids: Sequence[int]) -> list[int | None]:
     return local
 
 
-def induced_rows(
-    source: CompiledGraph | GatheredRows, ids: Sequence[int]
-) -> Rows:
-    """Rows of the subgraph the ids ``ids`` of ``source`` induce: local
+def induced_rows(compiled: CompiledGraph, ids: Sequence[int]) -> Rows:
+    """Rows of the subgraph the ids ``ids`` of ``compiled`` induce: local
     id ``i`` is ``ids[i]``; each row keeps its in-subset ``(local id,
     p)`` entries in insertion order (read by :func:`gather_rows`)."""
-    local = local_ids(len(source.nodes), ids)
+    local = local_ids(compiled.n, ids)
     return [
         [(li, p) for j, p in row if (li := local[j]) is not None]
-        for row in gather_rows(source, ids)
+        for row in gather_rows(compiled, ids)
     ]
 
 

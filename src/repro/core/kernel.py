@@ -16,10 +16,11 @@ a per-component *compilation step*:
    probability arrays in per-row descending-probability order (the form
    the in-search core peel consumes without any re-sorting), Python-int
    bitmask rows (one ``n``-bit integer per node, so neighbor
-   intersections are a single ``&``), dense probability rows (plain float
-   lists indexed by node id, ``0.0`` marking non-edges) for small
-   components, and int-keyed probability dicts as the large-component
-   fallback.
+   intersections are a single ``&``), and dense probability rows (plain
+   float lists indexed by node id, ``0.0`` marking non-edges) for
+   components up to :data:`_DENSE_ROW_LIMIT` nodes.  Above it only
+   :func:`maximum_compiled` runs, and it reads int-keyed probability
+   dicts that it builds from the CSR rows.
 
 The pivot enumeration keeps the candidate set ``C`` as a list of
 ``(id, pi)`` pairs shaped like the legacy loop (measured faster than
@@ -60,9 +61,9 @@ pipeline.  The pre-search (Top_k, tau)-core itself has a compiled twin in
 from __future__ import annotations
 
 from array import array
-from typing import TYPE_CHECKING, Iterable, Iterator, Sequence
+from typing import TYPE_CHECKING, Iterable, Iterator, Sequence, cast
 
-from repro.core.cut_pruning import GatheredRows, gather_rows, local_ids
+from repro.core.cut_pruning import Rows, gather_rows, local_ids
 from repro.core.prune_kernel import CompiledGraph, node_sort_key
 from repro.core.topk_core import topk_peel_masks
 from repro.uncertain.graph import Node, UncertainGraph
@@ -89,8 +90,8 @@ __all__ = [
 _CHUNK_MASK = 0xFFFFFFFFFFFFFFFF
 
 #: Components up to this many nodes get dense probability rows (n floats
-#: per node, 0.0 for non-edges); larger ones fall back to int-keyed dicts
-#: to keep compilation O(n + m) and memory bounded.
+#: per node, 0.0 for non-edges); larger ones get none, to keep
+#: compilation O(n + m) and memory bounded.
 _DENSE_ROW_LIMIT = 1024
 
 #: Largest component the compiled *enumeration* core accepts.  Above this
@@ -125,20 +126,19 @@ class CompiledComponent:
     descending probability (ties by id) so a top-k scan reads a prefix.
     ``bits[i]`` caches ``1 << i`` (big-int shifts are not free), and
     ``rows`` holds the dense probability rows for small components
-    (``None`` above :data:`_DENSE_ROW_LIMIT`).
+    (``None`` above :data:`_DENSE_ROW_LIMIT`).  These are the only
+    forms a kernel reads.
 
     The constructor compiles a graph from scratch and stays the
     independent oracle the derived views are checked against;
-    :meth:`from_rows` builds a view from the node labels and their
-    gathered rows alone (:func:`derive_component_view`).
+    :meth:`from_rows` builds a view from the node labels and their rows
+    alone (:func:`derive_component_view`).
     """
 
     __slots__ = (
         "nodes",
-        "index",
         "n",
         "adj",
-        "prob",
         "rows",
         "bits",
         "row_offsets",
@@ -155,7 +155,6 @@ class CompiledComponent:
         dense = n <= _DENSE_ROW_LIMIT
 
         adj: list[int] = []
-        prob: list[dict[int, float]] = []
         rows: list[list[float]] | None = [] if dense else None
         row_offsets = array("l", [0])
         nbr_ids = array("l")
@@ -169,7 +168,6 @@ class CompiledComponent:
                 row[j] = p
                 mask |= bits[j]
             adj.append(mask)
-            prob.append(row)
             if rows is not None:
                 flat = [0.0] * n
                 for j, p in row.items():
@@ -181,10 +179,8 @@ class CompiledComponent:
             row_offsets.append(len(nbr_ids))
 
         self.nodes = order
-        self.index = index
         self.n = n
         self.adj = adj
-        self.prob = prob
         self.rows = rows
         self.bits = bits
         self.row_offsets = row_offsets
@@ -206,13 +202,12 @@ class CompiledComponent:
         Each row keeps its member entries as ``(-probability, id)``
         pairs, sorted — negation flips only the sign bit, so the stored
         floats are the row's own — and every form (CSR, bitmask rows,
-        dense rows, dicts) is built from that sorted row.
+        dense rows) is built from that sorted row.
         """
         view = cls.__new__(cls)
         n = len(order)
         bits = [1 << i for i in range(n)]
         adj: list[int] = []
-        prob: list[dict[int, float]] = []
         dense = n <= _DENSE_ROW_LIMIT
         flat_rows: list[list[float]] | None = [] if dense else None
         row_offsets = array("l", [0])
@@ -231,17 +226,14 @@ class CompiledComponent:
             for j in ids:
                 mask |= bits[j]
             adj.append(mask)
-            prob.append(dict(zip(ids, ps)))
             if flat_rows is not None:
                 flat = [0.0] * n
                 for j, p in zip(ids, ps):
                     flat[j] = p
                 flat_rows.append(flat)
         view.nodes = order
-        view.index = {u: i for i, u in enumerate(order)}
         view.n = n
         view.adj = adj
-        view.prob = prob
         view.rows = flat_rows
         view.bits = bits
         view.row_offsets = row_offsets
@@ -262,31 +254,36 @@ def compile_component(graph: UncertainGraph) -> CompiledComponent:
 
 
 def derive_component_view(
-    source: CompiledGraph | GatheredRows, members: Sequence[Node]
+    compiled: CompiledGraph,
+    members: Sequence[Node],
+    cut: tuple[Sequence[int], Rows] | None = None,
 ) -> CompiledComponent:
-    """Build a component's :class:`CompiledComponent` from gathered
-    rows, without touching the :class:`UncertainGraph`: gather, then
-    build.
+    """Build a component's :class:`CompiledComponent` from its rows,
+    without touching the :class:`UncertainGraph`.
 
-    ``source`` is the whole-graph lowering or the
-    :class:`~repro.core.cut_pruning.GatheredRows` the cut gathered from
-    it; ``members`` must be the node set of one pipeline component of
-    that graph.  The pruning stage removes *nodes* (edges among
-    survivors are untouched) and every edge the cut optimization
-    removes crosses two final components — so the rows ``members``
-    induce in either source are exactly the component's adjacency.  The
-    view is bit-identical to ``compile_component(component)``:
+    ``members`` must be the node set of one pipeline component of the
+    graph ``compiled`` lowers, and the rows come from one of two places:
 
-    * local ids renumber ``members`` by ascending ``sort_rank``, which
+    * the lowering, when ``members`` are node labels:
+      :func:`~repro.core.cut_pruning.gather_rows` reads them (from a
+      level index's core rows when they hold every member);
+    * the cut, when ``cut = (survivors, rows)`` passes the survivors'
+      compile ids and the rows
+      :func:`~repro.core.cut_pruning.induced_rows` read for them:
+      ``members`` are then positions in ``survivors``, as a cut piece
+      holds them, and no lowering row is read again.
+
+    The pruning stage removes *nodes* (edges among survivors are
+    untouched) and every edge the cut optimization removes crosses two
+    final components — so the rows ``members`` induce in either source
+    are exactly the component's adjacency.  The view is bit-identical
+    to ``compile_component(component)``:
+
+    * local ids renumber the members by ascending ``sort_rank``, which
       restricted to any subset equals the component's own
       :func:`node_sort_key` sort;
-    * :func:`~repro.core.cut_pruning.gather_rows` reads the members'
-      rows (from a level index's core rows when they hold every
-      member), and :meth:`CompiledComponent.from_rows` filters each to
-      the members, sorts it and builds every form.
-
-    ``members`` are labels, so a list cached across a full re-lower
-    (which renumbers every id) stays valid.
+    * :meth:`CompiledComponent.from_rows` filters each row to the
+      members, sorts it and builds every form.
 
     The view is a deep **snapshot**: its arrays are freshly built, never
     aliases of the source's lists.  That independence is load-bearing:
@@ -294,14 +291,24 @@ def derive_component_view(
     :meth:`CompiledGraph.apply_delta` patches the lowering's rows *in
     place*, and a cached view must not observe later mutations.
     """
-    index = source.index
-    rank = source.sort_rank
-    ids = sorted((index[u] for u in members), key=rank.__getitem__)
-    nodes = source.nodes
+    nodes = compiled.nodes
+    rank = compiled.sort_rank
+    if cut is None:
+        index = compiled.index
+        ids = sorted((index[u] for u in members), key=rank.__getitem__)
+        return CompiledComponent.from_rows(
+            [nodes[g] for g in ids],
+            gather_rows(compiled, ids),
+            local_ids(compiled.n, ids),
+        )
+    survivors, rows = cut
+    piece = sorted(
+        cast("Sequence[int]", members), key=lambda i: rank[survivors[i]]
+    )
     return CompiledComponent.from_rows(
-        [nodes[i] for i in ids],
-        gather_rows(source, ids),
-        local_ids(len(nodes), ids),
+        [nodes[survivors[i]] for i in piece],
+        (rows[i] for i in piece),
+        local_ids(len(rows), piece),
     )
 
 
@@ -737,14 +744,22 @@ def maximum_compiled(
     float they produce (the bounds are the compiled twins of
     :mod:`repro.core.bounds`).  There is no maximality test here, so the
     candidate loop matches legacy's shape with dense rows and the bound
-    bookkeeping batched into local counters.
+    bookkeeping batched into local counters.  A component above
+    :data:`_DENSE_ROW_LIMIT` has no dense rows: its int-keyed dict rows
+    are built here from the CSR.
     """
     n = comp.n
     adj = comp.adj
-    prob = comp.prob
     rows = comp.rows
     bits = comp.bits
     nodes = comp.nodes
+    prob: list[dict[int, float]] = []
+    if rows is None:
+        off = comp.row_offsets
+        prob = [
+            dict(zip(comp.nbr_ids[lo:hi], comp.nbr_probs[lo:hi]))
+            for lo, hi in zip(off, off[1:])
+        ]
     # Batched stats (flushed once per component; see _CALLS comment).
     calls = size_prunes = basic_prunes = adv1_prunes = 0
     adv2_prunes = ins_prunes = 0
@@ -790,15 +805,26 @@ def maximum_compiled(
         if use_advanced_two and clique:
             tightest: int | None = None
             for w in clique:
-                wrow = prob[w]
+                # A non-neighbour v cannot join anyway: skip it for w's
+                # budget.  Probabilities lie in (0, 1], so a dense row's
+                # 0.0 marks one, as a dict row's missing key does.
                 best_per_color = {}
-                for v in cids:
-                    p = wrow.get(v)
-                    if p is None:
-                        continue  # v cannot join anyway; skip for w's budget
-                    c = color[v]
-                    if p > best_per_color.get(c, 0.0):
-                        best_per_color[c] = p
+                if rows is not None:
+                    wrow = rows[w]
+                    for v in cids:
+                        p = wrow[v]
+                        if p:
+                            c = color[v]
+                            if p > best_per_color.get(c, 0.0):
+                                best_per_color[c] = p
+                else:
+                    get = prob[w].get
+                    for v in cids:
+                        dp = get(v)
+                        if dp is not None:
+                            c = color[v]
+                            if dp > best_per_color.get(c, 0.0):
+                                best_per_color[c] = dp
                 budget = _prefix_budget(
                     sorted(best_per_color.values(), reverse=True),
                     clique_prob, tau_floor,

@@ -1,9 +1,15 @@
-"""Composable stages of the clique-search flow: prune, cut, compile, search.
+"""Composable stages of the clique-search flow: compile, prune, cut, search.
 
 The monolithic drivers (``maximal_cliques``, ``max_uc_plus``) are decomposed
 here into four explicit stages, each a pure function from graph state and
 parameters to a deterministic artifact:
 
+* :func:`compile_stage` — the **single whole-graph lowering**: one
+  parameter-free :class:`~repro.core.prune_kernel.CompiledGraph` per graph
+  version serves the prune peels, the cut *and* the per-component search
+  views.  The graph owns it: :func:`lowering` keeps it on the graph and
+  patches it forward through the mutation log, so every session, free
+  function and core maintainer over one graph lowers it once.
 * :func:`prune_stage` — core-based preprocessing (Lemmas 1 and 4); returns
   the surviving nodes **in graph iteration order**, so the artifact is
   the same whether the whole graph or only its dirty components peeled.
@@ -11,23 +17,15 @@ parameters to a deterministic artifact:
   one graph component's survivors (or an anchored query's core), given
   as compile ids; returns the search components as label tuples plus
   the counters the stats objects report.  No subgraph is built: the
-  survivor rows are gathered once from the compile, and the artifact
-  hands them on to the search views.  For MaxUC+ it also grows a
-  greedy lower bound on those rows and raises the cut to it.
-* :func:`compile_stage` — the **single whole-graph lowering**: one
-  parameter-free :class:`~repro.core.prune_kernel.CompiledGraph` per graph
-  version serves the prune peels, the cut *and* the per-component search
-  views.  The graph owns it: :func:`lowering` keeps it on the graph and
-  patches it forward through the mutation log, so every session, free
-  function and core maintainer over one graph lowers it once.
-* :func:`compile_enumeration_stage` — per-component search preparation:
-  the :class:`~repro.core.kernel.CompiledComponent` CSR bundles
-  the pivot engine searches, built from the rows the cut gathered (or,
-  for a cached cut, from the :func:`compile_stage` artifact's rows;
-  member-filtered, no recompilation;
+  survivor rows are read once from the compile, and for enumeration
+  the same rows build each searchable component's
+  :class:`~repro.core.kernel.CompiledComponent` view, which the
+  artifact carries (member-filtered, no recompilation;
   :func:`~repro.core.kernel.compile_component` remains the parity
-  oracle).  The maximum search derives (and colors) its components on
-  demand inside :func:`maximum_search_stage`.
+  oracle).  For MaxUC+ it grows a greedy lower bound on those rows
+  and raises the cut to it; the maximum search derives (and colors)
+  its views from the lowering on demand inside
+  :func:`maximum_search_stage`.
 * :func:`enumeration_search_stage` / :func:`maximum_search_stage` — the
   actual (sequential) search, consuming the compile artifacts.  An
   :class:`~repro.uncertain.graph.UncertainGraph` is built for a search
@@ -53,8 +51,8 @@ from dataclasses import dataclass, field
 from time import perf_counter
 from typing import Any, Iterator, Sequence
 
+from repro.core import enumeration as enumeration_mod
 from repro.core.cut_pruning import (
-    GatheredRows,
     cut_rows,
     greedy_clique_size,
     induced_rows,
@@ -86,7 +84,6 @@ __all__ = [
     "compile_stage",
     "prune_stage",
     "cut_stage",
-    "compile_enumeration_stage",
     "enumeration_search_stage",
     "maximum_search_stage",
 ]
@@ -170,8 +167,8 @@ def compile_stage(graph: UncertainGraph) -> CompiledGraph:
     which is why :func:`lowering` keeps this artifact on the graph and
     the session hands it to each :func:`prune_stage` call — including
     the dirty-component re-peels, which replay over the same arrays via
-    ``members=`` — and to the search compile stages, which derive their
-    per-component :class:`CompiledComponent` views from the whole-graph
+    ``members=`` — and to :func:`cut_stage` and the MaxUC+ search, which
+    derive their per-component :class:`CompiledComponent` views from its
     rows instead of recompiling the subgraphs.
     """
     return compile_graph(graph)
@@ -208,8 +205,6 @@ def prune_stage(
     # they are its re-exported attributes by contract, and the laziness
     # regression test monkeypatches them there to prove no pruning runs
     # before a consumer starts iterating.
-    from repro.core import enumeration as enumeration_mod
-
     survivors: frozenset[Node] | set[Node]
     if rule == "none":
         return tuple(graph.nodes())
@@ -247,16 +242,19 @@ class CutArtifact:
     phases, so a warm run fills its stats object identically to the
     cold run that built the artifact.
 
-    A maximum-search artifact also carries ``heads``, each component's
-    first node in :func:`~repro.core.prune_kernel.node_sort_key` order,
-    with the components ordered by it, and ``lower_bound``, the greedy
-    clique size its raised cut was taken at (0 when it cut at ``k``).
+    An enumeration artifact also carries ``views``, one slot per
+    component: the :class:`~repro.core.kernel.CompiledComponent` the
+    pivot engine searches when the kernel takes the component (``k + 1
+    <= n <=`` the kernel limit), else ``None`` — the search stage
+    re-derives *why* from the component size (too small: skipped; too
+    large: legacy fallback).  Views are snapshots without equality, so
+    they take no part in comparing artifacts.
 
-    An enumeration artifact fresh from :func:`cut_stage` also carries
-    ``gathered``, the :class:`~repro.core.cut_pruning.GatheredRows` its
-    components were cut from, so their search views are built without
-    a second gather.  The session caches the artifact without it, and
-    views of a cached cut gather from the lowering.
+    A maximum-search artifact instead carries ``heads``, each
+    component's first node in :func:`~repro.core.prune_kernel.
+    node_sort_key` order, with the components ordered by it, and
+    ``lower_bound``, the greedy clique size its raised cut was taken at
+    (0 when it cut at ``k``).
     """
 
     components: tuple[tuple[Node, ...], ...]
@@ -265,8 +263,8 @@ class CutArtifact:
     nodes_after_pruning: int
     heads: tuple[Node, ...] = ()
     lower_bound: int = 0
-    gathered: GatheredRows | None = field(
-        default=None, compare=False, repr=False
+    views: tuple[CompiledComponent | None, ...] = field(
+        default=(), compare=False, repr=False
     )
 
 
@@ -281,15 +279,17 @@ def cut_stage(
     """Split prune survivors, ids of ``compiled``, into search
     components (Lemma 5).
 
-    Their survivor-filtered rows are gathered once from the compile
-    (:func:`~repro.core.cut_pruning.induced_rows`) and travel on in the
-    artifact's ``gathered`` for the search views; with ``cut=True`` the
-    cut optimization runs on them, otherwise a plain
+    Their survivor-filtered rows are read once from the compile
+    (:func:`~repro.core.cut_pruning.induced_rows`); with ``cut=True``
+    the cut optimization runs on them, otherwise a plain
     connected-component split.  One cut implementation serves
     every engine, so the artifact is engine-independent.  Components
     come out in order of their first node in ``survivors`` order:
     ascending ids (graph iteration order) for a graph component, the
-    region's adjacency order for an anchored core.
+    region's adjacency order for an anchored core.  The same rows then
+    build the artifact's ``views``
+    (:func:`~repro.core.kernel.derive_component_view`), and they are
+    dropped when this call returns.
 
     ``maximum=True`` prepares a MaxUC+ search instead.  A greedy
     tau-clique of ``s`` nodes is grown over the same rows
@@ -302,10 +302,8 @@ def cut_stage(
     enumeration.  Either way the components are ordered by their first
     node in :func:`~repro.core.prune_kernel.node_sort_key` order, which
     the artifact's ``heads`` record.  A maximum artifact carries no
-    ``gathered`` rows: the search builds views only for the components
-    its incumbent reaches, and keeping every survivor row alive through
-    it cost more in garbage collection than reading those members' rows
-    again.
+    ``views``: the search builds them only for the components its
+    incumbent reaches, from the lowering.
     """
     rows = induced_rows(compiled, survivors)
     cuts_found = edges_removed = lower_bound = 0
@@ -317,6 +315,7 @@ def cut_stage(
     else:
         pieces = split_rows(rows)
     heads: tuple[int, ...] = ()
+    views: tuple[CompiledComponent | None, ...] = ()
     if maximum:
         rank = [compiled.sort_rank[g] for g in survivors]
         by_head = sorted(
@@ -329,6 +328,14 @@ def cut_stage(
         )
         heads = tuple(head for head, _ in by_head)
         pieces = [piece for _, piece in by_head]
+    else:
+        # Read at call time: tests monkeypatch the kernel size limit.
+        limit = enumeration_mod.KERNEL_COMPONENT_LIMIT
+        views = tuple(
+            derive_component_view(compiled, piece, (survivors, rows))
+            if k < len(piece) <= limit else None
+            for piece in pieces
+        )
     nodes = compiled.nodes
     return CutArtifact(
         components=tuple(
@@ -339,46 +346,12 @@ def cut_stage(
         nodes_after_pruning=len(survivors),
         heads=tuple(nodes[survivors[i]] for i in heads),
         lower_bound=lower_bound,
-        gathered=None if maximum else GatheredRows(compiled, survivors, rows),
+        views=views,
     )
 
 
 # ----------------------------------------------------------------------
-# Stage 3: compile
-# ----------------------------------------------------------------------
-
-def compile_enumeration_stage(
-    cut: CutArtifact,
-    min_size: int,
-    component_limit: int,
-    artifact: CompiledGraph,
-) -> tuple[CompiledComponent | None, ...]:
-    """Compile each component of ``cut`` the kernel enumeration will
-    search.
-
-    One slot per component, in order: a
-    :class:`~repro.core.kernel.CompiledComponent` when the component is
-    searchable by the compiled kernel (``min_size <= n <= limit``), else
-    ``None`` — the search stage re-derives *why* a slot is ``None`` from
-    the component size (too small: skipped; too large: legacy fallback).
-
-    Each view is built from the rows the cut gathered (``cut.gathered``)
-    or, for an artifact that carries none, from the rows of
-    ``artifact``, the :func:`compile_stage` lowering — bit-identical
-    either way to the from-scratch compile (see
-    ``tests/core/test_conformance``).
-    """
-    source = cut.gathered or artifact
-    return tuple(
-        derive_component_view(source, component)
-        if min_size <= len(component) <= component_limit
-        else None
-        for component in cut.components
-    )
-
-
-# ----------------------------------------------------------------------
-# Stage 4: search
+# Stage 3: search
 # ----------------------------------------------------------------------
 
 def enumeration_search_stage(
@@ -395,7 +368,7 @@ def enumeration_search_stage(
     """Run the per-component enumeration over the compile artifacts.
 
     Components are searched in order.  One with a view in ``compiled``
-    (:func:`compile_enumeration_stage`) is searched by the compiled
+    (the cut artifact's ``views``) is searched by the compiled
     pivot kernel and emits its cliques in pivot branch order.  Every
     other searched component — all of them for the legacy engine, which
     passes ``compiled=None``, and the oversized ones for ``"pivot"`` —

@@ -15,7 +15,7 @@ optimization gathers its survivor rows from them once
 (:func:`repro.core.cut_pruning.induced_rows`; from a level index's
 core rows when the survivors lie in that core).  The search kernel
 builds its per-component :class:`~repro.core.kernel.CompiledComponent`
-views (bitmask rows, descending-prob CSR) from those gathered rows and
+views (bitmask rows, descending-prob CSR) from the cut's rows and
 the precomputed ``sort_rank`` array
 (:func:`repro.core.kernel.derive_component_view`).
 
@@ -813,7 +813,7 @@ def topk_peel(
     abort is therefore order-independent too.
 
     ``members`` restricts the peel to an induced subset (ascending rows
-    are then re-gathered from live entries, walking members only);
+    are then rebuilt from live entries, walking members only);
     ``fixed`` nodes absent from the graph or the member set never abort,
     matching the legacy peel over an induced subgraph that simply does
     not contain them.
@@ -908,7 +908,7 @@ def topk_peel(
             condemned[i] = 1
 
     # Phase 2 — ascending sorted *live* probabilities for the remnant
-    # (the exact state the legacy peel keeps), gathered before any
+    # (the exact state the legacy peel keeps), collected before any
     # further condemnation so the drain's bisect-pops stay consistent.
     # Only these rows are mapped to ids; the drain walks no others.
     vals = cast("list[list[float]]", [None] * n)

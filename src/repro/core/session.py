@@ -23,10 +23,10 @@ resolution as one hit (current) or one miss (patched or re-lowered) in
 component walk (:func:`repro.core.pipeline.graph_components`), which
 every session over it shares.
 
-Every other stage artifact — peel survivor sets, cut components,
-compiled search views, maximum-search memos, anchored queries' search
-components and views — is memoized in a bounded LRU keyed on the
-graph's **per-component version vector**::
+Every other stage artifact — peel survivor sets, cut components with
+their compiled search views, maximum-search memos, anchored queries'
+search components and views — is memoized in a bounded LRU keyed on
+the graph's **per-component version vector**::
 
     ("c", component_id, epoch, stage, rule/flags, k, tau, ...)
 
@@ -70,13 +70,14 @@ store_core`, so the next query's prune stage is already warm.
 from __future__ import annotations
 
 from collections import OrderedDict
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from time import perf_counter
 from typing import AbstractSet, Any, Collection, Iterable, Iterator
 
 from repro.core import enumeration as _enumeration_mod
 from repro.core import pipeline
 from repro.core.enumeration import Engine, EnumerationStats, PruningRule
+from repro.core.kernel import CompiledComponent
 from repro.core.maximum import MaximumSearchStats
 from repro.core.prune_kernel import CompiledGraph
 from repro.core.topk_core import topk_core
@@ -262,7 +263,7 @@ class PreparedGraph:
         dirty-component re-peels, which replay over the same arrays via
         ``members=`` — *and* every cut and search-view derivation (the
         per-component ``CompiledComponent`` bundles are member-filtered
-        from rows gathered once from it, never recompiled).  It lives on
+        from rows read once from it, never recompiled).  It lives on
         the graph, so every session over the graph shares it.  A query
         resolves it once.
 
@@ -370,13 +371,14 @@ class PreparedGraph:
         or edge crosses one), so each graph component's search components
         are cached under ``("c", cid, epoch, "cut", ...)`` and the global
         artifact is assembled by concatenating the parts in the canonical
-        component order — identical cold and warm by construction.  The
-        returned ``parts`` list ``[(cid, epoch, part_artifact)]``
-        lets callers key *their* per-component artifacts (search views,
-        maximum memos) and slice the global component tuple per part.
-        An enumeration part cut by this call carries the rows it
-        gathered (``gathered``), so its views skip a second gather; the
-        cache keeps it without them.
+        component order — identical cold and warm by construction.  An
+        enumeration entry is the one entry of its graph component: it
+        also holds the search views :func:`pipeline.cut_stage` built
+        from the rows it cut, whichever engine asked, and the assembled
+        artifact concatenates them too.  The returned ``parts`` list
+        ``[(cid, epoch, part_artifact)]`` lets callers key *their*
+        per-component artifacts (maximum memos) and slice the global
+        component tuple per part.
 
         ``maximum=True`` resolves the MaxUC+ artifact instead (the
         ``topk`` rule with the cut; :func:`pipeline.cut_stage` with
@@ -400,6 +402,7 @@ class PreparedGraph:
         index = artifact.index
         components: list[tuple[Node, ...]] = []
         heads: list[Node] = []
+        views: list[CompiledComponent | None] = []
         lower_bound = 0
         parts: list[tuple[int, int, pipeline.CutArtifact]] = []
         cuts_found = 0
@@ -420,9 +423,10 @@ class PreparedGraph:
                         entry = pipeline.cut_stage(
                             artifact, ids, k, tau, cut, maximum
                         )
-                self._store(ckey, replace(entry, gathered=None))
+                self._store(ckey, entry)
             components.extend(entry.components)
             heads.extend(entry.heads)
+            views.extend(entry.views)
             lower_bound = max(lower_bound, entry.lower_bound)
             cuts_found += entry.cuts_found
             edges_removed += entry.edges_removed
@@ -434,6 +438,7 @@ class PreparedGraph:
             nodes_after_pruning=sum(map(len, survivors.values())),
             heads=tuple(heads),
             lower_bound=lower_bound,
+            views=tuple(views),
         )
         return artifact, art, parts
 
@@ -487,9 +492,10 @@ class PreparedGraph:
 
         Drop-in equivalent of :func:`repro.core.enumeration.
         maximal_cliques` — same parameters, cliques, yield order, and
-        stats counters — with the prune / cut / compile artifacts served
-        from the session cache when the graph version and parameters
-        match.  A generator: nothing happens until the first ``next()``.
+        stats counters — with the prune and cut artifacts (the latter
+        with its search views) served from the session cache when the
+        graph version and parameters match.  A generator: nothing
+        happens until the first ``next()``.
         """
         validate_k(k)
         tau = validate_tau(tau)
@@ -500,13 +506,10 @@ class PreparedGraph:
         stats = stats if stats is not None else EnumerationStats()
         min_size = k + 1
         # Read from the enumeration module at call time: tests monkeypatch
-        # both the in-search gate and the kernel size limit there.
+        # the in-search gate there.
         insearch_min_candidates = _enumeration_mod._INSEARCH_MIN_CANDIDATES
-        component_limit = _enumeration_mod.KERNEL_COMPONENT_LIMIT
 
-        artifact, art, parts = self._cut_artifact(
-            pruning, cut, k, tau, stats.timings
-        )
+        _, art, _ = self._cut_artifact(pruning, cut, k, tau, stats.timings)
         stats.nodes_after_pruning = art.nodes_after_pruning
         stats.cuts_found = art.cuts_found
         stats.cut_edges_removed = art.edges_removed
@@ -517,58 +520,11 @@ class PreparedGraph:
         # prob_at_least per edge.
         tau_floor = threshold_floor(tau)
 
-        compiled = None
-        if engine != "legacy":
-            compiled = self._enumeration_views(
-                artifact, parts, pruning, cut, k, tau, min_size,
-                component_limit, stats.timings,
-            )
-        # The views have read the rows the cut gathered: let them go
-        # before the search allocates, so no collection carries them.
-        del parts
-
         yield from pipeline.enumeration_search_stage(
-            self._graph, art.components, compiled, k, tau_floor, min_size,
-            insearch, insearch_min_candidates, stats,
+            self._graph, art.components,
+            None if engine == "legacy" else art.views, k, tau_floor,
+            min_size, insearch, insearch_min_candidates, stats,
         )
-
-    def _enumeration_views(
-        self,
-        artifact: CompiledGraph,
-        parts: list[tuple[int, int, pipeline.CutArtifact]],
-        pruning: PruningRule,
-        cut: bool,
-        k: int,
-        tau: float,
-        min_size: int,
-        component_limit: int,
-        timings: Any,
-    ) -> tuple[Any, ...]:
-        """The search views of every part, cached per graph component.
-
-        They are built from the rows the cut gathered (or, for a cached
-        cut, from the whole-graph compile's member-filtered rows; no
-        recompilation), so the expensive lowering stays one-per-version
-        while the cheap view bundles are cached per graph component:
-        view compilation is element-wise over search components, and
-        each search component lives inside exactly one graph component,
-        so a mutation leaves every other component's views warm.
-        """
-        views: list[Any] = []
-        for cid, epoch, part in parts:
-            vkey = (
-                "c", cid, epoch, "views",
-                pruning, cut, k, tau, component_limit,
-            )
-            part_views = self._lookup(vkey)
-            if part_views is _MISSING:
-                with timings.lap("compile"):
-                    part_views = pipeline.compile_enumeration_stage(
-                        part, min_size, component_limit, artifact,
-                    )
-                self._store(vkey, part_views)
-            views.extend(part_views)
-        return tuple(views)
 
     # ------------------------------------------------------------------
     # Queries: maximum
@@ -696,10 +652,7 @@ class PreparedGraph:
             if core:
                 ids = [compiled.index[u] for u in region if u in core.nodes]
                 art = pipeline.cut_stage(compiled, ids, k, tau, True)
-                entry = art.components, pipeline.compile_enumeration_stage(
-                    art, k + 1, _enumeration_mod.KERNEL_COMPONENT_LIMIT,
-                    compiled,
-                )
+                entry = art.components, art.views
             self._store(key, entry)
         if entry is None:
             return iter(())

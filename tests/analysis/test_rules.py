@@ -526,6 +526,19 @@ class TestStageBypassesSession:
         ]
         assert findings == []
 
+    def test_stage_names_are_pipeline_functions(self) -> None:
+        # A stage the pipeline retires must leave the rule too, or the
+        # rule guards a name nothing can call.
+        import inspect
+
+        from repro.analysis.rules.layering import STAGE_FUNCTIONS
+        from repro.core import pipeline
+
+        for name in sorted(STAGE_FUNCTIONS):
+            stage = getattr(pipeline, name, None)
+            assert inspect.isfunction(stage), name
+            assert stage.__module__ == pipeline.__name__, name
+
 
 # ----------------------------------------------------------------------
 # RPL008: prune peel calls bypassing the compiled session path

@@ -115,11 +115,9 @@ def assert_views_bit_identical(
 ) -> None:
     """Exact equality on every field the search kernel reads."""
     assert derived.nodes == compiled.nodes
-    assert derived.index == compiled.index
     assert derived.adj == compiled.adj
     assert derived.full_mask == compiled.full_mask
     assert derived.rows == compiled.rows
-    assert derived.prob == compiled.prob
     assert list(derived.row_offsets) == list(compiled.row_offsets)
     assert list(derived.nbr_ids) == list(compiled.nbr_ids)
     assert list(derived.nbr_probs) == list(compiled.nbr_probs)

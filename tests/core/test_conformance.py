@@ -33,8 +33,8 @@ The query kinds:
   the core numbers, the derived search views and the delta patch;
 * the gathers of :func:`check_gathers` — the cut's row gather, which
   reads a level index's core rows when they hold every id, against the
-  full-row gather of an unindexed lowering, and the search views built
-  from the cut's rows against the per-component compile.
+  full-row gather of an unindexed lowering, and the search views the
+  cut builds from its rows against the per-component compile.
 
 Graphs come from one strategy (:func:`tests.core.support.
 uncertain_graphs`): duplicate probabilities, ``p == 1.0`` edges and
@@ -56,9 +56,15 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 import repro.core.enumeration as enumeration_mod
+import repro.core.kernel as kernel_mod
 import repro.core.pipeline as pipeline_mod
 from repro.core.cut_pruning import induced_rows
-from repro import KTauCoreMaintainer, PreparedGraph, UncertainGraph
+from repro import (
+    KTauCoreMaintainer,
+    PreparedGraph,
+    UncertainGraph,
+    max_uc_plus,
+)
 from repro.core.bruteforce import brute_force_maximal_cliques
 from repro.core.enumeration import (
     Engine,
@@ -87,6 +93,7 @@ from repro.deterministic.core_decomposition import core_numbers
 from repro.uncertain.clique_prob import clique_probability, is_clique
 from repro.uncertain.graph import _MUTLOG_MAXLEN, Node
 from repro.utils.validation import prob_at_least, threshold_floor
+from tests.conftest import make_random_graph
 from tests.core.support import (
     PROBABILITY_PALETTE,
     assert_bit_identical,
@@ -412,8 +419,8 @@ def check_queries(case: Case) -> None:
     graph = case.graph.copy()
     k, tau = case.k, case.tau
 
-    # Cold: a fresh copy per engine.  The pivot session's views were
-    # built from the rows its cuts gathered.
+    # Cold: a fresh copy per engine.  Each session's views were built
+    # from the rows its cuts read.
     cliques = clique_oracle(graph, k, tau)
     cold = {}
     for engine in ENGINES:
@@ -573,24 +580,41 @@ def check_readers(
 
 
 def assert_cached_views(session: PreparedGraph) -> None:
-    """Every search view a session cached for enumeration or an
-    anchored query is bit-identical to compiling its component's
-    induced subgraph."""
+    """Every search view a session cached for enumeration (in its cut
+    entry) or an anchored query is bit-identical to compiling its
+    component's induced subgraph, and a component has one exactly when
+    the kernel takes it."""
     graph = session.graph
     for key, value in session._cache.items():
-        if key[3] == "views":
-            cut = session._cache[(*key[:3], "cut", *key[4:8])]
-            components = cut.components
-            views = value
+        if key[3] == "cut":
+            k = key[6]
+            components, views = value.components, value.views
         elif key[3] in ("anchor_node", "anchor_set") and value is not None:
+            k = key[5]
             components, views = value
         else:
             continue
+        assert len(views) == len(components)
         for component, view in zip(components, views):
-            if view is not None:
-                assert_views_bit_identical(
-                    view, compile_component(graph.induced_subgraph(component))
-                )
+            assert_cut_view(graph, k, component, view)
+
+
+def assert_cut_view(
+    graph: UncertainGraph,
+    k: int,
+    component: tuple[Node, ...],
+    view: CompiledComponent | None,
+) -> None:
+    """A cut artifact's view slot: the component's compile when the
+    kernel takes its size, else ``None``."""
+    limit = enumeration_mod.KERNEL_COMPONENT_LIMIT
+    if not k < len(component) <= limit:
+        assert view is None
+        return
+    assert view is not None
+    assert_views_bit_identical(
+        view, compile_component(graph.induced_subgraph(component))
+    )
 
 
 def check_gathers(
@@ -630,20 +654,26 @@ def check_gathers(
             for entry in levels.values()
         )
         assert (cpg.core_rows(ids) is not None) == held
-        assert induced_rows(cpg, ids) == induced_rows(full, ids)
+        rows = induced_rows(cpg, ids)
+        assert rows == induced_rows(full, ids)
+        # The cut's rows build the view of any id set they cover.
+        assert_views_bit_identical(
+            derive_component_view(cpg, range(len(ids)), (ids, rows)),
+            compile_component(
+                graph.induced_subgraph([cpg.nodes[g] for g in ids])
+            ),
+        )
         for maximum in (False, True):
             art = pipeline_mod.cut_stage(cpg, ids, k, tau, case.cut, maximum)
             assert art == pipeline_mod.cut_stage(
                 full, ids, k, tau, case.cut, maximum
             )
-            views = pipeline_mod.compile_enumeration_stage(
-                art, 0, len(graph) + 1, cpg
-            )
-            for component, view in zip(art.components, views):
-                assert view is not None
-                assert_views_bit_identical(
-                    view, compile_component(graph.induced_subgraph(component))
-                )
+            if maximum:
+                assert art.views == ()
+                continue
+            assert len(art.views) == len(art.components)
+            for component, view in zip(art.components, art.views):
+                assert_cut_view(graph, k, component, view)
 
     def check_all() -> None:
         sets = [
@@ -918,6 +948,56 @@ def test_oversized_component_takes_the_legacy_recursion(
     assert set(mixed) == set(compiled)
     for field in PRESEARCH:
         assert mixed_stats[field] == getattr(compiled_stats, field)
+
+
+def _random_graph() -> UncertainGraph:
+    return make_random_graph(30, 0.5, seed=1)
+
+
+@pytest.mark.parametrize(
+    ("build", "k", "tau", "advanced_one"),
+    [
+        (two_cliques, 2, 0.3, True),
+        (_k6, 2, 0.3, True),
+        # Without the first advanced bound the second one prunes here.
+        (_random_graph, 2, 0.05, False),
+    ],
+    ids=["k4-and-k3", "k6", "advanced-two"],
+)
+def test_sparse_component_takes_the_dict_rows(
+    build: Callable[[], UncertainGraph],
+    k: int,
+    tau: float,
+    advanced_one: bool,
+    monkeypatch: pytest.MonkeyPatch,
+) -> None:
+    # With the dense-row limit squeezed below every component, MaxUC+'s
+    # views carry no dense rows and its kernel builds dict rows from the
+    # CSR; a tripwire on the kernel entry fails if it got dense rows.
+    # Enumeration views need dense rows, so only max queries run.
+    graph = build()
+    legacy_stats = MaximumSearchStats()
+    legacy = max_uc_plus(
+        graph, k, tau, stats=legacy_stats, use_advanced_one=advanced_one,
+        engine="legacy",
+    )
+    entry = pipeline_mod.maximum_compiled
+    sparse: list[bool] = []
+
+    def tripwire(comp: CompiledComponent, *args: Any) -> Any:
+        sparse.append(comp.rows is None)
+        return entry(comp, *args)
+
+    monkeypatch.setattr(kernel_mod, "_DENSE_ROW_LIMIT", 1)
+    monkeypatch.setattr(pipeline_mod, "maximum_compiled", tripwire)
+    stats = MaximumSearchStats()
+    best = max_uc_plus(
+        graph.copy(), k, tau, stats=stats, use_advanced_one=advanced_one
+    )
+    assert sparse and all(sparse)
+    assert best == legacy
+    assert asdict(stats) == asdict(legacy_stats)
+    assert advanced_one or stats.advanced_two_prunes > 0
 
 
 # ----------------------------------------------------------------------

@@ -123,6 +123,26 @@ class TestAccounting:
         max_payload(session, 2, 0.2)
         assert lookups and all(hit for _, hit in lookups)
 
+    def test_enumeration_keeps_one_entry_per_component(self, monkeypatch):
+        g = _cliques_with_bridges()
+        session = PreparedGraph(g)
+        lookups = _record_lookups(session, monkeypatch)
+        enum_payload(session, 2, 0.3, engine="legacy")
+        # The cut entry holds the component's search views, built on a
+        # miss whichever engine asked: a cold query misses its prune
+        # and cut entries once per graph component and looks up nothing
+        # else.
+        components = len(pipeline.graph_components(g))
+        assert components > 1
+        stages = sorted(_stage(key) for key, _ in lookups)
+        assert stages == sorted(["cut", "prune"] * components)
+        assert not any(hit for _, hit in lookups)
+        lookups.clear()
+        pivot = enum_payload(session, 2, 0.3)
+        assert sorted(_stage(key) for key, _ in lookups) == stages
+        assert all(hit for _, hit in lookups)
+        assert pivot == enum_payload(PreparedGraph(g.copy()), 2, 0.3)
+
     def test_repeated_negative_anchor_is_cached(self, two_groups):
         session = PreparedGraph(two_groups)
         assert not session.containing_clique_exists(["hub"], 3, 0.7)
