@@ -11,11 +11,11 @@ live graph and a session-mode :class:`KTauCoreMaintainer` absorbs every
 update — each mutation bumps only the touched component's epoch, the
 graph's own lowering (shared by the session and the maintainer) is
 delta-patched forward through the mutation log instead of re-lowered,
-and the maintainer re-peels just
-the dirty frontier before republishing the (k, tau)-core into the
-session cache.  Between update bursts the monitoring queries
-(enumeration, anchored membership) run over that same warm session, so
-each window pays only for what actually changed.
+and the maintainer re-peels just the dirty frontier of its (k, tau)-core.
+Between update bursts the monitoring queries (enumeration, anchored
+membership) run over that same warm session, which re-peels and re-cuts
+only the dirty components, so each window pays only for what actually
+changed.
 
 The loop prints per-window invalidation accounting straight from the
 session — delta patches vs full compiles of the graph's lowering, live
@@ -49,7 +49,7 @@ def main() -> None:
     )
 
     # One session owns the live graph; the maintainer mutates it in
-    # place and republishes the maintained core at every new version.
+    # place and keeps its core current, sharing the graph's lowering.
     session = PreparedGraph(graph)
     maintainer = KTauCoreMaintainer(session, k, tau)
     live = session.graph

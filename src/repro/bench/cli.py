@@ -216,8 +216,6 @@ def _print_streaming_report(report: StreamingReport) -> None:
             acct = invalidation[stream.stream]
             accounting = (
                 f" [dirtied={acct['components_dirtied_total']}"
-                f" evicted={acct['artifacts_evicted_total']}"
-                f" retained={acct['artifacts_retained_total']}"
                 f" delta={acct['delta_patches']}"
                 f" full={acct['full_compiles']}]"
             )

@@ -21,11 +21,18 @@ through the graph's mutation log): each update calls
 previous core (plus the candidate region on growth) and ``frontier=``
 the dirty endpoints — the seeded re-peel trusts every untouched member
 and visits only the cascade.  In session mode that is the session's
-graph, so maintainer updates and queries share one lowering.  That
-graph is the caller's too: when it moved since the maintainer's last
-update (a direct mutation, or a ``remove_node`` the maintainer has no
-update for), the next update first re-peels the whole graph, because
+graph, so maintainer updates and queries share one lowering; the
+baseline core is one whole-graph peel over that same lowering, so
+constructing a maintainer lowers the graph at most once for everyone.
+That graph is the caller's too: when it moved since the maintainer's
+last update (a direct mutation, or a ``remove_node`` the maintainer has
+no update for), the next update first re-peels the whole graph, because
 the previous core is no longer one the re-peels may trust.
+
+The maintainer writes nothing into a session.  Queries read only the
+state the graph keeps (its lowering, component epochs and walk), so a
+session's next ``pruning="ktau"`` query re-peels just the dirty
+component, exactly as a ``topk`` query does.
 
 The maintained core always equals ``dp_core_plus(graph, k, tau)`` — the
 test suite checks this after randomized update sequences.
@@ -37,7 +44,6 @@ from collections import deque
 from typing import TYPE_CHECKING, Union
 
 from repro.core import pipeline
-from repro.core.ktau_core import dp_core_plus
 from repro.core.prune_kernel import CompiledGraph, survival_peel
 from repro.uncertain.graph import Node, UncertainGraph
 from repro.utils.validation import (
@@ -60,12 +66,11 @@ class KTauCoreMaintainer:
     touched).  Constructed over a :class:`~repro.core.session.
     PreparedGraph` it operates on the **session's live graph** instead:
     each update mutates that graph (bumping its version and the touched
-    component's epoch, which orphans that component's cached artifacts)
-    and immediately republishes the incrementally-maintained core into
-    the session cache at the new version via :meth:`PreparedGraph.
-    store_core` — so the session's next query at these parameters
-    skips the peel.  The maintainer records the graph version each
-    update leaves; an update that finds the graph at another version
+    component's epoch, which orphans that component's cached artifacts),
+    and the session's next query re-peels only that component.  The
+    maintainer stores nothing in the session's cache; it shares the
+    graph's lowering with it.  The maintainer records the graph version
+    each update leaves; an update that finds the graph at another version
     (the caller mutated it directly) first rebuilds the core with one
     whole-graph peel, so :attr:`core` always equals
     ``dp_core_plus(graph, k, tau)`` after an update.
@@ -81,8 +86,7 @@ class KTauCoreMaintainer:
 
         session = PreparedGraph(graph)
         maintainer = KTauCoreMaintainer(session, k=3, tau=0.5)
-        maintainer.add_edge("c", "d", 0.8)   # mutates session.graph,
-                                             # core pre-warmed in cache
+        maintainer.add_edge("c", "d", 0.8)   # mutates session.graph
     """
 
     def __init__(
@@ -100,12 +104,11 @@ class KTauCoreMaintainer:
         else:
             self._session = source
             self._graph = source.graph
-        # The baseline core is built before any session exists for the
-        # maintained copy; incremental updates take over from here.
-        self._core: set[Node] = dp_core_plus(  # repro-lint: ignore[RPL008]
-            self._graph, k, tau
-        )
-        self._publish()
+        # The baseline core: one whole-graph peel over the graph's own
+        # lowering, as _sync rebuilds it; incremental updates take over
+        # from here.
+        self._core = survival_peel(self._compiled(), k, tau)
+        self._version = self._graph.version
 
     @property
     def graph(self) -> UncertainGraph:
@@ -131,7 +134,7 @@ class KTauCoreMaintainer:
         self._sync()
         self._graph.add_edge(u, v, p)
         self._grow(u, v)
-        self._publish()
+        self._version = self._graph.version
         return self.core
 
     def remove_edge(self, u: Node, v: Node) -> frozenset[Node]:
@@ -139,7 +142,7 @@ class KTauCoreMaintainer:
         self._sync()
         self._graph.remove_edge(u, v)
         self._shrink((u, v))
-        self._publish()
+        self._version = self._graph.version
         return self.core
 
     def set_probability(self, u: Node, v: Node, p: float) -> frozenset[Node]:
@@ -152,7 +155,7 @@ class KTauCoreMaintainer:
             self._grow(u, v)
         else:
             self._shrink((u, v))
-        self._publish()
+        self._version = self._graph.version
         return self.core
 
     def add_node(self, node: Node) -> None:
@@ -161,18 +164,7 @@ class KTauCoreMaintainer:
         self._graph.add_node(node)
         if self.k == 0:
             self._core.add(node)
-        self._publish()
-
-    # ------------------------------------------------------------------
-    # Session integration
-    # ------------------------------------------------------------------
-
-    def _publish(self) -> None:
-        """Record the graph version this update leaves, and republish the
-        maintained core into the attached session (if any) at it."""
         self._version = self._graph.version
-        if self._session is not None:
-            self._session.store_core("ktau", self.k, self.tau, self._core)
 
     # ------------------------------------------------------------------
     # Internals

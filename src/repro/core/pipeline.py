@@ -135,13 +135,24 @@ def graph_components(graph: UncertainGraph) -> Parts:
     by their first node's insertion position — the one canonical order
     every per-component assembly of the session concatenates in, so a
     warm assembly reproduces a cold run's component order exactly.
-    O(n) against the graph's incremental component map, and walked once
-    per graph version: like the lowering, the walk is kept on the graph
-    (``graph._walk``), so every session over it shares one.
+    Like the lowering, the walk is kept on the graph (``graph._walk``),
+    so every session over it shares one.  The graph drops it only when
+    component membership changes; then this walks the graph's
+    incremental component map in O(n).  A held walk that is behind the
+    graph's version (a reweight, an insert inside one component, a
+    delete that splits nothing) gets only its epochs refreshed, in
+    O(#components).
     """
     held = graph._walk
-    if held is not None and held[0] == graph.version:
-        return held[1]
+    if held is not None:
+        version, parts = held
+        if version != graph.version:
+            epochs = dict(graph.component_keys())
+            parts = tuple(
+                (cid, epochs[cid], members) for cid, _, members in parts
+            )
+            graph._walk = (graph.version, parts)
+        return parts
     buckets: dict[int, list[Node]] = {}
     order: list[int] = []
     for u in graph:

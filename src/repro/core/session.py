@@ -60,11 +60,11 @@ peel when every component is dirty — from the second ``topk`` one at a
 (:func:`~repro.core.prune_kernel.topk_peel`) — and otherwise one union
 peel restricted by ``members=`` to the dirty components.
 
-The :class:`~repro.core.maintenance.KTauCoreMaintainer` integrates from
-the other side: constructed over a session it mutates the session's
-graph (bumping the version) and immediately re-publishes its
-incrementally-maintained core at the new version via :meth:`PreparedGraph.
-store_core`, so the next query's prune stage is already warm.
+The :class:`~repro.core.maintenance.KTauCoreMaintainer`, constructed
+over a session, mutates the session's graph (bumping the touched
+component's epoch) and shares the graph's lowering with the session; it
+writes nothing into the session's cache.  The next query, under either
+rule, re-peels only the dirty component.
 """
 
 from __future__ import annotations
@@ -443,7 +443,7 @@ class PreparedGraph:
         return artifact, art, parts
 
     # ------------------------------------------------------------------
-    # Maintainer integration
+    # Seeding the prune cache
     # ------------------------------------------------------------------
 
     def store_core(
@@ -453,16 +453,15 @@ class PreparedGraph:
         tau: float,
         core: AbstractSet[Node],
     ) -> None:
-        """Patch the prune cache at the *current* version with ``core``.
+        """Seed the prune cache at the *current* version with ``core``.
 
-        Hook for :class:`~repro.core.maintenance.KTauCoreMaintainer`:
-        after mutating the session's graph (which bumped the touched
-        component's epoch and orphaned its cached artifacts) the
-        maintainer republishes its incrementally-updated core here, so
-        the next query at these parameters skips the from-scratch peel.
         The core is split into one frozenset per component under the
         live ``(cid, epoch)`` keys, exactly as a computed peel stores
-        it.  Neither a hit nor a miss is counted.
+        it, so the next query at these parameters skips the peel.
+        Neither a hit nor a miss is counted.  Nothing in the package
+        calls it (the core maintainer stores nothing in a session); it
+        stays while the e2e benchmark's tracer names it as a layer
+        boundary.
         """
         if rule not in ("topk", "ktau"):
             raise ValueError(f"cannot store a core for rule {rule!r}")

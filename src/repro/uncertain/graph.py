@@ -48,8 +48,13 @@ whole-graph compile every session, free function and core maintainer
 over this graph shares, which :func:`repro.core.pipeline.lowering`
 patches forward through the log
 (:meth:`repro.core.prune_kernel.CompiledGraph.apply_delta`) instead of
-re-lowering the whole graph.  ``_walk`` holds the per-version component
-walk :func:`repro.core.pipeline.graph_components` shares the same way.
+re-lowering the whole graph.  ``_walk`` holds the component walk
+:func:`repro.core.pipeline.graph_components` shares the same way, as
+``(version, parts)``.  Only a change of component *membership* drops it
+(a new component, a new node joining one, a merge, a split,
+``remove_node``); after a reweight, an insert inside one component or a
+delete that splits nothing the held walk is still the walk, and the
+reader refreshes only its epochs.
 Derived graphs (``copy()``, ``induced_subgraph()``) and pickles carry
 neither: a lowering patched in place for one graph must not be read by
 another.
@@ -383,6 +388,7 @@ class UncertainGraph:
 
     def _fresh_component(self, members: dict[Node, None]) -> int:
         """Register a new component with a never-before-used id."""
+        self._walk = None
         cid = self._next_comp
         self._next_comp += 1
         for node in members:
@@ -423,6 +429,7 @@ class UncertainGraph:
         if new_u and new_v:
             self._fresh_component({u: None, v: None})
         elif new_u or new_v:
+            self._walk = None
             fresh, anchor = (u, v) if new_u else (v, u)
             cid = self._comp_id[anchor]
             self._comp_id[fresh] = cid
@@ -434,6 +441,7 @@ class UncertainGraph:
             if cu == cv:
                 self._comp_epoch[cu] = self._version
             else:
+                self._walk = None
                 # Union by size: the larger component keeps its id (and its
                 # warm downstream artifacts keyed on older epochs die only
                 # through the epoch bump, never an id change).
@@ -528,6 +536,7 @@ class UncertainGraph:
             del self._adj[v][node]
         self._num_edges -= len(nbrs)
         self._version += 1
+        self._walk = None
         cid = self._comp_id.pop(node)
         members = self._comp_nodes[cid]
         del members[node]

@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import copy
 import pickle
+import sys
 from dataclasses import asdict
 from typing import Any, Callable
 
@@ -35,7 +36,7 @@ from repro import (
     max_uc_plus,
     maximal_cliques,
 )
-from repro.core import pipeline
+from repro.core import pipeline, prune_kernel
 from repro.core.enumeration import Engine, EnumerationStats
 from repro.core.maximum import MaximumSearchStats
 from repro.core.prune_kernel import CompiledGraph, compile_graph
@@ -67,6 +68,24 @@ def _count_full_lowerings(monkeypatch: pytest.MonkeyPatch) -> list[int]:
         return compile_stage(graph)
 
     monkeypatch.setattr(pipeline, "compile_stage", counting)
+    return calls
+
+
+def _count_compile_graph(monkeypatch: pytest.MonkeyPatch) -> list[int]:
+    """Record the version of every ``compile_graph`` call from here on,
+    in every loaded module that binds the name."""
+    calls: list[int] = []
+    original = prune_kernel.compile_graph
+
+    def counting(graph: UncertainGraph) -> CompiledGraph:
+        calls.append(graph.version)
+        return original(graph)
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("repro.") and getattr(
+            module, "compile_graph", None
+        ) is original:
+            monkeypatch.setattr(module, "compile_graph", counting)
     return calls
 
 
@@ -182,10 +201,16 @@ def test_fresh_sessions_share_one_walk() -> None:
 _MUTATIONS: dict[str, Callable[[UncertainGraph], Any]] = {
     "set_probability": lambda g: g.set_probability(0, 1, 0.5),
     "add_edge": lambda g: g.add_edge(30, 0, 0.9),
+    "add_edge_within": lambda g: g.add_edge(0, 10, 0.9),
+    "add_edge_merge": lambda g: g.add_edge(0, 20, 0.9),
     "remove_edge": lambda g: g.remove_edge(0, 1),
+    "remove_edge_split": lambda g: g.remove_edge(4, 10),
     "add_node": lambda g: g.add_node("loner"),
     "remove_node": lambda g: g.remove_node(0),
 }
+
+#: The mutations that change no component's membership, only epochs.
+_EPOCH_ONLY = ("set_probability", "add_edge_within", "remove_edge")
 
 
 @pytest.mark.parametrize("mutation", sorted(_MUTATIONS))
@@ -200,6 +225,25 @@ def test_every_mutation_invalidates_the_walk(mutation: str) -> None:
     assert graph._walk == (graph.version, walked)
     assert walked == pipeline.graph_components(graph.copy())
     assert _enum(session) == _enum(PreparedGraph(graph.copy()))
+
+
+@pytest.mark.parametrize("mutation", _EPOCH_ONLY)
+def test_epoch_only_mutations_refresh_the_walk_without_walking(
+    monkeypatch: pytest.MonkeyPatch, mutation: str
+) -> None:
+    graph = _cliques_with_bridges()
+    parts = pipeline.graph_components(graph)
+    _MUTATIONS[mutation](graph)
+    expected = pipeline.graph_components(graph.copy())
+
+    def walked(*args: Any) -> Any:
+        raise AssertionError("the graph was walked")
+
+    monkeypatch.setattr(UncertainGraph, "component_id", walked)
+    monkeypatch.setattr(UncertainGraph, "__iter__", walked)
+    refreshed = pipeline.graph_components(graph)
+    assert refreshed == expected != parts
+    assert graph._walk == (graph.version, refreshed)
 
 
 # ----------------------------------------------------------------------
@@ -334,6 +378,23 @@ def test_derived_graphs_start_without_a_walk(derive: str) -> None:
         other.copy()
     )
     assert g._walk is walk
+
+
+def test_session_maintainer_lowers_the_shared_graph_once(
+    monkeypatch: pytest.MonkeyPatch,
+) -> None:
+    graph = make_random_graph(16, 0.55, seed=6)
+    cold = _enum(PreparedGraph(graph.copy()), tau=0.2)
+    calls = _count_compile_graph(monkeypatch)
+    session = PreparedGraph(graph)
+    maintainer = KTauCoreMaintainer(session, k=2, tau=0.2)
+    # The baseline core peels the graph's own lowering, which the
+    # first query then reuses.
+    lowered = current_lowering(graph)
+    assert _enum(session, tau=0.2) == cold
+    assert calls == [graph.version]
+    assert current_lowering(graph) is lowered
+    assert maintainer.core == frozenset(dp_core_plus(graph.copy(), 2, 0.2))
 
 
 def test_private_maintainer_never_touches_the_source_lowering() -> None:

@@ -124,13 +124,17 @@ class TestRandomizedSequences:
 # ----------------------------------------------------------------------
 # set_probability monotone fast paths (raise-only grows, lower-only
 # shrinks) vs a full recompute, on hypothesis update streams — including
-# the session-mode store_core republish.
+# session mode, where the maintainer stores nothing in the session.
 # ----------------------------------------------------------------------
 
 from hypothesis import HealthCheck, given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
 from repro import PreparedGraph, UncertainGraph  # noqa: E402
+from tests.core.test_session import (  # noqa: E402
+    _record_lookups,
+    enum_payload,
+)
 
 _relaxed = settings(
     max_examples=25,
@@ -211,24 +215,41 @@ class TestSetProbabilityMonotoneFastPaths:
 
     @_relaxed
     @given(_graph_and_reweights())
-    def test_session_mode_republishes_after_every_reweight(self, case):
+    def test_session_mode_stores_nothing_and_requeries_the_dirty_component(
+        self, case
+    ):
         g, edges, picks = case
         k, tau = 2, 0.3
         session = PreparedGraph(g)
         maintainer = KTauCoreMaintainer(session, k, tau)
+        # A stream with no query leaves the session's cache empty.
         for idx, p in picks:
-            u, v = edges[idx]
-            core = maintainer.set_probability(u, v, p)
-            assert core == frozenset(dp_core_plus(g.copy(), k, tau))
-            # store_core republished the maintained core at the new
-            # version: the session's ktau pruning lap consumes it
-            # without peeling, so the query registers cache hits on the
-            # fresh version immediately.
-            hits_before = session.cache_stats.hits
-            cliques = list(session.maximal_cliques(k, tau, pruning="ktau"))
-            assert session.cache_stats.hits > hits_before
-            for clique in cliques:
-                assert clique <= core
+            maintainer.set_probability(*edges[idx], p)
+        info = session.cache_info()
+        assert (info["entries"], info["evictions"]) == (0, 0)
+        enum_payload(session, k, tau, pruning="ktau")
+        with pytest.MonkeyPatch.context() as patch:
+            lookups = _record_lookups(session, patch)
+            for idx, p in picks:
+                u, v = edges[idx]
+                core = maintainer.set_probability(u, v, p)
+                assert core == frozenset(dp_core_plus(g.copy(), k, tau))
+                cid, epoch = g.component_key(u)
+                behind = g._lowering.version != g.version
+                misses = session.cache_stats.misses
+                lookups.clear()
+                payload = enum_payload(session, k, tau, pruning="ktau")
+                # Only the reweighted component re-peels and re-cuts; the
+                # lowering misses only when the maintainer left it behind.
+                missed = [key for key, hit in lookups if not hit]
+                assert missed == [
+                    ("c", cid, epoch, "prune", "ktau", k, tau),
+                    ("c", cid, epoch, "cut", "ktau", True, k, tau),
+                ]
+                assert session.cache_stats.misses - misses == 2 + behind
+                assert payload == enum_payload(
+                    PreparedGraph(g.copy()), k, tau, pruning="ktau"
+                )
 
 
 # ----------------------------------------------------------------------

@@ -496,18 +496,29 @@ class TestMonotoneSeeding:
 
 
 class TestMaintainerIntegration:
-    def test_maintainer_prewarms_prune_cache(self):
+    def test_maintainer_update_requeries_only_the_dirty_component(
+        self, monkeypatch
+    ):
         g = make_random_graph(14, 0.6, seed=9)
         session = PreparedGraph(g)
         maintainer = KTauCoreMaintainer(session, k=2, tau=0.3)
         assert maintainer.session is session
+        enum_payload(session, 2, 0.3, pruning="ktau")
+        clean = g.component_keys()
+        lookups = _record_lookups(session, monkeypatch)
 
         maintainer.add_edge("p", "q", 0.95)
-        hits_before = session.cache_stats.hits
+        cid, epoch = g.component_key("p")
         payload = enum_payload(session, 2, 0.3, pruning="ktau")
-        # The prune stage found the republished core (at least one hit
-        # for the prune key) and the result matches a cold run.
-        assert session.cache_stats.hits > hits_before
+        # The maintainer stored nothing: the new component misses its
+        # prune and cut keys, and every other component hits both.
+        assert [key for key, hit in lookups if not hit] == [
+            ("c", cid, epoch, "prune", "ktau", 2, 0.3),
+            ("c", cid, epoch, "cut", "ktau", True, 2, 0.3),
+        ]
+        assert [key[1:3] for key, hit in lookups if hit] == [
+            *clean, *clean
+        ]
         assert payload == enum_payload(session.graph.copy(), 2, 0.3,
                                        pruning="ktau")
 
