@@ -12,6 +12,11 @@ queries) over one dataset graph:
   not seen; every call pays prune + cut + compile from scratch.  The
   copy matters: the lowering lives on the graph, so a session over the
   benchmark graph itself would reuse the warm arm's.
+  The anchored ops (``cliques_containing``, ``containing_clique_exists``)
+  are the exception: their cold copy is lowered untimed first, so their
+  cold arm measures the anchored peel, cut, views and search and
+  excludes the whole-graph lowering, which would otherwise be ~98% of
+  it.
 * **warm** — every operation goes through one shared session that was
   pre-warmed by a single unmeasured pass over the workload, so each
   measured call replays cached stage artifacts and only the search
@@ -49,6 +54,7 @@ from typing import Callable
 from repro.bench.runner import collect_provenance
 from repro.core.enumeration import EnumerationStats
 from repro.core.maximum import MaximumSearchStats
+from repro.core.pipeline import lowering
 from repro.core.session import PreparedGraph
 from repro.datasets.registry import load_dataset
 from repro.uncertain.graph import Node, UncertainGraph
@@ -58,6 +64,9 @@ __all__ = [
     "QueriesReport",
     "run_queries_bench",
 ]
+
+#: The ops whose cold arm starts from a lowered copy.
+_ANCHORED_OPS = frozenset({"cliques_containing", "containing_clique_exists"})
 
 #: One workload operation: runs against a session, returns a comparable
 #: payload (results + stats counters) used for the identical-output gate
@@ -208,8 +217,10 @@ def run_queries_bench(
     warm_compile: list[list[float]] = [[] for _ in ops]
     identical = [True] * len(ops)
     for _ in range(repetitions):
-        for index, (_, _, run) in enumerate(ops):
+        for index, (name, _, run) in enumerate(ops):
             cold_graph = graph.copy()  # without a lowering, untimed
+            if name in _ANCHORED_OPS:
+                lowering(cold_graph)  # untimed: see the module docstring
             start = time.perf_counter()
             cold_payload, cold_phases = run(PreparedGraph(cold_graph))
             cold_times[index].append(time.perf_counter() - start)

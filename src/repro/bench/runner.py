@@ -12,6 +12,9 @@ two defenses, both applied here:
 * **Median of N** — the reported time per arm is the median over the
   repetitions, which throws away one-off spikes that a mean would absorb.
 
+Each config names its own dataset and scale, so one report can hold
+configs of several graphs; each graph is loaded once.
+
 Every measured call runs on an untimed ``graph.copy()``: the lowering
 lives on the graph, so calls on the benchmark graph itself would reuse
 the first call's and stop measuring a cold search.
@@ -51,6 +54,7 @@ from repro.datasets.registry import load_dataset
 from repro.uncertain.graph import Node, UncertainGraph
 
 __all__ = [
+    "Config",
     "EngineRun",
     "ConfigResult",
     "BenchReport",
@@ -61,6 +65,9 @@ __all__ = [
 
 #: Arms of both suites: the paper-following reference, then the kernel.
 ENGINES: tuple[Engine, ...] = ("legacy", "pivot")
+
+#: One config of the engine suites: ``(dataset, scale, k, tau)``.
+Config = tuple[str, float, int, float]
 
 
 @dataclass
@@ -75,8 +82,10 @@ class EngineRun:
 
 @dataclass
 class ConfigResult:
-    """One (k, tau) config measured on every arm."""
+    """One (dataset, scale, k, tau) config measured on every arm."""
 
+    dataset: str
+    scale: float
     k: int
     tau: float
     engines: dict[str, EngineRun]
@@ -126,8 +135,6 @@ class BenchReport:
 
     benchmark: str
     algorithm: str
-    dataset: str
-    scale: float
     repetitions: int
     interleaved: bool
     provenance: dict[str, object]
@@ -161,6 +168,15 @@ def _median(values: list[float]) -> float:
     return float(statistics.median(values))
 
 
+def _graphs(configs: list[Config]) -> dict[tuple[str, float], UncertainGraph]:
+    """Each config's graph, loaded once per (dataset, scale)."""
+    graphs: dict[tuple[str, float], UncertainGraph] = {}
+    for dataset, scale, _, _ in configs:
+        if (dataset, scale) not in graphs:
+            graphs[dataset, scale] = load_dataset(dataset, scale=scale)
+    return graphs
+
+
 def _enum_once(
     graph: UncertainGraph, k: int, tau: float, engine: Engine
 ) -> tuple[float, list[frozenset[Node]], dict[str, int], dict[str, float]]:
@@ -184,15 +200,13 @@ def _max_once(
 
 
 def run_enumeration_bench(
-    dataset: str,
-    configs: list[tuple[int, float]],
-    repetitions: int,
-    scale: float = 1.0,
+    configs: list[Config], repetitions: int
 ) -> BenchReport:
     """Benchmark ``muce_plus_plus`` across engines."""
-    graph = load_dataset(dataset, scale=scale)
+    graphs = _graphs(configs)
     results: list[ConfigResult] = []
-    for k, tau in configs:
+    for dataset, scale, k, tau in configs:
+        graph = graphs[dataset, scale]
         runs: dict[str, EngineRun] = {e: EngineRun() for e in ENGINES}
         outputs: dict[str, list[frozenset[Node]]] = {}
         for _ in range(repetitions):
@@ -216,6 +230,8 @@ def run_enumeration_bench(
         )
         results.append(
             ConfigResult(
+                dataset=dataset,
+                scale=scale,
                 k=k,
                 tau=tau,
                 engines=runs,
@@ -236,8 +252,6 @@ def run_enumeration_bench(
     return BenchReport(
         benchmark="enumeration",
         algorithm="muce_plus_plus",
-        dataset=dataset,
-        scale=scale,
         repetitions=repetitions,
         interleaved=True,
         provenance=collect_provenance(),
@@ -246,15 +260,13 @@ def run_enumeration_bench(
 
 
 def run_maximum_bench(
-    dataset: str,
-    configs: list[tuple[int, float]],
-    repetitions: int,
-    scale: float = 1.0,
+    configs: list[Config], repetitions: int
 ) -> BenchReport:
     """Benchmark ``max_uc_plus`` across engines."""
-    graph = load_dataset(dataset, scale=scale)
+    graphs = _graphs(configs)
     results: list[ConfigResult] = []
-    for k, tau in configs:
+    for dataset, scale, k, tau in configs:
+        graph = graphs[dataset, scale]
         runs: dict[str, EngineRun] = {e: EngineRun() for e in ENGINES}
         outputs: dict[str, frozenset[Node] | None] = {}
         for _ in range(repetitions):
@@ -271,6 +283,8 @@ def run_maximum_bench(
         legacy, pivot = runs["legacy"], runs["pivot"]
         results.append(
             ConfigResult(
+                dataset=dataset,
+                scale=scale,
                 k=k,
                 tau=tau,
                 engines=runs,
@@ -288,8 +302,6 @@ def run_maximum_bench(
     return BenchReport(
         benchmark="maximum",
         algorithm="max_uc_plus",
-        dataset=dataset,
-        scale=scale,
         repetitions=repetitions,
         interleaved=True,
         provenance=collect_provenance(),

@@ -97,11 +97,6 @@ class EnumerationStats:
         self.timings: Stopwatch = Stopwatch()
 
 
-#: Single source of the node order lives in the kernel's compile step;
-#: these aliases keep the historical names importable.
-_node_sort_key = node_sort_key
-
-
 def _ordered(nodes: Iterator[Node] | list[Node]) -> list[Node]:
     """Nodes in the library's lexicographic order (Algorithm 4, line 16).
 
@@ -109,7 +104,7 @@ def _ordered(nodes: Iterator[Node] | list[Node]) -> list[Node]:
     time; the kernel's compile step establishes the same order once and
     reuses it for ids, candidate iteration, and decompilation.
     """
-    return sorted(nodes, key=_node_sort_key)
+    return sorted(nodes, key=node_sort_key)
 
 
 def maximal_cliques(

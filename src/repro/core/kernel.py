@@ -17,10 +17,17 @@ a per-component *compilation step*:
    the in-search core peel consumes without any re-sorting), Python-int
    bitmask rows (one ``n``-bit integer per node, so neighbor
    intersections are a single ``&``), and dense probability rows (plain
-   float lists indexed by node id, ``0.0`` marking non-edges) for
-   components up to :data:`_DENSE_ROW_LIMIT` nodes.  Above it only
-   :func:`maximum_compiled` runs, and it reads int-keyed probability
-   dicts that it builds from the CSR rows.
+   float lists indexed by node id, ``0.0`` marking non-edges).
+
+Every search component is small enough for those forms.  A cut piece
+above :data:`KERNEL_COMPONENT_LIMIT` nodes is never compiled whole: it
+is searched as one small view per vertex ``v`` — ``v`` plus the
+neighbours after it in a degeneracy order of the piece
+(:func:`piece_order`, the Eppstein–Löffler–Strash decomposition), so a
+view has at most ``degeneracy + 1`` nodes.  Enumeration forces each
+view's root branch to ``v`` (:func:`vertex_views`) and drops the
+cliques an earlier neighbour extends (:func:`drop_extended`);
+MaxUC+ searches each view as one more component.
 
 The pivot enumeration keeps the candidate set ``C`` as a list of
 ``(id, pi)`` pairs shaped like the legacy loop (measured faster than
@@ -50,22 +57,30 @@ decision-relevant float by the same multiplication sequence as the
 legacy closure, so its result and statistics counters are identical to
 ``engine="legacy"`` (both pinned by ``tests/core/test_conformance.py``).
 
-The entry points are :func:`enum_root_prep`, :func:`pivot_root_plan` and
-:func:`enumerate_pivot_range` (the pivoted MUC recursion of Algorithm 4)
-and :func:`maximum_compiled` (the MaxUC+ color-bound branch-and-bound);
-all operate on one connected component as produced by the pruning/cut
-pipeline.  The pre-search (Top_k, tau)-core itself has a compiled twin in
+The entry points are :func:`enumerate_pivot_range` (the pivoted MUC
+recursion of Algorithm 4) and :func:`maximum_compiled` (the MaxUC+
+color-bound branch-and-bound); both search one component or per-vertex
+view as produced by the pruning/cut pipeline.  The pre-search
+(Top_k, tau)-core itself has a compiled twin in
 :func:`repro.core.topk_core.topk_core_arrays`.
 """
 
 from __future__ import annotations
 
 from array import array
-from typing import TYPE_CHECKING, Iterable, Iterator, Sequence, cast
+from typing import (
+    TYPE_CHECKING,
+    Iterable,
+    Iterator,
+    NamedTuple,
+    Sequence,
+    cast,
+)
 
 from repro.core.cut_pruning import Rows, gather_rows, local_ids
 from repro.core.prune_kernel import CompiledGraph, node_sort_key
 from repro.core.topk_core import topk_peel_masks
+from repro.deterministic.core_decomposition import core_peel
 from repro.uncertain.graph import Node, UncertainGraph
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guards (types only)
@@ -76,10 +91,12 @@ __all__ = [
     "CompiledComponent",
     "compile_component",
     "derive_component_view",
+    "piece_order",
+    "VertexView",
+    "vertex_views",
+    "drop_extended",
     "node_sort_key",
     "iter_bits",
-    "enum_root_prep",
-    "pivot_root_plan",
     "enumerate_pivot_range",
     "maximum_compiled",
     "KERNEL_COMPONENT_LIMIT",
@@ -89,20 +106,13 @@ __all__ = [
 #: machine-word int, so the extraction loop never does big-int arithmetic.
 _CHUNK_MASK = 0xFFFFFFFFFFFFFFFF
 
-#: Components up to this many nodes get dense probability rows (n floats
-#: per node, 0.0 for non-edges); larger ones get none, to keep
-#: compilation O(n + m) and memory bounded.
-_DENSE_ROW_LIMIT = 1024
-
-#: Largest component the compiled *enumeration* core accepts.  Above this
-#: every bitmask op pays O(n / 64) words even deep in the tree where the
-#: candidate sets are tiny (a sparse 9000-node component makes each
-#: ``common & adj[u]`` a 141-word operation), which was measured slower
-#: than the tuple-list recursion — so the search stage in
-#: :mod:`repro.core.pipeline` routes oversized components to the legacy
-#: recursion instead.  Matches :data:`_DENSE_ROW_LIMIT`, so the compiled
-#: enumeration always has dense probability rows.
-KERNEL_COMPONENT_LIMIT = _DENSE_ROW_LIMIT
+#: Largest cut piece the kernel searches as one view.  Above it every
+#: bitmask op would pay O(n / 64) words even deep in the tree where the
+#: candidate sets are tiny, and the dense rows O(n^2) memory, so
+#: :func:`repro.core.pipeline.cut_stage` splits a larger piece into
+#: per-vertex views (:func:`vertex_views` for enumeration, sub-pieces
+#: for MaxUC+) of at most ``degeneracy + 1`` nodes each.
+KERNEL_COMPONENT_LIMIT = 1024
 
 
 #: Conservative relative safety margin on the pivot absorption test.
@@ -125,9 +135,8 @@ class CompiledComponent:
     (``row_offsets`` / ``nbr_ids`` / ``nbr_probs``) are sorted by
     descending probability (ties by id) so a top-k scan reads a prefix.
     ``bits[i]`` caches ``1 << i`` (big-int shifts are not free), and
-    ``rows`` holds the dense probability rows for small components
-    (``None`` above :data:`_DENSE_ROW_LIMIT`).  These are the only
-    forms a kernel reads.
+    ``rows`` holds the dense probability rows.  These are the only forms
+    a kernel reads.
 
     The constructor compiles a graph from scratch and stays the
     independent oracle the derived views are checked against;
@@ -152,10 +161,9 @@ class CompiledComponent:
         index = {u: i for i, u in enumerate(order)}
         n = len(order)
         bits = [1 << i for i in range(n)]
-        dense = n <= _DENSE_ROW_LIMIT
 
         adj: list[int] = []
-        rows: list[list[float]] | None = [] if dense else None
+        rows: list[list[float]] = []
         row_offsets = array("l", [0])
         nbr_ids = array("l")
         nbr_probs = array("d")
@@ -168,11 +176,10 @@ class CompiledComponent:
                 row[j] = p
                 mask |= bits[j]
             adj.append(mask)
-            if rows is not None:
-                flat = [0.0] * n
-                for j, p in row.items():
-                    flat[j] = p
-                rows.append(flat)
+            flat = [0.0] * n
+            for j, p in row.items():
+                flat[j] = p
+            rows.append(flat)
             for j, p in sorted(row.items(), key=lambda e: (-e[1], e[0])):
                 nbr_ids.append(j)
                 nbr_probs.append(p)
@@ -208,8 +215,7 @@ class CompiledComponent:
         n = len(order)
         bits = [1 << i for i in range(n)]
         adj: list[int] = []
-        dense = n <= _DENSE_ROW_LIMIT
-        flat_rows: list[list[float]] | None = [] if dense else None
+        flat_rows: list[list[float]] = []
         row_offsets = array("l", [0])
         nbr_ids = array("l")
         nbr_probs = array("d")
@@ -226,11 +232,10 @@ class CompiledComponent:
             for j in ids:
                 mask |= bits[j]
             adj.append(mask)
-            if flat_rows is not None:
-                flat = [0.0] * n
-                for j, p in zip(ids, ps):
-                    flat[j] = p
-                flat_rows.append(flat)
+            flat = [0.0] * n
+            for j, p in zip(ids, ps):
+                flat[j] = p
+            flat_rows.append(flat)
         view.nodes = order
         view.n = n
         view.adj = adj
@@ -312,6 +317,160 @@ def derive_component_view(
     )
 
 
+# ----------------------------------------------------------------------
+# Per-vertex views of a piece above the kernel limit
+# ----------------------------------------------------------------------
+
+def piece_order(
+    rows: Rows, piece: Sequence[int]
+) -> tuple[list[int], list[int], list[dict[int, float]]]:
+    """A degeneracy order of ``piece``, a sorted list of local ids of
+    the cut's ``rows``, and the piece's adjacency.
+
+    Returns ``(order, pos, nbr)`` over places in ``piece``: ``order``
+    lists them in degeneracy order, ``pos[x]`` is ``x``'s place in it
+    and ``nbr[x]`` maps each neighbour of ``x`` inside the piece to the
+    edge's probability.  The Batagelj–Zaversnik peel
+    (:func:`~repro.deterministic.core_decomposition.core_peel`) takes
+    O(n + m): it repeatedly removes a node of least remaining degree,
+    so a node has at most its core number of neighbours after it.  The
+    order reads the piece's own rows alone, never a whole-graph peel
+    order, so it is the same whatever happens in other components.
+    """
+    at = {g: x for x, g in enumerate(piece)}
+    nbr = [
+        {x: p for j, p in rows[g] if (x := at.get(j)) is not None}
+        for g in piece
+    ]
+    _, order = core_peel(dict(enumerate(nbr)))
+    pos = [0] * len(piece)
+    for i, x in enumerate(order):
+        pos[x] = i
+    return order, pos, nbr
+
+
+class VertexView(NamedTuple):
+    """One vertex ``v``'s enumeration view of a piece above
+    :data:`KERNEL_COMPONENT_LIMIT`.
+
+    ``view`` compiles ``v`` and its later neighbours, ``root`` is
+    ``v``'s id in it and ``members[i]`` is view id ``i``'s place in the
+    piece.  ``witnesses`` holds the piece adjacency of each earlier
+    neighbour ``w`` of ``v`` with more than ``k`` neighbours (keyed by
+    place, shared by every view ``w`` is a witness of).
+    """
+
+    view: CompiledComponent
+    root: int
+    members: list[int]
+    witnesses: tuple[dict[int, float], ...]
+
+
+def vertex_views(
+    compiled: CompiledGraph,
+    piece: Sequence[int],
+    cut: tuple[Sequence[int], Rows],
+    k: int,
+) -> tuple[VertexView, ...]:
+    """The per-vertex enumeration views of one cut piece, in the
+    piece's degeneracy order (:func:`piece_order`).
+
+    ``piece`` and ``cut = (survivors, rows)`` are as for
+    :func:`derive_component_view`.  A maximal clique holds exactly one
+    vertex ``v`` that comes first in the order, and it lies in ``v``'s
+    view: ``v`` plus its later neighbours.  Searched with the root
+    branch forced to ``v``, the view emits the cliques through ``v``
+    that no later neighbour extends; :func:`drop_extended` then drops
+    those an earlier one extends, so each maximal clique comes out once.
+    A view of ``k`` nodes or fewer holds no (k, tau)-clique and is left
+    out.  Each view is built by pairwise lookups in the piece's
+    adjacency, O(|view|^2), and is bit-identical to
+    ``compile_component`` of its induced subgraph.
+    """
+    survivors, rows = cut
+    order, pos, nbr = piece_order(rows, piece)
+    rank = compiled.sort_rank
+    key = [rank[survivors[g]] for g in piece]
+    labels = compiled.nodes
+    views: list[VertexView] = []
+    for x in order:
+        here = pos[x]
+        around = nbr[x]
+        members = sorted(
+            [x, *(y for y in around if pos[y] > here)], key=key.__getitem__
+        )
+        if len(members) <= k:
+            continue
+        view = CompiledComponent.from_rows(
+            [labels[survivors[piece[y]]] for y in members],
+            (
+                [(j, p) for j, z in enumerate(members)
+                 if (p := nbr[y].get(z)) is not None]
+                for y in members
+            ),
+            range(len(members)),
+        )
+        witnesses = tuple(
+            nbr[w] for w in around if pos[w] < here and len(nbr[w]) > k
+        )
+        views.append(
+            VertexView(view, members.index(x), members, witnesses)
+        )
+    return tuple(views)
+
+
+def drop_extended(
+    vv: VertexView, cliques: list[frozenset[Node]], tau_floor: float
+) -> list[frozenset[Node]]:
+    """The cliques ``vv``'s search emitted that no earlier neighbour
+    extends.
+
+    Each test is the kernel's leaf witness test: the clique's canonical
+    chain in ascending view id, times ``p(r, w)`` multiplied in that
+    same order, against ``tau_floor`` — so each decision is the legacy
+    engine's, bit for bit.
+    """
+    if not vv.witnesses:
+        return cliques
+    ids = {u: i for i, u in enumerate(vv.view.nodes)}
+    root = vv.members[vv.root]  # every witness is adjacent to it
+    kept = []
+    for clique in cliques:
+        order = sorted(map(ids.__getitem__, clique))
+        places = [vv.members[r] for r in order]
+        others = [r for r in places if r != root]
+        prob = _canonical_probability(vv.view.rows, order)
+        for wrow in vv.witnesses:
+            for r in others:
+                if r not in wrow:
+                    break  # not adjacent: no extension
+            else:
+                pi = 1.0
+                for r in places:
+                    pi *= wrow[r]
+                # Hot path: tau_floor = threshold_floor(tau).
+                if prob * pi >= tau_floor:  # repro-lint: ignore[RPL001]
+                    break
+        else:
+            kept.append(clique)
+    return kept
+
+
+def _canonical_probability(
+    rows: list[list[float]], order: list[int]
+) -> float:
+    """A clique's probability as the legacy engine builds it along its
+    path: each member's product to the members before it, in ascending
+    id order ``order``, folded in that order."""
+    prob = 1.0
+    for j, vj in enumerate(order):
+        pi = 1.0
+        for i in order[:j]:
+            pi *= rows[i][vj]
+        prob = prob * pi
+    return prob
+
+
 def iter_bits(mask: int) -> Iterator[int]:
     """Yield the set-bit positions of ``mask`` in ascending order.
 
@@ -327,42 +486,6 @@ def iter_bits(mask: int) -> Iterator[int]:
             chunk ^= low
             yield base + low.bit_length() - 1
         base += 64
-
-
-# ----------------------------------------------------------------------
-# Enumeration: root preparation shared by the pivot search
-# ----------------------------------------------------------------------
-
-def enum_root_prep(
-    comp: CompiledComponent,
-    k: int,
-    tau_floor: float,
-    min_size: int,
-    insearch: bool,
-    insearch_min_candidates: int,
-    stats: EnumerationStats,
-) -> list[tuple[int, float]] | None:
-    """Root-call bookkeeping of the MUC recursion.
-
-    Performs exactly what the root call does before its branch loop:
-    counts the root search call and applies the root in-search core gate
-    (Algorithm 4 lines 12-15 with ``R`` empty).  Returns the surviving
-    root candidate list, or ``None`` when the whole component is dead
-    (root insearch prune); the list then feeds :func:`pivot_root_plan`
-    and :func:`enumerate_pivot_range`.
-    """
-    n = comp.n
-    stats.search_calls += 1
-    cands = [(v, 1.0) for v in range(n)]
-    if n >= insearch_min_candidates and insearch and min_size > 0:
-        alive = topk_peel_masks(comp, comp.full_mask, 0, k, tau_floor)
-        if alive is None or alive.bit_count() < min_size:
-            stats.insearch_prunes += 1
-            return None
-        if alive != comp.full_mask:
-            stats.insearch_prunes += 1
-            cands = [e for e in cands if alive >> e[0] & 1]
-    return cands
 
 
 # ----------------------------------------------------------------------
@@ -401,74 +524,6 @@ def enum_root_prep(
 # on the set.
 
 
-def pivot_root_plan(
-    comp: CompiledComponent,
-    k: int,
-    tau_floor: float,
-    min_size: int,
-    cands: list[tuple[int, float]],
-    stats: EnumerationStats,
-) -> list[int]:
-    """Choose the root pivot and absorption set for the pivot engine.
-
-    ``cands`` is the surviving root candidate list from
-    :func:`enum_root_prep`.  Returns the root *branch list* — the
-    candidate ids to branch on, ascending — after absorbing the skipped
-    set, and counts the root node's pivot bookkeeping into ``stats``.
-    """
-    rows = comp.rows
-    if rows is None:
-        raise ValueError(
-            "pivot_root_plan requires a component within "
-            f"KERNEL_COMPONENT_LIMIT ({KERNEL_COMPONENT_LIMIT})"
-        )
-    adj = comp.adj
-    bits = comp.bits
-    skip_mask = 0
-    if len(cands) > 1:
-        cand_mask = 0
-        for e in cands:
-            cand_mask |= bits[e[0]]
-        best_u = -1
-        best_cover = -1
-        for u, _pi_u in cands:
-            cover = (adj[u] & cand_mask).bit_count()
-            if cover > best_cover:
-                best_cover = cover
-                best_u = u
-        if best_cover > 0:
-            skip_floor = tau_floor * _PIVOT_SAFETY
-            t_adj = adj[best_u]
-            budget = 1.0  # root clique probability
-            urow = rows[best_u]
-            t_list: list[int] = []
-            for v, _pi_v in cands:
-                if v == best_u:
-                    continue
-                bv = bits[v]
-                if not bv & t_adj:
-                    continue
-                prod = budget * urow[v]
-                if prod < skip_floor:  # repro-lint: ignore[RPL001]
-                    continue
-                ok = True
-                vrow = rows[v]
-                for t in t_list:
-                    prod *= vrow[t]
-                    if prod < skip_floor:  # repro-lint: ignore[RPL001]
-                        ok = False
-                        break
-                if ok:
-                    skip_mask |= bv
-                    t_list.append(v)
-                    t_adj &= adj[v]
-                    budget = prod
-    branches = [e[0] for e in cands if not bits[e[0]] & skip_mask]
-    stats.pivot_branches += len(branches)
-    stats.pivot_skipped += len(cands) - len(branches)
-    return branches
-
-
 def enumerate_pivot_range(
     comp: CompiledComponent,
     k: int,
@@ -476,26 +531,21 @@ def enumerate_pivot_range(
     min_size: int,
     insearch: bool,
     insearch_min_candidates: int,
-    cands: list[tuple[int, float]],
-    branches: list[int],
     stats: EnumerationStats,
+    root: int | None = None,
 ) -> list[frozenset[Node]]:
-    """Pivot-engine search of every root branch in ``branches``.
+    """Pivot-engine search of one component: its maximal (k, tau)-cliques.
 
-    ``cands`` must be the surviving root candidate list from
-    :func:`enum_root_prep` and ``branches`` the root branch list from
-    :func:`pivot_root_plan`.  Unlike legacy's suffix tails, a pivot
-    branch's candidate tail carries the absorbed (skipped) vertices
-    *before* it as well, so the root loop filters ``cands`` by a live
-    remaining-mask rather than slicing.
+    The root call is one node of the recursion below with ``R`` empty
+    and every id a candidate: it counts the root search call, applies
+    the root in-search core gate (Algorithm 4 lines 12-15) and picks the
+    root pivot.  A per-vertex view (:class:`VertexView`) passes its
+    vertex as ``root`` instead: the search then starts from the one
+    branch ``R = {root}``, whose candidates are the root's neighbours
+    whose edge clears the floor, so it emits the cliques through
+    ``root`` that no node of the view extends.
     """
-    n = comp.n
     rows = comp.rows
-    if rows is None:
-        raise ValueError(
-            "enumerate_pivot_range requires a component within "
-            f"KERNEL_COMPONENT_LIMIT ({KERNEL_COMPONENT_LIMIT}), got {n}"
-        )
     adj = comp.adj
     bits = comp.bits
     nodes = comp.nodes
@@ -531,13 +581,7 @@ def enumerate_pivot_range(
             # are bit-identical to engine="legacy".
             if clique_len >= min_size:
                 order = sorted(clique)
-                prob = 1.0
-                for j in range(clique_len):
-                    vj = order[j]
-                    pi = 1.0
-                    for i in range(j):
-                        pi *= rows[order[i]][vj]
-                    prob = prob * pi
+                prob = _canonical_probability(rows, order)
                 if prob >= tau_floor:  # repro-lint: ignore[RPL001]
                     wit = common & ~banned
                     blocked = False
@@ -675,41 +719,12 @@ def enumerate_pivot_range(
         pbranches += branched
         pskipped += nc - branched
 
-    # Root branch loop over the plan's branch list.  Root pi values are
-    # exactly 1.0 and the root clique probability is 1.0.
-    need = min_size - 1
-    prune_live = min_size > 1
-    rem_mask = 0
-    for e in cands:
-        rem_mask |= bits[e[0]]
-    banned = 0
-    full = comp.full_mask
-    clique: list[int] = []
-    for u in branches:
-        bu = bits[u]
-        rem_mask ^= bu
-        if prune_live and (rem_mask & adj[u]).bit_count() < need:
-            branch_prunes += 1
-            banned |= bu
-            continue
-        urow = rows[u]
-        new_cands = []
-        for v, pi_v in cands:
-            if not rem_mask & bits[v]:
-                continue
-            p = urow[v]
-            if p:
-                piv = pi_v * p
-                # Root clique_prob is exactly 1.0: new_prob == pi_u == 1.0.
-                if piv >= tau_floor:  # repro-lint: ignore[RPL001]
-                    new_cands.append((v, piv))
-        if prune_live and len(new_cands) < need:
-            branch_prunes += 1
-            banned |= bu
-            continue
-        clique.append(u)
-        rec(clique, 1, 1.0, new_cands, full & adj[u], banned)
-        clique.pop()
+    if root is None:
+        rec([], 0, 1.0, [(v, 1.0) for v in range(comp.n)], comp.full_mask, 0)
+    else:
+        # Hot path: tau_floor = threshold_floor(tau); a non-edge is 0.0.
+        first = [(v, p) for v, p in enumerate(rows[root]) if p >= tau_floor]  # repro-lint: ignore[RPL001]
+        rec([root], 1, 1.0, first, adj[root], 0)
 
     stats.search_calls += calls
     stats.insearch_prunes += insearch_prunes
@@ -744,22 +759,15 @@ def maximum_compiled(
     float they produce (the bounds are the compiled twins of
     :mod:`repro.core.bounds`).  There is no maximality test here, so the
     candidate loop matches legacy's shape with dense rows and the bound
-    bookkeeping batched into local counters.  A component above
-    :data:`_DENSE_ROW_LIMIT` has no dense rows: its int-keyed dict rows
-    are built here from the CSR.
+    bookkeeping batched into local counters.  ``comp`` is a whole cut
+    piece or, for a piece above :data:`KERNEL_COMPONENT_LIMIT`, one of
+    its per-vertex sub-pieces; either way it has dense rows.
     """
     n = comp.n
     adj = comp.adj
     rows = comp.rows
     bits = comp.bits
     nodes = comp.nodes
-    prob: list[dict[int, float]] = []
-    if rows is None:
-        off = comp.row_offsets
-        prob = [
-            dict(zip(comp.nbr_ids[lo:hi], comp.nbr_probs[lo:hi]))
-            for lo, hi in zip(off, off[1:])
-        ]
     # Batched stats (flushed once per component; see _CALLS comment).
     calls = size_prunes = basic_prunes = adv1_prunes = 0
     adv2_prunes = ins_prunes = 0
@@ -806,25 +814,16 @@ def maximum_compiled(
             tightest: int | None = None
             for w in clique:
                 # A non-neighbour v cannot join anyway: skip it for w's
-                # budget.  Probabilities lie in (0, 1], so a dense row's
-                # 0.0 marks one, as a dict row's missing key does.
+                # budget.  Probabilities lie in (0, 1], so a row's 0.0
+                # marks one.
                 best_per_color = {}
-                if rows is not None:
-                    wrow = rows[w]
-                    for v in cids:
-                        p = wrow[v]
-                        if p:
-                            c = color[v]
-                            if p > best_per_color.get(c, 0.0):
-                                best_per_color[c] = p
-                else:
-                    get = prob[w].get
-                    for v in cids:
-                        dp = get(v)
-                        if dp is not None:
-                            c = color[v]
-                            if dp > best_per_color.get(c, 0.0):
-                                best_per_color[c] = dp
+                wrow = rows[w]
+                for v in cids:
+                    p = wrow[v]
+                    if p:
+                        c = color[v]
+                        if p > best_per_color.get(c, 0.0):
+                            best_per_color[c] = p
                 budget = _prefix_budget(
                     sorted(best_per_color.values(), reverse=True),
                     clique_prob, tau_floor,
@@ -874,31 +873,17 @@ def maximum_compiled(
             new_ids: list[int] = []
             new_pis: list[float] = []
             new_mask = 0
-            if rows is not None:
-                urow = rows[u]
-                for j in range(i, nc):
-                    v = cids[j]
-                    p = urow[v]
-                    if p:
-                        piv = cpis[j] * p
-                        # Hot path: tau_floor = threshold_floor(tau).
-                        if new_prob * piv >= tau_floor:  # repro-lint: ignore[RPL001]
-                            new_ids.append(v)
-                            new_pis.append(piv)
-                            new_mask |= bits[v]
-            else:
-                drow = prob[u]
-                get = drow.get
-                for j in range(i, nc):
-                    v = cids[j]
-                    dp = get(v)
-                    if dp is not None:
-                        piv = cpis[j] * dp
-                        # Same precomputed-floor fast path, dict fallback.
-                        if new_prob * piv >= tau_floor:  # repro-lint: ignore[RPL001]
-                            new_ids.append(v)
-                            new_pis.append(piv)
-                            new_mask |= bits[v]
+            urow = rows[u]
+            for j in range(i, nc):
+                v = cids[j]
+                p = urow[v]
+                if p:
+                    piv = cpis[j] * p
+                    # Hot path: tau_floor = threshold_floor(tau).
+                    if new_prob * piv >= tau_floor:  # repro-lint: ignore[RPL001]
+                        new_ids.append(v)
+                        new_pis.append(piv)
+                        new_mask |= bits[v]
             clique.append(u)
             search(
                 clique, clique_mask | bits[u], new_prob, new_ids, new_pis,

@@ -83,11 +83,6 @@ class MaximumSearchStats:
         self.timings: Stopwatch = Stopwatch()
 
 
-#: Single source of the node order lives in the kernel's compile step;
-#: the alias keeps the historical name importable.
-_node_sort_key = node_sort_key
-
-
 # ----------------------------------------------------------------------
 # MaxUC: candidate-set-size bound only
 # ----------------------------------------------------------------------
@@ -140,7 +135,7 @@ def max_uc(
             search(clique, new_prob, new_candidates)
             clique.pop()
 
-    ordered = sorted(graph.nodes(), key=_node_sort_key)
+    ordered = sorted(graph.nodes(), key=node_sort_key)
     search([], 1.0, [(v, 1.0) for v in ordered])
     stats.best_size = best_size if best is not None else 0
     if best is None or len(best) < min_size:
@@ -174,7 +169,7 @@ def max_rds(
     min_size = k + 1
     tau_floor = threshold_floor(tau)
 
-    order = sorted(graph.nodes(), key=_node_sort_key)
+    order = sorted(graph.nodes(), key=node_sort_key)
     position = {v: i for i, v in enumerate(order)}
     n = len(order)
     c = [0] * (n + 1)
@@ -391,7 +386,7 @@ def _search_component_legacy(
             search(clique, new_prob, new_candidates)
             clique.pop()
 
-    ordered = sorted(component.nodes(), key=_node_sort_key)
+    ordered = sorted(component.nodes(), key=node_sort_key)
     search([], 1.0, [(v, 1.0) for v in ordered])
     return best, best_size
 

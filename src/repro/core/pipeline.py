@@ -22,16 +22,19 @@ parameters to a deterministic artifact:
   :class:`~repro.core.kernel.CompiledComponent` view, which the
   artifact carries (member-filtered, no recompilation;
   :func:`~repro.core.kernel.compile_component` remains the parity
-  oracle).  For MaxUC+ it grows a greedy lower bound on those rows
-  and raises the cut to it; the maximum search derives (and colors)
-  its views from the lowering on demand inside
-  :func:`maximum_search_stage`.
+  oracle).  A piece above the kernel limit gets one small view per
+  vertex instead (:func:`~repro.core.kernel.vertex_views`).  For
+  MaxUC+ it grows a greedy lower bound on those rows and raises the
+  cut to it, and splits a piece above the limit into per-vertex
+  sub-pieces; the maximum search derives (and colors) its views on
+  demand inside :func:`maximum_search_stage`.
 * :func:`enumeration_search_stage` / :func:`maximum_search_stage` — the
-  actual (sequential) search, consuming the compile artifacts.  An
-  :class:`~repro.uncertain.graph.UncertainGraph` is built for a search
-  component only where a search reads one: the legacy engine, a
-  component above the kernel limit, and the greedy coloring of a
-  component the MaxUC+ search reaches.
+  actual (sequential) search, consuming the compile artifacts.  The
+  ``"pivot"`` engine runs the compiled kernel on every component,
+  whatever its size.  An :class:`~repro.uncertain.graph.UncertainGraph`
+  is built for a search component only where a search reads one: the
+  legacy engine and the greedy coloring of a whole piece the MaxUC+
+  search reaches.
 
 Stage artifacts carry **no counters and no wall clocks** — those belong to
 the per-run stats objects, which the search stages fill identically on
@@ -56,6 +59,7 @@ from repro.core.cut_pruning import (
     cut_rows,
     greedy_clique_size,
     induced_rows,
+    local_ids,
     split_rows,
 )
 from repro.core.enumeration import (
@@ -65,20 +69,23 @@ from repro.core.enumeration import (
 )
 from repro.core.kernel import (
     CompiledComponent,
+    VertexView,
     derive_component_view,
-    enum_root_prep,
+    drop_extended,
     enumerate_pivot_range,
     maximum_compiled,
-    pivot_root_plan,
+    piece_order,
+    vertex_views,
 )
 from repro.core.maximum import MaximumSearchStats, _search_component_legacy
 from repro.core.prune_kernel import CompiledGraph, compile_graph
-from repro.deterministic.coloring import greedy_coloring
+from repro.deterministic.coloring import greedy_coloring, greedy_coloring_rows
 from repro.uncertain.graph import Node, UncertainGraph
 
 __all__ = [
     "CutArtifact",
     "Parts",
+    "SearchView",
     "lowering",
     "graph_components",
     "compile_stage",
@@ -88,11 +95,17 @@ __all__ = [
     "maximum_search_stage",
 ]
 
-# benchmarks/e2e/trace.py still wraps this name as a search boundary.
-enumerate_root_range = enumerate_pivot_range
+# benchmarks/e2e/trace.py still wraps these names as search boundaries;
+# the pivot enumeration has the one entry, enumerate_pivot_range.
+enumerate_root_range = enum_root_prep = pivot_root_plan = enumerate_pivot_range
 
 #: ``(component id, epoch, members)`` per graph component.
 Parts = tuple[tuple[int, int, tuple[Node, ...]], ...]
+
+#: What the pivot engine searches for one enumeration component: its
+#: view, its per-vertex views when it is above the kernel limit, or
+#: ``None`` when it is too small to hold a (k, tau)-clique.
+SearchView = CompiledComponent | tuple[VertexView, ...] | None
 
 
 # ----------------------------------------------------------------------
@@ -253,19 +266,22 @@ class CutArtifact:
     phases, so a warm run fills its stats object identically to the
     cold run that built the artifact.
 
-    An enumeration artifact also carries ``views``, one slot per
-    component: the :class:`~repro.core.kernel.CompiledComponent` the
-    pivot engine searches when the kernel takes the component (``k + 1
-    <= n <=`` the kernel limit), else ``None`` — the search stage
-    re-derives *why* from the component size (too small: skipped; too
-    large: legacy fallback).  Views are snapshots without equality, so
-    they take no part in comparing artifacts.
+    An enumeration artifact also carries ``views``, one
+    :data:`SearchView` slot per component: the
+    :class:`~repro.core.kernel.CompiledComponent` the pivot engine
+    searches when the component has ``k + 1`` to
+    :data:`~repro.core.kernel.KERNEL_COMPONENT_LIMIT` nodes, its
+    per-vertex :class:`~repro.core.kernel.VertexView` tuple above the
+    limit, else ``None`` (too small to search).  Views are snapshots
+    without equality, so they take no part in comparing artifacts.
 
     A maximum-search artifact instead carries ``heads``, each
     component's first node in :func:`~repro.core.prune_kernel.
-    node_sort_key` order, with the components ordered by it, and
-    ``lower_bound``, the greedy clique size its raised cut was taken at
-    (0 when it cut at ``k``).
+    node_sort_key` order, and ``lower_bound``, the greedy clique size
+    its raised cut was taken at (0 when it cut at ``k``).  Its
+    components are the cut's pieces ordered by head, except that a
+    piece above the kernel limit is replaced, at its place, by its
+    per-vertex sub-pieces; ``split`` flags those.
     """
 
     components: tuple[tuple[Node, ...], ...]
@@ -274,7 +290,8 @@ class CutArtifact:
     nodes_after_pruning: int
     heads: tuple[Node, ...] = ()
     lower_bound: int = 0
-    views: tuple[CompiledComponent | None, ...] = field(
+    split: tuple[bool, ...] = ()
+    views: tuple[SearchView, ...] = field(
         default=(), compare=False, repr=False
     )
 
@@ -299,8 +316,9 @@ def cut_stage(
     ascending ids (graph iteration order) for a graph component, the
     region's adjacency order for an anchored core.  The same rows then
     build the artifact's ``views``
-    (:func:`~repro.core.kernel.derive_component_view`), and they are
-    dropped when this call returns.
+    (:func:`~repro.core.kernel.derive_component_view`, or
+    :func:`~repro.core.kernel.vertex_views` for a piece above the
+    kernel limit), and they are dropped when this call returns.
 
     ``maximum=True`` prepares a MaxUC+ search instead.  A greedy
     tau-clique of ``s`` nodes is grown over the same rows
@@ -310,11 +328,16 @@ def cut_stage(
     (Lemma 4), Lemma 5 holds for any ``k'``, and the components of fewer
     than ``s`` nodes are dropped; ``s`` becomes the artifact's
     ``lower_bound``.  Otherwise the cut runs at ``k`` as for
-    enumeration.  Either way the components are ordered by their first
+    enumeration.  Either way the pieces are ordered by their first
     node in :func:`~repro.core.prune_kernel.node_sort_key` order, which
-    the artifact's ``heads`` record.  A maximum artifact carries no
+    the artifact's ``heads`` record.  A piece above the kernel limit
+    becomes, at its place, the sub-pieces ``{v} + later(v)`` of its
+    degeneracy order (:func:`~repro.core.kernel.piece_order`) that have
+    at least ``max(s, k + 1)`` nodes, in reverse order, so the
+    incumbent grows early: a maximum clique lies in the sub-piece of
+    its first vertex in that order.  A maximum artifact carries no
     ``views``: the search builds them only for the components its
-    incumbent reaches, from the lowering.
+    incumbent reaches.
     """
     rows = induced_rows(compiled, survivors)
     cuts_found = edges_removed = lower_bound = 0
@@ -325,26 +348,37 @@ def cut_stage(
         pieces, cuts_found, edges_removed, _ = cut_rows(rows, k, tau)
     else:
         pieces = split_rows(rows)
+    # Read at call time: tests monkeypatch the kernel size limit.
+    limit = enumeration_mod.KERNEL_COMPONENT_LIMIT
     heads: tuple[int, ...] = ()
-    views: tuple[CompiledComponent | None, ...] = ()
+    split: list[bool] = []
+    views: tuple[SearchView, ...] = ()
     if maximum:
         rank = [compiled.sort_rank[g] for g in survivors]
         by_head = sorted(
-            (
-                (min(piece, key=rank.__getitem__), piece)
-                for piece in pieces
-                if len(piece) >= lower_bound
-            ),
-            key=lambda entry: rank[entry[0]],
+            (piece for piece in pieces if len(piece) >= lower_bound),
+            key=lambda piece: min(rank[i] for i in piece),
         )
-        heads = tuple(head for head, _ in by_head)
-        pieces = [piece for _, piece in by_head]
+        least = max(lower_bound, k + 1)
+        pieces = []
+        for piece in by_head:
+            if len(piece) <= limit:
+                pieces.append(piece)
+                split.append(False)
+                continue
+            order, pos, nbr = piece_order(rows, piece)
+            for x in reversed(order):
+                sub = [x, *(y for y in nbr[x] if pos[y] > pos[x])]
+                if len(sub) >= least:
+                    pieces.append(sorted(piece[y] for y in sub))
+                    split.append(True)
+        heads = tuple(min(piece, key=rank.__getitem__) for piece in pieces)
     else:
-        # Read at call time: tests monkeypatch the kernel size limit.
-        limit = enumeration_mod.KERNEL_COMPONENT_LIMIT
         views = tuple(
-            derive_component_view(compiled, piece, (survivors, rows))
-            if k < len(piece) <= limit else None
+            None if len(piece) <= k
+            else derive_component_view(compiled, piece, (survivors, rows))
+            if len(piece) <= limit
+            else vertex_views(compiled, piece, (survivors, rows), k)
             for piece in pieces
         )
     nodes = compiled.nodes
@@ -357,6 +391,7 @@ def cut_stage(
         nodes_after_pruning=len(survivors),
         heads=tuple(nodes[survivors[i]] for i in heads),
         lower_bound=lower_bound,
+        split=tuple(split),
         views=views,
     )
 
@@ -368,7 +403,7 @@ def cut_stage(
 def enumeration_search_stage(
     graph: UncertainGraph,
     components: Sequence[Sequence[Node]],
-    compiled: Sequence[CompiledComponent | None] | None,
+    compiled: Sequence[SearchView] | None,
     k: int,
     tau_floor: float,
     min_size: int,
@@ -378,58 +413,64 @@ def enumeration_search_stage(
 ) -> Iterator[frozenset[Node]]:
     """Run the per-component enumeration over the compile artifacts.
 
-    Components are searched in order.  One with a view in ``compiled``
-    (the cut artifact's ``views``) is searched by the compiled
-    pivot kernel and emits its cliques in pivot branch order.  Every
-    other searched component — all of them for the legacy engine, which
-    passes ``compiled=None``, and the oversized ones for ``"pivot"`` —
-    goes through the tuple-list recursion
+    Components are searched in order.  For ``"pivot"``, ``compiled`` is
+    the cut artifact's ``views``, and the compiled pivot kernel searches
+    every component with a view, emitting its cliques in pivot branch
+    order.  A component above the kernel limit is searched one
+    :class:`~repro.core.kernel.VertexView` at a time, in the piece's
+    degeneracy order: the root branch is forced to the view's vertex,
+    and :func:`~repro.core.kernel.drop_extended` drops the cliques an
+    earlier neighbour extends.  The views were built by the cut before
+    anything is yielded.  The legacy engine passes ``compiled=None``:
+    every component then goes through the tuple-list recursion
     :func:`~repro.core.enumeration._muc` on its induced subgraph of
-    ``graph``.  Those subgraphs are built before anything is yielded: a
-    consumer that mutates ``graph`` between yields still gets the
-    answer for the version it asked at.  All counters accrue to
-    ``stats`` on every run (they are never part of a cached artifact).
+    ``graph``, and those subgraphs are built before anything is
+    yielded.  Either way a consumer that mutates ``graph`` between
+    yields still gets the answer for the version it asked at.  All
+    counters accrue to ``stats`` on every run (they are never part of a
+    cached artifact).
     """
-    subgraphs = {
-        ordinal: graph.induced_subgraph(component)
-        for ordinal, component in enumerate(components)
-        if len(component) >= min_size
-        and (compiled is None or compiled[ordinal] is None)
-    }
-    for ordinal, component in enumerate(components):
-        if len(component) < min_size:
-            continue
-        comp = compiled[ordinal] if compiled is not None else None
-        if comp is not None:
-            t_start = perf_counter()
-            cands = enum_root_prep(
-                comp, k, tau_floor, min_size, insearch,
-                insearch_min_candidates, stats,
-            )
-            out: list[frozenset[Node]] = []
-            if cands is not None:
-                branches = pivot_root_plan(
-                    comp, k, tau_floor, min_size, cands, stats,
-                )
-                out = enumerate_pivot_range(
-                    comp, k, tau_floor, min_size, insearch,
-                    insearch_min_candidates, cands, branches, stats,
-                )
-            stats.timings.add("search", perf_counter() - t_start)
-            yield from out
-        else:
-            subgraph = subgraphs[ordinal]
+    if compiled is None:
+        subgraphs = [
+            graph.induced_subgraph(component)
+            for component in components
+            if len(component) >= min_size
+        ]
+        for subgraph in subgraphs:
             candidates = [(v, 1.0) for v in _ordered(subgraph.nodes())]
             yield from _muc(
                 subgraph, [], 1.0, candidates, [], k, tau_floor,
                 min_size, insearch, stats,
             )
+        return
+    for view in compiled:
+        if view is None:
+            continue
+        t_start = perf_counter()
+        out: list[frozenset[Node]] = []
+        if isinstance(view, CompiledComponent):
+            out = enumerate_pivot_range(
+                view, k, tau_floor, min_size, insearch,
+                insearch_min_candidates, stats,
+            )
+        else:
+            for vv in view:
+                found = enumerate_pivot_range(
+                    vv.view, k, tau_floor, min_size, insearch,
+                    insearch_min_candidates, stats, vv.root,
+                )
+                kept = drop_extended(vv, found, tau_floor)
+                stats.cliques -= len(found) - len(kept)
+                out += kept
+        stats.timings.add("search", perf_counter() - t_start)
+        yield from out
 
 
 def _compiled_maximum_entry(
     memo: dict[int, tuple[CompiledComponent, list[int]]],
     ordinal: int,
     component: Sequence[Node],
+    sub_piece: bool,
     graph: UncertainGraph,
     stats: MaximumSearchStats,
     artifact: CompiledGraph,
@@ -441,15 +482,41 @@ def _compiled_maximum_entry(
     exactly as the historical driver, which only compiled a component
     once the search actually reached it with ``n > best_size``.  An
     eager compile-everything stage would pay view derivation and
-    coloring for every component a growing incumbent later skips.  Only
-    the coloring reads the component's induced subgraph.
+    coloring for every component a growing incumbent later skips.  A
+    whole piece's view is derived from the lowering, and only its
+    coloring reads the induced subgraph.  A ``sub_piece`` is small but
+    its members' rows may be long, so both are built by pairwise
+    :meth:`~repro.uncertain.graph.UncertainGraph.incident` lookups
+    instead, O(|component|^2), and equal the whole-piece route's.
     """
     entry = memo.get(ordinal)
     if entry is None:
         t_start = perf_counter()
-        comp = derive_component_view(artifact, component)
-        coloring = greedy_coloring(graph.induced_subgraph(component))
-        entry = memo[ordinal] = (comp, [coloring[u] for u in comp.nodes])
+        if sub_piece:
+            adjacency = [
+                {
+                    j: p for j, w in enumerate(component)
+                    if (p := row.get(w)) is not None
+                }
+                for row in map(graph.incident, component)
+            ]
+            colors = greedy_coloring_rows(adjacency)
+            rank, index = artifact.sort_rank, artifact.index
+            order = sorted(
+                range(len(component)),
+                key=lambda i: rank[index[component[i]]],
+            )
+            comp = CompiledComponent.from_rows(
+                [component[i] for i in order],
+                (adjacency[i].items() for i in order),
+                local_ids(len(order), order),
+            )
+            entry = (comp, [colors[i] for i in order])
+        else:
+            comp = derive_component_view(artifact, component)
+            coloring = greedy_coloring(graph.induced_subgraph(component))
+            entry = (comp, [coloring[u] for u in comp.nodes])
+        memo[ordinal] = entry
         stats.timings.add("compile", perf_counter() - t_start)
     return entry
 
@@ -489,9 +556,14 @@ def maximum_search_stage(
     searches walk a component's cliques in ``node_sort_key`` DFS order,
     so the first clique above the floor of the component's maximum size
     is its lexicographic minimum.  A component whose head (first node in
-    that order) precedes the incumbent's is searched with the floor one
-    below the incumbent's size, so it also reports a tie, which replaces
-    the incumbent; any other component can only win by a larger clique.
+    that order) precedes or is the incumbent's first node is searched
+    with the floor one below the incumbent's size, so it also reports a
+    tie, which replaces the incumbent when it is lexicographically
+    smaller; any other component can only win by a larger clique.  The
+    sub-pieces of one piece overlap, so two can share a head, and a
+    later one can hold a smaller tie through that head: hence "or is".
+    For disjoint components a head equal to the incumbent's first node
+    is the incumbent's own component, already searched.
 
     ``memo`` is a mutable dict (ordinal -> the view and color list for
     ``"pivot"``, the coloring for ``"legacy"``), filled lazily as the
@@ -508,8 +580,8 @@ def maximum_search_stage(
     index = artifact.index
     for ordinal, component in enumerate(cut.components):
         floor = best_size
-        if best_ranks and rank[index[cut.heads[ordinal]]] < best_ranks[0]:
-            floor -= 1  # a tie found here would precede the incumbent
+        if best_ranks and rank[index[cut.heads[ordinal]]] <= best_ranks[0]:
+            floor -= 1  # a tie found here may precede the incumbent
         if len(component) <= floor:
             continue
         if engine == "legacy":
@@ -524,7 +596,8 @@ def maximum_search_stage(
             )
         else:
             comp, color = _compiled_maximum_entry(
-                memo, ordinal, component, graph, stats, artifact
+                memo, ordinal, component, cut.split[ordinal], graph, stats,
+                artifact,
             )
             t_start = perf_counter()
             found, size = maximum_compiled(

@@ -77,7 +77,6 @@ from typing import AbstractSet, Any, Collection, Iterable, Iterator
 from repro.core import enumeration as _enumeration_mod
 from repro.core import pipeline
 from repro.core.enumeration import Engine, EnumerationStats, PruningRule
-from repro.core.kernel import CompiledComponent
 from repro.core.maximum import MaximumSearchStats
 from repro.core.prune_kernel import CompiledGraph
 from repro.core.topk_core import topk_core
@@ -402,7 +401,8 @@ class PreparedGraph:
         index = artifact.index
         components: list[tuple[Node, ...]] = []
         heads: list[Node] = []
-        views: list[CompiledComponent | None] = []
+        split: list[bool] = []
+        views: list[pipeline.SearchView] = []
         lower_bound = 0
         parts: list[tuple[int, int, pipeline.CutArtifact]] = []
         cuts_found = 0
@@ -426,6 +426,7 @@ class PreparedGraph:
                 self._store(ckey, entry)
             components.extend(entry.components)
             heads.extend(entry.heads)
+            split.extend(entry.split)
             views.extend(entry.views)
             lower_bound = max(lower_bound, entry.lower_bound)
             cuts_found += entry.cuts_found
@@ -438,6 +439,7 @@ class PreparedGraph:
             nodes_after_pruning=sum(map(len, survivors.values())),
             heads=tuple(heads),
             lower_bound=lower_bound,
+            split=tuple(split),
             views=tuple(views),
         )
         return artifact, art, parts

@@ -8,11 +8,13 @@ candidate set bounds how many of its members can join the clique.
 
 from __future__ import annotations
 
-from typing import Iterable
+from typing import Callable, Collection, Hashable, Iterable, Sequence, TypeVar
 
 from repro.uncertain.graph import Node, UncertainGraph
 
-__all__ = ["greedy_coloring", "color_count"]
+__all__ = ["greedy_coloring", "greedy_coloring_rows", "color_count"]
+
+_T = TypeVar("_T", bound=Hashable)
 
 
 def greedy_coloring(
@@ -26,9 +28,26 @@ def greedy_coloring(
     """
     if order is None:
         order = sorted(graph.nodes(), key=graph.degree, reverse=True)
-    colors: dict[Node, int] = {}
+    return _first_fit(order, graph.incident)
+
+
+def greedy_coloring_rows(adjacency: Sequence[Collection[int]]) -> list[int]:
+    """:func:`greedy_coloring` of the graph whose node ``i`` has the
+    neighbours ``adjacency[i]``, its nodes iterating in index order:
+    ``result[i]`` is node ``i``'s color."""
+    order = sorted(
+        range(len(adjacency)), key=lambda i: len(adjacency[i]), reverse=True
+    )
+    colors = _first_fit(order, lambda i: adjacency[i])
+    return [colors[i] for i in range(len(adjacency))]
+
+
+def _first_fit(
+    order: Iterable[_T], neighbours: Callable[[_T], Iterable[_T]]
+) -> dict[_T, int]:
+    colors: dict[_T, int] = {}
     for u in order:
-        taken = {colors[v] for v in graph.incident(u) if v in colors}
+        taken = {colors[v] for v in neighbours(u) if v in colors}
         color = 0
         while color in taken:
             color += 1

@@ -10,33 +10,52 @@ ordering as a by-product.
 
 from __future__ import annotations
 
+from typing import Collection, Hashable, Mapping, TypeVar
+
 from repro.errors import ParameterError
 from repro.uncertain.graph import Node, UncertainGraph
 
-__all__ = ["core_numbers", "degeneracy", "degeneracy_ordering", "k_core"]
+__all__ = [
+    "core_numbers",
+    "core_peel",
+    "degeneracy",
+    "degeneracy_ordering",
+    "k_core",
+]
+
+_T = TypeVar("_T", bound=Hashable)
 
 
 def _core_decomposition(
     graph: UncertainGraph,
 ) -> tuple[dict[Node, int], list[Node]]:
-    """Bucket-based peeling: returns (core numbers, degeneracy ordering).
+    """:func:`core_peel` of the graph's adjacency."""
+    return core_peel({u: graph.incident(u) for u in graph})
+
+
+def core_peel(
+    adjacency: Mapping[_T, Collection[_T]],
+) -> tuple[dict[_T, int], list[_T]]:
+    """Bucket-based peeling: returns (core numbers, degeneracy ordering)
+    of the graph whose node ``u`` has the neighbours ``adjacency[u]``.
 
     The ordering lists nodes in the sequence they were peeled, i.e. by
     non-decreasing "remaining degree"; it is a degeneracy ordering: each node
-    has at most ``delta`` neighbors appearing later in the list.
+    has at most ``delta`` neighbors appearing later in the list.  Ties go
+    by the adjacency's iteration orders alone.
     """
-    degrees = {u: graph.degree(u) for u in graph}
+    degrees = {u: len(nbrs) for u, nbrs in adjacency.items()}
     if not degrees:
         return {}, []
     max_degree = max(degrees.values())
-    buckets: list[list[Node]] = [[] for _ in range(max_degree + 1)]
+    buckets: list[list[_T]] = [[] for _ in range(max_degree + 1)]
     for u, d in degrees.items():
         buckets[d].append(u)
 
-    core: dict[Node, int] = {}
-    order: list[Node] = []
+    core: dict[_T, int] = {}
+    order: list[_T] = []
     remaining = dict(degrees)
-    removed: set[Node] = set()
+    removed: set[_T] = set()
     current = 0
     # Each node is popped from a bucket at most once per degree decrement,
     # giving the O(m + n) total; stale bucket entries are skipped.
@@ -55,7 +74,7 @@ def _core_decomposition(
         core[u] = current
         order.append(u)
         removed.add(u)
-        for v in graph.incident(u):
+        for v in adjacency[u]:
             if v in removed:
                 continue
             remaining[v] -= 1

@@ -42,8 +42,9 @@ both ``STABLE_P_LIMIT`` straddles, isolated nodes, mixed int / str
 labels and two or more components, with ``tau`` from a palette or
 exactly a clique's probability.  Regressions pinned by earlier suites
 are the rows of :data:`PINNED`; the fallback paths (a mutation-log gap,
-``remove_node``, an oversized component) have rows that also check the
-fallback was taken.
+``remove_node``) and the per-vertex views of a piece above the kernel
+limit have rows that also check the path was taken, and one pass of
+the matrix runs with that limit squeezed.
 """
 
 from __future__ import annotations
@@ -56,7 +57,6 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 import repro.core.enumeration as enumeration_mod
-import repro.core.kernel as kernel_mod
 import repro.core.pipeline as pipeline_mod
 from repro.core.cut_pruning import induced_rows
 from repro import (
@@ -77,6 +77,7 @@ from repro.core.kernel import (
     compile_component,
     derive_component_view,
 )
+from repro.core.pipeline import SearchView
 from repro.core.ktau_core import dp_core, dp_core_plus
 from repro.core.maximum import MaximumSearchStats
 from repro.core.prune_kernel import (
@@ -603,18 +604,40 @@ def assert_cut_view(
     graph: UncertainGraph,
     k: int,
     component: tuple[Node, ...],
-    view: CompiledComponent | None,
+    view: SearchView,
 ) -> None:
-    """A cut artifact's view slot: the component's compile when the
-    kernel takes its size, else ``None``."""
+    """A cut artifact's view slot: ``None`` when the component cannot
+    hold a (k, tau)-clique, the component's compile when the kernel
+    takes its size, else the views of a degeneracy order: one per
+    vertex ``v`` whose view has more than ``k`` nodes, each holding
+    ``v`` and some of its neighbours (no two vertices in each other's
+    view), at most the component's degeneracy plus one nodes, and each
+    the compile of its induced subgraph."""
     limit = enumeration_mod.KERNEL_COMPONENT_LIMIT
-    if not k < len(component) <= limit:
+    if len(component) <= k:
         assert view is None
         return
     assert view is not None
-    assert_views_bit_identical(
-        view, compile_component(graph.induced_subgraph(component))
-    )
+    if len(component) <= limit:
+        assert isinstance(view, CompiledComponent)
+        assert_views_bit_identical(
+            view, compile_component(graph.induced_subgraph(component))
+        )
+        return
+    assert isinstance(view, tuple)
+    induced = graph.induced_subgraph(component)
+    degeneracy = max(core_numbers(induced).values())
+    later = {vv.view.nodes[vv.root]: set(vv.view.nodes) for vv in view}
+    assert len(later) == len(view) and set(later) <= set(component)
+    for root, members in later.items():
+        members.discard(root)
+        assert members <= set(induced.neighbors(root))
+        assert k < len(members) + 1 <= degeneracy + 1
+        assert not any(root in later.get(u, ()) for u in members)
+    for vv in view:
+        assert_views_bit_identical(
+            vv.view, compile_component(graph.induced_subgraph(vv.view.nodes))
+        )
 
 
 def check_gathers(
@@ -774,6 +797,16 @@ def test_session_queries(case: Case) -> None:
     check_queries(case)
 
 
+@settings(matrix, max_examples=40)
+@given(case=cases())
+def test_session_queries_per_vertex_views(case: Case) -> None:
+    # With the kernel limit squeezed to 3, nearly every piece is searched
+    # as per-vertex views (sub-pieces for MaxUC+), in every mode.
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(enumeration_mod, "KERNEL_COMPONENT_LIMIT", 3)
+        check_queries(case)
+
+
 @settings(matrix, max_examples=60)
 @given(case=cases())
 def test_lowering_readers(case: Case) -> None:
@@ -867,7 +900,7 @@ def test_pinned_rows(case: Case) -> None:
 
 
 # ----------------------------------------------------------------------
-# Fallback rows: each checks the fallback was taken
+# Fallback and per-vertex rows: each checks its path was taken
 # ----------------------------------------------------------------------
 
 
@@ -915,39 +948,53 @@ def _k6() -> UncertainGraph:
 
 
 @pytest.mark.parametrize("build", [two_cliques, _k6], ids=["k4-and-k3", "k6"])
-def test_oversized_component_takes_the_legacy_recursion(
+def test_oversized_component_takes_per_vertex_views(
     build: Callable[[], UncertainGraph], monkeypatch: pytest.MonkeyPatch
 ) -> None:
-    # With the kernel limit squeezed to 3, a larger component runs the
-    # legacy recursion while a smaller one stays compiled; a tripwire on
-    # the compiled root entry fails if the dispatch stops falling back.
+    # With the kernel limit squeezed to 3, a larger component is searched
+    # one per-vertex view at a time; a tripwire on the legacy recursion
+    # fails if the pivot engine still reaches it.
     graph = build()
-    compiled_stats = EnumerationStats()
-    compiled = list(maximal_cliques(graph, 2, 0.3, stats=compiled_stats))
-    legacy = list(maximal_cliques(graph, 2, 0.3, engine="legacy"))
+    legacy_stats = EnumerationStats()
+    legacy = list(maximal_cliques(
+        graph, 2, 0.3, stats=legacy_stats, engine="legacy"
+    ))
     assert legacy
 
-    limit = 3
-    entry = pipeline_mod.enum_root_prep
+    def tripwire(*args: Any) -> Any:
+        raise AssertionError("the pivot engine entered the legacy recursion")
 
-    def tripwire(comp: CompiledComponent, *args: Any) -> Any:
-        assert comp.n <= limit, "compiled kernel ran an oversized component"
-        return entry(comp, *args)
-
-    monkeypatch.setattr(enumeration_mod, "KERNEL_COMPONENT_LIMIT", limit)
-    monkeypatch.setattr(pipeline_mod, "enum_root_prep", tripwire)
+    monkeypatch.setattr(enumeration_mod, "KERNEL_COMPONENT_LIMIT", 3)
+    monkeypatch.setattr(pipeline_mod, "_muc", tripwire)
     runs = []
     for _ in range(2):
         stats = EnumerationStats()
-        runs.append((list(maximal_cliques(graph, 2, 0.3, stats=stats)),
+        runs.append((list(maximal_cliques(graph.copy(), 2, 0.3, stats=stats)),
                      asdict(stats)))
-    (mixed, mixed_stats), again = runs
+    (cliques, stats), again = runs
     assert again == runs[0]
-    # Components keep their order; the fallback emits legacy's order.
-    assert mixed == legacy
-    assert set(mixed) == set(compiled)
+    assert len(cliques) == len(set(cliques))
+    assert set(cliques) == set(legacy)
     for field in PRESEARCH:
-        assert mixed_stats[field] == getattr(compiled_stats, field)
+        assert stats[field] == getattr(legacy_stats, field)
+
+
+def test_an_earlier_neighbour_drops_a_later_views_clique(
+    monkeypatch: pytest.MonkeyPatch,
+) -> None:
+    # Under a squeezed limit the K4's second vertex in the degeneracy
+    # order has the two after it in its view, which alone finds that
+    # triangle maximal: only the first vertex's witness row drops it.
+    graph = two_cliques()
+    legacy = set(maximal_cliques(graph, 2, 0.3, engine="legacy"))
+    monkeypatch.setattr(enumeration_mod, "KERNEL_COMPONENT_LIMIT", 3)
+    assert set(maximal_cliques(graph.copy(), 2, 0.3)) == legacy
+    monkeypatch.setattr(
+        pipeline_mod, "drop_extended", lambda vv, found, tau_floor: found
+    )
+    unfiltered = list(maximal_cliques(graph.copy(), 2, 0.3))
+    extra = set(unfiltered) - legacy
+    assert len(extra) == 1 and extra.pop() < frozenset("abcd")
 
 
 def _random_graph() -> UncertainGraph:
@@ -964,40 +1011,65 @@ def _random_graph() -> UncertainGraph:
     ],
     ids=["k4-and-k3", "k6", "advanced-two"],
 )
-def test_sparse_component_takes_the_dict_rows(
+def test_oversized_maximum_takes_sub_pieces(
     build: Callable[[], UncertainGraph],
     k: int,
     tau: float,
     advanced_one: bool,
     monkeypatch: pytest.MonkeyPatch,
 ) -> None:
-    # With the dense-row limit squeezed below every component, MaxUC+'s
-    # views carry no dense rows and its kernel builds dict rows from the
-    # CSR; a tripwire on the kernel entry fails if it got dense rows.
-    # Enumeration views need dense rows, so only max queries run.
+    # With the kernel limit squeezed to 3, the maximum cut splits every
+    # larger piece into per-vertex sub-pieces, which both engines search
+    # as components: the same canonical answer and counters.
     graph = build()
-    legacy_stats = MaximumSearchStats()
-    legacy = max_uc_plus(
-        graph, k, tau, stats=legacy_stats, use_advanced_one=advanced_one,
-        engine="legacy",
+    canonical = max_uc_plus(
+        graph, k, tau, use_advanced_one=advanced_one, engine="legacy"
     )
-    entry = pipeline_mod.maximum_compiled
-    sparse: list[bool] = []
+    cut_stage = pipeline_mod.cut_stage
+    split: list[bool] = []
 
-    def tripwire(comp: CompiledComponent, *args: Any) -> Any:
-        sparse.append(comp.rows is None)
-        return entry(comp, *args)
+    def recording(*args: Any) -> Any:
+        art = cut_stage(*args)
+        split.extend(art.split)
+        return art
 
-    monkeypatch.setattr(kernel_mod, "_DENSE_ROW_LIMIT", 1)
-    monkeypatch.setattr(pipeline_mod, "maximum_compiled", tripwire)
-    stats = MaximumSearchStats()
-    best = max_uc_plus(
-        graph.copy(), k, tau, stats=stats, use_advanced_one=advanced_one
+    monkeypatch.setattr(enumeration_mod, "KERNEL_COMPONENT_LIMIT", 3)
+    monkeypatch.setattr(pipeline_mod, "cut_stage", recording)
+    runs = {}
+    for engine in ENGINES:
+        stats = MaximumSearchStats()
+        best = max_uc_plus(
+            graph.copy(), k, tau, stats=stats,
+            use_advanced_one=advanced_one, engine=engine,
+        )
+        runs[engine] = (best, asdict(stats))
+    assert any(split)
+    assert runs["pivot"] == runs["legacy"]
+    assert runs["pivot"][0] == canonical
+    assert advanced_one or runs["pivot"][1]["advanced_two_prunes"] > 0
+
+
+def test_sub_pieces_sharing_a_head_keep_the_smaller_tie(
+    monkeypatch: pytest.MonkeyPatch,
+) -> None:
+    # Triangles abc and ade on the hub a, and def beside ade.  In this
+    # insertion order the degeneracy order is c, b, a, e, f, d, so the
+    # sub-pieces, in reverse, come out def, ade, abc: the last two share
+    # the head a, and the last holds the canonical tie abc, which only a
+    # search with the floor lowered at an equal head finds.
+    graph = UncertainGraph(
+        clique_edges("ade", 0.9) + clique_edges("ef", 0.9)
+        + clique_edges("abc", 0.9) + clique_edges("df", 0.9)
     )
-    assert sparse and all(sparse)
-    assert best == legacy
-    assert asdict(stats) == asdict(legacy_stats)
-    assert advanced_one or stats.advanced_two_prunes > 0
+    monkeypatch.setattr(enumeration_mod, "KERNEL_COMPONENT_LIMIT", 5)
+    session = PreparedGraph(graph)
+    for engine in ENGINES:
+        assert session.max_uc_plus(1, 0.5, engine=engine) == frozenset("abc")
+    art = session._cut_artifact(
+        "topk", True, 1, 0.5, MaximumSearchStats().timings, maximum=True
+    )[1]
+    assert art.components == (tuple("def"), tuple("ade"), tuple("abc"))
+    assert art.heads == tuple("daa") and all(art.split)
 
 
 # ----------------------------------------------------------------------

@@ -260,7 +260,7 @@ def test_second_session_between_yields_keeps_the_asked_version(
 
     engine: Engine = "legacy" if case == "legacy" else "pivot"
     if case == "oversized":
-        # Every 5-node piece is above the limit: legacy fallback.
+        # Every 5-node piece is above the limit: per-vertex views.
         monkeypatch.setattr(enumeration_mod, "KERNEL_COMPONENT_LIMIT", 3)
     expected = list(PreparedGraph(_cliques_with_bridges())
                     .maximal_cliques(2, 0.3, engine=engine))

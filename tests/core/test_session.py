@@ -332,7 +332,7 @@ class TestSnapshotsAndRelowering:
 
         engine = "pivot"
         if oversized:
-            # Every 5-node piece is above the limit: legacy fallback.
+            # Every 5-node piece is above the limit: per-vertex views.
             monkeypatch.setattr(enumeration_mod, "KERNEL_COMPONENT_LIMIT", 3)
         else:
             engine = "legacy"
