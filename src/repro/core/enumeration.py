@@ -148,9 +148,10 @@ def maximal_cliques(
     One-shot convenience wrapper around the staged pipeline.  The
     whole-graph lowering lives on ``graph``, so repeated calls on one
     graph reuse it; queries that should also reuse the prune / cut /
-    view artifacts should hold a :class:`repro.core.session.PreparedGraph`
-    and call its :meth:`~repro.core.session.PreparedGraph.
-    maximal_cliques` (outputs are bit-identical either way).
+    view artifacts and each graph component's answers should hold a
+    :class:`repro.core.session.PreparedGraph` and call its
+    :meth:`~repro.core.session.PreparedGraph.maximal_cliques` (outputs
+    are bit-identical either way).
     """
     # Imported lazily: the session layer imports this module for the
     # stats types and the legacy recursion, so a top-level import would

@@ -36,10 +36,12 @@ parameters to a deterministic artifact:
   legacy engine and the greedy coloring of a whole piece the MaxUC+
   search reaches.
 
-Stage artifacts carry **no counters and no wall clocks** — those belong to
-the per-run stats objects, which the search stages fill identically on
-every run.  That split is what makes memoization sound: replaying a cached
-artifact through the search stage yields bit-identical cliques, yield
+Stage artifacts carry **no wall clocks**, and the only counters a cut
+artifact carries are the pre-search ones the stats objects report; the
+search counters accrue to the per-run stats object the search stage is
+given.  The session caches a graph component's completed enumeration
+as its cliques plus the counter deltas its search added, and a replay
+adds them back, so a warm run yields bit-identical cliques, yield
 order, and stats counters to a cold run.
 
 Inside :mod:`repro.core` the only intended caller is the session layer
@@ -426,9 +428,11 @@ def enumeration_search_stage(
     :func:`~repro.core.enumeration._muc` on its induced subgraph of
     ``graph``, and those subgraphs are built before anything is
     yielded.  Either way a consumer that mutates ``graph`` between
-    yields still gets the answer for the version it asked at.  All
-    counters accrue to ``stats`` on every run (they are never part of a
-    cached artifact).
+    yields still gets the answer for the version it asked at.  The
+    search counters accrue to ``stats`` as each component is searched;
+    the session runs this stage per graph component into a fresh stats
+    object and caches the cliques with those counters, which its
+    replays add back.
     """
     if compiled is None:
         subgraphs = [

@@ -24,9 +24,9 @@ component walk (:func:`repro.core.pipeline.graph_components`), which
 every session over it shares.
 
 Every other stage artifact — peel survivor sets, cut components with
-their compiled search views, maximum-search memos, anchored queries'
-search components and views — is memoized in a bounded LRU keyed on
-the graph's **per-component version vector**::
+their compiled search views, enumeration answers, maximum-search memos,
+anchored queries' search components and views — is memoized in a
+bounded LRU keyed on the graph's **per-component version vector**::
 
     ("c", component_id, epoch, stage, rule/flags, k, tau, ...)
 
@@ -37,15 +37,19 @@ the next query re-peels, re-cuts and re-derives only the dirty
 component and assembles the rest from cache hits.  The peels, the cut
 split and the per-component searches all factorize across connected
 components (no edge crosses one), which is what makes the per-scope
-assembly exact.  Stale entries can never be looked up again; they age
-out of the LRU (or go at once via :meth:`purge_stale`).
+assembly exact: an enumeration searches only the dirty components and
+replays every other component's cached answers.  Stale entries can
+never be looked up again; they age out of the LRU, or go at once via
+:meth:`purge_stale`, which an enumeration runs whenever it misses a
+component's answers.
 
 What makes replaying artifacts sound:
 
 * artifacts are **pure data** (survivor sets, label tuples, compiled
-  CSR bundles, color tables) with no counters and no wall clocks; all
-  stats accrue in the search stage, which runs on every call — so a
-  warm call fills its stats object bit-identically to cold;
+  CSR bundles, color tables) with no wall clocks; the only counters
+  cached are the pre-search ones of a cut entry and the search
+  counters an answers entry's search added, which a replay adds back
+  — so a warm call fills its stats object bit-identically to cold;
 * survivors reach the cut as **ascending compile ids**, which follow
   the graph's iteration order, so a cached prune artifact reproduces
   the cold run's component order exactly, whichever peel produced it;
@@ -112,7 +116,7 @@ class SessionCacheStats:
 
     One lookup against the LRU, or one resolution of the graph's
     lowering, counts exactly one hit or one miss; a query may perform
-    several stage lookups per component (prune, cut, views, ...).
+    several stage lookups per component (prune, cut, answers, ...).
     ``delta_patches`` / ``full_compiles`` split the lowering misses by
     how they were served: a delta patch replayed the mutation log into
     the graph's lowering, a full compile re-lowered the graph from
@@ -147,10 +151,10 @@ class PreparedGraph:
 
         session = PreparedGraph(graph)
         cold = list(session.maximal_cliques(4, 0.2))
-        warm = list(session.maximal_cliques(4, 0.2))   # prune/cut/compile cached
+        warm = list(session.maximal_cliques(4, 0.2))   # replays cached answers
         assert cold == warm
-        session.graph.add_edge("a", "z", 0.9)          # bumps version
-        fresh = list(session.maximal_cliques(4, 0.2))  # recomputed
+        session.graph.add_edge("a", "z", 0.9)          # bumps a's epoch
+        fresh = list(session.maximal_cliques(4, 0.2))  # re-searches it only
 
     All query methods are drop-in equivalents of the module-level free
     functions (which are now one-shot wrappers over this class): same
@@ -359,9 +363,10 @@ class PreparedGraph:
         CompiledGraph,
         pipeline.CutArtifact,
         list[tuple[int, int, pipeline.CutArtifact]],
+        int,
     ]:
-        """The graph's lowering, the cut-stage artifact and its
-        per-component parts.
+        """The graph's lowering, the cut-stage artifact, its
+        per-component parts and the kernel size limit they were cut at.
 
         The lowering is resolved once here, and the query reuses it:
         one lowering lookup per query.
@@ -371,27 +376,34 @@ class PreparedGraph:
         are cached under ``("c", cid, epoch, "cut", ...)`` and the global
         artifact is assembled by concatenating the parts in the canonical
         component order — identical cold and warm by construction.  An
-        enumeration entry is the one entry of its graph component: it
-        also holds the search views :func:`pipeline.cut_stage` built
-        from the rows it cut, whichever engine asked, and the assembled
-        artifact concatenates them too.  The returned ``parts`` list
-        ``[(cid, epoch, part_artifact)]`` lets callers key *their*
-        per-component artifacts (maximum memos) and slice the global
-        component tuple per part.
+        enumeration entry also holds the search views
+        :func:`pipeline.cut_stage` built from the rows it cut, whichever
+        engine asked; the assembled artifact carries none.  The returned
+        ``parts`` list ``[(cid, epoch, part_artifact)]`` lets callers
+        search each part's views and key *their* per-component
+        artifacts (enumeration answers, maximum memos) by it.
 
         ``maximum=True`` resolves the MaxUC+ artifact instead (the
         ``topk`` rule with the cut; :func:`pipeline.cut_stage` with
         ``maximum=True``), cached per component under ``("c", cid,
-        epoch, "maxcut", k, tau)`` — each component keeps its own raised
-        cut, so a mutation re-cuts only its own component.  The prune
-        entries are shared with enumeration either way.  The assembled
-        artifact's ``lower_bound`` is the largest component's.
+        epoch, "maxcut", k, tau, limit)`` — each component keeps its own
+        raised cut, so a mutation re-cuts only its own component.  The
+        prune entries are shared with enumeration either way.  The
+        assembled artifact's ``lower_bound`` is the largest component's.
+
+        The cut splits pieces by :data:`~repro.core.kernel.
+        KERNEL_COMPONENT_LIMIT`, which tests monkeypatch, so it is read
+        once here, keys both cut entries and is returned: an artifact a
+        caller derives from a part (its answers, its search memo) must
+        carry it in its own key too.
 
         Phase laps are recorded only when work actually runs; resolving
         the unified compile (which the cut reads for every rule)
         *before* the prune lap keeps the ``"compile"`` and ``"prune"``
         phases disjoint.
         """
+        # Read at call time: tests monkeypatch the kernel size limit.
+        limit = _enumeration_mod.KERNEL_COMPONENT_LIMIT
         artifact = self._compiled_artifact(timings)
         graph_parts = pipeline.graph_components(self._graph)
         with timings.lap("prune"):
@@ -402,15 +414,14 @@ class PreparedGraph:
         components: list[tuple[Node, ...]] = []
         heads: list[Node] = []
         split: list[bool] = []
-        views: list[pipeline.SearchView] = []
         lower_bound = 0
         parts: list[tuple[int, int, pipeline.CutArtifact]] = []
         cuts_found = 0
         edges_removed = 0
         for cid, epoch, members in graph_parts:
             ckey = (
-                ("c", cid, epoch, "maxcut", k, tau) if maximum
-                else ("c", cid, epoch, "cut", pruning, cut, k, tau)
+                ("c", cid, epoch, "maxcut", k, tau, limit) if maximum
+                else ("c", cid, epoch, "cut", pruning, cut, k, tau, limit)
             )
             entry = self._lookup(ckey)
             if entry is _MISSING:
@@ -427,7 +438,6 @@ class PreparedGraph:
             components.extend(entry.components)
             heads.extend(entry.heads)
             split.extend(entry.split)
-            views.extend(entry.views)
             lower_bound = max(lower_bound, entry.lower_bound)
             cuts_found += entry.cuts_found
             edges_removed += entry.edges_removed
@@ -440,9 +450,8 @@ class PreparedGraph:
             heads=tuple(heads),
             lower_bound=lower_bound,
             split=tuple(split),
-            views=tuple(views),
         )
-        return artifact, art, parts
+        return artifact, art, parts, limit
 
     # ------------------------------------------------------------------
     # Seeding the prune cache
@@ -497,6 +506,20 @@ class PreparedGraph:
         with its search views) served from the session cache when the
         graph version and parameters match.  A generator: nothing
         happens until the first ``next()``.
+
+        Every maximal clique lies inside one graph component, so the
+        pivot engine's search is answered per graph component too: a
+        component's cliques in yield order, with the search counters
+        its search added, are cached under ``("c", cid, epoch,
+        "answers", rule, cut, k, tau, insearch, gate, limit)``, where
+        ``gate`` and ``limit`` are the in-search gate and the kernel
+        size limit the search read.  A hit replays them; a miss
+        first drops every stale entry (:meth:`purge_stale`), then
+        searches the component's views and stores the entry before its
+        first clique is yielded, so only a search that ran to
+        completion is stored.  Either way the counters accrue to
+        ``stats`` per graph component, at its first yield.  The legacy
+        engine searches every component on every call.
         """
         validate_k(k)
         tau = validate_tau(tau)
@@ -510,7 +533,9 @@ class PreparedGraph:
         # the in-search gate there.
         insearch_min_candidates = _enumeration_mod._INSEARCH_MIN_CANDIDATES
 
-        _, art, _ = self._cut_artifact(pruning, cut, k, tau, stats.timings)
+        _, art, parts, limit = self._cut_artifact(
+            pruning, cut, k, tau, stats.timings
+        )
         stats.nodes_after_pruning = art.nodes_after_pruning
         stats.cuts_found = art.cuts_found
         stats.cut_edges_removed = art.edges_removed
@@ -521,11 +546,42 @@ class PreparedGraph:
         # prob_at_least per edge.
         tau_floor = threshold_floor(tau)
 
-        yield from pipeline.enumeration_search_stage(
-            self._graph, art.components,
-            None if engine == "legacy" else art.views, k, tau_floor,
-            min_size, insearch, insearch_min_candidates, stats,
+        if engine == "legacy":
+            yield from pipeline.enumeration_search_stage(
+                self._graph, art.components, None, k, tau_floor,
+                min_size, insearch, insearch_min_candidates, stats,
+            )
+            return
+        # The counters the search adds; every other field comes from the
+        # cut artifact above.
+        counters = (
+            "search_calls", "insearch_prunes", "branch_size_prunes",
+            "pivot_branches", "pivot_skipped", "cliques",
         )
+        for cid, epoch, part in parts:
+            akey = (
+                "c", cid, epoch, "answers", pruning, cut, k, tau, insearch,
+                insearch_min_candidates, limit,
+            )
+            entry = self._lookup(akey)
+            if entry is _MISSING:
+                # A miss is where a query meets a changed component: drop
+                # every entry a mutation left unreachable, superseded
+                # answers (the largest entries) included, before the
+                # search rather than leave them to age out of the LRU.
+                self.purge_stale()
+                local = EnumerationStats()
+                local.timings = stats.timings
+                cliques = tuple(pipeline.enumeration_search_stage(
+                    self._graph, part.components, part.views, k, tau_floor,
+                    min_size, insearch, insearch_min_candidates, local,
+                ))
+                entry = cliques, tuple(getattr(local, f) for f in counters)
+                self._store(akey, entry)
+            cliques, deltas = entry
+            for field, delta in zip(counters, deltas):
+                setattr(stats, field, getattr(stats, field) + delta)
+            yield from cliques
 
     # ------------------------------------------------------------------
     # Queries: maximum
@@ -573,7 +629,7 @@ class PreparedGraph:
         min_size = k + 1
         tau_floor = threshold_floor(tau)
 
-        artifact, art, parts = self._cut_artifact(
+        artifact, art, parts, limit = self._cut_artifact(
             "topk", True, k, tau, stats.timings, maximum=True
         )
         stats.lower_bound = art.lower_bound
@@ -590,7 +646,7 @@ class PreparedGraph:
         merged: dict[int, Any] = {}
         offset = 0
         for cid, epoch, part in parts:
-            mkey = ("c", cid, epoch, memo_stage, k, tau)
+            mkey = ("c", cid, epoch, memo_stage, k, tau, limit)
             local = self._lookup(mkey)
             if local is _MISSING:
                 local = {}
@@ -636,12 +692,16 @@ class PreparedGraph:
         ``region`` by ``members=``; the cut numbers the core in region
         order, a function of the graph's adjacency alone.  The search
         components and views are cached per anchor under its
-        component's ``(cid, epoch)`` (``None`` for a dead anchor); the
-        views are copies built before the search starts, so a paused
-        generator answers for the version it asked at.
+        component's ``(cid, epoch)`` and the kernel size limit the cut
+        read (``None`` for a dead anchor); the views are copies built
+        before the search starts, so a paused generator answers for the
+        version it asked at.
         """
         cid, epoch = self._graph.component_key(next(iter(fixed)))
-        key = ("c", cid, epoch, stage, anchor_key, k, tau)
+        key = (
+            "c", cid, epoch, stage, anchor_key, k, tau,
+            _enumeration_mod.KERNEL_COMPONENT_LIMIT,
+        )
         entry = self._lookup(key)
         if entry is _MISSING:
             entry = None

@@ -106,6 +106,7 @@ from tests.core.support import (
     two_cliques,
     uncertain_graphs,
 )
+from tests.core.test_session import _record_lookups
 
 ENGINES: tuple[Engine, ...] = ("legacy", "pivot")
 TAUS = (0.01, 0.05, 0.1, 0.2, 0.3, 0.5, 0.6)
@@ -1070,6 +1071,146 @@ def test_sub_pieces_sharing_a_head_keep_the_smaller_tie(
     )[1]
     assert art.components == (tuple("def"), tuple("ade"), tuple("abc"))
     assert art.heads == tuple("daa") and all(art.split)
+
+
+# ----------------------------------------------------------------------
+# Per-component answers: replayed for clean components only
+# ----------------------------------------------------------------------
+
+
+def enumeration_payload(
+    session: PreparedGraph, case: Case
+) -> tuple[list[frozenset[Node]], dict[str, Any]]:
+    cliques, stats = ask_enumeration(session, case, "pivot")
+    return cliques, asdict(stats)
+
+
+def check_answers(case: Case) -> None:
+    """Through the case's mutation stream, a warm session's pivot
+    enumeration equals a cold rebuild's, yield order and counters
+    included, and it replays the answers of exactly the components the
+    last mutation left clean.  A query that missed one leaves no stale
+    entry behind."""
+    graph = case.graph.copy()
+    session = PreparedGraph(graph)
+    maintainer = (
+        KTauCoreMaintainer(session, case.k, case.tau)
+        if case.pruning == "ktau" else None
+    )
+    enumeration_payload(session, case)
+    for mutation in case.mutations:
+        clean = set(graph.component_keys())
+        mutate(graph, maintainer, mutation)
+        with pytest.MonkeyPatch.context() as patch:
+            lookups = _record_lookups(session, patch)
+            warm = enumeration_payload(session, case)
+        answers = [(key[1:3], hit) for key, hit in lookups
+                   if key[3] == "answers"]
+        parts = pipeline_mod.graph_components(graph)
+        assert [key for key, _ in answers] == [
+            (cid, epoch) for cid, epoch, _ in parts
+        ]
+        assert all(hit == (key in clean) for key, hit in answers)
+        if not all(hit for _, hit in answers):
+            assert session.retention_info()["component_stale"] == 0
+        assert warm == enumeration_payload(PreparedGraph(graph.copy()), case)
+
+
+@settings(matrix, max_examples=60)
+@given(case=cases(), squeeze=st.booleans())
+def test_answers_replay_only_clean_components(
+    case: Case, squeeze: bool
+) -> None:
+    with pytest.MonkeyPatch.context() as patch:
+        if squeeze:
+            patch.setattr(enumeration_mod, "KERNEL_COMPONENT_LIMIT", 3)
+        check_answers(case)
+
+
+def _four_pieces() -> UncertainGraph:
+    """Four disjoint random pieces of 6 to 30 nodes: at (2, 0.3) the
+    enumeration's counters differ with the kernel size limit at 4 or
+    the in-search gate at 0, and so does MaxUC+'s with the limit."""
+    graph = UncertainGraph()
+    pieces = ((14, 0.7), (6, 0.8), (30, 0.3), (9, 0.9))
+    for i, (n, density) in enumerate(pieces):
+        for u, v, p in make_random_graph(n, density, seed=i).edges():
+            graph.add_edge(f"{i}.{u}", f"{i}.{v}", p)
+    return graph
+
+
+def test_answers_replay_with_an_oversized_piece(
+    monkeypatch: pytest.MonkeyPatch,
+) -> None:
+    # Squeezed to 4, every piece above it is searched as per-vertex
+    # views; a reweight, an insert, a delete, a merge of two components
+    # and a new component each dirty only what they touch.
+    monkeypatch.setattr(enumeration_mod, "KERNEL_COMPONENT_LIMIT", 4)
+    graph = _four_pieces()
+    first = {}
+    for u, v, _ in graph.edges():
+        first.setdefault(u[0], (u, v))
+    case = Case(
+        graph, 2, 0.3,
+        (
+            ("reweight", *first["0"], 0.95),
+            ("add_edge", "2.0", "2.29", 0.9),
+            ("remove_edge", *first["3"], 0.0),
+            ("add_edge", "1.0", "3.2", 0.8),
+            ("add_edge", "new", "new2", 0.9),
+        ),
+    )
+    check_answers(case)
+    session = PreparedGraph(case.graph.copy())
+    enumeration_payload(session, case)
+    assert any(
+        isinstance(view, tuple)
+        for key, value in session._cache.items() if key[3] == "cut"
+        for view in value.views
+    )
+
+
+def test_an_abandoned_enumeration_stores_only_finished_components() -> None:
+    graph = _four_pieces()
+    case = Case(graph, 2, 0.3)
+    session = PreparedGraph(graph)
+    cliques = session.maximal_cliques(2, 0.3)
+    first = next(cliques)
+    cliques.close()
+    # The first graph component with a clique was searched in full
+    # before it yielded; the components after it were never searched.
+    parts = pipeline_mod.graph_components(graph)
+    first_cid = graph.component_id(next(iter(first)))
+    reached = [cid for cid, _, _ in parts].index(first_cid) + 1
+    assert reached < len(parts)
+    assert [key[1:3] for key in session._cache if key[3] == "answers"] == [
+        (cid, epoch) for cid, epoch, _ in parts[:reached]
+    ]
+    assert enumeration_payload(session, case) == enumeration_payload(
+        PreparedGraph(graph.copy()), case
+    )
+
+
+@pytest.mark.parametrize(
+    ("gate", "value"),
+    [("KERNEL_COMPONENT_LIMIT", 4), ("_INSEARCH_MIN_CANDIDATES", 0)],
+)
+def test_a_gate_change_between_queries_answers_like_cold(
+    gate: str, value: int, monkeypatch: pytest.MonkeyPatch
+) -> None:
+    # A warm session must not serve entries cut or searched under the
+    # old gate: every query answers as a cold session at the new one.
+    # Under the squeezed limit, the cliques containing 0.3 come out in
+    # another order.
+    graph = _four_pieces()
+    case = Case(graph, 2, 0.3, anchors=("0.3",))
+    session = PreparedGraph(graph)
+    before = {engine: ask_all(session, case, engine) for engine in ENGINES}
+    monkeypatch.setattr(enumeration_mod, gate, value)
+    for engine in ENGINES:
+        after = ask_all(session, case, engine)
+        assert after == ask_all(PreparedGraph(graph.copy()), case, engine)
+    assert after != before["pivot"]
 
 
 # ----------------------------------------------------------------------

@@ -131,6 +131,7 @@ from hypothesis import HealthCheck, given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
 from repro import PreparedGraph, UncertainGraph  # noqa: E402
+from repro.core import enumeration as enumeration_mod  # noqa: E402
 from tests.core.test_session import (  # noqa: E402
     _record_lookups,
     enum_payload,
@@ -220,6 +221,8 @@ class TestSetProbabilityMonotoneFastPaths:
     ):
         g, edges, picks = case
         k, tau = 2, 0.3
+        limit = enumeration_mod.KERNEL_COMPONENT_LIMIT
+        gate = enumeration_mod._INSEARCH_MIN_CANDIDATES
         session = PreparedGraph(g)
         maintainer = KTauCoreMaintainer(session, k, tau)
         # A stream with no query leaves the session's cache empty.
@@ -239,14 +242,17 @@ class TestSetProbabilityMonotoneFastPaths:
                 misses = session.cache_stats.misses
                 lookups.clear()
                 payload = enum_payload(session, k, tau, pruning="ktau")
-                # Only the reweighted component re-peels and re-cuts; the
-                # lowering misses only when the maintainer left it behind.
+                # Only the reweighted component re-peels, re-cuts and
+                # re-searches; the lowering misses only when the
+                # maintainer left it behind.
                 missed = [key for key, hit in lookups if not hit]
                 assert missed == [
                     ("c", cid, epoch, "prune", "ktau", k, tau),
-                    ("c", cid, epoch, "cut", "ktau", True, k, tau),
+                    ("c", cid, epoch, "cut", "ktau", True, k, tau, limit),
+                    ("c", cid, epoch, "answers", "ktau", True, k, tau, True,
+                     gate, limit),
                 ]
-                assert session.cache_stats.misses - misses == 2 + behind
+                assert session.cache_stats.misses - misses == 3 + behind
                 assert payload == enum_payload(
                     PreparedGraph(g.copy()), k, tau, pruning="ktau"
                 )

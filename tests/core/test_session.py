@@ -15,6 +15,7 @@ from dataclasses import asdict
 import pytest
 
 from repro import PreparedGraph, UncertainGraph, max_uc_plus
+from repro.core import enumeration as enumeration_mod
 from repro.core import pipeline
 from repro.core import session as session_mod
 from repro.core.enumeration import EnumerationStats, maximal_cliques
@@ -138,8 +139,16 @@ class TestAccounting:
         assert stages == sorted(["cut", "prune"] * components)
         assert not any(hit for _, hit in lookups)
         lookups.clear()
+        # The pivot engine hits them and misses one answers entry per
+        # graph component, which the legacy engine never writes; a
+        # repeat hits all three.
         pivot = enum_payload(session, 2, 0.3)
-        assert sorted(_stage(key) for key, _ in lookups) == stages
+        answers = sorted([*stages, *["answers"] * components])
+        assert sorted(_stage(key) for key, _ in lookups) == answers
+        assert all(hit == (_stage(key) != "answers") for key, hit in lookups)
+        lookups.clear()
+        assert enum_payload(session, 2, 0.3) == pivot
+        assert sorted(_stage(key) for key, _ in lookups) == answers
         assert all(hit for _, hit in lookups)
         assert pivot == enum_payload(PreparedGraph(g.copy()), 2, 0.3)
 
@@ -328,8 +337,6 @@ class TestSnapshotsAndRelowering:
     def test_mutation_between_yields_keeps_the_asked_version(
         self, monkeypatch, oversized
     ):
-        from repro.core import enumeration as enumeration_mod
-
         engine = "pivot"
         if oversized:
             # Every 5-node piece is above the limit: per-vertex views.
@@ -511,13 +518,18 @@ class TestMaintainerIntegration:
         cid, epoch = g.component_key("p")
         payload = enum_payload(session, 2, 0.3, pruning="ktau")
         # The maintainer stored nothing: the new component misses its
-        # prune and cut keys, and every other component hits both.
+        # prune, cut and answers keys, and every other component hits
+        # all three.
+        limit = enumeration_mod.KERNEL_COMPONENT_LIMIT
+        gate = enumeration_mod._INSEARCH_MIN_CANDIDATES
         assert [key for key, hit in lookups if not hit] == [
             ("c", cid, epoch, "prune", "ktau", 2, 0.3),
-            ("c", cid, epoch, "cut", "ktau", True, 2, 0.3),
+            ("c", cid, epoch, "cut", "ktau", True, 2, 0.3, limit),
+            ("c", cid, epoch, "answers", "ktau", True, 2, 0.3, True, gate,
+             limit),
         ]
         assert [key[1:3] for key, hit in lookups if hit] == [
-            *clean, *clean
+            *clean, *clean, *clean
         ]
         assert payload == enum_payload(session.graph.copy(), 2, 0.3,
                                        pruning="ktau")
