@@ -7,13 +7,18 @@ median of 5 interleaved repetitions per config, for both the enumeration
 run :data:`OVERSIZED_CONFIG`, whose search meets a cut piece above the
 kernel limit, so the per-vertex views are measured against legacy.
 
+The enumeration suite also runs a ``nocut`` arm (the pivot engine with
+``cut=False``), so the cut is measured against the plain component
+split: each config reports its ``cut_speedup`` and every arm's median
+cut and search phases.
+
 ``--quick`` shrinks the dataset and repetition count to a CI-smoke-sized
 run (~tens of seconds); the oversized config keeps its scale, below
 which its piece fits the limit.  ``--check`` turns the run into a gate:
-exit status 1 when any config's outputs differ between the ``legacy`` and
-``pivot`` arms (clique-set identity for enumeration, bit identity of
-result and counters for the maximum search), when the pivot engine's
-median is slower than legacy's beyond ``--tolerance`` (a noise
+exit status 1 when any config's outputs differ between its arms
+(clique-set identity with the ``pivot`` arm for enumeration, bit
+identity of result and counters for the maximum search), when the pivot
+engine's median is slower than legacy's beyond ``--tolerance`` (a noise
 allowance — CI runners are shared machines), or when the pivot
 enumeration branches more than legacy (a branch-count reduction below
 1x).  The queries suite additionally asserts the compile accounting (a
@@ -149,11 +154,17 @@ def _print_report(report: BenchReport, verbose: bool) -> None:
         branches = ""
         if config.pivot_branch_reduction > 0.0:
             branches = f" (branches /{config.pivot_branch_reduction:.1f})"
+        nocut = ""
+        if "nocut" in config.engines:
+            nocut = (
+                f" nocut={config.engines['nocut'].median_s:.3f}s "
+                f"cut_speedup={config.cut_speedup:.2f}x"
+            )
         print(
             f"  {config.dataset}@{config.scale} k={config.k} "
             f"tau={config.tau}: "
             f"legacy={legacy:.3f}s pivot={pivot:.3f}s "
-            f"speedup={config.speedup:.2f}x{branches}{flag}"
+            f"speedup={config.speedup:.2f}x{branches}{nocut}{flag}"
         )
         if verbose:
             for name, run in config.engines.items():
@@ -259,7 +270,7 @@ def main(argv: list[str] | None = None) -> int:
             path = report.write(args.out)
             print(f"  wrote {path}")
             if not report.all_identical():
-                failures.append(f"{report.benchmark}: engine outputs differ")
+                failures.append(f"{report.benchmark}: arm outputs differ")
             worst = report.worst_ratio()
             if worst > 1.0 + args.tolerance:
                 failures.append(

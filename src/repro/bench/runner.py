@@ -19,9 +19,17 @@ Every measured call runs on an untimed ``graph.copy()``: the lowering
 lives on the graph, so calls on the benchmark graph itself would reuse
 the first call's and stop measuring a cold search.
 
+The enumeration suite has a third arm, ``nocut``: the pivot engine
+with ``cut=False``, so the cut (Lemma 5) stays measured against the
+plain component split it replaces.  Its ``cut`` phase is that split
+with the view building, and ``cut_speedup`` is its median over the
+pivot arm's.  Every arm's ``phase_seconds`` are per-phase medians over
+the repetitions.
+
 Every run also re-verifies the arms' contract.  For enumeration it is
 *set* identity: pivoting reorders emission but must yield exactly the
-legacy engine's cliques, each once.  For the maximum search it is bit
+legacy engine's cliques, each once, and the ``nocut`` arm exactly the
+pivot arm's.  For the maximum search it is bit
 identity: the same clique and the same statistics counters.  A
 benchmark whose arms disagree is reported with ``identical_output:
 false`` and fails the ``--check`` gate — a speedup over wrong answers is
@@ -48,7 +56,7 @@ import time
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
-from repro.core.enumeration import Engine, EnumerationStats, muce_plus_plus
+from repro.core.enumeration import Engine, EnumerationStats, maximal_cliques
 from repro.core.maximum import MaximumSearchStats, max_uc_plus
 from repro.datasets.registry import load_dataset
 from repro.uncertain.graph import Node, UncertainGraph
@@ -66,6 +74,13 @@ __all__ = [
 #: Arms of both suites: the paper-following reference, then the kernel.
 ENGINES: tuple[Engine, ...] = ("legacy", "pivot")
 
+#: The enumeration suite's arms: ``(name, engine, cut)``.
+ENUM_ARMS: tuple[tuple[str, Engine, bool], ...] = (
+    ("legacy", "legacy", True),
+    ("pivot", "pivot", True),
+    ("nocut", "pivot", False),
+)
+
 #: One config of the engine suites: ``(dataset, scale, k, tau)``.
 Config = tuple[str, float, int, float]
 
@@ -77,7 +92,26 @@ class EngineRun:
     times_s: list[float] = field(default_factory=list)
     median_s: float = 0.0
     stats: dict[str, int] = field(default_factory=dict)
+    #: Per-phase medians of ``phase_times_s``, each phase's laps.
     phase_seconds: dict[str, float] = field(default_factory=dict)
+    phase_times_s: dict[str, list[float]] = field(default_factory=dict)
+
+    def record(
+        self, elapsed: float, stats: dict[str, int], phases: dict[str, float]
+    ) -> None:
+        """Add one repetition's time, counters and phase laps."""
+        self.times_s.append(elapsed)
+        self.stats = stats
+        for phase, seconds in phases.items():
+            self.phase_times_s.setdefault(phase, []).append(seconds)
+
+    def finish(self) -> None:
+        """Fill the medians once every repetition is recorded."""
+        self.median_s = _median(self.times_s)
+        self.phase_seconds = {
+            phase: _median(times)
+            for phase, times in self.phase_times_s.items()
+        }
 
 
 @dataclass
@@ -94,6 +128,9 @@ class ConfigResult:
     #: legacy search_calls / pivot search_calls (enumeration only; 0.0
     #: for the maximum suite or when no recursion ran).
     pivot_branch_reduction: float = 0.0
+    #: nocut median / pivot median: what the cut saves end to end
+    #: (enumeration only; 0.0 for the maximum suite).
+    cut_speedup: float = 0.0
 
 
 def collect_provenance() -> dict[str, object]:
@@ -178,12 +215,15 @@ def _graphs(configs: list[Config]) -> dict[tuple[str, float], UncertainGraph]:
 
 
 def _enum_once(
-    graph: UncertainGraph, k: int, tau: float, engine: Engine
+    graph: UncertainGraph, k: int, tau: float, engine: Engine, cut: bool
 ) -> tuple[float, list[frozenset[Node]], dict[str, int], dict[str, float]]:
     graph = graph.copy()  # untimed: a cold call lowers a graph afresh
     stats = EnumerationStats()
     start = time.perf_counter()
-    cliques = list(muce_plus_plus(graph, k, tau, stats=stats, engine=engine))
+    cliques = list(maximal_cliques(
+        graph, k, tau, pruning="topk", cut=cut, insearch=True, stats=stats,
+        engine=engine,
+    ))
     elapsed = time.perf_counter() - start
     return elapsed, cliques, dict(asdict(stats)), dict(stats.timings.laps)
 
@@ -202,31 +242,32 @@ def _max_once(
 def run_enumeration_bench(
     configs: list[Config], repetitions: int
 ) -> BenchReport:
-    """Benchmark ``muce_plus_plus`` across engines."""
+    """Benchmark ``muce_plus_plus`` across engines, and without the
+    cut (the ``nocut`` arm)."""
     graphs = _graphs(configs)
     results: list[ConfigResult] = []
     for dataset, scale, k, tau in configs:
         graph = graphs[dataset, scale]
-        runs: dict[str, EngineRun] = {e: EngineRun() for e in ENGINES}
+        runs = {name: EngineRun() for name, _, _ in ENUM_ARMS}
         outputs: dict[str, list[frozenset[Node]]] = {}
         for _ in range(repetitions):
-            for engine in ENGINES:
+            for name, engine, cut in ENUM_ARMS:
                 elapsed, cliques, stats, phases = _enum_once(
-                    graph, k, tau, engine
+                    graph, k, tau, engine, cut
                 )
-                runs[engine].times_s.append(elapsed)
-                runs[engine].stats = stats
-                runs[engine].phase_seconds = phases
-                outputs[engine] = cliques
+                runs[name].record(elapsed, stats, phases)
+                outputs[name] = cliques
         for run in runs.values():
-            run.median_s = _median(run.times_s)
-        legacy, pivot = runs["legacy"], runs["pivot"]
-        # Pivoting reorders emission, so the gate is set identity with
-        # no duplicates and the same clique count.
-        identical = (
-            len(outputs["pivot"]) == len(set(outputs["pivot"]))
-            and set(outputs["pivot"]) == set(outputs["legacy"])
-            and pivot.stats["cliques"] == legacy.stats["cliques"]
+            run.finish()
+        legacy, pivot, nocut = runs["legacy"], runs["pivot"], runs["nocut"]
+        # Pivoting and cutting reorder emission, so the gate is set
+        # identity with the pivot arm, with no duplicates and the
+        # clique count the stats report.
+        want = set(outputs["pivot"])
+        identical = all(
+            set(outputs[name]) == want
+            and len(outputs[name]) == len(want) == run.stats["cliques"]
+            for name, run in runs.items()
         )
         results.append(
             ConfigResult(
@@ -245,6 +286,11 @@ def run_enumeration_bench(
                     legacy.stats["search_calls"]
                     / pivot.stats["search_calls"]
                     if pivot.stats.get("search_calls", 0) > 0
+                    else 0.0
+                ),
+                cut_speedup=(
+                    nocut.median_s / pivot.median_s
+                    if pivot.median_s > 0.0
                     else 0.0
                 ),
             )
@@ -274,12 +320,10 @@ def run_maximum_bench(
                 elapsed, best, stats, phases = _max_once(
                     graph, k, tau, engine
                 )
-                runs[engine].times_s.append(elapsed)
-                runs[engine].stats = stats
-                runs[engine].phase_seconds = phases
+                runs[engine].record(elapsed, stats, phases)
                 outputs[engine] = best
         for run in runs.values():
-            run.median_s = _median(run.times_s)
+            run.finish()
         legacy, pivot = runs["legacy"], runs["pivot"]
         results.append(
             ConfigResult(

@@ -12,7 +12,11 @@ run the Stoer-Wagner maximum-adjacency sweep: grow a set ``S`` by repeatedly
 absorbing the node most tightly connected to it (by total incident
 probability) and test the cut ``(S, rest)`` after every absorption.  When a
 low-probability cut appears, its edges are deleted and both sides are
-processed recursively.
+processed recursively.  Each piece is swept once, from its lowest id.
+Single-node cuts (the paper's Remark: the TopKCore rule) are peeled
+first, re-testing only the nodes that can fail: none on the ``topk``
+prune's survivors, only a cut's endpoints after a sweep
+(:func:`cut_rows`).
 
 The whole optimization runs on dense int ids, read once from the
 whole-graph compile (:class:`~repro.core.prune_kernel.CompiledGraph`):
@@ -186,7 +190,7 @@ def split_rows(rows: Rows) -> list[list[int]]:
 
 
 def cut_rows(
-    rows: Rows, k: int, tau: float
+    rows: Rows, k: int, tau: float, core: bool = False
 ) -> tuple[list[list[int]], int, int, int]:
     """The cut optimization over local ``(id, p)`` rows.
 
@@ -195,13 +199,23 @@ def cut_rows(
 
     Implementation note: the set of edges incident to one node is itself a
     cut, and testing it is exactly the (Top_k, tau)-core condition — the
-    paper's Remark in Section III-C.  Each piece is therefore first
+    paper's Remark in Section III-C.  Each piece is therefore
     *fringe-peeled* with the TopKCore rule (near-linear) before the
     maximum-adjacency sweep hunts for genuine multi-node cuts; without
     this, a hub-heavy graph makes the sweep strip one thin fringe per
-    O(m log m) pass.  The peel's connected remnants are already stable,
-    so they go straight to the sweep; the pieces a sweep cuts off are
-    peeled again, since the deleted edges can leave new fringe nodes.
+    O(m log m) pass.  The peel only re-tests what can fail it:
+
+    * ``core=True`` says ``rows`` are already their own (Top_k,
+      tau)-core, as the ``topk`` prune's survivors at this ``k`` are, so
+      the initial pieces skip the peel;
+    * the peel's connected remnants are stable and go straight to the
+      sweep;
+    * a piece a sweep cut off re-tests only the nodes that lost an edge
+      to another segment, since every other node's live row is the one
+      that passed before the cut (:func:`_fringe_peel`'s ``seeds``).
+
+    Each piece is swept once, from its lowest id; a sweep that finds no
+    low boundary leaves the piece final.
     """
     tau_floor = threshold_floor(tau)
     n = len(rows)
@@ -212,61 +226,62 @@ def cut_rows(
     cuts_found = 0
     fringe_peeled = 0
 
-    # (piece, stable): a stable piece is known to survive the fringe peel.
+    # (piece, seeds): the nodes the fringe peel must test — every node
+    # (None), or only those (an empty list means the piece is stable).
+    initial: list[int] | None = [] if core else None
     stack = [
-        (piece, False)
+        (piece, initial)
         for piece in _split(rows, owner, list(range(n)), marks)
     ]
     finished: list[list[int]] = []
     while stack:
-        piece, stable = stack.pop()
+        piece, seeds = stack.pop()
         if len(piece) <= 1:
             finished.append(piece)
             continue
 
         # Stage 1: single-node cuts (TopKCore rule) — cheap fixpoint.
-        if not stable:
+        if seeds is None or seeds:
             mark = owner[piece[0]]
-            if _fringe_peel(rows, owner, piece, k, tau_floor):
-                core: list[int] = []
+            if _fringe_peel(rows, owner, piece, k, tau_floor, seeds):
+                remnant: list[int] = []
                 for i in piece:
                     if owner[i] == mark:
-                        core.append(i)
+                        remnant.append(i)
                     else:
                         fringe_peeled += 1
                         finished.append([i])
                 stack.extend(
-                    (part, True)
-                    for part in _split(rows, owner, core, marks)
+                    (part, []) for part in _split(rows, owner, remnant, marks)
                 )
                 continue
 
-        # Stage 2: multi-node cuts via the maximum-adjacency sweep.  Which
-        # cuts a sweep shows depends on its start, so a sweep from the
-        # lowest id that finds none is repeated once from the far end of
-        # its absorption order before the piece counts as final.
+        # Stage 2: multi-node cuts via the maximum-adjacency sweep.
         segments = _sweep_split(
             rows, owner, conn, in_s, piece, piece[0], k, tau_floor
         )
-        if len(segments) == 1:
-            segments = _sweep_split(
-                rows, owner, conn, in_s, piece, segments[0][-1], k, tau_floor
-            )
         if len(segments) == 1:
             finished.append(piece)
             continue
         cuts_found += len(segments) - 1
         # A fresh mark per segment deletes every crossing edge at once;
         # each segment may itself have fallen apart, so re-split it by
-        # connectivity and process each part again.
-        for segment in segments:
-            mark = next(marks)
+        # connectivity and process each part again, re-peeling from the
+        # nodes that lost an edge.  Marks only grow, so those are the
+        # nodes with a neighbour marked at or above the first segment's
+        # mark but not with their own.
+        segment_marks = [next(marks) for _ in segments]
+        for mark, segment in zip(segment_marks, segments):
             for i in segment:
                 owner[i] = mark
+        first = segment_marks[0]
         for segment in segments:
-            stack.extend(
-                (part, False) for part in _split(rows, owner, segment, marks)
-            )
+            for part in _split(rows, owner, segment, marks):
+                mark = owner[part[0]]
+                stack.append((part, [
+                    i for i in part
+                    if any(first <= owner[j] != mark for j, _ in rows[i])
+                ]))
 
     finished.sort()  # disjoint sorted lists: in order of lowest id
     # An edge is kept exactly when both ends finish on one live mark.
@@ -352,7 +367,12 @@ def _split(
 
 
 def _fringe_peel(
-    rows: Rows, owner: list[int], piece: list[int], k: int, tau_floor: float
+    rows: Rows,
+    owner: list[int],
+    piece: list[int],
+    k: int,
+    tau_floor: float,
+    seeds: list[int] | None = None,
 ) -> bool:
     """Peel ``piece`` to its (Top_k, tau)-core; return whether any node left.
 
@@ -361,6 +381,13 @@ def _fringe_peel(
     top-k slice of each node's live incident probabilities, multiplied
     left to right, against ``threshold_floor(tau)``; a peeled node's
     edges leave its neighbours' sorted lists by bisect-pop.
+
+    ``seeds`` (default: every node) are the nodes tested first; the
+    caller vouches that every other node of ``piece`` passes.  Such a
+    node's sorted list is built the first time a peeled neighbour
+    reaches it, and still holds its edges to the peeled nodes whose
+    edges are not yet withdrawn (``pending``), as an eager list would.
+    The core is unique, so the same nodes leave either way.
     """
     if k == 0:
         return False  # pi_0 is the empty product 1.0, which clears any tau
@@ -378,7 +405,7 @@ def _fringe_peel(
 
     vals: dict[int, list[float]] = {}
     stack: list[int] = []
-    for i in piece:
+    for i in piece if seeds is None else seeds:
         row = [p for j, p in rows[i] if owner[j] == mark]
         if len(row) < k:
             stack.append(i)  # peeled at once: its list is never read
@@ -391,18 +418,25 @@ def _fringe_peel(
         return False
     for i in stack:
         owner[i] = _PEELED
+    pending = set(stack)
     while stack:
         u = stack.pop()
         for v, p in rows[u]:
             if owner[v] != mark:
                 continue
-            vv = vals[v]
+            vv = vals.get(v)
+            if vv is None:
+                vv = vals[v] = sorted(
+                    q for j, q in rows[v] if owner[j] == mark or j in pending
+                )
             idx = bisect_left(vv, p)
             del vv[idx]
             # Only a change inside the top-k window can flip the test.
             if idx > len(vv) - k and below(vv):
                 owner[v] = _PEELED
                 stack.append(v)
+                pending.add(v)
+        pending.discard(u)
     return True
 
 

@@ -305,6 +305,7 @@ def cut_stage(
     tau: float,
     cut: bool,
     maximum: bool = False,
+    core: bool = False,
 ) -> CutArtifact:
     """Split prune survivors, ids of ``compiled``, into search
     components (Lemma 5).
@@ -340,6 +341,12 @@ def cut_stage(
     its first vertex in that order.  A maximum artifact carries no
     ``views``: the search builds them only for the components its
     incumbent reaches.
+
+    ``core=True`` says the survivors are their own (Top_k, tau)-core at
+    ``k``, as the ``topk`` prune's are: the cut then starts its pieces
+    stable and skips their first fringe peel
+    (:func:`~repro.core.cut_pruning.cut_rows`).  A cut at a raised
+    ``k' = s - 1`` ignores it, since the (Top_k', tau)-core is smaller.
     """
     rows = induced_rows(compiled, survivors)
     cuts_found = edges_removed = lower_bound = 0
@@ -347,7 +354,9 @@ def cut_stage(
         lower_bound = bound
         k = bound - 1
     if cut:
-        pieces, cuts_found, edges_removed, _ = cut_rows(rows, k, tau)
+        pieces, cuts_found, edges_removed, _ = cut_rows(
+            rows, k, tau, core and not lower_bound
+        )
     else:
         pieces = split_rows(rows)
     # Read at call time: tests monkeypatch the kernel size limit.

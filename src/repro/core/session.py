@@ -388,7 +388,9 @@ class PreparedGraph:
         ``maximum=True``), cached per component under ``("c", cid,
         epoch, "maxcut", k, tau, limit)`` — each component keeps its own
         raised cut, so a mutation re-cuts only its own component.  The
-        prune entries are shared with enumeration either way.  The
+        prune entries are shared with enumeration either way, and a
+        ``topk`` rule's survivors are their own (Top_k, tau)-core, which
+        :func:`pipeline.cut_stage` is told (``core``).  The
         assembled artifact's ``lower_bound`` is the largest component's.
 
         The cut splits pieces by :data:`~repro.core.kernel.
@@ -432,7 +434,8 @@ class PreparedGraph:
                 else:
                     with timings.lap("cut"):
                         entry = pipeline.cut_stage(
-                            artifact, ids, k, tau, cut, maximum
+                            artifact, ids, k, tau, cut, maximum,
+                            pruning == "topk",
                         )
                 self._store(ckey, entry)
             components.extend(entry.components)
@@ -469,7 +472,9 @@ class PreparedGraph:
         The core is split into one frozenset per component under the
         live ``(cid, epoch)`` keys, exactly as a computed peel stores
         it, so the next query at these parameters skips the peel.
-        Neither a hit nor a miss is counted.  Nothing in the package
+        Neither a hit nor a miss is counted.  A ``topk`` core must be
+        exactly the (Top_k, tau)-core: the cut trusts it and skips its
+        pieces' first fringe peel.  Nothing in the package
         calls it (the core maintainer stores nothing in a session); it
         stays while the e2e benchmark's tracer names it as a layer
         boundary.

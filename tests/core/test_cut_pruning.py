@@ -1,18 +1,34 @@
 """Unit tests for the cut-based optimization (Section III-C)."""
 
 import importlib
+import itertools
+import math
+from itertools import count
 
 import pytest
+from hypothesis import given, settings, strategies as st, target
 
-from repro import UncertainGraph, cut_optimize
+from repro import UncertainGraph, cut_optimize, maximal_cliques
 from repro.core.bruteforce import brute_force_maximal_cliques
-from repro.core.cut_pruning import cut_probability, is_low_probability_cut
+from repro.core.cut_pruning import (
+    _PEELED,
+    _fringe_peel,
+    _split,
+    _sweep_split,
+    cut_probability,
+    cut_rows,
+    induced_rows,
+    is_low_probability_cut,
+)
+from repro.core.prune_kernel import compile_graph, topk_peel
 from repro.errors import ParameterError
+from repro.utils.validation import threshold_floor
 from tests.conftest import (
     make_clique,
     make_random_graph,
     make_second_sweep_graph,
 )
+from tests.core.support import PROBABILITY_PALETTE, uncertain_graphs
 
 
 class TestCutProbability:
@@ -118,18 +134,19 @@ class TestCutOptimize:
         kept = sum(c.num_edges for c in result.components)
         assert kept + result.edges_removed == g.num_edges
 
-    def test_second_sweep_from_last_absorbed_node(self):
-        # The sweep from node 0 flags no boundary; the second sweep,
-        # started at the node the first absorbed last (5), cuts {1, 3}
-        # off, and the fringe peel then splits that pair.
+    def test_one_sweep_per_piece(self):
+        # The sweep from node 0 flags no boundary, so the piece is final:
+        # no repeat sweep from the far end (which would cut {1, 3} off).
+        # Lemma 5 cuts are an optimization, so the answers are the same.
         g = make_second_sweep_graph()
         result = cut_optimize(g, 2, 0.3)
-        assert result.cuts_found == 1
-        assert result.edges_removed == 5
-        assert result.fringe_nodes_peeled == 2
-        assert [c.nodes() for c in result.components] == [
-            [0, 2, 4, 5, 6], [1], [3],
-        ]
+        assert result.cuts_found == 0
+        assert result.edges_removed == 0
+        assert result.fringe_nodes_peeled == 0
+        assert [c.nodes() for c in result.components] == [list(range(7))]
+        cut = set(maximal_cliques(g, 2, 0.3, cut=True))
+        assert cut == set(maximal_cliques(g, 2, 0.3, cut=False))
+        assert cut == set(brute_force_maximal_cliques(g, 2, 0.3))
 
     def test_weak_bridge_severed(self, two_groups):
         result = cut_optimize(two_groups, 3, 0.7)
@@ -185,3 +202,195 @@ class TestCutOptimize:
             cut_optimize(triangle, -1, 0.5)
         with pytest.raises(ParameterError):
             cut_optimize(triangle, 2, 1.5)
+
+
+# ----------------------------------------------------------------------
+# The peel re-tests only what can fail it
+# ----------------------------------------------------------------------
+
+
+def _marked(rows):
+    """``rows``' connected parts, with the ``owner`` marks that
+    :func:`cut_rows` gives its initial pieces."""
+    owner = [0] * len(rows)
+    return _split(rows, owner, list(range(len(rows))), count(1)), owner
+
+
+@st.composite
+def _k_taus(draw):
+    """``(k, tau)`` with tau a product of ``k`` palette values, taken in
+    ascending order as the peel multiplies, or nudged just above it: a
+    node's top-k product then sits at or just below the floor."""
+    k = draw(st.integers(min_value=1, max_value=3))
+    values = draw(st.lists(
+        st.sampled_from(PROBABILITY_PALETTE), min_size=k, max_size=k
+    ))
+    tau = math.prod(sorted(values))
+    if draw(st.booleans()):
+        tau = min(tau * (1 + 1e-6), 1.0)
+    return k, tau
+
+
+@settings(max_examples=60, deadline=None)
+@given(uncertain_graphs(), _k_taus(), st.data())
+def test_topk_survivors_start_stable(graph, k_tau, data):
+    # The cut's core=True: on the (Top_k, tau)-core of every peel route
+    # no fringe peel of an initial piece removes anything, so skipping
+    # it changes no piece or counter.
+    k, tau = k_tau
+    compiled = compile_graph(graph)
+    members = data.draw(st.lists(st.sampled_from(graph.nodes()), unique=True))
+    whole = topk_peel(compiled, k, tau)
+    topk_peel(compiled, k, tau / 2)  # the second whole-graph peel indexes
+    assert compiled._topk_levels.get(k) is not None
+    routes = {
+        "whole": whole,
+        "bisect": topk_peel(compiled, k, tau),
+        "members": topk_peel(compiled, k, tau, members=members),
+    }
+    assert routes["bisect"] == whole
+    floor = threshold_floor(tau)
+    for route, survivors in routes.items():
+        ids = sorted(compiled.index[u] for u in survivors)
+        rows = induced_rows(compiled, ids)
+        pieces, owner = _marked(rows)
+        for piece in pieces:
+            assert not _fringe_peel(rows, owner, piece, k, floor), route
+        assert cut_rows(rows, k, tau, core=True) == cut_rows(rows, k, tau)
+
+
+@settings(max_examples=100, deadline=None)
+@given(uncertain_graphs(), _k_taus(), st.data())
+def test_seeded_peel_equals_full_peel_after_any_split(graph, k_tau, data):
+    # Peel to the core, split its nodes at random (as a cut's segments,
+    # low or not), and peel each part from the nodes that lost an edge:
+    # every other node still passes, so the same nodes leave as when
+    # every node is tested.
+    k, tau = k_tau
+    floor = threshold_floor(tau)
+    rows = induced_rows(compile_graph(graph), range(len(graph)))
+    pieces, owner = _marked(rows)
+    for piece in pieces:
+        _fringe_peel(rows, owner, piece, k, floor)
+    before = list(owner)
+    sides = data.draw(st.lists(
+        st.integers(0, 2), min_size=len(rows), max_size=len(rows)
+    ))
+    segments: dict[int, list[int]] = {}
+    for i, mark in enumerate(before):
+        if mark != _PEELED:
+            segments.setdefault(3 * mark + sides[i], []).append(i)
+            owner[i] = 3 * mark + sides[i]
+    marks = count(3 * max(before, default=0) + 3)
+    for segment in segments.values():
+        for part in _split(rows, owner, segment, marks):
+            seeds = [
+                i for i in part
+                if any(
+                    before[j] == before[i] and owner[j] != owner[i]
+                    for j, _ in rows[i]
+                )
+            ]
+            full = list(owner)
+            peeled = _fringe_peel(rows, owner, part, k, floor, seeds)
+            assert _fringe_peel(rows, full, part, k, floor) == peeled
+            assert owner == full
+
+
+@st.composite
+def _blocks(draw):
+    """Two to three blocks of palette edges (many repeats) joined by a
+    few links, so sweeps find cuts."""
+    sizes = draw(st.lists(st.integers(2, 6), min_size=2, max_size=3))
+    graph = UncertainGraph(nodes=range(sum(sizes)))
+    starts = list(itertools.accumulate(sizes, initial=0))
+    blocks = [range(a, b) for a, b in zip(starts, starts[1:])]
+    for block in blocks:
+        for u, v in itertools.combinations(block, 2):
+            if draw(st.integers(0, 3)):
+                graph.add_edge(u, v, draw(st.sampled_from(PROBABILITY_PALETTE)))
+    for a, b in itertools.combinations(blocks, 2):
+        links = st.tuples(st.sampled_from(a), st.sampled_from(b))
+        for u, v in draw(st.lists(links, max_size=3, unique=True)):
+            graph.add_edge(u, v, draw(st.sampled_from(PROBABILITY_PALETTE)))
+    return graph
+
+
+def _full_repeel_cut(rows, k, tau):
+    """:func:`cut_rows` with every node of a piece a sweep cut off
+    re-tested by an eager peel, its stable pieces being only the
+    remnants of a peel."""
+    floor = threshold_floor(tau)
+    n = len(rows)
+    owner, marks = [0] * n, count(1)
+    conn, in_s = [0.0] * n, bytearray(n)
+    cuts = peeled = 0
+    stack = [(p, False) for p in _split(rows, owner, list(range(n)), marks)]
+    finished: list[list[int]] = []
+    while stack:
+        piece, stable = stack.pop()
+        mark = owner[piece[0]]
+        if len(piece) > 1 and not stable and _fringe_peel(
+            rows, owner, piece, k, floor
+        ):
+            remnant = [i for i in piece if owner[i] == mark]
+            peeled += len(piece) - len(remnant)
+            finished += [[i] for i in piece if owner[i] != mark]
+            stack += [(p, True) for p in _split(rows, owner, remnant, marks)]
+            continue
+        segments = _sweep_split(
+            rows, owner, conn, in_s, piece, piece[0], k, floor
+        ) if len(piece) > 1 else [piece]
+        if len(segments) == 1:
+            finished.append(piece)
+            continue
+        cuts += len(segments) - 1
+        for segment in segments:
+            mark = next(marks)
+            for i in segment:
+                owner[i] = mark
+        for segment in segments:
+            stack += [(p, False) for p in _split(rows, owner, segment, marks)]
+    finished.sort()
+    kept = sum(
+        owner[j] == owner[i] != _PEELED for i, row in enumerate(rows)
+        for j, _ in row
+    )
+    return finished, cuts, (sum(map(len, rows)) - kept) // 2, peeled
+
+
+@settings(max_examples=200, deadline=None)
+@given(_blocks(), _k_taus())
+def test_seeded_repeel_equals_full_repeel(graph, k_tau):
+    # On a (Top_k, tau)-core every node the cut peels falls after a
+    # sweep's cut, where only the cut's endpoints are re-tested and
+    # other rows are built lazily.  Re-testing every node of every
+    # piece the cut leaves instead gives the same pieces and counters.
+    k, tau = k_tau
+    compiled = compile_graph(graph)
+    ids = sorted(compiled.index[u] for u in topk_peel(compiled, k, tau))
+    rows = induced_rows(compiled, ids)
+    seeded = cut_rows(rows, k, tau, core=True)
+    target(float(seeded[3]))  # steer towards examples that peel
+    assert seeded == cut_rows(rows, k, tau) == _full_repeel_cut(rows, k, tau)
+
+
+def test_lazy_row_keeps_edges_to_pending_nodes():
+    # Seeds a and b fall at once (one edge each, k = 2).  Popping b
+    # first builds y's list lazily: it must still hold its edge to a,
+    # which is condemned but not yet popped, or popping a later deletes
+    # one of y's 0.9 edges instead and wrongly peels y.
+    a, b, y, c, d = range(5)
+    graph = UncertainGraph(nodes=range(5), edges=[
+        (a, y, 0.5), (b, y, 0.5), (y, c, 0.9), (y, d, 0.9), (c, d, 0.9),
+    ])
+    rows = induced_rows(compile_graph(graph), range(5))
+    floor = threshold_floor(0.25)
+    outcomes: list[list[int]] = []
+    for seeds in ([a, b], None):
+        (piece,), owner = _marked(rows)
+        assert _fringe_peel(rows, owner, piece, 2, floor, seeds)
+        outcomes.append(owner)
+    seeded, full = outcomes
+    assert seeded == full
+    assert [i for i in range(5) if seeded[i] == _PEELED] == [a, b]
