@@ -3,9 +3,10 @@ parity-critical output.
 
 The whole performance story of this repo is gated by *bit-identity*:
 a warm session must equal a cold one, a patched artifact must equal a
-cold rebuild, the compiled engines must equal legacy.  One ``for u in some_set:`` whose
-order leaks into a returned clique list, a merge concatenation, or a
-stats counter silently breaks that oracle — with string nodes, set
+cold rebuild, a query must answer alike under every ``PYTHONHASHSEED``.
+One ``for u in some_set:`` whose order leaks into a returned clique
+list, a merge concatenation, or a stats counter silently breaks that
+contract — with string nodes, set
 iteration order depends on ``PYTHONHASHSEED``, so the "nondeterminism"
 only shows up across *processes*, exactly where the parity suites do not
 look.
@@ -27,8 +28,7 @@ ulp between runs, which is precisely the difference the bit-identity
 suites exist to catch.
 
 Both rules scope themselves to library modules under ``core/`` (the
-parity-critical surface); ``sorted(...)`` and ``_ordered(...)`` are the
-sanctioned escapes.
+parity-critical surface); ``sorted(...)`` is the sanctioned escape.
 """
 
 from __future__ import annotations
@@ -63,7 +63,6 @@ _SET_METHODS = frozenset(
 _ORDER_NEUTRAL_CALLS = frozenset(
     {
         "sorted",
-        "_ordered",
         "len",
         "sum",  # RPL010 owns float-sum hazards; sum of ints is order-free
         "min",
@@ -349,7 +348,7 @@ class UnorderedIterationFlow(ProjectRule):
     comprehension, or iterated by a loop that yields/appends.  Across
     functions: an unordered argument passed to a parameter some callee
     feeds into such a sink (resolved through the project call graph).
-    ``sorted(...)`` / ``_ordered(...)`` sanction the value.
+    ``sorted(...)`` sanctions the value.
     """
 
     rule_id: ClassVar[str] = "RPL009"

@@ -9,10 +9,9 @@ and never lands in (or reads from) the version-keyed cache.  Inside
 else routes through it (RPL007).
 
 The same layering applies one level down to the prune peels themselves:
-since the prune kernel landed, every compiled-engine peel should replay
-over the session's shared CSR compile — a direct ``dp_core*`` /
-``topk_core*`` call inside ``repro/core`` recompiles (or re-peels from
-dicts) on every invocation (RPL008).
+every peel should replay over the graph's shared CSR lowering — a direct
+``dp_core*`` / ``topk_core*`` call inside ``repro/core`` compiles the
+graph afresh on every invocation (RPL008).
 """
 
 from __future__ import annotations
@@ -114,14 +113,13 @@ class PruneBypassesSession(Rule):
     (``dp_core_plus(...)``) or attribute-qualified
     (``ktau_core.dp_core_plus(...)``) — in files under ``repro/core``
     other than the peel definitions and the pipeline/session layer.  A
-    direct call recompiles the graph (or runs the legacy dict peel) on
-    every invocation instead of replaying over the session's
-    version-keyed CSR compile; route the peel through
+    direct call without ``compiled=`` compiles the graph afresh on every
+    invocation instead of replaying over the graph's version-keyed CSR
+    lowering; route the peel through
     :func:`repro.core.pipeline.prune_stage` via
     :class:`~repro.core.session.PreparedGraph`, or justify the bypass
-    with ``# repro-lint: ignore[RPL008]`` (e.g. one-shot drivers with no
-    session, or transient per-branch subgraphs inside the legacy
-    recursion).
+    with ``# repro-lint: ignore[RPL008]`` (e.g. a one-shot driver with
+    no session).
     """
 
     rule_id: ClassVar[str] = "RPL008"

@@ -1,8 +1,8 @@
-"""Engine benchmark harness (``repro-bench``).
+"""Benchmark harness (``repro-bench``).
 
-Measures the ``engine="pivot"`` compiled kernel against the
-``engine="legacy"`` dict-of-dicts search on the registry datasets and
-writes machine-readable ``BENCH_*.json`` reports.  The measurement
+Measures the enumeration and maximum searches, the session queries and
+the core maintenance on the registry datasets and writes
+machine-readable ``BENCH_*.json`` reports.  The measurement
 protocol lives in :mod:`repro.bench.runner`; the checked-in reports under
 ``benchmarks/perf/`` are produced by the console script in
 :mod:`repro.bench.cli`.

@@ -1,29 +1,36 @@
-"""``repro-bench`` — engine benchmark runner.
+"""``repro-bench`` — benchmark runner.
 
 Full mode (the default) reproduces the checked-in reports under
 ``benchmarks/perf/``: the dblp_like registry graph at full scale,
 median of 5 interleaved repetitions per config, for both the enumeration
 (``muce_plus_plus``) and maximum (``max_uc_plus``) drivers.  Both also
 run :data:`OVERSIZED_CONFIG`, whose search meets a cut piece above the
-kernel limit, so the per-vertex views are measured against legacy.
+kernel limit, so the per-vertex views are measured too.
 
-The enumeration suite also runs a ``nocut`` arm (the pivot engine with
-``cut=False``), so the cut is measured against the plain component
-split: each config reports its ``cut_speedup`` and every arm's median
-cut and search phases.
+The enumeration suite runs a ``pivot`` arm and a ``nocut`` arm (the same
+search with ``cut=False``), so the cut is measured against the plain
+component split: each config reports its ``cut_speedup`` and every arm's
+median cut and search phases.
 
 ``--quick`` shrinks the dataset and repetition count to a CI-smoke-sized
 run (~tens of seconds); the oversized config keeps its scale, below
-which its piece fits the limit.  ``--check`` turns the run into a gate:
-exit status 1 when any config's outputs differ between its arms
-(clique-set identity with the ``pivot`` arm for enumeration, bit
-identity of result and counters for the maximum search), when the pivot
-engine's median is slower than legacy's beyond ``--tolerance`` (a noise
-allowance — CI runners are shared machines), or when the pivot
-enumeration branches more than legacy (a branch-count reduction below
-1x).  The queries suite additionally asserts the compile accounting (a
-cold session records one nonzero compile lap, a warm session records
-exactly zero).
+which its piece fits the limit.  ``--check`` turns the run into a gate,
+exit status 1 when:
+
+* a config's outputs break the suite's identity contract (clique-set
+  identity of the ``nocut`` arm with the ``pivot`` arm for enumeration;
+  for the maximum search, the same clique and counters on every
+  repetition, and that clique the canonical maximum of an untimed
+  enumeration);
+* on a full-scale run, an engines-suite arm's median, in units of its
+  config's ``calibration_s``, exceeds ``1 + --tolerance`` times the same
+  config and arm of the checked-in ``benchmarks/perf/BENCH_*.json``,
+  read before this run overwrites it
+  (:func:`~repro.bench.runner.calibrated_regressions`).  A config the
+  record lacks prints "no baseline", and ``--quick`` runs are never
+  speed-gated;
+* the queries suite's compile accounting breaks (a cold session records
+  one nonzero compile lap, a warm session records exactly zero).
 
 ``--verbose`` prints the per-phase wall-clock breakdown (prune / cut /
 compile / search) recorded by the stats timings.
@@ -31,8 +38,6 @@ compile / search) recorded by the stats timings.
 ``--suite`` selects which benchmarks run: ``engines`` (the default,
 above), ``queries`` (the repeated-query cold-vs-warm session suite of
 :mod:`repro.bench.queries`, written to ``BENCH_queries.json``),
-``prune`` (the prune-kernel arrays-vs-legacy peel suite of
-:mod:`repro.bench.prune`, written to ``BENCH_prune.json``),
 ``streaming`` (the edge-update maintain-vs-recompute suite of
 :mod:`repro.bench.streaming`, written to ``BENCH_streaming.json``), or
 ``all``.  The streaming gates: the maintained core must be
@@ -44,13 +49,15 @@ least 5x (the scoped-invalidation headline).
 from __future__ import annotations
 
 import argparse
+import json
 import sys
 from pathlib import Path
+from typing import Any
 
-from repro.bench.prune import PruneReport, run_prune_bench
 from repro.bench.queries import QueriesReport, run_queries_bench
 from repro.bench.runner import (
     BenchReport,
+    calibrated_regressions,
     run_enumeration_bench,
     run_maximum_bench,
 )
@@ -63,14 +70,17 @@ from repro.bench.streaming import (
 
 __all__ = ["main"]
 
-#: Headline config first: the enumeration speedup quoted in
-#: docs/performance.md is this list's first entry.
+#: Headline config first: docs/performance.md quotes this list's first
+#: entry.
 ENUM_CONFIGS = [(4, 0.2), (6, 0.1), (5, 0.25)]
 MAX_CONFIGS = [(4, 0.2), (6, 0.1)]
 
 #: ``(dataset, scale, k, tau)`` of the engines config whose largest cut
 #: piece (2,129 nodes, for both query kinds) is above the kernel limit.
 OVERSIZED_CONFIG = ("wikitalk_like", 0.4, 4, 0.1)
+
+#: The checked-in records the full-scale speed gate compares against.
+RECORDS = Path(__file__).resolve().parents[3] / "benchmarks" / "perf"
 
 QUICK_SCALE = 0.3
 QUICK_REPS = 3
@@ -86,20 +96,23 @@ STREAMING_HEADLINE_FLOOR = 5.0
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro-bench",
-        description="Benchmark the compiled search engine against legacy.",
+        description=(
+            "Benchmark the clique searches, session queries and core "
+            "maintenance against the checked-in records."
+        ),
     )
     parser.add_argument(
         "--dataset", default="dblp_like", help="registry dataset name"
     )
     parser.add_argument(
         "--suite",
-        choices=("engines", "queries", "prune", "streaming", "all"),
+        choices=("engines", "queries", "streaming", "all"),
         default="engines",
         help=(
-            "which benchmarks to run: the engine comparisons (default), "
-            "the repeated-query cold-vs-warm session suite, the "
-            "prune-kernel arrays-vs-legacy suite, the edge-update "
-            "maintain-vs-recompute streaming suite, or all of them"
+            "which benchmarks to run: the enumeration and maximum "
+            "searches (default), the repeated-query cold-vs-warm session "
+            "suite, the edge-update maintain-vs-recompute streaming "
+            "suite, or all of them"
         ),
     )
     parser.add_argument(
@@ -111,8 +124,9 @@ def _build_parser() -> argparse.ArgumentParser:
         "--check",
         action="store_true",
         help=(
-            "exit 1 if engines disagree or pivot is slower than legacy "
-            "beyond --tolerance"
+            "exit 1 if a suite's outputs break its identity contract or, "
+            "on a full-scale run, an arm is slower than its calibrated "
+            "checked-in record beyond --tolerance"
         ),
     )
     parser.add_argument(
@@ -125,7 +139,7 @@ def _build_parser() -> argparse.ArgumentParser:
         "--reps",
         type=int,
         default=0,
-        help="repetitions per engine per config (default: 5, quick: 3)",
+        help="repetitions per arm per config (default: 5, quick: 3)",
     )
     parser.add_argument(
         "--out",
@@ -143,28 +157,24 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def _print_report(report: BenchReport, verbose: bool) -> None:
     cpu_count = report.provenance.get("cpu_count")
+    calibration = report.provenance.get("calibration_s")
     print(
         f"[{report.benchmark}] {report.algorithm} "
-        f"(median of {report.repetitions}, cpu_count={cpu_count})"
+        f"(median of {report.repetitions}, cpu_count={cpu_count}, "
+        f"calibration={calibration:.4f}s)"
     )
     for config in report.configs:
-        legacy = config.engines["legacy"].median_s
-        pivot = config.engines["pivot"].median_s
         flag = "" if config.identical_output else "  OUTPUT MISMATCH"
-        branches = ""
-        if config.pivot_branch_reduction > 0.0:
-            branches = f" (branches /{config.pivot_branch_reduction:.1f})"
-        nocut = ""
-        if "nocut" in config.engines:
-            nocut = (
-                f" nocut={config.engines['nocut'].median_s:.3f}s "
-                f"cut_speedup={config.cut_speedup:.2f}x"
-            )
+        arms = " ".join(
+            f"{name}={run.median_s:.3f}s"
+            for name, run in config.engines.items()
+        )
+        cut = ""
+        if config.cut_speedup > 0.0:
+            cut = f" cut_speedup={config.cut_speedup:.2f}x"
         print(
             f"  {config.dataset}@{config.scale} k={config.k} "
-            f"tau={config.tau}: "
-            f"legacy={legacy:.3f}s pivot={pivot:.3f}s "
-            f"speedup={config.speedup:.2f}x{branches}{nocut}{flag}"
+            f"tau={config.tau}: {arms}{cut}{flag}"
         )
         if verbose:
             for name, run in config.engines.items():
@@ -175,24 +185,14 @@ def _print_report(report: BenchReport, verbose: bool) -> None:
                 print(f"    {name}: {phases or '(no phase timings)'}")
 
 
-def _print_prune_report(report: PruneReport) -> None:
-    cpu_count = report.provenance.get("cpu_count")
-    print(
-        f"[{report.benchmark}] peels on {report.dataset} "
-        f"(scale={report.scale}, median of {report.repetitions}, "
-        f"cpu_count={cpu_count}, "
-        f"compile={report.compile_median_s:.3f}s shared per version)"
-    )
-    for op in report.ops:
-        legacy = op.engines["legacy"].median_s
-        arrays = op.engines["arrays"].median_s
-        flag = "" if op.identical_output else "  OUTPUT MISMATCH"
-        print(
-            f"  {op.op} k={op.k} tau={op.tau}: legacy={legacy:.3f}s "
-            f"arrays={arrays:.3f}s speedup={op.speedup:.2f}x "
-            f"({op.survivors} survivors){flag}"
-        )
-    print(f"  min headline speedup: {report.min_headline_speedup():.2f}x")
+def _record(benchmark: str) -> dict[str, Any] | None:
+    """The checked-in ``BENCH_<benchmark>.json``, or ``None``."""
+    path = RECORDS / f"BENCH_{benchmark}.json"
+    try:
+        record: dict[str, Any] = json.loads(path.read_text())
+    except (OSError, ValueError):
+        return None
+    return record
 
 
 def _print_queries_report(report: QueriesReport) -> None:
@@ -253,6 +253,11 @@ def main(argv: list[str] | None = None) -> int:
 
     failures: list[str] = []
     if args.suite in ("engines", "all"):
+        # Read before the run: with the default --out it overwrites them.
+        records = {
+            name: None if args.quick else _record(name)
+            for name in ("enumeration", "maximum")
+        }
         reports = [
             run_enumeration_bench(
                 [(args.dataset, scale, k, tau) for k, tau in ENUM_CONFIGS]
@@ -270,38 +275,15 @@ def main(argv: list[str] | None = None) -> int:
             path = report.write(args.out)
             print(f"  wrote {path}")
             if not report.all_identical():
-                failures.append(f"{report.benchmark}: arm outputs differ")
-            worst = report.worst_ratio()
-            if worst > 1.0 + args.tolerance:
                 failures.append(
-                    f"{report.benchmark}: pivot {worst:.2f}x the legacy "
-                    f"median somewhere (tolerance {1.0 + args.tolerance:.2f}x)"
+                    f"{report.benchmark}: outputs break the identity gate"
                 )
-            for config in report.configs:
-                # The pivot tree must never branch more than the legacy
-                # tree (0.0 means the config never searched, or is a
-                # maximum config, which does not pivot).
-                reduction = config.pivot_branch_reduction
-                if 0.0 < reduction < 1.0:
-                    failures.append(
-                        f"{report.benchmark}: pivot branched more than "
-                        f"legacy at k={config.k} tau={config.tau} "
-                        f"(reduction {reduction:.2f}x)"
-                    )
-
-    if args.suite in ("prune", "all"):
-        prune_report = run_prune_bench(args.dataset, reps, scale)
-        _print_prune_report(prune_report)
-        path = prune_report.write(args.out)
-        print(f"  wrote {path}")
-        if not prune_report.all_identical():
-            failures.append("prune: arrays survivors differ from legacy")
-        worst = prune_report.worst_ratio()
-        if worst > 1.0 + args.tolerance:
-            failures.append(
-                f"prune: arrays {worst:.2f}x the legacy median somewhere "
-                f"(tolerance {1.0 + args.tolerance:.2f}x)"
+            regressions, unmatched = calibrated_regressions(
+                report, records[report.benchmark], args.tolerance
             )
+            for label in unmatched:
+                print(f"  {label}: no baseline")
+            failures += regressions
 
     if args.suite in ("queries", "all"):
         queries_report = run_queries_bench(args.dataset, reps, scale)

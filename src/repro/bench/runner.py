@@ -1,4 +1,4 @@
-"""Measurement core for the engine benchmarks.
+"""Measurement core for the engines benchmarks.
 
 Protocol
 --------
@@ -6,9 +6,9 @@ Wall-clock comparisons between in-process arms on a noisy machine need
 two defenses, both applied here:
 
 * **Interleaving** — each repetition runs *every* arm back to back
-  (legacy, then pivot) before the next repetition starts, so slow drift
-  in machine load lands on both sides rather than biasing whichever arm
-  happened to run last.
+  before the next repetition starts, so slow drift in machine load
+  lands on all arms rather than biasing whichever arm happened to run
+  last.
 * **Median of N** — the reported time per arm is the median over the
   repetitions, which throws away one-off spikes that a mean would absorb.
 
@@ -19,29 +19,34 @@ Every measured call runs on an untimed ``graph.copy()``: the lowering
 lives on the graph, so calls on the benchmark graph itself would reuse
 the first call's and stop measuring a cold search.
 
-The enumeration suite has a third arm, ``nocut``: the pivot engine
-with ``cut=False``, so the cut (Lemma 5) stays measured against the
-plain component split it replaces.  Its ``cut`` phase is that split
-with the view building, and ``cut_speedup`` is its median over the
-pivot arm's.  Every arm's ``phase_seconds`` are per-phase medians over
-the repetitions.
+The enumeration suite has two arms: ``pivot``, ``muce_plus_plus`` as the
+library runs it, and ``nocut``, the same with ``cut=False``, so the cut
+(Lemma 5) stays measured against the plain component split it replaces.
+Its ``cut`` phase is that split with the view building, and
+``cut_speedup`` is its median over the pivot arm's.  The maximum suite
+has the one arm, ``pivot``.  Every arm's ``phase_seconds`` are per-phase
+medians over the repetitions.
 
 Every run also re-verifies the arms' contract.  For enumeration it is
-*set* identity: pivoting reorders emission but must yield exactly the
-legacy engine's cliques, each once, and the ``nocut`` arm exactly the
-pivot arm's.  For the maximum search it is bit
-identity: the same clique and the same statistics counters.  A
-benchmark whose arms disagree is reported with ``identical_output:
-false`` and fails the ``--check`` gate — a speedup over wrong answers is
-not a speedup.  Each enumeration config's ``pivot_branch_reduction``
-records the legacy engine's ``search_calls`` over the pivot engine's —
-the branch-tree shrink the absorbing Tomita pivot buys.
+*set* identity: the ``nocut`` arm must yield exactly the pivot arm's
+cliques, each once.  For the maximum search every repetition must
+return the same clique and the same statistics counters, and that
+clique must be the canonical maximum (the largest, then the
+lexicographically smallest under ``node_sort_key``) of one untimed
+enumeration of the same graph and config.  A benchmark that breaks its
+contract is reported with ``identical_output: false`` and fails the
+``--check`` gate — a speedup over wrong answers is not a speedup.
 
 Provenance
 ----------
 Every report embeds where its numbers came from — git commit, python
-version, platform, ``os.cpu_count()`` — so the perf trajectory across
-the checked-in ``BENCH_*.json`` files stays attributable.
+version, platform, ``os.cpu_count()`` — and ``calibration_s``, the
+median time of a fixed pure-Python loop, so a median can be compared
+with a record taken on another day or host in units of that loop
+(:func:`calibrated_regressions`).  The engines suites time the loop
+before every arm of every repetition, so each config's own
+``calibration_s`` reads the host as that config's arms met it; the
+provenance holds the median over all configs.
 """
 
 from __future__ import annotations
@@ -55,9 +60,11 @@ import sys
 import time
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
+from typing import Any
 
-from repro.core.enumeration import Engine, EnumerationStats, maximal_cliques
+from repro.core.enumeration import EnumerationStats, maximal_cliques
 from repro.core.maximum import MaximumSearchStats, max_uc_plus
+from repro.core.prune_kernel import node_sort_key
 from repro.datasets.registry import load_dataset
 from repro.uncertain.graph import Node, UncertainGraph
 
@@ -66,20 +73,17 @@ __all__ = [
     "EngineRun",
     "ConfigResult",
     "BenchReport",
+    "calibrated_regressions",
     "collect_provenance",
     "run_enumeration_bench",
     "run_maximum_bench",
 ]
 
-#: Arms of both suites: the paper-following reference, then the kernel.
-ENGINES: tuple[Engine, ...] = ("legacy", "pivot")
+#: The enumeration suite's arms: ``(name, cut)``.
+ENUM_ARMS: tuple[tuple[str, bool], ...] = (("pivot", True), ("nocut", False))
 
-#: The enumeration suite's arms: ``(name, engine, cut)``.
-ENUM_ARMS: tuple[tuple[str, Engine, bool], ...] = (
-    ("legacy", "legacy", True),
-    ("pivot", "pivot", True),
-    ("nocut", "pivot", False),
-)
+#: Iterations of the calibration loop (~20 ms on a 2-vCPU host).
+_CALIBRATION_LOOP = 200_000
 
 #: One config of the engine suites: ``(dataset, scale, k, tau)``.
 Config = tuple[str, float, int, float]
@@ -123,19 +127,32 @@ class ConfigResult:
     k: int
     tau: float
     engines: dict[str, EngineRun]
-    speedup: float
     identical_output: bool
-    #: legacy search_calls / pivot search_calls (enumeration only; 0.0
-    #: for the maximum suite or when no recursion ran).
-    pivot_branch_reduction: float = 0.0
     #: nocut median / pivot median: what the cut saves end to end
     #: (enumeration only; 0.0 for the maximum suite).
     cut_speedup: float = 0.0
+    #: Median seconds of the calibration loop, timed before every arm
+    #: of every repetition of this config.
+    calibration_s: float = 0.0
+
+
+def _calibration_s(runs: int = 9) -> float:
+    """Median seconds of a fixed pure-Python loop: the host's speed in
+    the units an interpreted search spends."""
+    times = []
+    for _ in range(runs):
+        start = time.perf_counter()
+        total = 0
+        for i in range(_CALIBRATION_LOOP):
+            total += i * i % 7
+        times.append(time.perf_counter() - start)
+    return _median(times)
 
 
 def collect_provenance() -> dict[str, object]:
     """Metadata attributing a report to code + machine: git commit,
-    python version, platform string, and ``os.cpu_count()``."""
+    python version, platform string, ``os.cpu_count()`` and
+    ``calibration_s``."""
     commit: str | None = None
     try:
         probe = subprocess.run(
@@ -163,6 +180,7 @@ def collect_provenance() -> dict[str, object]:
         "python": sys.version.split()[0],
         "platform": platform.platform(),
         "cpu_count": os.cpu_count(),
+        "calibration_s": _calibration_s(),
     }
 
 
@@ -186,17 +204,6 @@ class BenchReport:
         path.write_text(self.to_json())
         return path
 
-    def worst_ratio(self) -> float:
-        """Max over configs of pivot median / legacy median (lower is
-        better; > 1 means the compiled engine lost somewhere)."""
-        worst = 0.0
-        for config in self.configs:
-            legacy = config.engines["legacy"].median_s
-            pivot = config.engines["pivot"].median_s
-            if legacy > 0.0:
-                worst = max(worst, pivot / legacy)
-        return worst
-
     def all_identical(self) -> bool:
         return all(config.identical_output for config in self.configs)
 
@@ -214,55 +221,123 @@ def _graphs(configs: list[Config]) -> dict[tuple[str, float], UncertainGraph]:
     return graphs
 
 
+def _interleaved_provenance(configs: list[ConfigResult]) -> dict[str, object]:
+    """:func:`collect_provenance` with ``calibration_s`` the median of
+    the configs' own calibrations."""
+    provenance = collect_provenance()
+    if configs:
+        provenance["calibration_s"] = _median(
+            [config.calibration_s for config in configs]
+        )
+    return provenance
+
+
+def calibrated_regressions(
+    report: BenchReport, record: dict[str, Any] | None, tolerance: float
+) -> tuple[list[str], list[str]]:
+    """Compare ``report`` with a checked-in record of the same suite.
+
+    Each arm's median is taken in units of its config's
+    ``calibration_s``; an arm regresses when that exceeds ``1 +
+    tolerance`` times the same (dataset, scale, k, tau, arm) of
+    ``record`` in the record's units.  Returns ``(regressions,
+    unmatched)``: a message per regressed arm, and the
+    ``dataset@scale k= tau=`` label of every config the record lacks or
+    holds without a calibration (every config, without a record).
+    """
+    past = {
+        (c["dataset"], c["scale"], c["k"], c["tau"]): c
+        for c in (record or {}).get("configs", [])
+        if c.get("calibration_s")
+    }
+    regressions: list[str] = []
+    unmatched: list[str] = []
+    for config in report.configs:
+        key = (config.dataset, config.scale, config.k, config.tau)
+        label = "{}@{} k={} tau={}".format(*key)
+        old = past.get(key)
+        if old is None or not config.calibration_s:
+            unmatched.append(label)
+            continue
+        for arm, run in config.engines.items():
+            before = old["engines"].get(arm)
+            if before is None:
+                continue
+            ratio = (run.median_s / config.calibration_s) / (
+                before["median_s"] / old["calibration_s"]
+            )
+            if ratio > 1.0 + tolerance:
+                regressions.append(
+                    f"{report.benchmark}: {label} {arm} is {ratio:.2f}x "
+                    f"its calibrated record (tolerance "
+                    f"{1.0 + tolerance:.2f}x)"
+                )
+    return regressions, unmatched
+
+
 def _enum_once(
-    graph: UncertainGraph, k: int, tau: float, engine: Engine, cut: bool
+    graph: UncertainGraph, k: int, tau: float, cut: bool
 ) -> tuple[float, list[frozenset[Node]], dict[str, int], dict[str, float]]:
     graph = graph.copy()  # untimed: a cold call lowers a graph afresh
     stats = EnumerationStats()
     start = time.perf_counter()
     cliques = list(maximal_cliques(
         graph, k, tau, pruning="topk", cut=cut, insearch=True, stats=stats,
-        engine=engine,
     ))
     elapsed = time.perf_counter() - start
     return elapsed, cliques, dict(asdict(stats)), dict(stats.timings.laps)
 
 
 def _max_once(
-    graph: UncertainGraph, k: int, tau: float, engine: Engine
+    graph: UncertainGraph, k: int, tau: float
 ) -> tuple[float, frozenset[Node] | None, dict[str, int], dict[str, float]]:
     graph = graph.copy()  # untimed: a cold call lowers a graph afresh
     stats = MaximumSearchStats()
     start = time.perf_counter()
-    best = max_uc_plus(graph, k, tau, stats=stats, engine=engine)
+    best = max_uc_plus(graph, k, tau, stats=stats)
     elapsed = time.perf_counter() - start
     return elapsed, best, dict(asdict(stats)), dict(stats.timings.laps)
+
+
+def _canonical_maximum(
+    graph: UncertainGraph, k: int, tau: float
+) -> frozenset[Node] | None:
+    """The largest maximal clique of an untimed enumeration, ties broken
+    by the lexicographically smallest sorted ``node_sort_key`` list."""
+    cliques = list(maximal_cliques(graph.copy(), k, tau))
+    if not cliques:
+        return None
+    return min(
+        cliques, key=lambda c: (-len(c), sorted(map(node_sort_key, c)))
+    )
 
 
 def run_enumeration_bench(
     configs: list[Config], repetitions: int
 ) -> BenchReport:
-    """Benchmark ``muce_plus_plus`` across engines, and without the
-    cut (the ``nocut`` arm)."""
+    """Benchmark ``muce_plus_plus``, with and without the cut (the
+    ``pivot`` and ``nocut`` arms)."""
     graphs = _graphs(configs)
     results: list[ConfigResult] = []
     for dataset, scale, k, tau in configs:
         graph = graphs[dataset, scale]
-        runs = {name: EngineRun() for name, _, _ in ENUM_ARMS}
+        runs = {name: EngineRun() for name, _ in ENUM_ARMS}
         outputs: dict[str, list[frozenset[Node]]] = {}
+        calibration: list[float] = []
         for _ in range(repetitions):
-            for name, engine, cut in ENUM_ARMS:
+            for name, cut in ENUM_ARMS:
+                calibration.append(_calibration_s(3))
                 elapsed, cliques, stats, phases = _enum_once(
-                    graph, k, tau, engine, cut
+                    graph, k, tau, cut
                 )
                 runs[name].record(elapsed, stats, phases)
                 outputs[name] = cliques
         for run in runs.values():
             run.finish()
-        legacy, pivot, nocut = runs["legacy"], runs["pivot"], runs["nocut"]
-        # Pivoting and cutting reorder emission, so the gate is set
-        # identity with the pivot arm, with no duplicates and the
-        # clique count the stats report.
+        pivot, nocut = runs["pivot"], runs["nocut"]
+        # Cutting reorders emission, so the gate is set identity with
+        # the pivot arm, with no duplicates and the clique count the
+        # stats report.
         want = set(outputs["pivot"])
         identical = all(
             set(outputs[name]) == want
@@ -276,23 +351,13 @@ def run_enumeration_bench(
                 k=k,
                 tau=tau,
                 engines=runs,
-                speedup=(
-                    legacy.median_s / pivot.median_s
-                    if pivot.median_s > 0.0
-                    else 0.0
-                ),
                 identical_output=identical,
-                pivot_branch_reduction=(
-                    legacy.stats["search_calls"]
-                    / pivot.stats["search_calls"]
-                    if pivot.stats.get("search_calls", 0) > 0
-                    else 0.0
-                ),
                 cut_speedup=(
                     nocut.median_s / pivot.median_s
                     if pivot.median_s > 0.0
                     else 0.0
                 ),
+                calibration_s=_median(calibration),
             )
         )
     return BenchReport(
@@ -300,7 +365,7 @@ def run_enumeration_bench(
         algorithm="muce_plus_plus",
         repetitions=repetitions,
         interleaved=True,
-        provenance=collect_provenance(),
+        provenance=_interleaved_provenance(results),
         configs=results,
     )
 
@@ -308,39 +373,33 @@ def run_enumeration_bench(
 def run_maximum_bench(
     configs: list[Config], repetitions: int
 ) -> BenchReport:
-    """Benchmark ``max_uc_plus`` across engines."""
+    """Benchmark ``max_uc_plus``."""
     graphs = _graphs(configs)
     results: list[ConfigResult] = []
     for dataset, scale, k, tau in configs:
         graph = graphs[dataset, scale]
-        runs: dict[str, EngineRun] = {e: EngineRun() for e in ENGINES}
-        outputs: dict[str, frozenset[Node] | None] = {}
+        run = EngineRun()
+        outputs: list[tuple[frozenset[Node] | None, dict[str, int]]] = []
+        calibration: list[float] = []
         for _ in range(repetitions):
-            for engine in ENGINES:
-                elapsed, best, stats, phases = _max_once(
-                    graph, k, tau, engine
-                )
-                runs[engine].record(elapsed, stats, phases)
-                outputs[engine] = best
-        for run in runs.values():
-            run.finish()
-        legacy, pivot = runs["legacy"], runs["pivot"]
+            calibration.append(_calibration_s(3))
+            elapsed, best, stats, phases = _max_once(graph, k, tau)
+            run.record(elapsed, stats, phases)
+            outputs.append((best, stats))
+        run.finish()
+        best = outputs[0][0]
         results.append(
             ConfigResult(
                 dataset=dataset,
                 scale=scale,
                 k=k,
                 tau=tau,
-                engines=runs,
-                speedup=(
-                    legacy.median_s / pivot.median_s
-                    if pivot.median_s > 0.0
-                    else 0.0
-                ),
+                engines={"pivot": run},
                 identical_output=(
-                    outputs["pivot"] == outputs["legacy"]
-                    and pivot.stats == legacy.stats
+                    all(output == outputs[0] for output in outputs)
+                    and best == _canonical_maximum(graph, k, tau)
                 ),
+                calibration_s=_median(calibration),
             )
         )
     return BenchReport(
@@ -348,6 +407,6 @@ def run_maximum_bench(
         algorithm="max_uc_plus",
         repetitions=repetitions,
         interleaved=True,
-        provenance=collect_provenance(),
+        provenance=_interleaved_provenance(results),
         configs=results,
     )

@@ -114,8 +114,7 @@ def _run_query(opts: argparse.Namespace) -> int:
     graph = read_edge_list(opts.input)
     print(
         f"loaded {graph.num_nodes} nodes / {graph.num_edges} edges; "
-        f"k={opts.k}, tau={opts.tau}, query={opts.query}, "
-        f"engine={opts.engine}"
+        f"k={opts.k}, tau={opts.tau}, query={opts.query}"
     )
     if opts.query == "containing":
         if not opts.node:
@@ -123,9 +122,7 @@ def _run_query(opts: argparse.Namespace) -> int:
             return 2
         anchor = _parse_node(opts.node)
         count = 0
-        for clique in cliques_containing(
-            graph, anchor, opts.k, opts.tau, engine=opts.engine
-        ):
+        for clique in cliques_containing(graph, anchor, opts.k, opts.tau):
             count += 1
             prob = clique_probability(graph, clique)
             print(
@@ -144,9 +141,7 @@ def _run_query(opts: argparse.Namespace) -> int:
         answer = is_extendable(graph, members, opts.tau)
         print(f"extendable: {answer}")
     else:
-        answer = containing_clique_exists(
-            graph, members, opts.k, opts.tau, engine=opts.engine
-        )
+        answer = containing_clique_exists(graph, members, opts.k, opts.tau)
         print(f"containing clique exists: {answer}")
     return 0
 
@@ -228,16 +223,6 @@ def _build_parser(runners: dict[str, Runner]) -> argparse.ArgumentParser:
         "--top", type=int, default=5, help="r for --mode top"
     )
     # query options
-    parser.add_argument(
-        "--engine",
-        choices=("pivot", "legacy"),
-        default="pivot",
-        help=(
-            "search engine for the query command (default pivot: the "
-            "compiled kernel with absorbing Tomita pivoting; legacy: the "
-            "recursion that follows the paper's pseudo-code)"
-        ),
-    )
     parser.add_argument(
         "--query",
         choices=("containing", "extendable", "exists"),

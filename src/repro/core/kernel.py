@@ -30,32 +30,33 @@ cliques an earlier neighbour extends (:func:`drop_extended`);
 MaxUC+ searches each view as one more component.
 
 The pivot enumeration keeps the candidate set ``C`` as a list of
-``(id, pi)`` pairs shaped like the legacy loop (measured faster than
-bit-extraction for the tree's many small calls) and adds one
-mask-powered shortcut the legacy representation cannot afford:
+``(id, pi)`` pairs shaped like the paper's ``MUC`` loop (measured faster
+than bit-extraction for the tree's many small calls) and adds one
+mask-powered shortcut a list-based recursion cannot afford:
 
-* the excluded set ``X`` is never materialised.  Legacy filters an
-  explicit ``X`` list on every branch only to test ``X == empty`` at
-  leaves.  The kernel instead maintains ``common``, the intersection of
-  ``adj[r]`` over the current clique (one ``&`` per recursion step), and
-  a ``banned`` mask of branch-size-pruned candidates (which legacy
-  deliberately keeps out of ``X``).  At a leaf (``C`` empty) a node
-  ``x`` would sit in legacy's ``X`` iff ``x in common & ~banned`` and
+* the excluded set ``X`` is never materialised.  The paper's recursion
+  filters an explicit ``X`` list on every branch only to test
+  ``X == empty`` at leaves.  The kernel instead maintains ``common``,
+  the intersection of ``adj[r]`` over the current clique (one ``&`` per
+  recursion step), and a ``banned`` mask of branch-size-pruned
+  candidates (which the recursion deliberately keeps out of ``X``).  At
+  a leaf (``C`` empty) a node ``x`` would sit in ``X`` iff
+  ``x in common & ~banned`` and
   ``CPr(R) * pi_x(R) >= tau_floor``: every node of the component either
   died on an adjacency filter (not in ``common``), was branch-size
   pruned above (``banned``), or was passed over/threshold-filtered — and
   for those the incremental compares along the path are all implied by
   the final one, because IEEE multiplication by factors ``<= 1`` is
   monotone non-increasing.  Recomputing ``pi_x`` in canonical clique order
-  reproduces legacy's float sequence bit for bit, so emission decisions
-  match legacy's while the per-branch ``X`` filtering work disappears.
+  reproduces the recursion's float sequence bit for bit, so emission
+  decisions match it while the per-branch ``X`` filtering work
+  disappears.
 
 Results are decompiled back to the original node labels.  The pivot
-enumeration emits the same *set* of cliques as ``engine="legacy"`` in
-its own branch order; :func:`maximum_compiled` produces every
-decision-relevant float by the same multiplication sequence as the
-legacy closure, so its result and statistics counters are identical to
-``engine="legacy"`` (both pinned by ``tests/core/test_conformance.py``).
+enumeration emits the *set* of cliques the plain recursion would, in
+its own branch order; :func:`maximum_compiled` returns the canonical
+maximum clique.  Both are pinned against brute force and the MULE-style
+oracle of ``tests/core/oracles.py`` by ``tests/core/test_conformance.py``.
 
 The entry points are :func:`enumerate_pivot_range` (the pivoted MUC
 recursion of Algorithm 4) and :func:`maximum_compiled` (the MaxUC+
@@ -122,7 +123,7 @@ KERNEL_COMPONENT_LIMIT = 1024
 #: (incremental) multiplication order, so the skip threshold is raised
 #: by more than the worst-case reassociation rounding error (bounded by
 #: ``#factors * 2^-53 < 1e-10`` within a component of <= 1024 nodes) —
-#: a skip can then never lose a clique the legacy engine would emit.
+#: a skip can then never lose a clique the plain recursion would emit.
 _PIVOT_SAFETY = 1.0 + 1e-9
 
 
@@ -131,7 +132,7 @@ class CompiledComponent:
 
     ``nodes[i]`` is the original label of id ``i``; ids follow the
     library's deterministic node order, so ascending-id iteration
-    reproduces the legacy candidate order exactly.  The CSR rows
+    follows the ``node_sort_key`` candidate order.  The CSR rows
     (``row_offsets`` / ``nbr_ids`` / ``nbr_probs``) are sorted by
     descending probability (ties by id) so a top-k scan reads a prefix.
     ``bits[i]`` caches ``1 << i`` (big-int shifts are not free), and
@@ -427,8 +428,8 @@ def drop_extended(
 
     Each test is the kernel's leaf witness test: the clique's canonical
     chain in ascending view id, times ``p(r, w)`` multiplied in that
-    same order, against ``tau_floor`` — so each decision is the legacy
-    engine's, bit for bit.
+    same order, against ``tau_floor`` — so each decision is the plain
+    recursion's, bit for bit.
     """
     if not vv.witnesses:
         return cliques
@@ -459,7 +460,7 @@ def drop_extended(
 def _canonical_probability(
     rows: list[list[float]], order: list[int]
 ) -> float:
-    """A clique's probability as the legacy engine builds it along its
+    """A clique's probability as the plain recursion builds it along its
     path: each member's product to the members before it, in ascending
     id order ``order``, folded in that order."""
     prob = 1.0
@@ -510,18 +511,17 @@ def iter_bits(mask: int) -> Iterator[int]:
 # preserves the unique-path argument: a clique's next vertex is always
 # its first member in branch order, so no clique is reached twice.
 #
-# Emission stays on the legacy predicate: at a leaf the clique
-# probability and every witness chain are *recomputed in canonical
-# ascending-id order* — the exact nested float sequence the legacy
-# engine builds along its path — so the emitted set of cliques, and
-# each clique's probability chain, are bit-identical to
-# ``engine="legacy"``.  (The descent filters multiply in pivot path
-# order; a filter verdict can in principle differ from the canonical
-# one when a partial product lands within ~1 ulp of the threshold
-# floor, a measure-zero event documented in docs/performance.md and
-# never observed by the parity suites.)  Yield order follows the pivot
-# recursion and therefore differs from the legacy engine's; parity is
-# on the set.
+# Emission stays on the plain recursion's predicate: at a leaf the
+# clique probability and every witness chain are *recomputed in
+# canonical ascending-id order* — the exact nested float sequence the
+# unpivoted recursion builds along its path — so the emitted set of
+# cliques, and each clique's probability chain, are bit-identical to
+# it.  (The descent filters multiply in pivot path order; a filter
+# verdict can in principle differ from the canonical one when a partial
+# product lands within ~1 ulp of the threshold floor, a measure-zero
+# event documented in docs/performance.md and never observed by the
+# parity suites.)  Yield order follows the pivot recursion; parity is on
+# the set.
 
 
 def enumerate_pivot_range(
@@ -576,9 +576,9 @@ def enumerate_pivot_range(
         calls += 1
         if not cands:
             # Leaf: recompute the canonical ascending-order chain (the
-            # float sequence the legacy engine builds along its path)
-            # and run the witness scan against it — emission decisions
-            # are bit-identical to engine="legacy".
+            # float sequence the unpivoted recursion builds along its
+            # path) and run the witness scan against it — emission
+            # decisions are bit-identical to that recursion's.
             if clique_len >= min_size:
                 order = sorted(clique)
                 prob = _canonical_probability(rows, order)
@@ -612,7 +612,7 @@ def enumerate_pivot_range(
         nc = len(cands)
         if nc >= insearch_min_candidates and insearch and clique_len < min_size:
             # In-search (Top_k, tau)-core gate (Algorithm 4 lines
-            # 12-15), the mask twin of legacy's sorted-list peel.
+            # 12-15), as a bitmask peel.
             cand_mask = 0
             for e in cands:
                 cand_mask |= bits[e[0]]
@@ -753,13 +753,12 @@ def maximum_compiled(
 ) -> tuple[list[Node] | None, int]:
     """MaxUC+ search of one *already compiled* component.
 
-    ``color[i]`` is the greedy color of node id ``i``.  Mirrors the
-    closure in ``maximum.max_uc_plus`` exactly, including the order in
-    which the three color bounds and the in-search peel fire and every
-    float they produce (the bounds are the compiled twins of
-    :mod:`repro.core.bounds`).  There is no maximality test here, so the
-    candidate loop matches legacy's shape with dense rows and the bound
-    bookkeeping batched into local counters.  ``comp`` is a whole cut
+    ``color[i]`` is the greedy color of node id ``i``.  The three color
+    bounds fire cheapest first, then the in-search peel (the bounds are
+    the compiled twins of :mod:`repro.core.bounds`).  There is no
+    maximality test here, so the candidate loop is the plain
+    branch-and-bound over dense rows, with the bound bookkeeping
+    batched into local counters.  ``comp`` is a whole cut
     piece or, for a piece above :data:`KERNEL_COMPONENT_LIMIT`, one of
     its per-vertex sub-pieces; either way it has dense rows.
     """

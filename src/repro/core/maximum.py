@@ -26,14 +26,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Literal
 
-from repro.core.bounds import (
-    advanced_color_bound_one,
-    advanced_color_bound_two,
-    basic_color_bound,
-)
-from repro.core.enumeration import Engine
 from repro.core.kernel import node_sort_key
-from repro.core.topk_core import topk_core
 from repro.uncertain.graph import Node, UncertainGraph
 from repro.utils.timing import Stopwatch
 from repro.utils.validation import (
@@ -248,18 +241,16 @@ def max_uc_plus(
     use_advanced_one: bool = True,
     use_advanced_two: bool = True,
     insearch: bool = True,
-    engine: Engine = "pivot",
 ) -> frozenset[Node] | None:
     """Maximum (k, tau)-clique with core/cut pruning and color bounds.
 
     The ``use_advanced_*`` and ``insearch`` switches exist for the
     ablation benchmarks; the defaults reproduce the paper's ``MaxUC+``.
-    ``engine="pivot"`` (default) runs the per-component search on the
-    compiled kernel (:func:`repro.core.kernel.maximum_compiled`);
-    ``"legacy"`` keeps the original closure — both return identical
-    cliques and stats.  The branch-and-bound's DFS-first output depends
-    on branch order, so the compiled search does not pivot and the pivot
-    counters stay zero.
+    The per-component search runs on the compiled kernel
+    (:func:`repro.core.kernel.maximum_compiled`), with the three color
+    bounds of :mod:`repro.core.bounds` in their compiled form.  The
+    branch-and-bound's DFS-first output depends on branch order, so the
+    search does not pivot and the pivot counters stay zero.
 
     Incumbent first: per graph component a greedy tau-clique of ``s_c``
     nodes is grown over the (Top_k, tau)-core, and when ``s_c > k + 1``
@@ -279,116 +270,13 @@ def max_uc_plus(
     (outputs are bit-identical either way).
     """
     # Imported lazily: the session layer imports this module for the
-    # stats type and the legacy search, so a top-level import would be a
-    # cycle.
+    # stats type, so a top-level import would be a cycle.
     from repro.core.session import PreparedGraph
 
     return PreparedGraph(graph).max_uc_plus(
         k, tau, stats=stats, use_advanced_one=use_advanced_one,
         use_advanced_two=use_advanced_two, insearch=insearch,
-        engine=engine,
     )
-
-
-def _search_component_legacy(
-    component: UncertainGraph,
-    colors: dict[Node, int],
-    k: int,
-    tau: float,
-    tau_floor: float,
-    min_size: int,
-    best: list[Node] | None,
-    best_size: int,
-    use_advanced_one: bool,
-    use_advanced_two: bool,
-    insearch: bool,
-    stats: MaximumSearchStats,
-) -> tuple[list[Node] | None, int]:
-    """MaxUC+ search of one component with the legacy dict-of-dicts
-    recursion (the historical in-driver closure, extracted so the staged
-    pipeline can call it per component).
-
-    ``best`` / ``best_size`` seed the incumbent; the improved pair is
-    returned (``best`` unchanged when the component cannot beat it).
-    """
-
-    def search(
-        clique: list[Node],
-        clique_prob: float,
-        candidates: list[tuple[Node, float]],
-    ) -> None:
-        nonlocal best, best_size
-        stats.search_calls += 1
-        if len(clique) > best_size:
-            best = list(clique)
-            best_size = len(clique)
-        if not candidates:
-            return
-
-        # Bounds, cheapest first (Section V implementation details).
-        if len(clique) + basic_color_bound(
-            colors, (v for v, _ in candidates)
-        ) <= best_size:
-            stats.basic_color_prunes += 1
-            return
-        if use_advanced_one and len(clique) + advanced_color_bound_one(
-            colors, candidates, clique_prob, tau
-        ) <= best_size:
-            stats.advanced_one_prunes += 1
-            return
-        if (
-            use_advanced_two
-            and clique
-            and len(clique) + advanced_color_bound_two(
-                component, colors, clique, candidates, clique_prob, tau
-            ) <= best_size
-        ):
-            stats.advanced_two_prunes += 1
-            return
-
-        if insearch and len(clique) < min_size:
-            members = clique + [v for v, _ in candidates]
-            sub = component.induced_subgraph(members)
-            # Transient per-branch subgraph inside the legacy recursion:
-            # pinned to the legacy peel so the legacy engine stays
-            # self-contained (no prune-kernel compile per branch).
-            core = topk_core(  # repro-lint: ignore[RPL008]
-                sub, k, tau, fixed=set(clique), engine="legacy"
-            )
-            if not core.contains_fixed or len(core.nodes) < min_size:
-                stats.insearch_prunes += 1
-                return
-            if len(core.nodes) < len(members):
-                stats.insearch_prunes += 1
-                candidates = [
-                    (v, pi) for v, pi in candidates if v in core.nodes
-                ]
-
-        index = 0
-        while index < len(candidates):
-            if len(clique) + len(candidates) - index <= best_size:
-                stats.size_bound_prunes += 1
-                return
-            u, pi_u = candidates[index]
-            index += 1
-            new_prob = clique_prob * pi_u
-            incident = component.incident(u)
-            new_candidates = []
-            for v, pi_v in candidates[index:]:
-                p = incident.get(v)
-                if p is None:
-                    continue
-                pi = pi_v * p
-                # Hot path: tau_floor = threshold_floor(tau) fast path.
-                if new_prob * pi >= tau_floor:  # repro-lint: ignore[RPL001]
-                    new_candidates.append((v, pi))
-            clique.append(u)
-            search(clique, new_prob, new_candidates)
-            clique.pop()
-
-    ordered = sorted(component.nodes(), key=node_sort_key)
-    search([], 1.0, [(v, 1.0) for v in ordered])
-    return best, best_size
 
 
 Algorithm = Literal["max_uc", "max_rds", "max_uc_plus"]

@@ -29,12 +29,11 @@ parameters to a deterministic artifact:
   sub-pieces; the maximum search derives (and colors) its views on
   demand inside :func:`maximum_search_stage`.
 * :func:`enumeration_search_stage` / :func:`maximum_search_stage` — the
-  actual (sequential) search, consuming the compile artifacts.  The
-  ``"pivot"`` engine runs the compiled kernel on every component,
-  whatever its size.  An :class:`~repro.uncertain.graph.UncertainGraph`
-  is built for a search component only where a search reads one: the
-  legacy engine and the greedy coloring of a whole piece the MaxUC+
-  search reaches.
+  actual (sequential) search, consuming the compile artifacts: the
+  compiled kernel searches every component, whatever its size.  An
+  :class:`~repro.uncertain.graph.UncertainGraph` is built for a search
+  component only where a search reads one: the greedy coloring of a
+  whole piece the MaxUC+ search reaches.
 
 Stage artifacts carry **no wall clocks**, and the only counters a cut
 artifact carries are the pre-search ones the stats objects report; the
@@ -64,11 +63,7 @@ from repro.core.cut_pruning import (
     local_ids,
     split_rows,
 )
-from repro.core.enumeration import (
-    EnumerationStats,
-    _muc,
-    _ordered,
-)
+from repro.core.enumeration import EnumerationStats
 from repro.core.kernel import (
     CompiledComponent,
     VertexView,
@@ -79,7 +74,7 @@ from repro.core.kernel import (
     piece_order,
     vertex_views,
 )
-from repro.core.maximum import MaximumSearchStats, _search_component_legacy
+from repro.core.maximum import MaximumSearchStats
 from repro.core.prune_kernel import CompiledGraph, compile_graph
 from repro.deterministic.coloring import greedy_coloring, greedy_coloring_rows
 from repro.uncertain.graph import Node, UncertainGraph
@@ -98,13 +93,15 @@ __all__ = [
 ]
 
 # benchmarks/e2e/trace.py still wraps these names as search boundaries;
-# the pivot enumeration has the one entry, enumerate_pivot_range.
-enumerate_root_range = enum_root_prep = pivot_root_plan = enumerate_pivot_range
+# the enumeration has the one entry, enumerate_pivot_range.
+enumerate_root_range = enum_root_prep = pivot_root_plan = _muc = (
+    enumerate_pivot_range
+)
 
 #: ``(component id, epoch, members)`` per graph component.
 Parts = tuple[tuple[int, int, tuple[Node, ...]], ...]
 
-#: What the pivot engine searches for one enumeration component: its
+#: What the kernel searches for one enumeration component: its
 #: view, its per-vertex views when it is above the kernel limit, or
 #: ``None`` when it is too small to hold a (k, tau)-clique.
 SearchView = CompiledComponent | tuple[VertexView, ...] | None
@@ -205,7 +202,7 @@ def prune_stage(
     k: int,
     tau: float,
     rule: str,
-    compiled: CompiledGraph | None = None,
+    compiled: CompiledGraph,
     members: Sequence[Node] | None = None,
 ) -> tuple[Node, ...]:
     """Core-based preprocessing: the nodes surviving ``rule`` at (k, tau).
@@ -234,8 +231,6 @@ def prune_stage(
     survivors: frozenset[Node] | set[Node]
     if rule == "none":
         return tuple(graph.nodes())
-    if compiled is None:
-        compiled = compile_graph(graph)
     if rule == "topk":
         survivors = enumeration_mod.topk_core_arrays(
             graph, k, tau, compiled=compiled, members=members,
@@ -270,7 +265,7 @@ class CutArtifact:
 
     An enumeration artifact also carries ``views``, one
     :data:`SearchView` slot per component: the
-    :class:`~repro.core.kernel.CompiledComponent` the pivot engine
+    :class:`~repro.core.kernel.CompiledComponent` the kernel
     searches when the component has ``k + 1`` to
     :data:`~repro.core.kernel.KERNEL_COMPONENT_LIMIT` nodes, its
     per-vertex :class:`~repro.core.kernel.VertexView` tuple above the
@@ -313,9 +308,8 @@ def cut_stage(
     Their survivor-filtered rows are read once from the compile
     (:func:`~repro.core.cut_pruning.induced_rows`); with ``cut=True``
     the cut optimization runs on them, otherwise a plain
-    connected-component split.  One cut implementation serves
-    every engine, so the artifact is engine-independent.  Components
-    come out in order of their first node in ``survivors`` order:
+    connected-component split.  Components come out in order of their
+    first node in ``survivors`` order:
     ascending ids (graph iteration order) for a graph component, the
     region's adjacency order for an anchored core.  The same rows then
     build the artifact's ``views``
@@ -412,9 +406,7 @@ def cut_stage(
 # ----------------------------------------------------------------------
 
 def enumeration_search_stage(
-    graph: UncertainGraph,
-    components: Sequence[Sequence[Node]],
-    compiled: Sequence[SearchView] | None,
+    views: Sequence[SearchView],
     k: int,
     tau_floor: float,
     min_size: int,
@@ -422,41 +414,24 @@ def enumeration_search_stage(
     insearch_min_candidates: int,
     stats: EnumerationStats,
 ) -> Iterator[frozenset[Node]]:
-    """Run the per-component enumeration over the compile artifacts.
+    """Run the per-component enumeration over the cut artifact's views.
 
-    Components are searched in order.  For ``"pivot"``, ``compiled`` is
-    the cut artifact's ``views``, and the compiled pivot kernel searches
-    every component with a view, emitting its cliques in pivot branch
-    order.  A component above the kernel limit is searched one
+    Components are searched in order.  ``views`` is the cut artifact's
+    ``views``, and the compiled pivot kernel searches every component
+    with a view, emitting its cliques in pivot branch order.  A
+    component above the kernel limit is searched one
     :class:`~repro.core.kernel.VertexView` at a time, in the piece's
     degeneracy order: the root branch is forced to the view's vertex,
     and :func:`~repro.core.kernel.drop_extended` drops the cliques an
     earlier neighbour extends.  The views were built by the cut before
-    anything is yielded.  The legacy engine passes ``compiled=None``:
-    every component then goes through the tuple-list recursion
-    :func:`~repro.core.enumeration._muc` on its induced subgraph of
-    ``graph``, and those subgraphs are built before anything is
-    yielded.  Either way a consumer that mutates ``graph`` between
+    anything is yielded, so a consumer that mutates the graph between
     yields still gets the answer for the version it asked at.  The
     search counters accrue to ``stats`` as each component is searched;
     the session runs this stage per graph component into a fresh stats
     object and caches the cliques with those counters, which its
     replays add back.
     """
-    if compiled is None:
-        subgraphs = [
-            graph.induced_subgraph(component)
-            for component in components
-            if len(component) >= min_size
-        ]
-        for subgraph in subgraphs:
-            candidates = [(v, 1.0) for v in _ordered(subgraph.nodes())]
-            yield from _muc(
-                subgraph, [], 1.0, candidates, [], k, tau_floor,
-                min_size, insearch, stats,
-            )
-        return
-    for view in compiled:
+    for view in views:
         if view is None:
             continue
         t_start = perf_counter()
@@ -540,13 +515,11 @@ def maximum_search_stage(
     cut: CutArtifact,
     memo: dict[int, Any],
     k: int,
-    tau: float,
     tau_floor: float,
     min_size: int,
     use_advanced_one: bool,
     use_advanced_two: bool,
     insearch: bool,
-    engine: str,
     stats: MaximumSearchStats,
 ) -> tuple[list[Node] | None, int]:
     """Run the MaxUC+ component loop, compiling on demand into the memo.
@@ -559,14 +532,12 @@ def maximum_search_stage(
     exists, so the search finds one) or at ``k``.  Each component of
     the maximum :func:`cut_stage` artifact ``cut`` is searched by
     :func:`repro.core.kernel.maximum_compiled` on a view of
-    ``artifact``, the version's whole-graph lowering, for ``"pivot"``
-    and by the extracted legacy closure on its induced subgraph of
-    ``graph`` for ``"legacy"`` (identical results and counters; the
-    pivot counters stay zero, because the branch-and-bound's DFS-first
-    output depends on branch order).
+    ``artifact``, the version's whole-graph lowering (the pivot
+    counters stay zero, because the branch-and-bound's DFS-first output
+    depends on branch order).
 
-    The canonical answer does not depend on the component order.  Both
-    searches walk a component's cliques in ``node_sort_key`` DFS order,
+    The canonical answer does not depend on the component order.  The
+    search walks a component's cliques in ``node_sort_key`` DFS order,
     so the first clique above the floor of the component's maximum size
     is its lexicographic minimum.  A component whose head (first node in
     that order) precedes or is the incumbent's first node is searched
@@ -578,11 +549,11 @@ def maximum_search_stage(
     For disjoint components a head equal to the incumbent's first node
     is the incumbent's own component, already searched.
 
-    ``memo`` is a mutable dict (ordinal -> the view and color list for
-    ``"pivot"``, the coloring for ``"legacy"``), filled lazily as the
-    incumbent chain reaches components — the session layer caches the
-    dict objects per engine, so a warm run finds the cold run's entries
-    and the cold run never compiles a component the incumbent skips.
+    ``memo`` is a mutable dict (ordinal -> the view and color list),
+    filled lazily as the incumbent chain reaches components — the
+    session layer caches the dict objects, so a warm run finds the cold
+    run's entries and the cold run never compiles a component the
+    incumbent skips.
     The search path is deterministic, so which ordinals get filled is
     too.
     """
@@ -597,27 +568,16 @@ def maximum_search_stage(
             floor -= 1  # a tie found here may precede the incumbent
         if len(component) <= floor:
             continue
-        if engine == "legacy":
-            subgraph = graph.induced_subgraph(component)
-            coloring = memo.get(ordinal)
-            if coloring is None:
-                coloring = memo[ordinal] = greedy_coloring(subgraph)
-            found, size = _search_component_legacy(
-                subgraph, coloring, k, tau, tau_floor, min_size, None,
-                floor, use_advanced_one, use_advanced_two, insearch,
-                stats,
-            )
-        else:
-            comp, color = _compiled_maximum_entry(
-                memo, ordinal, component, cut.split[ordinal], graph, stats,
-                artifact,
-            )
-            t_start = perf_counter()
-            found, size = maximum_compiled(
-                comp, color, k, tau_floor, min_size, floor,
-                use_advanced_one, use_advanced_two, insearch, stats,
-            )
-            stats.timings.add("search", perf_counter() - t_start)
+        comp, color = _compiled_maximum_entry(
+            memo, ordinal, component, cut.split[ordinal], graph, stats,
+            artifact,
+        )
+        t_start = perf_counter()
+        found, size = maximum_compiled(
+            comp, color, k, tau_floor, min_size, floor,
+            use_advanced_one, use_advanced_two, insearch, stats,
+        )
+        stats.timings.add("search", perf_counter() - t_start)
         if found is None:
             continue
         ranks = sorted(rank[index[u]] for u in found)

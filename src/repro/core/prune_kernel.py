@@ -32,8 +32,8 @@ peel loops run entirely over the flat structures:
   update applied in place with the ``STABLE_P_LIMIT`` rebuild fallback,
   a bucketed worklist (per-round frontier lists drained in sequence)
   instead of the deque, and the verify-before-peel + final verification
-  sweep discipline preserved — so the canonical core is identical to the
-  legacy peel on every input.
+  sweep discipline preserved — so it reaches the canonical core on
+  every input.
 * :func:`distribution_peel` — the Bonchi et al. [16] DPCore baseline
   (Eqs. 3 and 4) over the same compiled form, with reused column
   scratch buffers instead of per-column allocations.
@@ -52,16 +52,16 @@ prune of every query.
 
 Parity contract
 ---------------
-The peels converge to the same canonical node sets as their legacy
-twins, bit for bit:
+Each peel converges to its rule's canonical node set, the one the
+naive fixpoint oracles of ``tests/core/oracles.py`` compute:
 
 * the survival condition of every rule is monotone under node removal,
   and every condemnation is confirmed by a fresh, division-free DP over
   the currently-live neighbors, so each peel terminates at the unique
-  maximal fixpoint — independent of worklist order, seeding, or engine;
+  maximal fixpoint — independent of worklist order or seeding;
 * fresh DPs iterate incident rows in the graph's insertion order
-  (filtered by liveness), multiplying the exact float sequences the
-  legacy code reads out of ``incident(u).values()``;
+  (filtered by liveness), multiplying the float sequence of
+  ``incident(u).values()``;
 * every threshold test compares against ``threshold_floor(tau)``, the
   exact fast path of :func:`~repro.utils.validation.prob_at_least` /
   ``prob_below``.
@@ -77,7 +77,7 @@ from array import array
 from bisect import bisect_left
 from heapq import heapify, heappop, heappush
 from math import prod
-from typing import AbstractSet, Any, Iterable, Literal, Sequence, cast
+from typing import AbstractSet, Any, Iterable, Sequence, cast
 
 from repro.core.tau_degree import STABLE_P_LIMIT
 from repro.uncertain.graph import Node, UncertainGraph
@@ -85,18 +85,12 @@ from repro.utils.validation import threshold_floor, validate_k, validate_tau
 
 __all__ = [
     "CompiledGraph",
-    "PruneEngine",
     "node_sort_key",
     "compile_graph",
     "survival_peel",
     "distribution_peel",
     "topk_peel",
 ]
-
-#: Engine selector of the pruning layer: ``"arrays"`` runs the compiled
-#: flat-CSR peels of this module, ``"legacy"`` the original dict-based
-#: peels.  Both converge to the same canonical node sets.
-PruneEngine = Literal["arrays", "legacy"]
 
 #: A level index's core rows: per core id, its in-core ``(neighbour
 #: ids, probabilities)`` in insertion order.
@@ -126,7 +120,7 @@ class CompiledGraph:
 
     * ``nbr_ids`` / ``nbr_probs`` — **incident order** (the graph's
       insertion order), which is what the fresh survival / distribution
-      DPs must multiply in to match the legacy float sequences.  The
+      DPs multiply in, the float sequence of ``incident(u)``.  The
       ids are lowered **lazily per row**: until :meth:`_map_row` maps a
       row from the flat ``nbr_labels`` copy, its ``nbr_ids`` slots hold
       ``None`` — so a reader that skips the mapping fails loudly
@@ -500,9 +494,7 @@ def survival_peel(
 ) -> set[Node]:
     """DPCore+ (Algorithm 2) over the compiled arrays.
 
-    Semantically identical to the legacy verified peel
-    (:func:`repro.core.ktau_core.dp_core_plus` with ``engine="legacy"``):
-    the deterministic-core prefilter, the Eq. (5) forward survival DP as
+    The verified peel: the deterministic-core prefilter, the Eq. (5) forward survival DP as
     the fresh (division-free) state builder, the Eq. (6) in-place
     deletion update with the ``STABLE_P_LIMIT`` rebuild fallback,
     verify-before-condemn, and a final verification sweep repeated to a
@@ -526,8 +518,8 @@ def survival_peel(
     condemn nodes without notifying their neighbors, which is only sound
     when every live node gets an initial DP.
 
-    Two flat-array specifics beyond the legacy code, neither of which
-    can change the fixpoint:
+    Two flat-array specifics, neither of which can change the
+    fixpoint:
 
     * per-node DP rows live in one preallocated float buffer with a
       uniform ``k + 1`` stride;
@@ -678,8 +670,8 @@ def survival_peel(
 def distribution_peel(cpg: CompiledGraph, k: int, tau: float) -> set[Node]:
     """DPCore (the Bonchi et al. [16] baseline) over the compiled arrays.
 
-    Semantics of :func:`repro.core.ktau_core.dp_core` with
-    ``engine="legacy"``: per-node state is the ``Pr(d = i)`` prefix up
+    The peel behind :func:`repro.core.ktau_core.dp_core`: per-node
+    state is the ``Pr(d = i)`` prefix up
     to the current tau-degree, built lazily column by column (Eq. 3)
     and updated on deletion with Eq. (4), under the same
     verify-before-condemn + final-sweep discipline.  The two column
@@ -804,8 +796,8 @@ def topk_peel(
     """Algorithm 3's (Top_k, tau)-core peel over the compiled arrays.
 
     Each survival check multiplies the ``k`` highest live incident
-    probabilities in ascending order — the exact float sequence of the
-    legacy ``math.prod(sorted(probs)[-k:])`` — against
+    probabilities in ascending order — the exact float sequence of
+    ``math.prod(sorted(probs)[-k:])`` — against
     ``threshold_floor(tau)``.  The peel condition is monotone under node
     removal, so the surviving fixpoint is unique regardless of worklist
     order, and a ``fixed`` node (the paper's ``V_I``) is condemned under
@@ -815,8 +807,8 @@ def topk_peel(
     ``members`` restricts the peel to an induced subset (ascending rows
     are then rebuilt from live entries, walking members only);
     ``fixed`` nodes absent from the graph or the member set never abort,
-    matching the legacy peel over an induced subgraph that simply does
-    not contain them.
+    matching a peel over an induced subgraph that simply does not
+    contain them.
 
     The peel reads neighbour ids only from the rows it gathers, and maps
     just those (:meth:`CompiledGraph._map_row`): on an artifact no
@@ -877,8 +869,8 @@ def topk_peel(
                 is_fixed[i] = 1
 
     def below(values: list[float]) -> bool:
-        # pi_k as the legacy peel computes it: math.prod of the
-        # ascending top-k slice multiplies left to right.
+        # pi_k as math.prod of the ascending top-k slice computes it,
+        # multiplying left to right.
         nv = len(values)
         if nv < k:
             return True
@@ -908,7 +900,7 @@ def topk_peel(
             condemned[i] = 1
 
     # Phase 2 — ascending sorted *live* probabilities for the remnant
-    # (the exact state the legacy peel keeps), collected before any
+    # (a sorted-list peel's state), collected before any
     # further condemnation so the drain's bisect-pops stay consistent.
     # Only these rows are mapped to ids; the drain walks no others.
     vals = cast("list[list[float]]", [None] * n)

@@ -21,7 +21,6 @@ from __future__ import annotations
 
 from typing import Iterable, Iterator
 
-from repro.core.enumeration import Engine
 from repro.core.session import PreparedGraph
 from repro.uncertain.graph import Node, UncertainGraph
 
@@ -37,7 +36,6 @@ def cliques_containing(
     node: Node,
     k: int,
     tau: float,
-    engine: Engine = "pivot",
 ) -> Iterator[frozenset[Node]]:
     """Yield every maximal (k, tau)-clique of ``graph`` containing ``node``.
 
@@ -48,11 +46,8 @@ def cliques_containing(
     graph and the neighborhood.  The neighborhood is further pruned
     with the anchored (Top_k, tau)-core (Algorithm 3's ``V_I``), which
     aborts immediately when the node itself cannot survive.
-
-    ``engine`` selects the search core for the inner enumeration, with
-    the same contract as :func:`repro.core.enumeration.maximal_cliques`.
     """
-    return PreparedGraph(graph).cliques_containing(node, k, tau, engine=engine)
+    return PreparedGraph(graph).cliques_containing(node, k, tau)
 
 
 def is_extendable(
@@ -70,16 +65,11 @@ def containing_clique_exists(
     nodes: Iterable[Node],
     k: int,
     tau: float,
-    engine: Engine = "pivot",
 ) -> bool:
     """Whether some maximal (k, tau)-clique contains all of ``nodes``.
 
     Equivalent to: ``nodes`` is a tau-clique and can be grown (possibly
     by zero steps) to size above ``k`` while keeping ``CPr >= tau``.
-    Decided by an anchored search on the common neighborhood, with
-    ``engine`` configuring that search exactly as on
-    :func:`repro.core.enumeration.maximal_cliques`.
+    Decided by an anchored search on the common neighborhood.
     """
-    return PreparedGraph(graph).containing_clique_exists(
-        nodes, k, tau, engine=engine
-    )
+    return PreparedGraph(graph).containing_clique_exists(nodes, k, tau)

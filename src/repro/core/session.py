@@ -80,7 +80,7 @@ from typing import AbstractSet, Any, Collection, Iterable, Iterator
 
 from repro.core import enumeration as _enumeration_mod
 from repro.core import pipeline
-from repro.core.enumeration import Engine, EnumerationStats, PruningRule
+from repro.core.enumeration import EnumerationStats, PruningRule
 from repro.core.maximum import MaximumSearchStats
 from repro.core.prune_kernel import CompiledGraph
 from repro.core.topk_core import topk_core
@@ -262,9 +262,8 @@ class PreparedGraph:
         version (:func:`pipeline.lowering`).
 
         Parameter-free: one lowering serves every peel of every query at
-        this version, whichever search engine asked — including the
-        dirty-component re-peels, which replay over the same arrays via
-        ``members=`` — *and* every cut and search-view derivation (the
+        this version — including the dirty-component re-peels, which
+        replay over the same arrays via ``members=`` — *and* every cut and search-view derivation (the
         per-component ``CompiledComponent`` bundles are member-filtered
         from rows read once from it, never recompiled).  It lives on
         the graph, so every session over the graph shares it.  A query
@@ -308,7 +307,7 @@ class PreparedGraph:
         only its own component's entries, and the next query re-peels
         only the dirty components — in **one** union peel over their
         members, not a peel per component — and assembles the rest from
-        cache hits.  Every search engine shares these entries: the peel
+        cache hits.  Every query kind shares these entries: the peel
         is the compiled array peel over ``artifact``, the version's
         unified compile, and ``parts`` its
         :func:`~repro.core.pipeline.graph_components` walk, both
@@ -377,9 +376,8 @@ class PreparedGraph:
         artifact is assembled by concatenating the parts in the canonical
         component order — identical cold and warm by construction.  An
         enumeration entry also holds the search views
-        :func:`pipeline.cut_stage` built from the rows it cut, whichever
-        engine asked; the assembled artifact carries none.  The returned
-        ``parts`` list ``[(cid, epoch, part_artifact)]`` lets callers
+        :func:`pipeline.cut_stage` built from the rows it cut; the
+        assembled artifact carries none.  The returned ``parts`` list ``[(cid, epoch, part_artifact)]`` lets callers
         search each part's views and key *their* per-component
         artifacts (enumeration answers, maximum memos) by it.
 
@@ -501,7 +499,6 @@ class PreparedGraph:
         cut: bool = True,
         insearch: bool = True,
         stats: EnumerationStats | None = None,
-        engine: Engine = "pivot",
     ) -> Iterator[frozenset[Node]]:
         """Enumerate all maximal (k, tau)-cliques (session-cached).
 
@@ -513,8 +510,8 @@ class PreparedGraph:
         happens until the first ``next()``.
 
         Every maximal clique lies inside one graph component, so the
-        pivot engine's search is answered per graph component too: a
-        component's cliques in yield order, with the search counters
+        search is answered per graph component too: a component's
+        cliques in yield order, with the search counters
         its search added, are cached under ``("c", cid, epoch,
         "answers", rule, cut, k, tau, insearch, gate, limit)``, where
         ``gate`` and ``limit`` are the in-search gate and the kernel
@@ -523,15 +520,12 @@ class PreparedGraph:
         searches the component's views and stores the entry before its
         first clique is yielded, so only a search that ran to
         completion is stored.  Either way the counters accrue to
-        ``stats`` per graph component, at its first yield.  The legacy
-        engine searches every component on every call.
+        ``stats`` per graph component, at its first yield.
         """
         validate_k(k)
         tau = validate_tau(tau)
         if pruning not in ("topk", "ktau", "none"):
             raise ValueError(f"unknown pruning rule {pruning!r}")
-        if engine not in ("pivot", "legacy"):
-            raise ValueError(f"unknown engine {engine!r}")
         stats = stats if stats is not None else EnumerationStats()
         min_size = k + 1
         # Read from the enumeration module at call time: tests monkeypatch
@@ -551,12 +545,6 @@ class PreparedGraph:
         # prob_at_least per edge.
         tau_floor = threshold_floor(tau)
 
-        if engine == "legacy":
-            yield from pipeline.enumeration_search_stage(
-                self._graph, art.components, None, k, tau_floor,
-                min_size, insearch, insearch_min_candidates, stats,
-            )
-            return
         # The counters the search adds; every other field comes from the
         # cut artifact above.
         counters = (
@@ -578,8 +566,8 @@ class PreparedGraph:
                 local = EnumerationStats()
                 local.timings = stats.timings
                 cliques = tuple(pipeline.enumeration_search_stage(
-                    self._graph, part.components, part.views, k, tau_floor,
-                    min_size, insearch, insearch_min_candidates, local,
+                    part.views, k, tau_floor, min_size, insearch,
+                    insearch_min_candidates, local,
                 ))
                 entry = cliques, tuple(getattr(local, f) for f in counters)
                 self._store(akey, entry)
@@ -600,7 +588,6 @@ class PreparedGraph:
         use_advanced_one: bool = True,
         use_advanced_two: bool = True,
         insearch: bool = True,
-        engine: Engine = "pivot",
     ) -> frozenset[Node] | None:
         """Maximum (k, tau)-clique via MaxUC+ (session-cached).
 
@@ -628,8 +615,6 @@ class PreparedGraph:
         """
         validate_k(k)
         tau = validate_tau(tau)
-        if engine not in ("pivot", "legacy"):
-            raise ValueError(f"unknown engine {engine!r}")
         stats = stats if stats is not None else MaximumSearchStats()
         min_size = k + 1
         tau_floor = threshold_floor(tau)
@@ -646,12 +631,11 @@ class PreparedGraph:
         # search filled are written back to the per-component dicts
         # afterwards — so a mutation in one component keeps every other
         # component's compiled/color entries warm.
-        memo_stage = "colors_max" if engine == "legacy" else "compile_max"
         part_memos: list[tuple[int, dict[int, Any]]] = []
         merged: dict[int, Any] = {}
         offset = 0
         for cid, epoch, part in parts:
-            mkey = ("c", cid, epoch, memo_stage, k, tau, limit)
+            mkey = ("c", cid, epoch, "compile_max", k, tau, limit)
             local = self._lookup(mkey)
             if local is _MISSING:
                 local = {}
@@ -662,9 +646,8 @@ class PreparedGraph:
             offset += len(part.components)
 
         best, best_size = pipeline.maximum_search_stage(
-            self._graph, artifact, art, merged, k, tau, tau_floor,
-            min_size, use_advanced_one, use_advanced_two, insearch, engine,
-            stats,
+            self._graph, artifact, art, merged, k, tau_floor, min_size,
+            use_advanced_one, use_advanced_two, insearch, stats,
         )
         for (off, local), (_, _, part) in zip(part_memos, parts):
             for loc in range(len(part.components)):
@@ -688,7 +671,6 @@ class PreparedGraph:
         fixed: AbstractSet[Node],
         k: int,
         tau: float,
-        engine: Engine,
     ) -> Iterator[frozenset[Node]]:
         """The maximal (k, tau)-cliques of ``region``'s anchored core.
 
@@ -722,10 +704,9 @@ class PreparedGraph:
             self._store(key, entry)
         if entry is None:
             return iter(())
-        components, views = entry
+        _, views = entry
         return pipeline.enumeration_search_stage(
-            self._graph, components, None if engine == "legacy" else views,
-            k, threshold_floor(tau), k + 1, True,
+            views, k, threshold_floor(tau), k + 1, True,
             _enumeration_mod._INSEARCH_MIN_CANDIDATES, EnumerationStats(),
         )
 
@@ -734,7 +715,6 @@ class PreparedGraph:
         node: Node,
         k: int,
         tau: float,
-        engine: Engine = "pivot",
     ) -> Iterator[frozenset[Node]]:
         """Yield every maximal (k, tau)-clique containing ``node``.
 
@@ -742,8 +722,7 @@ class PreparedGraph:
         cliques_containing`: the anchored neighborhood core's search
         components and views are cached (:meth:`_anchored`), so a
         repeated query skips the anchored peel, the cut and the view
-        derivation and only searches.  ``engine`` configures the inner
-        enumeration exactly as on :meth:`maximal_cliques`.
+        derivation and only searches.
         """
         validate_k(k)
         tau = validate_tau(tau)
@@ -756,7 +735,7 @@ class PreparedGraph:
         # make the clique yield order depend on PYTHONHASHSEED.
         region = [*self._graph.incident(node), node]
         for clique in self._anchored(
-            "anchor_node", node, region, {node}, k, tau, engine
+            "anchor_node", node, region, {node}, k, tau
         ):
             if node in clique:
                 yield clique
@@ -769,8 +748,7 @@ class PreparedGraph:
         """Whether some single node can extend ``nodes`` to a larger
         tau-clique (the complement of the maximality condition).
 
-        A neighborhood scan with no search phase, so unlike the other
-        queries it takes no ``engine``.
+        A neighborhood scan with no search phase.
         """
         tau = validate_tau(tau)
         members = list(dict.fromkeys(nodes))
@@ -800,7 +778,6 @@ class PreparedGraph:
         nodes: Iterable[Node],
         k: int,
         tau: float,
-        engine: Engine = "pivot",
     ) -> bool:
         """Whether some maximal (k, tau)-clique contains all of ``nodes``.
 
@@ -840,6 +817,6 @@ class PreparedGraph:
             member_set <= clique
             for clique in self._anchored(
                 "anchor_set", frozenset(members), region, member_set, k,
-                tau, engine,
+                tau,
             )
         )

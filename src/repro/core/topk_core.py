@@ -15,20 +15,17 @@ search branch is dead and the peeling aborts early.
 
 from __future__ import annotations
 
-import bisect
 import math
-from collections import deque
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, AbstractSet, Iterable
 
 from repro.core.prune_kernel import (
     CompiledGraph,
-    PruneEngine,
     compile_graph,
     topk_peel,
 )
 from repro.uncertain.graph import Node, UncertainGraph
-from repro.utils.validation import prob_below, validate_k, validate_tau
+from repro.utils.validation import validate_k
 
 if TYPE_CHECKING:  # pragma: no cover - type-only (kernel imports us)
     from repro.core.kernel import CompiledComponent
@@ -79,7 +76,6 @@ def topk_core(
     k: int,
     tau: float,
     fixed: AbstractSet = frozenset(),
-    engine: PruneEngine = "arrays",
     compiled: CompiledGraph | None = None,
     members: Iterable[Node] | None = None,
 ) -> TopKCoreResult:
@@ -89,77 +85,19 @@ def topk_core(
     it, peeling aborts immediately with ``contains_fixed = False``.  The
     input graph is not modified.
 
-    Runs in ``O(m log d_max)``: per-node incident probabilities are sorted
-    once; each edge deletion removes one value from a sorted list and
-    re-multiplies a k-prefix.
-
-    ``engine="arrays"`` (the default) runs the peel over a flat compiled
-    form of the graph (:func:`repro.core.prune_kernel.topk_peel`);
-    ``compiled`` supplies a prebuilt :class:`CompiledGraph` (the
-    session layer's shared artifact) and ``members`` (arrays only)
-    restricts the peel to the subgraph those nodes induce.  Both engines
-    converge to the same canonical core.
+    Runs in ``O(m log d_max)`` over a flat compiled form of the graph
+    (:func:`repro.core.prune_kernel.topk_peel`): per-node incident
+    probabilities are sorted once; each edge deletion removes one value
+    from a sorted list and re-multiplies a k-prefix.  ``compiled``
+    supplies a prebuilt :class:`CompiledGraph` (the session layer's
+    shared artifact) and ``members`` restricts the peel to the subgraph
+    those nodes induce.
     """
-    if engine == "arrays":
-        if compiled is None:
-            compiled = compile_graph(graph)
-        survivors = topk_peel(compiled, k, tau, members=members, fixed=fixed)
-        if survivors is None:
-            return TopKCoreResult(frozenset(), False)
-        return TopKCoreResult(survivors, True)
-    if members is not None:
-        raise ValueError("members= requires engine='arrays'")
-    validate_k(k)
-    tau = validate_tau(tau)
-
-    # Ascending sorted incident probabilities per node; the top-k product
-    # is the product of the last k entries.
-    probs: dict[Node, list[float]] = {
-        u: sorted(graph.incident(u).values()) for u in graph
-    }
-
-    def pi_k(u: Node) -> float:
-        values = probs[u]
-        if len(values) < k:
-            return 0.0
-        if k == 0:
-            return 1.0
-        return math.prod(values[-k:])
-
-    # incident() keys = neighbors, minus the guarded-iterator overhead;
-    # this peel reads the caller's graph and never mutates it.
-    alive: dict[Node, set[Node]] = {
-        u: set(graph.incident(u)) for u in graph
-    }
-    queue: deque[Node] = deque()
-    queued: set[Node] = set()
-    for u in graph:
-        if prob_below(pi_k(u), tau):
-            if u in fixed:
-                return TopKCoreResult(frozenset(), False)
-            queue.append(u)
-            queued.add(u)
-
-    removed: set[Node] = set()
-    while queue:
-        u = queue.popleft()
-        removed.add(u)
-        for v in alive[u]:
-            alive[v].discard(u)
-            if v in queued:
-                continue
-            p = graph.probability(u, v)
-            values = probs[v]
-            idx = bisect.bisect_left(values, p)
-            values.pop(idx)
-            if prob_below(pi_k(v), tau):
-                if v in fixed:
-                    return TopKCoreResult(frozenset(), False)
-                queue.append(v)
-                queued.add(v)
-        alive[u] = set()
-
-    survivors = frozenset(u for u in graph if u not in removed)
+    if compiled is None:
+        compiled = compile_graph(graph)
+    survivors = topk_peel(compiled, k, tau, members=members, fixed=fixed)
+    if survivors is None:
+        return TopKCoreResult(frozenset(), False)
     return TopKCoreResult(survivors, True)
 
 
@@ -173,7 +111,7 @@ def topk_core_arrays(
     """Algorithm 3's peel over a compiled whole-graph array form.
 
     Array-based fast path for the *pre-search* pruning stage of MUCE++ /
-    MaxUC+ (the compiled-engine twin of :func:`topk_core` without the
+    MaxUC+ (:func:`topk_core` without the
     ``fixed`` machinery — the pre-search call has no clique yet).  Since
     the prune kernel landed this is a thin delegate to
     :func:`repro.core.prune_kernel.topk_peel`: ``compiled`` supplies a
@@ -209,11 +147,11 @@ def topk_peel_masks(
     mask, or ``None`` as soon as a fixed node is condemned (the branch is
     dead either way, so no work is wasted finishing the peel).
 
-    Parity with :func:`topk_core` / the legacy ``_insearch_topk_prune``:
-    the peel condition is monotone under node removal, so the surviving
-    fixpoint is unique regardless of peel order, and a fixed node is
-    condemned under *some* order iff it is outside that fixpoint — hence
-    the abort decision is order-independent too.  Each check multiplies
+    Parity with :func:`topk_core`: the peel condition is monotone under
+    node removal, so the surviving fixpoint is unique regardless of peel
+    order, and a fixed node is condemned under *some* order iff it is
+    outside that fixpoint — hence the abort decision is
+    order-independent too.  Each check multiplies
     the k highest surviving probabilities in ascending order, the exact
     float sequence of ``math.prod(sorted(probs)[-k:])``, and candidates
     are identified by node id (not by value-bisect on a probability
@@ -232,8 +170,8 @@ def topk_peel_masks(
     def survives(u: int) -> bool:
         # Top-k product over surviving neighbors: the CSR row is sorted by
         # descending probability, so the first k live entries are the top
-        # k; they are multiplied back-to-front (ascending) to reproduce
-        # the legacy float sequence exactly.
+        # k; they are multiplied back-to-front (ascending), the float
+        # sequence of math.prod(sorted(probs)[-k:]).
         top: list[float] = []
         for i in range(row_offsets[u], row_offsets[u + 1]):
             if alive >> nbr_ids[i] & 1:

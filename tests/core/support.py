@@ -71,8 +71,8 @@ def straddle_graph() -> UncertainGraph:
 
 
 def hub_and_triangle() -> UncertainGraph:
-    """Every edge at 0.6: a bisect-by-value removal in the legacy peel
-    hits an arbitrary duplicate.  The star spokes die under the
+    """Every edge at 0.6: a bisect-by-value removal in a sorted-list
+    peel hits an arbitrary duplicate.  The star spokes die under the
     (Top_2, tau)-core, the triangle survives."""
     spokes = [("hub", s, 0.6) for s in ("s1", "s2", "s3", "t1")]
     return UncertainGraph(spokes + clique_edges(("t1", "t2", "t3"), 0.6))

@@ -88,16 +88,13 @@ def test_every_engine_returns_the_oracle_clique(
         if len(c) == size
     ]
     assert len(maxima) == planted  # the ties the test is about
-    for engine in ("pivot", "legacy"):
-        session = PreparedGraph(graph)
-        cold = MaximumSearchStats()
-        got = session.max_uc_plus(k, TAU, stats=cold, engine=engine)
-        assert got == oracle
-        warm = MaximumSearchStats()
-        got = session.max_uc_plus(k, TAU, stats=warm, engine=engine)
-        assert got == oracle
-        assert asdict(warm) == asdict(cold)
-        assert max_uc_plus(graph, k, TAU, engine=engine) == oracle
+    session = PreparedGraph(graph)
+    cold = MaximumSearchStats()
+    assert session.max_uc_plus(k, TAU, stats=cold) == oracle
+    warm = MaximumSearchStats()
+    assert session.max_uc_plus(k, TAU, stats=warm) == oracle
+    assert asdict(warm) == asdict(cold)
+    assert max_uc_plus(graph, k, TAU) == oracle
 
 
 def test_oracle_takes_the_lexicographic_minimum():

@@ -1,8 +1,6 @@
 """The conformance matrix: every fast path against one oracle ladder.
 
-Each query kind is asked through both search engines (``"legacy"``, the
-paper-following reference, and ``"pivot"``, the compiled kernel) and in
-three modes:
+Each query kind is asked in three modes:
 
 * **cold** — a fresh copy of the graph: nothing lowered, nothing cached;
 * **warm** — one session (or one lowering) that has answered before: a
@@ -14,8 +12,9 @@ three modes:
   rebuild of the mutated graph.
 
 The oracle ladder: brute force over every node subset for graphs of at
-most :data:`BRUTE_FORCE_LIMIT` nodes and the legacy search above it;
-the legacy dict-of-dicts peels on the induced subgraph for every prune;
+most :data:`BRUTE_FORCE_LIMIT` nodes and the MULE-style search of
+:mod:`tests.core.oracles` above it; that module's naive fixpoints on
+the induced subgraph for every prune;
 :func:`~repro.core.kernel.compile_component` on the induced subgraph
 for every derived search view; a cold
 :func:`~repro.core.prune_kernel.compile_graph` for every delta patch.
@@ -25,8 +24,7 @@ The query kinds:
 * the session queries of :data:`QUERIES` — enumeration (MUCE, MUCE+ and
   MUCE++ as ``cut`` and ``insearch`` select), the maximum (MaxUC+) and
   the three anchored queries.  Enumeration emits the oracle's set, each
-  clique once, with the pre-search counters equal across engines;
-  MaxUC+ returns the canonical maximum with every counter equal;
+  clique once; MaxUC+ returns the canonical maximum and never pivots;
 * the lowering readers of :func:`check_lowering` — the peels of
   :data:`PEELS` over the whole graph, the restricted ones with
   ``members=`` and ``fixed=``, the maintainer's ``frontier=`` re-peel,
@@ -67,7 +65,6 @@ from repro import (
 )
 from repro.core.bruteforce import brute_force_maximal_cliques
 from repro.core.enumeration import (
-    Engine,
     EnumerationStats,
     PruningRule,
     maximal_cliques,
@@ -88,13 +85,18 @@ from repro.core.prune_kernel import (
     survival_peel,
     topk_peel,
 )
-from repro.core.topk_core import topk_core, topk_core_arrays
+from repro.core.topk_core import TopKCoreResult, topk_core, topk_core_arrays
 from repro.deterministic.components import connected_components
 from repro.deterministic.core_decomposition import core_numbers
 from repro.uncertain.clique_prob import clique_probability, is_clique
 from repro.uncertain.graph import _MUTLOG_MAXLEN, Node
 from repro.utils.validation import prob_at_least, threshold_floor
 from tests.conftest import make_random_graph
+from tests.core.oracles import (
+    ktau_core_oracle,
+    mule_maximal_cliques,
+    topk_core_oracle,
+)
 from tests.core.support import (
     PROBABILITY_PALETTE,
     assert_bit_identical,
@@ -108,10 +110,10 @@ from tests.core.support import (
 )
 from tests.core.test_session import _record_lookups
 
-ENGINES: tuple[Engine, ...] = ("legacy", "pivot")
 TAUS = (0.01, 0.05, 0.1, 0.2, 0.3, 0.5, 0.6)
 #: Brute force checks every node subset: cheap up to here, and the
-#: legacy search answers above it (a mutation stream can grow a graph).
+#: MULE-style oracle answers above it (a mutation stream can grow a
+#: graph).
 BRUTE_FORCE_LIMIT = 14
 
 #: ``(op, u, v, p)``; ``v`` and ``p`` are ignored by the node ops.
@@ -212,7 +214,7 @@ def cases(draw: st.DrawFn) -> Case:
     graph = draw(uncertain_graphs())
     nodes = graph.nodes()
     # tau exactly at the probability of an edge or a triangle: the
-    # tolerant threshold must keep that clique in every engine.
+    # tolerant threshold must keep that clique on every path.
     exact = [
         clique_probability(graph, clique)
         for clique in itertools.chain(
@@ -259,7 +261,7 @@ def clique_oracle(
     """The maximal (k, tau)-cliques, by the cheapest rung that answers."""
     if len(graph) <= BRUTE_FORCE_LIMIT:
         return brute_force_maximal_cliques(graph, k, tau)
-    return set(maximal_cliques(graph, k, tau, engine="legacy"))
+    return mule_maximal_cliques(graph, k, tau)
 
 
 def maximum_of(cliques: set[frozenset[Node]]) -> frozenset[Node] | None:
@@ -280,52 +282,45 @@ def present(graph: UncertainGraph, case: Case) -> list[Node]:
 
 
 def ask_enumeration(
-    session: PreparedGraph, case: Case, engine: Engine
+    session: PreparedGraph, case: Case
 ) -> tuple[list[frozenset[Node]], EnumerationStats]:
     stats = EnumerationStats()
     cliques = list(session.maximal_cliques(
         case.k, case.tau, pruning=case.pruning, cut=case.cut,
-        insearch=case.insearch, stats=stats, engine=engine,
+        insearch=case.insearch, stats=stats,
     ))
     assert stats.cliques == len(cliques)
     return cliques, stats
 
 
 def ask_maximum(
-    session: PreparedGraph, case: Case, engine: Engine
+    session: PreparedGraph, case: Case
 ) -> tuple[frozenset[Node] | None, MaximumSearchStats]:
     stats = MaximumSearchStats()
     best = session.max_uc_plus(
-        case.k, case.tau, stats=stats, insearch=case.insearch, engine=engine
+        case.k, case.tau, stats=stats, insearch=case.insearch
     )
-    if engine == "pivot":
-        # The branch-and-bound's DFS order decides ties: it never pivots.
-        assert stats.pivot_branches == stats.pivot_skipped == 0
+    # The branch-and-bound's DFS order decides ties: it never pivots.
+    assert stats.pivot_branches == stats.pivot_skipped == 0
     return best, stats
 
 
 def ask_containing(
-    session: PreparedGraph, case: Case, engine: Engine
+    session: PreparedGraph, case: Case
 ) -> tuple[list[frozenset[Node]] | None, None]:
     anchors = present(session.graph, case)
     if not anchors:
         return None, None
-    return list(session.cliques_containing(
-        anchors[0], case.k, case.tau, engine=engine
-    )), None
+    return list(session.cliques_containing(anchors[0], case.k, case.tau)), None
 
 
-def ask_exists(
-    session: PreparedGraph, case: Case, engine: Engine
-) -> tuple[bool, None]:
+def ask_exists(session: PreparedGraph, case: Case) -> tuple[bool, None]:
     return session.containing_clique_exists(
-        present(session.graph, case), case.k, case.tau, engine=engine
+        present(session.graph, case), case.k, case.tau
     ), None
 
 
-def ask_extendable(
-    session: PreparedGraph, case: Case, engine: Engine
-) -> tuple[bool, None]:
+def ask_extendable(session: PreparedGraph, case: Case) -> tuple[bool, None]:
     return session.is_extendable(present(session.graph, case), case.tau), None
 
 
@@ -359,14 +354,13 @@ def extendable_oracle(
 
 @dataclass(frozen=True)
 class Query:
-    ask: Callable[[PreparedGraph, Case, Engine], tuple[Any, Any]]
+    ask: Callable[[PreparedGraph, Case], tuple[Any, Any]]
     oracle: Callable[[set[frozenset[Node]], UncertainGraph, Case], Any]
-    #: The stats fields both engines must agree on (``None``: all).
-    shared: tuple[str, ...] | None = ()
 
 
-#: What the search shape cannot move: pivoting reorders emission and
-#: changes the recursion, never the prune, the cut or the clique count.
+#: What the search shape cannot move: the kernel size limit reorders
+#: emission and changes the recursion, never the prune, the cut or the
+#: clique count.
 PRESEARCH = (
     "nodes_after_pruning", "components", "cuts_found", "cut_edges_removed",
     "cliques",
@@ -374,10 +368,10 @@ PRESEARCH = (
 
 QUERIES: dict[str, Query] = {
     "maximal_cliques": Query(
-        ask_enumeration, lambda cliques, graph, case: cliques, PRESEARCH
+        ask_enumeration, lambda cliques, graph, case: cliques
     ),
     "max_uc_plus": Query(
-        ask_maximum, lambda cliques, graph, case: maximum_of(cliques), None
+        ask_maximum, lambda cliques, graph, case: maximum_of(cliques)
     ),
     "cliques_containing": Query(ask_containing, containing_oracle),
     "containing_clique_exists": Query(ask_exists, exists_oracle),
@@ -387,10 +381,10 @@ QUERIES: dict[str, Query] = {
 Answers = dict[str, tuple[Any, dict[str, Any] | None]]
 
 
-def ask_all(session: PreparedGraph, case: Case, engine: Engine) -> Answers:
+def ask_all(session: PreparedGraph, case: Case) -> Answers:
     answers: Answers = {}
     for name, query in QUERIES.items():
-        answer, stats = query.ask(session, case, engine)
+        answer, stats = query.ask(session, case)
         answers[name] = (answer, None if stats is None else asdict(stats))
     return answers
 
@@ -406,52 +400,33 @@ def assert_oracle(
         assert answer == QUERIES[name].oracle(cliques, graph, case), name
 
 
-def assert_engines_agree(by_engine: dict[Engine, Answers]) -> None:
-    for name, query in QUERIES.items():
-        legacy = by_engine["legacy"][name][1]
-        pivot = by_engine["pivot"][name][1]
-        if query.shared is None:
-            assert pivot == legacy, name
-        else:
-            for field in query.shared:
-                assert pivot[field] == legacy[field], (name, field)
-
-
 def check_queries(case: Case) -> None:
     graph = case.graph.copy()
     k, tau = case.k, case.tau
 
-    # Cold: a fresh copy per engine.  Each session's views were built
-    # from the rows its cuts read.
+    # Cold: a fresh copy, whose views were built from the rows its cuts
+    # read.
     cliques = clique_oracle(graph, k, tau)
-    cold = {}
-    for engine in ENGINES:
-        fresh = PreparedGraph(graph.copy())
-        cold[engine] = ask_all(fresh, case, engine)
+    fresh = PreparedGraph(graph.copy())
+    cold = ask_all(fresh, case)
     assert_cached_views(fresh)
-    for engine in ENGINES:
-        assert_oracle(cold[engine], cliques, graph, case)
-    assert_engines_agree(cold)
+    assert_oracle(cold, cliques, graph, case)
     # With the gate at zero the in-search peel runs at every search
-    # call: legacy's sorted-list peel and the kernel's mask peel on
-    # every recursion level, duplicate probabilities included.
+    # call: the kernel's mask peel on every recursion level, duplicate
+    # probabilities included.
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(enumeration_mod, "_INSEARCH_MIN_CANDIDATES", 0)
-        for engine in ENGINES:
-            forced = list(maximal_cliques(
-                graph.copy(), k, tau, pruning=case.pruning, cut=case.cut,
-                engine=engine,
-            ))
-            assert len(forced) == len(set(forced))
-            assert set(forced) == cliques
+        forced = list(maximal_cliques(
+            graph.copy(), k, tau, pruning=case.pruning, cut=case.cut,
+        ))
+        assert len(forced) == len(set(forced))
+        assert set(forced) == cliques
 
     # Warm: one session answers everything twice; the repeat is all hits.
     session = PreparedGraph(graph)
-    for engine in ENGINES:
-        assert ask_all(session, case, engine) == cold[engine]
+    assert ask_all(session, case) == cold
     misses = session.cache_stats.misses
-    for engine in ENGINES:
-        assert ask_all(session, case, engine) == cold[engine]
+    assert ask_all(session, case) == cold
     assert session.cache_stats.misses == misses
     assert session.cache_stats.full_compiles <= 1
     lowered = graph._lowering
@@ -463,23 +438,20 @@ def check_queries(case: Case) -> None:
     for mutation in case.mutations:
         misses = session.cache_stats.misses
         mutate(graph, maintainer, mutation)
-        warm, _ = ask_enumeration(session, case, "pivot")
+        warm, _ = ask_enumeration(session, case)
         fresh = PreparedGraph(graph.copy())
-        assert warm == ask_enumeration(fresh, case, "pivot")[0]
+        assert warm == ask_enumeration(fresh, case)[0]
         # Untouched components are served from the cache, never re-derived.
         assert session.cache_stats.misses - misses <= fresh.cache_stats.misses
         if maintainer is not None:
-            core = dp_core_plus(graph, k, tau, engine="legacy")
+            core = ktau_core_oracle(graph, k, tau)
             assert maintainer.core == core
             assert all(clique <= core for clique in warm)
 
     cliques = clique_oracle(graph, k, tau)
-    after = {e: ask_all(session, case, e) for e in ENGINES}
-    for engine in ENGINES:
-        assert_oracle(after[engine], cliques, graph, case)
-        cold_after = ask_all(PreparedGraph(graph.copy()), case, engine)
-        assert after[engine] == cold_after
-    assert_engines_agree(after)
+    after = ask_all(session, case)
+    assert_oracle(after, cliques, graph, case)
+    assert after == ask_all(PreparedGraph(graph.copy()), case)
     removals = sum(op == "remove_node" for op, *_ in case.mutations)
     assert session.cache_stats.full_compiles <= 1 + removals
     if lowered is not None and not removals:
@@ -492,20 +464,11 @@ def check_queries(case: Case) -> None:
 
 Peel = Callable[..., Any]
 
-#: Each compiled peel and the legacy peel it must equal.
+#: Each compiled peel and the naive fixpoint it must equal.
 PEELS: dict[str, tuple[Peel, Peel]] = {
-    "topk": (
-        topk_peel,
-        lambda g, k, tau: topk_core(g, k, tau, engine="legacy").nodes,
-    ),
-    "ktau+": (
-        survival_peel,
-        lambda g, k, tau: dp_core_plus(g, k, tau, engine="legacy"),
-    ),
-    "ktau": (
-        distribution_peel,
-        lambda g, k, tau: dp_core(g, k, tau, engine="legacy"),
-    ),
+    "topk": (topk_peel, topk_core_oracle),
+    "ktau+": (survival_peel, ktau_core_oracle),
+    "ktau": (distribution_peel, ktau_core_oracle),
 }
 
 
@@ -514,8 +477,13 @@ PEELS: dict[str, tuple[Peel, Peel]] = {
 RESTRICTED = ("topk", "ktau+")
 
 
-def legacy_cores(graph: UncertainGraph, k: int, tau: float) -> dict[str, Any]:
-    return {name: legacy(graph, k, tau) for name, (_, legacy) in PEELS.items()}
+def oracle_cores(graph: UncertainGraph, k: int, tau: float) -> dict[str, Any]:
+    return {name: oracle(graph, k, tau) for name, (_, oracle) in PEELS.items()}
+
+
+def as_oracle(result: TopKCoreResult) -> frozenset[Node] | None:
+    """A ``fixed=`` peel's answer in the oracle's form."""
+    return result.nodes if result.contains_fixed else None
 
 
 def check_readers(
@@ -525,15 +493,15 @@ def check_readers(
     ``cpg`` lazily mapped as far as the readers mapped it."""
     k, tau = case.k, case.tau
     fixed = set(present(graph, case))
-    whole = legacy_cores(graph, k, tau)
+    whole = oracle_cores(graph, k, tau)
     for name, (peel, _) in PEELS.items():
         assert peel(cpg, k, tau) == whole[name], name
     assert dp_core(graph, k, tau, compiled=cpg) == whole["ktau"]
     assert dp_core_plus(graph, k, tau, compiled=cpg) == whole["ktau+"]
     assert topk_core_arrays(graph, k, tau, compiled=cpg) == whole["topk"]
-    assert topk_core(graph, k, tau, fixed=fixed, compiled=cpg) == topk_core(
-        graph, k, tau, fixed=fixed, engine="legacy"
-    )
+    assert as_oracle(
+        topk_core(graph, k, tau, fixed=fixed, compiled=cpg)
+    ) == topk_core_oracle(graph, k, tau, fixed)
 
     components = [
         [u for u in graph if u in component]
@@ -548,7 +516,7 @@ def check_readers(
         [u for u in case.members if graph.has_node(u)],
     ):
         induced = graph.induced_subgraph(members)
-        restricted = legacy_cores(induced, k, tau)
+        restricted = oracle_cores(induced, k, tau)
         for name in RESTRICTED:
             peel = PEELS[name][0]
             assert peel(cpg, k, tau, members=members) == restricted[name], name
@@ -559,14 +527,11 @@ def check_readers(
         ) == survival_peel(
             compile_graph(graph), k, tau, members=members, frontier=frontier
         )
-        legacy = topk_core(induced, k, tau, fixed=fixed, engine="legacy")
-        anchored = topk_peel(cpg, k, tau, members=members, fixed=fixed)
-        assert (anchored is not None) == legacy.contains_fixed
-        if anchored is not None:
-            assert anchored == legacy.nodes
-        assert topk_core(
+        oracle = topk_core_oracle(induced, k, tau, fixed)
+        assert topk_peel(cpg, k, tau, members=members, fixed=fixed) == oracle
+        assert as_oracle(topk_core(
             graph, k, tau, fixed=fixed, compiled=cpg, members=members
-        ) == legacy
+        )) == oracle
         # Pruning removes nodes, never edges among survivors, so any
         # member set is a view the search stage may derive.
         assert_views_bit_identical(
@@ -766,9 +731,9 @@ def check_lowering(case: Case) -> None:
     edges = list(graph.edges())
     if edges:
         u, v, p = edges[case.drop % len(edges)]
-        core = dp_core_plus(graph, k, tau, engine="legacy")
+        core = ktau_core_oracle(graph, k, tau)
         graph.remove_edge(u, v)
-        expected = dp_core_plus(graph, k, tau, engine="legacy")
+        expected = ktau_core_oracle(graph, k, tau)
         repatched, how = pipeline_mod.lowering(graph)
         assert repatched is patched and how == "delta"
         frontier = [w for w in (u, v) if w in core]
@@ -906,10 +871,9 @@ def test_pinned_rows(case: Case) -> None:
 
 
 def _assert_like_a_cold_rebuild(session: PreparedGraph, case: Case) -> None:
-    for engine in ENGINES:
-        assert ask_all(session, case, engine) == ask_all(
-            PreparedGraph(session.graph.copy()), case, engine
-        )
+    assert ask_all(session, case) == ask_all(
+        PreparedGraph(session.graph.copy()), case
+    )
 
 
 def test_log_gap_relowers() -> None:
@@ -953,20 +917,12 @@ def test_oversized_component_takes_per_vertex_views(
     build: Callable[[], UncertainGraph], monkeypatch: pytest.MonkeyPatch
 ) -> None:
     # With the kernel limit squeezed to 3, a larger component is searched
-    # one per-vertex view at a time; a tripwire on the legacy recursion
-    # fails if the pivot engine still reaches it.
+    # one per-vertex view at a time: the oracle's cliques, and the
+    # pre-search counters of a search at the default limit.
     graph = build()
-    legacy_stats = EnumerationStats()
-    legacy = list(maximal_cliques(
-        graph, 2, 0.3, stats=legacy_stats, engine="legacy"
-    ))
-    assert legacy
-
-    def tripwire(*args: Any) -> Any:
-        raise AssertionError("the pivot engine entered the legacy recursion")
-
+    whole = EnumerationStats()
+    assert list(maximal_cliques(graph.copy(), 2, 0.3, stats=whole))
     monkeypatch.setattr(enumeration_mod, "KERNEL_COMPONENT_LIMIT", 3)
-    monkeypatch.setattr(pipeline_mod, "_muc", tripwire)
     runs = []
     for _ in range(2):
         stats = EnumerationStats()
@@ -975,9 +931,9 @@ def test_oversized_component_takes_per_vertex_views(
     (cliques, stats), again = runs
     assert again == runs[0]
     assert len(cliques) == len(set(cliques))
-    assert set(cliques) == set(legacy)
+    assert set(cliques) == brute_force_maximal_cliques(graph, 2, 0.3)
     for field in PRESEARCH:
-        assert stats[field] == getattr(legacy_stats, field)
+        assert stats[field] == getattr(whole, field)
 
 
 def test_an_earlier_neighbour_drops_a_later_views_clique(
@@ -987,14 +943,14 @@ def test_an_earlier_neighbour_drops_a_later_views_clique(
     # order has the two after it in its view, which alone finds that
     # triangle maximal: only the first vertex's witness row drops it.
     graph = two_cliques()
-    legacy = set(maximal_cliques(graph, 2, 0.3, engine="legacy"))
+    oracle = brute_force_maximal_cliques(graph, 2, 0.3)
     monkeypatch.setattr(enumeration_mod, "KERNEL_COMPONENT_LIMIT", 3)
-    assert set(maximal_cliques(graph.copy(), 2, 0.3)) == legacy
+    assert set(maximal_cliques(graph.copy(), 2, 0.3)) == oracle
     monkeypatch.setattr(
         pipeline_mod, "drop_extended", lambda vv, found, tau_floor: found
     )
     unfiltered = list(maximal_cliques(graph.copy(), 2, 0.3))
-    extra = set(unfiltered) - legacy
+    extra = set(unfiltered) - oracle
     assert len(extra) == 1 and extra.pop() < frozenset("abcd")
 
 
@@ -1020,12 +976,11 @@ def test_oversized_maximum_takes_sub_pieces(
     monkeypatch: pytest.MonkeyPatch,
 ) -> None:
     # With the kernel limit squeezed to 3, the maximum cut splits every
-    # larger piece into per-vertex sub-pieces, which both engines search
-    # as components: the same canonical answer and counters.
+    # larger piece into per-vertex sub-pieces, each searched as a
+    # component: the oracle's canonical answer, the same counters on
+    # every run.
     graph = build()
-    canonical = max_uc_plus(
-        graph, k, tau, use_advanced_one=advanced_one, engine="legacy"
-    )
+    canonical = maximum_of(mule_maximal_cliques(graph, k, tau))
     cut_stage = pipeline_mod.cut_stage
     split: list[bool] = []
 
@@ -1036,18 +991,17 @@ def test_oversized_maximum_takes_sub_pieces(
 
     monkeypatch.setattr(enumeration_mod, "KERNEL_COMPONENT_LIMIT", 3)
     monkeypatch.setattr(pipeline_mod, "cut_stage", recording)
-    runs = {}
-    for engine in ENGINES:
+    runs = []
+    for _ in range(2):
         stats = MaximumSearchStats()
         best = max_uc_plus(
-            graph.copy(), k, tau, stats=stats,
-            use_advanced_one=advanced_one, engine=engine,
+            graph.copy(), k, tau, stats=stats, use_advanced_one=advanced_one,
         )
-        runs[engine] = (best, asdict(stats))
+        runs.append((best, asdict(stats)))
     assert any(split)
-    assert runs["pivot"] == runs["legacy"]
-    assert runs["pivot"][0] == canonical
-    assert advanced_one or runs["pivot"][1]["advanced_two_prunes"] > 0
+    assert runs[0] == runs[1]
+    assert runs[0][0] == canonical
+    assert advanced_one or runs[0][1]["advanced_two_prunes"] > 0
 
 
 def test_sub_pieces_sharing_a_head_keep_the_smaller_tie(
@@ -1064,8 +1018,7 @@ def test_sub_pieces_sharing_a_head_keep_the_smaller_tie(
     )
     monkeypatch.setattr(enumeration_mod, "KERNEL_COMPONENT_LIMIT", 5)
     session = PreparedGraph(graph)
-    for engine in ENGINES:
-        assert session.max_uc_plus(1, 0.5, engine=engine) == frozenset("abc")
+    assert session.max_uc_plus(1, 0.5) == frozenset("abc")
     art = session._cut_artifact(
         "topk", True, 1, 0.5, MaximumSearchStats().timings, maximum=True
     )[1]
@@ -1081,12 +1034,12 @@ def test_sub_pieces_sharing_a_head_keep_the_smaller_tie(
 def enumeration_payload(
     session: PreparedGraph, case: Case
 ) -> tuple[list[frozenset[Node]], dict[str, Any]]:
-    cliques, stats = ask_enumeration(session, case, "pivot")
+    cliques, stats = ask_enumeration(session, case)
     return cliques, asdict(stats)
 
 
 def check_answers(case: Case) -> None:
-    """Through the case's mutation stream, a warm session's pivot
+    """Through the case's mutation stream, a warm session's
     enumeration equals a cold rebuild's, yield order and counters
     included, and it replays the answers of exactly the components the
     last mutation left clean.  A query that missed one leaves no stale
@@ -1205,16 +1158,15 @@ def test_a_gate_change_between_queries_answers_like_cold(
     graph = _four_pieces()
     case = Case(graph, 2, 0.3, anchors=("0.3",))
     session = PreparedGraph(graph)
-    before = {engine: ask_all(session, case, engine) for engine in ENGINES}
+    before = ask_all(session, case)
     monkeypatch.setattr(enumeration_mod, gate, value)
-    for engine in ENGINES:
-        after = ask_all(session, case, engine)
-        assert after == ask_all(PreparedGraph(graph.copy()), case, engine)
-    assert after != before["pivot"]
+    after = ask_all(session, case)
+    assert after == ask_all(PreparedGraph(graph.copy()), case)
+    assert after != before
 
 
 # ----------------------------------------------------------------------
-# Laziness and engine guards
+# Laziness
 # ----------------------------------------------------------------------
 
 
@@ -1240,9 +1192,3 @@ def test_cold_query_maps_only_the_rows_it_reads() -> None:
     assert artifact.nbr_ids == [
         artifact.index[v] for u in artifact.nodes for v in graph.incident(u)
     ]
-
-
-@pytest.mark.parametrize("peel", [dp_core_plus, topk_core])
-def test_members_requires_the_arrays_engine(peel: Peel) -> None:
-    with pytest.raises(ValueError, match="members"):
-        peel(straddle_graph(), 2, 0.2, engine="legacy", members={"a"})

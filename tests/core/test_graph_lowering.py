@@ -37,7 +37,7 @@ from repro import (
     maximal_cliques,
 )
 from repro.core import pipeline, prune_kernel
-from repro.core.enumeration import Engine, EnumerationStats
+from repro.core.enumeration import EnumerationStats
 from repro.core.maximum import MaximumSearchStats
 from repro.core.prune_kernel import CompiledGraph, compile_graph
 from tests.conftest import current_lowering, make_random_graph
@@ -251,22 +251,21 @@ def test_epoch_only_mutations_refresh_the_walk_without_walking(
 # ----------------------------------------------------------------------
 
 
-@pytest.mark.parametrize("case", ["pivot", "legacy", "oversized"])
+@pytest.mark.parametrize("oversized", [False, True], ids=["whole", "oversized"])
 @pytest.mark.parametrize("mutation", ["remove_edge", "remove_node"])
 def test_second_session_between_yields_keeps_the_asked_version(
-    monkeypatch: pytest.MonkeyPatch, case: str, mutation: str
+    monkeypatch: pytest.MonkeyPatch, oversized: bool, mutation: str
 ) -> None:
     from repro.core import enumeration as enumeration_mod
 
-    engine: Engine = "legacy" if case == "legacy" else "pivot"
-    if case == "oversized":
+    if oversized:
         # Every 5-node piece is above the limit: per-vertex views.
         monkeypatch.setattr(enumeration_mod, "KERNEL_COMPONENT_LIMIT", 3)
     expected = list(PreparedGraph(_cliques_with_bridges())
-                    .maximal_cliques(2, 0.3, engine=engine))
+                    .maximal_cliques(2, 0.3))
     assert len(expected) == 3
     g = _cliques_with_bridges()
-    cliques = PreparedGraph(g).maximal_cliques(2, 0.3, engine=engine)
+    cliques = PreparedGraph(g).maximal_cliques(2, 0.3)
     first = next(cliques)
     lowered = current_lowering(g)
     # Mutate the last piece, not yet searched, and let a second session
@@ -276,10 +275,8 @@ def test_second_session_between_yields_keeps_the_asked_version(
     else:
         g.remove_node(22)
     second = PreparedGraph(g)
-    after = list(second.maximal_cliques(2, 0.3, engine=engine))
-    assert after == list(
-        PreparedGraph(g.copy()).maximal_cliques(2, 0.3, engine=engine)
-    )
+    after = list(second.maximal_cliques(2, 0.3))
+    assert after == list(PreparedGraph(g.copy()).maximal_cliques(2, 0.3))
     if mutation == "remove_edge":
         assert second.cache_stats.delta_patches == 1
         assert current_lowering(g) is lowered
@@ -495,16 +492,15 @@ def test_anchored_entries_follow_their_component(
     assert len(calls) == 2
 
 
-@pytest.mark.parametrize("engine", ["pivot", "legacy"])
 @pytest.mark.parametrize("mutation", ["remove_edge", "remove_node"])
 def test_a_paused_anchored_generator_keeps_the_asked_version(
-    engine: Engine, mutation: str
+    mutation: str,
 ) -> None:
     expected = list(PreparedGraph(_hub_between_cliques())
-                    .cliques_containing("h", 2, 0.3, engine=engine))
+                    .cliques_containing("h", 2, 0.3))
     assert len(expected) == 2
     g = _hub_between_cliques()
-    cliques = PreparedGraph(g).cliques_containing("h", 2, 0.3, engine=engine)
+    cliques = PreparedGraph(g).cliques_containing("h", 2, 0.3)
     first = next(cliques)
     lowered = current_lowering(g)
     # Break the clique not yet yielded, and let a second session patch
@@ -515,9 +511,9 @@ def test_a_paused_anchored_generator_keeps_the_asked_version(
     else:
         g.remove_node(f"{rest}1")
     second = PreparedGraph(g)
-    after = list(second.cliques_containing("h", 2, 0.3, engine=engine))
+    after = list(second.cliques_containing("h", 2, 0.3))
     assert after == list(
-        PreparedGraph(g.copy()).cliques_containing("h", 2, 0.3, engine=engine)
+        PreparedGraph(g.copy()).cliques_containing("h", 2, 0.3)
     )
     assert after != expected
     if mutation == "remove_edge":

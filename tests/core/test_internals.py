@@ -13,14 +13,16 @@ from repro.core.cut_pruning import (
     induced_rows,
     is_low_probability_cut,
 )
+from repro.core.kernel import compile_component
 from repro.core.prune_kernel import compile_graph
-from repro.core.enumeration import _insearch_topk_prune, _pi_k_ok
-from repro.utils.validation import FLOAT_EPS, threshold_floor
+from repro.core.topk_core import top_k_product_probability, topk_peel_masks
+from repro.utils.validation import prob_at_least, threshold_floor
 from tests.conftest import (
     make_clique,
     make_random_graph,
     make_second_sweep_graph,
 )
+from tests.core.oracles import topk_core_oracle
 
 
 class TestCutTopK:
@@ -63,52 +65,67 @@ class TestCutTopK:
         assert cut == [0.7, 0.8, 0.9]  # the test reads, never reorders
 
 
+def _star(*probs):
+    """A centre ``"c"`` with one edge of each probability."""
+    return UncertainGraph(
+        edges=[("c", f"s{i}", p) for i, p in enumerate(probs)]
+    )
+
+
+def _pi_k_ok(graph, node, k, tau):
+    return prob_at_least(top_k_product_probability(graph, node, k), tau)
+
+
 class TestPiKOk:
+    """The top-k product test of Definition 8 that every peel applies."""
+
     def test_short_list_fails(self):
-        assert not _pi_k_ok([0.9], 2, 0.1)
+        assert not _pi_k_ok(_star(0.9), "c", 2, 0.1)
 
     def test_top_k_product_checked(self):
-        floor = 0.5 * (1 - FLOAT_EPS)
-        assert _pi_k_ok([0.2, 0.8, 0.9], 2, floor)  # 0.72 >= 0.5
-        assert _pi_k_ok([0.2, 0.6, 0.9], 2, floor)  # 0.54 >= 0.5
-        assert not _pi_k_ok([0.2, 0.5, 0.9], 2, floor)  # 0.45 < 0.5
+        assert _pi_k_ok(_star(0.2, 0.8, 0.9), "c", 2, 0.5)  # 0.72 >= 0.5
+        assert _pi_k_ok(_star(0.2, 0.6, 0.9), "c", 2, 0.5)  # 0.54 >= 0.5
+        assert not _pi_k_ok(_star(0.2, 0.5, 0.9), "c", 2, 0.5)  # 0.45
 
     def test_k_zero_always_ok_for_tau_leq_one(self):
-        assert _pi_k_ok([], 0, 1.0 * (1 - FLOAT_EPS))
+        assert _pi_k_ok(UncertainGraph(nodes=["c"]), "c", 0, 1.0)
+
+
+def _insearch_peel(graph, clique, k, tau):
+    """The kernel's in-search peel of ``graph``'s compile with
+    ``clique`` fixed, as a node set (``None``: a clique node fell)."""
+    comp = compile_component(graph)
+    fixed = 0
+    for u in clique:
+        fixed |= 1 << comp.nodes.index(u)
+    alive = topk_peel_masks(
+        comp, comp.full_mask, fixed, k, threshold_floor(tau)
+    )
+    return None if alive is None else set(comp.decompile(alive))
 
 
 class TestInsearchPrune:
+    """The in-search (Top_k, tau)-core peel (Algorithm 4, lines 12-15)
+    as the kernel runs it, over bitmasks of a compiled component."""
+
     def test_dead_branch_when_fixed_falls(self, two_groups):
-        # Clique anchored at the hub cannot reach size 4 at tau 0.7.
-        candidates = [
-            (v, two_groups.probability("hub", v))
-            for v in two_groups.neighbors("hub")
-        ]
-        result = _insearch_topk_prune(
-            two_groups, ["hub"], candidates, 3,
-            0.7 * (1 - FLOAT_EPS), 4,
+        # A clique anchored at the hub cannot survive at (3, 0.7).
+        members = two_groups.induced_subgraph(
+            ["hub", *two_groups.neighbors("hub")]
         )
-        assert result is None
+        assert _insearch_peel(members, ["hub"], 3, 0.7) is None
 
     def test_shrinks_candidates(self, two_groups):
-        candidates = [
-            (v, 1.0) for v in two_groups.nodes()
-        ]
-        result = _insearch_topk_prune(
-            two_groups, [], candidates, 3, 0.7 * (1 - FLOAT_EPS), 4
-        )
-        assert result is not None
-        kept = {v for v, _ in result}
+        kept = _insearch_peel(two_groups, [], 3, 0.7)
+        assert kept is not None
         assert "hub" not in kept
         assert {"a1", "a2", "a3", "a4"} <= kept
 
     def test_no_op_when_core_full(self):
-        g = make_clique(6, 0.99)
-        candidates = [(v, 1.0) for v in g.nodes()]
-        result = _insearch_topk_prune(
-            g, [], candidates, 3, 0.5 * (1 - FLOAT_EPS), 4
-        )
-        assert result is candidates  # identity: nothing was removed
+        comp = compile_component(make_clique(6, 0.99))
+        floor = threshold_floor(0.5)
+        alive = topk_peel_masks(comp, comp.full_mask, 0, 3, floor)
+        assert alive == comp.full_mask  # nothing was removed
 
 
 def _sweep(g, k, tau, start=0):
@@ -176,22 +193,20 @@ class TestSweepSplit:
 
 
 class TestInsearchPruneDuplicateProbabilities:
-    """Pin the bisect-removal invariant of the legacy in-search peel.
+    """Pin the in-search peel on duplicate probabilities.
 
-    When a peeled neighbor's probability is duplicated in a node's sorted
-    incident-value list, ``_insearch_topk_prune`` removes *some* equal
-    entry by bisect — sound only because equal floats are interchangeable
-    in a product.  The compiled kernel peel never faces the ambiguity (it
-    indexes by node id), so both must land on the same fixpoint.
+    When a peeled neighbor's probability is duplicated in a node's
+    incident values, a sorted-list peel removes *some* equal entry by
+    bisect — sound only because equal floats are interchangeable in a
+    product.  The compiled kernel peel never faces the ambiguity (it
+    indexes by node id); both must land on the naive fixpoint.
     """
 
     @staticmethod
     def _duplicate_graph():
-        from repro import UncertainGraph
-
         # v carries duplicate 0.5 edges to a (peeled: its only edge) and
-        # to b (a core member).  Peeling a forces a bisect removal of one
-        # of v's duplicated 0.5 values; v must survive on the other one:
+        # to b (a core member).  Peeling a removes one of v's duplicated
+        # 0.5 values; v must survive on the other one:
         # top-2 = 0.5 * 0.8 = 0.4 >= tau_floor(0.4).
         graph = UncertainGraph()
         for u, v in (("t1", "t2"), ("t1", "t3"), ("t2", "t3")):
@@ -204,35 +219,12 @@ class TestInsearchPruneDuplicateProbabilities:
         return graph
 
     def test_duplicate_value_removal_keeps_survivor(self):
-        graph = self._duplicate_graph()
-        candidates = [(u, 1.0) for u in sorted(graph.nodes(), key=str)]
-        result = _insearch_topk_prune(
-            graph, [], candidates, 2, 0.4 * (1 - FLOAT_EPS), 3
-        )
-        assert result is not None
-        kept = {u for u, _ in result}
+        kept = _insearch_peel(self._duplicate_graph(), [], 2, 0.4)
         assert kept == {"t1", "t2", "t3", "b", "v"}
 
     def test_fixpoint_matches_compiled_peel(self):
-        from repro.core.kernel import compile_component
-        from repro.core.topk_core import topk_peel_masks
-        from repro.utils.validation import threshold_floor
-
         graph = self._duplicate_graph()
-        candidates = [(u, 1.0) for u in sorted(graph.nodes(), key=str)]
         for tau in (0.2, 0.4, 0.41, 0.6):
-            floor = threshold_floor(tau)
-            legacy = _insearch_topk_prune(graph, [], candidates, 2, floor, 3)
-            legacy_kept = (
-                None if legacy is None else {u for u, _ in legacy}
+            assert _insearch_peel(graph, [], 2, tau) == topk_core_oracle(
+                graph, 2, tau
             )
-            comp = compile_component(graph)
-            alive = topk_peel_masks(comp, comp.full_mask, 0, 2, floor)
-            assert alive is not None
-            kernel_kept = set(comp.decompile(alive))
-            if kernel_kept and len(kernel_kept) >= 3:
-                assert legacy_kept == kernel_kept
-            else:
-                # Fewer than min_size survivors: legacy reports a dead
-                # branch instead of a set.
-                assert legacy_kept is None

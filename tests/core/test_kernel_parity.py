@@ -1,13 +1,14 @@
-"""Engine parity per query kind: the compiled kernel (``engine="pivot"``)
-against the paper-following reference (``engine="legacy"``) and brute
-force, one property per contract.
+"""Search parity per query kind: the compiled kernel against the
+independent oracles — brute force over every node subset and the
+MULE-style search of :mod:`tests.core.oracles` — one property per
+contract.
 
-* **enumeration** — pivoting reorders emission, so pivot must emit
-  exactly the legacy engine's *set* of cliques (each once), which is in
-  turn the brute-force set, with identical pre-search counters;
-* **maximum** — the compiled MaxUC+ is *bit-identical*: the same maximum
-  clique and the same counters, because every float that decides a
-  branch comes from the same multiplication sequence in both engines.
+* **enumeration** — pivoting reorders emission, so the kernel must emit
+  exactly the oracles' *set* of cliques, each once, whatever the prune,
+  cut and in-search configuration, and the clique counter must count
+  them;
+* **maximum** — the compiled MaxUC+ returns the canonical maximum of
+  the oracle's cliques, never pivots, and repeats its counters.
 
 :mod:`tests.core.test_conformance` crosses these contracts with the
 cold / warm / mutate session modes and the anchored queries.
@@ -22,9 +23,13 @@ from hypothesis import given, settings, strategies as st
 
 import repro.core.enumeration as enumeration_mod
 from repro import UncertainGraph
-from repro.core.bruteforce import brute_force_maximal_cliques
+from repro.core.bruteforce import (
+    brute_force_maximal_cliques,
+    brute_force_maximum_clique,
+)
 from repro.core.enumeration import EnumerationStats, maximal_cliques
 from repro.core.maximum import MaximumSearchStats, max_uc_plus
+from tests.core.oracles import mule_maximal_cliques
 from tests.core.support import hub_and_triangle, uncertain_graphs
 
 TAUS = (0.01, 0.1, 0.3, 0.6)
@@ -38,14 +43,14 @@ taus = st.sampled_from(TAUS)
 def test_enumeration_engines_identical(
     graph: UncertainGraph, k: int, tau: float, insearch: bool, cut: bool
 ) -> None:
-    # Under every prune / cut / in-search configuration both engines emit
-    # exactly the brute-force cliques: the prune stages only remove
+    # Under every prune / cut / in-search configuration the kernel and
+    # both oracles emit the same cliques: the prune stages only remove
     # nodes no maximal (k, tau)-clique contains.
     oracle = brute_force_maximal_cliques(graph, k, tau)
-    for engine in ("legacy", "pivot"):
+    assert mule_maximal_cliques(graph, k, tau) == oracle
+    for pruning in ("topk", "ktau", "none"):
         cliques = list(maximal_cliques(
-            graph, k, tau, cut=cut, insearch=insearch,
-            engine=engine,  # type: ignore[arg-type]
+            graph, k, tau, pruning=pruning, cut=cut, insearch=insearch,
         ))
         assert len(cliques) == len(set(cliques))
         assert set(cliques) == oracle
@@ -56,15 +61,12 @@ def test_enumeration_engines_identical(
 def test_enumeration_identical_with_forced_insearch_gate(
     graph: UncertainGraph, k: int, tau: float
 ) -> None:
-    # Gate at zero: the in-search peel runs at every search call, so
-    # legacy's sorted-list peel and the kernel's mask peel both run on
-    # every recursion level, duplicate probabilities included.
+    # Gate at zero: the in-search mask peel runs at every search call,
+    # on every recursion level, duplicate probabilities included.
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(enumeration_mod, "_INSEARCH_MIN_CANDIDATES", 0)
-        legacy = set(maximal_cliques(graph, k, tau, engine="legacy"))
-        pivot = set(maximal_cliques(graph, k, tau, engine="pivot"))
-    oracle = brute_force_maximal_cliques(graph, k, tau)
-    assert legacy == pivot == oracle
+        pivot = set(maximal_cliques(graph, k, tau))
+    assert pivot == brute_force_maximal_cliques(graph, k, tau)
 
 
 @settings(max_examples=60, deadline=None)
@@ -72,21 +74,19 @@ def test_enumeration_identical_with_forced_insearch_gate(
 def test_maximum_engines_identical(
     graph: UncertainGraph, k: int, tau: float, insearch: bool
 ) -> None:
-    # The branch-and-bound's DFS order decides ties, so the compiled
-    # search never pivots: identical result, identical counters.
-    results = {}
-    stats = {}
-    for engine in ("legacy", "pivot"):
-        engine_stats = MaximumSearchStats()
-        results[engine] = max_uc_plus(
-            graph, k, tau, stats=engine_stats, insearch=insearch,
-            engine=engine,  # type: ignore[arg-type]
-        )
-        stats[engine] = asdict(engine_stats)
-    assert results["pivot"] == results["legacy"]
-    assert stats["pivot"] == stats["legacy"]
-    assert stats["pivot"]["pivot_branches"] == 0
-    assert stats["pivot"]["pivot_skipped"] == 0
+    # The kernel returns the oracle's canonical maximum; the
+    # branch-and-bound's DFS order decides ties, so it never pivots, and
+    # a repeat on a fresh copy reproduces every counter.
+    runs = []
+    for _ in range(2):
+        stats = MaximumSearchStats()
+        best = max_uc_plus(graph.copy(), k, tau, stats=stats, insearch=insearch)
+        runs.append((best, asdict(stats)))
+    assert runs[0] == runs[1]
+    best, stats = runs[0]
+    assert best == brute_force_maximum_clique(graph, k, tau)
+    assert stats["pivot_branches"] == 0
+    assert stats["pivot_skipped"] == 0
 
 
 @settings(max_examples=60, deadline=None)
@@ -95,24 +95,14 @@ def test_maximum_engines_identical(
 def test_pivot_engine_set_identical(
     graph: UncertainGraph, k: int, tau: float, insearch: bool, cut: bool
 ) -> None:
-    # Only the recursion shape (search_calls, prunes) may differ.
-    runs = {}
-    for engine in ("legacy", "pivot"):
-        stats = EnumerationStats()
-        cliques = list(maximal_cliques(
-            graph, k, tau, cut=cut, insearch=insearch, stats=stats,
-            engine=engine,  # type: ignore[arg-type]
-        ))
-        runs[engine] = cliques, stats
-    (legacy, legacy_stats), (pivot, pivot_stats) = runs.values()
-    assert len(pivot) == len(set(pivot))  # no duplicate emissions
-    assert set(pivot) == set(legacy)
-    assert pivot_stats.cliques == legacy_stats.cliques == len(legacy)
-    for field in (
-        "nodes_after_pruning", "components", "cuts_found",
-        "cut_edges_removed",
-    ):
-        assert getattr(pivot_stats, field) == getattr(legacy_stats, field)
+    # The clique counter counts the emitted set, each clique once.
+    stats = EnumerationStats()
+    cliques = list(maximal_cliques(
+        graph, k, tau, cut=cut, insearch=insearch, stats=stats,
+    ))
+    assert len(cliques) == len(set(cliques))  # no duplicate emissions
+    assert set(cliques) == mule_maximal_cliques(graph, k, tau)
+    assert stats.cliques == len(cliques)
 
 
 @settings(max_examples=40, deadline=None)
@@ -125,17 +115,13 @@ def test_pivot_set_identical_with_forced_insearch_gate(
     # candidate set.
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(enumeration_mod, "_INSEARCH_MIN_CANDIDATES", 0)
-        legacy = set(maximal_cliques(graph, k, tau, engine="legacy"))
-        pivot = list(maximal_cliques(graph, k, tau, engine="pivot"))
+        pivot = list(maximal_cliques(graph, k, tau))
     assert len(pivot) == len(set(pivot))
-    assert set(pivot) == legacy
+    assert set(pivot) == mule_maximal_cliques(graph, k, tau)
 
 
-@pytest.mark.parametrize("engine", ["legacy", "pivot"])
-def test_duplicate_probability_peel_is_engine_independent(
-    engine: str,
-) -> None:
-    cliques = list(maximal_cliques(
-        hub_and_triangle(), 2, 0.2, engine=engine,  # type: ignore[arg-type]
-    ))
+def test_duplicate_probability_peel_matches_the_oracle() -> None:
+    graph = hub_and_triangle()
+    cliques = list(maximal_cliques(graph, 2, 0.2))
     assert cliques == [frozenset({"t1", "t2", "t3"})]
+    assert set(cliques) == mule_maximal_cliques(graph, 2, 0.2)

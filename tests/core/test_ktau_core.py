@@ -1,6 +1,7 @@
 """Unit tests for DPCore / DPCore+ / tau-core numbers."""
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro import (
     UncertainGraph,
@@ -11,6 +12,8 @@ from repro import (
 )
 from repro.errors import ParameterError
 from tests.conftest import make_clique, make_random_graph
+from tests.core.oracles import tau_core_numbers_oracle
+from tests.core.support import uncertain_graphs
 
 
 class TestDPCoreBasics:
@@ -131,3 +134,11 @@ class TestTauCoreNumbers:
         high = tau_core_numbers(g, 0.8)
         for u in g:
             assert high[u] <= low[u]
+
+    @settings(max_examples=40, deadline=None)
+    @given(graph=uncertain_graphs(), tau=st.sampled_from((0.05, 0.3, 0.6)))
+    def test_equals_the_per_k_oracle(self, graph, tau):
+        # One restricted peel per k reproduces the naive (k, tau)-cores.
+        assert tau_core_numbers(graph, tau) == tau_core_numbers_oracle(
+            graph, tau
+        )

@@ -1,11 +1,12 @@
 """Prune parity: the compiled peels of :mod:`repro.core.prune_kernel`
-against the legacy dict-of-dicts peels, one property per contract.
+against the naive fixpoint oracles of :mod:`tests.core.oracles`, one
+property per contract.
 
 Verified peeling converges to the unique maximal fixpoint whatever the
-peel order, so every arrays peel — ``dp_core``, ``dp_core_plus`` and
+peel order, so every peel — ``dp_core``, ``dp_core_plus`` and
 ``topk_core`` on the whole graph, the latter two restricted by
 ``members=``, ``dp_core_plus`` seeded by ``frontier=`` and ``topk_core``
-aborted by ``fixed=`` — must return exactly the legacy answer on the
+aborted by ``fixed=`` — must return exactly the oracle's core of the
 (induced) graph.  :mod:`tests.core.test_conformance`
 crosses these contracts with warm and delta-patched lowerings.
 """
@@ -26,6 +27,7 @@ from repro.core.prune_kernel import (
 from repro.core.topk_core import topk_core, topk_core_arrays
 from repro.deterministic.core_decomposition import core_numbers
 from tests.conftest import current_lowering
+from tests.core.oracles import ktau_core_oracle, topk_core_oracle
 from tests.core.support import (
     PROBABILITY_PALETTE,
     straddle_graph,
@@ -44,15 +46,12 @@ def test_peel_engines_identical(
     graph: UncertainGraph, k: int, tau: float
 ) -> None:
     compiled = compile_graph(graph)
-    assert dp_core(graph, k, tau, compiled=compiled) == dp_core(
-        graph, k, tau, engine="legacy"
-    )
-    assert dp_core_plus(graph, k, tau, compiled=compiled) == dp_core_plus(
-        graph, k, tau, engine="legacy"
-    )
-    assert topk_core(graph, k, tau, compiled=compiled) == topk_core(
-        graph, k, tau, engine="legacy"
-    )
+    ktau = ktau_core_oracle(graph, k, tau)
+    assert dp_core(graph, k, tau, compiled=compiled) == ktau
+    assert dp_core_plus(graph, k, tau, compiled=compiled) == ktau
+    core = topk_core(graph, k, tau, compiled=compiled)
+    assert core.contains_fixed
+    assert core.nodes == topk_core_oracle(graph, k, tau)
 
 
 @settings(max_examples=40, deadline=None)
@@ -75,12 +74,12 @@ def test_seeded_peel_matches_induced_subgraph(
     )
     induced = graph.induced_subgraph(members)
     compiled = compile_graph(graph)
-    assert survival_peel(compiled, k, tau, members=members) == dp_core_plus(
-        induced, k, tau, engine="legacy"
-    )
-    assert topk_peel(compiled, k, tau, members=members) == topk_core(
-        induced, k, tau, engine="legacy"
-    ).nodes
+    assert survival_peel(
+        compiled, k, tau, members=members
+    ) == ktau_core_oracle(induced, k, tau)
+    assert topk_peel(
+        compiled, k, tau, members=members
+    ) == topk_core_oracle(induced, k, tau)
 
 
 @settings(max_examples=30, deadline=None)
@@ -93,9 +92,10 @@ def test_fixed_abort_parity(
         st.sets(st.sampled_from(nodes), min_size=1) if nodes
         else st.just(set())
     )
-    assert topk_core(
-        graph, k, tau, fixed=fixed, compiled=compile_graph(graph)
-    ) == topk_core(graph, k, tau, fixed=fixed, engine="legacy")
+    core = topk_core(graph, k, tau, fixed=fixed, compiled=compile_graph(graph))
+    oracle = topk_core_oracle(graph, k, tau, fixed)
+    assert core.contains_fixed == (oracle is not None)
+    assert core.nodes == (oracle or frozenset())
 
 
 def test_artifact_reuse_across_peels() -> None:
@@ -112,9 +112,7 @@ def test_artifact_reuse_across_peels() -> None:
 
 def test_topk_core_arrays_members_none_never_aborts() -> None:
     graph = straddle_graph()
-    assert topk_core_arrays(graph, 2, 0.2) == topk_core(
-        graph, 2, 0.2, engine="legacy"
-    ).nodes
+    assert topk_core_arrays(graph, 2, 0.2) == topk_core_oracle(graph, 2, 0.2)
 
 
 def test_session_shares_one_compile_across_prune_stages() -> None:
@@ -173,20 +171,21 @@ def test_restricted_peels_equal_the_induced_subgraph_peels(
     fixed = data.draw(st.sets(st.sampled_from(union.nodes()), max_size=3))
     for members in (nodes, subset):
         induced = union.induced_subgraph(members)
-        legacy = topk_core(induced, k, tau, fixed=fixed, engine="legacy")
-        anchored = topk_peel(compiled, k, tau, members=members, fixed=fixed)
-        assert (anchored is not None) == legacy.contains_fixed
-        if anchored is not None:
-            assert anchored == legacy.nodes
-        assert topk_core(
+        oracle = topk_core_oracle(induced, k, tau, fixed)
+        assert topk_peel(
+            compiled, k, tau, members=members, fixed=fixed
+        ) == oracle
+        core = topk_core(
             union, k, tau, fixed=fixed, compiled=compiled, members=members
-        ) == legacy
-        assert topk_peel(compiled, k, tau, members=members) == topk_core(
-            induced, k, tau, engine="legacy"
-        ).nodes
-        assert survival_peel(compiled, k, tau, members=members) == (
-            dp_core_plus(induced, k, tau, engine="legacy")
         )
+        assert core.contains_fixed == (oracle is not None)
+        assert core.nodes == (oracle or frozenset())
+        assert topk_peel(
+            compiled, k, tau, members=members
+        ) == topk_core_oracle(induced, k, tau)
+        assert survival_peel(
+            compiled, k, tau, members=members
+        ) == ktau_core_oracle(induced, k, tau)
     # Restricted peels never read or build the whole-graph level index.
     assert compiled._topk_levels == {}
 
@@ -204,14 +203,10 @@ def test_frontier_repeels_equal_the_induced_subgraph_peels(
         return
     union = _beside_a_far_component(graph)
     members = graph.nodes()
-    core = dp_core_plus(
-        union.induced_subgraph(members), k, tau, engine="legacy"
-    )
+    core = ktau_core_oracle(union.induced_subgraph(members), k, tau)
     u, v = data.draw(st.sampled_from(edges))
     union.remove_edge(u, v)
-    expected = dp_core_plus(
-        union.induced_subgraph(members), k, tau, engine="legacy"
-    )
+    expected = ktau_core_oracle(union.induced_subgraph(members), k, tau)
     frontier = [w for w in (u, v) if w in core]
     assert survival_peel(
         compile_graph(union), k, tau, members=core, frontier=frontier

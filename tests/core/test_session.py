@@ -128,29 +128,20 @@ class TestAccounting:
         g = _cliques_with_bridges()
         session = PreparedGraph(g)
         lookups = _record_lookups(session, monkeypatch)
-        enum_payload(session, 2, 0.3, engine="legacy")
-        # The cut entry holds the component's search views, built on a
-        # miss whichever engine asked: a cold query misses its prune
-        # and cut entries once per graph component and looks up nothing
-        # else.
+        cold = enum_payload(session, 2, 0.3)
+        # The cut entry holds the component's search views: a cold query
+        # misses its prune, cut and answers entries once per graph
+        # component and looks up nothing else; a repeat hits all three.
         components = len(pipeline.graph_components(g))
         assert components > 1
-        stages = sorted(_stage(key) for key, _ in lookups)
-        assert stages == sorted(["cut", "prune"] * components)
+        answers = sorted(["answers", "cut", "prune"] * components)
+        assert sorted(_stage(key) for key, _ in lookups) == answers
         assert not any(hit for _, hit in lookups)
         lookups.clear()
-        # The pivot engine hits them and misses one answers entry per
-        # graph component, which the legacy engine never writes; a
-        # repeat hits all three.
-        pivot = enum_payload(session, 2, 0.3)
-        answers = sorted([*stages, *["answers"] * components])
-        assert sorted(_stage(key) for key, _ in lookups) == answers
-        assert all(hit == (_stage(key) != "answers") for key, hit in lookups)
-        lookups.clear()
-        assert enum_payload(session, 2, 0.3) == pivot
+        assert enum_payload(session, 2, 0.3) == cold
         assert sorted(_stage(key) for key, _ in lookups) == answers
         assert all(hit for _, hit in lookups)
-        assert pivot == enum_payload(PreparedGraph(g.copy()), 2, 0.3)
+        assert cold == enum_payload(PreparedGraph(g.copy()), 2, 0.3)
 
     def test_repeated_negative_anchor_is_cached(self, two_groups):
         session = PreparedGraph(two_groups)
@@ -272,19 +263,18 @@ class TestBitIdentical:
                 else:
                     g.add_edge(u, v, round(rng.uniform(0.2, 1.0), 6))
 
-    @pytest.mark.parametrize("engine", ["pivot", "legacy"])
-    def test_engines_share_prune_artifact(self, engine):
-        # One prune path, one compile: after a pivot query, a query on
-        # either engine finds the compile, prune and cut entries cached —
-        # no miss at all, and no second lowering of the graph.
+    def test_repeat_query_shares_prune_artifact(self):
+        # One prune path, one compile: a repeat query finds the compile,
+        # prune, cut and answers entries cached — no miss at all, and no
+        # second lowering of the graph.
         g = make_random_graph(15, 0.55, seed=42)
         session = PreparedGraph(g)
-        enum_payload(session, 2, 0.2, engine="pivot")
+        enum_payload(session, 2, 0.2)
         before = session.cache_info()
         assert before["full_compiles"] == 1
         lowered = current_lowering(g)
-        assert enum_payload(session, 2, 0.2, engine=engine) == enum_payload(
-            g.copy(), 2, 0.2, engine=engine
+        assert enum_payload(session, 2, 0.2) == enum_payload(
+            g.copy(), 2, 0.2
         )
         after = session.cache_info()
         assert after["misses"] == before["misses"]
@@ -292,14 +282,16 @@ class TestBitIdentical:
         assert current_lowering(g) is lowered
 
     def test_bitset_engine_is_rejected(self):
+        # There is one search: an engine= keyword, for any engine name,
+        # is no parameter of any query.
         session = PreparedGraph(make_random_graph(8, 0.5, seed=1))
-        with pytest.raises(ValueError, match="unknown engine"):
+        with pytest.raises(TypeError, match="engine"):
             list(session.maximal_cliques(
-                2, 0.2, engine="bitset",  # type: ignore[arg-type]
+                2, 0.2, engine="bitset",  # type: ignore[call-arg]
             ))
-        with pytest.raises(ValueError, match="unknown engine"):
+        with pytest.raises(TypeError, match="engine"):
             session.max_uc_plus(
-                2, 0.2, engine="bitset",  # type: ignore[arg-type]
+                2, 0.2, engine="bitset",  # type: ignore[call-arg]
             )
 
     def test_warm_anchored_query_identical(self, two_groups):
@@ -337,17 +329,14 @@ class TestSnapshotsAndRelowering:
     def test_mutation_between_yields_keeps_the_asked_version(
         self, monkeypatch, oversized
     ):
-        engine = "pivot"
         if oversized:
             # Every 5-node piece is above the limit: per-vertex views.
             monkeypatch.setattr(enumeration_mod, "KERNEL_COMPONENT_LIMIT", 3)
-        else:
-            engine = "legacy"
         expected = list(PreparedGraph(_cliques_with_bridges())
-                        .maximal_cliques(2, 0.3, engine=engine))
+                        .maximal_cliques(2, 0.3))
         assert len(expected) == 3
         g = _cliques_with_bridges()
-        cliques = PreparedGraph(g).maximal_cliques(2, 0.3, engine=engine)
+        cliques = PreparedGraph(g).maximal_cliques(2, 0.3)
         first = next(cliques)
         g.remove_node(22)  # in the last piece, not yet searched
         assert [first, *cliques] == expected

@@ -5,7 +5,7 @@ which only varies *across* processes — an in-process parity suite can
 never catch a hash-order leak.  These tests re-run queries in
 subprocesses pinned to different hash seeds and require bit-identical
 output: enumeration yield order, the maximum clique and every stats
-counter of both engines; the anchored queries, guarding the fix that
+counter; the anchored queries, guarding the fix that
 builds the anchored region from adjacency order instead of a set
 (``PreparedGraph.cliques_containing`` / ``containing_clique_exists``);
 the cut; and the approximate miner.
@@ -172,8 +172,8 @@ def test_cut_optimization_is_hash_seed_invariant() -> None:
     assert payload["order"], "fixture must actually yield cliques"
 
 
-#: Enumeration and maximum over three string-labelled components, with
-#: both engines: the yield order, the maximum and every stats counter.
+#: Enumeration and maximum over three string-labelled components: the
+#: yield order, the maximum and every stats counter.
 _QUERY_SCRIPT = """
 import json
 import random
@@ -191,23 +191,17 @@ for block in "abc":
         for v in names[i + 1:]:
             if rng.random() < 0.6:
                 g.add_edge(u, v, rng.choice((0.5, 0.7, 0.8, 0.9, 1.0)))
-out = {}
-for engine in ("legacy", "pivot"):
-    session = PreparedGraph(g)
-    enum_stats = EnumerationStats()
-    order = [
-        sorted(c)
-        for c in session.maximal_cliques(3, 0.1, stats=enum_stats, engine=engine)
-    ]
-    max_stats = MaximumSearchStats()
-    best = session.max_uc_plus(3, 0.1, stats=max_stats, engine=engine)
-    out[engine] = {
-        "order": order,
-        "enum_stats": asdict(enum_stats),
-        "max": sorted(best),
-        "max_stats": asdict(max_stats),
-    }
-print(json.dumps(out))
+session = PreparedGraph(g)
+enum_stats = EnumerationStats()
+order = [sorted(c) for c in session.maximal_cliques(3, 0.1, stats=enum_stats)]
+max_stats = MaximumSearchStats()
+best = session.max_uc_plus(3, 0.1, stats=max_stats)
+print(json.dumps({
+    "order": order,
+    "enum_stats": asdict(enum_stats),
+    "max": sorted(best),
+    "max_stats": asdict(max_stats),
+}))
 """
 
 
@@ -218,6 +212,5 @@ def test_enumeration_and_maximum_are_hash_seed_invariant() -> None:
         + "\n".join(sorted(outputs))
     )
     payload = json.loads(next(iter(outputs)))
-    for engine in ("legacy", "pivot"):
-        assert payload[engine]["order"], "fixture must actually yield cliques"
-        assert len(payload[engine]["max"]) > 3
+    assert payload["order"], "fixture must actually yield cliques"
+    assert len(payload["max"]) > 3

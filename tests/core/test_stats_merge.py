@@ -1,6 +1,6 @@
 """Unit tests for the stats objects' counters and phase timings.
 
-The pivot counters must be recorded by the default engine only, and the
+The pivot counters must be recorded by the enumeration, and the
 wall-clock laps must never participate in equality or ``asdict`` (the
 parity suites compare stats that way).
 """
@@ -12,21 +12,20 @@ from dataclasses import asdict
 from repro import UncertainGraph
 from repro.core.enumeration import EnumerationStats, muce_plus_plus
 from repro.core.maximum import MaximumSearchStats, max_uc_plus
+from tests.core.oracles import mule_maximal_cliques
 
 
 def test_pivot_counters_recorded_by_the_default_engine() -> None:
-    # The pivot engine is the default: a dense component must record at
-    # least one absorbed (skipped) candidate, and every root is either
-    # branched or skipped.  The legacy engine leaves both at zero.
+    # A dense component must record at least one absorbed (skipped)
+    # candidate, and every root is either branched or skipped; the
+    # clique counter counts the oracle's cliques.
     graph = _triangle_graph()
     stats = EnumerationStats()
-    list(muce_plus_plus(graph, 1, 0.5, stats=stats))
+    cliques = list(muce_plus_plus(graph, 1, 0.5, stats=stats))
     assert stats.pivot_branches > 0
     assert stats.pivot_skipped > 0
-    oracle = EnumerationStats()
-    list(muce_plus_plus(graph, 1, 0.5, stats=oracle, engine="legacy"))
-    assert oracle.pivot_branches == 0
-    assert oracle.pivot_skipped == 0
+    assert set(cliques) == mule_maximal_cliques(graph, 1, 0.5)
+    assert stats.cliques == len(cliques)
 
 
 def test_timings_are_not_part_of_equality_or_asdict() -> None:

@@ -6,8 +6,8 @@ that core peeled on in ascending top-k product order, with each node's
 level; a later whole-graph peel at that ``k``, at or above the index's
 base threshold, is a bisect.  This suite pins that:
 
-* every lookup returns exactly the peel's set — against the legacy peel
-  and a fresh compile — over shuffled tau sequences, a re-base at a
+* every lookup returns exactly the peel's set — against the naive
+  fixpoint oracle and a fresh compile — over shuffled tau sequences, a re-base at a
   lower tau, and taus placed exactly at a node's level;
 * the first whole-graph peel at ``k`` only records ``k``, the second
   builds the index;
@@ -37,6 +37,7 @@ from repro.core.prune_kernel import CompiledGraph, compile_graph, topk_peel
 from repro.core.topk_core import topk_core
 from repro.utils.validation import threshold_floor
 from tests.conftest import current_lowering, make_random_graph
+from tests.core.oracles import topk_core_oracle
 from tests.core.support import PROBABILITY_PALETTE, labels
 from tests.core.test_session import _cliques_with_bridges
 
@@ -73,7 +74,7 @@ def _tau_at(level: float) -> float:
 def _check(graph: UncertainGraph, cpg: CompiledGraph, k: int,
            tau: float) -> frozenset[Any]:
     answer = topk_peel(cpg, k, tau)
-    assert answer == topk_core(graph, k, tau, engine="legacy").nodes
+    assert answer == topk_core_oracle(graph, k, tau)
     assert answer == topk_peel(compile_graph(graph), k, tau)
     return answer
 
@@ -182,22 +183,21 @@ def test_restricted_peels_neither_read_nor_write_the_index() -> None:
     induced = graph.induced_subgraph(members)
     cpg = compile_graph(graph)
     for _ in range(3):
-        assert topk_peel(cpg, 3, 0.2, members=members) == topk_core(
-            induced, 3, 0.2, engine="legacy"
-        ).nodes
+        assert topk_peel(
+            cpg, 3, 0.2, members=members
+        ) == topk_core_oracle(induced, 3, 0.2)
         topk_core(graph, 3, 0.2, fixed={nodes[0]}, compiled=cpg)
     assert cpg._topk_levels == {}
 
     # Wrong index: no node survives any floor.  None of these read it.
     cpg._topk_levels[3] = (0.0, [], [], {})
-    legacy = topk_core(graph, 3, 0.2, engine="legacy").nodes
-    assert legacy
-    assert topk_peel(cpg, 3, 0.2, members=nodes) == legacy
-    for anchor in (next(iter(legacy)), nodes[-1]):
-        assert topk_core(graph, 3, 0.2, fixed={anchor},
-                         compiled=cpg) == topk_core(
-            graph, 3, 0.2, fixed={anchor}, engine="legacy"
-        )
+    oracle = topk_core_oracle(graph, 3, 0.2)
+    assert oracle
+    assert topk_peel(cpg, 3, 0.2, members=nodes) == oracle
+    for anchor in (next(iter(oracle)), nodes[-1]):
+        core = topk_core(graph, 3, 0.2, fixed={anchor}, compiled=cpg)
+        assert core.contains_fixed == (anchor in oracle)
+        assert core.nodes == (oracle if anchor in oracle else frozenset())
     assert cpg._topk_levels == {3: (0.0, [], [], {})}
 
 
