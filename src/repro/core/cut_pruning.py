@@ -11,11 +11,13 @@ Finding *all* low-probability cuts is intractable; following the paper we
 run the Stoer-Wagner maximum-adjacency sweep: grow a set ``S`` by repeatedly
 absorbing the node most tightly connected to it (by total incident
 probability) and test the cut ``(S, rest)`` after every absorption.  When a
-low-probability cut appears, its edges are deleted and both sides are
-processed recursively.  Each piece is swept once, from its lowest id.
-Single-node cuts (the paper's Remark: the TopKCore rule) are peeled
-first, re-testing only the nodes that can fail: none on the ``topk``
-prune's survivors, only a cut's endpoints after a sweep
+low-probability cut appears, its edges are deleted.  Here this departs
+from the paper, which processes both sides recursively: only the pieces
+of the initial split are swept, once each from their lowest id, and the
+parts a sweep's cuts leave are final.  Single-node cuts (the paper's
+Remark: the TopKCore rule) are peeled first, and again on those parts,
+re-testing only the nodes that can fail: none on the ``topk`` prune's
+survivors, only the endpoints of a sweep's crossing edges after it
 (:func:`cut_rows`).
 
 The whole optimization runs on dense int ids, read once from the
@@ -26,9 +28,9 @@ graph component's prune survivors as ascending compile ids — into local
 (Top_k, tau)-core holds the whole subset, the gather reads that core's
 short rows instead of the full ones
 (:meth:`~repro.core.prune_kernel.CompiledGraph.core_rows`).  The
-pipeline's cut builds its search views from the same rows
-(:func:`~repro.core.kernel.derive_component_view`), so no lowering row
-is read twice.  A *piece* (a connected
+pipeline's search builds its views from the same rows
+(:func:`~repro.core.kernel.derive_component_view`), so a cold query
+reads no lowering row twice.  A *piece* (a connected
 part still being split) is a sorted local-id list whose members share
 one mark in ``owner``.  An edge is alive exactly when both ends carry
 the same mark — every deleted edge crosses two pieces — so deletion
@@ -42,7 +44,7 @@ from __future__ import annotations
 import math
 from bisect import bisect_left, insort
 from dataclasses import dataclass
-from heapq import heappop, heappush
+from heapq import heapify, heappop, heappush
 from itertools import count
 from typing import Iterable, Iterator, Sequence
 
@@ -208,14 +210,19 @@ def cut_rows(
     * ``core=True`` says ``rows`` are already their own (Top_k,
       tau)-core, as the ``topk`` prune's survivors at this ``k`` are, so
       the initial pieces skip the peel;
-    * the peel's connected remnants are stable and go straight to the
-      sweep;
-    * a piece a sweep cut off re-tests only the nodes that lost an edge
-      to another segment, since every other node's live row is the one
-      that passed before the cut (:func:`_fringe_peel`'s ``seeds``).
+    * the peel's connected remnants are stable;
+    * a part a sweep cut off re-tests only the nodes that lost an edge
+      to another segment (the sweep's crossing edges), since every
+      other node's live row is the one that passed before the cut
+      (:func:`_fringe_peel`'s ``seeds``).
 
-    Each piece is swept once, from its lowest id; a sweep that finds no
-    low boundary leaves the piece final.
+    Each piece of the initial split (or of its peel's remnant) is swept
+    once, from its lowest id.  What a sweep's cut leaves — the
+    connected parts of its segments, after their seeded peel — is
+    final and never swept again: a later sweep could find more low
+    cuts there, but deleting them is only an optimization (Lemma 5),
+    and the extra sweeps cost more than the smaller pieces save the
+    search (``docs/algorithms.md`` §4).
     """
     tau_floor = threshold_floor(tau)
     n = len(rows)
@@ -224,71 +231,58 @@ def cut_rows(
     conn = [0.0] * n
     in_s = bytearray(n)
     cuts_found = 0
-    fringe_peeled = 0
-
-    # (piece, seeds): the nodes the fringe peel must test — every node
-    # (None), or only those (an empty list means the piece is stable).
-    initial: list[int] | None = [] if core else None
-    stack = [
-        (piece, initial)
-        for piece in _split(rows, owner, list(range(n)), marks)
-    ]
     finished: list[list[int]] = []
-    while stack:
-        piece, seeds = stack.pop()
+
+    def peel(piece: list[int], seeds: list[int] | None) -> list[list[int]]:
+        """Fringe-peel ``piece`` from ``seeds``; the peeled nodes finish
+        alone, and the connected parts of what is left come back."""
+        mark = owner[piece[0]]
+        if len(piece) <= 1 or not _fringe_peel(
+            rows, owner, piece, k, tau_floor, seeds
+        ):
+            return [piece]
+        remnant: list[int] = []
+        for i in piece:
+            if owner[i] == mark:
+                remnant.append(i)
+            else:
+                finished.append([i])
+        return _split(rows, owner, remnant, marks)
+
+    pieces = _split(rows, owner, list(range(n)), marks)
+    if not core:
+        pieces = [part for piece in pieces for part in peel(piece, None)]
+    for piece in pieces:
         if len(piece) <= 1:
             finished.append(piece)
             continue
-
-        # Stage 1: single-node cuts (TopKCore rule) — cheap fixpoint.
-        if seeds is None or seeds:
-            mark = owner[piece[0]]
-            if _fringe_peel(rows, owner, piece, k, tau_floor, seeds):
-                remnant: list[int] = []
-                for i in piece:
-                    if owner[i] == mark:
-                        remnant.append(i)
-                    else:
-                        fringe_peeled += 1
-                        finished.append([i])
-                stack.extend(
-                    (part, []) for part in _split(rows, owner, remnant, marks)
-                )
-                continue
-
-        # Stage 2: multi-node cuts via the maximum-adjacency sweep.
-        segments = _sweep_split(
+        segments, seeds = _sweep_split(
             rows, owner, conn, in_s, piece, piece[0], k, tau_floor
         )
         if len(segments) == 1:
             finished.append(piece)
             continue
         cuts_found += len(segments) - 1
-        # A fresh mark per segment deletes every crossing edge at once;
-        # each segment may itself have fallen apart, so re-split it by
-        # connectivity and process each part again, re-peeling from the
-        # nodes that lost an edge.  Marks only grow, so those are the
-        # nodes with a neighbour marked at or above the first segment's
-        # mark but not with their own.
-        segment_marks = [next(marks) for _ in segments]
-        for mark, segment in zip(segment_marks, segments):
+        # A fresh mark per segment deletes every crossing edge at once.
+        # Each segment may have fallen apart: its connected parts are
+        # peeled from the endpoints of the crossing edges, and final.
+        for segment in segments:
+            mark = next(marks)
             for i in segment:
                 owner[i] = mark
-        first = segment_marks[0]
         for segment in segments:
             for part in _split(rows, owner, segment, marks):
-                mark = owner[part[0]]
-                stack.append((part, [
-                    i for i in part
-                    if any(first <= owner[j] != mark for j, _ in rows[i])
-                ]))
+                finished += peel(part, [i for i in part if i in seeds])
 
     finished.sort()  # disjoint sorted lists: in order of lowest id
     # An edge is kept exactly when both ends finish on one live mark.
     kept = 0
+    fringe_peeled = 0
     for i, row in enumerate(rows):
         mark = owner[i]
-        if mark != _PEELED:
+        if mark == _PEELED:
+            fringe_peeled += 1
+        else:
             kept += [owner[j] for j, _ in row].count(mark)
     removed = (sum(map(len, rows)) - kept) // 2
     return finished, cuts_found, removed, fringe_peeled
@@ -465,7 +459,7 @@ def _sweep_split(
     start: int,
     k: int,
     tau_floor: float,
-) -> list[list[int]]:
+) -> tuple[list[list[int]], set[int]]:
     """One maximum-adjacency sweep over ``piece``, recording *every* low
     boundary.
 
@@ -474,15 +468,22 @@ def _sweep_split(
     flags the boundary.  Every flagged boundary is a genuine
     low-probability cut of the *current* graph, so Lemma 5 independently
     justifies deleting each one — which lets a single sweep find many cuts
-    before any re-sweep, instead of restarting after the first hit.
-    Heap ties go to the lowest id.
+    at once.  Heap ties go to the lowest id.
 
     ``conn`` (connection weights) and ``in_s`` (membership of ``S``) are
     scratch arrays over all ids, reset here for the piece's members.
     Returns the runs of nodes between consecutive flagged boundaries, in
     absorption order — an edge is deleted exactly when its ends fall in
-    different runs.  With no low boundary that is one run, the whole
-    absorption order.
+    different runs — and the endpoints of those crossing edges.  With no
+    low boundary that is one run, the whole absorption order, and no
+    endpoint.
+
+    The endpoints cost nothing until a boundary is flagged.  There, the
+    heap's live entries are exactly the nodes outside ``S`` with an edge
+    into it: the heap is compacted to them (dropping stale entries
+    changes no pop) and they are collected.  Each crossing edge has its
+    later end collected at the boundary after its earlier end, and the
+    earlier ends are read from the collected nodes' rows.
     """
     mark = owner[piece[0]]
     for i in piece:
@@ -492,6 +493,7 @@ def _sweep_split(
     low: list[bool] = []  # low[i]: the boundary after order[i]
     cut: list[float] = []  # probabilities of the edges leaving S, ascending
     heap: list[tuple[float, int]] = [(0.0, start)]
+    later: set[int] = set()  # nodes with an edge into an earlier run
     scan = 0
     while True:
         while heap:
@@ -519,7 +521,12 @@ def _sweep_split(
                 heappush(heap, (-w, v))
         if len(order) == len(piece):
             break
-        low.append(_cut_is_low(cut, k, tau_floor))
+        is_low = _cut_is_low(cut, k, tau_floor)
+        low.append(is_low)
+        if is_low:
+            heap = [e for e in heap if not in_s[e[1]] and -e[0] == conn[e[1]]]
+            heapify(heap)
+            later.update(v for _, v in heap)
 
     segments: list[list[int]] = []
     begin = 0
@@ -528,4 +535,13 @@ def _sweep_split(
             segments.append(order[begin : i + 1])
             begin = i + 1
     segments.append(order[begin:])
-    return segments
+    if len(segments) == 1:
+        return segments, later
+    run = {i: r for r, segment in enumerate(segments) for i in segment}
+    ends = set(later)
+    for v in later:
+        rv = run[v]
+        ends.update(
+            j for j, _ in rows[v] if owner[j] == mark and run[j] < rv
+        )
+    return segments, ends

@@ -91,6 +91,7 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guards (types only)
 __all__ = [
     "CompiledComponent",
     "compile_component",
+    "CutRows",
     "derive_component_view",
     "piece_order",
     "VertexView",
@@ -259,25 +260,40 @@ def compile_component(graph: UncertainGraph) -> CompiledComponent:
     return CompiledComponent(graph)
 
 
+class CutRows(NamedTuple):
+    """Rows a cut read for a set of prune survivors, detached from the
+    lowering: local id ``i`` is node ``labels[i]``, of whole-graph
+    ``sort_rank`` ``ranks[i]``, and ``rows[i]`` lists its in-set
+    ``(local id, p)`` entries
+    (:func:`~repro.core.cut_pruning.induced_rows`).
+
+    Every list is the cut's own copy, so views built from it later read
+    no live graph or lowering.
+    """
+
+    labels: list[Node]
+    ranks: list[int]
+    rows: Rows
+
+
 def derive_component_view(
-    compiled: CompiledGraph,
-    members: Sequence[Node],
-    cut: tuple[Sequence[int], Rows] | None = None,
+    source: CompiledGraph | CutRows, members: Sequence[Node]
 ) -> CompiledComponent:
     """Build a component's :class:`CompiledComponent` from its rows,
     without touching the :class:`UncertainGraph`.
 
     ``members`` must be the node set of one pipeline component of the
-    graph ``compiled`` lowers, and the rows come from one of two places:
+    graph ``source`` was read from, and the rows come from one of two
+    places:
 
-    * the lowering, when ``members`` are node labels:
-      :func:`~repro.core.cut_pruning.gather_rows` reads them (from a
-      level index's core rows when they hold every member);
-    * the cut, when ``cut = (survivors, rows)`` passes the survivors'
-      compile ids and the rows
-      :func:`~repro.core.cut_pruning.induced_rows` read for them:
-      ``members`` are then positions in ``survivors``, as a cut piece
-      holds them, and no lowering row is read again.
+    * the lowering, when ``source`` is the
+      :class:`~repro.core.prune_kernel.CompiledGraph` and ``members``
+      are node labels: :func:`~repro.core.cut_pruning.gather_rows`
+      reads them (from a level index's core rows when they hold every
+      member);
+    * the cut, when ``source`` is its :class:`CutRows` and ``members``
+      are local ids in it, as a cut piece holds them: no lowering row
+      is read again, nor the lowering at all.
 
     The pruning stage removes *nodes* (edges among survivors are
     untouched) and every edge the cut optimization removes crosses two
@@ -292,27 +308,22 @@ def derive_component_view(
       members, sorts it and builds every form.
 
     The view is a deep **snapshot**: its arrays are freshly built, never
-    aliases of the source's lists.  That independence is load-bearing:
-    the session caches views per component while
-    :meth:`CompiledGraph.apply_delta` patches the lowering's rows *in
-    place*, and a cached view must not observe later mutations.
+    aliases of the source's lists, so a view built from a lowering that
+    :meth:`CompiledGraph.apply_delta` later patches in place does not
+    observe the patch.
     """
-    nodes = compiled.nodes
-    rank = compiled.sort_rank
-    if cut is None:
-        index = compiled.index
+    if isinstance(source, CompiledGraph):
+        nodes, rank, index = source.nodes, source.sort_rank, source.index
         ids = sorted((index[u] for u in members), key=rank.__getitem__)
         return CompiledComponent.from_rows(
             [nodes[g] for g in ids],
-            gather_rows(compiled, ids),
-            local_ids(compiled.n, ids),
+            gather_rows(source, ids),
+            local_ids(source.n, ids),
         )
-    survivors, rows = cut
-    piece = sorted(
-        cast("Sequence[int]", members), key=lambda i: rank[survivors[i]]
-    )
+    labels, ranks, rows = source
+    piece = sorted(cast("Sequence[int]", members), key=ranks.__getitem__)
     return CompiledComponent.from_rows(
-        [nodes[survivors[i]] for i in piece],
+        [labels[i] for i in piece],
         (rows[i] for i in piece),
         local_ids(len(rows), piece),
     )
@@ -368,16 +379,14 @@ class VertexView(NamedTuple):
 
 
 def vertex_views(
-    compiled: CompiledGraph,
-    piece: Sequence[int],
-    cut: tuple[Sequence[int], Rows],
-    k: int,
-) -> tuple[VertexView, ...]:
+    source: CutRows, piece: Sequence[int], k: int
+) -> Iterator[VertexView]:
     """The per-vertex enumeration views of one cut piece, in the
-    piece's degeneracy order (:func:`piece_order`).
+    piece's degeneracy order (:func:`piece_order`), each built only
+    when the caller asks for it.
 
-    ``piece`` and ``cut = (survivors, rows)`` are as for
-    :func:`derive_component_view`.  A maximal clique holds exactly one
+    ``piece`` and ``source`` are as for :func:`derive_component_view`.
+    A maximal clique holds exactly one
     vertex ``v`` that comes first in the order, and it lies in ``v``'s
     view: ``v`` plus its later neighbours.  Searched with the root
     branch forced to ``v``, the view emits the cliques through ``v``
@@ -386,14 +395,12 @@ def vertex_views(
     A view of ``k`` nodes or fewer holds no (k, tau)-clique and is left
     out.  Each view is built by pairwise lookups in the piece's
     adjacency, O(|view|^2), and is bit-identical to
-    ``compile_component`` of its induced subgraph.
+    ``compile_component`` of its induced subgraph.  Built one at a time,
+    a search holds one view of the piece, never all of them.
     """
-    survivors, rows = cut
+    labels, ranks, rows = source
     order, pos, nbr = piece_order(rows, piece)
-    rank = compiled.sort_rank
-    key = [rank[survivors[g]] for g in piece]
-    labels = compiled.nodes
-    views: list[VertexView] = []
+    key = [ranks[g] for g in piece]
     for x in order:
         here = pos[x]
         around = nbr[x]
@@ -403,7 +410,7 @@ def vertex_views(
         if len(members) <= k:
             continue
         view = CompiledComponent.from_rows(
-            [labels[survivors[piece[y]]] for y in members],
+            [labels[piece[y]] for y in members],
             (
                 [(j, p) for j, z in enumerate(members)
                  if (p := nbr[y].get(z)) is not None]
@@ -414,10 +421,7 @@ def vertex_views(
         witnesses = tuple(
             nbr[w] for w in around if pos[w] < here and len(nbr[w]) > k
         )
-        views.append(
-            VertexView(view, members.index(x), members, witnesses)
-        )
-    return tuple(views)
+        yield VertexView(view, members.index(x), members, witnesses)
 
 
 def drop_extended(

@@ -18,19 +18,22 @@ parameters to a deterministic artifact:
   as compile ids; returns the search components as label tuples plus
   the counters the stats objects report.  No subgraph is built: the
   survivor rows are read once from the compile, and for enumeration
-  the same rows build each searchable component's
-  :class:`~repro.core.kernel.CompiledComponent` view, which the
-  artifact carries (member-filtered, no recompilation;
-  :func:`~repro.core.kernel.compile_component` remains the parity
-  oracle).  A piece above the kernel limit gets one small view per
-  vertex instead (:func:`~repro.core.kernel.vertex_views`).  For
-  MaxUC+ it grows a greedy lower bound on those rows and raises the
-  cut to it, and splits a piece above the limit into per-vertex
-  sub-pieces; the maximum search derives (and colors) its views on
-  demand inside :func:`maximum_search_stage`.
+  the artifact hands those rows on, detached from the lowering, as its
+  transient ``source`` (:func:`search_source` reads them again for a
+  cached cut).  For MaxUC+ it grows a greedy lower bound on those rows
+  and raises the cut to it, and splits a piece above the limit into
+  per-vertex sub-pieces; the maximum search derives (and colors) its
+  views on demand inside :func:`maximum_search_stage`.
 * :func:`enumeration_search_stage` / :func:`maximum_search_stage` — the
   actual (sequential) search, consuming the compile artifacts: the
-  compiled kernel searches every component, whatever its size.  An
+  compiled kernel searches every component, whatever its size.  The
+  enumeration builds each piece's
+  :class:`~repro.core.kernel.CompiledComponent` view from the cut's
+  rows when its search starts (member-filtered, no recompilation;
+  :func:`~repro.core.kernel.compile_component` remains the parity
+  oracle), or one small view per vertex at a time for a piece above
+  the kernel limit (:func:`~repro.core.kernel.vertex_views`), and
+  drops it when the search ends.  An
   :class:`~repro.uncertain.graph.UncertainGraph` is built for a search
   component only where a search reads one: the greedy coloring of a
   whole piece the MaxUC+ search reaches.
@@ -66,7 +69,7 @@ from repro.core.cut_pruning import (
 from repro.core.enumeration import EnumerationStats
 from repro.core.kernel import (
     CompiledComponent,
-    VertexView,
+    CutRows,
     derive_component_view,
     drop_extended,
     enumerate_pivot_range,
@@ -82,12 +85,13 @@ from repro.uncertain.graph import Node, UncertainGraph
 __all__ = [
     "CutArtifact",
     "Parts",
-    "SearchView",
+    "SearchSource",
     "lowering",
     "graph_components",
     "compile_stage",
     "prune_stage",
     "cut_stage",
+    "search_source",
     "enumeration_search_stage",
     "maximum_search_stage",
 ]
@@ -101,10 +105,10 @@ enumerate_root_range = enum_root_prep = pivot_root_plan = _muc = (
 #: ``(component id, epoch, members)`` per graph component.
 Parts = tuple[tuple[int, int, tuple[Node, ...]], ...]
 
-#: What the kernel searches for one enumeration component: its
-#: view, its per-vertex views when it is above the kernel limit, or
-#: ``None`` when it is too small to hold a (k, tau)-clique.
-SearchView = CompiledComponent | tuple[VertexView, ...] | None
+#: What an enumeration searches for one graph component: the rows its
+#: cut read, and the pieces that can hold a (k, tau)-clique (more than
+#: ``k`` nodes) as local ids in them, in component order.
+SearchSource = tuple[CutRows, list[list[int]]]
 
 
 # ----------------------------------------------------------------------
@@ -263,14 +267,12 @@ class CutArtifact:
     phases, so a warm run fills its stats object identically to the
     cold run that built the artifact.
 
-    An enumeration artifact also carries ``views``, one
-    :data:`SearchView` slot per component: the
-    :class:`~repro.core.kernel.CompiledComponent` the kernel
-    searches when the component has ``k + 1`` to
-    :data:`~repro.core.kernel.KERNEL_COMPONENT_LIMIT` nodes, its
-    per-vertex :class:`~repro.core.kernel.VertexView` tuple above the
-    limit, else ``None`` (too small to search).  Views are snapshots
-    without equality, so they take no part in comparing artifacts.
+    An enumeration artifact fresh from the cut also carries ``source``,
+    the :data:`SearchSource` its search builds its views from.  That is
+    the cut's scratch, not cache: it takes no part in comparing
+    artifacts, the session caches the artifact without it, and a
+    cached cut's rows are read again by :func:`search_source` when its
+    answers are missing.
 
     A maximum-search artifact instead carries ``heads``, each
     component's first node in :func:`~repro.core.prune_kernel.
@@ -288,8 +290,8 @@ class CutArtifact:
     heads: tuple[Node, ...] = ()
     lower_bound: int = 0
     split: tuple[bool, ...] = ()
-    views: tuple[SearchView, ...] = field(
-        default=(), compare=False, repr=False
+    source: SearchSource | None = field(
+        default=None, compare=False, repr=False
     )
 
 
@@ -311,11 +313,10 @@ def cut_stage(
     connected-component split.  Components come out in order of their
     first node in ``survivors`` order:
     ascending ids (graph iteration order) for a graph component, the
-    region's adjacency order for an anchored core.  The same rows then
-    build the artifact's ``views``
-    (:func:`~repro.core.kernel.derive_component_view`, or
-    :func:`~repro.core.kernel.vertex_views` for a piece above the
-    kernel limit), and they are dropped when this call returns.
+    region's adjacency order for an anchored core.  The same rows,
+    with the survivors' labels and sort ranks, are the artifact's
+    ``source``, from which the search builds each piece's view when it
+    reaches it; the lowering is not read again.
 
     ``maximum=True`` prepares a MaxUC+ search instead.  A greedy
     tau-clique of ``s`` nodes is grown over the same rows
@@ -333,8 +334,8 @@ def cut_stage(
     at least ``max(s, k + 1)`` nodes, in reverse order, so the
     incumbent grows early: a maximum clique lies in the sub-piece of
     its first vertex in that order.  A maximum artifact carries no
-    ``views``: the search builds them only for the components its
-    incumbent reaches.
+    ``source``: the search derives views from the lowering only for the
+    components its incumbent reaches.
 
     ``core=True`` says the survivors are their own (Top_k, tau)-core at
     ``k``, as the ``topk`` prune's are: the cut then starts its pieces
@@ -353,13 +354,15 @@ def cut_stage(
         )
     else:
         pieces = split_rows(rows)
-    # Read at call time: tests monkeypatch the kernel size limit.
-    limit = enumeration_mod.KERNEL_COMPONENT_LIMIT
+    nodes, sort_rank = compiled.nodes, compiled.sort_rank
+    labels = [nodes[g] for g in survivors]
+    rank = [sort_rank[g] for g in survivors]
     heads: tuple[int, ...] = ()
     split: list[bool] = []
-    views: tuple[SearchView, ...] = ()
+    source: SearchSource | None = None
     if maximum:
-        rank = [compiled.sort_rank[g] for g in survivors]
+        # Read at call time: tests monkeypatch the kernel size limit.
+        limit = enumeration_mod.KERNEL_COMPONENT_LIMIT
         by_head = sorted(
             (piece for piece in pieces if len(piece) >= lower_bound),
             key=lambda piece: min(rank[i] for i in piece),
@@ -379,25 +382,47 @@ def cut_stage(
                     split.append(True)
         heads = tuple(min(piece, key=rank.__getitem__) for piece in pieces)
     else:
-        views = tuple(
-            None if len(piece) <= k
-            else derive_component_view(compiled, piece, (survivors, rows))
-            if len(piece) <= limit
-            else vertex_views(compiled, piece, (survivors, rows), k)
-            for piece in pieces
+        source = (
+            CutRows(labels, rank, rows),
+            [piece for piece in pieces if len(piece) > k],
         )
-    nodes = compiled.nodes
     return CutArtifact(
         components=tuple(
-            tuple(nodes[survivors[i]] for i in piece) for piece in pieces
+            tuple(labels[i] for i in piece) for piece in pieces
         ),
         cuts_found=cuts_found,
         edges_removed=edges_removed,
         nodes_after_pruning=len(survivors),
-        heads=tuple(nodes[survivors[i]] for i in heads),
+        heads=tuple(labels[i] for i in heads),
         lower_bound=lower_bound,
         split=tuple(split),
-        views=views,
+        source=source,
+    )
+
+
+def search_source(
+    compiled: CompiledGraph, cut: CutArtifact, k: int
+) -> SearchSource:
+    """The :data:`SearchSource` of a cached enumeration ``cut``, read
+    again from ``compiled``, the lowering at the version it was cut at.
+
+    The rows are those the searched components' nodes induce, gathered
+    as the cut gathers them (:func:`~repro.core.cut_pruning.
+    induced_rows`) in ascending id order, so each piece's rows, and the
+    views built from them, equal those of the cut that built ``cut``.
+    """
+    index = compiled.index
+    searched = [c for c in cut.components if len(c) > k]
+    ids = sorted(index[u] for component in searched for u in component)
+    at = {g: i for i, g in enumerate(ids)}
+    nodes, rank = compiled.nodes, compiled.sort_rank
+    return (
+        CutRows(
+            [nodes[g] for g in ids],
+            [rank[g] for g in ids],
+            induced_rows(compiled, ids),
+        ),
+        [[at[index[u]] for u in component] for component in searched],
     )
 
 
@@ -406,43 +431,47 @@ def cut_stage(
 # ----------------------------------------------------------------------
 
 def enumeration_search_stage(
-    views: Sequence[SearchView],
+    source: SearchSource,
     k: int,
     tau_floor: float,
     min_size: int,
     insearch: bool,
     insearch_min_candidates: int,
+    limit: int,
     stats: EnumerationStats,
 ) -> Iterator[frozenset[Node]]:
-    """Run the per-component enumeration over the cut artifact's views.
+    """Run the per-component enumeration over one cut's pieces.
 
-    Components are searched in order.  ``views`` is the cut artifact's
-    ``views``, and the compiled pivot kernel searches every component
-    with a view, emitting its cliques in pivot branch order.  A
-    component above the kernel limit is searched one
-    :class:`~repro.core.kernel.VertexView` at a time, in the piece's
-    degeneracy order: the root branch is forced to the view's vertex,
-    and :func:`~repro.core.kernel.drop_extended` drops the cliques an
-    earlier neighbour extends.  The views were built by the cut before
-    anything is yielded, so a consumer that mutates the graph between
-    yields still gets the answer for the version it asked at.  The
-    search counters accrue to ``stats`` as each component is searched;
-    the session runs this stage per graph component into a fresh stats
-    object and caches the cliques with those counters, which its
-    replays add back.
+    ``source`` is the cut's :data:`SearchSource`, and its pieces are
+    searched in order.  A piece of at most ``limit`` nodes (the kernel
+    size limit the cut read) gets its view
+    (:func:`~repro.core.kernel.derive_component_view`) when its search
+    starts, and the compiled pivot kernel emits its cliques in pivot
+    branch order.  A larger piece is searched one
+    :class:`~repro.core.kernel.VertexView` at a time, each built when
+    its search starts (:func:`~repro.core.kernel.vertex_views`), in the
+    piece's degeneracy order: the root branch is forced to the view's
+    vertex, and :func:`~repro.core.kernel.drop_extended` drops the
+    cliques an earlier neighbour extends.  A view is dropped once its
+    search ends, and none reads the lowering: the rows are the cut's
+    own copies, so a consumer that mutates the graph between yields
+    still gets the answer for the version it asked at.  The search
+    counters accrue to ``stats`` as each piece is searched, and the
+    ``"search"`` lap covers building the views as well; the session
+    runs this stage per graph component into a fresh stats object and
+    caches the cliques with those counters, which its replays add back.
     """
-    for view in views:
-        if view is None:
-            continue
+    rows, pieces = source
+    for piece in pieces:
         t_start = perf_counter()
         out: list[frozenset[Node]] = []
-        if isinstance(view, CompiledComponent):
+        if len(piece) <= limit:
             out = enumerate_pivot_range(
-                view, k, tau_floor, min_size, insearch,
-                insearch_min_candidates, stats,
+                derive_component_view(rows, piece), k, tau_floor, min_size,
+                insearch, insearch_min_candidates, stats,
             )
         else:
-            for vv in view:
+            for vv in vertex_views(rows, piece, k):
                 found = enumerate_pivot_range(
                     vv.view, k, tau_floor, min_size, insearch,
                     insearch_min_candidates, stats, vv.root,

@@ -23,10 +23,10 @@ resolution as one hit (current) or one miss (patched or re-lowered) in
 component walk (:func:`repro.core.pipeline.graph_components`), which
 every session over it shares.
 
-Every other stage artifact — peel survivor sets, cut components with
-their compiled search views, enumeration answers, maximum-search memos,
-anchored queries' search components and views — is memoized in a
-bounded LRU keyed on the graph's **per-component version vector**::
+Every other stage artifact — peel survivor sets, cut components,
+enumeration answers, maximum-search memos, anchored queries' answers —
+is memoized in a bounded LRU keyed on the graph's **per-component
+version vector**::
 
     ("c", component_id, epoch, stage, rule/flags, k, tau, ...)
 
@@ -53,10 +53,12 @@ What makes replaying artifacts sound:
 * survivors reach the cut as **ascending compile ids**, which follow
   the graph's iteration order, so a cached prune artifact reproduces
   the cold run's component order exactly, whichever peel produced it;
-* cached artifacts hold node labels or derived views, never compile
-  ids or the lowering itself: a full re-lower renumbers every id and a
-  delta patch rewrites rows in place, while an untouched component's
-  entries stay live through both.
+* cached artifacts hold node labels or derived views (the maximum
+  search's memo), never compile ids or the lowering itself: a full
+  re-lower renumbers every id and a delta patch rewrites rows in
+  place, while an untouched component's entries stay live through
+  both.  Enumeration views are search scratch: built from the cut's
+  rows when a search needs them, and never cached.
 
 A prune miss runs one peel over the graph's lowering: a whole-graph
 peel when every component is dirty — from the second ``topk`` one at a
@@ -74,7 +76,7 @@ rule, re-peels only the dirty component.
 from __future__ import annotations
 
 from collections import OrderedDict
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from time import perf_counter
 from typing import AbstractSet, Any, Collection, Iterable, Iterator
 
@@ -97,8 +99,7 @@ from repro.utils.validation import (
 __all__ = ["PreparedGraph", "SessionCacheStats"]
 
 
-#: Cache-miss sentinel (``None`` is a legitimate cached value: a dead
-#: anchored query caches ``None`` so the repeat stays O(pre-checks)).
+#: Cache-miss sentinel: no cached value is ever this object.
 _MISSING: Any = object()
 
 #: Default LRU bound: stage artifacts can hold component subgraphs and
@@ -374,12 +375,13 @@ class PreparedGraph:
         or edge crosses one), so each graph component's search components
         are cached under ``("c", cid, epoch, "cut", ...)`` and the global
         artifact is assembled by concatenating the parts in the canonical
-        component order — identical cold and warm by construction.  An
-        enumeration entry also holds the search views
-        :func:`pipeline.cut_stage` built from the rows it cut; the
-        assembled artifact carries none.  The returned ``parts`` list ``[(cid, epoch, part_artifact)]`` lets callers
-        search each part's views and key *their* per-component
-        artifacts (enumeration answers, maximum memos) by it.
+        component order — identical cold and warm by construction.  The
+        returned ``parts`` list ``[(cid, epoch, part_artifact)]`` lets
+        callers search each part and key *their* per-component artifacts
+        (enumeration answers, maximum memos) by it.  A part cut by this
+        call still carries the cut's rows (``source``), which its
+        search reads; the cached entry and a part served from it carry
+        none.
 
         ``maximum=True`` resolves the MaxUC+ artifact instead (the
         ``topk`` rule with the cut; :func:`pipeline.cut_stage` with
@@ -435,7 +437,8 @@ class PreparedGraph:
                             artifact, ids, k, tau, cut, maximum,
                             pruning == "topk",
                         )
-                self._store(ckey, entry)
+                # The cut's rows are its search's scratch, not cache.
+                self._store(ckey, replace(entry, source=None))
             components.extend(entry.components)
             heads.extend(entry.heads)
             split.extend(entry.split)
@@ -504,10 +507,9 @@ class PreparedGraph:
 
         Drop-in equivalent of :func:`repro.core.enumeration.
         maximal_cliques` — same parameters, cliques, yield order, and
-        stats counters — with the prune and cut artifacts (the latter
-        with its search views) served from the session cache when the
-        graph version and parameters match.  A generator: nothing
-        happens until the first ``next()``.
+        stats counters — with the prune and cut artifacts served from
+        the session cache when the graph version and parameters match.
+        A generator: nothing happens until the first ``next()``.
 
         Every maximal clique lies inside one graph component, so the
         search is answered per graph component too: a component's
@@ -515,12 +517,16 @@ class PreparedGraph:
         its search added, are cached under ``("c", cid, epoch,
         "answers", rule, cut, k, tau, insearch, gate, limit)``, where
         ``gate`` and ``limit`` are the in-search gate and the kernel
-        size limit the search read.  A hit replays them; a miss
-        first drops every stale entry (:meth:`purge_stale`), then
-        searches the component's views and stores the entry before its
-        first clique is yielded, so only a search that ran to
-        completion is stored.  Either way the counters accrue to
-        ``stats`` per graph component, at its first yield.
+        size limit the search read.  A hit replays them.  A miss
+        searches the rows the component's cut read — the cut's own, or
+        a cached cut's read again (:func:`pipeline.search_source`) —
+        building each view when its search starts and dropping it
+        after, and stores the entry before its first clique is
+        yielded, so only a search that ran to completion is stored.
+        Every miss's rows are read before the first yield, and any miss
+        first drops every stale entry (:meth:`purge_stale`).  Either
+        way the counters accrue to ``stats`` per graph component, at
+        its first yield.
         """
         validate_k(k)
         tau = validate_tau(tau)
@@ -532,7 +538,7 @@ class PreparedGraph:
         # the in-search gate there.
         insearch_min_candidates = _enumeration_mod._INSEARCH_MIN_CANDIDATES
 
-        _, art, parts, limit = self._cut_artifact(
+        compiled, art, parts, limit = self._cut_artifact(
             pruning, cut, k, tau, stats.timings
         )
         stats.nodes_after_pruning = art.nodes_after_pruning
@@ -545,29 +551,46 @@ class PreparedGraph:
         # prob_at_least per edge.
         tau_floor = threshold_floor(tau)
 
-        # The counters the search adds; every other field comes from the
-        # cut artifact above.
-        counters = (
-            "search_calls", "insearch_prunes", "branch_size_prunes",
-            "pivot_branches", "pivot_skipped", "cliques",
-        )
+        # Each graph component's cached answers, or on a miss what its
+        # search reads: the cut's own rows, or a cached cut's read
+        # again.  All are resolved before the first yield, so nothing
+        # below reads the lowering, which a mutation between yields may
+        # patch.
+        plan: list[tuple[Any, ...]] = []
+        missed = False
         for cid, epoch, part in parts:
             akey = (
                 "c", cid, epoch, "answers", pruning, cut, k, tau, insearch,
                 insearch_min_candidates, limit,
             )
             entry = self._lookup(akey)
+            source: pipeline.SearchSource | None = None
             if entry is _MISSING:
-                # A miss is where a query meets a changed component: drop
-                # every entry a mutation left unreachable, superseded
-                # answers (the largest entries) included, before the
-                # search rather than leave them to age out of the LRU.
-                self.purge_stale()
+                missed = True
+                source = part.source
+                if source is None:
+                    source = pipeline.search_source(compiled, part, k)
+            plan.append((akey, entry, source))
+        if missed:
+            # A miss is where a query meets a changed component: drop
+            # every entry a mutation left unreachable, superseded
+            # answers (the largest entries) included, before the search
+            # rather than leave them to age out of the LRU.
+            self.purge_stale()
+
+        # The counters the search adds; every other field comes from the
+        # cut artifact above.
+        counters = (
+            "search_calls", "insearch_prunes", "branch_size_prunes",
+            "pivot_branches", "pivot_skipped", "cliques",
+        )
+        for akey, entry, source in plan:
+            if source is not None:
                 local = EnumerationStats()
                 local.timings = stats.timings
                 cliques = tuple(pipeline.enumeration_search_stage(
-                    part.views, k, tau_floor, min_size, insearch,
-                    insearch_min_candidates, local,
+                    source, k, tau_floor, min_size, insearch,
+                    insearch_min_candidates, limit, local,
                 ))
                 entry = cliques, tuple(getattr(local, f) for f in counters)
                 self._store(akey, entry)
@@ -671,27 +694,26 @@ class PreparedGraph:
         fixed: AbstractSet[Node],
         k: int,
         tau: float,
-    ) -> Iterator[frozenset[Node]]:
+    ) -> tuple[frozenset[Node], ...]:
         """The maximal (k, tau)-cliques of ``region``'s anchored core.
 
         Algorithm 3's fixed-set peel, the cut and the view derivation
         all run on the graph's own lowering, the peel restricted to
         ``region`` by ``members=``; the cut numbers the core in region
-        order, a function of the graph's adjacency alone.  The search
-        components and views are cached per anchor under its
-        component's ``(cid, epoch)`` and the kernel size limit the cut
-        read (``None`` for a dead anchor); the views are copies built
-        before the search starts, so a paused generator answers for the
-        version it asked at.
+        order, a function of the graph's adjacency alone.  On a miss the
+        core is searched at once and its cliques, in yield order, are
+        cached per anchor under its component's ``(cid, epoch)`` and the
+        kernel size limit the cut read (an empty tuple for a dead
+        anchor); a hit replays them.  Either way the answer is complete
+        before the caller sees a clique, so a paused generator answers
+        for the version it asked at.
         """
         cid, epoch = self._graph.component_key(next(iter(fixed)))
-        key = (
-            "c", cid, epoch, stage, anchor_key, k, tau,
-            _enumeration_mod.KERNEL_COMPONENT_LIMIT,
-        )
-        entry = self._lookup(key)
-        if entry is _MISSING:
-            entry = None
+        limit = _enumeration_mod.KERNEL_COMPONENT_LIMIT
+        key = ("c", cid, epoch, stage, anchor_key, k, tau, limit)
+        cliques = self._lookup(key)
+        if cliques is _MISSING:
+            cliques = ()
             compiled = self._compiled_artifact()
             core = topk_core(
                 self._graph, k, tau, fixed=fixed, compiled=compiled,
@@ -699,16 +721,15 @@ class PreparedGraph:
             )
             if core:
                 ids = [compiled.index[u] for u in region if u in core.nodes]
-                art = pipeline.cut_stage(compiled, ids, k, tau, True)
-                entry = art.components, art.views
-            self._store(key, entry)
-        if entry is None:
-            return iter(())
-        _, views = entry
-        return pipeline.enumeration_search_stage(
-            views, k, threshold_floor(tau), k + 1, True,
-            _enumeration_mod._INSEARCH_MIN_CANDIDATES, EnumerationStats(),
-        )
+                source = pipeline.cut_stage(compiled, ids, k, tau, True).source
+                assert source is not None  # an enumeration cut's
+                cliques = tuple(pipeline.enumeration_search_stage(
+                    source, k, threshold_floor(tau), k + 1, True,
+                    _enumeration_mod._INSEARCH_MIN_CANDIDATES, limit,
+                    EnumerationStats(),
+                ))
+            self._store(key, cliques)
+        return cliques
 
     def cliques_containing(
         self,
@@ -719,10 +740,9 @@ class PreparedGraph:
         """Yield every maximal (k, tau)-clique containing ``node``.
 
         Session-cached equivalent of :func:`repro.core.queries.
-        cliques_containing`: the anchored neighborhood core's search
-        components and views are cached (:meth:`_anchored`), so a
-        repeated query skips the anchored peel, the cut and the view
-        derivation and only searches.
+        cliques_containing`: the anchored neighborhood core's cliques
+        are cached (:meth:`_anchored`), so a repeated query skips the
+        anchored peel, the cut and the search and only filters them.
         """
         validate_k(k)
         tau = validate_tau(tau)
@@ -784,8 +804,8 @@ class PreparedGraph:
         Session-cached equivalent of :func:`repro.core.queries.
         containing_clique_exists`: the cheap pre-checks always run
         against the live graph; the anchored common-neighborhood core's
-        search components and views are cached keyed by the (frozen)
-        member set (:meth:`_anchored`).
+        cliques are cached keyed by the (frozen) member set
+        (:meth:`_anchored`).
         """
         validate_k(k)
         tau = validate_tau(tau)

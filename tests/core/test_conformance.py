@@ -48,8 +48,9 @@ the matrix runs with that limit squeezed.
 from __future__ import annotations
 
 import itertools
+from contextlib import contextmanager
 from dataclasses import asdict, dataclass
-from typing import Any, Callable
+from typing import Any, Callable, Iterator
 
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
@@ -71,10 +72,12 @@ from repro.core.enumeration import (
 )
 from repro.core.kernel import (
     CompiledComponent,
+    CutRows,
+    VertexView,
     compile_component,
     derive_component_view,
+    vertex_views,
 )
-from repro.core.pipeline import SearchView
 from repro.core.ktau_core import dp_core, dp_core_plus
 from repro.core.maximum import MaximumSearchStats
 from repro.core.prune_kernel import (
@@ -408,8 +411,9 @@ def check_queries(case: Case) -> None:
     # read.
     cliques = clique_oracle(graph, k, tau)
     fresh = PreparedGraph(graph.copy())
-    cold = ask_all(fresh, case)
-    assert_cached_views(fresh)
+    with recording_views() as built:
+        cold = ask_all(fresh, case)
+    assert_built_views(fresh, built)
     assert_oracle(cold, cliques, graph, case)
     # With the gate at zero the in-search peel runs at every search
     # call: the kernel's mask peel on every recursion level, duplicate
@@ -546,64 +550,111 @@ def check_readers(
     check_gathers(graph, cpg, case)
 
 
-def assert_cached_views(session: PreparedGraph) -> None:
-    """Every search view a session cached for enumeration (in its cut
-    entry) or an anchored query is bit-identical to compiling its
-    component's induced subgraph, and a component has one exactly when
-    the kernel takes it."""
+@dataclass
+class BuiltViews:
+    """The search views built while :func:`recording_views` ran: each
+    whole view, and each search's per-vertex views of an oversized
+    piece, by the piece's node set (one list per search)."""
+
+    whole: list[CompiledComponent]
+    per_vertex: dict[frozenset[Node], list[list[VertexView]]]
+
+
+@contextmanager
+def recording_views() -> Iterator[BuiltViews]:
+    """Record every view the pipeline builds, through the module
+    attributes its searches call."""
+    built = BuiltViews([], {})
+    derive = pipeline_mod.derive_component_view
+    per_vertex = pipeline_mod.vertex_views
+
+    def deriving(source: Any, members: Any) -> CompiledComponent:
+        view = derive(source, members)
+        built.whole.append(view)
+        return view
+
+    def per_vertex_views(
+        source: CutRows, piece: list[int], k: int
+    ) -> Iterator[VertexView]:
+        views: list[VertexView] = []
+        built.per_vertex.setdefault(
+            frozenset(source.labels[i] for i in piece), []
+        ).append(views)
+        for vv in per_vertex(source, piece, k):
+            views.append(vv)
+            yield vv
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(pipeline_mod, "derive_component_view", deriving)
+        patch.setattr(pipeline_mod, "vertex_views", per_vertex_views)
+        yield built
+
+
+def assert_built_views(session: PreparedGraph, built: BuiltViews) -> None:
+    """Every view built is bit-identical to compiling its component's
+    induced subgraph, and every component an enumeration cut entry of
+    ``session`` holds got the views the kernel takes: none up to ``k``
+    nodes, one whole view up to the kernel limit, else the views of a
+    degeneracy order."""
     graph = session.graph
+    for view in built.whole:
+        assert_views_bit_identical(
+            view, compile_component(graph.induced_subgraph(view.nodes))
+        )
+    whole = {frozenset(view.nodes) for view in built.whole}
     for key, value in session._cache.items():
-        if key[3] == "cut":
-            k = key[6]
-            components, views = value.components, value.views
-        elif key[3] in ("anchor_node", "anchor_set") and value is not None:
-            k = key[5]
-            components, views = value
-        else:
+        if key[3] != "cut":
             continue
-        assert len(views) == len(components)
-        for component, view in zip(components, views):
-            assert_cut_view(graph, k, component, view)
+        k, limit = key[6], key[8]
+        for component in value.components:
+            nodes = frozenset(component)
+            if len(component) <= k:
+                assert nodes not in built.per_vertex
+            elif len(component) <= limit:
+                assert nodes in whole
+            else:
+                for views in built.per_vertex[nodes]:
+                    assert_vertex_views(graph, k, component, views)
 
 
-def assert_cut_view(
+def assert_vertex_views(
     graph: UncertainGraph,
     k: int,
     component: tuple[Node, ...],
-    view: SearchView,
+    views: list[VertexView],
 ) -> None:
-    """A cut artifact's view slot: ``None`` when the component cannot
-    hold a (k, tau)-clique, the component's compile when the kernel
-    takes its size, else the views of a degeneracy order: one per
-    vertex ``v`` whose view has more than ``k`` nodes, each holding
-    ``v`` and some of its neighbours (no two vertices in each other's
-    view), at most the component's degeneracy plus one nodes, and each
-    the compile of its induced subgraph."""
-    limit = enumeration_mod.KERNEL_COMPONENT_LIMIT
-    if len(component) <= k:
-        assert view is None
-        return
-    assert view is not None
-    if len(component) <= limit:
-        assert isinstance(view, CompiledComponent)
-        assert_views_bit_identical(
-            view, compile_component(graph.induced_subgraph(component))
-        )
-        return
-    assert isinstance(view, tuple)
+    """The views of a degeneracy order: one per vertex ``v`` whose view
+    has more than ``k`` nodes, each holding ``v`` and some of its
+    neighbours (no two vertices in each other's view), at most the
+    component's degeneracy plus one nodes, and each the compile of its
+    induced subgraph."""
     induced = graph.induced_subgraph(component)
     degeneracy = max(core_numbers(induced).values())
-    later = {vv.view.nodes[vv.root]: set(vv.view.nodes) for vv in view}
-    assert len(later) == len(view) and set(later) <= set(component)
+    later = {vv.view.nodes[vv.root]: set(vv.view.nodes) for vv in views}
+    assert len(later) == len(views) and set(later) <= set(component)
     for root, members in later.items():
         members.discard(root)
         assert members <= set(induced.neighbors(root))
         assert k < len(members) + 1 <= degeneracy + 1
         assert not any(root in later.get(u, ()) for u in members)
-    for vv in view:
+    for vv in views:
         assert_views_bit_identical(
             vv.view, compile_component(graph.induced_subgraph(vv.view.nodes))
         )
+
+
+def source_views(
+    source: pipeline_mod.SearchSource, k: int
+) -> list[CompiledComponent | list[VertexView]]:
+    """The views an enumeration search builds from ``source``, per
+    piece."""
+    limit = enumeration_mod.KERNEL_COMPONENT_LIMIT
+    rows, pieces = source
+    return [
+        derive_component_view(rows, piece) if len(piece) <= limit
+        else list(vertex_views(rows, piece, k))
+        for piece in pieces
+    ]
 
 
 def check_gathers(
@@ -646,8 +697,12 @@ def check_gathers(
         rows = induced_rows(cpg, ids)
         assert rows == induced_rows(full, ids)
         # The cut's rows build the view of any id set they cover.
+        detached = CutRows(
+            [cpg.nodes[g] for g in ids], [cpg.sort_rank[g] for g in ids],
+            rows,
+        )
         assert_views_bit_identical(
-            derive_component_view(cpg, range(len(ids)), (ids, rows)),
+            derive_component_view(detached, range(len(ids))),
             compile_component(
                 graph.induced_subgraph([cpg.nodes[g] for g in ids])
             ),
@@ -658,11 +713,33 @@ def check_gathers(
                 full, ids, k, tau, case.cut, maximum
             )
             if maximum:
-                assert art.views == ()
+                assert art.source is None
                 continue
-            assert len(art.views) == len(art.components)
-            for component, view in zip(art.components, art.views):
-                assert_cut_view(graph, k, component, view)
+            assert art.source is not None
+            searched = [c for c in art.components if len(c) > k]
+            views = source_views(art.source, k)
+            assert len(views) == len(searched)
+            for component, view in zip(searched, views):
+                if isinstance(view, CompiledComponent):
+                    assert_views_bit_identical(view, compile_component(
+                        graph.induced_subgraph(component)
+                    ))
+                else:
+                    assert_vertex_views(graph, k, component, view)
+            # A cached cut's rows, read again, build the same views.
+            again = source_views(pipeline_mod.search_source(cpg, art, k), k)
+            for view, other in zip(views, again):
+                if isinstance(view, CompiledComponent):
+                    assert isinstance(other, CompiledComponent)
+                    assert_views_bit_identical(view, other)
+                else:
+                    assert isinstance(other, list)
+                    assert len(view) == len(other)
+                    for vv, ww in zip(view, other):
+                        assert (vv.root, vv.members, vv.witnesses) == (
+                            ww.root, ww.members, ww.witnesses
+                        )
+                        assert_views_bit_identical(vv.view, ww.view)
 
     def check_all() -> None:
         sets = [
@@ -1115,12 +1192,10 @@ def test_answers_replay_with_an_oversized_piece(
     )
     check_answers(case)
     session = PreparedGraph(case.graph.copy())
-    enumeration_payload(session, case)
-    assert any(
-        isinstance(view, tuple)
-        for key, value in session._cache.items() if key[3] == "cut"
-        for view in value.views
-    )
+    with recording_views() as built:
+        enumeration_payload(session, case)
+    assert built.per_vertex
+    assert_built_views(session, built)
 
 
 def test_an_abandoned_enumeration_stores_only_finished_components() -> None:

@@ -134,6 +134,23 @@ class TestCutOptimize:
         kept = sum(c.num_edges for c in result.components)
         assert kept + result.edges_removed == g.num_edges
 
+    def test_pinned_parts_of_a_cut_are_not_swept_again(self):
+        # The sweep cuts one segment off; the rest is re-peeled (two
+        # nodes leave) and final.  A second sweep of it, which the paper
+        # runs, found another cut and peeled three more nodes: 2 cuts, 8
+        # edges removed, 5 peeled, pieces of 5 and 1 x 5 nodes.  Lemma 5
+        # cuts are an optimization, so the answers are the same.
+        g = make_random_graph(10, 0.4, seed=22)
+        result = cut_optimize(g, 2, 0.2)
+        assert result.cuts_found == 1
+        assert result.edges_removed == 3
+        assert result.fringe_nodes_peeled == 2
+        assert [c.nodes() for c in result.components] == [
+            [0, 2, 3, 4, 6, 7, 8, 9], [1], [5],
+        ]
+        cut = set(maximal_cliques(g, 2, 0.2, cut=True))
+        assert cut == set(brute_force_maximal_cliques(g, 2, 0.2))
+
     def test_one_sweep_per_piece(self):
         # The sweep from node 0 flags no boundary, so the piece is final:
         # no repeat sweep from the far end (which would cut {1, 3} off).
@@ -317,30 +334,30 @@ def _blocks(draw):
 
 
 def _full_repeel_cut(rows, k, tau):
-    """:func:`cut_rows` with every node of a piece a sweep cut off
-    re-tested by an eager peel, its stable pieces being only the
-    remnants of a peel."""
+    """:func:`cut_rows` with every node of every piece re-tested by an
+    eager peel: the initial pieces are peeled, and the remnants swept
+    once; each connected part of a sweep's segments is peeled again, and
+    its remnants are final, never swept."""
     floor = threshold_floor(tau)
     n = len(rows)
     owner, marks = [0] * n, count(1)
     conn, in_s = [0.0] * n, bytearray(n)
-    cuts = peeled = 0
-    stack = [(p, False) for p in _split(rows, owner, list(range(n)), marks)]
+    cuts = 0
     finished: list[list[int]] = []
-    while stack:
-        piece, stable = stack.pop()
+
+    def peel(piece):
         mark = owner[piece[0]]
-        if len(piece) > 1 and not stable and _fringe_peel(
-            rows, owner, piece, k, floor
-        ):
-            remnant = [i for i in piece if owner[i] == mark]
-            peeled += len(piece) - len(remnant)
-            finished += [[i] for i in piece if owner[i] != mark]
-            stack += [(p, True) for p in _split(rows, owner, remnant, marks)]
-            continue
+        if len(piece) > 1:
+            _fringe_peel(rows, owner, piece, k, floor)
+        finished.extend([i] for i in piece if owner[i] != mark)
+        return _split(rows, owner, [i for i in piece if owner[i] == mark],
+                      marks)
+
+    for piece in [p for q in _split(rows, owner, list(range(n)), marks)
+                  for p in peel(q)]:
         segments = _sweep_split(
             rows, owner, conn, in_s, piece, piece[0], k, floor
-        ) if len(piece) > 1 else [piece]
+        )[0] if len(piece) > 1 else [piece]
         if len(segments) == 1:
             finished.append(piece)
             continue
@@ -350,12 +367,14 @@ def _full_repeel_cut(rows, k, tau):
             for i in segment:
                 owner[i] = mark
         for segment in segments:
-            stack += [(p, False) for p in _split(rows, owner, segment, marks)]
+            for part in _split(rows, owner, segment, marks):
+                finished += peel(part)
     finished.sort()
     kept = sum(
         owner[j] == owner[i] != _PEELED for i, row in enumerate(rows)
         for j, _ in row
     )
+    peeled = owner.count(_PEELED)
     return finished, cuts, (sum(map(len, rows)) - kept) // 2, peeled
 
 
@@ -363,9 +382,10 @@ def _full_repeel_cut(rows, k, tau):
 @given(_blocks(), _k_taus())
 def test_seeded_repeel_equals_full_repeel(graph, k_tau):
     # On a (Top_k, tau)-core every node the cut peels falls after a
-    # sweep's cut, where only the cut's endpoints are re-tested and
-    # other rows are built lazily.  Re-testing every node of every
-    # piece the cut leaves instead gives the same pieces and counters.
+    # sweep's cut, where only the crossing edges' endpoints are
+    # re-tested and other rows are built lazily.  Re-testing every node
+    # of every part the cut leaves instead gives the same pieces and
+    # counters.
     k, tau = k_tau
     compiled = compile_graph(graph)
     ids = sorted(compiled.index[u] for u in topk_peel(compiled, k, tau))
@@ -373,6 +393,53 @@ def test_seeded_repeel_equals_full_repeel(graph, k_tau):
     seeded = cut_rows(rows, k, tau, core=True)
     target(float(seeded[3]))  # steer towards examples that peel
     assert seeded == cut_rows(rows, k, tau) == _full_repeel_cut(rows, k, tau)
+
+
+@settings(max_examples=100, deadline=None)
+@given(_blocks(), _k_taus())
+def test_crossing_endpoints_are_the_nodes_that_lost_an_edge(graph, k_tau):
+    # The sweep reads the endpoints of its crossing edges off its heap
+    # at each flagged boundary: exactly the nodes with a neighbour in
+    # another segment, as a scan of every row finds them.
+    k, tau = k_tau
+    compiled = compile_graph(graph)
+    rows = induced_rows(compiled, range(compiled.n))
+    pieces, owner = _marked(rows)
+    n = len(rows)
+    for piece in pieces:
+        segments, ends = _sweep_split(
+            rows, owner, [0.0] * n, bytearray(n), piece, piece[0], k,
+            threshold_floor(tau),
+        )
+        run = {i: r for r, segment in enumerate(segments) for i in segment}
+        assert ends == {
+            i for i in piece if any(run[j] != run[i] for j, _ in rows[i])
+        }
+
+
+@settings(max_examples=100, deadline=None)
+@given(_blocks(), _k_taus(), st.booleans())
+def test_each_piece_is_swept_once(graph, k_tau, core):
+    # Only the pieces of the initial split are swept (a (Top_k,
+    # tau)-core's peel removes nothing), one sweep each: nothing a cut
+    # leaves is swept again.
+    k, tau = k_tau
+    compiled = compile_graph(graph)
+    ids = sorted(compiled.index[u] for u in topk_peel(compiled, k, tau))
+    rows = induced_rows(compiled, ids)
+    cut_module = importlib.import_module("repro.core.cut_pruning")
+    swept: list[list[int]] = []
+
+    def counting(rows, owner, conn, in_s, piece, *rest):
+        swept.append(list(piece))
+        return _sweep_split(rows, owner, conn, in_s, piece, *rest)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(cut_module, "_sweep_split", counting)
+        pieces, cuts, _, _ = cut_rows(rows, k, tau, core=core)
+    initial, _ = _marked(rows)
+    assert swept == [piece for piece in initial if len(piece) > 1]
+    assert len(pieces) >= len(initial) + cuts
 
 
 def test_lazy_row_keeps_edges_to_pending_nodes():

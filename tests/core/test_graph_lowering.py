@@ -12,8 +12,8 @@ a mutation.  This suite pins that sharing contract:
 * a mutation through any one of them costs exactly one delta patch in
   total, and every reader then answers like a fresh session on a copy;
 * a patch in place never reaches a reader that holds derived state —
-  a ``maximal_cliques`` generator paused between yields, or another
-  session's cached views;
+  a ``maximal_cliques`` generator paused between yields, whether its
+  cut was cached or not, or another session's cached entries;
 * derived graphs, pickles and ``copy`` / ``deepcopy`` start without a
   lowering, so no two graphs ever share one.
 """
@@ -42,7 +42,7 @@ from repro.core.maximum import MaximumSearchStats
 from repro.core.prune_kernel import CompiledGraph, compile_graph
 from tests.conftest import current_lowering, make_random_graph
 from tests.core.support import assert_bit_identical
-from tests.core.test_session import _cliques_with_bridges
+from tests.core.test_session import _cliques_with_bridges, _record_lookups
 
 
 def _enum(
@@ -285,12 +285,61 @@ def test_second_session_between_yields_keeps_the_asked_version(
     assert [first, *cliques] == expected
 
 
-def test_cached_views_survive_a_patch_by_another_reader() -> None:
+@pytest.mark.parametrize("oversized", [False, True], ids=["whole", "oversized"])
+@pytest.mark.parametrize("mutation", ["remove_edge", "remove_node"])
+def test_cut_hit_with_an_answers_miss_keeps_the_asked_version(
+    monkeypatch: pytest.MonkeyPatch, oversized: bool, mutation: str
+) -> None:
+    from repro.core import enumeration as enumeration_mod
+
+    if oversized:
+        monkeypatch.setattr(enumeration_mod, "KERNEL_COMPONENT_LIMIT", 3)
+    expected = _enum(PreparedGraph(_cliques_with_bridges()), insearch=False)
+    g = _cliques_with_bridges()
+    session = PreparedGraph(g)
+    _enum(session)  # caches both graph components' cuts
+    lookups = _record_lookups(session, monkeypatch)
+    stats = EnumerationStats()
+    cliques = session.maximal_cliques(2, 0.3, insearch=False, stats=stats)
+    first = next(cliques)
+    # Every cut hit, every answers entry missed: the second graph
+    # component's search reads the cut's rows again, before the first
+    # yield.
+    hits: dict[str, set[bool]] = {}
+    for key, hit in lookups:
+        hits.setdefault(key[3], set()).add(hit)
+    assert hits["cut"] == {True} and hits["answers"] == {False}
+    lowered = current_lowering(g)
+    # Mutate the second graph component, not yet searched, and let a
+    # second session resolve the shared lowering before the generator
+    # resumes.
+    if mutation == "remove_edge":
+        g.remove_edge(22, 23)
+    else:
+        g.remove_node(22)
+    second = PreparedGraph(g)
+    assert _enum(second) == _enum(PreparedGraph(g.copy()))
+    if mutation == "remove_edge":
+        assert second.cache_stats.delta_patches == 1
+        assert current_lowering(g) is lowered
+    else:
+        assert second.cache_stats.full_compiles == 1
+    assert ([first, *cliques], asdict(stats)) == expected
+
+
+def test_cached_entries_survive_a_patch_by_another_reader() -> None:
+    # Cut entries hold labels and counters, answers entries cliques and
+    # counters, anchored entries cliques: no view and no row a patch in
+    # place could reach.
     g = _cliques_with_bridges()
     session = PreparedGraph(g)
     _enum(session)
     _max(session)
-    snapshot = pickle.dumps(list(session._cache.values()))
+    assert len(list(session.cliques_containing(20, 2, 0.3))) == 1
+    entries = list(session._cache.values())
+    cuts = [e for e in entries if isinstance(e, pipeline.CutArtifact)]
+    assert cuts and all(cut.source is None for cut in cuts)
+    snapshot = pickle.dumps(entries)
     # A reweight in the third clique, resolved by a free function: the
     # shared lowering is patched in place under the session's entries.
     g.set_probability(20, 21, 0.85)

@@ -135,7 +135,7 @@ def _sweep(g, k, tau, start=0):
     nodes = compiled.nodes
     n = compiled.n
     rows = induced_rows(compiled, range(n))
-    segments = _sweep_split(
+    segments, _ = _sweep_split(
         rows, [0] * n, [0.0] * n, bytearray(n), list(range(n)), start,
         k, threshold_floor(tau),
     )

@@ -410,16 +410,16 @@ class TestGoldenCounters:
             pivot_skipped=11270, cliques=63,
         ),
         (4, 0.2): dict(
-            nodes_after_pruning=513, components=34, cuts_found=31,
-            cut_edges_removed=710, search_calls=2054, insearch_prunes=0,
-            branch_size_prunes=95, pivot_branches=2117,
-            pivot_skipped=6741, cliques=124,
+            nodes_after_pruning=513, components=17, cuts_found=15,
+            cut_edges_removed=418, search_calls=2958, insearch_prunes=3,
+            branch_size_prunes=383, pivot_branches=3325,
+            pivot_skipped=9521, cliques=124,
         ),
         (8, 0.25): dict(
-            nodes_after_pruning=481, components=44, cuts_found=28,
-            cut_edges_removed=480, search_calls=2387, insearch_prunes=0,
-            branch_size_prunes=147, pivot_branches=2506,
-            pivot_skipped=6828, cliques=352,
+            nodes_after_pruning=481, components=36, cuts_found=20,
+            cut_edges_removed=419, search_calls=2641, insearch_prunes=0,
+            branch_size_prunes=254, pivot_branches=2875,
+            pivot_skipped=7746, cliques=352,
         ),
     }
 
