@@ -45,11 +45,6 @@ from repro.core.bruteforce import (
     brute_force_maximum_clique,
     brute_force_tau_degree,
 )
-from repro.core.bounds import (
-    basic_color_bound,
-    advanced_color_bound_one,
-    advanced_color_bound_two,
-)
 from repro.core.maximum import (
     maximum_clique,
     max_uc,
@@ -114,9 +109,6 @@ __all__ = [
     "brute_force_maximal_cliques",
     "brute_force_maximum_clique",
     "brute_force_tau_degree",
-    "basic_color_bound",
-    "advanced_color_bound_one",
-    "advanced_color_bound_two",
     "maximum_clique",
     "max_uc",
     "max_rds",

@@ -11,11 +11,7 @@ import itertools
 
 from repro.core.prune_kernel import node_sort_key
 from repro.errors import ParameterError
-from repro.uncertain.clique_prob import (
-    clique_probability,
-    is_clique,
-    is_maximal_k_tau_clique,
-)
+from repro.uncertain.clique_prob import clique_probability, is_clique
 from repro.uncertain.graph import Node, UncertainGraph
 from repro.uncertain.possible_worlds import exact_degree_distribution
 from repro.utils.validation import prob_at_least, validate_k, validate_tau
@@ -37,23 +33,36 @@ def brute_force_maximal_cliques(
     Only subsets of size ``k + 1`` and above are considered (Definition 2's
     strictly-greater size requirement).  Limited to graphs of at most
     22 nodes.
+
+    Every set, a subset and each of its one-node extensions alike, is
+    decided by its canonical product: ``CPr`` over its members sorted by
+    :func:`~repro.core.prune_kernel.node_sort_key`.  One product per set
+    keeps a knife-edge clique and its subsets consistent: a product in
+    another member order can land on the other side of the floor.
     """
     validate_k(k)
     tau = validate_tau(tau)
-    nodes = graph.nodes()
+    nodes = sorted(graph.nodes(), key=node_sort_key)
     if len(nodes) > _MAX_NODES:
         raise ParameterError(
             f"brute force is limited to {_MAX_NODES} nodes, "
             f"graph has {len(nodes)}"
         )
+
+    def tau_clique(members: tuple[Node, ...]) -> bool:
+        return is_clique(graph, members) and prob_at_least(
+            clique_probability(graph, sorted(members, key=node_sort_key)),
+            tau,
+        )
+
     found: set[frozenset[Node]] = set()
     for size in range(k + 1, len(nodes) + 1):
         for subset in itertools.combinations(nodes, size):
-            if not is_clique(graph, subset):
-                continue
-            if not prob_at_least(clique_probability(graph, subset), tau):
-                continue
-            if is_maximal_k_tau_clique(graph, subset, k, tau):
+            if tau_clique(subset) and not any(
+                tau_clique((*subset, v))
+                for v in graph.neighbors(subset[0])
+                if v not in subset
+            ):
                 found.add(frozenset(subset))
     return found
 

@@ -524,8 +524,12 @@ def iter_bits(mask: int) -> Iterator[int]:
 # verdict can in principle differ from the canonical one when a partial
 # product lands within ~1 ulp of the threshold floor, a measure-zero
 # event documented in docs/performance.md and never observed by the
-# parity suites.)  Yield order follows the pivot recursion; parity is on
-# the set.
+# parity suites.)  The recursion's own products are not one per set
+# either: a clique is decided by its path product and its one-node
+# extensions by ``CPr(C) * pi_v(C)``, so where tau's floor lands on a
+# clique's probability a clique and one of its subsets can both be
+# emitted (docs/performance.md).  Yield order follows the pivot
+# recursion; parity is on the set.
 
 
 def enumerate_pivot_range(
@@ -758,8 +762,11 @@ def maximum_compiled(
     """MaxUC+ search of one *already compiled* component.
 
     ``color[i]`` is the greedy color of node id ``i``.  The three color
-    bounds fire cheapest first, then the in-search peel (the bounds are
-    the compiled twins of :mod:`repro.core.bounds`).  There is no
+    bounds of Section V fire cheapest first, then the in-search peel:
+    the basic ``col(C)``, Eq. (8)'s ``r-bar`` over the per-color maxima
+    of the candidates' ``pi``, and Eq. (9)'s ``s-bar``, the least such
+    budget over the members' edge rows (``tests/core/oracles.py`` holds
+    their definitions on a dict coloring).  There is no
     maximality test here, so the candidate loop is the plain
     branch-and-bound over dense rows, with the bound bookkeeping
     batched into local counters.  ``comp`` is a whole cut
@@ -908,8 +915,9 @@ def _prefix_budget(
     values: list[float], clique_prob: float, tau_floor: float
 ) -> int:
     """Longest prefix of descending ``values`` whose running product with
-    ``clique_prob`` stays at least tau — the compiled twin of
-    :func:`repro.core.bounds._prefix_budget` (same floats, same order)."""
+    ``clique_prob`` stays at least tau: the same floats, multiplied in
+    the same order, as ``prefix_budget(values, clique_prob, tau)`` of
+    ``tests/core/oracles.py``, compared against the floor."""
     count = 0
     running = clique_prob
     for value in values:

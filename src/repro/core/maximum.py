@@ -13,8 +13,9 @@ has none); they differ in their pruning machinery:
   subproblem and supplies the ``c[j]`` suffix bounds;
 * :func:`max_uc_plus` — the paper's algorithm: (Top_k, tau)-core
   preprocessing, cut optimization, in-search TopKCore pruning, and the
-  three color-based upper bounds of :mod:`repro.core.bounds` applied
-  cheapest-first (basic, then advanced I, then advanced II).
+  three color-based upper bounds applied cheapest-first (basic, then
+  advanced I, then advanced II) inside
+  :func:`repro.core.kernel.maximum_compiled`.
 
 Size semantics follow Definition 2: a valid answer has more than ``k``
 nodes, so searches start from an incumbent size of ``k`` — except
@@ -67,8 +68,6 @@ class MaximumSearchStats:
     advanced_one_prunes: int = 0
     advanced_two_prunes: int = 0
     insearch_prunes: int = 0
-    pivot_branches: int = 0
-    pivot_skipped: int = 0
     best_size: int = 0
     lower_bound: int = 0
 
@@ -247,10 +246,9 @@ def max_uc_plus(
     The ``use_advanced_*`` and ``insearch`` switches exist for the
     ablation benchmarks; the defaults reproduce the paper's ``MaxUC+``.
     The per-component search runs on the compiled kernel
-    (:func:`repro.core.kernel.maximum_compiled`), with the three color
-    bounds of :mod:`repro.core.bounds` in their compiled form.  The
-    branch-and-bound's DFS-first output depends on branch order, so the
-    search does not pivot and the pivot counters stay zero.
+    (:func:`repro.core.kernel.maximum_compiled`), which applies the three
+    color bounds inline.  The branch-and-bound's DFS-first output
+    depends on branch order, so the search does not pivot.
 
     Incumbent first: per graph component a greedy tau-clique of ``s_c``
     nodes is grown over the (Top_k, tau)-core, and when ``s_c > k + 1``

@@ -10,14 +10,17 @@ Two dynamic programs compute the same quantity by different routes:
   ``c_u`` — ``O(d_u * truncated_tau_deg)`` per node, ``O(m * delta)``
   overall, because the truncated tau-degree never exceeds the degeneracy.
 
-Both DPs also support the O(tau_deg) *edge-deletion updates* (Eqs. 4 and 6)
-that the peeling algorithms in :mod:`repro.core.ktau_core` rely on.
+The peels run both DPs, and their O(tau_deg) *edge-deletion updates*
+(Eqs. 4 and 6), in place over the compiled arrays of
+:mod:`repro.core.prune_kernel` (``distribution_peel`` and
+``survival_peel``); this module keeps the per-node forms the public
+tau-degree functions use.
 
 Numerical note: the deletion updates divide by ``1 - p``, which is
 ill-conditioned for ``p`` near 1 and undefined at ``p == 1`` (a legal
-probability).  Above ``STABLE_P_LIMIT`` the updates signal the caller to
-recompute the node's state from scratch instead — a cheap, rare fallback
-that keeps the fast path exact.
+probability).  Above ``STABLE_P_LIMIT`` the peels recompute the node's
+state from scratch instead — a cheap, rare fallback that keeps the fast
+path exact.
 """
 
 from __future__ import annotations
@@ -26,24 +29,21 @@ from typing import Sequence
 
 from repro.deterministic.core_decomposition import core_numbers
 from repro.uncertain.graph import Node, UncertainGraph
-from repro.utils.validation import prob_at_least, prob_below, validate_tau
+from repro.utils.validation import prob_at_least, validate_tau
 
 __all__ = [
     "degree_distribution_dp",
-    "distribution_prefix",
-    "update_distribution_prefix",
     "survival_dp",
     "tau_degree",
     "all_tau_degrees",
     "truncated_tau_degree",
     "tau_degree_from_distribution",
     "tau_degree_from_survival",
-    "remove_edge_from_distribution",
-    "remove_edge_from_survival",
     "STABLE_P_LIMIT",
 ]
 
-#: Deletion updates recompute from scratch for edge probabilities above this.
+#: The peels' deletion updates recompute from scratch for edge
+#: probabilities above this.
 STABLE_P_LIMIT = 1.0 - 1e-6
 
 
@@ -85,86 +85,6 @@ def tau_degree_from_distribution(dist: Sequence[float], tau: float) -> int:
     return r
 
 
-def remove_edge_from_distribution(
-    dist: Sequence[float], p: float
-) -> list[float] | None:
-    """Eq. (4): the degree distribution after deleting one edge of prob ``p``.
-
-    Returns ``None`` when ``p`` is too close to 1 for the division to be
-    numerically safe — the caller must then rebuild with
-    :func:`degree_distribution_dp` from the surviving edges.
-    """
-    if p >= STABLE_P_LIMIT:
-        return None
-    q = 1.0 - p
-    out = [dist[0] / q]
-    for i in range(1, len(dist) - 1):
-        out.append((dist[i] - p * out[i - 1]) / q)
-    return out
-
-
-def distribution_prefix(
-    probs: Sequence[float], tau: float
-) -> tuple[list[float], int]:
-    """The Bonchi et al. [16] lazy DP: ``(eq_prefix, tau_degree)``.
-
-    Computes ``Pr(d = i)`` column by column (each column of Eq. (3) in
-    ``O(d)`` from the previous one) and stops as soon as the running
-    survival probability drops below ``tau`` — the ``O(d * tau_deg)``
-    per-node cost the paper quotes for DPCore, instead of the full
-    ``O(d^2)`` table.  The returned prefix covers ``i = 0 .. tau_degree``,
-    exactly what the Eq. (4) deletion update needs later.
-    """
-    tau = validate_tau(tau)
-    d = len(probs)
-    # Column i holds X(h, i) for h = 0..d; column 0 is the prefix product
-    # of the non-existence probabilities.
-    col = [1.0] * (d + 1)
-    for h, p in enumerate(probs, start=1):
-        col[h] = col[h - 1] * (1.0 - p)
-    eq = [col[d]]
-    survival = 1.0
-    r = 0
-    for i in range(d):
-        survival -= eq[i]
-        if prob_below(survival, tau):
-            break
-        r = i + 1
-        nxt = [0.0] * (d + 1)
-        for h in range(1, d + 1):
-            p = probs[h - 1]
-            nxt[h] = p * col[h - 1] + (1.0 - p) * nxt[h - 1]
-        col = nxt
-        eq.append(col[d])
-    return eq, r
-
-
-def update_distribution_prefix(
-    eq: Sequence[float], tau_deg: int, p: float, tau: float
-) -> tuple[list[float], int] | None:
-    """Eq. (4) on a distribution *prefix*: new ``(eq_prefix, tau_degree)``.
-
-    ``eq`` holds ``Pr(d = i)`` for ``i = 0 .. tau_deg``; only that prefix
-    is updated (the tau-degree cannot increase under deletion).  Returns
-    ``None`` when ``p`` is too close to 1 (caller rebuilds with
-    :func:`distribution_prefix`).
-    """
-    if p >= STABLE_P_LIMIT:
-        return None
-    q = 1.0 - p
-    new = [eq[0] / q]
-    for i in range(1, tau_deg + 1):
-        new.append((eq[i] - p * new[i - 1]) / q)
-    survival = 1.0
-    r = 0
-    for i in range(tau_deg):
-        survival -= new[i]
-        if prob_below(survival, tau):
-            break
-        r = i + 1
-    return new[: r + 1], r
-
-
 # ----------------------------------------------------------------------
 # New DP (Algorithm 1): survival probabilities Pr(d >= i), truncated (Eq. 5)
 # ----------------------------------------------------------------------
@@ -198,32 +118,6 @@ def tau_degree_from_survival(row: Sequence[float], tau: float) -> int:
         else:
             break
     return r
-
-
-def remove_edge_from_survival(
-    row: Sequence[float], p: float, upto: int, tau: float
-) -> tuple[list[float], int] | None:
-    """Eq. (6) update: survival row and new truncated tau-degree after
-    deleting one incident edge of probability ``p``.
-
-    ``row`` holds the current ``Pr(d >= i)`` for ``i`` in ``[0, len(row))``;
-    only indices up to ``upto`` (the node's current truncated tau-degree)
-    are meaningful and updated, exactly as in Algorithm 2's ``Update``
-    procedure.  Returns ``(new_row, new_tau_degree)`` where ``new_row`` is
-    valid up to ``new_tau_degree``, or ``None`` when ``p`` is too close to 1
-    (caller rebuilds with :func:`survival_dp`).
-    """
-    if p >= STABLE_P_LIMIT:
-        return None
-    q = 1.0 - p
-    new_row = list(row)
-    new_deg = upto
-    for i in range(1, upto + 1):
-        new_row[i] = (row[i] - p * new_row[i - 1]) / q
-        if not prob_at_least(new_row[i], tau):
-            new_deg = i - 1
-            break
-    return new_row, new_deg
 
 
 # ----------------------------------------------------------------------

@@ -1,4 +1,4 @@
-"""Deterministic-graph substrate: k-core, coloring, cliques, components, cuts.
+"""Deterministic-graph substrate: k-core, coloring, cliques, components.
 
 Every algorithm here operates on the deterministic graph ``~G`` underlying an
 :class:`~repro.uncertain.UncertainGraph` (probabilities ignored unless stated
@@ -22,10 +22,6 @@ from repro.deterministic.cliques import (
     bron_kerbosch_degeneracy,
     maximum_clique_size,
 )
-from repro.deterministic.mincut import (
-    minimum_cut_phase,
-    stoer_wagner_minimum_cut,
-)
 
 __all__ = [
     "core_numbers",
@@ -40,6 +36,4 @@ __all__ = [
     "bron_kerbosch",
     "bron_kerbosch_degeneracy",
     "maximum_clique_size",
-    "minimum_cut_phase",
-    "stoer_wagner_minimum_cut",
 ]

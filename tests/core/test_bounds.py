@@ -1,16 +1,30 @@
-"""Unit tests for the color-based upper bounds (Section V)."""
+"""The color-based upper bounds of Section V.
+
+The search runs the bounds inline in :func:`repro.core.kernel.
+maximum_compiled`, over dense ids and against the precomputed floor;
+:mod:`tests.core.oracles` holds them on a dict coloring, from their
+definitions.  Here the oracle forms are pinned on hand-computed cases,
+proven sound on every maximal clique (Lemmas 6 and 7), and the kernel's
+budget, which both advanced bounds end in, is checked against the
+oracle's: on drawn values with products placed at the floor, and on
+every call a real MaxUC+ search makes.
+"""
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from repro import UncertainGraph, clique_probability
-from repro.core.bounds import (
+import repro.core.kernel as kernel_mod
+from repro import UncertainGraph, clique_probability, max_uc_plus
+from repro.core.bruteforce import brute_force_maximal_cliques
+from repro.deterministic.coloring import greedy_coloring
+from repro.utils.validation import FLOAT_EPS, threshold_floor
+from tests.conftest import make_random_graph
+from tests.core.oracles import (
     advanced_color_bound_one,
     advanced_color_bound_two,
     basic_color_bound,
+    prefix_budget,
 )
-from repro.core.bruteforce import brute_force_maximal_cliques
-from repro.deterministic.coloring import greedy_coloring
-from tests.conftest import make_random_graph
 
 
 class TestBasicColorBound:
@@ -129,3 +143,67 @@ class TestSoundness:
                 assert b1 >= need
                 assert b2 >= need
                 assert b3 >= need
+
+
+#: Relative offsets of tau around a value whose floor is a running
+#: product: far above float error, far below the tolerance band.
+STRADDLE = (1.0 - 1e-12, 1.0, 1.0 + 1e-12)
+
+probabilities = st.floats(min_value=0.01, max_value=1.0)
+
+
+@st.composite
+def budget_cases(draw: st.DrawFn) -> tuple[list[float], float, float]:
+    """Descending values, a clique probability, and a tau that is drawn,
+    or sits at one of the running products, or has its floor there."""
+    values = sorted(
+        draw(st.lists(probabilities, max_size=8)), reverse=True
+    )
+    prob = draw(probabilities)
+    running = [prob]
+    for value in values:
+        running.append(running[-1] * value)
+    product = st.sampled_from(running)
+    offset = st.sampled_from(STRADDLE)
+    tau = draw(
+        probabilities
+        | st.builds(lambda p, f: min(1.0, p * f), product, offset)
+        | st.builds(
+            lambda p, f: min(1.0, p / (1.0 - FLOAT_EPS) * f), product, offset
+        )
+    )
+    return values, prob, tau
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=budget_cases())
+def test_kernel_budget_matches_the_oracle(
+    case: tuple[list[float], float, float]
+) -> None:
+    values, prob, tau = case
+    assert kernel_mod._prefix_budget(
+        values, prob, threshold_floor(tau)
+    ) == prefix_budget(values, prob, tau)
+
+
+@pytest.mark.parametrize("tau", [0.05, 0.3])
+@pytest.mark.parametrize("seed", range(4))
+def test_every_search_budget_matches_the_oracle(seed: int, tau: float) -> None:
+    # Each budget the advanced bounds take in a real MaxUC+ search, on
+    # the values, clique probability and floor the search hands over.
+    calls = []
+    budget = kernel_mod._prefix_budget
+
+    def recording(values, clique_prob, tau_floor):
+        result = budget(values, clique_prob, tau_floor)
+        calls.append((list(values), clique_prob, tau_floor, result))
+        return result
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(kernel_mod, "_prefix_budget", recording)
+        max_uc_plus(make_random_graph(14, 0.6, seed=seed), 1, tau)
+    assert calls
+    for values, clique_prob, tau_floor, result in calls:
+        assert tau_floor == threshold_floor(tau)
+        assert values == sorted(values, reverse=True)
+        assert result == prefix_budget(values, clique_prob, tau)

@@ -303,8 +303,6 @@ def ask_maximum(
     best = session.max_uc_plus(
         case.k, case.tau, stats=stats, insearch=case.insearch
     )
-    # The branch-and-bound's DFS order decides ties: it never pivots.
-    assert stats.pivot_branches == stats.pivot_skipped == 0
     return best, stats
 
 

@@ -22,7 +22,7 @@ from repro.core.cut_pruning import (
 )
 from repro.core.prune_kernel import compile_graph, topk_peel
 from repro.errors import ParameterError
-from repro.utils.validation import threshold_floor
+from repro.utils.validation import prob_below, threshold_floor
 from tests.conftest import (
     make_clique,
     make_random_graph,
@@ -415,6 +415,44 @@ def test_crossing_endpoints_are_the_nodes_that_lost_an_edge(graph, k_tau):
         assert ends == {
             i for i in piece if any(run[j] != run[i] for j, _ in rows[i])
         }
+
+
+@settings(max_examples=200, deadline=None)
+@given(_blocks(), _k_taus())
+def test_sweep_absorbs_the_tightest_node_and_flags_the_low_cuts(graph, k_tau):
+    # The sweep is Stoer-Wagner's maximum-adjacency phase ([29]): each
+    # node it absorbs has the largest connection weight to the absorbed
+    # set (summed in absorption order, as the sweep sums it; ties to the
+    # lowest id).  A boundary is flagged exactly when the edges crossing
+    # it form a low-probability cut by Eq. (7).
+    k, tau = k_tau
+    rows = induced_rows(compile_graph(graph), range(len(graph)))
+    pieces, owner = _marked(rows)
+    n = len(rows)
+    for piece in pieces:
+        segments, _ = _sweep_split(
+            rows, owner, [0.0] * n, bytearray(n), piece, piece[0], k,
+            threshold_floor(tau),
+        )
+        order = [i for segment in segments for i in segment]
+        assert sorted(order) == piece
+        weight = dict.fromkeys(piece, 0.0)
+        for u in order:
+            tightest = max(weight.values())
+            assert u == min(v for v, w in weight.items() if w == tightest)
+            del weight[u]
+            for v, p in rows[u]:
+                if v in weight:
+                    weight[v] += p
+        flagged = set(itertools.accumulate(map(len, segments[:-1])))
+        absorbed: set[int] = set()
+        for size, u in enumerate(order[:-1], start=1):
+            absorbed.add(u)
+            crossing = [
+                p for i in absorbed for j, p in rows[i] if j not in absorbed
+            ]
+            low = prob_below(cut_probability(crossing, k), tau)
+            assert low == (size in flagged)
 
 
 @settings(max_examples=100, deadline=None)

@@ -14,7 +14,7 @@ from __future__ import annotations
 import itertools
 from typing import Callable
 
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from repro import UncertainGraph
 from repro.core.bruteforce import (
@@ -87,8 +87,24 @@ def largest_valid_set(graph: UncertainGraph, valid: Valid) -> frozenset[Node]:
 matrix = settings(max_examples=60, deadline=None)
 
 
+def knife_edge_triangle() -> UncertainGraph:
+    """A triangle whose product in one member order clears the floor of
+    ``KNIFE_TAU`` and in another does not: decided in the order each
+    oracle happened to meet it, brute force kept ``{5, 8}`` and the MULE
+    search ``{4, 8}`` beside ``{4, 5, 8}``."""
+    graph = UncertainGraph()
+    graph.add_edge(4, 5, 0.9)
+    graph.add_edge(4, 8, 0.4)
+    graph.add_edge(5, 8, 0.9999999)
+    return graph
+
+
+KNIFE_TAU = 0.35999996436000004
+
+
 @matrix
 @given(case=cases())
+@example(case=(knife_edge_triangle(), 0, KNIFE_TAU))
 def test_mule_oracle_equals_brute_force(
     case: tuple[UncertainGraph, int, float]
 ) -> None:

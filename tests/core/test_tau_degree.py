@@ -2,21 +2,17 @@
 
 import pytest
 
-from repro import all_tau_degrees, tau_degree, truncated_tau_degree
+from repro import all_tau_degrees, dp_core, tau_degree, truncated_tau_degree
 from repro.core.bruteforce import brute_force_tau_degree
 from repro.core.tau_degree import (
-    STABLE_P_LIMIT,
     degree_distribution_dp,
-    distribution_prefix,
-    remove_edge_from_distribution,
-    remove_edge_from_survival,
     survival_dp,
     tau_degree_from_distribution,
     tau_degree_from_survival,
-    update_distribution_prefix,
 )
 from repro.deterministic.core_decomposition import core_numbers
 from tests.conftest import make_random_graph
+from tests.core.oracles import ktau_core_oracle
 
 
 class TestDegreeDistributionDP:
@@ -113,65 +109,14 @@ class TestTauDegreeAgreement:
 
 
 class TestDistributionPrefix:
+    """The lazy Eq. (3) prefix DP lives in the DPCore peel
+    (:func:`repro.core.prune_kernel.distribution_peel`), which stops
+    each node's columns at its tau-degree and updates them by Eq. (4);
+    its cores must be the ones the full degree distribution gives."""
+
     @pytest.mark.parametrize("seed", range(5))
     @pytest.mark.parametrize("tau", [0.05, 0.4, 0.9])
     def test_prefix_tau_degree_matches_full(self, seed, tau):
         g = make_random_graph(12, 0.5, seed=seed)
-        for u in g:
-            probs = list(g.incident(u).values())
-            eq, r = distribution_prefix(probs, tau)
-            full = degree_distribution_dp(probs)
-            assert r == tau_degree_from_distribution(full, tau)
-            assert eq == pytest.approx(full[: len(eq)])
-
-    def test_prefix_covers_tau_degree(self):
-        eq, r = distribution_prefix([0.9, 0.9, 0.9], 0.5)
-        assert len(eq) >= r + 1
-
-    def test_empty(self):
-        assert distribution_prefix([], 0.5) == ([1.0], 0)
-
-
-class TestDeletionUpdates:
-    def test_distribution_update_matches_rebuild(self):
-        probs = [0.3, 0.8, 0.6]
-        dist = degree_distribution_dp(probs)
-        updated = remove_edge_from_distribution(dist, 0.6)
-        expected = degree_distribution_dp([0.3, 0.8])
-        assert updated[: len(expected)] == pytest.approx(expected)
-
-    def test_distribution_update_refuses_near_one(self):
-        dist = degree_distribution_dp([0.5, 1.0])
-        assert remove_edge_from_distribution(dist, 1.0) is None
-        assert remove_edge_from_distribution(dist, STABLE_P_LIMIT) is None
-
-    def test_prefix_update_matches_rebuild(self):
-        probs = [0.3, 0.8, 0.6, 0.7]
-        eq, r = distribution_prefix(probs, 0.2)
-        updated = update_distribution_prefix(eq, r, 0.6, 0.2)
-        assert updated is not None
-        new_eq, new_r = updated
-        expected_eq, expected_r = distribution_prefix([0.3, 0.8, 0.7], 0.2)
-        assert new_r == expected_r
-        assert new_eq[: new_r + 1] == pytest.approx(
-            expected_eq[: new_r + 1]
-        )
-
-    def test_survival_update_matches_rebuild(self):
-        probs = [0.3, 0.8, 0.6, 0.7]
-        row = survival_dp(probs, cap=3)
-        tau = 0.2
-        upto = tau_degree_from_survival(row, tau)
-        updated = remove_edge_from_survival(row, 0.6, upto, tau)
-        assert updated is not None
-        new_row, new_deg = updated
-        expected = survival_dp([0.3, 0.8, 0.7], cap=3)
-        expected_deg = tau_degree_from_survival(expected, tau)
-        assert new_deg == expected_deg
-        assert new_row[: new_deg + 1] == pytest.approx(
-            expected[: new_deg + 1]
-        )
-
-    def test_survival_update_refuses_near_one(self):
-        row = survival_dp([1.0, 0.5], cap=2)
-        assert remove_edge_from_survival(row, 1.0, 1, 0.5) is None
+        for k in range(1, max(map(g.degree, g), default=0) + 2):
+            assert dp_core(g, k, tau) == ktau_core_oracle(g, k, tau)

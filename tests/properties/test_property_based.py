@@ -28,7 +28,6 @@ from repro.core.bruteforce import (
 )
 from repro.core.tau_degree import (
     degree_distribution_dp,
-    distribution_prefix,
     survival_dp,
     tau_degree_from_distribution,
     tau_degree_from_survival,
@@ -92,8 +91,6 @@ def test_tau_degree_agreement(graph, tau):
         expected = brute_force_tau_degree(graph, u, tau)
         assert tau_degree(graph, u, tau) == expected
         probs = list(graph.incident(u).values())
-        _, prefix_deg = distribution_prefix(probs, tau)
-        assert prefix_deg == expected
         row = survival_dp(probs, cap=len(probs))
         assert tau_degree_from_survival(row, tau) == expected
 

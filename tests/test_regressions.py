@@ -19,13 +19,6 @@ from repro import (
     tau_degree,
     topk_core,
 )
-from repro.core.tau_degree import (
-    distribution_prefix,
-    remove_edge_from_survival,
-    survival_dp,
-    tau_degree_from_survival,
-    update_distribution_prefix,
-)
 from tests.conftest import make_clique
 
 
@@ -53,39 +46,6 @@ class TestKnifeEdgeCoreAgreement:
     def test_cores_agree_on_high_probability_chains(self, k, tau):
         g = self._chain_graph()
         assert dp_core(g, k, tau) == dp_core_plus(g, k, tau)
-
-    def test_survival_update_exact_at_moderate_probabilities(self):
-        # At moderate p the Eq. (6) updates are numerically benign and
-        # must track a fresh DP exactly.  (At p ~ 0.95 the division by
-        # 1 - p drifts — which is precisely why the peeling verifies
-        # before peeling; the dp_core agreement test above covers that.)
-        p = 0.6
-        probs = [p] * 20
-        tau = 0.1
-        row = survival_dp(probs, cap=10)
-        deg = tau_degree_from_survival(row, tau)
-        remaining = list(probs)
-        for _ in range(10):
-            result = remove_edge_from_survival(row, p, deg, tau)
-            assert result is not None
-            row, deg = result
-            remaining.pop()
-            fresh = survival_dp(remaining, cap=10)
-            assert deg == tau_degree_from_survival(fresh, tau)
-
-    def test_distribution_prefix_update_degree_matches_rebuild(self):
-        p = 0.9
-        probs = [p] * 15
-        tau = 0.2
-        eq, deg = distribution_prefix(probs, tau)
-        remaining = list(probs)
-        for _ in range(8):
-            result = update_distribution_prefix(eq, deg, p, tau)
-            assert result is not None
-            eq, deg = result
-            remaining.pop()
-            _, fresh_deg = distribution_prefix(remaining, tau)
-            assert deg == fresh_deg
 
 
 class TestProbabilityOneEdges:
