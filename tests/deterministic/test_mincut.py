@@ -1,101 +1,48 @@
-"""Unit tests for the Stoer-Wagner minimum cut (verified against networkx)."""
-
-import networkx as nx
-import pytest
+"""Unit tests for the maximum-adjacency sweep, Stoer-Wagner's minimum cut
+phase [29], as the cut-based optimization (Section III-C) runs it."""
 
 from repro import UncertainGraph
-from repro.deterministic.mincut import (
-    minimum_cut_phase,
-    stoer_wagner_minimum_cut,
-)
-from repro.errors import GraphError, ParameterError
-from tests.conftest import make_random_graph
+from repro.core.cut_pruning import _sweep_split, induced_rows
+from repro.core.prune_kernel import compile_graph
+from repro.utils.validation import threshold_floor
 
 
-def to_networkx(graph):
-    g = nx.Graph()
-    g.add_nodes_from(graph.nodes())
-    for u, v, p in graph.edges():
-        g.add_edge(u, v, weight=p)
-    return g
-
-
-def connected_random_graph(n, density, seed):
-    g = make_random_graph(n, density, seed=seed)
-    nodes = g.nodes()
-    # Chain the nodes so the graph is guaranteed connected.
-    for a, b in zip(nodes, nodes[1:]):
-        if not g.has_edge(a, b):
-            g.add_edge(a, b, 0.5)
-    return g
+def absorption_order(graph, start=None, k=2, tau=0.5):
+    """Nodes of a connected ``graph`` in the order the sweep absorbs them."""
+    compiled = compile_graph(graph)
+    n = len(compiled.nodes)
+    rows = induced_rows(compiled, range(n))
+    piece = list(range(n))
+    first = piece[0] if start is None else compiled.index[start]
+    segments, _ = _sweep_split(
+        rows, [0] * n, [0.0] * n, bytearray(n), piece, first, k,
+        threshold_floor(tau),
+    )
+    return [compiled.nodes[i] for segment in segments for i in segment]
 
 
 class TestMinimumCutPhase:
     def test_yields_all_nodes(self, two_groups):
-        order = list(minimum_cut_phase(two_groups))
+        order = absorption_order(two_groups)
         assert len(order) == two_groups.num_nodes
+        assert set(order) == set(two_groups.nodes())
 
     def test_first_yield_is_start(self, triangle):
-        order = list(minimum_cut_phase(triangle, start="b"))
-        assert order[0] == ("b", 0.0)
+        order = absorption_order(triangle, start="b")
+        assert order[0] == "b"
 
-    def test_connection_weights_are_positive_after_start(self, triangle):
-        order = list(minimum_cut_phase(triangle))
-        assert all(w > 0 for _, w in order[1:])
-
-    def test_unknown_start_rejected(self, triangle):
-        with pytest.raises(ParameterError):
-            list(minimum_cut_phase(triangle, start="zzz"))
-
-    def test_disconnected_graph_rejected(self):
-        g = UncertainGraph(edges=[(1, 2, 0.5)], nodes=[9])
-        with pytest.raises(GraphError):
-            list(minimum_cut_phase(g))
-
-    def test_empty_graph_yields_nothing(self):
-        assert list(minimum_cut_phase(UncertainGraph())) == []
+    def test_connection_weights_are_positive_after_start(self, two_groups):
+        # In a connected graph every node after the start is absorbed
+        # through an edge into the nodes absorbed before it.
+        order = absorption_order(two_groups)
+        for i, u in enumerate(order[1:], start=1):
+            assert any(two_groups.has_edge(u, v) for v in order[:i])
 
     def test_tightest_node_chosen(self):
         # star + strong pair: after absorbing the center, its strongest
         # neighbor comes next.
         g = UncertainGraph(
-            edges=[("c", "x", 0.9), ("c", "y", 0.2), ("c", "z", 0.4)]
+            edges=[("c", "y", 0.2), ("c", "z", 0.4), ("c", "x", 0.9)]
         )
-        order = [u for u, _ in minimum_cut_phase(g, start="c")]
+        order = absorption_order(g, start="c")
         assert order[1] == "x"
-
-
-class TestStoerWagner:
-    def test_two_node_graph(self):
-        g = UncertainGraph(edges=[(1, 2, 0.7)])
-        weight, side = stoer_wagner_minimum_cut(g)
-        assert weight == pytest.approx(0.7)
-        assert side in ({1}, {2})
-
-    def test_needs_two_nodes(self):
-        with pytest.raises(ParameterError):
-            stoer_wagner_minimum_cut(UncertainGraph(nodes=[1]))
-
-    def test_weak_bridge_found(self, two_groups):
-        # The hub + bridge edges are the natural weak separation.
-        weight, side = stoer_wagner_minimum_cut(two_groups)
-        nxg = to_networkx(two_groups)
-        expected, _ = nx.stoer_wagner(nxg)
-        assert weight == pytest.approx(expected)
-
-    @pytest.mark.parametrize("seed", range(6))
-    def test_matches_networkx_weight(self, seed):
-        g = connected_random_graph(12, 0.3, seed)
-        weight, side = stoer_wagner_minimum_cut(g)
-        expected, _ = nx.stoer_wagner(to_networkx(g))
-        assert weight == pytest.approx(expected)
-
-    @pytest.mark.parametrize("seed", range(6))
-    def test_reported_side_matches_weight(self, seed):
-        g = connected_random_graph(12, 0.3, seed + 100)
-        weight, side = stoer_wagner_minimum_cut(g)
-        crossing = sum(
-            p for u, v, p in g.edges() if (u in side) != (v in side)
-        )
-        assert crossing == pytest.approx(weight)
-        assert 0 < len(side) < g.num_nodes
