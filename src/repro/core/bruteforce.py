@@ -9,10 +9,9 @@ from __future__ import annotations
 
 import itertools
 
-from repro.core.prune_kernel import node_sort_key
 from repro.errors import ParameterError
-from repro.uncertain.clique_prob import clique_probability, is_clique
-from repro.uncertain.graph import Node, UncertainGraph
+from repro.uncertain.clique_prob import is_tau_clique
+from repro.uncertain.graph import Node, UncertainGraph, node_sort_key
 from repro.uncertain.possible_worlds import exact_degree_distribution
 from repro.utils.validation import prob_at_least, validate_k, validate_tau
 
@@ -35,10 +34,10 @@ def brute_force_maximal_cliques(
     22 nodes.
 
     Every set, a subset and each of its one-node extensions alike, is
-    decided by its canonical product: ``CPr`` over its members sorted by
-    :func:`~repro.core.prune_kernel.node_sort_key`.  One product per set
-    keeps a knife-edge clique and its subsets consistent: a product in
-    another member order can land on the other side of the floor.
+    decided by :func:`~repro.uncertain.clique_prob.is_tau_clique`, whose
+    canonical product (``CPr`` over the members sorted by
+    :func:`~repro.uncertain.graph.node_sort_key`) keeps a knife-edge
+    clique and its subsets consistent.
     """
     validate_k(k)
     tau = validate_tau(tau)
@@ -49,17 +48,11 @@ def brute_force_maximal_cliques(
             f"graph has {len(nodes)}"
         )
 
-    def tau_clique(members: tuple[Node, ...]) -> bool:
-        return is_clique(graph, members) and prob_at_least(
-            clique_probability(graph, sorted(members, key=node_sort_key)),
-            tau,
-        )
-
     found: set[frozenset[Node]] = set()
     for size in range(k + 1, len(nodes) + 1):
         for subset in itertools.combinations(nodes, size):
-            if tau_clique(subset) and not any(
-                tau_clique((*subset, v))
+            if is_tau_clique(graph, subset, tau) and not any(
+                is_tau_clique(graph, (*subset, v), tau)
                 for v in graph.neighbors(subset[0])
                 if v not in subset
             ):
@@ -73,7 +66,7 @@ def brute_force_maximum_clique(
     """The canonical maximum (k, tau)-clique, or ``None`` when none exists.
 
     Scans subset sizes from large to small so the first hit is a maximum.
-    The nodes are sorted by :func:`~repro.core.prune_kernel.node_sort_key`,
+    The nodes are sorted by :func:`~repro.uncertain.graph.node_sort_key`,
     so combinations come in lexicographic order and the first hit is the
     maximum clique whose sorted members form the lexicographically
     smallest sequence — the tie-break MaxUC+ applies.
@@ -88,9 +81,7 @@ def brute_force_maximum_clique(
         )
     for size in range(len(nodes), k, -1):
         for subset in itertools.combinations(nodes, size):
-            if is_clique(graph, subset) and prob_at_least(
-                clique_probability(graph, subset), tau
-            ):
+            if is_tau_clique(graph, subset, tau):
                 return frozenset(subset)
     return None
 

@@ -46,7 +46,7 @@ from bisect import bisect_left, insort
 from dataclasses import dataclass
 from heapq import heapify, heappop, heappush
 from itertools import count
-from typing import Iterable, Iterator, Sequence
+from typing import Iterator, Sequence
 
 from repro.core.prune_kernel import CompiledGraph, compile_graph
 from repro.uncertain.graph import UncertainGraph
@@ -63,7 +63,6 @@ __all__ = [
     "cut_optimize",
     "CutOptimizeResult",
     "induced_rows",
-    "gather_rows",
     "local_ids",
     "cut_rows",
     "split_rows",
@@ -152,19 +151,6 @@ def cut_optimize(
     )
 
 
-def gather_rows(
-    compiled: CompiledGraph, ids: Sequence[int]
-) -> Iterator[Iterable[tuple[int, float]]]:
-    """Each id's ``(neighbour id, p)`` entries in insertion order, read
-    once and lazily (one row alive at a time): the smallest indexed
-    core's rows when that core holds every id (the same entries inside
-    the core, and no others survive a restriction to ``ids``), else the
-    full rows."""
-    core = compiled.core_rows(ids)
-    row = compiled.row if core is None else core.__getitem__
-    return (zip(*row(g)) for g in ids)
-
-
 def local_ids(n: int, ids: Sequence[int]) -> list[int | None]:
     """``local[g] == i`` for ``g = ids[i]``, ``None`` for the other ids
     below ``n``: a list over every id, whose indexing beats a dict."""
@@ -177,11 +163,18 @@ def local_ids(n: int, ids: Sequence[int]) -> list[int | None]:
 def induced_rows(compiled: CompiledGraph, ids: Sequence[int]) -> Rows:
     """Rows of the subgraph the ids ``ids`` of ``compiled`` induce: local
     id ``i`` is ``ids[i]``; each row keeps its in-subset ``(local id,
-    p)`` entries in insertion order (read by :func:`gather_rows`)."""
+    p)`` entries in insertion order.
+
+    Each row is read once: from the smallest indexed core's rows when
+    that core holds every id (the same entries inside the core, and no
+    others survive the restriction to ``ids``), else the full row.
+    """
+    core = compiled.core_rows(ids)
+    row = compiled.row if core is None else core.__getitem__
     local = local_ids(compiled.n, ids)
     return [
-        [(li, p) for j, p in row if (li := local[j]) is not None]
-        for row in gather_rows(compiled, ids)
+        [(li, p) for j, p in zip(*row(g)) if (li := local[j]) is not None]
+        for g in ids
     ]
 
 

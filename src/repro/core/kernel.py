@@ -69,17 +69,10 @@ view as produced by the pruning/cut pipeline.  The pre-search
 from __future__ import annotations
 
 from array import array
-from typing import (
-    TYPE_CHECKING,
-    Iterable,
-    Iterator,
-    NamedTuple,
-    Sequence,
-    cast,
-)
+from typing import TYPE_CHECKING, Iterable, Iterator, NamedTuple, Sequence
 
-from repro.core.cut_pruning import Rows, gather_rows, local_ids
-from repro.core.prune_kernel import CompiledGraph, node_sort_key
+from repro.core.cut_pruning import Rows, local_ids
+from repro.core.prune_kernel import node_sort_key
 from repro.core.topk_core import topk_peel_masks
 from repro.deterministic.core_decomposition import core_peel
 from repro.uncertain.graph import Node, UncertainGraph
@@ -277,29 +270,19 @@ class CutRows(NamedTuple):
 
 
 def derive_component_view(
-    source: CompiledGraph | CutRows, members: Sequence[Node]
+    source: CutRows, members: Sequence[int]
 ) -> CompiledComponent:
-    """Build a component's :class:`CompiledComponent` from its rows,
-    without touching the :class:`UncertainGraph`.
+    """Build a component's :class:`CompiledComponent` from the rows a
+    cut read, without touching the :class:`UncertainGraph` or the
+    lowering.
 
-    ``members`` must be the node set of one pipeline component of the
-    graph ``source`` was read from, and the rows come from one of two
-    places:
-
-    * the lowering, when ``source`` is the
-      :class:`~repro.core.prune_kernel.CompiledGraph` and ``members``
-      are node labels: :func:`~repro.core.cut_pruning.gather_rows`
-      reads them (from a level index's core rows when they hold every
-      member);
-    * the cut, when ``source`` is its :class:`CutRows` and ``members``
-      are local ids in it, as a cut piece holds them: no lowering row
-      is read again, nor the lowering at all.
-
-    The pruning stage removes *nodes* (edges among survivors are
-    untouched) and every edge the cut optimization removes crosses two
-    final components — so the rows ``members`` induce in either source
-    are exactly the component's adjacency.  The view is bit-identical
-    to ``compile_component(component)``:
+    ``members`` are local ids in ``source``, as a cut piece holds them,
+    and must be the node set of one pipeline component.  The pruning
+    stage removes *nodes* (edges among survivors are untouched) and
+    every edge the cut optimization removes crosses two final
+    components — so the rows ``members`` induce in ``source`` are
+    exactly the component's adjacency.  The view is bit-identical to
+    ``compile_component(component)``:
 
     * local ids renumber the members by ascending ``sort_rank``, which
       restricted to any subset equals the component's own
@@ -308,20 +291,10 @@ def derive_component_view(
       members, sorts it and builds every form.
 
     The view is a deep **snapshot**: its arrays are freshly built, never
-    aliases of the source's lists, so a view built from a lowering that
-    :meth:`CompiledGraph.apply_delta` later patches in place does not
-    observe the patch.
+    aliases of the source's lists.
     """
-    if isinstance(source, CompiledGraph):
-        nodes, rank, index = source.nodes, source.sort_rank, source.index
-        ids = sorted((index[u] for u in members), key=rank.__getitem__)
-        return CompiledComponent.from_rows(
-            [nodes[g] for g in ids],
-            gather_rows(source, ids),
-            local_ids(source.n, ids),
-        )
     labels, ranks, rows = source
-    piece = sorted(cast("Sequence[int]", members), key=ranks.__getitem__)
+    piece = sorted(members, key=ranks.__getitem__)
     return CompiledComponent.from_rows(
         [labels[i] for i in piece],
         (rows[i] for i in piece),
@@ -354,7 +327,7 @@ def piece_order(
         {x: p for j, p in rows[g] if (x := at.get(j)) is not None}
         for g in piece
     ]
-    _, order = core_peel(dict(enumerate(nbr)))
+    _, order = core_peel(nbr)
     pos = [0] * len(piece)
     for i, x in enumerate(order):
         pos[x] = i

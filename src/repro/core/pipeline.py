@@ -17,26 +17,26 @@ parameters to a deterministic artifact:
   one graph component's survivors (or an anchored query's core), given
   as compile ids; returns the search components as label tuples plus
   the counters the stats objects report.  No subgraph is built: the
-  survivor rows are read once from the compile, and for enumeration
-  the artifact hands those rows on, detached from the lowering, as its
-  transient ``source`` (:func:`search_source` reads them again for a
-  cached cut).  For MaxUC+ it grows a greedy lower bound on those rows
-  and raises the cut to it, and splits a piece above the limit into
-  per-vertex sub-pieces; the maximum search derives (and colors) its
-  views on demand inside :func:`maximum_search_stage`.
+  survivor rows are read once from the compile, and the artifact hands
+  those rows on, detached from the lowering, as its transient
+  ``source`` (:func:`search_source` reads them again for a cached
+  cut).  For MaxUC+ it also grows a greedy lower bound on those rows,
+  raises the cut to it, and splits a piece above the limit into
+  per-vertex sub-pieces.
 * :func:`enumeration_search_stage` / :func:`maximum_search_stage` — the
-  actual (sequential) search, consuming the compile artifacts: the
-  compiled kernel searches every component, whatever its size.  The
-  enumeration builds each piece's
-  :class:`~repro.core.kernel.CompiledComponent` view from the cut's
-  rows when its search starts (member-filtered, no recompilation;
+  actual (sequential) search of one graph component's pieces after
+  another, each search view built from the cut's rows when the search
+  reaches its piece (member-filtered, no recompilation;
   :func:`~repro.core.kernel.compile_component` remains the parity
-  oracle), or one small view per vertex at a time for a piece above
+  oracle).  The enumeration builds each piece's
+  :class:`~repro.core.kernel.CompiledComponent` view when its search
+  starts, or one small view per vertex at a time for a piece above
   the kernel limit (:func:`~repro.core.kernel.vertex_views`), and
-  drops it when the search ends.  An
-  :class:`~repro.uncertain.graph.UncertainGraph` is built for a search
-  component only where a search reads one: the greedy coloring of a
-  whole piece the MaxUC+ search reaches.
+  drops it when the search ends.  MaxUC+ builds a piece's or
+  sub-piece's view and greedy coloring together
+  (:func:`piece_view`), only for the pieces its incumbent reaches,
+  into a memo the session keeps per graph component.  No search reads
+  the live graph.
 
 Stage artifacts carry **no wall clocks**, and the only counters a cut
 artifact carries are the pre-search ones the stats objects report; the
@@ -60,10 +60,10 @@ from typing import Any, Iterator, Sequence
 
 from repro.core import enumeration as enumeration_mod
 from repro.core.cut_pruning import (
+    Rows,
     cut_rows,
     greedy_clique_size,
     induced_rows,
-    local_ids,
     split_rows,
 )
 from repro.core.enumeration import EnumerationStats
@@ -79,7 +79,7 @@ from repro.core.kernel import (
 )
 from repro.core.maximum import MaximumSearchStats
 from repro.core.prune_kernel import CompiledGraph, compile_graph
-from repro.deterministic.coloring import greedy_coloring, greedy_coloring_rows
+from repro.deterministic.coloring import greedy_coloring_rows
 from repro.uncertain.graph import Node, UncertainGraph
 
 __all__ = [
@@ -93,6 +93,7 @@ __all__ = [
     "cut_stage",
     "search_source",
     "enumeration_search_stage",
+    "piece_view",
     "maximum_search_stage",
 ]
 
@@ -101,6 +102,8 @@ __all__ = [
 enumerate_root_range = enum_root_prep = pivot_root_plan = _muc = (
     enumerate_pivot_range
 )
+# ... and times the MaxUC+ coloring under this name (piece_view).
+greedy_coloring = greedy_coloring_rows
 
 #: ``(component id, epoch, members)`` per graph component.
 Parts = tuple[tuple[int, int, tuple[Node, ...]], ...]
@@ -194,9 +197,9 @@ def compile_stage(graph: UncertainGraph) -> CompiledGraph:
     which is why :func:`lowering` keeps this artifact on the graph and
     the session hands it to each :func:`prune_stage` call — including
     the dirty-component re-peels, which replay over the same arrays via
-    ``members=`` — and to :func:`cut_stage` and the MaxUC+ search, which
-    derive their per-component :class:`CompiledComponent` views from its
-    rows instead of recompiling the subgraphs.
+    ``members=`` — and to :func:`cut_stage`, whose rows, read once from
+    it, every per-component :class:`CompiledComponent` view is derived
+    from instead of recompiling the subgraphs.
     """
     return compile_graph(graph)
 
@@ -267,20 +270,20 @@ class CutArtifact:
     phases, so a warm run fills its stats object identically to the
     cold run that built the artifact.
 
-    An enumeration artifact fresh from the cut also carries ``source``,
-    the :data:`SearchSource` its search builds its views from.  That is
+    An artifact fresh from the cut also carries ``source``, the
+    :data:`SearchSource` its search builds its views from.  That is
     the cut's scratch, not cache: it takes no part in comparing
     artifacts, the session caches the artifact without it, and a
-    cached cut's rows are read again by :func:`search_source` when its
-    answers are missing.
+    cached cut's rows are read again by :func:`search_source` when a
+    search needs them.
 
-    A maximum-search artifact instead carries ``heads``, each
+    A maximum-search artifact also carries ``heads``, each
     component's first node in :func:`~repro.core.prune_kernel.
     node_sort_key` order, and ``lower_bound``, the greedy clique size
     its raised cut was taken at (0 when it cut at ``k``).  Its
     components are the cut's pieces ordered by head, except that a
     piece above the kernel limit is replaced, at its place, by its
-    per-vertex sub-pieces; ``split`` flags those.
+    per-vertex sub-pieces.
     """
 
     components: tuple[tuple[Node, ...], ...]
@@ -289,7 +292,6 @@ class CutArtifact:
     nodes_after_pruning: int
     heads: tuple[Node, ...] = ()
     lower_bound: int = 0
-    split: tuple[bool, ...] = ()
     source: SearchSource | None = field(
         default=None, compare=False, repr=False
     )
@@ -331,11 +333,9 @@ def cut_stage(
     the artifact's ``heads`` record.  A piece above the kernel limit
     becomes, at its place, the sub-pieces ``{v} + later(v)`` of its
     degeneracy order (:func:`~repro.core.kernel.piece_order`) that have
-    at least ``max(s, k + 1)`` nodes, in reverse order, so the
-    incumbent grows early: a maximum clique lies in the sub-piece of
-    its first vertex in that order.  A maximum artifact carries no
-    ``source``: the search derives views from the lowering only for the
-    components its incumbent reaches.
+    at least ``k' + 1`` nodes, in reverse order, so the incumbent grows
+    early: a maximum clique lies in the sub-piece of its first vertex
+    in that order.
 
     ``core=True`` says the survivors are their own (Top_k, tau)-core at
     ``k``, as the ``topk`` prune's are: the cut then starts its pieces
@@ -345,21 +345,20 @@ def cut_stage(
     """
     rows = induced_rows(compiled, survivors)
     cuts_found = edges_removed = lower_bound = 0
+    cut_k = k
     if maximum and (bound := greedy_clique_size(rows, tau)) > k + 1:
         lower_bound = bound
-        k = bound - 1
+        cut_k = bound - 1
     if cut:
         pieces, cuts_found, edges_removed, _ = cut_rows(
-            rows, k, tau, core and not lower_bound
+            rows, cut_k, tau, core and not lower_bound
         )
     else:
         pieces = split_rows(rows)
     nodes, sort_rank = compiled.nodes, compiled.sort_rank
     labels = [nodes[g] for g in survivors]
     rank = [sort_rank[g] for g in survivors]
-    heads: tuple[int, ...] = ()
-    split: list[bool] = []
-    source: SearchSource | None = None
+    heads: tuple[Node, ...] = ()
     if maximum:
         # Read at call time: tests monkeypatch the kernel size limit.
         limit = enumeration_mod.KERNEL_COMPONENT_LIMIT
@@ -367,24 +366,18 @@ def cut_stage(
             (piece for piece in pieces if len(piece) >= lower_bound),
             key=lambda piece: min(rank[i] for i in piece),
         )
-        least = max(lower_bound, k + 1)
         pieces = []
         for piece in by_head:
             if len(piece) <= limit:
                 pieces.append(piece)
-                split.append(False)
                 continue
             order, pos, nbr = piece_order(rows, piece)
             for x in reversed(order):
                 sub = [x, *(y for y in nbr[x] if pos[y] > pos[x])]
-                if len(sub) >= least:
+                if len(sub) > cut_k:
                     pieces.append(sorted(piece[y] for y in sub))
-                    split.append(True)
-        heads = tuple(min(piece, key=rank.__getitem__) for piece in pieces)
-    else:
-        source = (
-            CutRows(labels, rank, rows),
-            [piece for piece in pieces if len(piece) > k],
+        heads = tuple(
+            labels[min(piece, key=rank.__getitem__)] for piece in pieces
         )
     return CutArtifact(
         components=tuple(
@@ -393,27 +386,31 @@ def cut_stage(
         cuts_found=cuts_found,
         edges_removed=edges_removed,
         nodes_after_pruning=len(survivors),
-        heads=tuple(labels[i] for i in heads),
+        heads=heads,
         lower_bound=lower_bound,
-        split=tuple(split),
-        source=source,
+        source=(
+            CutRows(labels, rank, rows),
+            [piece for piece in pieces if len(piece) > k],
+        ),
     )
 
 
 def search_source(
     compiled: CompiledGraph, cut: CutArtifact, k: int
 ) -> SearchSource:
-    """The :data:`SearchSource` of a cached enumeration ``cut``, read
-    again from ``compiled``, the lowering at the version it was cut at.
+    """The :data:`SearchSource` of a cached ``cut``, read again from
+    ``compiled``, the lowering at the version it was cut at.
 
     The rows are those the searched components' nodes induce, gathered
     as the cut gathers them (:func:`~repro.core.cut_pruning.
     induced_rows`) in ascending id order, so each piece's rows, and the
     views built from them, equal those of the cut that built ``cut``.
+    A maximum cut's sub-pieces overlap, so a node is read once however
+    many of them hold it.
     """
     index = compiled.index
     searched = [c for c in cut.components if len(c) > k]
-    ids = sorted(index[u] for component in searched for u in component)
+    ids = sorted({index[u] for component in searched for u in component})
     at = {g: i for i, g in enumerate(ids)}
     nodes, rank = compiled.nodes, compiled.sort_rank
     return (
@@ -483,66 +480,55 @@ def enumeration_search_stage(
         yield from out
 
 
-def _compiled_maximum_entry(
-    memo: dict[int, tuple[CompiledComponent, list[int]]],
-    ordinal: int,
-    component: Sequence[Node],
-    sub_piece: bool,
-    graph: UncertainGraph,
-    stats: MaximumSearchStats,
-    artifact: CompiledGraph,
+def piece_view(
+    source: CutRows,
+    piece: Sequence[int],
+    lookups: dict[int, dict[int, float]],
 ) -> tuple[CompiledComponent, list[int]]:
-    """The (compiled component, color list) pair for one component,
-    compiled on demand and memoized.
+    """One MaxUC+ piece's or sub-piece's view and color list, from the
+    rows its cut read.
 
-    Compilation stays **lazy with respect to the evolving incumbent** —
-    exactly as the historical driver, which only compiled a component
-    once the search actually reached it with ``n > best_size``.  An
-    eager compile-everything stage would pay view derivation and
-    coloring for every component a growing incumbent later skips.  A
-    whole piece's view is derived from the lowering, and only its
-    coloring reads the induced subgraph.  A ``sub_piece`` is small but
-    its members' rows may be long, so both are built by pairwise
-    :meth:`~repro.uncertain.graph.UncertainGraph.incident` lookups
-    instead, O(|component|^2), and equal the whole-piece route's.
+    ``piece`` lists local ids of ``source`` in ascending order.  Each
+    member's in-piece entries are read from the shorter side: a row no
+    longer than the piece is scanned against the piece's members, a
+    longer one (a hub's, in a small sub-piece) is looked up pairwise in
+    its dict form, which ``lookups`` keeps by local id for every piece
+    of ``source``.  The view (:func:`~repro.core.kernel.
+    derive_component_view`) and the greedy coloring (largest degree
+    first, ties in id order, as :func:`~repro.deterministic.coloring.
+    greedy_coloring` colors the induced subgraph) both read those
+    entries.  The color list is in view id order, as
+    :func:`~repro.core.kernel.maximum_compiled` reads it.
     """
-    entry = memo.get(ordinal)
-    if entry is None:
-        t_start = perf_counter()
-        if sub_piece:
-            adjacency = [
-                {
-                    j: p for j, w in enumerate(component)
-                    if (p := row.get(w)) is not None
-                }
-                for row in map(graph.incident, component)
-            ]
-            colors = greedy_coloring_rows(adjacency)
-            rank, index = artifact.sort_rank, artifact.index
-            order = sorted(
-                range(len(component)),
-                key=lambda i: rank[index[component[i]]],
-            )
-            comp = CompiledComponent.from_rows(
-                [component[i] for i in order],
-                (adjacency[i].items() for i in order),
-                local_ids(len(order), order),
-            )
-            entry = (comp, [colors[i] for i in order])
-        else:
-            comp = derive_component_view(artifact, component)
-            coloring = greedy_coloring(graph.induced_subgraph(component))
-            entry = (comp, [coloring[u] for u in comp.nodes])
-        memo[ordinal] = entry
-        stats.timings.add("compile", perf_counter() - t_start)
-    return entry
+    labels, ranks, rows = source
+    at = {g: x for x, g in enumerate(piece)}
+    own: Rows = []
+    for g in piece:
+        row = rows[g]
+        if len(row) <= len(piece):
+            own.append([
+                (x, p) for j, p in row if (x := at.get(j)) is not None
+            ])
+            continue
+        near = lookups.get(g)
+        if near is None:
+            near = lookups[g] = dict(row)
+        own.append([
+            (x, p) for x, h in enumerate(piece)
+            if (p := near.get(h)) is not None
+        ])
+    view = derive_component_view(
+        CutRows([labels[g] for g in piece], [ranks[g] for g in piece], own),
+        range(len(piece)),
+    )
+    colors = greedy_coloring([[x for x, _ in row] for row in own])
+    order = sorted(range(len(piece)), key=lambda x: ranks[piece[x]])
+    return view, [colors[x] for x in order]
 
 
 def maximum_search_stage(
-    graph: UncertainGraph,
-    artifact: CompiledGraph,
-    cut: CutArtifact,
-    memo: dict[int, Any],
+    compiled: CompiledGraph,
+    parts: Sequence[tuple[CutArtifact, dict[int, Any]]],
     k: int,
     tau_floor: float,
     min_size: int,
@@ -551,19 +537,22 @@ def maximum_search_stage(
     insearch: bool,
     stats: MaximumSearchStats,
 ) -> tuple[list[Node] | None, int]:
-    """Run the MaxUC+ component loop, compiling on demand into the memo.
+    """Run the MaxUC+ component loop, building views on demand into
+    each part's memo.
 
-    Returns ``(best, best_size)``: the canonical maximum clique — of the
-    maximum cliques, the one whose members, sorted by
-    :func:`~repro.core.prune_kernel.node_sort_key`, form the
+    ``parts`` pairs each graph component's maximum :func:`cut_stage`
+    artifact with its memo dict (ordinal among its components of more
+    than ``k`` nodes -> the view and color list), in canonical
+    component order.  Returns ``(best, best_size)``: the canonical
+    maximum clique — of the maximum cliques, the one whose members,
+    sorted by :func:`~repro.core.prune_kernel.node_sort_key`, form the
     lexicographically smallest sequence — and its size.  The incumbent
-    starts at ``cut.lower_bound - 1`` (a clique of ``lower_bound`` nodes
-    exists, so the search finds one) or at ``k``.  Each component of
-    the maximum :func:`cut_stage` artifact ``cut`` is searched by
-    :func:`repro.core.kernel.maximum_compiled` on a view of
-    ``artifact``, the version's whole-graph lowering (the pivot
-    counters stay zero, because the branch-and-bound's DFS-first output
-    depends on branch order).
+    starts at ``lower_bound - 1`` (a clique of ``lower_bound`` nodes
+    exists, so the search finds one; ``stats.lower_bound`` is the
+    largest part's) or at ``k``.  Each component is searched by
+    :func:`repro.core.kernel.maximum_compiled` (the pivot counters stay
+    zero, because the branch-and-bound's DFS-first output depends on
+    branch order).
 
     The canonical answer does not depend on the component order.  The
     search walks a component's cliques in ``node_sort_key`` DFS order,
@@ -578,38 +567,53 @@ def maximum_search_stage(
     For disjoint components a head equal to the incumbent's first node
     is the incumbent's own component, already searched.
 
-    ``memo`` is a mutable dict (ordinal -> the view and color list),
-    filled lazily as the incumbent chain reaches components — the
-    session layer caches the dict objects, so a warm run finds the cold
-    run's entries and the cold run never compiles a component the
-    incumbent skips.
-    The search path is deterministic, so which ordinals get filled is
-    too.
+    A memo is filled lazily as the incumbent chain reaches components
+    (:func:`piece_view`, from the part's ``source``, or on a cached cut
+    from its rows read again by :func:`search_source`, once per part).
+    The session caches the dicts, so a warm run finds the cold run's
+    entries and builds nothing, and the cold run never builds a view
+    the incumbent skips.  The search path is deterministic, so which
+    ordinals get filled is too.
     """
+    stats.lower_bound = max((cut.lower_bound for cut, _ in parts), default=0)
     best: list[Node] | None = None
     best_ranks: list[int] = []
-    best_size = max(k, cut.lower_bound - 1)
-    rank = artifact.sort_rank
-    index = artifact.index
-    for ordinal, component in enumerate(cut.components):
-        floor = best_size
-        if best_ranks and rank[index[cut.heads[ordinal]]] <= best_ranks[0]:
-            floor -= 1  # a tie found here may precede the incumbent
-        if len(component) <= floor:
-            continue
-        comp, color = _compiled_maximum_entry(
-            memo, ordinal, component, cut.split[ordinal], graph, stats,
-            artifact,
-        )
-        t_start = perf_counter()
-        found, size = maximum_compiled(
-            comp, color, k, tau_floor, min_size, floor,
-            use_advanced_one, use_advanced_two, insearch, stats,
-        )
-        stats.timings.add("search", perf_counter() - t_start)
-        if found is None:
-            continue
-        ranks = sorted(rank[index[u]] for u in found)
-        if size > best_size or ranks < best_ranks:
-            best, best_size, best_ranks = found, size, ranks
+    best_size = max(k, stats.lower_bound - 1)
+    rank = compiled.sort_rank
+    index = compiled.index
+    for cut, memo in parts:
+        source = cut.source
+        lookups: dict[int, dict[int, float]] = {}
+        searched = [
+            (head, component)
+            for head, component in zip(cut.heads, cut.components)
+            if len(component) > k
+        ]
+        for ordinal, (head, component) in enumerate(searched):
+            floor = best_size
+            if best_ranks and rank[index[head]] <= best_ranks[0]:
+                floor -= 1  # a tie found here may precede the incumbent
+            if len(component) <= floor:
+                continue
+            entry = memo.get(ordinal)
+            if entry is None:
+                t_start = perf_counter()
+                if source is None:
+                    source = search_source(compiled, cut, k)
+                entry = memo[ordinal] = piece_view(
+                    source[0], source[1][ordinal], lookups
+                )
+                stats.timings.add("compile", perf_counter() - t_start)
+            comp, color = entry
+            t_start = perf_counter()
+            found, size = maximum_compiled(
+                comp, color, k, tau_floor, min_size, floor,
+                use_advanced_one, use_advanced_two, insearch, stats,
+            )
+            stats.timings.add("search", perf_counter() - t_start)
+            if found is None:
+                continue
+            ranks = sorted(rank[index[u]] for u in found)
+            if size > best_size or ranks < best_ranks:
+                best, best_size, best_ranks = found, size, ranks
     return best, best_size

@@ -80,7 +80,8 @@ from math import prod
 from typing import AbstractSet, Any, Iterable, Sequence, cast
 
 from repro.core.tau_degree import STABLE_P_LIMIT
-from repro.uncertain.graph import Node, UncertainGraph
+from repro.deterministic.core_decomposition import core_peel
+from repro.uncertain.graph import Node, UncertainGraph, node_sort_key
 from repro.utils.validation import threshold_floor, validate_k, validate_tau
 
 __all__ = [
@@ -99,16 +100,6 @@ CoreRows = dict[int, tuple[list[int], list[float]]]
 #: One ``k``'s level index: base floor, core ids in peel order, their
 #: levels, and the base core's rows.
 Levels = tuple[float, list[int], list[float], CoreRows]
-
-
-def node_sort_key(node: Node) -> tuple[str, str]:
-    """Deterministic total order over arbitrary hashable nodes.
-
-    Single definition of the library's node order; the search drivers,
-    the search kernel and the whole-graph compiler below share it, and
-    compilation evaluates it exactly once per node.
-    """
-    return (type(node).__name__, str(node))
 
 
 class CompiledGraph:
@@ -268,53 +259,21 @@ class CompiledGraph:
     def core_ids(self) -> "array[int]":
         """Deterministic core number per compiled node (lazy, memoized).
 
-        Batagelj-Zaversnik bucket peeling over the CSR; the values equal
-        :func:`repro.deterministic.core_decomposition.core_numbers` on
-        the source graph (the decomposition is a canonical function of
-        the graph, pinned by the parity suite).
+        The Batagelj-Zaversnik peel
+        (:func:`~repro.deterministic.core_decomposition.core_peel`) over
+        the CSR rows; the values equal :func:`repro.deterministic.
+        core_decomposition.core_numbers` on the source graph (the
+        decomposition is a canonical function of the graph, pinned by
+        the parity suite).
         """
-        if self._core_ids is not None:
-            return self._core_ids
-        self._finish_lowering()
-        n = self.n
-        rf = self.row_offsets
-        ids = self.nbr_ids
-        remaining = [rf[i + 1] - rf[i] for i in range(n)]
-        core = array("l", [0] * n)
-        max_degree = max(remaining, default=0)
-        buckets: list[list[int]] = [[] for _ in range(max_degree + 1)]
-        for i in range(n):
-            buckets[remaining[i]].append(i)
-        removed = bytearray(n)
-        peeled = 0
-        current = 0
-        pointer = 0
-        while peeled < n:
-            if pointer > max_degree:
-                break
-            bucket = buckets[pointer]
-            if not bucket:
-                pointer += 1
-                continue
-            u = bucket.pop()
-            if removed[u] or remaining[u] != pointer:
-                continue  # stale entry: u was re-bucketed lower
-            if pointer > current:
-                current = pointer
-            core[u] = current
-            removed[u] = 1
-            peeled += 1
-            for j in range(rf[u], rf[u + 1]):
-                v = ids[j]
-                if removed[v]:
-                    continue
-                d = remaining[v] - 1
-                remaining[v] = d
-                buckets[d].append(v)
-                if d < pointer:
-                    pointer = d
-        self._core_ids = core
-        return core
+        if self._core_ids is None:
+            self._finish_lowering()
+            rf, ids = self.row_offsets, self.nbr_ids
+            core, _ = core_peel(
+                [ids[rf[i]:rf[i + 1]] for i in range(self.n)]
+            )
+            self._core_ids = array("l", core)
+        return self._core_ids
 
     # ------------------------------------------------------------------
     # Delta compile

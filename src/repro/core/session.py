@@ -54,11 +54,14 @@ What makes replaying artifacts sound:
   the graph's iteration order, so a cached prune artifact reproduces
   the cold run's component order exactly, whichever peel produced it;
 * cached artifacts hold node labels or derived views (the maximum
-  search's memo), never compile ids or the lowering itself: a full
-  re-lower renumbers every id and a delta patch rewrites rows in
+  search's memo), never compile ids, rows or the lowering itself: a
+  full re-lower renumbers every id and a delta patch rewrites rows in
   place, while an untouched component's entries stay live through
-  both.  Enumeration views are search scratch: built from the cut's
-  rows when a search needs them, and never cached.
+  both.  Every search view is built from the rows its cut read (a
+  cached cut's read again when a search needs them); enumeration
+  views are search scratch and never cached, while MaxUC+ keeps the
+  views and colors its incumbent reached in a memo per graph
+  component, searched part by part as enumeration is.
 
 A prune miss runs one peel over the graph's lowering: a whole-graph
 peel when every component is dirty — from the second ``topk`` one at a
@@ -87,14 +90,9 @@ from repro.core.maximum import MaximumSearchStats
 from repro.core.prune_kernel import CompiledGraph
 from repro.core.topk_core import topk_core
 from repro.errors import NodeNotFoundError
-from repro.uncertain.clique_prob import clique_probability, is_clique
+from repro.uncertain.clique_prob import is_clique, is_tau_clique
 from repro.uncertain.graph import Node, UncertainGraph
-from repro.utils.validation import (
-    prob_at_least,
-    threshold_floor,
-    validate_k,
-    validate_tau,
-)
+from repro.utils.validation import threshold_floor, validate_k, validate_tau
 
 __all__ = ["PreparedGraph", "SessionCacheStats"]
 
@@ -221,9 +219,9 @@ class PreparedGraph:
     def retention_info(self) -> dict[str, int]:
         """Live-vs-stale entry accounting at the current graph state.
 
-        Splits the cache by reachability *without* evicting anything —
-        the streaming bench snapshots this around each update to measure
-        how many artifacts a mutation actually invalidated.
+        Splits the cache by reachability *without* evicting anything,
+        so a test can count how many artifacts a mutation actually
+        invalidated.
         """
         live = set(self._graph.component_keys())
         component_live = sum(
@@ -360,38 +358,33 @@ class PreparedGraph:
         timings: Any,
         maximum: bool = False,
     ) -> tuple[
-        CompiledGraph,
-        pipeline.CutArtifact,
-        list[tuple[int, int, pipeline.CutArtifact]],
-        int,
+        CompiledGraph, list[tuple[int, int, pipeline.CutArtifact]], int
     ]:
-        """The graph's lowering, the cut-stage artifact, its
-        per-component parts and the kernel size limit they were cut at.
+        """The graph's lowering, the cut-stage artifact of each graph
+        component, and the kernel size limit they were cut at.
 
         The lowering is resolved once here, and the query reuses it:
         one lowering lookup per query.
 
         The cut split factorizes across graph components (no cut vertex
         or edge crosses one), so each graph component's search components
-        are cached under ``("c", cid, epoch, "cut", ...)`` and the global
-        artifact is assembled by concatenating the parts in the canonical
-        component order — identical cold and warm by construction.  The
-        returned ``parts`` list ``[(cid, epoch, part_artifact)]`` lets
-        callers search each part and key *their* per-component artifacts
-        (enumeration answers, maximum memos) by it.  A part cut by this
-        call still carries the cut's rows (``source``), which its
-        search reads; the cached entry and a part served from it carry
-        none.
+        are cached under ``("c", cid, epoch, "cut", ...)``, and the
+        returned parts ``[(cid, epoch, part_artifact)]`` come in the
+        canonical component order — identical cold and warm by
+        construction.  Callers search each part and key *their*
+        per-component artifacts (enumeration answers, maximum memos) by
+        it.  A part cut by this call still carries the cut's rows
+        (``source``), which its search reads; the cached entry and a
+        part served from it carry none.
 
-        ``maximum=True`` resolves the MaxUC+ artifact instead (the
+        ``maximum=True`` resolves the MaxUC+ artifacts instead (the
         ``topk`` rule with the cut; :func:`pipeline.cut_stage` with
         ``maximum=True``), cached per component under ``("c", cid,
         epoch, "maxcut", k, tau, limit)`` — each component keeps its own
         raised cut, so a mutation re-cuts only its own component.  The
         prune entries are shared with enumeration either way, and a
         ``topk`` rule's survivors are their own (Top_k, tau)-core, which
-        :func:`pipeline.cut_stage` is told (``core``).  The
-        assembled artifact's ``lower_bound`` is the largest component's.
+        :func:`pipeline.cut_stage` is told (``core``).
 
         The cut splits pieces by :data:`~repro.core.kernel.
         KERNEL_COMPONENT_LIMIT`, which tests monkeypatch, so it is read
@@ -413,13 +406,7 @@ class PreparedGraph:
                 pruning, k, tau, artifact, graph_parts
             )
         index = artifact.index
-        components: list[tuple[Node, ...]] = []
-        heads: list[Node] = []
-        split: list[bool] = []
-        lower_bound = 0
         parts: list[tuple[int, int, pipeline.CutArtifact]] = []
-        cuts_found = 0
-        edges_removed = 0
         for cid, epoch, members in graph_parts:
             ckey = (
                 ("c", cid, epoch, "maxcut", k, tau, limit) if maximum
@@ -439,23 +426,8 @@ class PreparedGraph:
                         )
                 # The cut's rows are its search's scratch, not cache.
                 self._store(ckey, replace(entry, source=None))
-            components.extend(entry.components)
-            heads.extend(entry.heads)
-            split.extend(entry.split)
-            lower_bound = max(lower_bound, entry.lower_bound)
-            cuts_found += entry.cuts_found
-            edges_removed += entry.edges_removed
             parts.append((cid, epoch, entry))
-        art = pipeline.CutArtifact(
-            components=tuple(components),
-            cuts_found=cuts_found,
-            edges_removed=edges_removed,
-            nodes_after_pruning=sum(map(len, survivors.values())),
-            heads=tuple(heads),
-            lower_bound=lower_bound,
-            split=tuple(split),
-        )
-        return artifact, art, parts, limit
+        return artifact, parts, limit
 
     # ------------------------------------------------------------------
     # Seeding the prune cache
@@ -538,13 +510,14 @@ class PreparedGraph:
         # the in-search gate there.
         insearch_min_candidates = _enumeration_mod._INSEARCH_MIN_CANDIDATES
 
-        compiled, art, parts, limit = self._cut_artifact(
+        compiled, parts, limit = self._cut_artifact(
             pruning, cut, k, tau, stats.timings
         )
-        stats.nodes_after_pruning = art.nodes_after_pruning
-        stats.cuts_found = art.cuts_found
-        stats.cut_edges_removed = art.edges_removed
-        stats.components = len(art.components)
+        cuts = [part for _, _, part in parts]
+        stats.nodes_after_pruning = sum(c.nodes_after_pruning for c in cuts)
+        stats.cuts_found = sum(c.cuts_found for c in cuts)
+        stats.cut_edges_removed = sum(c.edges_removed for c in cuts)
+        stats.components = sum(len(c.components) for c in cuts)
 
         # All threshold checks in the hot search loop use the pre-computed
         # tolerant floor (see repro.utils.validation) instead of calling
@@ -623,18 +596,20 @@ class PreparedGraph:
         cut_stage` grows a greedy clique of ``s`` nodes over the
         survivors and, when ``s > k + 1``, cuts at ``s - 1`` instead of
         ``k``, and the search starts from incumbent ``max s - 1``
-        (reported as ``stats.lower_bound``).  The compile artifact is
-        maximum-specific too, because it bundles the color arrays the
-        branch-and-bound bounds need.
+        (reported as ``stats.lower_bound``).
 
-        Unlike enumeration (which visits every component), the maximum
-        search skips components the evolving incumbent already dominates,
-        so compiling everything up front would do work the search never
-        uses.  The cached artifact is therefore a *memo dict* the search
-        stage fills on demand: cold runs compile exactly what the
-        incumbent chain reaches (matching the historical driver), warm
-        runs reuse those entries, and determinism of the search makes the
-        filled set identical run to run.
+        The views are maximum-specific too, because each comes with the
+        color list the branch-and-bound bounds need.  Unlike enumeration
+        (which visits every component), the maximum search skips
+        components the evolving incumbent already dominates, so building
+        every view up front would do work the search never uses.  Each
+        graph component therefore caches a *memo dict* under ``("c",
+        cid, epoch, "compile_max", k, tau, limit)``, which
+        :func:`pipeline.maximum_search_stage` fills on demand from the
+        rows the component's cut read (:func:`pipeline.piece_view`):
+        cold runs build exactly what the incumbent chain reaches, warm
+        runs reuse those entries, and determinism of the search makes
+        the filled set identical run to run.
         """
         validate_k(k)
         tau = validate_tau(tau)
@@ -642,41 +617,24 @@ class PreparedGraph:
         min_size = k + 1
         tau_floor = threshold_floor(tau)
 
-        artifact, art, parts, limit = self._cut_artifact(
+        compiled, parts, limit = self._cut_artifact(
             "topk", True, k, tau, stats.timings, maximum=True
         )
-        stats.lower_bound = art.lower_bound
-
-        # The on-demand memo dicts the search stage fills are cached per
-        # graph component, keyed by *local* search-component ordinal.
-        # They are merged into one transient dict keyed by global ordinal
-        # (what maximum_search_stage indexes by), and any entries the
-        # search filled are written back to the per-component dicts
-        # afterwards — so a mutation in one component keeps every other
-        # component's compiled/color entries warm.
-        part_memos: list[tuple[int, dict[int, Any]]] = []
-        merged: dict[int, Any] = {}
-        offset = 0
+        # Each graph component's memo of the views and colors its
+        # search built, filled on demand: a mutation in one component
+        # keeps every other component's entries warm.
+        searches: list[tuple[pipeline.CutArtifact, dict[int, Any]]] = []
         for cid, epoch, part in parts:
             mkey = ("c", cid, epoch, "compile_max", k, tau, limit)
-            local = self._lookup(mkey)
-            if local is _MISSING:
-                local = {}
-                self._store(mkey, local)
-            for loc, entry in local.items():
-                merged[offset + loc] = entry
-            part_memos.append((offset, local))
-            offset += len(part.components)
-
+            memo = self._lookup(mkey)
+            if memo is _MISSING:
+                memo = {}
+                self._store(mkey, memo)
+            searches.append((part, memo))
         best, best_size = pipeline.maximum_search_stage(
-            self._graph, artifact, art, merged, k, tau_floor, min_size,
+            compiled, searches, k, tau_floor, min_size,
             use_advanced_one, use_advanced_two, insearch, stats,
         )
-        for (off, local), (_, _, part) in zip(part_memos, parts):
-            for loc in range(len(part.components)):
-                entry = merged.get(off + loc, _MISSING)
-                if entry is not _MISSING:
-                    local[loc] = entry
         stats.best_size = best_size if best is not None else 0
         if best is None or len(best) < min_size:
             return None
@@ -768,7 +726,10 @@ class PreparedGraph:
         """Whether some single node can extend ``nodes`` to a larger
         tau-clique (the complement of the maximality condition).
 
-        A neighborhood scan with no search phase.
+        A neighborhood scan with no search phase.  Each extension is
+        decided by its canonical product
+        (:func:`~repro.uncertain.clique_prob.is_tau_clique`), so the
+        answer does not depend on the order ``nodes`` lists the members.
         """
         tau = validate_tau(tau)
         members = list(dict.fromkeys(nodes))
@@ -776,22 +737,12 @@ class PreparedGraph:
             return self._graph.num_nodes > 0
         if not is_clique(self._graph, members):
             return False
-        base = clique_probability(self._graph, members)
         member_set = set(members)
-        for v in self._graph.incident(members[0]):
-            if v in member_set:
-                continue
-            extension = base
-            incident = self._graph.incident(v)
-            for u in members:
-                p = incident.get(u)
-                if p is None:
-                    extension = 0.0
-                    break
-                extension *= p
-            if extension and prob_at_least(extension, tau):
-                return True
-        return False
+        return any(
+            v not in member_set
+            and is_tau_clique(self._graph, [*members, v], tau)
+            for v in self._graph.incident(members[0])
+        )
 
     def containing_clique_exists(
         self,
@@ -810,13 +761,7 @@ class PreparedGraph:
         validate_k(k)
         tau = validate_tau(tau)
         members = list(dict.fromkeys(nodes))
-        if not members:
-            return False
-        if not is_clique(self._graph, members):
-            return False
-        if not prob_at_least(
-            clique_probability(self._graph, members), tau
-        ):
+        if not members or not is_tau_clique(self._graph, members, tau):
             return False
         if len(members) > k:
             return True  # already a (k, tau)-clique; some maximal one holds it

@@ -10,7 +10,7 @@ ordering as a by-product.
 
 from __future__ import annotations
 
-from typing import Collection, Hashable, Mapping, TypeVar
+from typing import Collection, Sequence
 
 from repro.errors import ParameterError
 from repro.uncertain.graph import Node, UncertainGraph
@@ -23,85 +23,83 @@ __all__ = [
     "k_core",
 ]
 
-_T = TypeVar("_T", bound=Hashable)
-
 
 def _core_decomposition(
     graph: UncertainGraph,
-) -> tuple[dict[Node, int], list[Node]]:
-    """:func:`core_peel` of the graph's adjacency."""
-    return core_peel({u: graph.incident(u) for u in graph})
+) -> tuple[list[Node], list[int], list[int]]:
+    """The graph's nodes, and :func:`core_peel` of its adjacency with
+    node ``i`` standing for ``nodes[i]``."""
+    nodes = list(graph)
+    index = {u: i for i, u in enumerate(nodes)}
+    core, order = core_peel(
+        [[index[v] for v in graph.incident(u)] for u in nodes]
+    )
+    return nodes, core, order
 
 
-def core_peel(
-    adjacency: Mapping[_T, Collection[_T]],
-) -> tuple[dict[_T, int], list[_T]]:
+def core_peel(rows: Sequence[Collection[int]]) -> tuple[list[int], list[int]]:
     """Bucket-based peeling: returns (core numbers, degeneracy ordering)
-    of the graph whose node ``u`` has the neighbours ``adjacency[u]``.
+    of the graph whose node ``i`` has the neighbours ``rows[i]``.
 
     The ordering lists nodes in the sequence they were peeled, i.e. by
     non-decreasing "remaining degree"; it is a degeneracy ordering: each node
     has at most ``delta`` neighbors appearing later in the list.  Ties go
-    by the adjacency's iteration orders alone.
+    by node index and the rows' iteration orders alone.
     """
-    degrees = {u: len(nbrs) for u, nbrs in adjacency.items()}
-    if not degrees:
-        return {}, []
-    max_degree = max(degrees.values())
-    buckets: list[list[_T]] = [[] for _ in range(max_degree + 1)]
-    for u, d in degrees.items():
+    n = len(rows)
+    remaining = [len(row) for row in rows]
+    buckets: list[list[int]] = [
+        [] for _ in range(max(remaining, default=0) + 1)
+    ]
+    for u, d in enumerate(remaining):
         buckets[d].append(u)
-
-    core: dict[_T, int] = {}
-    order: list[_T] = []
-    remaining = dict(degrees)
-    removed: set[_T] = set()
+    core = [0] * n
+    order: list[int] = []
+    removed = bytearray(n)
     current = 0
-    # Each node is popped from a bucket at most once per degree decrement,
-    # giving the O(m + n) total; stale bucket entries are skipped.
+    # Each node is pushed to a bucket once per degree decrement, giving
+    # the O(m + n) total; stale bucket entries are skipped.
     pointer = 0
-    while len(order) < len(degrees):
-        if pointer > max_degree:
-            break
+    while len(order) < n:
         bucket = buckets[pointer]
         if not bucket:
             pointer += 1
             continue
         u = bucket.pop()
-        if u in removed or remaining[u] != pointer:
+        if removed[u] or remaining[u] != pointer:
             continue  # stale entry: u was re-bucketed at a lower degree
-        current = max(current, pointer)
+        if pointer > current:
+            current = pointer
         core[u] = current
         order.append(u)
-        removed.add(u)
-        for v in adjacency[u]:
-            if v in removed:
+        removed[u] = 1
+        for v in rows[u]:
+            if removed[v]:
                 continue
-            remaining[v] -= 1
-            buckets[remaining[v]].append(v)
-            if remaining[v] < pointer:
-                pointer = remaining[v]
+            d = remaining[v] - 1
+            remaining[v] = d
+            buckets[d].append(v)
+            if d < pointer:
+                pointer = d
     return core, order
 
 
 def core_numbers(graph: UncertainGraph) -> dict[Node, int]:
     """Core number ``c_u`` of each node in the deterministic graph."""
-    core, _ = _core_decomposition(graph)
-    return core
+    nodes, core, _ = _core_decomposition(graph)
+    return dict(zip(nodes, core))
 
 
 def degeneracy(graph: UncertainGraph) -> int:
     """``delta`` — the maximum core number (0 for an empty/edgeless graph)."""
-    core, _ = _core_decomposition(graph)
-    if not core:
-        return 0
-    return max(core.values())
+    _, core, _ = _core_decomposition(graph)
+    return max(core, default=0)
 
 
 def degeneracy_ordering(graph: UncertainGraph) -> list[Node]:
     """A degeneracy ordering of the nodes (used by Bron-Kerbosch and RDS)."""
-    _, order = _core_decomposition(graph)
-    return order
+    nodes, _, order = _core_decomposition(graph)
+    return [nodes[i] for i in order]
 
 
 def k_core(graph: UncertainGraph, k: int) -> set[Node]:
@@ -109,5 +107,5 @@ def k_core(graph: UncertainGraph, k: int) -> set[Node]:
     every node has degree at least ``k`` [22]."""
     if k < 0:
         raise ParameterError(f"k must be non-negative, got {k}")
-    core, _ = _core_decomposition(graph)
-    return {u for u, c in core.items() if c >= k}
+    nodes, core, _ = _core_decomposition(graph)
+    return {u for u, c in zip(nodes, core) if c >= k}

@@ -3,13 +3,20 @@
 These are the semantic ground truth for the whole library: the fast
 enumeration and search algorithms are tested against brute-force loops built
 from the predicates in this module.
+
+Each set is decided by one *canonical* product: its edges multiplied
+pair by pair over its members sorted by
+:func:`~repro.uncertain.graph.node_sort_key`.  Floating-point products
+depend on their order, so a product in the caller's member order could
+put a set whose probability lies at tau's floor on either side of it,
+and a set and its one-node extension could disagree with each other.
 """
 
 from __future__ import annotations
 
 from typing import Iterable
 
-from repro.uncertain.graph import Node, UncertainGraph
+from repro.uncertain.graph import Node, UncertainGraph, node_sort_key
 from repro.utils.validation import prob_at_least, validate_k, validate_tau
 
 __all__ = [
@@ -36,7 +43,7 @@ def is_clique(graph: UncertainGraph, nodes: Iterable[Node]) -> bool:
 
 def clique_probability(graph: UncertainGraph, nodes: Iterable[Node]) -> float:
     """``CPr(C, G)`` — Definition 1: the product of probabilities of all
-    edges whose endpoints both lie in ``C``.
+    edges whose endpoints both lie in ``C``, in canonical order.
 
     Note this is defined for *any* node set: if ``C`` is not a clique in
     ``~G`` the product simply skips the missing pairs, exactly as in the
@@ -44,7 +51,7 @@ def clique_probability(graph: UncertainGraph, nodes: Iterable[Node]) -> float:
     least tau" semantics should combine this with :func:`is_clique` (or use
     :func:`is_tau_clique`, which does both).
     """
-    members = list(dict.fromkeys(nodes))
+    members = sorted(dict.fromkeys(nodes), key=node_sort_key)
     prob = 1.0
     for i, u in enumerate(members):
         incident = graph.incident(u)
@@ -58,18 +65,13 @@ def clique_probability(graph: UncertainGraph, nodes: Iterable[Node]) -> float:
 def is_tau_clique(
     graph: UncertainGraph, nodes: Iterable[Node], tau: float
 ) -> bool:
-    """Whether ``nodes`` is a clique in ``~G`` with ``CPr >= tau``."""
+    """Whether ``nodes`` is a clique in ``~G`` with ``CPr >= tau``, its
+    canonical product deciding."""
     tau = validate_tau(tau)
-    members = list(dict.fromkeys(nodes))
-    prob = 1.0
-    for i, u in enumerate(members):
-        incident = graph.incident(u)
-        for v in members[i + 1 :]:
-            p = incident.get(v)
-            if p is None:
-                return False
-            prob *= p
-    return prob_at_least(prob, tau)
+    members = list(nodes)
+    return is_clique(graph, members) and prob_at_least(
+        clique_probability(graph, members), tau
+    )
 
 
 def is_k_tau_clique(
@@ -90,7 +92,9 @@ def is_maximal_k_tau_clique(
 
     Because ``CPr`` is monotone non-increasing under node addition, checking
     single-node extensions suffices: if no ``C + {v}`` is a tau-clique then
-    no superset of ``C`` is.
+    no superset of ``C`` is.  Each extension is decided by its own
+    canonical product, so the verdict does not depend on the order
+    ``nodes`` lists the members in.
     """
     members = list(dict.fromkeys(nodes))
     if not is_k_tau_clique(graph, members, k, tau):

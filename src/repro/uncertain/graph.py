@@ -80,7 +80,17 @@ Node = Hashable
 #: unbounded mutation stream cannot grow memory.
 _MUTLOG_MAXLEN = 512
 
-__all__ = ["UncertainGraph", "Node"]
+__all__ = ["UncertainGraph", "Node", "node_sort_key"]
+
+
+def node_sort_key(node: Node) -> tuple[str, str]:
+    """Deterministic total order over arbitrary hashable nodes.
+
+    Single definition of the library's node order: the clique
+    predicates multiply a set's edges in it, and the search drivers,
+    the search kernel and the whole-graph compiler order nodes by it.
+    """
+    return (type(node).__name__, str(node))
 
 
 class UncertainGraph:

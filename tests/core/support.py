@@ -14,7 +14,12 @@ from typing import Iterable
 from hypothesis import strategies as st
 
 from repro import UncertainGraph
-from repro.core.kernel import CompiledComponent, derive_component_view
+from repro.core.cut_pruning import induced_rows
+from repro.core.kernel import (
+    CompiledComponent,
+    CutRows,
+    derive_component_view,
+)
 from repro.core.prune_kernel import CompiledGraph
 from repro.uncertain.graph import Node
 
@@ -110,6 +115,20 @@ def uncertain_graphs(draw: st.DrawFn) -> UncertainGraph:
     return graph
 
 
+def lowering_view(
+    compiled: CompiledGraph, members: Iterable[Node]
+) -> CompiledComponent:
+    """The search view of ``members``, built as a cut builds it: from
+    the rows their ids induce in ``compiled``."""
+    ids = sorted(compiled.index[u] for u in members)
+    source = CutRows(
+        [compiled.nodes[g] for g in ids],
+        [compiled.sort_rank[g] for g in ids],
+        induced_rows(compiled, ids),
+    )
+    return derive_component_view(source, range(len(ids)))
+
+
 def assert_views_bit_identical(
     derived: CompiledComponent, compiled: CompiledComponent
 ) -> None:
@@ -160,8 +179,7 @@ def assert_bit_identical(a: CompiledGraph, b: CompiledGraph) -> None:
     assert a.nbr_probs == b.nbr_probs
     for members in component_members(b):
         assert_views_bit_identical(
-            derive_component_view(a, members),
-            derive_component_view(b, members),
+            lowering_view(a, members), lowering_view(b, members)
         )
     a._finish_lowering()
     assert a.nbr_labels is None and b.nbr_labels is None

@@ -21,7 +21,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro import PreparedGraph, UncertainGraph
 from repro.core.enumeration import EnumerationStats
-from repro.core.kernel import compile_component, derive_component_view
+from repro.core.kernel import compile_component
 from repro.core.prune_kernel import (
     CompiledGraph,
     compile_graph,
@@ -32,6 +32,7 @@ from repro.core.prune_kernel import (
 from repro.deterministic.components import connected_components
 from tests.core.support import (
     assert_views_bit_identical,
+    lowering_view,
     two_cliques,
     uncertain_graphs,
 )
@@ -45,7 +46,7 @@ def test_derived_view_matches_component_compile(
     artifact = compile_graph(graph)
     for members in connected_components(graph):
         component = graph.induced_subgraph(members)
-        derived = derive_component_view(artifact, list(component.nodes()))
+        derived = lowering_view(artifact, component.nodes())
         assert_views_bit_identical(derived, compile_component(component))
 
 
@@ -58,9 +59,7 @@ def test_derived_view_matches_on_arbitrary_member_subsets(
     # stage derives views of arbitrary restrictions, not only components.
     members = [u for u in graph if data.draw(st.booleans(), label=str(u))]
     component = graph.induced_subgraph(members)
-    derived = derive_component_view(
-        compile_graph(graph), list(component.nodes())
-    )
+    derived = lowering_view(compile_graph(graph), component.nodes())
     assert_views_bit_identical(derived, compile_component(component))
 
 
@@ -146,7 +145,6 @@ def test_readers_agree_on_fresh_and_lowered_artifacts(
     for component in connected_components(graph):
         nodes = list(graph.induced_subgraph(component).nodes())
         assert_views_bit_identical(
-            derive_component_view(fresh, nodes),
-            derive_component_view(lowered, nodes),
+            lowering_view(fresh, nodes), lowering_view(lowered, nodes),
         )
     assert fresh.nbr_labels is not None

@@ -90,6 +90,7 @@ from repro.core.prune_kernel import (
 )
 from repro.core.topk_core import TopKCoreResult, topk_core, topk_core_arrays
 from repro.deterministic.components import connected_components
+from repro.deterministic.coloring import greedy_coloring
 from repro.deterministic.core_decomposition import core_numbers
 from repro.uncertain.clique_prob import clique_probability, is_clique
 from repro.uncertain.graph import _MUTLOG_MAXLEN, Node
@@ -106,6 +107,7 @@ from tests.core.support import (
     assert_views_bit_identical,
     clique_edges,
     hub_and_triangle,
+    lowering_view,
     seed_graph,
     straddle_graph,
     two_cliques,
@@ -537,12 +539,12 @@ def check_readers(
         # Pruning removes nodes, never edges among survivors, so any
         # member set is a view the search stage may derive.
         assert_views_bit_identical(
-            derive_component_view(cpg, members), compile_component(induced)
+            lowering_view(cpg, members), compile_component(induced)
         )
     assert cpg._topk_levels == levels
     for members in components:
         assert_views_bit_identical(
-            derive_component_view(cpg, members),
+            lowering_view(cpg, members),
             compile_component(graph.induced_subgraph(members)),
         )
     check_gathers(graph, cpg, case)
@@ -655,6 +657,32 @@ def source_views(
     ]
 
 
+def check_maximum_views(
+    graph: UncertainGraph,
+    searched: list[tuple[Node, ...]],
+    source: pipeline_mod.SearchSource,
+    again: pipeline_mod.SearchSource,
+) -> None:
+    """Each searched MaxUC+ component's view and color list, built from
+    a maximum cut's rows, is the compile of its induced subgraph and
+    that subgraph's greedy coloring in view order; a cached cut's rows,
+    read again, build the same."""
+    assert len(source[1]) == len(again[1]) == len(searched)
+    lookups: dict[int, dict[int, float]] = {}
+    lookups_again: dict[int, dict[int, float]] = {}
+    for component, piece, other in zip(searched, source[1], again[1]):
+        view, colors = pipeline_mod.piece_view(source[0], piece, lookups)
+        induced = graph.induced_subgraph(component)
+        assert_views_bit_identical(view, compile_component(induced))
+        coloring = greedy_coloring(induced)
+        assert colors == [coloring[u] for u in view.nodes]
+        view_again, colors_again = pipeline_mod.piece_view(
+            again[0], other, lookups_again
+        )
+        assert_views_bit_identical(view, view_again)
+        assert colors == colors_again
+
+
 def check_gathers(
     graph: UncertainGraph, cpg: CompiledGraph, case: Case
 ) -> None:
@@ -710,11 +738,14 @@ def check_gathers(
             assert art == pipeline_mod.cut_stage(
                 full, ids, k, tau, case.cut, maximum
             )
-            if maximum:
-                assert art.source is None
-                continue
             assert art.source is not None
             searched = [c for c in art.components if len(c) > k]
+            if maximum:
+                check_maximum_views(
+                    graph, searched, art.source,
+                    pipeline_mod.search_source(cpg, art, k),
+                )
+                continue
             views = source_views(art.source, k)
             assert len(views) == len(searched)
             for component, view in zip(searched, views):
@@ -1056,16 +1087,15 @@ def test_oversized_maximum_takes_sub_pieces(
     # every run.
     graph = build()
     canonical = maximum_of(mule_maximal_cliques(graph, k, tau))
-    cut_stage = pipeline_mod.cut_stage
-    split: list[bool] = []
+    piece_order = pipeline_mod.piece_order
+    split: list[int] = []
 
-    def recording(*args: Any) -> Any:
-        art = cut_stage(*args)
-        split.extend(art.split)
-        return art
+    def recording(rows: Any, piece: list[int]) -> Any:
+        split.append(len(piece))
+        return piece_order(rows, piece)
 
     monkeypatch.setattr(enumeration_mod, "KERNEL_COMPONENT_LIMIT", 3)
-    monkeypatch.setattr(pipeline_mod, "cut_stage", recording)
+    monkeypatch.setattr(pipeline_mod, "piece_order", recording)
     runs = []
     for _ in range(2):
         stats = MaximumSearchStats()
@@ -1073,7 +1103,7 @@ def test_oversized_maximum_takes_sub_pieces(
             graph.copy(), k, tau, stats=stats, use_advanced_one=advanced_one,
         )
         runs.append((best, asdict(stats)))
-    assert any(split)
+    assert split  # a piece above the limit was split into sub-pieces
     assert runs[0] == runs[1]
     assert runs[0][0] == canonical
     assert advanced_one or runs[0][1]["advanced_two_prunes"] > 0
@@ -1094,11 +1124,42 @@ def test_sub_pieces_sharing_a_head_keep_the_smaller_tie(
     monkeypatch.setattr(enumeration_mod, "KERNEL_COMPONENT_LIMIT", 5)
     session = PreparedGraph(graph)
     assert session.max_uc_plus(1, 0.5) == frozenset("abc")
-    art = session._cut_artifact(
+    ((_, _, art),) = session._cut_artifact(
         "topk", True, 1, 0.5, MaximumSearchStats().timings, maximum=True
     )[1]
     assert art.components == (tuple("def"), tuple("ade"), tuple("abc"))
-    assert art.heads == tuple("daa") and all(art.split)
+    assert art.heads == tuple("daa")
+
+
+def test_a_skipped_clean_component_is_searched_from_its_cut_read_again(
+    monkeypatch: pytest.MonkeyPatch,
+) -> None:
+    # K5 "vwxyz" and K4 "abcd": the K5 wins and the K4, although its
+    # head precedes, is skipped.  Dropping an edge of the K5 leaves it
+    # a 4-clique, so the clean K4 is now searched: its cut entry and
+    # its (empty) memo are warm, and its rows are read again from the
+    # lowering.  Answer and counters equal a cold run's.
+    graph = UncertainGraph(
+        clique_edges("vwxyz", 0.9) + clique_edges("abcd", 0.9)
+    )
+    session = PreparedGraph(graph)
+    assert session.max_uc_plus(2, 0.3) == frozenset("vwxyz")
+    graph.remove_edge("v", "w")
+    read_again: list[int] = []
+    search_source = pipeline_mod.search_source
+
+    def recording(*args: Any) -> Any:
+        source = search_source(*args)
+        read_again.append(len(source[1]))
+        return source
+
+    monkeypatch.setattr(pipeline_mod, "search_source", recording)
+    warm = MaximumSearchStats()
+    assert session.max_uc_plus(2, 0.3, stats=warm) == frozenset("abcd")
+    assert read_again == [1]
+    cold = MaximumSearchStats()
+    assert max_uc_plus(graph.copy(), 2, 0.3, stats=cold) == frozenset("abcd")
+    assert asdict(warm) == asdict(cold)
 
 
 # ----------------------------------------------------------------------

@@ -52,7 +52,21 @@ class TestTopR:
         k, tau = 1, 0.2
         got = top_r_maximal_cliques(g, r, k, tau)
         expected = reference_top_r(g, r, k, tau)
-        assert [len(c) for c in got] == [len(c) for c in expected]
+        assert got == expected
+
+    @pytest.mark.parametrize("names", ["za", "az", "zyxwa"])
+    def test_ties_go_to_the_lexicographically_first_clique(self, names):
+        # Disjoint triangles of one probability tie on size; the ranking
+        # key, not the enumeration order, picks the first of them.
+        g = UncertainGraph()
+        for name in names:
+            for u, v in ((1, 2), (1, 3), (2, 3)):
+                g.add_edge(f"{name}{u}", f"{name}{v}", 0.9)
+        (best,) = top_r_maximal_cliques(g, 1, 1, 0.5)
+        assert best == frozenset({"a1", "a2", "a3"})
+        assert top_r_maximal_cliques(g, 2, 1, 0.5) == reference_top_r(
+            g, 2, 1, 0.5
+        )
 
     def test_every_result_is_a_known_maximal_clique(self):
         g = make_random_graph(12, 0.55, seed=11)

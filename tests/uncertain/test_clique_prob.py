@@ -1,8 +1,10 @@
 """Unit tests for clique probability and the (k, tau)-clique predicates."""
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro import (
+    PreparedGraph,
     UncertainGraph,
     clique_probability,
     is_clique,
@@ -11,6 +13,7 @@ from repro import (
     is_tau_clique,
 )
 from repro.errors import ParameterError
+from tests.core.support import uncertain_graphs
 
 
 class TestIsClique:
@@ -136,3 +139,58 @@ class TestIsMaximal:
         # maximal clique is all four nodes.
         assert not is_maximal_k_tau_clique(g, [0, 1, 2], 2, 0.04)
         assert is_maximal_k_tau_clique(g, [0, 1, 2, 3], 2, 0.04)
+
+
+#: A triangle whose probability lies at tau's floor: multiplied in
+#: another member order, ``{4, 5, 8}``'s product falls on the other side.
+KNIFE_EDGE = (
+    [(4, 5, 0.9), (4, 8, 0.4), (5, 8, 0.9999999)],
+    0.35999996436000004,
+)
+
+
+def _predicates(graph, members, k, tau):
+    session = PreparedGraph(graph)
+    return (
+        clique_probability(graph, members),
+        is_tau_clique(graph, members, tau),
+        is_k_tau_clique(graph, members, k, tau),
+        is_maximal_k_tau_clique(graph, members, k, tau),
+        session.is_extendable(members, tau),
+        session.containing_clique_exists(members, k, tau),
+    )
+
+
+class TestCanonicalProduct:
+    def test_knife_edge_triangle(self):
+        edges, tau = KNIFE_EDGE
+        g = UncertainGraph(edges)
+        session = PreparedGraph(g)
+        assert is_tau_clique(g, [8, 5, 4], tau)
+        for pair in ([5, 8], [8, 5]):
+            assert not is_maximal_k_tau_clique(g, pair, 0, tau)
+            assert session.is_extendable(pair, tau)
+        assert is_maximal_k_tau_clique(g, [5, 4, 8], 0, tau)
+        assert _predicates(g, [8, 4, 5], 0, tau) == _predicates(
+            g, [4, 5, 8], 0, tau
+        )
+
+    @settings(max_examples=60, deadline=None)
+    @given(graph=uncertain_graphs(), data=st.data())
+    def test_every_predicate_ignores_member_order(self, graph, data):
+        nodes = list(graph)
+        members = data.draw(
+            st.lists(st.sampled_from(nodes), unique=True, max_size=5),
+            label="members",
+        )
+        # A tau at the members' own product (or at an extension's, one
+        # node more) puts the floor where orders disagree.
+        extra = data.draw(st.sampled_from(nodes), label="extra")
+        tau = clique_probability(
+            graph, members + data.draw(st.sampled_from([[], [extra]]))
+        )
+        k = data.draw(st.integers(0, 3), label="k")
+        shuffled = data.draw(st.permutations(members), label="order")
+        assert _predicates(graph, shuffled, k, tau) == _predicates(
+            graph, members, k, tau
+        )
