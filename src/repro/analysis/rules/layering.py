@@ -90,7 +90,6 @@ PRUNE_FUNCTIONS = frozenset(
         "dp_core",
         "dp_core_plus",
         "topk_core",
-        "topk_core_arrays",
     }
 )
 

@@ -39,13 +39,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterator, Literal
 
-# KERNEL_COMPONENT_LIMIT and the pre-search peels are re-exported module
-# attributes by contract: the session/pipeline layer reads them from
-# *this* module at call time, and regression tests monkeypatch them (the
-# kernel size limit, the peels for the laziness tripwire).
+# The kernel size limit is re-exported here by contract: the session
+# reads it from *this* module once per query, and regression tests
+# monkeypatch it.
 from repro.core.kernel import KERNEL_COMPONENT_LIMIT
-from repro.core.ktau_core import dp_core_plus
-from repro.core.topk_core import topk_core_arrays
 from repro.uncertain.graph import Node, UncertainGraph
 from repro.utils.timing import Stopwatch
 

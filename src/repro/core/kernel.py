@@ -1,13 +1,12 @@
 """Compiled search kernel for the MUCE/MaxUC+ hot paths.
 
-The backtracking searches in :mod:`repro.core.enumeration` and
-:mod:`repro.core.maximum` are written over :class:`UncertainGraph`'s
-dict-of-dicts adjacency: every candidate filter is a per-edge hash lookup
-on arbitrary node objects, every branch rebuilds ``(node, pi)`` tuple
-lists for both the candidate set *and* the excluded set, and the
-in-search (Top_k, tau)-core peel rebuilds sorted probability lists from
-scratch at every recursion level.  This module removes that overhead with
-a per-component *compilation step*:
+The enumeration (:mod:`repro.core.enumeration`) and the maximum search
+(:mod:`repro.core.maximum`) never search :class:`UncertainGraph`'s
+dict-of-dicts adjacency, where every candidate filter would be a
+per-edge hash lookup on arbitrary node objects.  Each search component
+is searched on a *view* (:class:`CompiledComponent`), built from the
+rows the cut read (:func:`derive_component_view`; :func:`compile_component`
+builds the same view from a subgraph and is the parity oracle):
 
 1. nodes are mapped to dense ints ``0 .. n-1`` in the library's
    deterministic order, so the compiled id order doubles as the search
@@ -61,9 +60,10 @@ oracle of ``tests/core/oracles.py`` by ``tests/core/test_conformance.py``.
 The entry points are :func:`enumerate_pivot_range` (the pivoted MUC
 recursion of Algorithm 4) and :func:`maximum_compiled` (the MaxUC+
 color-bound branch-and-bound); both search one component or per-vertex
-view as produced by the pruning/cut pipeline.  The pre-search
-(Top_k, tau)-core itself has a compiled twin in
-:func:`repro.core.topk_core.topk_core_arrays`.
+view as produced by the pruning/cut pipeline.  The in-search
+(Top_k, tau)-core peel runs over a view's bitmasks
+(:func:`repro.core.topk_core.topk_peel_masks`); the pre-search one runs
+over the whole-graph lowering (:func:`repro.core.prune_kernel.topk_peel`).
 """
 
 from __future__ import annotations
@@ -103,10 +103,12 @@ _CHUNK_MASK = 0xFFFFFFFFFFFFFFFF
 
 #: Largest cut piece the kernel searches as one view.  Above it every
 #: bitmask op would pay O(n / 64) words even deep in the tree where the
-#: candidate sets are tiny, and the dense rows O(n^2) memory, so
-#: :func:`repro.core.pipeline.cut_stage` splits a larger piece into
-#: per-vertex views (:func:`vertex_views` for enumeration, sub-pieces
-#: for MaxUC+) of at most ``degeneracy + 1`` nodes each.
+#: candidate sets are tiny, and the dense rows O(n^2) memory, so a
+#: larger piece is searched as per-vertex views (:func:`vertex_views`
+#: for enumeration, the sub-pieces :func:`repro.core.pipeline.cut_stage`
+#: makes for MaxUC+) of at most ``degeneracy + 1`` nodes each.  The
+#: session reads it from :mod:`repro.core.enumeration` once per query
+#: and hands it to the cut and the search.
 KERNEL_COMPONENT_LIMIT = 1024
 
 

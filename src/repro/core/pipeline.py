@@ -10,19 +10,17 @@ parameters to a deterministic artifact:
   views.  The graph owns it: :func:`lowering` keeps it on the graph and
   patches it forward through the mutation log, so every session, free
   function and core maintainer over one graph lowers it once.
-* :func:`prune_stage` — core-based preprocessing (Lemmas 1 and 4); returns
-  the surviving nodes **in graph iteration order**, so the artifact is
-  the same whether the whole graph or only its dirty components peeled.
+* :func:`prune_stage` — core-based preprocessing (Lemmas 1 and 4): one
+  compiled array peel, whose surviving node set it returns.
 * :func:`cut_stage` — cut optimization / component split (Lemma 5) on
   one graph component's survivors (or an anchored query's core), given
   as compile ids; returns the search components as label tuples plus
-  the counters the stats objects report.  No subgraph is built: the
-  survivor rows are read once from the compile, and the artifact hands
-  those rows on, detached from the lowering, as its transient
-  ``source`` (:func:`search_source` reads them again for a cached
-  cut).  For MaxUC+ it also grows a greedy lower bound on those rows,
-  raises the cut to it, and splits a piece above the limit into
-  per-vertex sub-pieces.
+  the counters the stats objects report, and beside them the rows the
+  cut read, detached from the lowering, for the search
+  (:func:`search_source` reads them again for a cached cut).  No
+  subgraph is built.  For MaxUC+ it also grows a greedy lower bound on
+  those rows, raises the cut to it, and splits a piece above the kernel
+  size limit it is given into per-vertex sub-pieces.
 * :func:`enumeration_search_stage` / :func:`maximum_search_stage` — the
   actual (sequential) search of one graph component's pieces after
   another, each search view built from the cut's rows when the search
@@ -54,11 +52,10 @@ direct stage calls that bypass it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from time import perf_counter
-from typing import Any, Iterator, Sequence
+from typing import AbstractSet, Any, Iterable, Iterator, Sequence
 
-from repro.core import enumeration as enumeration_mod
 from repro.core.cut_pruning import (
     Rows,
     cut_rows,
@@ -78,7 +75,12 @@ from repro.core.kernel import (
     vertex_views,
 )
 from repro.core.maximum import MaximumSearchStats
-from repro.core.prune_kernel import CompiledGraph, compile_graph
+from repro.core.prune_kernel import (
+    CompiledGraph,
+    compile_graph,
+    survival_peel,
+    topk_peel,
+)
 from repro.deterministic.coloring import greedy_coloring_rows
 from repro.uncertain.graph import Node, UncertainGraph
 
@@ -205,54 +207,35 @@ def compile_stage(graph: UncertainGraph) -> CompiledGraph:
 
 
 def prune_stage(
-    graph: UncertainGraph,
+    compiled: CompiledGraph,
     k: int,
     tau: float,
     rule: str,
-    compiled: CompiledGraph,
-    members: Sequence[Node] | None = None,
-) -> tuple[Node, ...]:
-    """Core-based preprocessing: the nodes surviving ``rule`` at (k, tau).
+    members: Iterable[Node] | None = None,
+) -> AbstractSet[Node]:
+    """Core-based preprocessing: the nodes of ``compiled`` surviving
+    ``rule`` at (k, tau).
 
-    ``rule`` is ``"topk"`` ((Top_k, tau)-core, Lemma 4), ``"ktau"``
-    ((k, tau)-core via DPCore+, Lemma 1) or ``"none"``.  The survivors are
-    returned as a tuple **in the iteration order of ``graph``** — the
-    peels reach a unique fixpoint *set*, and normalizing the order makes
-    the artifact independent of the peel's internal set layout, so a
-    cached artifact reproduces a cold run's downstream component order
-    exactly.
-
-    Both rules run the compiled array peels over ``compiled``, the
-    :func:`compile_stage` artifact; ``members`` restricts the peel to a
-    node subset (the session's dirty components) without building an
-    induced subgraph.  A whole-graph ``topk`` peel
-    at a ``k`` the artifact has peeled before is a lookup in its level
-    index (:func:`~repro.core.prune_kernel.topk_peel`), and the order
-    is normalized over the survivors' compile ids, which follow graph
-    iteration order — so neither walks the whole graph.
+    ``rule`` is ``"topk"`` ((Top_k, tau)-core, Lemma 4;
+    :func:`~repro.core.prune_kernel.topk_peel`) or ``"ktau"`` ((k,
+    tau)-core via DPCore+, Lemma 1;
+    :func:`~repro.core.prune_kernel.survival_peel`), run over
+    ``compiled``, the :func:`compile_stage` artifact; ``members``
+    restricts the peel to a node subset (the session's dirty
+    components) without building an induced subgraph.  A whole-graph
+    ``topk`` peel at a ``k`` the artifact has peeled before is a lookup
+    in its level index.  The peels reach a unique fixpoint *set*, which
+    is returned as the peel built it: the session splits it per graph
+    component and hands the cut each component's ids in ascending
+    order, which is graph iteration order.
     """
-    # The peels are looked up on the enumeration module at call time:
-    # they are its re-exported attributes by contract, and the laziness
-    # regression test monkeypatches them there to prove no pruning runs
-    # before a consumer starts iterating.
-    survivors: frozenset[Node] | set[Node]
-    if rule == "none":
-        return tuple(graph.nodes())
     if rule == "topk":
-        survivors = enumeration_mod.topk_core_arrays(
-            graph, k, tau, compiled=compiled, members=members,
-        )
-    elif rule == "ktau":
-        survivors = enumeration_mod.dp_core_plus(
-            graph, k, tau, compiled=compiled, members=members,
-        )
-    else:
-        raise ValueError(f"unknown pruning rule {rule!r}")
-    if members is None and len(survivors) == graph.num_nodes:
-        return tuple(graph.nodes())
-    # Compile ids follow graph iteration order.
-    nodes, index = compiled.nodes, compiled.index
-    return tuple(nodes[i] for i in sorted(map(index.__getitem__, survivors)))
+        survivors = topk_peel(compiled, k, tau, members=members)
+        assert survivors is not None  # no fixed set: never aborts
+        return survivors
+    if rule == "ktau":
+        return survival_peel(compiled, k, tau, members=members)
+    raise ValueError(f"unknown pruning rule {rule!r}")
 
 
 # ----------------------------------------------------------------------
@@ -270,13 +253,6 @@ class CutArtifact:
     phases, so a warm run fills its stats object identically to the
     cold run that built the artifact.
 
-    An artifact fresh from the cut also carries ``source``, the
-    :data:`SearchSource` its search builds its views from.  That is
-    the cut's scratch, not cache: it takes no part in comparing
-    artifacts, the session caches the artifact without it, and a
-    cached cut's rows are read again by :func:`search_source` when a
-    search needs them.
-
     A maximum-search artifact also carries ``heads``, each
     component's first node in :func:`~repro.core.prune_kernel.
     node_sort_key` order, and ``lower_bound``, the greedy clique size
@@ -292,9 +268,6 @@ class CutArtifact:
     nodes_after_pruning: int
     heads: tuple[Node, ...] = ()
     lower_bound: int = 0
-    source: SearchSource | None = field(
-        default=None, compare=False, repr=False
-    )
 
 
 def cut_stage(
@@ -303,9 +276,10 @@ def cut_stage(
     k: int,
     tau: float,
     cut: bool,
+    limit: int,
     maximum: bool = False,
     core: bool = False,
-) -> CutArtifact:
+) -> tuple[CutArtifact, SearchSource]:
     """Split prune survivors, ids of ``compiled``, into search
     components (Lemma 5).
 
@@ -316,9 +290,11 @@ def cut_stage(
     first node in ``survivors`` order:
     ascending ids (graph iteration order) for a graph component, the
     region's adjacency order for an anchored core.  The same rows,
-    with the survivors' labels and sort ranks, are the artifact's
-    ``source``, from which the search builds each piece's view when it
-    reaches it; the lowering is not read again.
+    with the survivors' labels and sort ranks, are returned beside the
+    artifact as the :data:`SearchSource` the search builds each piece's
+    view from when it reaches it; the lowering is not read again.  The
+    session caches the artifact alone, and :func:`search_source` reads
+    a cached cut's rows again when a search needs them.
 
     ``maximum=True`` prepares a MaxUC+ search instead.  A greedy
     tau-clique of ``s`` nodes is grown over the same rows
@@ -330,7 +306,8 @@ def cut_stage(
     ``lower_bound``.  Otherwise the cut runs at ``k`` as for
     enumeration.  Either way the pieces are ordered by their first
     node in :func:`~repro.core.prune_kernel.node_sort_key` order, which
-    the artifact's ``heads`` record.  A piece above the kernel limit
+    the artifact's ``heads`` record.  A piece of more than ``limit``
+    nodes, the kernel size limit the session read for the query,
     becomes, at its place, the sub-pieces ``{v} + later(v)`` of its
     degeneracy order (:func:`~repro.core.kernel.piece_order`) that have
     at least ``k' + 1`` nodes, in reverse order, so the incumbent grows
@@ -360,8 +337,6 @@ def cut_stage(
     rank = [sort_rank[g] for g in survivors]
     heads: tuple[Node, ...] = ()
     if maximum:
-        # Read at call time: tests monkeypatch the kernel size limit.
-        limit = enumeration_mod.KERNEL_COMPONENT_LIMIT
         by_head = sorted(
             (piece for piece in pieces if len(piece) >= lower_bound),
             key=lambda piece: min(rank[i] for i in piece),
@@ -379,7 +354,7 @@ def cut_stage(
         heads = tuple(
             labels[min(piece, key=rank.__getitem__)] for piece in pieces
         )
-    return CutArtifact(
+    artifact = CutArtifact(
         components=tuple(
             tuple(labels[i] for i in piece) for piece in pieces
         ),
@@ -388,10 +363,10 @@ def cut_stage(
         nodes_after_pruning=len(survivors),
         heads=heads,
         lower_bound=lower_bound,
-        source=(
-            CutRows(labels, rank, rows),
-            [piece for piece in pieces if len(piece) > k],
-        ),
+    )
+    return artifact, (
+        CutRows(labels, rank, rows),
+        [piece for piece in pieces if len(piece) > k],
     )
 
 
@@ -528,7 +503,7 @@ def piece_view(
 
 def maximum_search_stage(
     compiled: CompiledGraph,
-    parts: Sequence[tuple[CutArtifact, dict[int, Any]]],
+    parts: Sequence[tuple[CutArtifact, SearchSource | None, dict[int, Any]]],
     k: int,
     tau_floor: float,
     min_size: int,
@@ -540,9 +515,10 @@ def maximum_search_stage(
     """Run the MaxUC+ component loop, building views on demand into
     each part's memo.
 
-    ``parts`` pairs each graph component's maximum :func:`cut_stage`
-    artifact with its memo dict (ordinal among its components of more
-    than ``k`` nodes -> the view and color list), in canonical
+    ``parts`` gives each graph component's maximum :func:`cut_stage`
+    artifact, the rows that cut read when it ran in this query (``None``
+    for a cached cut), and its memo dict (ordinal among its components
+    of more than ``k`` nodes -> the view and color list), in canonical
     component order.  Returns ``(best, best_size)``: the canonical
     maximum clique — of the maximum cliques, the one whose members,
     sorted by :func:`~repro.core.prune_kernel.node_sort_key`, form the
@@ -568,21 +544,22 @@ def maximum_search_stage(
     is the incumbent's own component, already searched.
 
     A memo is filled lazily as the incumbent chain reaches components
-    (:func:`piece_view`, from the part's ``source``, or on a cached cut
-    from its rows read again by :func:`search_source`, once per part).
+    (:func:`piece_view`, from the part's rows, or on a cached cut from
+    its rows read again by :func:`search_source`, once per part).
     The session caches the dicts, so a warm run finds the cold run's
     entries and builds nothing, and the cold run never builds a view
     the incumbent skips.  The search path is deterministic, so which
     ordinals get filled is too.
     """
-    stats.lower_bound = max((cut.lower_bound for cut, _ in parts), default=0)
+    stats.lower_bound = max(
+        (cut.lower_bound for cut, _, _ in parts), default=0
+    )
     best: list[Node] | None = None
     best_ranks: list[int] = []
     best_size = max(k, stats.lower_bound - 1)
     rank = compiled.sort_rank
     index = compiled.index
-    for cut, memo in parts:
-        source = cut.source
+    for cut, source, memo in parts:
         lookups: dict[int, dict[int, float]] = {}
         searched = [
             (head, component)

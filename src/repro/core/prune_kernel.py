@@ -161,9 +161,11 @@ class CompiledGraph:
     sound because nothing outside the graph reads it across a mutation:
     prune and cut entries hold labels, search views and maximum memos
     hold derived :class:`~repro.core.kernel.CompiledComponent` copies,
-    and a ``maximal_cliques`` generator derives its views before its
-    first yield.  Lazy row mapping and the :meth:`core_ids` memo fill
-    idempotently, so every reader sees the same bytes.
+    and a ``maximal_cliques`` generator copies the rows it searches
+    before its first yield and builds each view from those copies when
+    that view's search starts.  Lazy row mapping and the
+    :meth:`core_ids` memo fill idempotently, so every reader sees the
+    same bytes.
     """
 
     __slots__ = (
@@ -251,10 +253,6 @@ class CompiledGraph:
             ):
                 best = rows
         return best
-
-    def degree(self, i: int) -> int:
-        """Full degree of compiled node ``i``."""
-        return self.row_offsets[i + 1] - self.row_offsets[i]
 
     def core_ids(self) -> "array[int]":
         """Deterministic core number per compiled node (lazy, memoized).

@@ -14,7 +14,7 @@ delegates to the method of the same name.  An anchored query runs on
 the graph's own lowering, which every query on the graph shares, so
 only the first query on a graph pays for lowering it; callers issuing
 repeated queries should still hold a session, which also caches each
-anchored query's cut and search views.
+anchored query's cliques.
 """
 
 from __future__ import annotations

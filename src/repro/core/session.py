@@ -79,7 +79,7 @@ rule, re-peels only the dirty component.
 from __future__ import annotations
 
 from collections import OrderedDict
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from time import perf_counter
 from typing import AbstractSet, Any, Collection, Iterable, Iterator
 
@@ -99,6 +99,11 @@ __all__ = ["PreparedGraph", "SessionCacheStats"]
 
 #: Cache-miss sentinel: no cached value is ever this object.
 _MISSING: Any = object()
+
+#: One graph component's cut, as :meth:`PreparedGraph._cut_artifact`
+#: returns it: ``(cid, epoch, artifact, rows)``, where ``rows`` are the
+#: rows the cut read when it ran in this query, ``None`` on a cache hit.
+_Part = tuple[int, int, pipeline.CutArtifact, pipeline.SearchSource | None]
 
 #: Default LRU bound: stage artifacts can hold component subgraphs and
 #: compiled CSR bundles, so the cache is bounded by entry *count* and
@@ -330,8 +335,7 @@ class PreparedGraph:
             # dirty components over the shared lowering.
             whole_graph = len(missing) == len(parts)
             survivors = pipeline.prune_stage(
-                self._graph, k, tau, pruning,
-                compiled=artifact,
+                artifact, k, tau, pruning,
                 members=None if whole_graph else tuple(
                     u for _, _, dirty in missing for u in dirty
                 ),
@@ -357,9 +361,7 @@ class PreparedGraph:
         tau: float,
         timings: Any,
         maximum: bool = False,
-    ) -> tuple[
-        CompiledGraph, list[tuple[int, int, pipeline.CutArtifact]], int
-    ]:
+    ) -> tuple[CompiledGraph, list[_Part], int]:
         """The graph's lowering, the cut-stage artifact of each graph
         component, and the kernel size limit they were cut at.
 
@@ -373,9 +375,9 @@ class PreparedGraph:
         canonical component order — identical cold and warm by
         construction.  Callers search each part and key *their*
         per-component artifacts (enumeration answers, maximum memos) by
-        it.  A part cut by this call still carries the cut's rows
-        (``source``), which its search reads; the cached entry and a
-        part served from it carry none.
+        it.  A part cut by this call comes with the rows the cut read,
+        which its search reads; the session caches the artifact alone,
+        so a part served from cache comes with ``None``.
 
         ``maximum=True`` resolves the MaxUC+ artifacts instead (the
         ``topk`` rule with the cut; :func:`pipeline.cut_stage` with
@@ -386,11 +388,11 @@ class PreparedGraph:
         ``topk`` rule's survivors are their own (Top_k, tau)-core, which
         :func:`pipeline.cut_stage` is told (``core``).
 
-        The cut splits pieces by :data:`~repro.core.kernel.
-        KERNEL_COMPONENT_LIMIT`, which tests monkeypatch, so it is read
-        once here, keys both cut entries and is returned: an artifact a
-        caller derives from a part (its answers, its search memo) must
-        carry it in its own key too.
+        The kernel size limit, :data:`~repro.core.kernel.
+        KERNEL_COMPONENT_LIMIT`, which tests monkeypatch, is read once
+        here: it is handed to the cut, keys both cut entries and is
+        returned, because an artifact a caller derives from a part (its
+        answers, its search memo) must carry it in its own key too.
 
         Phase laps are recorded only when work actually runs; resolving
         the unified compile (which the cut reads for every rule)
@@ -406,13 +408,14 @@ class PreparedGraph:
                 pruning, k, tau, artifact, graph_parts
             )
         index = artifact.index
-        parts: list[tuple[int, int, pipeline.CutArtifact]] = []
+        parts: list[_Part] = []
         for cid, epoch, members in graph_parts:
             ckey = (
                 ("c", cid, epoch, "maxcut", k, tau, limit) if maximum
                 else ("c", cid, epoch, "cut", pruning, cut, k, tau, limit)
             )
             entry = self._lookup(ckey)
+            source: pipeline.SearchSource | None = None
             if entry is _MISSING:
                 # Compile ids follow graph iteration order.
                 ids = sorted(index[u] for u in survivors[cid])
@@ -420,13 +423,12 @@ class PreparedGraph:
                     entry = pipeline.CutArtifact((), 0, 0, 0)
                 else:
                     with timings.lap("cut"):
-                        entry = pipeline.cut_stage(
-                            artifact, ids, k, tau, cut, maximum,
+                        entry, source = pipeline.cut_stage(
+                            artifact, ids, k, tau, cut, limit, maximum,
                             pruning == "topk",
                         )
-                # The cut's rows are its search's scratch, not cache.
-                self._store(ckey, replace(entry, source=None))
-            parts.append((cid, epoch, entry))
+                self._store(ckey, entry)
+            parts.append((cid, epoch, entry, source))
         return artifact, parts, limit
 
     # ------------------------------------------------------------------
@@ -513,7 +515,7 @@ class PreparedGraph:
         compiled, parts, limit = self._cut_artifact(
             pruning, cut, k, tau, stats.timings
         )
-        cuts = [part for _, _, part in parts]
+        cuts = [part for _, _, part, _ in parts]
         stats.nodes_after_pruning = sum(c.nodes_after_pruning for c in cuts)
         stats.cuts_found = sum(c.cuts_found for c in cuts)
         stats.cut_edges_removed = sum(c.edges_removed for c in cuts)
@@ -531,16 +533,14 @@ class PreparedGraph:
         # patch.
         plan: list[tuple[Any, ...]] = []
         missed = False
-        for cid, epoch, part in parts:
+        for cid, epoch, part, source in parts:
             akey = (
                 "c", cid, epoch, "answers", pruning, cut, k, tau, insearch,
                 insearch_min_candidates, limit,
             )
             entry = self._lookup(akey)
-            source: pipeline.SearchSource | None = None
             if entry is _MISSING:
                 missed = True
-                source = part.source
                 if source is None:
                     source = pipeline.search_source(compiled, part, k)
             plan.append((akey, entry, source))
@@ -558,7 +558,7 @@ class PreparedGraph:
             "pivot_branches", "pivot_skipped", "cliques",
         )
         for akey, entry, source in plan:
-            if source is not None:
+            if entry is _MISSING:
                 local = EnumerationStats()
                 local.timings = stats.timings
                 cliques = tuple(pipeline.enumeration_search_stage(
@@ -623,14 +623,14 @@ class PreparedGraph:
         # Each graph component's memo of the views and colors its
         # search built, filled on demand: a mutation in one component
         # keeps every other component's entries warm.
-        searches: list[tuple[pipeline.CutArtifact, dict[int, Any]]] = []
-        for cid, epoch, part in parts:
+        searches: list[tuple[Any, ...]] = []
+        for cid, epoch, part, source in parts:
             mkey = ("c", cid, epoch, "compile_max", k, tau, limit)
             memo = self._lookup(mkey)
             if memo is _MISSING:
                 memo = {}
                 self._store(mkey, memo)
-            searches.append((part, memo))
+            searches.append((part, source, memo))
         best, best_size = pipeline.maximum_search_stage(
             compiled, searches, k, tau_floor, min_size,
             use_advanced_one, use_advanced_two, insearch, stats,
@@ -678,9 +678,12 @@ class PreparedGraph:
                 members=region,
             )
             if core:
+                # No fixed node died, so ``core`` is the region's whole
+                # (Top_k, tau)-core and the cut can skip its first peel.
                 ids = [compiled.index[u] for u in region if u in core.nodes]
-                source = pipeline.cut_stage(compiled, ids, k, tau, True).source
-                assert source is not None  # an enumeration cut's
+                _, source = pipeline.cut_stage(
+                    compiled, ids, k, tau, True, limit, core=True
+                )
                 cliques = tuple(pipeline.enumeration_search_stage(
                     source, k, threshold_floor(tau), k + 1, True,
                     _enumeration_mod._INSEARCH_MIN_CANDIDATES, limit,

@@ -34,7 +34,6 @@ __all__ = [
     "top_k_product_probability",
     "topk_core",
     "TopKCoreResult",
-    "topk_core_arrays",
     "topk_peel_masks",
 ]
 
@@ -99,36 +98,6 @@ def topk_core(
     if survivors is None:
         return TopKCoreResult(frozenset(), False)
     return TopKCoreResult(survivors, True)
-
-
-def topk_core_arrays(
-    graph: UncertainGraph,
-    k: int,
-    tau: float,
-    compiled: CompiledGraph | None = None,
-    members: Iterable[Node] | None = None,
-) -> frozenset[Node]:
-    """Algorithm 3's peel over a compiled whole-graph array form.
-
-    Array-based fast path for the *pre-search* pruning stage of MUCE++ /
-    MaxUC+ (:func:`topk_core` without the
-    ``fixed`` machinery — the pre-search call has no clique yet).  Since
-    the prune kernel landed this is a thin delegate to
-    :func:`repro.core.prune_kernel.topk_peel`: ``compiled`` supplies a
-    prebuilt :class:`CompiledGraph` (the session layer's shared
-    artifact) and ``members`` restricts the peel to a node subset without
-    building an induced subgraph.  Kept as a named entry point because
-    the pipeline's stage router and its tests patch it by name.
-
-    Parity with :func:`topk_core`: the peel condition is monotone under
-    node removal, so the surviving fixpoint is unique regardless of peel
-    order.  Returns the surviving node set.
-    """
-    if compiled is None:
-        compiled = compile_graph(graph)
-    survivors = topk_peel(compiled, k, tau, members=members)
-    assert survivors is not None  # no fixed set -> never aborts
-    return survivors
 
 
 def topk_peel_masks(

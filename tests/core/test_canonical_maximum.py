@@ -22,6 +22,7 @@ from repro.core.bruteforce import (
     brute_force_maximal_cliques,
     brute_force_maximum_clique,
 )
+from repro.core.kernel import KERNEL_COMPONENT_LIMIT
 from repro.core.maximum import MaximumSearchStats
 from repro.core.pipeline import compile_stage, cut_stage
 from repro.core.prune_kernel import node_sort_key
@@ -118,9 +119,10 @@ def test_lower_bound_is_reported_and_seeds_the_incumbent():
 def _cut_both_ways(graph, k):
     compiled = compile_stage(graph)
     ids = list(range(compiled.n))
+    limit = KERNEL_COMPONENT_LIMIT
     return (
-        cut_stage(compiled, ids, k, TAU, True),
-        cut_stage(compiled, ids, k, TAU, True, True),
+        cut_stage(compiled, ids, k, TAU, True, limit)[0],
+        cut_stage(compiled, ids, k, TAU, True, limit, True)[0],
     )
 
 

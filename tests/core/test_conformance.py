@@ -32,7 +32,8 @@ The query kinds:
 * the gathers of :func:`check_gathers` — the cut's row gather, which
   reads a level index's core rows when they hold every id, against the
   full-row gather of an unindexed lowering, and the search views the
-  cut builds from its rows against the per-component compile.
+  cut builds from its rows against the per-component compile; on every
+  anchored core, the cut with and without its first fringe peel.
 
 Graphs come from one strategy (:func:`tests.core.support.
 uncertain_graphs`): duplicate probabilities, ``p == 1.0`` edges and
@@ -57,7 +58,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 import repro.core.enumeration as enumeration_mod
 import repro.core.pipeline as pipeline_mod
-from repro.core.cut_pruning import induced_rows
+from repro.core.cut_pruning import cut_rows, induced_rows
 from repro import (
     KTauCoreMaintainer,
     PreparedGraph,
@@ -88,7 +89,7 @@ from repro.core.prune_kernel import (
     survival_peel,
     topk_peel,
 )
-from repro.core.topk_core import TopKCoreResult, topk_core, topk_core_arrays
+from repro.core.topk_core import TopKCoreResult, topk_core
 from repro.deterministic.components import connected_components
 from repro.deterministic.coloring import greedy_coloring
 from repro.deterministic.core_decomposition import core_numbers
@@ -502,7 +503,8 @@ def check_readers(
         assert peel(cpg, k, tau) == whole[name], name
     assert dp_core(graph, k, tau, compiled=cpg) == whole["ktau"]
     assert dp_core_plus(graph, k, tau, compiled=cpg) == whole["ktau+"]
-    assert topk_core_arrays(graph, k, tau, compiled=cpg) == whole["topk"]
+    for rule, name in (("topk", "topk"), ("ktau", "ktau+")):
+        assert pipeline_mod.prune_stage(cpg, k, tau, rule) == whole[name]
     assert as_oracle(
         topk_core(graph, k, tau, fixed=fixed, compiled=cpg)
     ) == topk_core_oracle(graph, k, tau, fixed)
@@ -689,7 +691,7 @@ def check_gathers(
     """The cut's gather and the views built from its rows, on id sets
     inside and outside the level index's base core: every ``topk``
     core (bisected from the index when it holds them), the ``ktau`` and
-    ``members=`` survivors, an anchored ``fixed=`` core and the whole
+    ``members=`` survivors, the anchored ``fixed=`` cores and the whole
     graph (``none``).  Each gather equals the full-row gather of an
     unindexed lowering, and reads core rows exactly when an indexed core
     holds every id.  Run with the index as ``cpg`` has it, again with
@@ -698,8 +700,21 @@ def check_gathers(
     k, tau = case.k, case.tau
     full = compile_graph(graph)
     index = cpg.index
-    fixed = set(present(graph, case))
-    region = [u for u in case.members if graph.has_node(u)]
+    anchors = present(graph, case)
+    # Each region an anchored peel runs on, with its fixed set: the
+    # case's members= set, and the regions the session's anchored
+    # queries build from the anchors.
+    regions = [([u for u in case.members if graph.has_node(u)], set(anchors))]
+    if anchors:
+        first = anchors[0]
+        common = set(graph.incident(first)).intersection(
+            *(graph.incident(u) for u in anchors[1:])
+        )
+        regions += [
+            ([*graph.incident(first), first], {first}),
+            ([v for v in graph.incident(first) if v in common] + anchors,
+             set(anchors)),
+        ]
 
     def ascending(nodes: Any) -> list[int]:
         return sorted(index[u] for u in nodes)
@@ -733,20 +748,22 @@ def check_gathers(
                 graph.induced_subgraph([cpg.nodes[g] for g in ids])
             ),
         )
+        limit = enumeration_mod.KERNEL_COMPONENT_LIMIT
         for maximum in (False, True):
-            art = pipeline_mod.cut_stage(cpg, ids, k, tau, case.cut, maximum)
-            assert art == pipeline_mod.cut_stage(
-                full, ids, k, tau, case.cut, maximum
+            art, source = pipeline_mod.cut_stage(
+                cpg, ids, k, tau, case.cut, limit, maximum
             )
-            assert art.source is not None
+            assert art == pipeline_mod.cut_stage(
+                full, ids, k, tau, case.cut, limit, maximum
+            )[0]
             searched = [c for c in art.components if len(c) > k]
             if maximum:
                 check_maximum_views(
-                    graph, searched, art.source,
+                    graph, searched, source,
                     pipeline_mod.search_source(cpg, art, k),
                 )
                 continue
-            views = source_views(art.source, k)
+            views = source_views(source, k)
             assert len(views) == len(searched)
             for component, view in zip(searched, views):
                 if isinstance(view, CompiledComponent):
@@ -774,12 +791,20 @@ def check_gathers(
         sets = [
             list(range(cpg.n)),  # the "none" rule
             ascending(survival_peel(cpg, k, tau)),
-            ascending(topk_peel(cpg, k, tau, members=region)),
+            ascending(topk_peel(cpg, k, tau, members=regions[0][0])),
             *(ascending(topk_peel(cpg, k, t)) for t in (tau, *TAUS)),
         ]
-        anchored = topk_peel(cpg, k, tau, members=region, fixed=fixed)
-        if anchored:
-            sets.append([index[u] for u in region if u in anchored])
+        for region, fixed in regions:
+            anchored = topk_peel(cpg, k, tau, members=region, fixed=fixed)
+            if not anchored:
+                continue
+            ids = [index[u] for u in region if u in anchored]
+            sets.append(ids)
+            # A live anchored core is its region's whole (Top_k,
+            # tau)-core, so the cut's first fringe peel finds nothing
+            # and the session's anchored cut skips it (core=True).
+            rows = induced_rows(cpg, ids)
+            assert cut_rows(rows, k, tau, core=True) == cut_rows(rows, k, tau)
         for ids in sets:
             check(ids)
 
@@ -1124,7 +1149,7 @@ def test_sub_pieces_sharing_a_head_keep_the_smaller_tie(
     monkeypatch.setattr(enumeration_mod, "KERNEL_COMPONENT_LIMIT", 5)
     session = PreparedGraph(graph)
     assert session.max_uc_plus(1, 0.5) == frozenset("abc")
-    ((_, _, art),) = session._cut_artifact(
+    ((_, _, art, _),) = session._cut_artifact(
         "topk", True, 1, 0.5, MaximumSearchStats().timings, maximum=True
     )[1]
     assert art.components == (tuple("def"), tuple("ade"), tuple("abc"))

@@ -174,7 +174,7 @@ class TestConfigurations:
         # pipeline may execute at call time.  Invalid arguments must not
         # raise until the generator is started, and the pre-search core
         # computation must not be reached at all before then.
-        import repro.core.enumeration as enumeration
+        import repro.core.pipeline as pipeline
 
         g = make_random_graph(8, 0.5, seed=3)
         gen = maximal_cliques(g, -1, 0.5)  # invalid k: no raise yet
@@ -184,7 +184,7 @@ class TestConfigurations:
         def boom(*args, **kwargs):
             raise AssertionError("pruning ran before first next()")
 
-        monkeypatch.setattr(enumeration, "topk_core_arrays", boom)
+        monkeypatch.setattr(pipeline, "prune_stage", boom)
         gen = maximal_cliques(g, 2, 0.3)  # pruning not triggered here
         with pytest.raises(AssertionError, match="pruning ran"):
             next(gen)  # ... only here

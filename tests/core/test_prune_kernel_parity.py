@@ -24,7 +24,7 @@ from repro.core.prune_kernel import (
     survival_peel,
     topk_peel,
 )
-from repro.core.topk_core import topk_core, topk_core_arrays
+from repro.core.topk_core import topk_core
 from repro.deterministic.core_decomposition import core_numbers
 from tests.conftest import current_lowering
 from tests.core.oracles import ktau_core_oracle, topk_core_oracle
@@ -111,8 +111,11 @@ def test_artifact_reuse_across_peels() -> None:
 
 
 def test_topk_core_arrays_members_none_never_aborts() -> None:
+    # The pre-search peel: no fixed set, so it returns the core.
     graph = straddle_graph()
-    assert topk_core_arrays(graph, 2, 0.2) == topk_core_oracle(graph, 2, 0.2)
+    assert topk_peel(compile_graph(graph), 2, 0.2) == topk_core_oracle(
+        graph, 2, 0.2
+    )
 
 
 def test_session_shares_one_compile_across_prune_stages() -> None:
