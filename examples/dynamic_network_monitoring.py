@@ -8,17 +8,18 @@ A monitoring loop over a communication network where interactions never
 stop arriving: ties strengthen on repeat contact, new edges appear, and
 stale ones get dropped.  One :class:`PreparedGraph` session owns the
 live graph and a session-mode :class:`KTauCoreMaintainer` absorbs every
-update — each mutation bumps only the touched component's epoch, the
-graph's own lowering (shared by the session and the maintainer) is
-delta-patched forward through the mutation log instead of re-lowered,
-and the maintainer re-peels just the dirty frontier of its (k, tau)-core.
+update — each mutation bumps only the touched component's epoch and
+edits the id rows the graph keeps for its lowering (shared by the
+session and the maintainer), so the lowering is built once and only
+advanced after that, and the maintainer re-peels just the dirty
+frontier of its (k, tau)-core.
 Between update bursts the monitoring queries (enumeration, anchored
 membership) run over that same warm session, which re-peels and re-cuts
 only the dirty components, so each window pays only for what actually
 changed.
 
 The loop prints per-window invalidation accounting straight from the
-session — delta patches vs full compiles of the graph's lowering, live
+session — advances vs first builds of the graph's lowering, live
 vs stale component-scoped artifacts — and the final window cross-checks the incrementally
 maintained core against a cold from-scratch recompute plus a sampled
 verification of the enumerated cliques.
@@ -83,8 +84,8 @@ def main() -> None:
         print(
             f"window {window}: core={len(maintainer.core)} "
             f"groups={groups} "
-            f"lowering: {info['delta_patches']} delta-patched / "
-            f"{info['full_compiles']} full; "
+            f"lowering: {info['delta_patches']} advanced / "
+            f"{info['full_compiles']} built; "
             f"cached artifacts: {retention['component_live']} live, "
             f"{evicted} stale purged"
         )

@@ -234,8 +234,8 @@ def _print_streaming_report(report: StreamingReport) -> None:
             acct = invalidation[stream.stream]
             accounting = (
                 f" [dirtied={acct['components_dirtied_total']}"
-                f" delta={acct['delta_patches']}"
-                f" full={acct['full_compiles']}]"
+                f" advanced={acct['delta_patches']}"
+                f" built={acct['full_compiles']}]"
             )
         print(
             f"  {stream.stream} k={stream.k} tau={stream.tau}: "

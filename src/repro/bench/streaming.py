@@ -8,18 +8,23 @@ stream, interleaved per repetition:
 * **maintain** — one :class:`~repro.core.session.PreparedGraph` session
   with a session-mode :class:`~repro.core.maintenance.KTauCoreMaintainer`
   absorbs every update: the graph bumps only the touched component's
-  epoch, the graph's own lowering is *delta-patched* forward through
-  the mutation log, and the maintainer re-peels just the dirty frontier.
-* **recompute** — the cold baseline: after every update the graph is
-  re-lowered from scratch (:func:`~repro.core.prune_kernel.
-  compile_graph`) and the full (k, tau)-core peel
-  (:func:`~repro.core.prune_kernel.survival_peel`) runs over all nodes —
-  what a caller without the incremental stack pays.
+  epoch and edits the two id rows of the edge's endpoints (``O(deg)``),
+  the graph's own lowering advances its memos past the update (a *delta
+  patch* in the accounting), and the maintainer re-peels just the dirty
+  frontier.
+* **recompute** — the cold baseline: after every update a fresh view
+  over the graph's rows (:func:`~repro.core.prune_kernel.compile_graph`,
+  which ranks every node; the graph builds its rows at the first update
+  and keeps them in step after that) and the full (k, tau)-core peel
+  (:func:`~repro.core.prune_kernel.survival_peel`, which recomputes the
+  core numbers for its prefilter) over all nodes — what a caller
+  without the incremental stack pays.
 
 Streams: ``reweight`` (probability changes on existing edges — the
-headline; the compiled rows are patched in place and the peel cascade is
+headline; each rewrites one entry in two rows and the peel cascade is
 local), ``structural`` (alternating edge insert/delete, exercising the
-CSR splices and component split/merge relabelling), and ``mixed``.
+row appends and deletions and component split/merge relabelling), and
+``mixed``.
 
 Correctness gate: after *every* update the maintained core must be
 set-identical to the cold recompute's — a speedup over a different core
@@ -28,11 +33,12 @@ is not a speedup; any disagreement fails ``repro-bench --check``.
 Invalidation accounting: an unmeasured accounting pass re-runs the
 maintain arm and records, per update, how many components were dirtied
 (their ``(cid, epoch)`` key replaced) and how the lowering misses split
-into delta patches versus full re-lowers.  The pass runs no query and
-the maintainer stores nothing in the session, so there are no cached
+into delta patches (advances of the graph's view) versus full compiles
+(first builds of the graph's rows).  The pass runs no query and the
+maintainer stores nothing in the session, so there are no cached
 artifacts to count.  The totals land in the report's provenance block,
-so the delta-compile claims in ``docs/performance.md`` are measured,
-not asserted.
+so the lowering claims in ``docs/performance.md`` are measured, not
+asserted.
 """
 
 from __future__ import annotations
@@ -207,7 +213,7 @@ def _accounting_pass(
     for update in stream:
         before = set(session.graph.component_keys())
         _maintainer_step(maintainer, update)
-        session._compiled_artifact()  # keep the delta chain hot
+        session._compiled_artifact()  # one advance per update, as a query
         after = set(session.graph.component_keys())
         dirtied += len(before - after)
     info = session.cache_info()

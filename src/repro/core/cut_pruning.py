@@ -139,12 +139,14 @@ def cut_optimize(
     validate_k(k)
     tau = validate_tau(tau)
     compiled = compile_graph(graph)
+    ids = list(compiled.index.values())
     pieces, cuts_found, edges_removed, fringe_peeled = cut_rows(
-        induced_rows(compiled, range(compiled.n)), k, tau
+        induced_rows(compiled, ids), k, tau
     )
     nodes = compiled.nodes
     components = [
-        graph.induced_subgraph([nodes[i] for i in piece]) for piece in pieces
+        graph.induced_subgraph([nodes[ids[i]] for i in piece])
+        for piece in pieces
     ]
     return CutOptimizeResult(
         components, cuts_found, edges_removed, fringe_peeled

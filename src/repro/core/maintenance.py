@@ -15,8 +15,8 @@ deterministic core-maintenance literature the paper cites ([1]):
   re-peeled locally.
 
 Both cascades run as **compiled frontier re-peels** over the graph's
-own lowering (:func:`repro.core.pipeline.lowering`, patched forward
-through the graph's mutation log): each update calls
+own lowering (:func:`repro.core.pipeline.lowering`, a view over the id
+rows the graph keeps in step with each mutation): each update calls
 :func:`~repro.core.prune_kernel.survival_peel` with ``members=`` the
 previous core (plus the candidate region on growth) and ``frontier=``
 the dirty endpoints — the seeded re-peel trusts every untouched member
@@ -174,8 +174,8 @@ class KTauCoreMaintainer:
         """The graph's lowering at its *current* version.
 
         Session mode resolves it through the session, which counts the
-        patch or re-lower in its cache accounting; private mode resolves
-        the private copy's own lowering directly.
+        advance or first build in its cache accounting; private mode
+        resolves the private copy's own lowering directly.
         """
         if self._session is not None:
             return self._session._compiled_artifact()

@@ -4,12 +4,14 @@ The monolithic drivers (``maximal_cliques``, ``max_uc_plus``) are decomposed
 here into four explicit stages, each a pure function from graph state and
 parameters to a deterministic artifact:
 
-* :func:`compile_stage` — the **single whole-graph lowering**: one
-  parameter-free :class:`~repro.core.prune_kernel.CompiledGraph` per graph
-  version serves the prune peels, the cut *and* the per-component search
-  views.  The graph owns it: :func:`lowering` keeps it on the graph and
-  patches it forward through the mutation log, so every session, free
-  function and core maintainer over one graph lowers it once.
+* :func:`compile_stage` — the **single whole-graph lowering**: the
+  graph's id rows, built on first read and kept in step by the graph's
+  mutators, behind one parameter-free
+  :class:`~repro.core.prune_kernel.CompiledGraph` view that serves the
+  prune peels, the cut *and* the per-component search views.  The graph
+  owns it: :func:`lowering` keeps the view on the graph and advances it
+  to each new version, so every session, free function and core
+  maintainer over one graph lowers it once.
 * :func:`prune_stage` — core-based preprocessing (Lemmas 1 and 4): one
   compiled array peel, whose surviving node set it returns.
 * :func:`cut_stage` — cut optimization / component split (Lemma 5) on
@@ -125,24 +127,22 @@ def lowering(graph: UncertainGraph) -> tuple[CompiledGraph, str]:
     resolved: ``"current"``, ``"delta"`` or ``"full"``.
 
     The lowering lives on the graph, so every session, free function and
-    core maintainer over it shares one per version.  A current one is
-    returned as it stands.  One that is behind is patched in place by
-    replaying :meth:`~repro.uncertain.graph.UncertainGraph.
-    mutations_since` its own version (:meth:`CompiledGraph.apply_delta`,
-    bit-identical to a cold re-lower); when the log has a gap or holds
-    a node removal, :func:`compile_stage` lowers the graph afresh.  The
-    slot is cleared while the patch runs, so a patch that raises leaves
-    no half-patched lowering behind.
+    core maintainer over it shares one.  The first read builds it
+    (:func:`compile_stage`, ``"full"``); a current one is returned as it
+    stands.  The graph's mutators keep its rows in step, so one that is
+    behind only has its memos advanced (:meth:`CompiledGraph.
+    apply_delta`, ``"delta"``), whatever the mutations were.  The slot
+    is cleared while that runs, so an advance that raises leaves no
+    half-advanced view behind.
     """
     held = graph._lowering
     if isinstance(held, CompiledGraph):
         if held.version == graph.version:
             return held, "current"
         graph._lowering = None
-        ops = graph.mutations_since(held.version)
-        if ops is not None and held.apply_delta(ops):
-            graph._lowering = held
-            return held, "delta"
+        held.apply_delta(graph.version)
+        graph._lowering = held
+        return held, "delta"
     compiled = compile_stage(graph)
     graph._lowering = compiled
     return compiled, "full"
@@ -192,11 +192,12 @@ def graph_components(graph: UncertainGraph) -> Parts:
 
 
 def compile_stage(graph: UncertainGraph) -> CompiledGraph:
-    """Lower the graph into the unified flat-CSR artifact **once**.
+    """Build the graph's id rows, if nothing has yet, and a view over
+    them.
 
-    Parameter-free (no ``k``, no ``tau``): one compile per graph version
-    serves every prune of every query *and* every search-view derivation,
-    which is why :func:`lowering` keeps this artifact on the graph and
+    Parameter-free (no ``k``, no ``tau``): one view serves every prune
+    of every query *and* every search-view derivation, which is why
+    :func:`lowering` keeps this artifact on the graph and
     the session hands it to each :func:`prune_stage` call — including
     the dirty-component re-peels, which replay over the same arrays via
     ``members=`` — and to :func:`cut_stage`, whose rows, read once from
@@ -248,7 +249,7 @@ class CutArtifact:
 
     ``components`` are the search components as node-label tuples, each
     listing its nodes in graph iteration order — labels, not compile
-    ids, which a full re-lower renumbers.  The counter fields carry
+    ids, which a copy of the graph numbers afresh.  The counter fields carry
     everything the enumeration stats report about the pre-search
     phases, so a warm run fills its stats object identically to the
     cold run that built the artifact.

@@ -1,31 +1,22 @@
-"""Array-compiled graph artifact: flat CSR lowering for prune *and* search.
+"""The whole-graph view the peels, the cut and the search read.
 
 The search stage has run on a compiled bitset kernel since PR 2
 (:mod:`repro.core.kernel`), and since PR 5 the *pruning* stage — the
 paper's headline ``O(m * delta)`` DPCore+ peel (Algorithm 2), the
 dominating (Top_k, tau)-core rule (Algorithm 3) and the cut
-optimization's fringe peels — runs over a flat whole-graph CSR built
-here.  Originally the two sides compiled independently, so a cold query
-lowered every graph twice.  This module now owns the **unified**
-artifact: a stdlib-only, zero-dependency compiler that lowers an
-:class:`~repro.uncertain.graph.UncertainGraph` **once** into dense int
-ids plus flat CSR adjacency/probability layouts that serve every
-stage — the peels read the insertion-order rows directly, and the cut
-optimization gathers its survivor rows from them once
-(:func:`repro.core.cut_pruning.induced_rows`; from a level index's
-core rows when the survivors lie in that core).  The search kernel
-builds its per-component :class:`~repro.core.kernel.CompiledComponent`
-views (bitmask rows, descending-prob CSR) from the cut's rows and
-the precomputed ``sort_rank`` array
-(:func:`repro.core.kernel.derive_component_view`).
-
-The lowering itself is **lazy** per row.  :func:`compile_graph` copies
-the insertion-order neighbour *labels* and probabilities in ``O(m)``,
-with no per-edge dict lookup and no sort; a row's labels are mapped to
-dense ids the first time a reader needs them.  The (Top_k, tau)-core
-peel settles most nodes from their probabilities alone and maps only
-the remnant's rows; whole-graph readers finish the lowering once.  The
-peel loops run entirely over the flat structures:
+optimization's fringe peels — runs over dense integer ids.  The graph
+keeps those ids and each id's incident row itself
+(:class:`~repro.uncertain.graph.IdRows`, built on first read and kept
+in step by every mutator), and this module's :class:`CompiledGraph` is
+a read-only view over them that serves every stage: the peels read the
+insertion-order rows directly, and the cut optimization gathers its
+survivor rows from them once (:func:`repro.core.cut_pruning.
+induced_rows`; from a level index's core rows when the survivors lie
+in that core).  The search kernel builds its per-component
+:class:`~repro.core.kernel.CompiledComponent` views (bitmask rows,
+descending-prob CSR) from the cut's rows and the view's ``sort_rank``
+array (:func:`repro.core.kernel.derive_component_view`).  The peel loops
+run entirely over the id rows:
 
 * :func:`survival_peel` — DPCore+: the forward survival DP of Eq. (5)
   written into a preallocated flat row buffer, the Eq. (6) deletion
@@ -35,20 +26,19 @@ peel loops run entirely over the flat structures:
   sweep discipline preserved — so it reaches the canonical core on
   every input.
 * :func:`distribution_peel` — the Bonchi et al. [16] DPCore baseline
-  (Eqs. 3 and 4) over the same compiled form, with reused column
-  scratch buffers instead of per-column allocations.
+  (Eqs. 3 and 4) over the same rows, with reused column scratch
+  buffers instead of per-column allocations.
 * :func:`topk_peel` — Algorithm 3's (Top_k, tau)-core peel, sorting
   each candidate row's probabilities on the spot, including the
   ``fixed`` (``V_I``) abort the in-search pruning needs; from the
   second whole-graph peel at a ``k`` on, a per-k level index on the
-  artifact answers the whole-graph peels at that ``k`` by bisection.
+  view answers the whole-graph peels at that ``k`` by bisection.
 
 :func:`survival_peel` and :func:`topk_peel` accept an optional ``members``
 subset, walked alone (O(members), not O(n)), so the session's
 dirty-component re-peels, the anchored peels and the maintainer's
-re-peels replay over the *same* compiled arrays instead of building an
-induced scratch subgraph — one compile per graph version serves every
-prune of every query.
+re-peels read the *same* rows instead of building an induced scratch
+subgraph.
 
 Parity contract
 ---------------
@@ -77,11 +67,11 @@ from array import array
 from bisect import bisect_left
 from heapq import heapify, heappop, heappush
 from math import prod
-from typing import AbstractSet, Any, Iterable, Sequence, cast
+from typing import AbstractSet, Iterable, Sequence, cast
 
 from repro.core.tau_degree import STABLE_P_LIMIT
 from repro.deterministic.core_decomposition import core_peel
-from repro.uncertain.graph import Node, UncertainGraph, node_sort_key
+from repro.uncertain.graph import IdRows, Node, UncertainGraph, node_sort_key
 from repro.utils.validation import threshold_floor, validate_k, validate_tau
 
 __all__ = [
@@ -93,147 +83,99 @@ __all__ = [
     "topk_peel",
 ]
 
-#: A level index's core rows: per core id, its in-core ``(neighbour
-#: ids, probabilities)`` in insertion order.
-CoreRows = dict[int, tuple[list[int], list[float]]]
+#: One id's row: neighbour ids and probabilities in insertion order.
+Row = tuple["array[int]", "array[float]"]
+
+#: A level index's core rows: per core id, its in-core row.
+CoreRows = dict[int, Row]
 
 #: One ``k``'s level index: base floor, core ids in peel order, their
 #: levels, and the base core's rows.
 Levels = tuple[float, list[int], list[float], CoreRows]
 
 
+def _ranks(labels: Sequence[Node]) -> list[int]:
+    """Each id's position in :func:`node_sort_key` order over every id
+    (tombstones included; ties keep id order)."""
+    order = sorted(range(len(labels)), key=lambda i: node_sort_key(labels[i]))
+    rank = [0] * len(labels)
+    for r, i in enumerate(order):
+        rank[i] = r
+    return rank
+
+
 class CompiledGraph:
-    """A whole graph lowered to flat CSR lists for peeling *and* search.
+    """A read-only view over a graph's :class:`~repro.uncertain.graph.
+    IdRows`, at one graph ``version``.
 
-    Nodes are densely renumbered in graph iteration order; adjacency and
-    edge probabilities live in parallel CSR layouts sharing one
-    ``row_offsets`` list:
+    ``nodes`` lists each id's label, ``index`` maps each live label to
+    its id, and :meth:`row` returns an id's neighbour ids and
+    probabilities in insertion order, which is what the fresh survival
+    / distribution DPs multiply in, the float sequence of
+    ``incident(u)``.  Tombstone ids (removed nodes) have empty rows and
+    start every whole-graph peel condemned, so no peel returns one.  No
+    sorted row is stored: the (Top_k, tau)-core peel sorts the rows it
+    reads on the spot, and a search view sorts only its member-filtered
+    entries, several times fewer than a survivor's whole-graph row.
 
-    * ``nbr_ids`` / ``nbr_probs`` — **incident order** (the graph's
-      insertion order), which is what the fresh survival / distribution
-      DPs multiply in, the float sequence of ``incident(u)``.  The
-      ids are lowered **lazily per row**: until :meth:`_map_row` maps a
-      row from the flat ``nbr_labels`` copy, its ``nbr_ids`` slots hold
-      ``None`` — so a reader that skips the mapping fails loudly
-      (``dead[None]`` raises) instead of reading node 0's flags.
-      :meth:`_finish_lowering` maps every row at once and drops
-      ``nbr_labels``; the whole-graph readers (the survival and
-      distribution peels, :meth:`core_ids`, :meth:`apply_delta`) call
-      it first, while :func:`topk_peel` and :meth:`row` (the cut's
-      row gather and the view derivation) map only the rows they touch.
+    The view owns no rows, only memos of them:
 
-    No sorted row is stored: the (Top_k, tau)-core peel sorts the
-    ``nbr_probs`` slices it reads on the spot, and a search view sorts
-    only its member-filtered entries — a survivor's whole-graph row is
-    several times longer than its survivor-to-survivor part.
+    * ``sort_rank[i]``, the position of id ``i`` in the library's
+      deterministic :func:`node_sort_key` order.  Restricted to any
+      component's members, ascending rank equals the component's own
+      ascending sort, so component views renumber by one rank sort
+      instead of re-deriving string keys per node.
+    * :meth:`core_ids`, the deterministic core numbers (the DPCore+
+      truncation bound), computed on first use and kept until the rows'
+      ``shape`` changes: (Top_k, tau)-only workloads never pay for
+      them, and reweights keep them.
+    * ``_topk_levels``, which maps each ``k`` a whole-graph
+      :func:`topk_peel` ran at to ``None`` (seen once) or to its level
+      index: the base floor, the core's ids in peel order, their levels,
+      and the base core's rows restricted to the core (:meth:`core_rows`).
 
-    ``sort_rank[i]`` is the position of node ``i`` in the library's
-    deterministic :func:`node_sort_key` order over the whole graph.
-    Restricted to any component's members, ascending rank equals the
-    component's own ascending sort — so component views renumber by one
-    rank sort instead of re-deriving string keys per node.
-
-    The flat layouts are plain Python lists rather than ``array``
-    typecode buffers: the peels index them millions of times, and a
-    list read hands back the stored object while an ``array('d')`` read
-    boxes a fresh float each time — lists measure ~30% faster end to
-    end and make the compile itself ~2x cheaper (no per-element type
-    conversion on build).  ``array`` is kept where it earns its keep:
-    the compact memoized core-number vector.
-
-    Deterministic core numbers (the DPCore+ truncation bound) are
-    computed lazily on first use via a bucket peel over the CSR itself —
-    (Top_k, tau)-only workloads never pay for them.
-
-    ``_topk_levels`` maps each ``k`` a whole-graph :func:`topk_peel` ran
-    at to ``None`` (seen once) or to its level index: the base floor,
-    the core's ids in peel order, their levels, and the base core's
-    rows restricted to the core (:meth:`core_rows`).  It lives as long
-    as this version of the lowering:
-    :meth:`apply_delta` drops it with the first op it applies, and a
-    re-lower starts without it.
-
-    The compile is pure data tied to one graph ``version``.  It lives on
-    the graph it lowers (:func:`repro.core.pipeline.lowering`), so every
-    prune and every search of every session, free function and core
-    maintainer over that graph shares a single lowering, which
-    :meth:`apply_delta` patches **in place** after a mutation.  That is
-    sound because nothing outside the graph reads it across a mutation:
-    prune and cut entries hold labels, search views and maximum memos
-    hold derived :class:`~repro.core.kernel.CompiledComponent` copies,
-    and a ``maximal_cliques`` generator copies the rows it searches
-    before its first yield and builds each view from those copies when
-    that view's search starts.  Lazy row mapping and the
-    :meth:`core_ids` memo fill idempotently, so every reader sees the
-    same bytes.
+    The graph keeps its own view (:func:`repro.core.pipeline.lowering`),
+    so every prune and every search of every session, free function and
+    core maintainer over that graph shares one.  The rows change in
+    place under it with each mutation; :meth:`apply_delta` advances the
+    memos to the graph's version before anyone reads them again.
+    Nothing outside the graph reads the rows across a mutation: prune
+    and cut entries hold labels, search views and maximum memos hold
+    derived :class:`~repro.core.kernel.CompiledComponent` copies, and a
+    ``maximal_cliques`` generator copies the rows it searches before its
+    first yield and builds each view from those copies when that view's
+    search starts.
     """
 
-    __slots__ = (
-        "nodes",
-        "index",
-        "n",
-        "row_offsets",
-        "nbr_labels",
-        "nbr_ids",
-        "nbr_probs",
-        "sort_rank",
-        "version",
-        "_core_ids",
-        "_topk_levels",
-    )
+    __slots__ = ("rows", "version", "sort_rank", "_core_ids", "_topk_levels")
 
-    def __init__(
-        self,
-        nodes: tuple[Node, ...],
-        row_offsets: list[int],
-        nbr_labels: list[Node],
-        nbr_probs: list[float],
-        version: int,
-    ) -> None:
-        self.nodes = nodes
-        self.row_offsets = row_offsets
-        self.nbr_labels: list[Node] | None = nbr_labels
-        # Unmapped slots hold None (see the class docstring); typed as
-        # ids because every reader maps a row before it reads it.
-        self.nbr_ids = cast("list[int]", [None] * len(nbr_labels))
-        self.nbr_probs = nbr_probs
+    def __init__(self, rows: IdRows, version: int) -> None:
+        self.rows = rows
         self.version = version
-        n = len(nodes)
-        self.n = n
-        self.index = {u: i for i, u in enumerate(nodes)}
-        order = sorted(range(n), key=lambda i: node_sort_key(nodes[i]))
-        rank = [0] * n
-        for r, i in enumerate(order):
-            rank[i] = r
-        self.sort_rank = rank
-        self._core_ids: "array[int] | None" = None
+        self.sort_rank = _ranks(rows.labels)
+        self._core_ids: tuple[int, array[int]] | None = None
         self._topk_levels: dict[int, Levels | None] = {}
 
-    def _map_row(self, i: int) -> None:
-        """Map row ``i``'s neighbour labels to dense ids, once."""
-        labels = self.nbr_labels
-        if labels is None:
-            return
-        lo = self.row_offsets[i]
-        hi = self.row_offsets[i + 1]
-        ids = cast("list[int | None]", self.nbr_ids)
-        if lo < hi and ids[lo] is None:
-            ids[lo:hi] = map(self.index.__getitem__, labels[lo:hi])
+    @property
+    def nodes(self) -> list[Node]:
+        """Each id's label (a tombstone keeps its removed label)."""
+        return self.rows.labels
 
-    def _finish_lowering(self) -> None:
-        """Map every row's ids and drop the label copy (idempotent)."""
-        labels = self.nbr_labels
-        if labels is not None:
-            self.nbr_ids[:] = map(self.index.__getitem__, labels)
-            self.nbr_labels = None
+    @property
+    def index(self) -> dict[Node, int]:
+        """Each live node's id, in graph iteration order."""
+        return self.rows.index
 
-    def row(self, i: int) -> tuple[list[int], list[float]]:
-        """Row ``i`` as ``(neighbour ids, probabilities)`` in insertion
-        order, mapping its ids on first read; the lists are copies."""
-        self._map_row(i)
-        lo = self.row_offsets[i]
-        hi = self.row_offsets[i + 1]
-        return self.nbr_ids[lo:hi], self.nbr_probs[lo:hi]
+    @property
+    def n(self) -> int:
+        """The number of ids, tombstones included."""
+        return len(self.rows.labels)
+
+    def row(self, i: int) -> Row:
+        """Id ``i``'s neighbour ids and probabilities in insertion
+        order: the graph's live buffers, to be read before the next
+        mutation."""
+        return self.rows.nbrs[i], self.rows.probs[i]
 
     def core_rows(self, ids: Sequence[int]) -> CoreRows | None:
         """The rows of the smallest indexed (Top_k, tau)-core holding
@@ -255,186 +197,57 @@ class CompiledGraph:
         return best
 
     def core_ids(self) -> "array[int]":
-        """Deterministic core number per compiled node (lazy, memoized).
+        """Deterministic core number per id (lazy, memoized per
+        ``shape`` of the rows).
 
         The Batagelj-Zaversnik peel
         (:func:`~repro.deterministic.core_decomposition.core_peel`) over
-        the CSR rows; the values equal :func:`repro.deterministic.
+        the id rows; the values equal :func:`repro.deterministic.
         core_decomposition.core_numbers` on the source graph (the
         decomposition is a canonical function of the graph, pinned by
-        the parity suite).
+        the parity suite), and a tombstone's is 0.
         """
-        if self._core_ids is None:
-            self._finish_lowering()
-            rf, ids = self.row_offsets, self.nbr_ids
-            core, _ = core_peel(
-                [ids[rf[i]:rf[i + 1]] for i in range(self.n)]
-            )
-            self._core_ids = array("l", core)
-        return self._core_ids
+        shape = self.rows.shape
+        held = self._core_ids
+        if held is None or held[0] != shape:
+            core, _ = core_peel(self.rows.nbrs)
+            held = self._core_ids = (shape, array("l", core))
+        return held[1]
 
-    # ------------------------------------------------------------------
-    # Delta compile
-    # ------------------------------------------------------------------
+    def apply_delta(self, version: int) -> None:
+        """Advance the view to graph ``version`` after mutations.
 
-    #: Mutation-log ops :meth:`apply_delta` can patch in place.
-    #: ``remove_node`` is deliberately absent: deleting a row renumbers
-    #: every dense id, which is a full re-lower by definition.
-    _DELTA_OPS = frozenset(
-        {"set_probability", "add_edge", "remove_edge", "add_node"}
-    )
-
-    def apply_delta(self, ops: Iterable[tuple[Any, ...]]) -> bool:
-        """Patch the artifact in place with a mutation-log slice.
-
-        ``ops`` is the tuple returned by
-        :meth:`repro.uncertain.graph.UncertainGraph.mutations_since` for
-        this artifact's :attr:`version`.  Returns ``True`` when every op
-        was applied — the patched artifact is then equivalent to
-        :func:`compile_graph` on the mutated graph once both are fully
-        lowered (same node order, same insertion-order ids and float
-        sequences; memoized core numbers are dropped by structural
-        ops only, and the (Top_k, tau) level index by any op, since a
-        reweight changes pi_k too) — or ``False`` without
-        touching anything when the slice contains an op the patcher does
-        not support (``remove_node``), in which case the caller must
-        re-lower.
-
-        A patch first finishes the lowering (a one-off ``O(m)`` id
-        mapping on an artifact no whole-graph reader has lowered yet),
-        so the structural ops splice the ids and probabilities only —
-        never a third, label list.  Reweights are then ``O(d)`` (two row
-        writes); structural single-edge ops splice the flat lists
-        (``O(m)`` worst case).
+        The rows are already current; this drops the (Top_k, tau) level
+        index (any mutation can move pi_k, a reweight too) and ranks the
+        labels added since the view was last current.  The core numbers
+        check the rows' ``shape`` themselves.
         """
-        ops = tuple(ops)
-        for entry in ops:
-            if entry[1] not in self._DELTA_OPS:
-                return False
-        if ops:
-            self._topk_levels = {}
-        self._finish_lowering()
-        for entry in ops:
-            op = entry[1]
-            if op == "set_probability":
-                _, _, u, v, _, new_p = entry
-                self._patch_reweight(u, v, new_p)
-            elif op == "add_edge":
-                _, _, u, v, p, new_u, new_v = entry
-                # The graph creates ``u`` before ``v`` (setdefault
-                # order), so the dense numbering must append in the same
-                # order to match a cold compile.
-                if new_u:
-                    self._append_node(u)
-                if new_v:
-                    self._append_node(v)
-                self._insert_edge(u, v, p)
-            elif op == "remove_edge":
-                _, _, u, v, _ = entry
-                self._delete_edge(u, v)
-            else:  # add_node
-                self._append_node(entry[2])
-        if ops:
-            self.version = ops[-1][0]
-        return True
-
-    def _append_node(self, node: Node) -> None:
-        """Append an isolated node (new dense id, empty row)."""
-        i = self.n
-        self.nodes = self.nodes + (node,)
-        self.index[node] = i
-        self.n = i + 1
-        self.row_offsets.append(self.row_offsets[-1])
-        nodes = self.nodes
-        order = sorted(range(self.n), key=lambda j: node_sort_key(nodes[j]))
-        rank = [0] * self.n
-        for r, j in enumerate(order):
-            rank[j] = r
-        self.sort_rank = rank
-        if self._core_ids is not None:
-            self._core_ids.append(0)
-
-    def _row_pos(self, i: int, nbr_id: int) -> int:
-        """Flat position of neighbor ``nbr_id`` within row ``i``."""
-        rf = self.row_offsets
-        ids = self.nbr_ids
-        for j in range(rf[i], rf[i + 1]):
-            if ids[j] == nbr_id:
-                return j
-        raise KeyError((self.nodes[i], self.nodes[nbr_id]))
-
-    def _patch_reweight(self, u: Node, v: Node, new_p: float) -> None:
-        iu = self.index[u]
-        iv = self.index[v]
-        self.nbr_probs[self._row_pos(iu, iv)] = new_p
-        self.nbr_probs[self._row_pos(iv, iu)] = new_p
-        # Reweights leave the deterministic structure — and therefore the
-        # memoized core numbers — untouched.
-
-    def _splice_in(self, i: int, nbr_id: int, p: float) -> None:
-        # The graph appends a new edge at the end of each endpoint's
-        # adjacency dict, so the row end is the insertion-order position.
-        pos = self.row_offsets[i + 1]
-        self.nbr_ids.insert(pos, nbr_id)
-        self.nbr_probs.insert(pos, p)
-        rf = self.row_offsets
-        for t in range(i + 1, len(rf)):
-            rf[t] += 1
-
-    def _splice_out(self, i: int, nbr_id: int) -> None:
-        pos = self._row_pos(i, nbr_id)
-        del self.nbr_ids[pos]
-        del self.nbr_probs[pos]
-        rf = self.row_offsets
-        for t in range(i + 1, len(rf)):
-            rf[t] -= 1
-
-    def _insert_edge(self, u: Node, v: Node, p: float) -> None:
-        iu = self.index[u]
-        iv = self.index[v]
-        self._splice_in(iu, iv, p)
-        self._splice_in(iv, iu, p)
-        self._core_ids = None
-
-    def _delete_edge(self, u: Node, v: Node) -> None:
-        iu = self.index[u]
-        iv = self.index[v]
-        self._splice_out(iu, iv)
-        self._splice_out(iv, iu)
-        self._core_ids = None
+        self._topk_levels = {}
+        if len(self.sort_rank) != len(self.rows.labels):
+            self.sort_rank = _ranks(self.rows.labels)
+        self.version = version
 
 
 def compile_graph(graph: UncertainGraph) -> CompiledGraph:
-    """Lower ``graph`` into the unified :class:`CompiledGraph` (one pass).
+    """A fresh :class:`CompiledGraph` view over ``graph``'s id rows.
 
-    Copies the insertion-order rows in ``O(m)`` — neighbour labels and
-    probabilities, no per-edge id lookup and no sort — plus the
-    ``O(n log n)`` node ranking; row ids are mapped lazily on first
-    read.  The result references nothing of the source graph's
-    adjacency, so later graph mutations cannot corrupt it — the
-    embedded ``version`` tells :func:`repro.core.pipeline.lowering`
-    which mutations to replay into it.
+    Builds the rows on the graph when nothing has yet (``O(m)``: one
+    id lookup per row entry, no sort), then ranks the labels
+    (``O(n log n)``).  The view starts without core numbers or a level
+    index, and reads the rows the graph keeps in step, so it answers
+    for ``graph.version`` until the next mutation.
     """
-    nodes = tuple(graph.nodes())
-    row_offsets = [0]
-    nbr_labels: list[Node] = []
-    nbr_probs: list[float] = []
-    for u in nodes:
-        inc = graph.incident(u)
-        nbr_labels.extend(inc)
-        nbr_probs.extend(inc.values())
-        row_offsets.append(len(nbr_labels))
-    return CompiledGraph(nodes, row_offsets, nbr_labels, nbr_probs,
-                         graph.version)
+    return CompiledGraph(graph.id_rows(), graph.version)
 
 
 def _initial_dead(
     cpg: CompiledGraph, members: Iterable[Node] | None
 ) -> tuple[bytearray, Sequence[int]]:
-    """Liveness seed and the ids a peel walks, ascending: everything,
-    or only ``members`` (so a restricted peel is O(members), not O(n))."""
+    """Liveness seed and the ids a peel walks, ascending: every id with
+    the tombstones dead, or only ``members`` (so a restricted peel is
+    O(members), not O(n))."""
     if members is None:
-        return bytearray(cpg.n), range(cpg.n)
+        return bytearray(cpg.rows.gone), range(cpg.n)
     walk = sorted({cpg.index[u] for u in members})
     dead = bytearray(b"\x01" * cpg.n)
     for i in walk:
@@ -489,10 +302,8 @@ def survival_peel(
     tau = validate_tau(tau)
     n = cpg.n
     tau_floor = threshold_floor(tau)
-    cpg._finish_lowering()
-    rf = cpg.row_offsets
-    ids = cpg.nbr_ids
-    ps = cpg.nbr_probs
+    nbrs = cpg.rows.nbrs
+    probs = cpg.rows.probs
 
     dead, walk = _initial_dead(cpg, members)
     if frontier is None:
@@ -518,10 +329,9 @@ def survival_peel(
         state[off] = 1.0
         state[off + 1 : off + stride] = zero_row
         h = 0
-        for j in range(rf[i], rf[i + 1]):
-            if dead[ids[j]]:
+        for v, p in zip(nbrs[i], probs[i]):
+            if dead[v]:
                 continue
-            p = ps[j]
             q = 1.0 - p
             h += 1
             top = h if h < k else k
@@ -565,8 +375,7 @@ def survival_peel(
             bucket: list[int] = []
             for i in frontier_bucket:
                 dead[i] = 1
-                for j in range(rf[i], rf[i + 1]):
-                    v = ids[j]
+                for v, p in zip(nbrs[i], probs[i]):
                     if dead[v] or queued[v]:
                         continue
                     if not known[v]:
@@ -576,7 +385,6 @@ def survival_peel(
                             queued[v] = 1
                             bucket.append(v)
                         continue
-                    p = ps[j]
                     if p < p_limit:
                         # Eq. (6) in place: read each old entry before
                         # overwriting, tracking the updated predecessor.
@@ -641,13 +449,11 @@ def distribution_peel(cpg: CompiledGraph, k: int, tau: float) -> set[Node]:
     tau = validate_tau(tau)
     n = cpg.n
     tau_floor = threshold_floor(tau)
-    cpg._finish_lowering()
-    rf = cpg.row_offsets
-    ids = cpg.nbr_ids
-    ps = cpg.nbr_probs
+    nbrs = cpg.rows.nbrs
+    probs = cpg.rows.probs
 
-    dead = bytearray(n)
-    max_degree = max((rf[i + 1] - rf[i] for i in range(n)), default=0)
+    dead = bytearray(cpg.rows.gone)
+    max_degree = max(map(len, nbrs), default=0)
     col_buf = [0.0] * (max_degree + 1)
     nxt_buf = [0.0] * (max_degree + 1)
 
@@ -659,15 +465,13 @@ def distribution_peel(cpg: CompiledGraph, k: int, tau: float) -> set[Node]:
 
     def rebuild(i: int) -> int:
         """Fresh lazy Eq. (3) prefix DP over live incident edges."""
-        probs = [
-            ps[j] for j in range(rf[i], rf[i + 1]) if not dead[ids[j]]
-        ]
-        d = len(probs)
+        live = [p for v, p in zip(nbrs[i], probs[i]) if not dead[v]]
+        d = len(live)
         col = col_buf
         nxt = nxt_buf
         col[0] = 1.0
         for h in range(1, d + 1):
-            col[h] = col[h - 1] * (1.0 - probs[h - 1])
+            col[h] = col[h - 1] * (1.0 - live[h - 1])
         eq = [col[d]]
         survival = 1.0
         r = 0
@@ -679,7 +483,7 @@ def distribution_peel(cpg: CompiledGraph, k: int, tau: float) -> set[Node]:
             r = t + 1
             nxt[0] = 0.0
             for h in range(1, d + 1):
-                p = probs[h - 1]
+                p = live[h - 1]
                 nxt[h] = p * col[h - 1] + (1.0 - p) * nxt[h - 1]
             col, nxt = nxt, col
             eq.append(col[d])
@@ -690,7 +494,7 @@ def distribution_peel(cpg: CompiledGraph, k: int, tau: float) -> set[Node]:
 
     frontier_bucket: list[int] = []
     for i in range(n):
-        if rebuild(i) < k:
+        if not dead[i] and rebuild(i) < k:
             queued[i] = 1
             frontier_bucket.append(i)
 
@@ -699,11 +503,9 @@ def distribution_peel(cpg: CompiledGraph, k: int, tau: float) -> set[Node]:
             bucket: list[int] = []
             for i in frontier_bucket:
                 dead[i] = 1
-                for j in range(rf[i], rf[i + 1]):
-                    v = ids[j]
+                for v, p in zip(nbrs[i], probs[i]):
                     if dead[v] or queued[v]:
                         continue
-                    p = ps[j]
                     if p < p_limit:
                         # Eq. (4) in place on the prefix.
                         deg = tau_deg[v]
@@ -767,11 +569,6 @@ def topk_peel(
     matching a peel over an induced subgraph that simply does not
     contain them.
 
-    The peel reads neighbour ids only from the rows it gathers, and maps
-    just those (:meth:`CompiledGraph._map_row`): on an artifact no
-    whole-graph reader has lowered, the prefilter's losers stay
-    unmapped.
-
     **The level index.**  For a fixed ``k`` the cores are nested in tau
     (Lemma 3: pi_k only falls as nodes leave).  The first whole-graph
     call at ``k`` (no ``members`` or ``fixed``) records
@@ -801,7 +598,7 @@ def topk_peel(
     nodes = cpg.nodes
     if k == 0:
         # pi_0 is the empty product 1.0, which clears any valid tau.
-        return frozenset(nodes if members is None else members)
+        return frozenset(cpg.index if members is None else members)
     tau_floor = threshold_floor(tau)
     whole = members is None and not fixed
     index = cpg._topk_levels.get(k) if whole else None
@@ -811,10 +608,8 @@ def topk_peel(
         return frozenset(
             nodes[i] for i in order[bisect_left(levels, tau_floor):]
         )
-    rf = cpg.row_offsets
-    ids = cpg.nbr_ids
-    ps = cpg.nbr_probs
-    map_row = cpg._map_row
+    nbrs = cpg.rows.nbrs
+    probs = cpg.rows.probs
 
     condemned, walk = _initial_dead(cpg, members)
     is_fixed = bytearray(n)
@@ -846,12 +641,11 @@ def topk_peel(
     # phase-1 losers never enter the worklist, so the drain below never
     # walks their edges either — their absence is baked into the
     # phase-2 gather instead.  Each row's probabilities are sorted here
-    # and dropped: phase 1 needs no ids, so the rows it condemns are
-    # never mapped.
+    # and dropped: phase 1 reads no ids.
     for i in walk:
         if condemned[i]:
             continue
-        if below(sorted(ps[rf[i]:rf[i + 1]])):
+        if below(sorted(probs[i])):
             if is_fixed[i]:
                 return None
             condemned[i] = 1
@@ -859,16 +653,12 @@ def topk_peel(
     # Phase 2 — ascending sorted *live* probabilities for the remnant
     # (a sorted-list peel's state), collected before any
     # further condemnation so the drain's bisect-pops stay consistent.
-    # Only these rows are mapped to ids; the drain walks no others.
     vals = cast("list[list[float]]", [None] * n)
     for i in walk:
         if condemned[i]:
             continue
-        map_row(i)
         vals[i] = sorted(
-            ps[j]
-            for j in range(rf[i], rf[i + 1])
-            if not condemned[ids[j]]
+            p for v, p in zip(nbrs[i], probs[i]) if not condemned[v]
         )
 
     stack: list[int] = []
@@ -883,12 +673,11 @@ def topk_peel(
 
     while stack:
         u = stack.pop()
-        for j in range(rf[u], rf[u + 1]):
-            v = ids[j]
+        for v, p in zip(nbrs[u], probs[u]):
             if condemned[v]:
                 continue
             vv = vals[v]
-            idx = bisect_left(vv, ps[j])
+            idx = bisect_left(vv, p)
             vv.pop(idx)
             # The top-k product reads only the last k entries; removing
             # a value strictly below that window leaves v's survival
@@ -914,9 +703,12 @@ def topk_peel(
             # math.prod multiplies left to right, exactly like below().
             rows: CoreRows = {}
             for i in core:
-                lo, hi = rf[i], rf[i + 1]
-                keep = [j for j in range(lo, hi) if not condemned[ids[j]]]
-                rows[i] = [ids[j] for j in keep], [ps[j] for j in keep]
+                ids_in, ps_in = array("l"), array("d")
+                for v, p in zip(nbrs[i], probs[i]):
+                    if not condemned[v]:
+                        ids_in.append(v)
+                        ps_in.append(p)
+                rows[i] = ids_in, ps_in
 
             def pi_k(values: list[float]) -> float:
                 return prod(values[-k:]) if len(values) >= k else 0.0
@@ -935,12 +727,11 @@ def topk_peel(
                     level = value
                 order.append(u)
                 levels.append(level)
-                for j in range(rf[u], rf[u + 1]):
-                    v = ids[j]
+                for v, p in zip(nbrs[u], probs[u]):
                     if condemned[v]:
                         continue
                     vv = vals[v]
-                    idx = bisect_left(vv, ps[j])
+                    idx = bisect_left(vv, p)
                     vv.pop(idx)
                     if idx > len(vv) - k:
                         heappush(heap, (pi_k(vv), v))

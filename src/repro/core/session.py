@@ -12,14 +12,15 @@ UncertainGraph` and routes every query through the staged pipeline of
 
 The whole-graph lowering is **not** the session's: the graph owns it
 (:func:`repro.core.pipeline.lowering`), so every session, every free
-function and the core maintainer over one graph share one lowering per
-version.  A mutation leaves it behind the graph; the next reader
-replays the graph's bounded mutation log into it in place via
+function and the core maintainer over one graph share one lowering.
+It is a view over the id rows the graph keeps in step with every
+mutation; a mutation leaves only the view's memos behind the graph,
+and the next reader advances them via
 :meth:`~repro.core.prune_kernel.CompiledGraph.apply_delta` (a *delta
-compile*), and only a log gap or a node removal re-lowers it from
-scratch.  Each query resolves it once, and the session counts that
-resolution as one hit (current) or one miss (patched or re-lowered) in
-:attr:`cache_stats`.  The graph likewise keeps its per-version
+compile*).  Only the first read of a graph builds the rows (a *full
+compile*).  Each query resolves the lowering once, and the session
+counts that resolution as one hit (current) or one miss (advanced or
+built) in :attr:`cache_stats`.  The graph likewise keeps its per-version
 component walk (:func:`repro.core.pipeline.graph_components`), which
 every session over it shares.
 
@@ -54,10 +55,10 @@ What makes replaying artifacts sound:
   the graph's iteration order, so a cached prune artifact reproduces
   the cold run's component order exactly, whichever peel produced it;
 * cached artifacts hold node labels or derived views (the maximum
-  search's memo), never compile ids, rows or the lowering itself: a
-  full re-lower renumbers every id and a delta patch rewrites rows in
-  place, while an untouched component's entries stay live through
-  both.  Every search view is built from the rows its cut read (a
+  search's memo), never compile ids, rows or the lowering itself: the
+  graph rewrites rows in place with every mutation, and a copy of the
+  graph numbers its ids afresh, while an untouched component's entries
+  stay live through both.  Every search view is built from the rows its cut read (a
   cached cut's read again when a search needs them); enumeration
   views are search scratch and never cached, while MaxUC+ keeps the
   views and colors its incumbent reached in a memo per graph
@@ -122,9 +123,9 @@ class SessionCacheStats:
     lowering, counts exactly one hit or one miss; a query may perform
     several stage lookups per component (prune, cut, answers, ...).
     ``delta_patches`` / ``full_compiles`` split the lowering misses by
-    how they were served: a delta patch replayed the mutation log into
-    the graph's lowering, a full compile re-lowered the graph from
-    scratch.
+    how they were served: a delta patch advanced the graph's view past
+    mutations the rows already hold, a full compile built the graph's
+    rows on its first read.
     """
 
     hits: int = 0
@@ -148,7 +149,7 @@ class PreparedGraph:
     :attr:`~repro.uncertain.graph.UncertainGraph.version` and the
     touched component's epoch; cache keys embed the epoch, so stale
     artifacts are unreachable while untouched components' entries stay
-    warm, and the graph's own lowering is patched forward on next use.
+    warm, and the graph keeps its own lowering's rows in step.
     Sessions over one graph share that lowering.
 
     Example::
@@ -262,22 +263,22 @@ class PreparedGraph:
     # ------------------------------------------------------------------
 
     def _compiled_artifact(self, timings: Any = None) -> CompiledGraph:
-        """The graph's whole-graph flat-CSR lowering at its current
-        version (:func:`pipeline.lowering`).
+        """The graph's whole-graph lowering at its current version
+        (:func:`pipeline.lowering`).
 
         Parameter-free: one lowering serves every peel of every query at
         this version — including the dirty-component re-peels, which
-        replay over the same arrays via ``members=`` — *and* every cut and search-view derivation (the
-        per-component ``CompiledComponent`` bundles are member-filtered
-        from rows read once from it, never recompiled).  It lives on
-        the graph, so every session over the graph shares it.  A query
-        resolves it once.
+        read the same rows via ``members=`` — *and* every cut and
+        search-view derivation (the per-component ``CompiledComponent``
+        bundles are member-filtered from rows read once from it, never
+        recompiled).  It lives on the graph, so every session over the
+        graph shares it.  A query resolves it once.
 
-        A current lowering counts one hit; a delta patch or a full
-        lowering counts one miss plus ``delta_patches`` or
-        ``full_compiles``.  The wall clock is recorded as the
-        ``"compile"`` lap only when patching or lowering actually runs,
-        so warm queries report a zero compile phase.
+        A current lowering counts one hit; an advance or a first build
+        counts one miss plus ``delta_patches`` or ``full_compiles``.
+        The wall clock is recorded as the ``"compile"`` lap only when
+        advancing or building actually runs, so warm queries report a
+        zero compile phase.
         """
         t_start = perf_counter()
         compiled, how = pipeline.lowering(self._graph)
@@ -529,8 +530,8 @@ class PreparedGraph:
         # Each graph component's cached answers, or on a miss what its
         # search reads: the cut's own rows, or a cached cut's read
         # again.  All are resolved before the first yield, so nothing
-        # below reads the lowering, which a mutation between yields may
-        # patch.
+        # below reads the graph's rows, which a mutation between yields
+        # rewrites.
         plan: list[tuple[Any, ...]] = []
         missed = False
         for cid, epoch, part, source in parts:

@@ -40,15 +40,19 @@ component leaves every other component's cached artifacts reachable and
 warm, while the global version stays the correctness backstop for the
 iterator tripwires and cross-process keys.
 
-Each mutation is also appended to a bounded **mutation log**;
-:meth:`mutations_since` replays the exact operation sequence between two
-versions (or reports the log no longer covers it).  The graph carries
-two opaque slots owned by :mod:`repro.core`.  ``_lowering`` holds the
-whole-graph compile every session, free function and core maintainer
-over this graph shares, which :func:`repro.core.pipeline.lowering`
-patches forward through the log
-(:meth:`repro.core.prune_kernel.CompiledGraph.apply_delta`) instead of
-re-lowering the whole graph.  ``_walk`` holds the component walk
+Id rows
+-------
+The peels and the cut read a graph as dense integer ids and per-id
+rows (:class:`IdRows`), and the graph keeps those rows itself: the
+first reader builds them (:meth:`id_rows`, which
+:func:`repro.core.pipeline.compile_stage` calls), and from then on every
+mutator keeps them in step in ``O(deg)``.  Building them lazily keeps
+graph construction free of the work.  The graph also carries two opaque
+slots owned by :mod:`repro.core`.  ``_lowering`` holds the whole-graph
+view over the rows (:class:`repro.core.prune_kernel.CompiledGraph`)
+that every session, free function and core maintainer over this graph
+shares, and which :func:`repro.core.pipeline.lowering` advances to the
+graph's version.  ``_walk`` holds the component walk
 :func:`repro.core.pipeline.graph_components` shares the same way, as
 ``(version, parts)``.  Only a change of component *membership* drops it
 (a new component, a new node joining one, a merge, a split,
@@ -56,13 +60,13 @@ re-lowering the whole graph.  ``_walk`` holds the component walk
 delete that splits nothing the held walk is still the walk, and the
 reader refreshes only its epochs.
 Derived graphs (``copy()``, ``induced_subgraph()``) and pickles carry
-neither: a lowering patched in place for one graph must not be read by
+none of the three: rows kept in step for one graph must not be read by
 another.
 """
 
 from __future__ import annotations
 
-from collections import deque
+from array import array
 from typing import Any, Hashable, Iterable, Iterator, Mapping
 
 from repro.errors import (
@@ -75,12 +79,7 @@ from repro.utils.validation import validate_probability
 
 Node = Hashable
 
-#: Capacity of the bounded mutation log.  Large enough to cover any
-#: realistic burst of updates between two queries, small enough that an
-#: unbounded mutation stream cannot grow memory.
-_MUTLOG_MAXLEN = 512
-
-__all__ = ["UncertainGraph", "Node", "node_sort_key"]
+__all__ = ["UncertainGraph", "IdRows", "Node", "node_sort_key"]
 
 
 def node_sort_key(node: Node) -> tuple[str, str]:
@@ -91,6 +90,90 @@ def node_sort_key(node: Node) -> tuple[str, str]:
     the search kernel and the whole-graph compiler order nodes by it.
     """
     return (type(node).__name__, str(node))
+
+
+class IdRows:
+    """A graph's nodes as dense ids, with each id's incident row.
+
+    ``index`` maps every live node to its id and ``labels`` every id to
+    its node.  A node takes the next id when it is added, so ascending
+    ids are the graph's iteration order.  ``nbrs[i]`` and ``probs[i]``
+    hold node ``i``'s neighbour ids and edge probabilities in
+    ``incident()`` order, as ``array('l')`` and ``array('d')``: a
+    buffer pair per node, whose contents the garbage collector never
+    walks.  A removed node leaves a tombstone: ``gone[i]`` is 1, its
+    rows are empty, ``labels[i]`` keeps its label, and its id is never
+    reused (a re-added label takes a new one).  ``shape`` counts the
+    structural changes (every mutation except a reweight), so a reader
+    can key what depends on the unweighted graph alone on it.
+    """
+
+    __slots__ = ("index", "labels", "gone", "nbrs", "probs", "shape")
+
+    def __init__(self, adj: dict[Node, dict[Node, float]]) -> None:
+        self.labels: list[Node] = list(adj)
+        self.index: dict[Node, int] = {u: i for i, u in enumerate(adj)}
+        self.gone = bytearray(len(adj))
+        # An array fills from a list faster than from an iterator.
+        at = self.index.__getitem__
+        self.nbrs: list[array[int]] = [
+            array("l", list(map(at, row))) for row in adj.values()
+        ]
+        self.probs: list[array[float]] = [
+            array("d", list(row.values())) for row in adj.values()
+        ]
+        self.shape = 0
+
+    def add_node(self, node: Node) -> int:
+        i = len(self.labels)
+        self.index[node] = i
+        self.labels.append(node)
+        self.gone.append(0)
+        self.nbrs.append(array("l"))
+        self.probs.append(array("d"))
+        self.shape += 1
+        return i
+
+    def _id(self, node: Node) -> int:
+        i = self.index.get(node)
+        return self.add_node(node) if i is None else i
+
+    def add_edge(self, u: Node, v: Node, p: float) -> None:
+        # The graph creates a new u before a new v, and so does this.
+        iu = self._id(u)
+        iv = self._id(v)
+        self.nbrs[iu].append(iv)
+        self.probs[iu].append(p)
+        self.nbrs[iv].append(iu)
+        self.probs[iv].append(p)
+        self.shape += 1
+
+    def set_probability(self, u: Node, v: Node, p: float) -> None:
+        iu = self.index[u]
+        iv = self.index[v]
+        self.probs[iu][self.nbrs[iu].index(iv)] = p
+        self.probs[iv][self.nbrs[iv].index(iu)] = p
+
+    def _unlink(self, i: int, j: int) -> None:
+        pos = self.nbrs[i].index(j)
+        del self.nbrs[i][pos]
+        del self.probs[i][pos]
+
+    def remove_edge(self, u: Node, v: Node) -> None:
+        iu = self.index[u]
+        iv = self.index[v]
+        self._unlink(iu, iv)
+        self._unlink(iv, iu)
+        self.shape += 1
+
+    def remove_node(self, node: Node) -> None:
+        i = self.index.pop(node)
+        for j in self.nbrs[i]:
+            self._unlink(j, i)
+        self.gone[i] = 1
+        self.nbrs[i] = array("l")
+        self.probs[i] = array("d")
+        self.shape += 1
 
 
 class UncertainGraph:
@@ -113,7 +196,7 @@ class UncertainGraph:
         "_comp_nodes",
         "_comp_epoch",
         "_next_comp",
-        "_mutlog",
+        "_rows",
         "_lowering",
         "_walk",
     )
@@ -137,7 +220,7 @@ class UncertainGraph:
         self._comp_nodes: dict[int, dict[Node, None]] = {}
         self._comp_epoch: dict[int, int] = {}
         self._next_comp = 0
-        self._mutlog: deque[tuple[Any, ...]] = deque(maxlen=_MUTLOG_MAXLEN)
+        self._rows: IdRows | None = None
         # Opaque to this package; see the module notes.
         self._lowering: object | None = None
         self._walk: Any = None
@@ -225,32 +308,22 @@ class UncertainGraph:
         """
         return tuple(self._comp_nodes[self.component_id(node)])
 
-    def mutations_since(self, version: int) -> tuple[tuple[Any, ...], ...] | None:
-        """The exact operation sequence between ``version`` and now.
+    def id_rows(self) -> IdRows:
+        """The graph's :class:`IdRows`, built on the first call.
 
-        Returns a tuple of log entries ``(version_after, op, *args)`` — one
-        per version bump, oldest first — or ``None`` when the bounded log
-        no longer covers the requested range (caller must rebuild from
-        scratch).  ``op`` is one of ``"add_node"``, ``"add_edge"``,
-        ``"set_probability"``, ``"remove_edge"``, ``"remove_node"``.
+        The mutators keep them in step from then on, so a reader holds
+        the same object across mutations and sees every change.
         """
-        if version > self._version:
-            return None
-        needed = self._version - version
-        if needed == 0:
-            return ()
-        log = self._mutlog
-        if len(log) < needed:
-            return None
-        ops = list(log)[-needed:]
-        if ops[0][0] != version + 1:
-            return None
-        return tuple(ops)
+        rows = self._rows
+        if rows is None:
+            rows = self._rows = IdRows(self._adj)
+        return rows
 
     def __getstate__(self) -> dict[str, Any]:
-        # Pickles and copy.copy / copy.deepcopy start without a lowering
-        # or a component walk.
+        # Pickles and copy.copy / copy.deepcopy start without id rows, a
+        # lowering or a component walk.
         state = {name: getattr(self, name) for name in self.__slots__}
+        state["_rows"] = None
         state["_lowering"] = None
         state["_walk"] = None
         return state
@@ -392,10 +465,6 @@ class UncertainGraph:
     # Mutators
     # ------------------------------------------------------------------
 
-    def _log(self, *entry: Any) -> None:
-        """Append ``(version, op, *args)`` to the bounded mutation log."""
-        self._mutlog.append((self._version, *entry))
-
     def _fresh_component(self, members: dict[Node, None]) -> int:
         """Register a new component with a never-before-used id."""
         self._walk = None
@@ -413,7 +482,8 @@ class UncertainGraph:
             self._adj[node] = {}
             self._version += 1
             self._fresh_component({node: None})
-            self._log("add_node", node)
+            if self._rows is not None:
+                self._rows.add_node(node)
 
     def add_edge(self, u: Node, v: Node, p: float) -> None:
         """Add edge ``(u, v)`` with probability ``p`` in ``(0, 1]``.
@@ -466,20 +536,21 @@ class UncertainGraph:
                     keep_nodes[node] = None
                     self._comp_id[node] = keep
                 self._comp_epoch[keep] = self._version
-        self._log("add_edge", u, v, p, new_u, new_v)
+        if self._rows is not None:
+            self._rows.add_edge(u, v, p)
 
     def set_probability(self, u: Node, v: Node, p: float) -> None:
         """Update the probability of an existing edge."""
         p = validate_probability(p)
         if not self.has_edge(u, v):
             raise EdgeNotFoundError(u, v)
-        old_p = self._adj[u][v]
         self._adj[u][v] = p
         self._adj[v][u] = p
         self._version += 1
         # Reweights never change connectivity: one epoch bump, no re-label.
         self._comp_epoch[self._comp_id[u]] = self._version
-        self._log("set_probability", u, v, old_p, p)
+        if self._rows is not None:
+            self._rows.set_probability(u, v, p)
 
     def _split_piece(
         self, u: Node, v: Node
@@ -533,7 +604,8 @@ class UncertainGraph:
                 del members[node]
             self._comp_epoch[cid] = self._version
             self._fresh_component(piece)
-        self._log("remove_edge", u, v, p)
+        if self._rows is not None:
+            self._rows.remove_edge(u, v)
         return p
 
     def remove_node(self, node: Node) -> None:
@@ -587,7 +659,8 @@ class UncertainGraph:
             # happen (isolated nodes are singleton components), but keep
             # the epoch bump as a defensive backstop.
             self._comp_epoch[cid] = self._version
-        self._log("remove_node", node)
+        if self._rows is not None:
+            self._rows.remove_node(node)
 
     def remove_nodes(self, nodes: Iterable[Node]) -> None:
         """Remove several nodes (each must exist)."""
@@ -605,9 +678,8 @@ class UncertainGraph:
         full component map / epoch vector (deep-copied: mutating the clone
         never touches the source's component bookkeeping, so the source
         session's ``(component id, epoch)``-keyed memos stay valid).  The
-        mutation log, the lowering and the component walk start empty —
-        replaying ops across graph objects is meaningless, so the copy
-        lowers itself afresh.
+        id rows, the lowering and the component walk start empty: the
+        copy builds its own on first read.
         """
         clone = UncertainGraph()
         clone._adj = {u: dict(nbrs) for u, nbrs in self._adj.items()}

@@ -2,8 +2,8 @@
 
 One graph strategy and a few fixed graphs feed the conformance matrix,
 the parity suites and the lowering contract suites; the bit-identity
-assertions compare a lowering or a search view with an independently
-built one, field by field.
+assertions compare a graph's rows or a search view with an
+independently built one, field by field.
 """
 
 from __future__ import annotations
@@ -20,8 +20,10 @@ from repro.core.kernel import (
     CutRows,
     derive_component_view,
 )
-from repro.core.prune_kernel import CompiledGraph
-from repro.uncertain.graph import Node
+from repro.core.prune_kernel import CompiledGraph, compile_graph
+from repro.deterministic.components import connected_components
+from repro.deterministic.core_decomposition import core_numbers
+from repro.uncertain.graph import Node, node_sort_key
 
 #: Few distinct values, so one graph holds many duplicate probabilities,
 #: plus deterministic edges and values on both sides of
@@ -84,8 +86,8 @@ def hub_and_triangle() -> UncertainGraph:
 
 
 def seed_graph() -> UncertainGraph:
-    """A four-node component and a lone edge: the delta patch's
-    single-op fixture."""
+    """A four-node component and a lone edge: the single-mutation
+    fixture of the row-maintenance rows."""
     return UncertainGraph([
         ("a", "b", 0.9), ("b", "c", 0.8), ("a", "c", 0.5), ("c", "d", 0.7),
         ("x", "y", 0.6),
@@ -142,46 +144,34 @@ def assert_views_bit_identical(
     assert list(derived.nbr_probs) == list(compiled.nbr_probs)
 
 
-def component_members(compiled: CompiledGraph) -> list[list[Node]]:
-    """Each connected component's labels in id order, read from the
-    lowering's own (fully mapped) rows."""
-    compiled._finish_lowering()
-    rf = compiled.row_offsets
-    seen = bytearray(compiled.n)
-    members: list[list[Node]] = []
-    for start in range(compiled.n):
-        if seen[start]:
-            continue
-        seen[start] = 1
-        part = [start]
-        for u in part:
-            for v in compiled.nbr_ids[rf[u]:rf[u + 1]]:
-                if not seen[v]:
-                    seen[v] = 1
-                    part.append(v)
-        members.append([compiled.nodes[i] for i in sorted(part)])
-    return members
-
-
-def assert_bit_identical(a: CompiledGraph, b: CompiledGraph) -> None:
-    """Exact equality of two lowerings: labels, version, the
-    insertion-order CSR with its exact float sequences, every
-    component's search view, the fully mapped ids and the core numbers.
-
-    ``a`` may be partly mapped: its views are derived before either side
-    is fully lowered, so its lazily mapped rows are read as they stand.
-    """
-    assert a.version == b.version
-    assert a.nodes == b.nodes
-    assert a.index == b.index
-    assert a.sort_rank == b.sort_rank
-    assert a.row_offsets == b.row_offsets
-    assert a.nbr_probs == b.nbr_probs
-    for members in component_members(b):
+def assert_rows_current(cpg: CompiledGraph, graph: UncertainGraph) -> None:
+    """``cpg`` is a view over ``graph``'s own rows at its version, and
+    those rows are the graph's: each live node's row equals one rebuilt
+    from ``incident()`` in iteration order, each tombstone's is empty
+    and outside the index, ``sort_rank`` equals a fresh ranking, the
+    core numbers equal the graph's, and every component's search view
+    equals one built from a cold copy's rows."""
+    rows = cpg.rows
+    assert rows is graph.id_rows()
+    assert cpg.version == graph.version
+    assert list(rows.index) == graph.nodes()
+    n = cpg.n
+    assert len(rows.gone) == len(rows.nbrs) == len(rows.probs) == n
+    assert sorted(rows.index.values()) == list(rows.index.values())
+    for u, i in rows.index.items():
+        assert rows.labels[i] == u and not rows.gone[i]
+        incident = graph.incident(u)
+        assert list(rows.nbrs[i]) == [rows.index[v] for v in incident]
+        assert list(rows.probs[i]) == list(incident.values())
+    for i in set(range(n)) - set(rows.index.values()):
+        assert rows.gone[i] and not rows.nbrs[i] and not rows.probs[i]
+    ranked = sorted(range(n), key=lambda i: node_sort_key(rows.labels[i]))
+    assert cpg.sort_rank == [ranked.index(i) for i in range(n)]
+    core = cpg.core_ids()
+    assert {u: core[i] for u, i in rows.index.items()} == core_numbers(graph)
+    cold = compile_graph(graph.copy())
+    for component in connected_components(graph):
+        members = [u for u in graph if u in component]
         assert_views_bit_identical(
-            lowering_view(a, members), lowering_view(b, members)
+            lowering_view(cpg, members), lowering_view(cold, members)
         )
-    a._finish_lowering()
-    assert a.nbr_labels is None and b.nbr_labels is None
-    assert a.nbr_ids == b.nbr_ids
-    assert list(a.core_ids()) == list(b.core_ids())

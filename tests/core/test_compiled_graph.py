@@ -1,9 +1,9 @@
 """The per-version lowering shared by both halves of every query.
 
-One :class:`~repro.core.prune_kernel.CompiledGraph` per graph version
-serves the prune peels over its flat CSR, and the search stage derives
+One :class:`~repro.core.prune_kernel.CompiledGraph` view over the
+graph's id rows serves the prune peels, and the search stage derives
 per-component :class:`~repro.core.kernel.CompiledComponent` views from
-the same arrays via :func:`~repro.core.kernel.derive_component_view`.
+the same rows via :func:`~repro.core.kernel.derive_component_view`.
 This suite pins what makes that sound:
 
 * a derived view is **bit-identical** to ``compile_component`` on the
@@ -11,8 +11,8 @@ This suite pins what makes that sound:
   subsets (pruning removes nodes only);
 * a session lowers its graph **once** per version across prune,
   enumeration and maximum queries, and a warm repeat compiles nothing;
-* every reader gives the same answer on a fresh, lazily mapped lowering
-  as on a fully mapped one.
+* every reader gives the same answer on a copy's fresh view as on the
+  graph's own lowering with its level index built.
 """
 
 from __future__ import annotations
@@ -20,6 +20,7 @@ from __future__ import annotations
 from hypothesis import given, settings, strategies as st
 
 from repro import PreparedGraph, UncertainGraph
+from repro.core import pipeline
 from repro.core.enumeration import EnumerationStats
 from repro.core.kernel import compile_component
 from repro.core.prune_kernel import (
@@ -122,8 +123,9 @@ def test_readers_agree_on_fresh_and_lowered_artifacts(
     members = [u for u in graph if data.draw(st.booleans(), label=f"m{u}")]
     fixed = {u for u in members if data.draw(st.booleans(), label=f"f{u}")}
     frontier = [u for u in members if data.draw(st.booleans(), label=f"q{u}")]
-    lowered = compile_graph(graph)
-    lowered._finish_lowering()
+    lowered, _ = pipeline.lowering(graph)
+    topk_peel(lowered, k, tau)
+    topk_peel(lowered, k, tau)
 
     for peel, modes in (
         (distribution_peel, ({},)),
@@ -134,17 +136,17 @@ def test_readers_agree_on_fresh_and_lowered_artifacts(
         )),
     ):
         for kwargs in modes:
-            # A fresh artifact per call: the whole-graph peels map it.
-            assert peel(compile_graph(graph), k, tau, **kwargs) == peel(
+            # A copy's fresh view per call, against the indexed one.
+            fresh = compile_graph(graph.copy())
+            assert peel(fresh, k, tau, **kwargs) == peel(
                 lowered, k, tau, **kwargs
             )
     assert topk_peel(
-        compile_graph(graph), k, tau, members=members, fixed=fixed
+        compile_graph(graph.copy()), k, tau, members=members, fixed=fixed
     ) == topk_peel(lowered, k, tau, members=members, fixed=fixed)
-    fresh = compile_graph(graph)
+    fresh = compile_graph(graph.copy())
     for component in connected_components(graph):
         nodes = list(graph.induced_subgraph(component).nodes())
         assert_views_bit_identical(
             lowering_view(fresh, nodes), lowering_view(lowered, nodes),
         )
-    assert fresh.nbr_labels is not None

@@ -6,18 +6,19 @@ Each query kind is asked in three modes:
 * **warm** — one session (or one lowering) that has answered before: a
   repeat equals the cold answer bit for bit, yield order and counters
   included, and misses nothing in the cache;
-* **mutate** — that warm state carried through a stream of mutations:
-  the graph's lowering is patched in place (or lowered afresh after a
-  ``remove_node``), and every answer equals the oracle and a cold
-  rebuild of the mutated graph.
+* **mutate** — that warm state carried through a stream of mutations,
+  node removals included: the graph keeps its id rows in step, the
+  graph's lowering advances in place, and every answer equals the
+  oracle and a cold rebuild of the mutated graph.
 
 The oracle ladder: brute force over every node subset for graphs of at
 most :data:`BRUTE_FORCE_LIMIT` nodes and the MULE-style search of
 :mod:`tests.core.oracles` above it; that module's naive fixpoints on
 the induced subgraph for every prune;
 :func:`~repro.core.kernel.compile_component` on the induced subgraph
-for every derived search view; a cold
-:func:`~repro.core.prune_kernel.compile_graph` for every delta patch.
+for every derived search view; rows rebuilt from ``incident()`` for
+the rows the mutators keep
+(:func:`tests.core.support.assert_rows_current`).
 
 The query kinds:
 
@@ -28,7 +29,7 @@ The query kinds:
 * the lowering readers of :func:`check_lowering` — the peels of
   :data:`PEELS` over the whole graph, the restricted ones with
   ``members=`` and ``fixed=``, the maintainer's ``frontier=`` re-peel,
-  the core numbers, the derived search views and the delta patch;
+  the core numbers, the derived search views and the rows kept in step;
 * the gathers of :func:`check_gathers` — the cut's row gather, which
   reads a level index's core rows when they hold every id, against the
   full-row gather of an unindexed lowering, and the search views the
@@ -40,10 +41,9 @@ uncertain_graphs`): duplicate probabilities, ``p == 1.0`` edges and
 both ``STABLE_P_LIMIT`` straddles, isolated nodes, mixed int / str
 labels and two or more components, with ``tau`` from a palette or
 exactly a clique's probability.  Regressions pinned by earlier suites
-are the rows of :data:`PINNED`; the fallback paths (a mutation-log gap,
-``remove_node``) and the per-vertex views of a piece above the kernel
-limit have rows that also check the path was taken, and one pass of
-the matrix runs with that limit squeezed.
+are the rows of :data:`PINNED`; the per-vertex views of a piece above
+the kernel limit have rows that also check the path was taken, and one
+pass of the matrix runs with that limit squeezed.
 """
 
 from __future__ import annotations
@@ -94,7 +94,7 @@ from repro.deterministic.components import connected_components
 from repro.deterministic.coloring import greedy_coloring
 from repro.deterministic.core_decomposition import core_numbers
 from repro.uncertain.clique_prob import clique_probability, is_clique
-from repro.uncertain.graph import _MUTLOG_MAXLEN, Node
+from repro.uncertain.graph import Node
 from repro.utils.validation import prob_at_least, threshold_floor
 from tests.conftest import make_random_graph
 from tests.core.oracles import (
@@ -104,7 +104,7 @@ from tests.core.oracles import (
 )
 from tests.core.support import (
     PROBABILITY_PALETTE,
-    assert_bit_identical,
+    assert_rows_current,
     assert_views_bit_identical,
     clique_edges,
     hub_and_triangle,
@@ -457,10 +457,9 @@ def check_queries(case: Case) -> None:
     after = ask_all(session, case)
     assert_oracle(after, cliques, graph, case)
     assert after == ask_all(PreparedGraph(graph.copy()), case)
-    removals = sum(op == "remove_node" for op, *_ in case.mutations)
-    assert session.cache_stats.full_compiles <= 1 + removals
-    if lowered is not None and not removals:
-        assert graph._lowering is lowered  # patched in place, never re-lowered
+    assert session.cache_stats.full_compiles <= 1
+    if lowered is not None:
+        assert graph._lowering is lowered  # advanced, never re-lowered
 
 
 # ----------------------------------------------------------------------
@@ -526,12 +525,13 @@ def check_readers(
         for name in RESTRICTED:
             peel = PEELS[name][0]
             assert peel(cpg, k, tau, members=members) == restricted[name], name
-        # Any frontier reads a lowered artifact as it reads a fresh one.
+        # Any frontier reads a lowered artifact as it reads a copy's.
         frontier = members[::2]
         assert survival_peel(
             cpg, k, tau, members=members, frontier=frontier
         ) == survival_peel(
-            compile_graph(graph), k, tau, members=members, frontier=frontier
+            compile_graph(graph.copy()), k, tau, members=members,
+            frontier=frontier,
         )
         oracle = topk_core_oracle(induced, k, tau, fixed)
         assert topk_peel(cpg, k, tau, members=members, fixed=fixed) == oracle
@@ -724,10 +724,14 @@ def check_gathers(
         for entry in levels.values():
             if entry is not None:  # a core row is its full row in-core
                 core = set(entry[1])
-                assert entry[3] == {
-                    i: tuple(map(list, zip(*[
-                        (j, p) for j, p in zip(*full.row(i)) if j in core
-                    ]))) or ([], [])
+                assert {
+                    i: (list(ids), list(ps))
+                    for i, (ids, ps) in entry[3].items()
+                } == {
+                    i: (
+                        [j for j in full.row(i)[0] if j in core],
+                        [p for j, p in zip(*full.row(i)) if j in core],
+                    )
                     for i in core
                 }
         held = any(
@@ -789,7 +793,7 @@ def check_gathers(
 
     def check_all() -> None:
         sets = [
-            list(range(cpg.n)),  # the "none" rule
+            list(index.values()),  # the "none" rule
             ascending(survival_peel(cpg, k, tau)),
             ascending(topk_peel(cpg, k, tau, members=regions[0][0])),
             *(ascending(topk_peel(cpg, k, t)) for t in (tau, *TAUS)),
@@ -819,43 +823,38 @@ def check_gathers(
 
 
 def assert_core_numbers(graph: UncertainGraph, cpg: CompiledGraph) -> None:
-    assert dict(zip(cpg.nodes, cpg.core_ids())) == core_numbers(graph)
+    core = cpg.core_ids()
+    assert {u: core[i] for u, i in cpg.index.items()} == core_numbers(graph)
 
 
 def check_lowering(case: Case) -> None:
     graph = case.graph.copy()
     k, tau = case.k, case.tau
 
-    # Cold: a fresh lowering, nothing mapped.
+    # Cold: a fresh view, no core numbers, no level index.
     cold = compile_graph(graph)
     check_readers(graph, cold, case)
     assert_core_numbers(graph, cold)
 
-    # Warm: the graph's own lowering, some rows mapped by earlier reads,
-    # and the level index built by a second whole-graph peel at k.
+    # Warm: the graph's own lowering, with the level index built by a
+    # second whole-graph peel at k.
     warm, how = pipeline_mod.lowering(graph)
     assert how == "full"
-    for u in case.members:
-        warm.row(warm.index[u])
     topk_peel(warm, k, tau)
     topk_peel(warm, k, tau)
     check_readers(graph, warm, case)
 
-    # Mutate: the warm lowering patched through the stream (or lowered
-    # afresh after a node removal).
+    # Mutate: the graph keeps its rows in step through the stream, node
+    # removals included, and the warm lowering advances in place.
     for mutation in case.mutations:
         mutate(graph, None, mutation)
-    removals = any(op == "remove_node" for op, *_ in case.mutations)
-    patched, how = pipeline_mod.lowering(graph)
-    assert how == (
-        "full" if removals else "delta" if case.mutations else "current"
-    )
-    assert (patched is warm) == (not removals)
+    advanced, how = pipeline_mod.lowering(graph)
+    assert advanced is warm
+    assert how == ("delta" if case.mutations else "current")
     if case.mutations:
-        assert patched._topk_levels == {}  # every patch drops the index
-    check_readers(graph, patched, case)
-    assert_bit_identical(patched, compile_graph(graph))
-    assert_core_numbers(graph, patched)
+        assert advanced._topk_levels == {}  # every advance drops the index
+    check_readers(graph, advanced, case)
+    assert_rows_current(advanced, graph)
 
     # The maintainer's re-peel: an edge goes, the previous core is
     # trusted, and the peel starts from the edge's endpoints only.
@@ -865,18 +864,17 @@ def check_lowering(case: Case) -> None:
         core = ktau_core_oracle(graph, k, tau)
         graph.remove_edge(u, v)
         expected = ktau_core_oracle(graph, k, tau)
-        repatched, how = pipeline_mod.lowering(graph)
-        assert repatched is patched and how == "delta"
+        assert pipeline_mod.lowering(graph) == (advanced, "delta")
         frontier = [w for w in (u, v) if w in core]
-        for cpg in (repatched, compile_graph(graph)):
+        for cpg in (advanced, compile_graph(graph.copy())):
             assert survival_peel(
                 cpg, k, tau, members=core, frontier=frontier
             ) == expected
-        assert_bit_identical(repatched, compile_graph(graph))
-        # And back: a patch after every row and the core numbers were read.
+        assert_rows_current(advanced, graph)
+        # And back: the edge re-enters at the end of both endpoints' rows.
         graph.add_edge(u, v, p)
-        assert pipeline_mod.lowering(graph) == (patched, "delta")
-        assert_bit_identical(patched, compile_graph(graph))
+        assert pipeline_mod.lowering(graph) == (advanced, "delta")
+        assert_rows_current(advanced, graph)
 
 
 # ----------------------------------------------------------------------
@@ -955,7 +953,7 @@ PINNED: dict[str, Case] = {
     "one-lowering-per-version": _pinned(
         two_cliques(), 2, 0.3, ("add_edge", "c", "x", 0.7)
     ),
-    "partly-mapped-patch": _pinned(
+    "prefiltered-tail-stream": _pinned(
         _clique_with_tail(), 3, 0.3,
         ("reweight", "c0", "c1", 0.35), ("add_edge", "t3", "c4", 0.8),
         ("add_edge", "t29", "fresh", 0.6), ("remove_edge", "t10", "t11", 0.0),
@@ -980,6 +978,10 @@ PINNED: dict[str, Case] = {
         seed_graph(), 1, 0.3, ("reweight", "a", "b", 0.1),
         ("add_edge", "d", "y", 0.55),
     ),
+    "delta-remove-and-re-add-node": _pinned(
+        seed_graph(), 1, 0.3, ("remove_node", "c", "c", 0.0),
+        ("add_edge", "c", "a", 0.9), ("remove_node", "a", "a", 0.0),
+    ),
     **{
         f"patched-peels-k{k}-tau{tau}": _pinned(
             seed_graph(), k, tau, ("reweight", "a", "c", 0.95),
@@ -997,46 +999,8 @@ def test_pinned_rows(case: Case) -> None:
 
 
 # ----------------------------------------------------------------------
-# Fallback and per-vertex rows: each checks its path was taken
+# Per-vertex rows: each checks its path was taken
 # ----------------------------------------------------------------------
-
-
-def _assert_like_a_cold_rebuild(session: PreparedGraph, case: Case) -> None:
-    assert ask_all(session, case) == ask_all(
-        PreparedGraph(session.graph.copy()), case
-    )
-
-
-def test_log_gap_relowers() -> None:
-    graph = two_cliques()
-    case = _pinned(graph, 2, 0.3)
-    session = PreparedGraph(graph)
-    list(session.maximal_cliques(2, 0.3))
-    lowered = graph._lowering
-    assert isinstance(lowered, CompiledGraph)
-    for i in range(_MUTLOG_MAXLEN + 1):
-        graph.set_probability("x", "y", 0.85 if i % 2 else 0.75)
-    assert graph.mutations_since(lowered.version) is None
-    _assert_like_a_cold_rebuild(session, case)
-    assert session.cache_stats.full_compiles == 2
-    assert session.cache_stats.delta_patches == 0
-    assert graph._lowering is not lowered
-
-
-def test_remove_node_is_refused_and_relowered() -> None:
-    # apply_delta refuses a slice holding a remove_node (its own contract
-    # is tests.core.test_delta_compile's): the session lowers afresh.
-    graph = seed_graph()
-    case = _pinned(graph, 1, 0.3)
-    session = PreparedGraph(graph)
-    list(session.maximal_cliques(1, 0.3))
-    lowered = graph._lowering
-    graph.set_probability("a", "b", 0.2)  # patchable...
-    graph.remove_node("c")  # ...but this poisons the whole slice
-    _assert_like_a_cold_rebuild(session, case)
-    assert session.cache_stats.full_compiles == 2
-    assert session.cache_stats.delta_patches == 0
-    assert graph._lowering is not lowered
 
 
 def _k6() -> UncertainGraph:
@@ -1322,32 +1286,3 @@ def test_a_gate_change_between_queries_answers_like_cold(
     after = ask_all(session, case)
     assert after == ask_all(PreparedGraph(graph.copy()), case)
     assert after != before
-
-
-# ----------------------------------------------------------------------
-# Laziness
-# ----------------------------------------------------------------------
-
-
-def test_cold_query_maps_only_the_rows_it_reads() -> None:
-    graph = _clique_with_tail()
-    session = PreparedGraph(graph)
-    cliques = list(session.maximal_cliques(3, 0.3))
-    assert [set(c) for c in cliques] == [{f"c{i}" for i in range(5)}]
-    assert session.cache_stats.full_compiles == 1
-    artifact = graph._lowering
-    assert isinstance(artifact, CompiledGraph)
-    assert artifact.nbr_labels is not None
-    rf = artifact.row_offsets
-    mapped = [
-        i for i in range(artifact.n)
-        if rf[i] < rf[i + 1] and artifact.nbr_ids[rf[i]] is not None
-    ]
-    assert 0 < len(mapped) < artifact.n
-    for i in set(range(artifact.n)) - set(mapped):
-        assert all(x is None for x in artifact.nbr_ids[rf[i]:rf[i + 1]])
-    # Finishing the lowering reproduces the eagerly mapped ids.
-    artifact._finish_lowering()
-    assert artifact.nbr_ids == [
-        artifact.index[v] for u in artifact.nodes for v in graph.incident(u)
-    ]

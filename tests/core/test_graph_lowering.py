@@ -1,19 +1,22 @@
-"""The graph owns its lowering: one compile per graph version, shared.
+"""The graph owns its lowering: one compile per graph, shared.
 
 The whole-graph :class:`~repro.core.prune_kernel.CompiledGraph` lives on
 the :class:`~repro.uncertain.graph.UncertainGraph` it lowers
-(:func:`repro.core.pipeline.lowering`), not in a session's cache.  Every
-session, every free function and the core maintainer over one graph
-therefore read one lowering per version, patched forward in place after
-a mutation.  This suite pins that sharing contract:
+(:func:`repro.core.pipeline.lowering`), not in a session's cache, and
+reads the id rows the graph keeps in step.  Every session, every free
+function and the core maintainer over one graph therefore read one
+lowering, advanced in place after a mutation.  This suite pins that
+sharing contract:
 
 * a second session over a lowered graph compiles nothing and answers
   exactly like the first, counters included;
-* a mutation through any one of them costs exactly one delta patch in
-  total, and every reader then answers like a fresh session on a copy;
-* a patch in place never reaches a reader that holds derived state —
+* a mutation through any one of them costs exactly one advance (a
+  delta patch in the accounting) in total, and every reader then
+  answers like a fresh session on a copy;
+* rows changed in place never reach a reader that holds derived state:
   a ``maximal_cliques`` generator paused between yields, whether its
-  cut was cached or not, or another session's cached entries;
+  cut was cached or not, copied the rows it searches before its first
+  yield, and another session's cached entries hold labels;
 * derived graphs, pickles and ``copy`` / ``deepcopy`` start without a
   lowering, so no two graphs ever share one.
 """
@@ -41,7 +44,7 @@ from repro.core.enumeration import EnumerationStats
 from repro.core.maximum import MaximumSearchStats
 from repro.core.prune_kernel import CompiledGraph, compile_graph
 from tests.conftest import current_lowering, make_random_graph
-from tests.core.support import assert_bit_identical
+from tests.core.support import assert_rows_current
 from tests.core.test_session import _cliques_with_bridges, _record_lookups
 
 
@@ -175,7 +178,8 @@ def test_small_session_lowers_once_per_version(
     graph.remove_node("p")
     _enum(session)
     _max(session)
-    assert calls == [start, graph.version]
+    assert calls == [start]
+    assert session.cache_stats.delta_patches == 2
 
 
 # ----------------------------------------------------------------------
@@ -247,7 +251,7 @@ def test_epoch_only_mutations_refresh_the_walk_without_walking(
 
 
 # ----------------------------------------------------------------------
-# Patching in place never reaches a reader of derived state
+# Rows changed in place never reach a reader of derived state
 # ----------------------------------------------------------------------
 
 
@@ -277,11 +281,8 @@ def test_second_session_between_yields_keeps_the_asked_version(
     second = PreparedGraph(g)
     after = list(second.maximal_cliques(2, 0.3))
     assert after == list(PreparedGraph(g.copy()).maximal_cliques(2, 0.3))
-    if mutation == "remove_edge":
-        assert second.cache_stats.delta_patches == 1
-        assert current_lowering(g) is lowered
-    else:
-        assert second.cache_stats.full_compiles == 1
+    assert second.cache_stats.delta_patches == 1
+    assert current_lowering(g) is lowered
     assert [first, *cliques] == expected
 
 
@@ -319,18 +320,15 @@ def test_cut_hit_with_an_answers_miss_keeps_the_asked_version(
         g.remove_node(22)
     second = PreparedGraph(g)
     assert _enum(second) == _enum(PreparedGraph(g.copy()))
-    if mutation == "remove_edge":
-        assert second.cache_stats.delta_patches == 1
-        assert current_lowering(g) is lowered
-    else:
-        assert second.cache_stats.full_compiles == 1
+    assert second.cache_stats.delta_patches == 1
+    assert current_lowering(g) is lowered
     assert ([first, *cliques], asdict(stats)) == expected
 
 
 def test_cached_entries_survive_a_patch_by_another_reader() -> None:
     # Cut entries hold labels and counters, answers entries cliques and
-    # counters, anchored entries cliques: no view and no row a patch in
-    # place could reach.
+    # counters, anchored entries cliques: no view and no row a mutation
+    # could reach.
     g = _cliques_with_bridges()
     session = PreparedGraph(g)
     _enum(session)
@@ -345,7 +343,7 @@ def test_cached_entries_survive_a_patch_by_another_reader() -> None:
     }
     snapshot = pickle.dumps(entries)
     # A reweight in the third clique, resolved by a free function: the
-    # shared lowering is patched in place under the session's entries.
+    # graph's rows change in place under the session's entries.
     g.set_probability(20, 21, 0.85)
     list(maximal_cliques(g, 2, 0.3))
     assert pickle.dumps(list(session._cache.values())) == snapshot
@@ -365,8 +363,10 @@ def test_resolved_lowering_equals_a_cold_compile() -> None:
     edge = next((u, v) for u, v, _ in g.edges() if u != 0)
     g.remove_edge(*edge)
     g.add_node("lone")
+    g.remove_node(3)
+    g.add_edge(3, "lone", 0.6)
     assert pipeline.lowering(g) == (lowered, "delta")
-    assert_bit_identical(lowered, compile_graph(g))
+    assert_rows_current(lowered, g)
 
 
 def test_a_patch_that_raises_leaves_no_lowering(
@@ -376,8 +376,8 @@ def test_a_patch_that_raises_leaves_no_lowering(
     lowered, _ = pipeline.lowering(g)
     g.add_edge(0, "new", 0.7)
 
-    def broken(self: CompiledGraph, ops: Any) -> bool:
-        raise RuntimeError("patch failed")
+    def broken(self: CompiledGraph, version: int) -> None:
+        raise RuntimeError("advance failed")
 
     monkeypatch.setattr(CompiledGraph, "apply_delta", broken)
     with pytest.raises(RuntimeError):
@@ -556,8 +556,8 @@ def test_a_paused_anchored_generator_keeps_the_asked_version(
     cliques = PreparedGraph(g).cliques_containing("h", 2, 0.3)
     first = next(cliques)
     lowered = current_lowering(g)
-    # Break the clique not yet yielded, and let a second session patch
-    # (or re-lower) the shared lowering before the generator resumes.
+    # Break the clique not yet yielded, and let a second session advance
+    # the shared lowering before the generator resumes.
     rest = "b" if "a1" in first else "a"
     if mutation == "remove_edge":
         g.remove_edge(f"{rest}1", f"{rest}2")
@@ -569,11 +569,8 @@ def test_a_paused_anchored_generator_keeps_the_asked_version(
         PreparedGraph(g.copy()).cliques_containing("h", 2, 0.3)
     )
     assert after != expected
-    if mutation == "remove_edge":
-        assert second.cache_stats.delta_patches == 1
-        assert current_lowering(g) is lowered
-    else:
-        assert second.cache_stats.full_compiles == 1
+    assert second.cache_stats.delta_patches == 1
+    assert current_lowering(g) is lowered
     assert [first, *cliques] == expected
 
 

@@ -323,7 +323,7 @@ def _cliques_with_bridges() -> UncertainGraph:
 class TestSnapshotsAndRelowering:
     """Search components are label tuples; the subgraphs a search reads
     are snapshots of the version asked at, and cached cut entries stay
-    valid through a full re-lower of the compile."""
+    valid through a node removal, which leaves a tombstone id."""
 
     @pytest.mark.parametrize("oversized", [False, True])
     def test_mutation_between_yields_keeps_the_asked_version(
@@ -341,7 +341,7 @@ class TestSnapshotsAndRelowering:
         g.remove_node(22)  # in the last piece, not yet searched
         assert [first, *cliques] == expected
 
-    def test_full_relower_keeps_warm_cut_entries_valid(self, monkeypatch):
+    def test_remove_node_keeps_warm_cut_entries_valid(self, monkeypatch):
         from repro.core import pipeline
 
         g = _cliques_with_bridges()
@@ -349,11 +349,11 @@ class TestSnapshotsAndRelowering:
         list(session.maximal_cliques(2, 0.3))
         session.max_uc_plus(2, 0.3)
         b_key = g.component_key(20)
-        # Node removal renumbers every compile id after it: a full
-        # re-lower, while component B's epoch is untouched.
+        # Node removal leaves a tombstone id and advances the lowering,
+        # while component B's epoch is untouched.
         g.remove_node(1)
         assert g.component_key(20) == b_key
-        superseded = g._lowering
+        lowered = g._lowering
 
         cut_calls: list[object] = []
         cut_stage = pipeline.cut_stage
@@ -366,8 +366,9 @@ class TestSnapshotsAndRelowering:
         monkeypatch.setattr(pipeline, "cut_stage", counting)
         enum = enum_payload(session, 2, 0.3)
         best = max_payload(session, 2, 0.3)
-        assert session.cache_stats.full_compiles == 2
-        assert current_lowering(g) is not superseded
+        assert session.cache_stats.full_compiles == 1
+        assert session.cache_stats.delta_patches == 1
+        assert current_lowering(g) is lowered
         # Component A only: its enumeration cut and its max query's cut.
         assert len(cut_calls) == 2
         b_cut = [

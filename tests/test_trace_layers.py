@@ -51,3 +51,31 @@ def test_queries_record_view_color_and_search_spans(
     assert {"prune", "cut", "search"} <= layers["enum"]
     assert {"cut", "views", "color", "search"} <= layers["max"]
     assert {"prune.anchored", "cut", "search"} <= layers["anchored"]
+
+
+def test_first_query_and_mutations_record_compile_spans() -> None:
+    # The first query on a fresh graph builds its rows (compile.full);
+    # one after a mutation advances the graph's view (compile.delta),
+    # a node removal too.
+    graph = UncertainGraph(
+        clique_edges("abcde", 0.9) + clique_edges("vwxy", 0.9)
+    )
+    session = PreparedGraph(graph)
+    mutations = (
+        lambda: None,
+        lambda: graph.set_probability("a", "b", 0.8),
+        lambda: graph.remove_node("v"),
+    )
+    tracer = Tracer()
+    with installed(tracer):
+        for op, mutate in enumerate(mutations):
+            mutate()
+            with tracer.op(op, "enum"):
+                assert list(session.maximal_cliques(2, 0.3))
+    compiles = [
+        (name, op) for name, _, _, parent, op in tracer.spans
+        if name.startswith("compile.")
+    ]
+    assert compiles == [
+        ("compile.full", 0), ("compile.delta", 1), ("compile.delta", 2),
+    ]

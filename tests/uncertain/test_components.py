@@ -151,35 +151,6 @@ class TestEpochDiscipline:
         assert len(after - before) == 1
 
 
-class TestMutationLog:
-    def test_same_version_yields_empty_slice(self):
-        g = two_triangles()
-        assert g.mutations_since(g.version) == ()
-
-    def test_replays_ops_oldest_first(self):
-        g = two_triangles()
-        v = g.version
-        g.set_probability("a", "b", 0.5)
-        g.add_edge("c", "x", 0.6)
-        ops = g.mutations_since(v)
-        assert ops is not None
-        assert [entry[1] for entry in ops] == ["set_probability", "add_edge"]
-        assert [entry[0] for entry in ops] == [v + 1, v + 2]
-
-    def test_future_version_returns_none(self):
-        g = two_triangles()
-        assert g.mutations_since(g.version + 1) is None
-
-    def test_copy_starts_with_empty_log(self):
-        g = two_triangles()
-        g.set_probability("a", "b", 0.5)
-        clone = g.copy()
-        # The clone cannot replay history it never saw...
-        assert clone.mutations_since(clone.version - 1) is None
-        # ...but the no-op slice is still available.
-        assert clone.mutations_since(clone.version) == ()
-
-
 class TestDerivedGraphs:
     def test_copy_deep_copies_component_state(self):
         g = two_triangles()

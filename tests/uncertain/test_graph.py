@@ -3,6 +3,7 @@
 import pytest
 
 from repro import UncertainGraph
+from repro.uncertain.graph import Node
 from repro.errors import (
     EdgeNotFoundError,
     GraphError,
@@ -217,3 +218,54 @@ class TestEquality:
     def test_unhashable(self):
         with pytest.raises(TypeError):
             hash(UncertainGraph())
+
+
+def _label_rows(
+    graph: UncertainGraph,
+) -> dict[Node, tuple[list[Node], list[float]]]:
+    """Each live node's id row as labels and probabilities."""
+    rows = graph.id_rows()
+    return {
+        u: ([rows.labels[j] for j in rows.nbrs[i]], list(rows.probs[i]))
+        for u, i in rows.index.items()
+    }
+
+
+class TestIdRows:
+    def test_built_on_first_read_only(self, triangle):
+        assert triangle._rows is None
+        rows = triangle.id_rows()
+        assert triangle.id_rows() is rows
+        assert rows.labels == ["a", "b", "c"]
+        assert list(rows.nbrs[0]) == [1, 2]
+        assert list(rows.probs[0]) == [0.9, 0.5]
+
+    def test_mutators_keep_rows_like_incident(self, triangle):
+        rows = triangle.id_rows()
+        triangle.set_probability("a", "c", 0.4)
+        triangle.add_edge("c", "d", 0.7)
+        triangle.remove_edge("a", "b")
+        triangle.add_edge("b", "a", 0.3)
+        triangle.remove_node("c")
+        triangle.add_node("c")
+        assert triangle.id_rows() is rows
+        assert rows.labels == ["a", "b", "c", "d", "c"]
+        assert list(rows.gone) == [0, 0, 1, 0, 0]
+        assert _label_rows(triangle) == {
+            u: (list(triangle.incident(u)),
+                list(triangle.incident(u).values()))
+            for u in triangle
+        }
+
+    def test_shape_ignores_reweights(self, triangle):
+        rows = triangle.id_rows()
+        shape = rows.shape
+        triangle.set_probability("a", "b", 0.2)
+        assert rows.shape == shape
+        triangle.remove_edge("a", "b")
+        assert rows.shape == shape + 1
+
+    def test_derived_graphs_start_without_rows(self, triangle):
+        triangle.id_rows()
+        assert triangle.copy()._rows is None
+        assert triangle.induced_subgraph(["a", "b"])._rows is None
