@@ -4,13 +4,11 @@ Measures the extensions against their natural alternatives:
 
 * top-r search vs full enumeration;
 * incremental core maintenance vs batch recomputation;
-* sampling-based approximate enumeration vs exact MUCE++;
 * anchored containment queries vs filtering a full enumeration.
 """
 
 import pytest
 
-from repro.core.approximate import approximate_maximal_cliques
 from repro.core.enumeration import muce_plus_plus
 from repro.core.ktau_core import dp_core_plus
 from repro.core.maintenance import KTauCoreMaintainer
@@ -85,26 +83,6 @@ def test_extension_maintenance_agrees_with_batch():
     )
 
 
-@pytest.mark.parametrize("samples", (10, 40))
-def test_extension_approximate(benchmark, samples):
-    graph = dataset("askubuntu_like")
-    found = once(
-        benchmark,
-        approximate_maximal_cliques,
-        graph,
-        DEFAULT_K,
-        DEFAULT_TAU,
-        samples=samples,
-        seed=0,
-    )
-    exact = set(muce_plus_plus(graph, DEFAULT_K, DEFAULT_TAU))
-    assert found <= exact
-    recall = len(found) / len(exact) if exact else 1.0
-    benchmark.extra_info.update(
-        recall=round(recall, 4), found=len(found), exact=len(exact)
-    )
-
-
 def test_extension_anchored_query(benchmark):
     graph = dataset(DATASET)
     some_clique = next(muce_plus_plus(graph, DEFAULT_K, DEFAULT_TAU), None)
@@ -118,28 +96,3 @@ def test_extension_anchored_query(benchmark):
         ),
     )
     benchmark.extra_info.update(memberships=len(result))
-
-
-def test_extension_truss_pruning_power(benchmark):
-    """The truss-based pruning rule vs the paper's rules: remaining
-    nodes after each of the three sound prunes on the same graph."""
-    from repro.core.ktau_core import dp_core_plus
-    from repro.core.topk_core import topk_core
-    from repro.core.truss import truss_prune_for_cliques
-
-    graph = dataset("dblp_like")
-    truss_nodes = once(
-        benchmark, truss_prune_for_cliques, graph, DEFAULT_K, DEFAULT_TAU
-    )
-    topk_nodes = topk_core(graph, DEFAULT_K, DEFAULT_TAU).nodes
-    ktau_nodes = dp_core_plus(graph, DEFAULT_K, DEFAULT_TAU)
-    benchmark.extra_info.update(
-        truss_nodes=len(truss_nodes),
-        topk_nodes=len(topk_nodes),
-        ktau_nodes=len(ktau_nodes),
-    )
-    # All three rules are sound, so combining them is too; record the
-    # intersection as the practical upper bound on pruning power.
-    benchmark.extra_info.update(
-        combined=len(set(truss_nodes) & set(topk_nodes))
-    )

@@ -47,10 +47,6 @@ from repro.core import (
     KTauCoreMaintainer,
     PreparedGraph,
     SessionCacheStats,
-    approximate_maximal_cliques,
-    edge_gamma_support,
-    truss_prune_for_cliques,
-    uncertain_truss,
     VerificationReport,
     cliques_containing,
     containing_clique_exists,
@@ -73,7 +69,6 @@ from repro.core import (
     muce_plus_plus,
     tau_core_numbers,
     tau_degree,
-    top_k_product_probability,
     topk_core,
     truncated_tau_degree,
 )
@@ -107,7 +102,6 @@ __all__ = [
     "dp_core",
     "dp_core_plus",
     "tau_core_numbers",
-    "top_k_product_probability",
     "topk_core",
     "TopKCoreResult",
     "cut_optimize",
@@ -134,8 +128,4 @@ __all__ = [
     "KTauCoreMaintainer",
     "VerificationReport",
     "verify_maximal_cliques",
-    "approximate_maximal_cliques",
-    "edge_gamma_support",
-    "uncertain_truss",
-    "truss_prune_for_cliques",
 ]

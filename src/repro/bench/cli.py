@@ -32,8 +32,9 @@ exit status 1 when:
 * the queries suite's compile accounting breaks (a cold session records
   one nonzero compile lap, a warm session records exactly zero).
 
-``--verbose`` prints the per-phase wall-clock breakdown (prune / cut /
-compile / search) recorded by the stats timings.
+``--verbose`` prints the per-phase wall-clock breakdown (compile /
+prune / cut / views / search; MaxUC+ alone laps its view and color
+builds as ``views``) recorded by the stats timings.
 
 ``--suite`` selects which benchmarks run: ``engines`` (the default,
 above), ``queries`` (the repeated-query cold-vs-warm session suite of

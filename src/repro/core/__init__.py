@@ -15,15 +15,10 @@ from repro.core.ktau_core import (
     tau_core_numbers,
 )
 from repro.core.topk_core import (
-    top_k_product_probability,
     topk_core,
     TopKCoreResult,
 )
-from repro.core.cut_pruning import (
-    cut_probability,
-    is_low_probability_cut,
-    cut_optimize,
-)
+from repro.core.cut_pruning import cut_optimize
 from repro.core.enumeration import (
     maximal_cliques,
     muce,
@@ -68,12 +63,6 @@ from repro.core.queries import (
     containing_clique_exists,
 )
 from repro.core.maintenance import KTauCoreMaintainer
-from repro.core.approximate import approximate_maximal_cliques
-from repro.core.truss import (
-    edge_gamma_support,
-    truss_prune_for_cliques,
-    uncertain_truss,
-)
 from repro.core.verification import (
     VerificationReport,
     verify_maximal_cliques,
@@ -90,11 +79,8 @@ __all__ = [
     "dp_core",
     "dp_core_plus",
     "tau_core_numbers",
-    "top_k_product_probability",
     "topk_core",
     "TopKCoreResult",
-    "cut_probability",
-    "is_low_probability_cut",
     "cut_optimize",
     "maximal_cliques",
     "muce",
@@ -127,10 +113,6 @@ __all__ = [
     "is_extendable",
     "containing_clique_exists",
     "KTauCoreMaintainer",
-    "approximate_maximal_cliques",
-    "edge_gamma_support",
-    "uncertain_truss",
-    "truss_prune_for_cliques",
     "VerificationReport",
     "verify_maximal_cliques",
 ]

@@ -41,7 +41,6 @@ order, which makes the cuts independent of ``PYTHONHASHSEED``.
 
 from __future__ import annotations
 
-import math
 from bisect import bisect_left, insort
 from dataclasses import dataclass
 from heapq import heapify, heappop, heappush
@@ -51,15 +50,12 @@ from typing import Iterator, Sequence
 from repro.core.prune_kernel import CompiledGraph, compile_graph
 from repro.uncertain.graph import UncertainGraph
 from repro.utils.validation import (
-    prob_below,
     threshold_floor,
     validate_k,
     validate_tau,
 )
 
 __all__ = [
-    "cut_probability",
-    "is_low_probability_cut",
     "cut_optimize",
     "CutOptimizeResult",
     "induced_rows",
@@ -83,26 +79,6 @@ _GREEDY_SEEDS = 32
 #: the floor in whatever order a later stage multiplies its edges (a
 #: reassociated product of a few hundred factors moves by < 1e-13).
 _BOUND_SAFETY = 1.0 + 1e-9
-
-
-def cut_probability(cut_probs: Sequence[float], k: int) -> float:
-    """``pi_k(E_chi)`` — Eq. (7): the product of the ``k`` largest
-    probabilities in the cut, or 0.0 when the cut has fewer than ``k``
-    edges."""
-    validate_k(k)
-    if len(cut_probs) < k:
-        return 0.0
-    if k == 0:
-        return 1.0
-    return math.prod(sorted(cut_probs, reverse=True)[:k])
-
-
-def is_low_probability_cut(
-    cut_probs: Sequence[float], k: int, tau: float
-) -> bool:
-    """Definition 10: whether the cut's top-k product is below ``tau``."""
-    tau = validate_tau(tau)
-    return prob_below(cut_probability(cut_probs, k), tau)
 
 
 @dataclass

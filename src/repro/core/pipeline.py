@@ -581,7 +581,7 @@ def maximum_search_stage(
                 entry = memo[ordinal] = piece_view(
                     source[0], source[1][ordinal], lookups
                 )
-                stats.timings.add("compile", perf_counter() - t_start)
+                stats.timings.add("views", perf_counter() - t_start)
             comp, color = entry
             t_start = perf_counter()
             found, size = maximum_compiled(

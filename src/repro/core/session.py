@@ -278,7 +278,8 @@ class PreparedGraph:
         counts one miss plus ``delta_patches`` or ``full_compiles``.
         The wall clock is recorded as the ``"compile"`` lap only when
         advancing or building actually runs, so warm queries report a
-        zero compile phase.
+        zero compile phase.  The lap times the lowering alone: MaxUC+
+        records the views and colors it builds as its ``"views"`` lap.
         """
         t_start = perf_counter()
         compiled, how = pipeline.lowering(self._graph)

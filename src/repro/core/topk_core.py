@@ -15,7 +15,6 @@ search branch is dead and the peeling aborts early.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, AbstractSet, Iterable
 
@@ -25,33 +24,15 @@ from repro.core.prune_kernel import (
     topk_peel,
 )
 from repro.uncertain.graph import Node, UncertainGraph
-from repro.utils.validation import validate_k
 
 if TYPE_CHECKING:  # pragma: no cover - type-only (kernel imports us)
     from repro.core.kernel import CompiledComponent
 
 __all__ = [
-    "top_k_product_probability",
     "topk_core",
     "TopKCoreResult",
     "topk_peel_masks",
 ]
-
-
-def top_k_product_probability(
-    graph: UncertainGraph, node: Node, k: int
-) -> float:
-    """``pi_k(u, G)`` — Definition 8.
-
-    The product of the ``k`` highest incident-edge probabilities, or 0.0
-    when the node has fewer than ``k`` incident edges.  ``k == 0`` gives the
-    empty product 1.0.
-    """
-    validate_k(k)
-    probs = sorted(graph.incident(node).values(), reverse=True)
-    if len(probs) < k:
-        return 0.0
-    return math.prod(probs[:k])
 
 
 @dataclass(frozen=True)

@@ -17,11 +17,7 @@ from repro.deterministic.components import (
     component_subgraphs,
     is_connected,
 )
-from repro.deterministic.cliques import (
-    bron_kerbosch,
-    bron_kerbosch_degeneracy,
-    maximum_clique_size,
-)
+from repro.deterministic.cliques import bron_kerbosch
 
 __all__ = [
     "core_numbers",
@@ -34,6 +30,4 @@ __all__ = [
     "component_subgraphs",
     "is_connected",
     "bron_kerbosch",
-    "bron_kerbosch_degeneracy",
-    "maximum_clique_size",
 ]

@@ -2,24 +2,18 @@
 
 Uncertain (k, tau)-cliques are, in particular, cliques of the deterministic
 graph ``~G``; the classic Bron-Kerbosch algorithm [40] with Tomita's greedy
-pivoting [7] and Eppstein et al.'s degeneracy-ordered outer loop [9] serves
-three roles here:
-
-* a reference for how the set-enumeration search in
-  :mod:`repro.core.enumeration` generalises the deterministic case
-  (``tau = 0`` reduces one to the other, which the test suite checks);
-* a fast pre-filter in a few examples;
-* a baseline in the benchmark harness.
+pivoting [7] is the reference for how the set-enumeration search in
+:mod:`repro.core.enumeration` generalises the deterministic case
+(``tau = 0`` reduces one to the other, which the test suite checks).
 """
 
 from __future__ import annotations
 
 from typing import Iterator
 
-from repro.deterministic.core_decomposition import degeneracy_ordering
 from repro.uncertain.graph import Node, UncertainGraph
 
-__all__ = ["bron_kerbosch", "bron_kerbosch_degeneracy", "maximum_clique_size"]
+__all__ = ["bron_kerbosch"]
 
 
 def _pivot_expand(
@@ -54,31 +48,3 @@ def bron_kerbosch(graph: UncertainGraph) -> Iterator[frozenset[Node]]:
     """Yield all maximal cliques of the deterministic graph ``~G``."""
     yield from _pivot_expand(graph, [], set(graph.nodes()), set())
 
-
-def bron_kerbosch_degeneracy(graph: UncertainGraph) -> Iterator[frozenset[Node]]:
-    """Bron-Kerbosch with a degeneracy-ordered outer loop [9].
-
-    Processes each node ``v`` in degeneracy order with candidates limited to
-    later neighbors — the standard trick that bounds the recursion width by
-    the degeneracy and enumerates each maximal clique exactly once.
-    """
-    order = degeneracy_ordering(graph)
-    position = {u: i for i, u in enumerate(order)}
-    for u in order:
-        nbrs = set(graph.neighbors(u))
-        candidates = {v for v in nbrs if position[v] > position[u]}
-        excluded = {v for v in nbrs if position[v] < position[u]}
-        yield from _pivot_expand(graph, [u], candidates, excluded)
-
-
-def maximum_clique_size(graph: UncertainGraph) -> int:
-    """Size of the largest clique of ``~G`` (0 for an empty graph).
-
-    Simple branch-and-bound on top of the degeneracy-ordered enumeration;
-    adequate for the sparse graphs this library targets.
-    """
-    best = 1 if graph.num_nodes else 0
-    for clique in bron_kerbosch_degeneracy(graph):
-        if len(clique) > best:
-            best = len(clique)
-    return best

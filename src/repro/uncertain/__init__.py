@@ -23,13 +23,6 @@ from repro.uncertain.statistics import (
     probability_histogram,
     summarize,
     GraphSummary,
-    node_set_reliability,
-)
-from repro.uncertain.transform import (
-    filter_edges,
-    threshold_filter,
-    rescale_probabilities,
-    condition_on_edge,
 )
 from repro.uncertain.io import (
     read_edge_list,
@@ -58,11 +51,6 @@ __all__ = [
     "probability_histogram",
     "summarize",
     "GraphSummary",
-    "node_set_reliability",
-    "filter_edges",
-    "threshold_filter",
-    "rescale_probabilities",
-    "condition_on_edge",
     "read_edge_list",
     "write_edge_list",
     "read_weighted_edge_list",

@@ -1,19 +1,13 @@
 """Descriptive statistics of uncertain graphs.
 
 Companion utilities for dataset inspection and the experiment reports:
-expected degrees, probability histograms, and the reliability of a node
-set (the probability that its induced possible world is connected — the
-classic uncertain-graph reliability notion of Jin et al. [34], computed
-exactly for small sets and by Monte Carlo otherwise).
+expected degrees, probability histograms and a one-look summary.
 """
 
 from __future__ import annotations
 
 import math
-import random
-from collections import deque
 from dataclasses import dataclass
-from typing import Iterable, Sequence
 
 from repro.errors import ParameterError
 from repro.uncertain.graph import Node, UncertainGraph
@@ -24,7 +18,6 @@ __all__ = [
     "probability_histogram",
     "GraphSummary",
     "summarize",
-    "node_set_reliability",
 ]
 
 
@@ -87,76 +80,3 @@ def summarize(graph: UncertainGraph) -> GraphSummary:
         max_probability=max(probs) if probs else 0.0,
     )
 
-
-def _is_connected_world(
-    members: Sequence[Node],
-    adjacency: dict[Node, list[tuple[Node, float]]],
-    present: set[frozenset[Node]],
-) -> bool:
-    """Connectivity of ``members`` using only the ``present`` edges."""
-    start = members[0]
-    seen = {start}
-    queue = deque([start])
-    while queue:
-        u = queue.popleft()
-        for v, _ in adjacency[u]:
-            if v not in seen and frozenset((u, v)) in present:
-                seen.add(v)
-                queue.append(v)
-    return len(seen) == len(members)
-
-
-def node_set_reliability(
-    graph: UncertainGraph,
-    nodes: Iterable[Node],
-    samples: int = 5000,
-    seed: int | None = None,
-    exact_edge_limit: int = 18,
-) -> float:
-    """Probability that the subgraph induced by ``nodes`` is connected.
-
-    Uses exact world enumeration when the induced subgraph has at most
-    ``exact_edge_limit`` edges, Monte-Carlo sampling otherwise.  Singleton
-    sets are connected with probability 1; the empty set raises.
-    """
-    members = list(dict.fromkeys(nodes))
-    if not members:
-        raise ParameterError("reliability of the empty set is undefined")
-    if len(members) == 1:
-        return 1.0
-    sub = graph.induced_subgraph(members)
-    adjacency = {
-        u: list(sub.incident(u).items()) for u in members
-    }
-    edges = list(sub.edges())
-    if not edges:
-        return 0.0
-
-    if len(edges) <= exact_edge_limit:
-        total = 0.0
-        for mask in range(1 << len(edges)):
-            prob = 1.0
-            present: set[frozenset[Node]] = set()
-            for bit, (u, v, p) in enumerate(edges):
-                if mask >> bit & 1:
-                    prob *= p
-                    present.add(frozenset((u, v)))
-                else:
-                    prob *= 1.0 - p
-            if prob and _is_connected_world(members, adjacency, present):
-                total += prob
-        return total
-
-    if samples <= 0:
-        raise ParameterError(f"samples must be positive, got {samples}")
-    rng = random.Random(seed)
-    hits = 0
-    for _ in range(samples):
-        present = {
-            frozenset((u, v))
-            for u, v, p in edges
-            if rng.random() < p
-        }
-        if _is_connected_world(members, adjacency, present):
-            hits += 1
-    return hits / samples

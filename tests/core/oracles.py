@@ -1,10 +1,11 @@
 """Independent reference oracles for the search and the peels.
 
 Each oracle is written from the definition, shares no code with the
-library beyond the graph type, the node order and the tolerant
-threshold test :func:`~repro.utils.validation.prob_at_least` and the
-clique probability :func:`~repro.uncertain.clique_prob.clique_probability`,
-and is slow on purpose: nothing is pruned, cached or compiled.
+library beyond the graph type, the node order, the tolerant
+threshold test :func:`~repro.utils.validation.prob_at_least`, the check
+:func:`~repro.utils.validation.validate_k` and the clique probability
+:func:`~repro.uncertain.clique_prob.clique_probability`, and is slow on
+purpose: nothing is pruned, cached or compiled.
 
 * :func:`mule_maximal_cliques` — the maximal (k, tau)-cliques by a
   MULE-style depth-first search (Mukherjee et al.): a maximal
@@ -17,6 +18,10 @@ and is slow on purpose: nothing is pruned, cached or compiled.
   every node that fails its rule on the current node set, all at once,
   until none does.  Both rules are monotone under node removal, so the
   greatest fixpoint is the peels' unique core.
+* :func:`top_k_product` — the top-k product ``pi_k`` both rules of the
+  paper's pruning read: Definition 8 over a node's incident
+  probabilities, Eq. 7 over a cut's; :func:`is_low_probability_cut`
+  is Definition 10 on a cut.
 * :func:`basic_color_bound`, :func:`advanced_color_bound_one` and
   :func:`advanced_color_bound_two` — §V's color bounds (the basic
   ``col(C)``, Eq. 8's ``r-bar`` and Eq. 9's ``s-bar``) on a dict
@@ -29,21 +34,23 @@ and is slow on purpose: nothing is pruned, cached or compiled.
 from __future__ import annotations
 
 import math
-from typing import AbstractSet, Callable, Iterable, Sequence
+from typing import AbstractSet, Callable, Collection, Iterable, Sequence
 
 from repro.core.prune_kernel import node_sort_key
 from repro.uncertain.clique_prob import clique_probability
 from repro.uncertain.graph import Node, UncertainGraph
-from repro.utils.validation import prob_at_least
+from repro.utils.validation import prob_at_least, validate_k
 
 __all__ = [
     "advanced_color_bound_one",
     "advanced_color_bound_two",
     "basic_color_bound",
+    "is_low_probability_cut",
     "ktau_core_oracle",
     "mule_maximal_cliques",
     "prefix_budget",
     "tau_core_numbers_oracle",
+    "top_k_product",
     "topk_core_oracle",
 ]
 
@@ -125,12 +132,22 @@ def mule_maximal_cliques(
     return found
 
 
-def _top_k_product(probs: list[float], k: int) -> float:
-    """The product of the ``k`` largest of ``probs`` (Definition 8), 0.0
-    when there are fewer than ``k``, multiplied in ascending order."""
+def top_k_product(probs: Collection[float], k: int) -> float:
+    """The product of the ``k`` largest of ``probs``, 0.0 when there are
+    fewer than ``k`` and 1.0 when ``k == 0``, multiplied in ascending
+    order: ``pi_k(u)`` (Definition 8) over a node's incident
+    probabilities, ``pi_k(E_chi)`` (Eq. 7) over a cut's."""
+    validate_k(k)
     if len(probs) < k:
         return 0.0
     return math.prod(sorted(probs)[len(probs) - k:])
+
+
+def is_low_probability_cut(
+    cut_probs: Collection[float], k: int, tau: float
+) -> bool:
+    """Definition 10: whether the cut's top-k product is below ``tau``."""
+    return not prob_at_least(top_k_product(cut_probs, k), tau)
 
 
 def _at_least(probs: list[float], k: int) -> float:
@@ -171,7 +188,7 @@ def topk_core_oracle(
     """The (Top_k, tau)-core (Definition 9), or ``None`` when it misses
     a ``fixed`` node of ``graph`` (Algorithm 3's ``V_I`` abort; fixed
     nodes outside ``graph`` never abort)."""
-    core = _fixpoint(graph, _top_k_product, k, tau)
+    core = _fixpoint(graph, top_k_product, k, tau)
     if any(graph.has_node(u) and u not in core for u in fixed):
         return None
     return frozenset(core)

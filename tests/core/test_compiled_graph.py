@@ -23,6 +23,7 @@ from repro import PreparedGraph, UncertainGraph
 from repro.core import pipeline
 from repro.core.enumeration import EnumerationStats
 from repro.core.kernel import compile_component
+from repro.core.maximum import MaximumSearchStats
 from repro.core.prune_kernel import (
     CompiledGraph,
     compile_graph,
@@ -108,6 +109,18 @@ def test_cold_query_times_one_compile_and_warm_times_none() -> None:
     list(session.maximal_cliques(1, 0.5))
     assert _lowering_of(session) is lowered
     assert session.cache_stats.full_compiles == 1
+
+
+def test_cold_maximum_over_a_warm_lowering_times_views_not_compile() -> None:
+    # The compile lap times the lowering alone: a fresh session over a
+    # graph already lowered builds MaxUC+'s views and colors under the
+    # views lap.
+    graph = two_cliques()
+    pipeline.lowering(graph)
+    stats = MaximumSearchStats()
+    assert PreparedGraph(graph).max_uc_plus(2, 0.3, stats=stats)
+    assert stats.timings.seconds("compile") == 0.0
+    assert stats.timings.seconds("views") > 0.0
 
 
 @settings(max_examples=60, deadline=None)

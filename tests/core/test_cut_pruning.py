@@ -15,38 +15,37 @@ from repro.core.cut_pruning import (
     _fringe_peel,
     _split,
     _sweep_split,
-    cut_probability,
     cut_rows,
     induced_rows,
-    is_low_probability_cut,
 )
 from repro.core.prune_kernel import compile_graph, topk_peel
 from repro.errors import ParameterError
-from repro.utils.validation import prob_below, threshold_floor
+from repro.utils.validation import threshold_floor
 from tests.conftest import (
     make_clique,
     make_random_graph,
     make_second_sweep_graph,
 )
+from tests.core.oracles import is_low_probability_cut, top_k_product
 from tests.core.support import PROBABILITY_PALETTE, uncertain_graphs
 
 
 class TestCutProbability:
     def test_top_k_product(self):
-        assert cut_probability([0.9, 0.5, 0.8], 2) == pytest.approx(0.72)
+        assert top_k_product([0.9, 0.5, 0.8], 2) == pytest.approx(0.72)
 
     def test_small_cut_is_zero(self):
-        assert cut_probability([0.9], 2) == 0.0
+        assert top_k_product([0.9], 2) == 0.0
 
     def test_k_zero_is_one(self):
-        assert cut_probability([0.9], 0) == 1.0
+        assert top_k_product([0.9], 0) == 1.0
 
     def test_empty_cut(self):
-        assert cut_probability([], 1) == 0.0
+        assert top_k_product([], 1) == 0.0
 
     def test_negative_k_rejected(self):
         with pytest.raises(ParameterError):
-            cut_probability([0.5], -1)
+            top_k_product([0.5], -1)
 
 
 class TestIsLowProbabilityCut:
@@ -451,7 +450,7 @@ def test_sweep_absorbs_the_tightest_node_and_flags_the_low_cuts(graph, k_tau):
             crossing = [
                 p for i in absorbed for j, p in rows[i] if j not in absorbed
             ]
-            low = prob_below(cut_probability(crossing, k), tau)
+            low = is_low_probability_cut(crossing, k, tau)
             assert low == (size in flagged)
 
 

@@ -11,18 +11,21 @@ from repro.core.cut_pruning import (
     _cut_is_low,
     _sweep_split,
     induced_rows,
-    is_low_probability_cut,
 )
 from repro.core.kernel import compile_component
 from repro.core.prune_kernel import compile_graph
-from repro.core.topk_core import top_k_product_probability, topk_peel_masks
+from repro.core.topk_core import topk_peel_masks
 from repro.utils.validation import prob_at_least, threshold_floor
 from tests.conftest import (
     make_clique,
     make_random_graph,
     make_second_sweep_graph,
 )
-from tests.core.oracles import topk_core_oracle
+from tests.core.oracles import (
+    is_low_probability_cut,
+    top_k_product,
+    topk_core_oracle,
+)
 
 
 class TestCutTopK:
@@ -73,7 +76,7 @@ def _star(*probs):
 
 
 def _pi_k_ok(graph, node, k, tau):
-    return prob_at_least(top_k_product_probability(graph, node, k), tau)
+    return prob_at_least(top_k_product(graph.incident(node).values(), k), tau)
 
 
 class TestPiKOk:

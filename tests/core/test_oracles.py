@@ -21,13 +21,13 @@ from repro.core.bruteforce import (
     brute_force_maximal_cliques,
     brute_force_tau_degree,
 )
-from repro.core.topk_core import top_k_product_probability
 from repro.uncertain.clique_prob import clique_probability, is_clique
 from repro.uncertain.graph import Node
 from repro.utils.validation import FLOAT_EPS, prob_at_least
 from tests.core.oracles import (
     ktau_core_oracle,
     mule_maximal_cliques,
+    top_k_product,
     topk_core_oracle,
 )
 from tests.core.support import uncertain_graphs
@@ -122,7 +122,9 @@ def test_topk_core_oracle_equals_its_definition(
     graph, k, tau = case
     core = largest_valid_set(
         graph,
-        lambda g, u: prob_at_least(top_k_product_probability(g, u, k), tau),
+        lambda g, u: prob_at_least(
+            top_k_product(g.incident(u).values(), k), tau
+        ),
     )
     assert topk_core_oracle(graph, k, tau) == core
     fixed = data.draw(st.sets(st.sampled_from([*graph.nodes(), "absent"])))

@@ -8,7 +8,7 @@ output: enumeration yield order, the maximum clique and every stats
 counter; the anchored queries, guarding the fix that
 builds the anchored region from adjacency order instead of a set
 (``PreparedGraph.cliques_containing`` / ``containing_clique_exists``);
-the cut; and the approximate miner.
+and the cut.
 """
 
 from __future__ import annotations
@@ -55,32 +55,6 @@ def _run(hashseed: str) -> str:
     return _run_script(_SCRIPT, hashseed)
 
 
-#: The approximate miner's greedy growth breaks ties by neighbor order
-#: of an anchor node; before the fix the anchor was ``list(frozenset)[0]``
-#: — hash order — and this exact fixture returned {aa,bb,dd} under
-#: PYTHONHASHSEED=0 but {aa,bb,cc} under other seeds.  The side-edge
-#: probabilities and (samples, seed) pair are chosen so the sampler only
-#: ever materializes the aa-bb edge, leaving the tie-break as the sole
-#: source of variation.
-_APPROX_SCRIPT = """
-import json
-from repro import UncertainGraph
-from repro.core.approximate import approximate_maximal_cliques
-
-g = UncertainGraph()
-for u, v, p in [
-    ("aa", "bb", 0.9),
-    ("aa", "cc", 0.1),
-    ("bb", "dd", 0.1),
-    ("aa", "dd", 0.1),
-    ("bb", "cc", 0.1),
-]:
-    g.add_edge(u, v, p)
-result = approximate_maximal_cliques(g, 1, 0.008, samples=3, seed=0)
-print(json.dumps(sorted(sorted(c) for c in result)))
-"""
-
-
 def _run_script(script: str, hashseed: str) -> str:
     env = dict(os.environ)
     env["PYTHONHASHSEED"] = hashseed
@@ -96,19 +70,6 @@ def _run_script(script: str, hashseed: str) -> str:
     )
     assert result.returncode == 0, result.stderr
     return result.stdout.strip()
-
-
-def test_approximate_growth_is_hash_seed_invariant() -> None:
-    """Regression: the greedy-growth anchor must not follow frozenset
-    hash order (RPL009 finding fixed in approximate._grow_to_maximal)."""
-    outputs = {
-        _run_script(_APPROX_SCRIPT, seed) for seed in ("0", "1", "4242")
-    }
-    assert len(outputs) == 1, (
-        "approximate output varies with PYTHONHASHSEED:\n"
-        + "\n".join(sorted(outputs))
-    )
-    assert json.loads(next(iter(outputs))) == [["aa", "bb", "cc"]]
 
 
 def test_anchored_queries_are_hash_seed_invariant() -> None:

@@ -5,39 +5,40 @@ import pytest
 from repro import (
     UncertainGraph,
     dp_core_plus,
-    top_k_product_probability,
     topk_core,
 )
 from repro.errors import ParameterError
 from repro.utils.validation import prob_at_least
 from tests.conftest import make_clique, make_random_graph
+from tests.core.oracles import top_k_product
+
+
+def _pi_k(graph, node, k):
+    """``pi_k(node)`` (Definition 8) over the node's incident edges."""
+    return top_k_product(graph.incident(node).values(), k)
 
 
 class TestTopKProductProbability:
     def test_basic_product(self, triangle):
         # a's incident probabilities: 0.9, 0.5.
-        assert top_k_product_probability(triangle, "a", 1) == pytest.approx(
-            0.9
-        )
-        assert top_k_product_probability(triangle, "a", 2) == pytest.approx(
-            0.45
-        )
+        assert _pi_k(triangle, "a", 1) == pytest.approx(0.9)
+        assert _pi_k(triangle, "a", 2) == pytest.approx(0.45)
 
     def test_degree_too_small_gives_zero(self, triangle):
-        assert top_k_product_probability(triangle, "a", 3) == 0.0
+        assert _pi_k(triangle, "a", 3) == 0.0
 
     def test_k_zero_is_one(self, triangle):
-        assert top_k_product_probability(triangle, "a", 0) == 1.0
+        assert _pi_k(triangle, "a", 0) == 1.0
 
     def test_negative_k_rejected(self, triangle):
         with pytest.raises(ParameterError):
-            top_k_product_probability(triangle, "a", -1)
+            _pi_k(triangle, "a", -1)
 
     def test_takes_largest(self):
         g = UncertainGraph(
             edges=[(0, 1, 0.2), (0, 2, 0.9), (0, 3, 0.7)]
         )
-        assert top_k_product_probability(g, 0, 2) == pytest.approx(0.63)
+        assert _pi_k(g, 0, 2) == pytest.approx(0.63)
 
 
 class TestTopKCore:
@@ -73,9 +74,7 @@ class TestTopKCore:
         if result.nodes:
             sub = g.induced_subgraph(result.nodes)
             for u in result.nodes:
-                assert prob_at_least(
-                    top_k_product_probability(sub, u, k), tau
-                )
+                assert prob_at_least(_pi_k(sub, u, k), tau)
 
     def test_cascading_peel(self):
         # A chain of 4-cliques at probability 0.8: removing the weakest

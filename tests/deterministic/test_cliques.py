@@ -4,12 +4,8 @@ import networkx as nx
 import pytest
 
 from repro import UncertainGraph
-from repro.deterministic.cliques import (
-    bron_kerbosch,
-    bron_kerbosch_degeneracy,
-    maximum_clique_size,
-)
-from tests.conftest import make_clique, make_random_graph
+from repro.deterministic.cliques import bron_kerbosch
+from tests.conftest import make_random_graph
 
 
 def to_networkx(graph):
@@ -50,37 +46,3 @@ class TestBronKerbosch:
         cliques = list(bron_kerbosch(g))
         assert len(cliques) == len(set(cliques))
 
-
-class TestBronKerboschDegeneracy:
-    @pytest.mark.parametrize("seed", range(8))
-    def test_matches_networkx(self, seed):
-        g = make_random_graph(18, 0.4, seed=seed)
-        assert set(bron_kerbosch_degeneracy(g)) == nx_maximal_cliques(g)
-
-    def test_no_duplicates(self):
-        g = make_random_graph(15, 0.5, seed=23)
-        cliques = list(bron_kerbosch_degeneracy(g))
-        assert len(cliques) == len(set(cliques))
-
-    def test_agrees_with_plain_variant(self):
-        g = make_random_graph(16, 0.45, seed=31)
-        assert set(bron_kerbosch_degeneracy(g)) == set(bron_kerbosch(g))
-
-
-class TestMaximumCliqueSize:
-    def test_empty(self):
-        assert maximum_clique_size(UncertainGraph()) == 0
-
-    def test_isolated_node(self):
-        assert maximum_clique_size(UncertainGraph(nodes=[1])) == 1
-
-    def test_clique(self):
-        assert maximum_clique_size(make_clique(6, 0.5)) == 6
-
-    @pytest.mark.parametrize("seed", range(5))
-    def test_matches_networkx(self, seed):
-        g = make_random_graph(16, 0.5, seed=seed)
-        expected = max(
-            (len(c) for c in nx.find_cliques(to_networkx(g))), default=0
-        )
-        assert maximum_clique_size(g) == expected

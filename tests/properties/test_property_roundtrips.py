@@ -1,4 +1,4 @@
-"""Property-based tests for IO, transforms, statistics and maintenance."""
+"""Property-based tests for IO, statistics and maintenance."""
 
 import math
 
@@ -12,13 +12,6 @@ from repro.uncertain.statistics import (
     expected_num_edges,
     probability_histogram,
 )
-from repro.uncertain.transform import (
-    condition_on_edge,
-    rescale_probabilities,
-    threshold_filter,
-)
-from repro.uncertain.clique_prob import clique_probability
-from repro.utils.validation import threshold_floor
 
 probabilities = st.floats(
     min_value=0.01, max_value=1.0, allow_nan=False, allow_infinity=False
@@ -56,57 +49,6 @@ def test_copy_equals_original(graph):
     assert clone == graph
     assert clone.is_subgraph_of(graph)
     assert graph.is_subgraph_of(clone)
-
-
-@relaxed
-@given(uncertain_graphs(), probabilities)
-def test_threshold_filter_is_subgraph(graph, threshold):
-    filtered = threshold_filter(graph, threshold)
-    assert filtered.is_subgraph_of(graph)
-    assert set(filtered.nodes()) == set(graph.nodes())
-    # threshold_filter keeps edges via the library-wide tolerant comparison
-    # (prob_at_least), so the survivors are bounded by the tolerant floor,
-    # not a raw ``>= threshold``.
-    floor = threshold_floor(threshold)
-    assert all(p >= floor for _, _, p in filtered.edges())
-
-
-@relaxed
-@given(uncertain_graphs(), st.floats(min_value=0.1, max_value=0.9))
-def test_rescale_lowers_probabilities(graph, factor):
-    rescaled = rescale_probabilities(graph, factor)
-    for u, v, p in graph.edges():
-        assert rescaled.probability(u, v) <= p + 1e-12
-
-
-@relaxed
-@given(uncertain_graphs(), st.data())
-def test_conditioning_total_probability(graph, data):
-    edges = list(graph.edges())
-    if not edges:
-        return
-    u, v, p = data.draw(st.sampled_from(edges))
-    nodes = graph.nodes()
-    subset = data.draw(
-        st.lists(st.sampled_from(nodes), unique=True, min_size=2)
-    )
-    base = clique_probability(graph, subset)
-    present = clique_probability(
-        condition_on_edge(graph, u, v, True), subset
-    )
-    absent = clique_probability(
-        condition_on_edge(graph, u, v, False), subset
-    )
-    # Eq. (2) multiplies only edges that exist between subset members.
-    # With both endpoints inside: conditioning on presence sets the
-    # factor to 1 and conditioning on absence drops it, so both equal
-    # base / p_uv.  With an endpoint outside, the edge never contributed.
-    if u in subset and v in subset:
-        assert math.isclose(base, p * present, rel_tol=1e-9)
-        assert math.isclose(present, absent, rel_tol=1e-9)
-    else:
-        assert math.isclose(base, present, rel_tol=1e-9)
-        assert math.isclose(base, absent, rel_tol=1e-9)
 
 
 @relaxed

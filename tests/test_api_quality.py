@@ -4,8 +4,11 @@ Keeps the packaging honest: everything exported is importable and
 documented, and the package has no hidden third-party runtime imports.
 """
 
+import ast
 import importlib
+import pathlib
 import pkgutil
+import re
 
 import repro
 
@@ -83,3 +86,27 @@ class TestPackagingConsistency:
         from repro.cli import main
 
         assert callable(main)
+
+
+def test_readme_imports_resolve():
+    # Every ``from repro... import`` in a README python block names
+    # something the package exports, so the README never advertises a
+    # removed function.
+    root = pathlib.Path(repro.__file__).resolve().parents[2]
+    readme = (root / "README.md").read_text()
+    blocks = re.findall(r"```python\n(.*?)```", readme, flags=re.DOTALL)
+    assert blocks
+    checked = 0
+    for block in blocks:
+        for node in ast.walk(ast.parse(block)):
+            if not isinstance(node, ast.ImportFrom) or not node.module:
+                continue
+            if node.module.split(".")[0] != "repro":
+                continue
+            module = importlib.import_module(node.module)
+            for alias in node.names:
+                assert hasattr(module, alias.name), (
+                    f"README imports {alias.name} from {node.module}"
+                )
+                checked += 1
+    assert checked

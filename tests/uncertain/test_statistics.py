@@ -7,11 +7,9 @@ from repro.errors import ParameterError
 from repro.uncertain.statistics import (
     expected_degree,
     expected_num_edges,
-    node_set_reliability,
     probability_histogram,
     summarize,
 )
-from tests.conftest import make_clique
 
 
 class TestExpectedValues:
@@ -60,48 +58,3 @@ class TestSummarize:
         assert summary.num_nodes == 0
         assert summary.mean_degree == 0.0
 
-
-class TestReliability:
-    def test_singleton(self, triangle):
-        assert node_set_reliability(triangle, ["a"]) == 1.0
-
-    def test_empty_rejected(self, triangle):
-        with pytest.raises(ParameterError):
-            node_set_reliability(triangle, [])
-
-    def test_pair_equals_edge_probability(self, triangle):
-        assert node_set_reliability(triangle, ["a", "b"]) == pytest.approx(
-            0.9
-        )
-
-    def test_disconnected_pair_is_zero(self, path_graph):
-        assert node_set_reliability(path_graph, [0, 4]) == 0.0
-
-    def test_triangle_exact(self, triangle):
-        # Connected iff at least two of the three edges exist.
-        p1, p2, p3 = 0.9, 0.8, 0.5
-        expected = (
-            p1 * p2 * p3
-            + p1 * p2 * (1 - p3)
-            + p1 * (1 - p2) * p3
-            + (1 - p1) * p2 * p3
-        )
-        got = node_set_reliability(triangle, ["a", "b", "c"])
-        assert got == pytest.approx(expected)
-
-    def test_monte_carlo_close_to_exact(self):
-        g = make_clique(8, 0.5)  # 28 edges: forces the sampling path
-        members = list(range(8))
-        sampled = node_set_reliability(
-            g, members, samples=8000, seed=2
-        )
-        # Exact value via a smaller exact computation is infeasible here;
-        # check sane bounds and reproducibility instead.
-        again = node_set_reliability(g, members, samples=8000, seed=2)
-        assert sampled == again
-        assert 0.0 <= sampled <= 1.0
-
-    def test_path_reliability_is_product(self, path_graph):
-        assert node_set_reliability(
-            path_graph, [0, 1, 2, 3, 4]
-        ) == pytest.approx(0.9 ** 4)
