@@ -40,16 +40,22 @@ mask-powered shortcut a list-based recursion cannot afford:
   recursion step), and a ``banned`` mask of branch-size-pruned
   candidates (which the recursion deliberately keeps out of ``X``).  At
   a leaf (``C`` empty) a node ``x`` would sit in ``X`` iff
-  ``x in common & ~banned`` and
-  ``CPr(R) * pi_x(R) >= tau_floor``: every node of the component either
-  died on an adjacency filter (not in ``common``), was branch-size
-  pruned above (``banned``), or was passed over/threshold-filtered — and
-  for those the incremental compares along the path are all implied by
-  the final one, because IEEE multiplication by factors ``<= 1`` is
-  monotone non-increasing.  Recomputing ``pi_x`` in canonical clique order
-  reproduces the recursion's float sequence bit for bit, so emission
-  decisions match it while the per-branch ``X`` filtering work
-  disappears.
+  ``x in common & ~banned`` and ``R + {x}`` is a tau-clique: every node
+  of the component either died on an adjacency filter (not in
+  ``common``), was branch-size pruned above (``banned``), or was passed
+  over or threshold-filtered, and the leaf tests those against the
+  whole clique, so the per-branch ``X`` filtering work disappears.
+
+Every tau test of the enumeration — a candidate filter and a leaf's
+witness test — decides the grown set by its *canonical* product, the
+one brute force and :func:`~repro.uncertain.clique_prob.
+clique_probability` compute: ``CPr`` over the members in
+``node_sort_key`` (ascending id) order, folded row by row.  The
+incremental product the search carries decides wherever it lies
+outside a relative :data:`_NEAR` band around the floor, which bounds
+the reassociation error; inside the band the canonical product is
+computed (:func:`_clears`).  A clique and one of its subsets can then
+never both be emitted, whatever member order reached them.
 
 Results are decompiled back to the original node labels.  The pivot
 enumeration emits the *set* of cliques the plain recursion would, in
@@ -69,7 +75,14 @@ over the whole-graph lowering (:func:`repro.core.prune_kernel.topk_peel`).
 from __future__ import annotations
 
 from array import array
-from typing import TYPE_CHECKING, Iterable, Iterator, NamedTuple, Sequence
+from typing import (
+    TYPE_CHECKING,
+    Callable,
+    Iterable,
+    Iterator,
+    NamedTuple,
+    Sequence,
+)
 
 from repro.core.cut_pruning import Rows, local_ids
 from repro.core.prune_kernel import node_sort_key
@@ -112,15 +125,20 @@ _CHUNK_MASK = 0xFFFFFFFFFFFFFFFF
 KERNEL_COMPONENT_LIMIT = 1024
 
 
-#: Conservative relative safety margin on the pivot absorption test.
-#: Skipping the branches of an absorbed set ``T`` is sound only when the
-#: canonical witness chain of every sub-clique would clear the floor;
-#: the greedy absorption computes ``CPr(R + T + {u})`` in its own
-#: (incremental) multiplication order, so the skip threshold is raised
-#: by more than the worst-case reassociation rounding error (bounded by
-#: ``#factors * 2^-53 < 1e-10`` within a component of <= 1024 nodes) —
-#: a skip can then never lose a clique the plain recursion would emit.
-_PIVOT_SAFETY = 1.0 + 1e-9
+#: Relative band around the floor inside which an incremental product
+#: does not decide.  A clique's canonical product (``CPr`` over its
+#: members in ascending id order, row by row, as
+#: :func:`~repro.uncertain.clique_prob.clique_probability` folds it) and
+#: any incremental product of the same edges differ by less than the
+#: reassociation error, ``#factors * 2^-53 < 1e-10`` within a view of
+#: <= 1024 nodes.  So an incremental product at or above
+#: ``floor * _NEAR`` certifies the canonical one clears the floor, one
+#: below ``floor / _NEAR`` certifies it does not, and in between the
+#: canonical product is computed.  The pivot absorption skips branches
+#: only above ``floor * _NEAR``, and the descent filters drop a
+#: candidate only below ``floor / _NEAR``, so neither can lose a clique
+#: whose canonical product clears the floor.
+_NEAR = 1.0 + 1e-9
 
 
 class CompiledComponent:
@@ -342,15 +360,18 @@ class VertexView(NamedTuple):
 
     ``view`` compiles ``v`` and its later neighbours, ``root`` is
     ``v``'s id in it and ``members[i]`` is view id ``i``'s place in the
-    piece.  ``witnesses`` holds the piece adjacency of each earlier
-    neighbour ``w`` of ``v`` with more than ``k`` neighbours (keyed by
-    place, shared by every view ``w`` is a witness of).
+    piece.  ``witnesses`` lists the places of ``v``'s earlier
+    neighbours with more than ``k`` neighbours.  ``nbr[x]`` maps each
+    neighbour of place ``x`` to the edge's probability and ``key[x]``
+    is its sort rank; both are the piece's, shared by all its views.
     """
 
     view: CompiledComponent
     root: int
     members: list[int]
-    witnesses: tuple[dict[int, float], ...]
+    witnesses: tuple[int, ...]
+    nbr: list[dict[int, float]]
+    key: list[int]
 
 
 def vertex_views(
@@ -394,9 +415,9 @@ def vertex_views(
             range(len(members)),
         )
         witnesses = tuple(
-            nbr[w] for w in around if pos[w] < here and len(nbr[w]) > k
+            w for w in around if pos[w] < here and len(nbr[w]) > k
         )
-        yield VertexView(view, members.index(x), members, witnesses)
+        yield VertexView(view, members.index(x), members, witnesses, nbr, key)
 
 
 def drop_extended(
@@ -406,48 +427,72 @@ def drop_extended(
     extends.
 
     Each test is the kernel's leaf witness test: the clique's canonical
-    chain in ascending view id, times ``p(r, w)`` multiplied in that
-    same order, against ``tau_floor`` — so each decision is the plain
-    recursion's, bit for bit.
+    product times ``p(r, w)`` over its members, against ``tau_floor``;
+    within :data:`_NEAR` of the floor the canonical product of the
+    clique plus ``w`` decides, so each decision is brute force's.
     """
     if not vv.witnesses:
         return cliques
     ids = {u: i for i, u in enumerate(vv.view.nodes)}
     root = vv.members[vv.root]  # every witness is adjacent to it
+    nbr, key = vv.nbr, vv.key
     kept = []
     for clique in cliques:
         order = sorted(map(ids.__getitem__, clique))
         places = [vv.members[r] for r in order]
         others = [r for r in places if r != root]
-        prob = _canonical_probability(vv.view.rows, order)
-        for wrow in vv.witnesses:
+        prob = _clique_product(vv.view.rows, order)
+        for w in vv.witnesses:
+            wrow = nbr[w]
             for r in others:
                 if r not in wrow:
                     break  # not adjacent: no extension
             else:
-                pi = 1.0
+                pi = prob
                 for r in places:
                     pi *= wrow[r]
-                # Hot path: tau_floor = threshold_floor(tau).
-                if prob * pi >= tau_floor:  # repro-lint: ignore[RPL001]
+                if _clears(
+                    pi, tau_floor, nbr, [*places, w], key.__getitem__
+                ):
                     break
         else:
             kept.append(clique)
     return kept
 
 
-def _canonical_probability(
-    rows: list[list[float]], order: list[int]
+def _clears(
+    value: float,
+    tau_floor: float,
+    rows: Sequence[Sequence[float] | dict[int, float]],
+    members: list[int],
+    key: Callable[[int], int] | None = None,
+) -> bool:
+    """Whether the clique ``members``, whose incremental product is
+    ``value``, clears ``tau_floor``: ``value`` decides outside the
+    :data:`_NEAR` band, the canonical product (members sorted by
+    ``key``, ids by default) inside it."""
+    # Cold path: the kernel inlines the band test and calls this only
+    # inside it.
+    if value < tau_floor / _NEAR:  # repro-lint: ignore[RPL001]
+        return False
+    if value >= tau_floor * _NEAR:  # repro-lint: ignore[RPL001]
+        return True
+    order = sorted(members, key=key)
+    return _clique_product(rows, order) >= tau_floor  # repro-lint: ignore[RPL001]
+
+
+def _clique_product(
+    rows: Sequence[Sequence[float] | dict[int, float]], order: list[int]
 ) -> float:
-    """A clique's probability as the plain recursion builds it along its
-    path: each member's product to the members before it, in ascending
-    id order ``order``, folded in that order."""
+    """The canonical product of the clique ``order`` lists in
+    ``node_sort_key`` order: every member's row, from the members after
+    it, folded row by row — :func:`~repro.uncertain.clique_prob.
+    clique_probability`'s float sequence."""
     prob = 1.0
-    for j, vj in enumerate(order):
-        pi = 1.0
-        for i in order[:j]:
-            pi *= rows[i][vj]
-        prob = prob * pi
+    for i, u in enumerate(order):
+        row = rows[u]
+        for v in order[i + 1:]:
+            prob *= row[v]
     return prob
 
 
@@ -480,7 +525,7 @@ def iter_bits(mask: int) -> Iterator[int]:
 # implemented here is the *absorbing* pivot: after choosing u by
 # popcount coverage, greedily grow an absorption set T inside C & Γ(u)
 # while R + T + {u} stays a structural clique AND its clique probability
-# stays above the (safety-margined) threshold.  Then for every
+# stays above the floor by the _NEAR margin.  Then for every
 # K subset of R + T, the superset chain gives
 # CPr(K + {u}) >= CPr(R + T + {u}) >= tau, so u extends K and K is not
 # maximal — branching on T can be skipped wholesale.  Vertices outside
@@ -490,21 +535,11 @@ def iter_bits(mask: int) -> Iterator[int]:
 # preserves the unique-path argument: a clique's next vertex is always
 # its first member in branch order, so no clique is reached twice.
 #
-# Emission stays on the plain recursion's predicate: at a leaf the
-# clique probability and every witness chain are *recomputed in
-# canonical ascending-id order* — the exact nested float sequence the
-# unpivoted recursion builds along its path — so the emitted set of
-# cliques, and each clique's probability chain, are bit-identical to
-# it.  (The descent filters multiply in pivot path order; a filter
-# verdict can in principle differ from the canonical one when a partial
-# product lands within ~1 ulp of the threshold floor, a measure-zero
-# event documented in docs/performance.md and never observed by the
-# parity suites.)  The recursion's own products are not one per set
-# either: a clique is decided by its path product and its one-node
-# extensions by ``CPr(C) * pi_v(C)``, so where tau's floor lands on a
-# clique's probability a clique and one of its subsets can both be
-# emitted (docs/performance.md).  Yield order follows the pivot
-# recursion; parity is on the set.
+# Emission is brute force's predicate: every filter and witness test
+# decides its set by the canonical product (the module docstring), and
+# the absorption clears ``floor * _NEAR``, above the band, so a skipped
+# sub-clique is non-maximal by its canonical product too.  Yield order
+# follows the pivot recursion; parity is on the set.
 
 
 def enumerate_pivot_range(
@@ -532,7 +567,8 @@ def enumerate_pivot_range(
     adj = comp.adj
     bits = comp.bits
     nodes = comp.nodes
-    skip_floor = tau_floor * _PIVOT_SAFETY
+    near_hi = tau_floor * _NEAR
+    near_lo = tau_floor / _NEAR
     out: list[frozenset[Node]] = []
     # Batched stats, flushed once per component (attribute access on the
     # stats object is too slow for the recursion's call volume).
@@ -558,38 +594,39 @@ def enumerate_pivot_range(
         nonlocal pbranches, pskipped
         calls += 1
         if not cands:
-            # Leaf: recompute the canonical ascending-order chain (the
-            # float sequence the unpivoted recursion builds along its
-            # path) and run the witness scan against it — emission
-            # decisions are bit-identical to that recursion's.
+            # Leaf.  The clique is a tau-clique: its last member passed
+            # the candidate filter, which decides as the witness test
+            # below does — by the canonical product, as brute force
+            # decides, read off the incremental product outside the
+            # _NEAR band and computed inside it (_clears).
             if clique_len >= min_size:
-                order = sorted(clique)
-                prob = _canonical_probability(rows, order)
-                if prob >= tau_floor:  # repro-lint: ignore[RPL001]
-                    wit = common & ~banned
-                    blocked = False
-                    base = 0
-                    while wit:
-                        chunk = wit & _CHUNK_MASK
-                        wit >>= 64
-                        while chunk:
-                            low = chunk & -chunk
-                            chunk ^= low
-                            w = base + low.bit_length() - 1
-                            pi = 1.0
-                            for r in order:
-                                pi *= rows[r][w]
-                                # Hot path: precomputed threshold_floor.
-                                if prob * pi < tau_floor:  # repro-lint: ignore[RPL001]
-                                    break
-                            else:
+                wit = common & ~banned
+                blocked = False
+                base = 0
+                while wit:
+                    chunk = wit & _CHUNK_MASK
+                    wit >>= 64
+                    while chunk:
+                        low = chunk & -chunk
+                        chunk ^= low
+                        w = base + low.bit_length() - 1
+                        pi = clique_prob
+                        for r in clique:
+                            pi *= rows[r][w]
+                            # Hot path: near_lo < threshold_floor(tau).
+                            if pi < near_lo:  # repro-lint: ignore[RPL001]
+                                break
+                        else:
+                            if pi >= near_hi or _clears(  # repro-lint: ignore[RPL001]
+                                pi, tau_floor, rows, [*clique, w]
+                            ):
                                 blocked = True
                                 wit = 0
                                 break
-                        base += 64
-                    if not blocked:
-                        cliques += 1
-                        out.append(frozenset(nodes[x] for x in clique))
+                    base += 64
+                if not blocked:
+                    cliques += 1
+                    out.append(frozenset(nodes[x] for x in clique))
             return
 
         nc = len(cands)
@@ -621,7 +658,7 @@ def enumerate_pivot_range(
         # Pivot selection: max structural coverage by popcount, ties to
         # the lowest id (deterministic).  Then greedy absorption: grow T
         # inside C & Γ(u) while R + T + {u} stays a structural clique
-        # whose running clique probability clears the safety-margined
+        # whose running clique probability clears the _NEAR-margined
         # floor — every sub-clique of R + T is then non-maximal (u
         # extends it), so T never branches.
         skip_mask = 0
@@ -647,13 +684,13 @@ def enumerate_pivot_range(
                     if not bv & t_adj:
                         continue
                     prod = budget * pi_v * urow[v]
-                    if prod < skip_floor:  # repro-lint: ignore[RPL001]
+                    if prod < near_hi:  # repro-lint: ignore[RPL001]
                         continue
                     ok = True
                     vrow = rows[v]
                     for t in t_list:
                         prod *= vrow[t]
-                        if prod < skip_floor:  # repro-lint: ignore[RPL001]
+                        if prod < near_hi:  # repro-lint: ignore[RPL001]
                             ok = False
                             break
                     if ok:
@@ -689,7 +726,12 @@ def enumerate_pivot_range(
                 p = urow[v]
                 if p:
                     piv = pi_v * p
-                    if new_prob * piv >= tau_floor:  # repro-lint: ignore[RPL001]
+                    prod = new_prob * piv
+                    # Hot path: near_lo / near_hi bracket the floor.
+                    if prod >= near_lo and (  # repro-lint: ignore[RPL001]
+                        prod >= near_hi  # repro-lint: ignore[RPL001]
+                        or _clears(prod, tau_floor, rows, [*clique, u, v])
+                    ):
                         new_cands.append((v, piv))
             if prune_live and len(new_cands) < need:
                 branch_prunes += 1
@@ -753,6 +795,8 @@ def maximum_compiled(
     rows = comp.rows
     bits = comp.bits
     nodes = comp.nodes
+    near_hi = tau_floor * _NEAR
+    near_lo = tau_floor / _NEAR
     # Batched stats (flushed once per component; see _CALLS comment).
     calls = size_prunes = basic_prunes = adv1_prunes = 0
     adv2_prunes = ins_prunes = 0
@@ -864,8 +908,13 @@ def maximum_compiled(
                 p = urow[v]
                 if p:
                     piv = cpis[j] * p
-                    # Hot path: tau_floor = threshold_floor(tau).
-                    if new_prob * piv >= tau_floor:  # repro-lint: ignore[RPL001]
+                    prod = new_prob * piv
+                    # Hot path: near_lo / near_hi bracket the floor, and
+                    # the canonical product decides between them.
+                    if prod >= near_lo and (  # repro-lint: ignore[RPL001]
+                        prod >= near_hi  # repro-lint: ignore[RPL001]
+                        or _clears(prod, tau_floor, rows, [*clique, u, v])
+                    ):
                         new_ids.append(v)
                         new_pis.append(piv)
                         new_mask |= bits[v]

@@ -85,6 +85,27 @@ def hub_and_triangle() -> UncertainGraph:
     return UncertainGraph(spokes + clique_edges(("t1", "t2", "t3"), 0.6))
 
 
+def knife_edge_triangle() -> UncertainGraph:
+    """A triangle whose product in one member order clears the floor of
+    ``KNIFE_TAU`` and in another does not: decided in the order each
+    search happened to meet it, brute force once kept ``{5, 8}`` and the
+    MULE search ``{4, 8}`` beside ``{4, 5, 8}``; by the canonical
+    product the triangle alone is maximal."""
+    graph = UncertainGraph()
+    graph.add_edge(4, 5, 0.9)
+    graph.add_edge(4, 8, 0.4)
+    graph.add_edge(5, 8, 0.9999999)
+    return graph
+
+
+KNIFE_TAU = 0.35999996436000004
+
+#: Relative offsets of tau around the value whose floor is a clique's
+#: probability: far above float reassociation error (~1e-16), far below
+#: the tolerance band (FLOAT_EPS).
+STRADDLE = (1.0 - 1e-12, 1.0, 1.0 + 1e-12)
+
+
 def seed_graph() -> UncertainGraph:
     """A four-node component and a lone edge: the single-mutation
     fixture of the row-maintenance rows."""

@@ -95,7 +95,7 @@ from repro.deterministic.coloring import greedy_coloring
 from repro.deterministic.core_decomposition import core_numbers
 from repro.uncertain.clique_prob import clique_probability, is_clique
 from repro.uncertain.graph import Node
-from repro.utils.validation import prob_at_least, threshold_floor
+from repro.utils.validation import FLOAT_EPS, prob_at_least, threshold_floor
 from tests.conftest import make_random_graph
 from tests.core.oracles import (
     ktau_core_oracle,
@@ -103,11 +103,14 @@ from tests.core.oracles import (
     topk_core_oracle,
 )
 from tests.core.support import (
+    KNIFE_TAU,
     PROBABILITY_PALETTE,
+    STRADDLE,
     assert_rows_current,
     assert_views_bit_identical,
     clique_edges,
     hub_and_triangle,
+    knife_edge_triangle,
     lowering_view,
     seed_graph,
     straddle_graph,
@@ -216,7 +219,11 @@ def mutation_streams(
 
 
 @st.composite
-def cases(draw: st.DrawFn) -> Case:
+def cases(draw: st.DrawFn, floors: bool = False) -> Case:
+    """One drawn case.  ``floors`` puts tau's tolerant floor on (or
+    within 1e-12 either side of) an edge's or a triangle's probability,
+    as ``tests/core/test_oracles.py`` does: there an incremental product
+    and the canonical one can fall on different sides of the floor."""
     graph = draw(uncertain_graphs())
     nodes = graph.nodes()
     # tau exactly at the probability of an edge or a triangle: the
@@ -229,7 +236,13 @@ def cases(draw: st.DrawFn) -> Case:
         if is_clique(graph, clique)
     ]
     taus = st.sampled_from(TAUS)
-    tau = draw(taus | st.sampled_from(exact) if exact else taus)
+    if exact and floors:
+        tau = draw(st.builds(
+            lambda p, f: min(1.0, p / (1.0 - FLOAT_EPS) * f),
+            st.sampled_from(exact), st.sampled_from(STRADDLE),
+        ))
+    else:
+        tau = draw(taus | st.sampled_from(exact) if exact else taus)
     pruning = draw(st.sampled_from(("topk", "ktau")))
     anchors: tuple[Node, ...] = ()
     members: tuple[Node, ...] = ()
@@ -892,6 +905,14 @@ def test_session_queries(case: Case) -> None:
     check_queries(case)
 
 
+@settings(matrix, max_examples=60)
+@given(case=cases(floors=True))
+def test_session_queries_on_knife_edges(case: Case) -> None:
+    # Every query kind against brute force where tau's floor sits on a
+    # clique's probability: each set is decided by its canonical product.
+    check_queries(case)
+
+
 @settings(matrix, max_examples=40)
 @given(case=cases())
 def test_session_queries_per_vertex_views(case: Case) -> None:
@@ -950,6 +971,9 @@ PINNED: dict[str, Case] = {
     "knife-edge": _pinned(
         UncertainGraph(clique_edges("abc", 0.5)), 2, 0.125
     ),
+    # Decided by its incremental products, the kernel kept {4, 8} beside
+    # {4, 5, 8}; by the canonical product the triangle stands alone.
+    "knife-edge-triangle": _pinned(knife_edge_triangle(), 0, KNIFE_TAU),
     "one-lowering-per-version": _pinned(
         two_cliques(), 2, 0.3, ("add_edge", "c", "x", 0.7)
     ),

@@ -30,18 +30,17 @@ from tests.core.oracles import (
     top_k_product,
     topk_core_oracle,
 )
-from tests.core.support import uncertain_graphs
+from tests.core.support import (
+    KNIFE_TAU,
+    STRADDLE,
+    knife_edge_triangle,
+    uncertain_graphs,
+)
 
 #: Whether a node passes a core's rule in the subgraph it is part of.
 Valid = Callable[[UncertainGraph, Node], bool]
 
 TAUS = (0.01, 0.05, 0.1, 0.2, 0.3, 0.5, 0.6)
-
-#: Relative offsets of tau around the value whose floor is a clique's
-#: probability: far above float reassociation error (~1e-16), far below
-#: the tolerance band (FLOAT_EPS).
-STRADDLE = (1.0 - 1e-12, 1.0, 1.0 + 1e-12)
-
 
 @st.composite
 def cases(draw: st.DrawFn) -> tuple[UncertainGraph, int, float]:
@@ -85,21 +84,6 @@ def largest_valid_set(graph: UncertainGraph, valid: Valid) -> frozenset[Node]:
 
 
 matrix = settings(max_examples=60, deadline=None)
-
-
-def knife_edge_triangle() -> UncertainGraph:
-    """A triangle whose product in one member order clears the floor of
-    ``KNIFE_TAU`` and in another does not: decided in the order each
-    oracle happened to meet it, brute force kept ``{5, 8}`` and the MULE
-    search ``{4, 8}`` beside ``{4, 5, 8}``."""
-    graph = UncertainGraph()
-    graph.add_edge(4, 5, 0.9)
-    graph.add_edge(4, 8, 0.4)
-    graph.add_edge(5, 8, 0.9999999)
-    return graph
-
-
-KNIFE_TAU = 0.35999996436000004
 
 
 @matrix
