@@ -11,12 +11,16 @@ builds the same view from a subgraph and is the parity oracle):
 1. nodes are mapped to dense ints ``0 .. n-1`` in the library's
    deterministic order, so the compiled id order doubles as the search
    order — computed exactly once per component;
-2. adjacency is materialised several ways: CSR-style flat neighbor and
-   probability arrays in per-row descending-probability order (the form
-   the in-search core peel consumes without any re-sorting), Python-int
-   bitmask rows (one ``n``-bit integer per node, so neighbor
-   intersections are a single ``&``), and dense probability rows (plain
-   float lists indexed by node id, ``0.0`` marking non-edges).
+2. adjacency is materialised in the two forms the searches read:
+   Python-int bitmask rows (one ``n``-bit integer per node, so neighbor
+   intersections are a single ``&``) and dense probability rows (plain
+   float lists indexed by node id, ``0.0`` marking non-edges).  Nothing
+   is sorted when a view is built.  The in-search core peel, the one
+   reader that wants each row in descending-probability order, sorts a
+   node's row the first time it tests the node and keeps it on the view
+   (``CompiledComponent.ranked``); a piece the cut leaves is its own
+   (Top_k, tau)-core, so its search skips the peel at the root and most
+   views are never sorted at all.
 
 Every search component is small enough for those forms.  A cut piece
 above :data:`KERNEL_COMPONENT_LIMIT` nodes is never compiled whole: it
@@ -142,73 +146,37 @@ _NEAR = 1.0 + 1e-9
 
 
 class CompiledComponent:
-    """One component compiled to dense-int, bitmask and CSR form.
+    """One component compiled to dense ids, bitmask rows and dense rows.
 
     ``nodes[i]`` is the original label of id ``i``; ids follow the
     library's deterministic node order, so ascending-id iteration
-    follows the ``node_sort_key`` candidate order.  The CSR rows
-    (``row_offsets`` / ``nbr_ids`` / ``nbr_probs``) are sorted by
-    descending probability (ties by id) so a top-k scan reads a prefix.
-    ``bits[i]`` caches ``1 << i`` (big-int shifts are not free), and
-    ``rows`` holds the dense probability rows.  These are the only forms
-    a kernel reads.
+    follows the ``node_sort_key`` candidate order.  ``adj[i]`` is id
+    ``i``'s neighbour mask, ``rows[i]`` its dense probability row
+    (``0.0`` marks a non-edge) and ``bits[i]`` caches ``1 << i``
+    (big-int shifts are not free): the search kernels read these.
+    ``ranked[i]`` is the in-search core peel's one form, built on its
+    first read of ``i`` (:func:`~repro.core.topk_core.topk_peel_masks`):
+    ``i``'s neighbours by descending probability, ties by id, as an
+    ``array('l')`` of ids whose probabilities the dense row holds.
 
-    The constructor compiles a graph from scratch and stays the
-    independent oracle the derived views are checked against;
-    :meth:`from_rows` builds a view from the node labels and their rows
-    alone (:func:`derive_component_view`).
+    The constructor compiles a graph from scratch, from its own
+    ``incident()`` rows and node order, and is the oracle the derived
+    views are checked against; :meth:`from_rows` builds a view from the
+    node labels and their rows alone (:func:`derive_component_view`).
+    Both fill the forms from id-keyed entries the same way.
     """
 
-    __slots__ = (
-        "nodes",
-        "n",
-        "adj",
-        "rows",
-        "bits",
-        "row_offsets",
-        "nbr_ids",
-        "nbr_probs",
-        "full_mask",
-    )
+    __slots__ = ("nodes", "n", "adj", "rows", "bits", "ranked", "full_mask")
 
     def __init__(self, graph: UncertainGraph) -> None:
         order = sorted(graph.nodes(), key=node_sort_key)
         index = {u: i for i, u in enumerate(order)}
-        n = len(order)
-        bits = [1 << i for i in range(n)]
-
-        adj: list[int] = []
-        rows: list[list[float]] = []
-        row_offsets = array("l", [0])
-        nbr_ids = array("l")
-        nbr_probs = array("d")
-
-        for u in order:
-            row: dict[int, float] = {}
-            mask = 0
-            for v, p in graph.incident(u).items():
-                j = index[v]
-                row[j] = p
-                mask |= bits[j]
-            adj.append(mask)
-            flat = [0.0] * n
-            for j, p in row.items():
-                flat[j] = p
-            rows.append(flat)
-            for j, p in sorted(row.items(), key=lambda e: (-e[1], e[0])):
-                nbr_ids.append(j)
-                nbr_probs.append(p)
-            row_offsets.append(len(nbr_ids))
-
-        self.nodes = order
-        self.n = n
-        self.adj = adj
-        self.rows = rows
-        self.bits = bits
-        self.row_offsets = row_offsets
-        self.nbr_ids = nbr_ids
-        self.nbr_probs = nbr_probs
-        self.full_mask = (1 << n) - 1 if n else 0
+        self._fill(
+            order,
+            ([(index[v], p) for v, p in graph.incident(u).items()]
+             for u in order),
+            range(len(order)),
+        )
 
     @classmethod
     def from_rows(
@@ -221,46 +189,40 @@ class CompiledComponent:
         and, per id, its ``(neighbour, p)`` entries, where ``local``
         maps a neighbour to its id here (``None``: not a member).
 
-        Each row keeps its member entries as ``(-probability, id)``
-        pairs, sorted — negation flips only the sign bit, so the stored
-        floats are the row's own — and every form (CSR, bitmask rows,
-        dense rows) is built from that sorted row.
+        Each member entry sets its bit and its dense-row slot; nothing
+        is sorted.
         """
         view = cls.__new__(cls)
+        view._fill(order, rows, local)
+        return view
+
+    def _fill(
+        self,
+        order: list[Node],
+        rows: Iterable[Iterable[tuple[int, float]]],
+        local: Sequence[int | None],
+    ) -> None:
         n = len(order)
         bits = [1 << i for i in range(n)]
         adj: list[int] = []
         flat_rows: list[list[float]] = []
-        row_offsets = array("l", [0])
-        nbr_ids = array("l")
-        nbr_probs = array("d")
         for row in rows:
-            kept = sorted([
-                (-p, li) for j, p in row if (li := local[j]) is not None
-            ])
-            ids = [j for _, j in kept]
-            ps = [-negp for negp, _ in kept]
-            nbr_ids.extend(ids)
-            nbr_probs.extend(ps)
-            row_offsets.append(len(nbr_ids))
             mask = 0
-            for j in ids:
-                mask |= bits[j]
-            adj.append(mask)
             flat = [0.0] * n
-            for j, p in zip(ids, ps):
-                flat[j] = p
+            for j, p in row:
+                li = local[j]
+                if li is not None:
+                    mask |= bits[li]
+                    flat[li] = p
+            adj.append(mask)
             flat_rows.append(flat)
-        view.nodes = order
-        view.n = n
-        view.adj = adj
-        view.rows = flat_rows
-        view.bits = bits
-        view.row_offsets = row_offsets
-        view.nbr_ids = nbr_ids
-        view.nbr_probs = nbr_probs
-        view.full_mask = (1 << n) - 1 if n else 0
-        return view
+        self.nodes = order
+        self.n = n
+        self.adj = adj
+        self.rows = flat_rows
+        self.bits = bits
+        self.ranked: list[array[int] | None] = [None] * n
+        self.full_mask = (1 << n) - 1 if n else 0
 
     def decompile(self, mask: int) -> frozenset[Node]:
         """Original labels of the nodes whose bits are set in ``mask``."""
@@ -522,14 +484,24 @@ def iter_bits(mask: int) -> Iterator[int]:
 # cliques as stated: K subset of R + (C & Γ(u)) being structurally
 # extendable by u does not imply CPr(K + {u}) >= tau, so K can be
 # maximal even though u is adjacent to all of it.  The sound variant
-# implemented here is the *absorbing* pivot: after choosing u by
-# popcount coverage, greedily grow an absorption set T inside C & Γ(u)
-# while R + T + {u} stays a structural clique AND its clique probability
-# stays above the floor by the _NEAR margin.  Then for every
-# K subset of R + T, the superset chain gives
+# implemented here is the *absorbing* pivot: greedily grow an
+# absorption set T inside C & Γ(u) while R + T + {u} stays a structural
+# clique AND its clique probability stays above the floor by the _NEAR
+# margin.  Then for every K subset of R + T, the superset chain gives
 # CPr(K + {u}) >= CPr(R + T + {u}) >= tau, so u extends K and K is not
-# maximal — branching on T can be skipped wholesale.  Vertices outside
-# T still branch, and the skipped vertices are *carried forward* into
+# maximal — branching on T can be skipped wholesale.
+#
+# The argument needs only that u is adjacent to R + T with that
+# product, not that u is a candidate, so u is either a *candidate
+# pivot* (the candidate of largest popcount cover |C & Γ(u)|) or a
+# *witness pivot*: a node of common & ~banned outside C — Tomita's
+# pivot likewise ranges over SUBG = CAND ∪ FINI — whose product to R
+# clears the margined floor.  The candidate pivot absorbs first; a
+# witness's absorption is computed only when its cover exceeds the best
+# absorption so far (an absorption never exceeds the cover), and the
+# search stops trying once every candidate is absorbed, which only a
+# witness can do.  The largest absorption wins.  Vertices outside T
+# still branch, and the skipped vertices are *carried forward* into
 # every child's candidate list (a child of branch q receives
 # (C \ branched-so-far) & Γ_tau(q), absorbed members included), which
 # preserves the unique-path argument: a clique's next vertex is always
@@ -551,13 +523,17 @@ def enumerate_pivot_range(
     insearch_min_candidates: int,
     stats: EnumerationStats,
     root: int | None = None,
+    core: bool = False,
 ) -> list[frozenset[Node]]:
     """Pivot-engine search of one component: its maximal (k, tau)-cliques.
 
     The root call is one node of the recursion below with ``R`` empty
     and every id a candidate: it counts the root search call, applies
     the root in-search core gate (Algorithm 4 lines 12-15) and picks the
-    root pivot.  A per-vertex view (:class:`VertexView`) passes its
+    root pivot.  ``core=True`` says the view is its own (Top_k,
+    tau)-core, as the cut leaves its pieces: the root gate, Algorithm 3
+    over the whole view, could remove nothing there and is skipped.  A
+    per-vertex view (:class:`VertexView`) passes its
     vertex as ``root`` instead: the search then starts from the one
     branch ``R = {root}``, whose candidates are the root's neighbours
     whose edge clears the floor, so it emits the cliques through
@@ -574,6 +550,38 @@ def enumerate_pivot_range(
     # stats object is too slow for the recursion's call volume).
     calls = insearch_prunes = branch_prunes = cliques = 0
     pbranches = pskipped = 0
+
+    def absorb(
+        cands: list[tuple[int, float]],
+        t_adj: int,
+        budget: float,
+        urow: list[float],
+    ) -> int:
+        # The greedy absorption set T of a pivot u (candidate or
+        # witness) of adjacency t_adj, dense row urow and product
+        # ``budget`` to the clique, as a mask: grow T inside C & Γ(u)
+        # while R + T + {u} stays a clique whose product, in this
+        # multiplication order, clears near_hi.
+        skip = 0
+        t_list: list[int] = []
+        for v, pi_v in cands:
+            bv = bits[v]
+            if not bv & t_adj:
+                continue
+            prod = budget * pi_v * urow[v]
+            if prod < near_hi:  # repro-lint: ignore[RPL001]
+                continue
+            vrow = rows[v]
+            for t in t_list:
+                prod *= vrow[t]
+                if prod < near_hi:  # repro-lint: ignore[RPL001]
+                    break
+            else:
+                skip |= bv
+                t_list.append(v)
+                t_adj &= adj[v]
+                budget = prod
+        return skip
 
     def rec(
         clique: list[int],
@@ -630,9 +638,12 @@ def enumerate_pivot_range(
             return
 
         nc = len(cands)
-        if nc >= insearch_min_candidates and insearch and clique_len < min_size:
+        if (
+            nc >= insearch_min_candidates and insearch
+            and clique_len < min_size and (clique_len or not core)
+        ):
             # In-search (Top_k, tau)-core gate (Algorithm 4 lines
-            # 12-15), as a bitmask peel.
+            # 12-15), as a bitmask peel; not at the root of a core.
             cand_mask = 0
             for e in cands:
                 cand_mask |= bits[e[0]]
@@ -655,13 +666,14 @@ def enumerate_pivot_range(
         for e in cands:
             cand_mask |= bits[e[0]]
 
-        # Pivot selection: max structural coverage by popcount, ties to
-        # the lowest id (deterministic).  Then greedy absorption: grow T
-        # inside C & Γ(u) while R + T + {u} stays a structural clique
-        # whose running clique probability clears the _NEAR-margined
-        # floor — every sub-clique of R + T is then non-maximal (u
-        # extends it), so T never branches.
+        # Pivot selection: the candidate of max structural coverage by
+        # popcount, ties to the lowest id (deterministic), absorbs first;
+        # then each witness (a node of common & ~banned outside C whose
+        # product to R clears the margined floor) whose cover beats the
+        # best absorption so far.  The largest absorption wins, and a
+        # witness can absorb every candidate.
         skip_mask = 0
+        absorbed = 0
         if nc > 1:
             best_u = -1
             best_pi = 1.0
@@ -673,31 +685,37 @@ def enumerate_pivot_range(
                     best_u = u
                     best_pi = pi_u
             if best_cover > 0:
-                t_adj = adj[best_u]
-                budget = clique_prob * best_pi
-                urow = rows[best_u]
-                t_list: list[int] = []
-                for v, pi_v in cands:
-                    if v == best_u:
-                        continue
-                    bv = bits[v]
-                    if not bv & t_adj:
-                        continue
-                    prod = budget * pi_v * urow[v]
-                    if prod < near_hi:  # repro-lint: ignore[RPL001]
-                        continue
-                    ok = True
-                    vrow = rows[v]
-                    for t in t_list:
-                        prod *= vrow[t]
-                        if prod < near_hi:  # repro-lint: ignore[RPL001]
-                            ok = False
-                            break
-                    if ok:
-                        skip_mask |= bv
-                        t_list.append(v)
-                        t_adj &= adj[v]
-                        budget = prod
+                skip_mask = absorb(
+                    cands, adj[best_u], clique_prob * best_pi, rows[best_u]
+                )
+                absorbed = skip_mask.bit_count()
+        wit = common & ~banned & ~cand_mask
+        base = 0
+        while wit:
+            chunk = wit & _CHUNK_MASK
+            wit >>= 64
+            while chunk:
+                low = chunk & -chunk
+                chunk ^= low
+                w = base + low.bit_length() - 1
+                w_adj = adj[w]
+                if (w_adj & cand_mask).bit_count() <= absorbed:
+                    continue  # its absorption cannot beat the best
+                wrow = rows[w]
+                budget = clique_prob
+                for r in clique:
+                    budget *= wrow[r]
+                if budget < near_hi:  # repro-lint: ignore[RPL001]
+                    continue
+                mask = absorb(cands, w_adj, budget, wrow)
+                count = mask.bit_count()
+                if count > absorbed:
+                    skip_mask = mask
+                    absorbed = count
+                    if count == nc:  # nothing left to branch on
+                        wit = 0
+                        break
+            base += 64
 
         prune_live = clique_len + 1 < min_size
         need = min_size - clique_len - 1
@@ -775,6 +793,7 @@ def maximum_compiled(
     use_advanced_two: bool,
     insearch: bool,
     stats: MaximumSearchStats,
+    core: bool = False,
 ) -> tuple[list[Node] | None, int]:
     """MaxUC+ search of one *already compiled* component.
 
@@ -788,7 +807,10 @@ def maximum_compiled(
     branch-and-bound over dense rows, with the bound bookkeeping
     batched into local counters.  ``comp`` is a whole cut
     piece or, for a piece above :data:`KERNEL_COMPONENT_LIMIT`, one of
-    its per-vertex sub-pieces; either way it has dense rows.
+    its per-vertex sub-pieces; either way it has dense rows.  A whole
+    piece is its own (Top_k, tau)-core (``core=True``), so the in-search
+    peel is skipped at its root, as :func:`enumerate_pivot_range` skips
+    it.
     """
     n = comp.n
     adj = comp.adj
@@ -866,7 +888,7 @@ def maximum_compiled(
                 adv2_prunes += 1
                 return
 
-        if insearch and clique_len < min_size:
+        if insearch and clique_len < min_size and (clique_len or not core):
             members = clique_mask | cand_mask
             alive = topk_peel_masks(comp, members, clique_mask, k, tau_floor)
             if alive is None or alive.bit_count() < min_size:

@@ -56,7 +56,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from time import perf_counter
-from typing import AbstractSet, Any, Iterable, Iterator, Sequence
+from typing import AbstractSet, Any, Iterable, Iterator, NamedTuple, Sequence
 
 from repro.core.cut_pruning import (
     Rows,
@@ -112,10 +112,16 @@ greedy_coloring = greedy_coloring_rows
 #: ``(component id, epoch, members)`` per graph component.
 Parts = tuple[tuple[int, int, tuple[Node, ...]], ...]
 
-#: What an enumeration searches for one graph component: the rows its
-#: cut read, and the pieces that can hold a (k, tau)-clique (more than
-#: ``k`` nodes) as local ids in them, in component order.
-SearchSource = tuple[CutRows, list[list[int]]]
+class SearchSource(NamedTuple):
+    """What an enumeration searches for one graph component: the rows
+    its cut read, the pieces that can hold a (k, tau)-clique (more than
+    ``k`` nodes) as local ids in them, in component order, and whether
+    each piece is its own (Top_k, tau)-core (:attr:`CutArtifact.
+    cores`)."""
+
+    rows: CutRows
+    pieces: list[list[int]]
+    cores: list[bool]
 
 
 # ----------------------------------------------------------------------
@@ -254,6 +260,13 @@ class CutArtifact:
     phases, so a warm run fills its stats object identically to the
     cold run that built the artifact.
 
+    ``cores[i]`` says component ``i`` is its own (Top_k, tau)-core, so
+    the in-search peel at its search's root could remove nothing and is
+    skipped.  It holds for every piece the cut leaves (its fringe peel
+    and re-peels see to it) and for every component of a ``topk``
+    prune's survivors; not for a ``ktau`` or ``none`` rule's split
+    without the cut, nor for a per-vertex sub-piece.
+
     A maximum-search artifact also carries ``heads``, each
     component's first node in :func:`~repro.core.prune_kernel.
     node_sort_key` order, and ``lower_bound``, the greedy clique size
@@ -269,6 +282,7 @@ class CutArtifact:
     nodes_after_pruning: int
     heads: tuple[Node, ...] = ()
     lower_bound: int = 0
+    cores: tuple[bool, ...] = ()
 
 
 def cut_stage(
@@ -320,6 +334,9 @@ def cut_stage(
     stable and skips their first fringe peel
     (:func:`~repro.core.cut_pruning.cut_rows`).  A cut at a raised
     ``k' = s - 1`` ignores it, since the (Top_k', tau)-core is smaller.
+    With ``cut`` or ``core`` every piece is its own (Top_k, tau)-core
+    (a (Top_k', tau)-core is one too), which the artifact's ``cores``
+    record, sub-pieces excepted.
     """
     rows = induced_rows(compiled, survivors)
     cuts_found = edges_removed = lower_bound = 0
@@ -337,21 +354,26 @@ def cut_stage(
     labels = [nodes[g] for g in survivors]
     rank = [sort_rank[g] for g in survivors]
     heads: tuple[Node, ...] = ()
+    whole = cut or core  # every piece is its own (Top_k, tau)-core
+    cores = [whole] * len(pieces)
     if maximum:
         by_head = sorted(
             (piece for piece in pieces if len(piece) >= lower_bound),
             key=lambda piece: min(rank[i] for i in piece),
         )
         pieces = []
+        cores = []
         for piece in by_head:
             if len(piece) <= limit:
                 pieces.append(piece)
+                cores.append(whole)
                 continue
             order, pos, nbr = piece_order(rows, piece)
             for x in reversed(order):
                 sub = [x, *(y for y in nbr[x] if pos[y] > pos[x])]
                 if len(sub) > cut_k:
                     pieces.append(sorted(piece[y] for y in sub))
+                    cores.append(False)
         heads = tuple(
             labels[min(piece, key=rank.__getitem__)] for piece in pieces
         )
@@ -364,10 +386,13 @@ def cut_stage(
         nodes_after_pruning=len(survivors),
         heads=heads,
         lower_bound=lower_bound,
+        cores=tuple(cores),
     )
-    return artifact, (
+    searched = [i for i, piece in enumerate(pieces) if len(piece) > k]
+    return artifact, SearchSource(
         CutRows(labels, rank, rows),
-        [piece for piece in pieces if len(piece) > k],
+        [pieces[i] for i in searched],
+        [cores[i] for i in searched],
     )
 
 
@@ -385,17 +410,22 @@ def search_source(
     many of them hold it.
     """
     index = compiled.index
-    searched = [c for c in cut.components if len(c) > k]
-    ids = sorted({index[u] for component in searched for u in component})
+    searched = [
+        i for i, component in enumerate(cut.components) if len(component) > k
+    ]
+    ids = sorted({
+        index[u] for i in searched for u in cut.components[i]
+    })
     at = {g: i for i, g in enumerate(ids)}
     nodes, rank = compiled.nodes, compiled.sort_rank
-    return (
+    return SearchSource(
         CutRows(
             [nodes[g] for g in ids],
             [rank[g] for g in ids],
             induced_rows(compiled, ids),
         ),
-        [[at[index[u]] for u in component] for component in searched],
+        [[at[index[u]] for u in cut.components[i]] for i in searched],
+        [cut.cores[i] for i in searched],
     )
 
 
@@ -434,14 +464,14 @@ def enumeration_search_stage(
     runs this stage per graph component into a fresh stats object and
     caches the cliques with those counters, which its replays add back.
     """
-    rows, pieces = source
-    for piece in pieces:
+    rows, pieces, cores = source
+    for piece, core in zip(pieces, cores):
         t_start = perf_counter()
         out: list[frozenset[Node]] = []
         if len(piece) <= limit:
             out = enumerate_pivot_range(
                 derive_component_view(rows, piece), k, tau_floor, min_size,
-                insearch, insearch_min_candidates, stats,
+                insearch, insearch_min_candidates, stats, core=core,
             )
         else:
             for vv in vertex_views(rows, piece, k):
@@ -563,11 +593,13 @@ def maximum_search_stage(
     for cut, source, memo in parts:
         lookups: dict[int, dict[int, float]] = {}
         searched = [
-            (head, component)
-            for head, component in zip(cut.heads, cut.components)
+            (head, component, core)
+            for head, component, core in zip(
+                cut.heads, cut.components, cut.cores
+            )
             if len(component) > k
         ]
-        for ordinal, (head, component) in enumerate(searched):
+        for ordinal, (head, component, core) in enumerate(searched):
             floor = best_size
             if best_ranks and rank[index[head]] <= best_ranks[0]:
                 floor -= 1  # a tie found here may precede the incumbent
@@ -579,14 +611,14 @@ def maximum_search_stage(
                 if source is None:
                     source = search_source(compiled, cut, k)
                 entry = memo[ordinal] = piece_view(
-                    source[0], source[1][ordinal], lookups
+                    source.rows, source.pieces[ordinal], lookups
                 )
                 stats.timings.add("views", perf_counter() - t_start)
             comp, color = entry
             t_start = perf_counter()
             found, size = maximum_compiled(
                 comp, color, k, tau_floor, min_size, floor,
-                use_advanced_one, use_advanced_two, insearch, stats,
+                use_advanced_one, use_advanced_two, insearch, stats, core,
             )
             stats.timings.add("search", perf_counter() - t_start)
             if found is None:

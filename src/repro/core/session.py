@@ -46,8 +46,8 @@ component's answers.
 
 What makes replaying artifacts sound:
 
-* artifacts are **pure data** (survivor sets, label tuples, compiled
-  CSR bundles, color tables) with no wall clocks; the only counters
+* artifacts are **pure data** (survivor sets, label tuples, search
+  views, color tables) with no wall clocks; the only counters
   cached are the pre-search ones of a cut entry and the search
   counters an answers entry's search added, which a replay adds back
   — so a warm call fills its stats object bit-identically to cold;
@@ -106,8 +106,8 @@ _MISSING: Any = object()
 #: rows the cut read when it ran in this query, ``None`` on a cache hit.
 _Part = tuple[int, int, pipeline.CutArtifact, pipeline.SearchSource | None]
 
-#: Default LRU bound: stage artifacts can hold component subgraphs and
-#: compiled CSR bundles, so the cache is bounded by entry *count* and
+#: Default LRU bound: stage artifacts can hold cliques and MaxUC+'s
+#: search views, so the cache is bounded by entry *count* and
 #: sized for a handful of (k, tau) working sets, not unbounded history.
 #: Component-scoped keys multiply the entry count by the number of
 #: components a workload touches, hence the generous default (the

@@ -15,6 +15,7 @@ search branch is dead and the peeling aborts early.
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, AbstractSet, Iterable
 
@@ -97,6 +98,11 @@ def topk_peel_masks(
     mask, or ``None`` as soon as a fixed node is condemned (the branch is
     dead either way, so no work is wasted finishing the peel).
 
+    Each node's neighbours are read in descending probability order (ties
+    by id) from ``comp.ranked``, built from its mask and dense row the
+    first time the peel tests it and kept on the view, so the top k live
+    ones are a prefix and later peels on the view sort nothing.
+
     Parity with :func:`topk_core`: the peel condition is monotone under
     node removal, so the surviving fixpoint is unique regardless of peel
     order, and a fixed node is condemned under *some* order iff it is
@@ -110,26 +116,42 @@ def topk_peel_masks(
     if k == 0:
         # pi_0 is the empty product 1.0, which clears any valid tau.
         return members
-    row_offsets = comp.row_offsets
-    nbr_ids = comp.nbr_ids
-    nbr_probs = comp.nbr_probs
+    ranked = comp.ranked
+    rows = comp.rows
     adj = comp.adj
     alive = members
     stack: list[int] = []
 
     def survives(u: int) -> bool:
-        # Top-k product over surviving neighbors: the CSR row is sorted by
-        # descending probability, so the first k live entries are the top
-        # k; they are multiplied back-to-front (ascending), the float
-        # sequence of math.prod(sorted(probs)[-k:]).
+        # Top-k product over surviving neighbors: the first k live ids
+        # of the ranked row are the top k; their probabilities are
+        # multiplied back-to-front (ascending), the float sequence of
+        # math.prod(sorted(probs)[-k:]).
+        row = rows[u]
+        order = ranked[u]
+        if order is None:
+            ids: list[int] = []
+            mask = adj[u]
+            base = 0
+            while mask:
+                chunk = mask & 0xFFFFFFFFFFFFFFFF
+                mask >>= 64
+                while chunk:
+                    low = chunk & -chunk
+                    chunk ^= low
+                    ids.append(base + low.bit_length() - 1)
+                base += 64
+            # A stable sort of ascending ids: ties stay in id order.
+            ids.sort(key=row.__getitem__, reverse=True)
+            order = ranked[u] = array("l", ids)
         top: list[float] = []
-        for i in range(row_offsets[u], row_offsets[u + 1]):
-            if alive >> nbr_ids[i] & 1:
-                top.append(nbr_probs[i])
+        for j in order:
+            if alive >> j & 1:
+                top.append(row[j])
                 if len(top) == k:
                     product = 1.0
-                    for j in range(k - 1, -1, -1):
-                        product *= top[j]
+                    for i in range(k - 1, -1, -1):
+                        product *= top[i]
                     # Hot path: tau_floor = threshold_floor(tau) fast path.
                     return product >= tau_floor  # repro-lint: ignore[RPL001]
         return False

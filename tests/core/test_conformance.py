@@ -664,7 +664,7 @@ def source_views(
     """The views an enumeration search builds from ``source``, per
     piece."""
     limit = enumeration_mod.KERNEL_COMPONENT_LIMIT
-    rows, pieces = source
+    rows, pieces, _ = source
     return [
         derive_component_view(rows, piece) if len(piece) <= limit
         else list(vertex_views(rows, piece, k))
@@ -1020,6 +1020,65 @@ PINNED: dict[str, Case] = {
 def test_pinned_rows(case: Case) -> None:
     check_queries(case)
     check_lowering(case)
+
+
+# ----------------------------------------------------------------------
+# Pivot and root-gate rows: each checks its path was taken
+# ----------------------------------------------------------------------
+
+
+def test_a_witness_pivot_absorbs_every_candidate() -> None:
+    # Triangles 0-1-3 and 0-2-3 on the 1.0 edge 0-3.  The root pivots on
+    # 0, absorbs 1 and 3, and branches on 0, then on 2: R = {2} has the
+    # one candidate 3, and 0, branched before it, is a witness that
+    # absorbs it (0.7 * 1.0 * 0.9 >= 0.3), so R = {2} branches on
+    # nothing.  A candidate pivot can never absorb its own branch: that
+    # search took 8 calls and skipped 3 branches.
+    graph = UncertainGraph([
+        (0, 1, 0.9), (0, 2, 0.7), (0, 3, 1.0), (1, 3, 0.9), (2, 3, 0.9),
+    ])
+    for cut in (True, False):
+        stats = EnumerationStats()
+        cliques = list(maximal_cliques(graph.copy(), 1, 0.3, cut=cut,
+                                       stats=stats))
+        assert len(cliques) == len(set(cliques))
+        assert set(cliques) == brute_force_maximal_cliques(graph, 1, 0.3)
+        assert (stats.search_calls, stats.pivot_skipped) == (7, 4)
+
+
+def _clique_beside_a_ring() -> UncertainGraph:
+    """A 0.9 6-clique bridged to a 24-node ring of 0.6 edges to the
+    first and second neighbours.  At (2, 0.5) each ring node keeps four
+    edges, so it survives the (k, tau)-core (it has at least two of them
+    with probability 0.82) but not the (Top_2, tau)-core (0.6^2 < 0.5)."""
+    ring = [f"r{i}" for i in range(24)]
+    return UncertainGraph(
+        clique_edges([f"c{i}" for i in range(6)], 0.9)
+        + [(ring[i], ring[(i + d) % 24], 0.6) for i in range(24)
+           for d in (1, 2)]
+        + [("c0", "r0", 0.6)]
+    )
+
+
+@pytest.mark.parametrize(
+    ("pruning", "cut", "prunes"),
+    [("ktau", False, 1), ("ktau", True, 0), ("topk", False, 0),
+     ("none", False, 1)],
+)
+def test_the_root_gate_runs_only_on_a_piece_that_is_no_core(
+    pruning: PruningRule, cut: bool, prunes: int
+) -> None:
+    # Without the cut, the ktau and none rules leave the ring in the
+    # 30-node piece, and the root gate (30 candidates, above the
+    # in-search gate's 24) peels it.  The cut's fringe peel, or the topk
+    # prune, leaves the 6-clique alone: a core, searched without it.
+    graph = _clique_beside_a_ring()
+    stats = EnumerationStats()
+    cliques = list(maximal_cliques(graph, 2, 0.5, pruning=pruning, cut=cut,
+                                   stats=stats))
+    assert len(cliques) == len(set(cliques)) == 15
+    assert set(cliques) == mule_maximal_cliques(graph, 2, 0.5)
+    assert stats.insearch_prunes == prunes
 
 
 # ----------------------------------------------------------------------

@@ -18,7 +18,10 @@ from repro.core.cut_pruning import (
     cut_rows,
     induced_rows,
 )
+from repro.core.kernel import derive_component_view
+from repro.core.pipeline import cut_stage, prune_stage
 from repro.core.prune_kernel import compile_graph, topk_peel
+from repro.core.topk_core import topk_peel_masks
 from repro.errors import ParameterError
 from repro.utils.validation import threshold_floor
 from tests.conftest import (
@@ -498,3 +501,45 @@ def test_lazy_row_keeps_edges_to_pending_nodes():
     seeded, full = outcomes
     assert seeded == full
     assert [i for i in range(5) if seeded[i] == _PEELED] == [a, b]
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    uncertain_graphs(), _k_taus(), st.sampled_from(("topk", "ktau", "none")),
+    st.booleans(), st.booleans(), st.sampled_from((3, 1024)),
+)
+def test_pieces_marked_core_lose_nothing_to_the_root_gate(
+    graph, k_tau, rule, cut, maximum, limit
+):
+    # The search skips the in-search peel at the root of a piece the cut
+    # stage marks as its own (Top_k, tau)-core: there Algorithm 3 over
+    # the whole view keeps every node.  The cut marks every piece it
+    # leaves, and without it the topk survivors' components; never a
+    # per-vertex sub-piece.
+    k, tau = k_tau
+    cut = cut or maximum  # MaxUC+ always cuts
+    compiled = compile_graph(graph)
+    survivors = (
+        graph.nodes() if rule == "none"
+        else prune_stage(compiled, k, tau, rule)
+    )
+    ids = sorted(compiled.index[u] for u in survivors)
+    if not ids:
+        return
+    art, source = cut_stage(
+        compiled, ids, k, tau, cut, limit, maximum, rule == "topk"
+    )
+    assert len(art.cores) == len(art.components)
+    assert source.cores == [
+        core for core, component in zip(art.cores, art.components)
+        if len(component) > k
+    ]
+    floor = threshold_floor(tau)
+    for piece, core in zip(source.pieces, source.cores):
+        if core:
+            view = derive_component_view(source.rows, piece)
+            assert topk_peel_masks(
+                view, view.full_mask, 0, k, floor
+            ) == view.full_mask
+        else:  # a sub-piece, or a ktau / none split without the cut
+            assert (maximum and limit == 3) or not (cut or rule == "topk")

@@ -336,10 +336,11 @@ def test_cached_entries_survive_a_patch_by_another_reader() -> None:
     assert len(list(session.cliques_containing(20, 2, 0.3))) == 1
     entries = list(session._cache.values())
     assert any(isinstance(e, pipeline.CutArtifact) for e in entries)
-    # Every field of a cut artifact is a label tuple or a counter, so
-    # no cached cut can hold rows.
+    # Every field of a cut artifact is a label tuple, a counter or a
+    # per-component flag, so no cached cut can hold rows.
     assert {f.type for f in fields(pipeline.CutArtifact)} == {
         "tuple[tuple[Node, ...], ...]", "int", "tuple[Node, ...]",
+        "tuple[bool, ...]",
     }
     snapshot = pickle.dumps(entries)
     # A reweight in the third clique, resolved by a free function: the

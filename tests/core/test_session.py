@@ -406,21 +406,21 @@ class TestGoldenCounters:
     GOLDEN = {
         (4, 0.05): dict(
             nodes_after_pruning=562, components=3, cuts_found=2,
-            cut_edges_removed=62, search_calls=3718, insearch_prunes=9,
-            branch_size_prunes=1362, pivot_branches=5077,
-            pivot_skipped=11270, cliques=63,
+            cut_edges_removed=62, search_calls=1098, insearch_prunes=9,
+            branch_size_prunes=1282, pivot_branches=2377,
+            pivot_skipped=5015, cliques=63,
         ),
         (4, 0.2): dict(
             nodes_after_pruning=513, components=17, cuts_found=15,
-            cut_edges_removed=418, search_calls=2958, insearch_prunes=3,
-            branch_size_prunes=383, pivot_branches=3325,
-            pivot_skipped=9521, cliques=124,
+            cut_edges_removed=418, search_calls=1208, insearch_prunes=3,
+            branch_size_prunes=371, pivot_branches=1563,
+            pivot_skipped=5315, cliques=124,
         ),
         (8, 0.25): dict(
             nodes_after_pruning=481, components=36, cuts_found=20,
-            cut_edges_removed=419, search_calls=2641, insearch_prunes=0,
-            branch_size_prunes=254, pivot_branches=2875,
-            pivot_skipped=7746, cliques=352,
+            cut_edges_removed=419, search_calls=1791, insearch_prunes=0,
+            branch_size_prunes=249, pivot_branches=2020,
+            pivot_skipped=5310, cliques=352,
         ),
     }
 
