@@ -433,8 +433,8 @@ def _clears(
     ``value``, clears ``tau_floor``: ``value`` decides outside the
     :data:`_NEAR` band, the canonical product (members sorted by
     ``key``, ids by default) inside it."""
-    # Cold path: the kernel inlines the band test and calls this only
-    # inside it.
+    # Off the hot path: the search tests the band inline and calls this
+    # only inside it.
     if value < tau_floor / _NEAR:  # repro-lint: ignore[RPL001]
         return False
     if value >= tau_floor * _NEAR:  # repro-lint: ignore[RPL001]
