@@ -24,9 +24,9 @@ library runs it, and ``nocut``, the same with ``cut=False``, so the cut
 (Lemma 5) stays measured against the plain component split it replaces.
 Its ``cut`` phase is that split, and ``cut_speedup`` is its median
 ``cut`` plus ``search`` laps (view building included) over the pivot
-arm's: the compile and prune laps are the same work in both arms.  The maximum suite
-has the one arm, ``pivot``.  Every arm's ``phase_seconds`` are per-phase
-medians over the repetitions.
+arm's: the compile and prune laps are the same work in both arms.  The
+maximum suite has the one arm, ``pivot``.  Every arm's
+``phase_seconds`` are per-phase medians over the repetitions.
 
 Every run also re-verifies the arms' contract.  For enumeration it is
 *set* identity: the ``nocut`` arm must yield exactly the pivot arm's

@@ -139,9 +139,8 @@ KERNEL_COMPONENT_LIMIT = 1024
 #: ``floor * _NEAR`` certifies the canonical one clears the floor, one
 #: below ``floor / _NEAR`` certifies it does not, and in between the
 #: canonical product is computed.  The pivot absorption skips branches
-#: only above ``floor * _NEAR``, and the descent filters drop a
-#: candidate only below ``floor / _NEAR``, so neither can lose a clique
-#: whose canonical product clears the floor.
+#: only above ``floor * _NEAR``, so every sub-clique it skips is
+#: extended by the pivot by its canonical product too.
 _NEAR = 1.0 + 1e-9
 
 
@@ -666,12 +665,9 @@ def enumerate_pivot_range(
         for e in cands:
             cand_mask |= bits[e[0]]
 
-        # Pivot selection: the candidate of max structural coverage by
-        # popcount, ties to the lowest id (deterministic), absorbs first;
-        # then each witness (a node of common & ~banned outside C whose
-        # product to R clears the margined floor) whose cover beats the
-        # best absorption so far.  The largest absorption wins, and a
-        # witness can absorb every candidate.
+        # Pivot selection (the pivot comment above): the candidate of
+        # max popcount cover, ties to the lowest id, absorbs first, then
+        # each witness whose cover beats the best absorption so far.
         skip_mask = 0
         absorbed = 0
         if nc > 1:

@@ -388,11 +388,13 @@ def cut_stage(
         lower_bound=lower_bound,
         cores=tuple(cores),
     )
-    searched = [i for i, piece in enumerate(pieces) if len(piece) > k]
+    searched = [
+        (piece, core) for piece, core in zip(pieces, cores) if len(piece) > k
+    ]
     return artifact, SearchSource(
         CutRows(labels, rank, rows),
-        [pieces[i] for i in searched],
-        [cores[i] for i in searched],
+        [piece for piece, _ in searched],
+        [core for _, core in searched],
     )
 
 
@@ -411,11 +413,11 @@ def search_source(
     """
     index = compiled.index
     searched = [
-        i for i, component in enumerate(cut.components) if len(component) > k
+        (component, core)
+        for component, core in zip(cut.components, cut.cores)
+        if len(component) > k
     ]
-    ids = sorted({
-        index[u] for i in searched for u in cut.components[i]
-    })
+    ids = sorted({index[u] for component, _ in searched for u in component})
     at = {g: i for i, g in enumerate(ids)}
     nodes, rank = compiled.nodes, compiled.sort_rank
     return SearchSource(
@@ -424,8 +426,8 @@ def search_source(
             [rank[g] for g in ids],
             induced_rows(compiled, ids),
         ),
-        [[at[index[u]] for u in cut.components[i]] for i in searched],
-        [cut.cores[i] for i in searched],
+        [[at[index[u]] for u in component] for component, _ in searched],
+        [core for _, core in searched],
     )
 
 

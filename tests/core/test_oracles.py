@@ -42,6 +42,7 @@ Valid = Callable[[UncertainGraph, Node], bool]
 
 TAUS = (0.01, 0.05, 0.1, 0.2, 0.3, 0.5, 0.6)
 
+
 @st.composite
 def cases(draw: st.DrawFn) -> tuple[UncertainGraph, int, float]:
     graph = draw(uncertain_graphs())
