@@ -59,7 +59,13 @@ incremental product the search carries decides wherever it lies
 outside a relative :data:`_NEAR` band around the floor, which bounds
 the reassociation error; inside the band the canonical product is
 computed (:func:`_clears`).  A clique and one of its subsets can then
-never both be emitted, whatever member order reached them.
+never both be emitted, whatever member order reached them.  The tests
+that only discard — the in-search (Top_k, tau)-core peel and MaxUC+'s
+color budgets — multiply their own products in their own orders, so
+they run at the band's lower edge, ``floor / _NEAR``: they never
+discard a set whose canonical product clears the floor.  The
+pre-search peels and the cut still test at the floor itself (see
+``docs/performance.md``).
 
 Results are decompiled back to the original node labels.  The pivot
 enumeration emits the *set* of cliques the plain recursion would, in
@@ -140,7 +146,8 @@ KERNEL_COMPONENT_LIMIT = 1024
 #: below ``floor / _NEAR`` certifies it does not, and in between the
 #: canonical product is computed.  The pivot absorption skips branches
 #: only above ``floor * _NEAR``, so every sub-clique it skips is
-#: extended by the pivot by its canonical product too.
+#: extended by the pivot by its canonical product too; the in-search
+#: peel and the color budgets discard only below ``floor / _NEAR``.
 _NEAR = 1.0 + 1e-9
 
 
@@ -268,8 +275,9 @@ def derive_component_view(
     * local ids renumber the members by ascending ``sort_rank``, which
       restricted to any subset equals the component's own
       :func:`node_sort_key` sort;
-    * :meth:`CompiledComponent.from_rows` filters each row to the
-      members, sorts it and builds every form.
+    * :meth:`CompiledComponent.from_rows` sets each member entry's bit
+      and dense-row slot, skipping the entries of non-members; nothing
+      is sorted.
 
     The view is a deep **snapshot**: its arrays are freshly built, never
     aliases of the source's lists.
@@ -649,8 +657,10 @@ def enumerate_pivot_range(
             clique_mask = 0
             for r in clique:
                 clique_mask |= bits[r]
+            # At near_lo: a top-k product in its own order may sit a
+            # few ulps below a canonical product that clears the floor.
             alive = topk_peel_masks(
-                comp, clique_mask | cand_mask, clique_mask, k, tau_floor
+                comp, clique_mask | cand_mask, clique_mask, k, near_lo
             )
             if alive is None or alive.bit_count() < min_size:
                 insearch_prunes += 1
@@ -806,7 +816,8 @@ def maximum_compiled(
     its per-vertex sub-pieces; either way it has dense rows.  A whole
     piece is its own (Top_k, tau)-core (``core=True``), so the in-search
     peel is skipped at its root, as :func:`enumerate_pivot_range` skips
-    it.
+    it.  The advanced bounds and the peel only discard, so they test at
+    ``tau_floor / _NEAR`` (the module docstring).
     """
     n = comp.n
     adj = comp.adj
@@ -852,7 +863,7 @@ def maximum_compiled(
                     best_per_color[c] = pi_v
             bound = _prefix_budget(
                 sorted(best_per_color.values(), reverse=True),
-                clique_prob, tau_floor,
+                clique_prob, near_lo,
             )
             if clique_len + bound <= best_size:
                 adv1_prunes += 1
@@ -873,7 +884,7 @@ def maximum_compiled(
                             best_per_color[c] = p
                 budget = _prefix_budget(
                     sorted(best_per_color.values(), reverse=True),
-                    clique_prob, tau_floor,
+                    clique_prob, near_lo,
                 )
                 if tightest is None or budget < tightest:
                     tightest = budget
@@ -886,7 +897,7 @@ def maximum_compiled(
 
         if insearch and clique_len < min_size and (clique_len or not core):
             members = clique_mask | cand_mask
-            alive = topk_peel_masks(comp, members, clique_mask, k, tau_floor)
+            alive = topk_peel_masks(comp, members, clique_mask, k, near_lo)
             if alive is None or alive.bit_count() < min_size:
                 ins_prunes += 1
                 return
@@ -957,9 +968,11 @@ def _prefix_budget(
     values: list[float], clique_prob: float, tau_floor: float
 ) -> int:
     """Longest prefix of descending ``values`` whose running product with
-    ``clique_prob`` stays at least tau: the same floats, multiplied in
-    the same order, as ``prefix_budget(values, clique_prob, tau)`` of
-    ``tests/core/oracles.py``, compared against the floor."""
+    ``clique_prob`` stays at least ``tau_floor``: the same floats,
+    multiplied in the same order, as ``prefix_budget(values,
+    clique_prob, tau)`` of ``tests/core/oracles.py``, compared against
+    the floor it is handed (:func:`maximum_compiled` hands the lower
+    edge of the :data:`_NEAR` band)."""
     count = 0
     running = clique_prob
     for value in values:

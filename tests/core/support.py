@@ -9,7 +9,8 @@ independently built one, field by field.
 from __future__ import annotations
 
 import itertools
-from typing import Iterable
+import math
+from typing import Iterable, Sequence
 
 from hypothesis import strategies as st
 
@@ -23,7 +24,9 @@ from repro.core.kernel import (
 from repro.core.prune_kernel import CompiledGraph, compile_graph
 from repro.deterministic.components import connected_components
 from repro.deterministic.core_decomposition import core_numbers
+from repro.uncertain.clique_prob import clique_probability
 from repro.uncertain.graph import Node, node_sort_key
+from repro.utils.validation import FLOAT_EPS, threshold_floor
 
 #: Few distinct values, so one graph holds many duplicate probabilities,
 #: plus deterministic edges and values on both sides of
@@ -99,6 +102,27 @@ def knife_edge_triangle() -> UncertainGraph:
 
 
 KNIFE_TAU = 0.35999996436000004
+
+
+def knife_edge_clique(probs: Sequence[float]) -> tuple[UncertainGraph, float]:
+    """A clique of ``len(probs) + 1`` nodes whose edges at node 0 carry
+    ``probs`` and whose other edges are 1.0, with the tau whose floor is
+    exactly its canonical product, ``probs`` multiplied in order.
+
+    Node 0's top-k product multiplies the same values ascending and a
+    color budget descending; with ``probs`` in the other order either
+    can land an ulp below the floor, though the clique clears it.
+    """
+    nodes = range(len(probs) + 1)
+    graph = UncertainGraph(
+        [(0, v, p) for v, p in zip(nodes[1:], probs)]
+        + clique_edges(nodes[1:], 1.0)
+    )
+    product = clique_probability(graph, nodes)
+    tau = product / (1.0 - FLOAT_EPS)
+    while (floor := threshold_floor(tau)) != product:
+        tau = math.nextafter(tau, 0.0 if floor > product else 1.0)
+    return graph, tau
 
 #: Relative offsets of tau around the value whose floor is a clique's
 #: probability: far above float reassociation error (~1e-16), far below

@@ -77,6 +77,7 @@ from repro.core.kernel import (
     VertexView,
     compile_component,
     derive_component_view,
+    maximum_compiled,
     vertex_views,
 )
 from repro.core.ktau_core import dp_core, dp_core_plus
@@ -110,6 +111,7 @@ from tests.core.support import (
     assert_views_bit_identical,
     clique_edges,
     hub_and_triangle,
+    knife_edge_clique,
     knife_edge_triangle,
     lowering_view,
     seed_graph,
@@ -569,10 +571,13 @@ def check_readers(
 class BuiltViews:
     """The search views built while :func:`recording_views` ran: each
     whole view, and each search's per-vertex views of an oversized
-    piece, by the piece's node set (one list per search)."""
+    piece, by the piece's node set (one list per search, beside the
+    labels of the piece's places)."""
 
     whole: list[CompiledComponent]
-    per_vertex: dict[frozenset[Node], list[list[VertexView]]]
+    per_vertex: dict[
+        frozenset[Node], list[tuple[list[Node], list[VertexView]]]
+    ]
 
 
 @contextmanager
@@ -592,9 +597,10 @@ def recording_views() -> Iterator[BuiltViews]:
         source: CutRows, piece: list[int], k: int
     ) -> Iterator[VertexView]:
         views: list[VertexView] = []
-        built.per_vertex.setdefault(
-            frozenset(source.labels[i] for i in piece), []
-        ).append(views)
+        places = [source.labels[i] for i in piece]
+        built.per_vertex.setdefault(frozenset(places), []).append(
+            (places, views)
+        )
         for vv in per_vertex(source, piece, k):
             views.append(vv)
             yield vv
@@ -628,8 +634,8 @@ def assert_built_views(session: PreparedGraph, built: BuiltViews) -> None:
             elif len(component) <= limit:
                 assert nodes in whole
             else:
-                for views in built.per_vertex[nodes]:
-                    assert_vertex_views(graph, k, component, views)
+                for places, views in built.per_vertex[nodes]:
+                    assert_vertex_views(graph, k, component, views, places)
 
 
 def assert_vertex_views(
@@ -637,12 +643,16 @@ def assert_vertex_views(
     k: int,
     component: tuple[Node, ...],
     views: list[VertexView],
+    places: list[Node],
 ) -> None:
     """The views of a degeneracy order: one per vertex ``v`` whose view
     has more than ``k`` nodes, each holding ``v`` and some of its
     neighbours (no two vertices in each other's view), at most the
     component's degeneracy plus one nodes, and each the compile of its
-    induced subgraph."""
+    induced subgraph.  Its witnesses are ``v``'s earlier neighbours of
+    more than ``k`` neighbours, and the piece's rows and ranks the views
+    share are, for each witness and member (``places[x]`` labels place
+    ``x``), its induced adjacency and its ``node_sort_key`` order."""
     induced = graph.induced_subgraph(component)
     degeneracy = max(core_numbers(induced).values())
     later = {vv.view.nodes[vv.root]: set(vv.view.nodes) for vv in views}
@@ -652,10 +662,33 @@ def assert_vertex_views(
         assert members <= set(induced.neighbors(root))
         assert k < len(members) + 1 <= degeneracy + 1
         assert not any(root in later.get(u, ()) for u in members)
+    ranked = sorted(range(len(places)), key=lambda x: node_sort_key(places[x]))
     for vv in views:
         assert_views_bit_identical(
             vv.view, compile_component(graph.induced_subgraph(vv.view.nodes))
         )
+        assert [places[x] for x in vv.members] == list(vv.view.nodes)
+        root = vv.members[vv.root]
+        assert set(vv.witnesses) == {
+            w for w in vv.nbr[root]
+            if w not in vv.members and len(vv.nbr[w]) > k
+        }
+        for x in (*vv.witnesses, *vv.members):
+            assert {places[y]: p for y, p in vv.nbr[x].items()} == dict(
+                induced.incident(places[x])
+            )
+        assert sorted(range(len(places)), key=vv.key.__getitem__) == ranked
+
+
+def piece_reads(vv: VertexView) -> tuple[Any, ...]:
+    """What :func:`drop_extended` reads of ``vv`` beside its view:
+    the root, the members and the witnesses, and the piece's adjacency
+    rows and sort ranks of each witness and member."""
+    places = (*vv.witnesses, *vv.members)
+    return (
+        vv.root, vv.members, vv.witnesses,
+        [vv.nbr[x] for x in places], [vv.key[x] for x in places],
+    )
 
 
 def source_views(
@@ -782,13 +815,15 @@ def check_gathers(
                 continue
             views = source_views(source, k)
             assert len(views) == len(searched)
-            for component, view in zip(searched, views):
+            for component, view, piece in zip(searched, views, source.pieces):
                 if isinstance(view, CompiledComponent):
                     assert_views_bit_identical(view, compile_component(
                         graph.induced_subgraph(component)
                     ))
                 else:
-                    assert_vertex_views(graph, k, component, view)
+                    assert_vertex_views(graph, k, component, view, [
+                        source.rows.labels[g] for g in piece
+                    ])
             # A cached cut's rows, read again, build the same views.
             again = source_views(pipeline_mod.search_source(cpg, art, k), k)
             for view, other in zip(views, again):
@@ -799,9 +834,7 @@ def check_gathers(
                     assert isinstance(other, list)
                     assert len(view) == len(other)
                     for vv, ww in zip(view, other):
-                        assert (vv.root, vv.members, vv.witnesses) == (
-                            ww.root, ww.members, ww.witnesses
-                        )
+                        assert piece_reads(vv) == piece_reads(ww)
                         assert_views_bit_identical(vv.view, ww.view)
 
     def check_all() -> None:
@@ -1079,6 +1112,52 @@ def test_the_root_gate_runs_only_on_a_piece_that_is_no_core(
     assert len(cliques) == len(set(cliques)) == 15
     assert set(cliques) == mule_maximal_cliques(graph, 2, 0.5)
     assert stats.insearch_prunes == prunes
+
+
+#: Node 0's edges of a knife-edge clique (``knife_edge_clique``), each
+#: with the order whose product lands below the floor: ascending, node
+#: 0's top-k product in the in-search peel; descending, a color budget.
+KNIFE_CLIQUES = {
+    "peel-k3": ((0.92, 0.65, 0.52), False),
+    "peel-k4": ((0.9, 0.65, 0.58, 0.52), False),
+    "budget-k3": ((0.51, 0.63, 0.91), True),
+    "budget-k4": ((0.55, 0.58, 0.61, 0.95), True),
+}
+
+
+@pytest.mark.parametrize(
+    ("probs", "descending"), KNIFE_CLIQUES.values(), ids=KNIFE_CLIQUES.keys()
+)
+def test_the_search_discards_no_clique_on_a_knife_edge(
+    probs: tuple[float, ...], descending: bool
+) -> None:
+    # tau's floor is the clique's canonical product exactly, and the
+    # peel's or the budget's product of the same edges an ulp below it.
+    # The in-search peel (forced on every call, root included: no
+    # pre-search prune, no cut) and MaxUC+'s bounds keep the clique.
+    graph, tau = knife_edge_clique(probs)
+    k = len(probs)
+    floor = threshold_floor(tau)
+    running = 1.0
+    for p in sorted(probs, reverse=descending):
+        running *= p
+    assert running < floor
+    whole = frozenset(graph.nodes())
+    assert brute_force_maximal_cliques(graph, k, tau) == {whole}
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(enumeration_mod, "_INSEARCH_MIN_CANDIDATES", 0)
+        for limit in (enumeration_mod.KERNEL_COMPONENT_LIMIT, 3):
+            patch.setattr(enumeration_mod, "KERNEL_COMPONENT_LIMIT", limit)
+            assert list(maximal_cliques(
+                graph.copy(), k, tau, pruning="none", cut=False
+            )) == [whole]
+    comp = compile_component(graph)
+    colors = greedy_coloring(graph)
+    best, size = maximum_compiled(
+        comp, [colors[u] for u in comp.nodes], k, floor, k + 1, k,
+        True, True, True, MaximumSearchStats(),
+    )
+    assert (frozenset(best or ()), size) == (whole, k + 1)
 
 
 # ----------------------------------------------------------------------
